@@ -234,6 +234,12 @@ det_smoke() {
         | grep -v '^\[')" || return 1
     out4="$(python -m repro.experiments.runner fig01 --length 2000 --jobs 4 \
         | grep -v '^\[')" || return 1
+    [ "$out1" = "$out4" ] || return 1
+    # Fig. 16 runs the multicore capture/replay path.
+    out1="$(python -m repro.experiments.runner fig16 --length 2000 --jobs 1 \
+        | grep -v '^\[')" || return 1
+    out4="$(python -m repro.experiments.runner fig16 --length 2000 --jobs 2 \
+        | grep -v '^\[')" || return 1
     [ "$out1" = "$out4" ]
 }
 stage "determinism smoke (serial == parallel)" det_smoke

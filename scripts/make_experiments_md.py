@@ -74,6 +74,15 @@ policy wins, by roughly what factor, and where the crossovers fall.
 3. **L3 savings trail L2 savings by more than in the paper** for the
    same reason: the LLC's bypass evidence floor is deliberately
    conservative at laptop scale.
+4. **Fig. 16's shared-L3 reuse histogram counts resident lines once
+   per core.** At the end of a mix every core's `finalize()` records
+   the reuse of each line still resident in the shared L3, so with two
+   cores those lines enter `l3_stats.reuse_histogram` twice. Energy,
+   hit and miss counts are unaffected. The multicore replay reproduces
+   the double count on purpose, to stay byte-identical with the
+   per-access walk and the end-to-end benchmark's recorded multicore
+   digests; fixing it needs a benchmark change that re-records those
+   digests.
 
 ## Full results
 

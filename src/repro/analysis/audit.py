@@ -368,38 +368,48 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
         # (whole-tally assignments), while the scalar slip replay bumps
         # the same ledgers element-wise through the hierarchy/placement
         # twins. The live page machinery (sampler RNG, EOU, runtime
-        # ledgers) is shared — the kernel drives the real runtime.
+        # ledgers) is shared — the kernel drives the real runtime. Both
+        # sides publish the same ledgers; the side-sets record the
+        # whole-tally vs element-wise shape difference, as for
+        # vector-replay.
         pair_id="slip-vector-replay",
         fast="replay_capture_vector_slip",
         refs=("_replay_slip",),
         shared=frozenset({
-            "counters", "counters.total_latency_cycles",
+            "counters", "counters.dram_demand_reads",
+            "counters.dram_metadata_reads", "counters.dram_writebacks",
+            "counters.total_latency_cycles",
             "stats", "stats._metadata_pj", "stats._read_pj_table",
-            "stats._write_pj_table",
-            "stats.energy.insertion_pj", "stats.energy.metadata_pj",
-            "stats.energy.movement_pj", "stats.energy.read_pj",
-            "stats.energy.writeback_pj", "stats.hits",
-            "stats.insertion_pj", "stats.metadata_pj",
-            "stats.movement_pj", "stats.read_pj", "stats.writeback_pj",
-        }),
-        fast_only=frozenset({
-            "counters.dram_demand_reads", "counters.dram_metadata_reads",
-            "counters.dram_writebacks", "stats.bypasses",
+            "stats._write_pj_table", "stats.bypasses",
             "stats.demand_hits", "stats.demand_misses",
             "stats.dirty_bypass_forwards", "stats.distribution_fetches",
-            "stats.energy.movement_queue_pj", "stats.hits_by_sublevel",
-            "stats.insert_events", "stats.insertions",
+            "stats.energy.insertion_pj", "stats.energy.metadata_pj",
+            "stats.energy.movement_pj", "stats.energy.movement_queue_pj",
+            "stats.energy.read_pj", "stats.energy.writeback_pj",
+            "stats.hits", "stats.insertion_pj", "stats.insertions",
             "stats.insertions_by_class[]", "stats.metadata_events",
             "stats.metadata_hits", "stats.metadata_misses",
-            "stats.misses", "stats.move_read_events",
-            "stats.move_write_events", "stats.movements",
-            "stats.optimizations", "stats.policy_recomputations",
-            "stats.read_events", "stats.reads", "stats.reuse_histogram[]",
+            "stats.metadata_pj", "stats.misses", "stats.movement_pj",
+            "stats.movements", "stats.optimizations",
+            "stats.policy_recomputations", "stats.read_pj",
+            "stats.reads", "stats.reuse_histogram[]",
             "stats.state_transitions_to_sampling",
             "stats.state_transitions_to_stable", "stats.tlb_block_cycles",
-            "stats.tlb_miss_fetches", "stats.wb_in_events",
-            "stats.wb_out_events", "stats.writebacks_in",
-            "stats.writebacks_out", "stats.writes",
+            "stats.tlb_miss_fetches", "stats.writeback_pj",
+            "stats.writebacks_in", "stats.writebacks_out", "stats.writes",
+        }),
+        fast_only=frozenset({
+            "stats.hits_by_sublevel", "stats.insert_events",
+            "stats.move_read_events", "stats.move_write_events",
+            "stats.read_events", "stats.wb_in_events",
+            "stats.wb_out_events",
+        }),
+        ref_only=frozenset({
+            "_alloc_rotor", "_clock", "access_counter", "valid_count",
+            "stats.hits_by_sublevel[]", "stats.insert_events[]",
+            "stats.move_read_events[]", "stats.move_write_events[]",
+            "stats.read_events[]", "stats.wb_in_events[]",
+            "stats.wb_out_events[]",
         }),
         site_counts={
             "counters.dram_demand_reads": 1,
@@ -411,6 +421,7 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
         },
         ref_site_counts={
             "counters.total_latency_cycles": 1, "stats.hits": 1,
+            "stats.misses": 1, "stats.tlb_miss_fetches": 1,
         },
     ),
     TwinPair(

@@ -659,9 +659,9 @@ def check_capture_replay(hierarchy: Any, capture: Any,
 # ----------------------------------------------------------------------
 # Vector-replay conservation (always on, independent of the env flag)
 # ----------------------------------------------------------------------
-def check_vector_replay(ops: Any, measured: Any, l3_ops: Any,
-                        l3_measured: Any, l2_tally: Any, l3_tally: Any,
-                        *, dram_demand: int, dram_metadata: int) -> None:
+def check_vector_replay(l2_legs: Any, l3_ops: Any, l3_measured: Any,
+                        l3_tally: Any, *, dram_demand: int,
+                        dram_metadata: int) -> None:
     """``vector-replay-conservation``: audit one batched back-end run.
 
     Runs inside :func:`repro.sim.vector_replay.replay_capture_vector`
@@ -675,14 +675,17 @@ def check_vector_replay(ops: Any, measured: Any, l3_ops: Any,
     * the derived DRAM read counts equal the L3 miss tallies (every L3
       access miss is exactly one DRAM read);
     * a level never absorbs more writebacks than its stream carries.
+
+    ``l2_legs`` holds one ``(ops, measured, tally)`` triple per core's
+    private L2; the L3 stream is the cores' merged one.
     """
     import numpy as np
 
     name = "vector-replay-conservation"
-    for label, stream_ops, stream_meas, tally in (
-        ("L2", ops, measured, l2_tally),
-        ("L3", l3_ops, l3_measured, l3_tally),
-    ):
+    legs = [(f"L2[{core}]" if len(l2_legs) > 1 else "L2", *leg)
+            for core, leg in enumerate(l2_legs)]
+    legs.append(("L3", l3_ops, l3_measured, l3_tally))
+    for label, stream_ops, stream_meas, tally in legs:
         demand_events = int(np.count_nonzero(
             (stream_ops == 0) & stream_meas))
         metadata_events = int(np.count_nonzero(

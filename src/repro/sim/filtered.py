@@ -52,6 +52,11 @@ kind, sampler parameters and all back-end knobs:
   positions; the sampler RNG draws once per TLB miss in both direct
   and replayed runs, so the RNG stream is preserved.
 
+Both scalar replays take one capture per hierarchy, so the same code
+serves the Figure 16 multicore mixes (:mod:`repro.sim.multi_core`):
+the cores' events merge by (access index, core), and a single-core
+replay is the one-core case.
+
 Frozen front-end statistics (L1 LevelStats, TLB and runtime stats,
 latency/hit counters) are merged back before ``finalize()``; the
 restored L1 stats carry no energy tables, so materialization leaves
@@ -111,7 +116,7 @@ from .results import RunResult, collect_result
 from .single_core import run_trace
 from .timing import execution_time
 from .vector_frontend import capture_front_end_vector
-from .vector_replay import replay_capture_vector
+from .vector_replay import merge_by_access, replay_capture_vector
 from .vector_replay_slip import replay_capture_vector_slip
 
 _FILTERED_ENV = "REPRO_FILTERED"
@@ -460,109 +465,141 @@ def _restore_level_stats(payload: Dict) -> LevelStats:
 # ----------------------------------------------------------------------
 # Replay
 # ----------------------------------------------------------------------
+#: Events per step of the merged replay walks: each step turns one
+#: slice of the event columns into Python lists, so no walk holds
+#: full-stream lists while the per-slice numpy cost stays invisible.
+_REPLAY_CHUNK = 4096
+
+
+def _walk_chunks(columns, start: int, stop: int):
+    """Row tuples of ``columns[start:stop]``, one chunk at a time."""
+    for lo in range(start, stop, _REPLAY_CHUNK):
+        hi = min(lo + _REPLAY_CHUNK, stop)
+        yield from zip(*(column[lo:hi].tolist() for column in columns))
+
+
 # slip-audit: twin=vector-replay role=ref
-def _replay_events(hierarchy, capture: TraceCapture) -> None:
-    """Baseline-kind replay: feed the flat event stream verbatim."""
-    ops = capture.ops.tolist()
-    addrs = capture.addrs.tolist()
-    pages = (capture.addrs >> hierarchy._page_shift).tolist()
-    boundary = capture.event_boundary
-    access_below = hierarchy._access_below_l1
-    wb_below = hierarchy._writeback_below_l1
+def _replay_events(hierarchies, captures) -> None:
+    """Baseline-kind replay: feed the flat event streams verbatim.
+
+    One capture per hierarchy (core). The streams merge by access
+    index, then core, each access keeping its capture order (metadata,
+    demand miss, writeback): the order in which a round-robin walk of
+    the cores issues them. Single-core replay is the one-core case.
+    """
+    positions = [capture.event_positions() for capture in captures]
+    order = merge_by_access(positions)
+    boundary = int(np.searchsorted(np.concatenate(positions)[order],
+                                   captures[0].warmup))
+    del positions
+    cores = np.repeat(np.arange(len(captures), dtype=np.uint8),
+                      [capture.ops.shape[0] for capture in captures])
+    columns = (
+        np.concatenate([capture.ops for capture in captures])[order],
+        np.concatenate([capture.addrs for capture in captures])[order],
+        cores[order],
+    )
+    del cores, order
+    shift = hierarchies[0]._page_shift
     demand, metadata = OP_DEMAND_MISS, OP_METADATA
-    for op, addr, page in zip(ops[:boundary], addrs[:boundary],
-                              pages[:boundary]):
-        if op == demand:
-            access_below(addr, False, page)
-        elif op == metadata:
-            access_below(addr, True, -1)
-        else:
-            wb_below(addr)
-    hierarchy.reset_stats()
-    total = 0
-    for op, addr, page in zip(ops[boundary:], addrs[boundary:],
-                              pages[boundary:]):
-        if op == demand:
-            # Metadata latency is discarded in access(); only demand
-            # accesses contribute below-L1 latency.
-            total += access_below(addr, False, page)
-        elif op == metadata:
-            access_below(addr, True, -1)
-        else:
-            wb_below(addr)
-    hierarchy.counters.total_latency_cycles += total
+    totals = [0] * len(hierarchies)
+    for start, stop, measured in ((0, boundary, False),
+                                  (boundary, int(columns[0].shape[0]),
+                                   True)):
+        if measured:
+            for hierarchy in hierarchies:
+                hierarchy.reset_stats()
+            totals = [0] * len(hierarchies)
+        for op, addr, core in _walk_chunks(columns, start, stop):
+            hierarchy = hierarchies[core]
+            if op == demand:
+                # Metadata latency is discarded in access(); only
+                # demand accesses contribute below-L1 latency.
+                totals[core] += hierarchy._access_below_l1(
+                    addr, False, addr >> shift)
+            elif op == metadata:
+                hierarchy._access_below_l1(addr, True, -1)
+            else:
+                hierarchy._writeback_below_l1(addr)
+    for hierarchy, total in zip(hierarchies, totals):
+        hierarchy.counters.total_latency_cycles += total
 
 
 # slip-audit: twin=slip-vector-replay role=ref
-def _replay_slip(hierarchy, trace: Trace, capture: TraceCapture) -> None:
-    """Slip-kind replay: live runtime driven at captured positions.
+def _replay_slip(hierarchies, traces, captures) -> None:
+    """Slip-kind replay: live runtimes driven at captured positions.
 
-    Walks the captured TLB-miss and L1-miss positions in merged order,
-    re-running the runtime's TLB-miss path (PTE fetch plus
+    One trace and capture per hierarchy (core). Walks every core's
+    captured TLB-miss and L1-miss positions in one merged order (access
+    index, then core, then the TLB miss before the L1 miss), re-running
+    the runtime's TLB-miss path (PTE fetch plus
     ``_key_metadata_fetches``) exactly where the direct run would, so
     sampler RNG draws, page-state transitions and EOU invocations all
-    happen in the direct run's order.
+    happen in the direct run's order. Single-core replay is the
+    one-core case.
     """
-    runtime = hierarchy.runtime
-    n = capture.n
-    shift = hierarchy._page_shift
-    addresses = trace.addresses
-    miss_positions = capture.l1_miss_pos.tolist()
-    miss_np = addresses[np.asarray(capture.l1_miss_pos)]
-    miss_addrs = miss_np.tolist()
-    miss_pages = (miss_np >> shift).tolist()
-    wb_addrs = capture.l1_miss_wb.tolist()
-    tlb_positions = capture.tlb_miss_pos.tolist()
-    tlb_pages = (
-        addresses[np.asarray(capture.tlb_miss_pos)] >> shift
-    ).tolist()
-    access_below = hierarchy._access_below_l1
-    wb_below = hierarchy._writeback_below_l1
-    key_fetches = runtime._key_metadata_fetches
-    num_tlb, num_miss = len(tlb_positions), len(miss_positions)
-    cursor = [0, 0]  # [tlb index, miss index]
-
-    def run_phase(stop: int) -> int:
-        tlb_i, miss_i = cursor
-        total = 0
-        runtime_stats = runtime.stats
-        tlb_stats = runtime.tlb.stats
-        while True:
-            tlb_p = tlb_positions[tlb_i] if tlb_i < num_tlb else n
-            miss_p = miss_positions[miss_i] if miss_i < num_miss else n
-            p = tlb_p if tlb_p < miss_p else miss_p
-            if p >= stop:
-                break
-            if tlb_p == p:
-                page = tlb_pages[tlb_i]
-                tlb_i += 1
-                tlb_stats.misses += 1
-                runtime_stats.tlb_miss_fetches += 1
-                # Mirror on_reference: the fetch list (and with it the
-                # page-state machinery) is computed before any of the
-                # metadata lines travel below L1.
-                fetches = key_fetches(page)
-                access_below(pte_line_address(page), True, -1)
-                for fetch in fetches:
-                    access_below(fetch, True, -1)
-            if miss_p == p:
-                total += access_below(miss_addrs[miss_i], False,
-                                      miss_pages[miss_i])
-                wb = wb_addrs[miss_i]
+    num_cores = len(hierarchies)
+    shift = hierarchies[0]._page_shift
+    keys, values, wbs = [], [], []
+    for core, (trace, capture) in enumerate(zip(traces, captures)):
+        tlb_pos = np.asarray(capture.tlb_miss_pos, dtype=np.int64)
+        miss_pos = np.asarray(capture.l1_miss_pos, dtype=np.int64)
+        # Key: (access index, core, TLB miss 0 / L1 miss 1), packed.
+        keys += [(tlb_pos * num_cores + core) * 2,
+                 (miss_pos * num_cores + core) * 2 + 1]
+        # Value: the page of a TLB miss, the line of an L1 miss.
+        values += [trace.addresses[tlb_pos] >> shift,
+                   trace.addresses[miss_pos]]
+        wbs += [np.full(tlb_pos.shape[0], -1, dtype=np.int64),
+                np.asarray(capture.l1_miss_wb, dtype=np.int64)]
+    key = np.concatenate(keys)
+    order = np.argsort(key)  # keys are unique
+    key = key[order]
+    warmup = captures[0].warmup
+    boundary = int(np.searchsorted(key, warmup * num_cores * 2))
+    columns = (
+        (key & 1).astype(np.uint8),
+        ((key >> 1) % num_cores).astype(np.uint8),
+        np.concatenate(values)[order],
+        np.concatenate(wbs)[order],
+    )
+    del keys, values, wbs, order, key
+    totals = [0] * num_cores
+    for start, stop, measured in ((0, boundary, False),
+                                  (boundary, int(columns[0].shape[0]),
+                                   True)):
+        if measured:
+            for hierarchy in hierarchies:
+                hierarchy.reset_stats()
+            totals = [0] * num_cores
+        for is_miss, core, value, wb in _walk_chunks(columns, start, stop):
+            hierarchy = hierarchies[core]
+            if is_miss:
+                totals[core] += hierarchy._access_below_l1(
+                    value, False, value >> shift)
                 if wb >= 0:
-                    wb_below(wb)
-                miss_i += 1
-        cursor[0], cursor[1] = tlb_i, miss_i
-        return total
-
-    run_phase(capture.warmup)
-    hierarchy.reset_stats()
-    total = run_phase(n)
-    hierarchy.counters.total_latency_cycles += total
-    # One page-grain TLB probe per access: hits are the complement of
-    # the measured-phase misses (counted live above).
-    tlb_stats = runtime.tlb.stats
-    tlb_stats.hits = (n - capture.warmup) - tlb_stats.misses
+                    hierarchy._writeback_below_l1(wb)
+                continue
+            # Mirror on_reference: the fetch list (and with it the
+            # page-state machinery) is computed before any of the
+            # metadata lines travel below L1.
+            fetches = hierarchy.runtime._key_metadata_fetches(value)
+            hierarchy._access_below_l1(pte_line_address(value), True, -1)
+            for fetch in fetches:
+                hierarchy._access_below_l1(fetch, True, -1)
+    # The TLB-miss ledgers were reset with the rest of the statistics;
+    # the measured phase saw exactly its captured TLB misses, and one
+    # page-grain TLB probe per access makes the hits their complement.
+    kinds, cores = columns[0][boundary:], columns[1][boundary:]
+    measured_tlb = np.bincount(cores[kinds == 0],
+                               minlength=num_cores).tolist()
+    for hierarchy, capture, total, misses in zip(
+            hierarchies, captures, totals, measured_tlb):
+        hierarchy.counters.total_latency_cycles += total
+        runtime = hierarchy.runtime
+        runtime.stats.tlb_miss_fetches += misses
+        runtime.tlb.stats.misses += misses
+        runtime.tlb.stats.hits = (capture.n - warmup) - misses
 
 
 def replay_capture(
@@ -604,13 +641,13 @@ def replay_capture(
         # reference.
         if not replay_capture_vector_slip(hierarchy, trace, capture,
                                           plan):
-            _replay_slip(hierarchy, trace, capture)
+            _replay_slip([hierarchy], [trace], [capture])
     else:
         # Batched kernel first; it declines (returns False) whenever
         # the hierarchy is outside its eligibility matrix, and the
         # scalar walk below remains the golden reference.
-        if not replay_capture_vector(hierarchy, capture, plan):
-            _replay_events(hierarchy, capture)
+        if not replay_capture_vector([hierarchy], [capture], plan):
+            _replay_events([hierarchy], [capture])
 
     # Merge the frozen front end. The replay's own L1 is empty (never
     # filled), so finalize() touches only live L2/L3 state.

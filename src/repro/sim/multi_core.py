@@ -1,10 +1,29 @@
-"""Two-core multiprogrammed simulation with a shared L3 (Figure 16).
+"""Multiprogrammed simulation with a shared L3 (Figure 16).
 
 Each core has a private L1 and a private 256 KB L2; the 2 MB L3 is
 shared. Address spaces are disjoint (multiprogrammed SPEC, no sharing),
 so the only interaction is capacity/interleaving pressure in the L3 —
 which roughly doubles observed reuse distances, pushes more pages into
 bypassing SLIPs, and yields the larger L3 savings the paper reports.
+
+The cores advance round-robin over the window in which all of them
+still run (the shortest trace): access ``idx`` of core 0, then access
+``idx`` of core 1, and so on. A core's TLB and L1 never see the shared
+L3, so each core's front end is exactly a single-core capture of its
+own trace window. :func:`run_mix_traces` therefore captures every core
+with the batched front-end kernel (bypassing the capture store) and
+replays the boundary events, merged by (access index, core), into the
+private L2s and the shared L3:
+
+* baseline / nurapid / lru_pea run the batched back end
+  (:func:`~repro.sim.vector_replay.replay_capture_vector`): one L2 leg
+  per core, one L3 leg over the merged L2 miss streams;
+* slip kinds, and baseline kinds the kernel declines, run the merged
+  scalar replays of :mod:`repro.sim.filtered`.
+
+The per-access walk (:func:`_walk_mix`) stays the golden reference and
+serves every front-end decline: SimCheck, the Section 7 rd-block
+extension, and any other capture-kernel decline.
 """
 
 from __future__ import annotations
@@ -25,10 +44,23 @@ from ..policies.lru_pea import LruPeaPlacement, PeaLruReplacement
 from ..policies.nurapid import NurapidPlacement
 from ..workloads.mixes import CORE_ADDRESS_STRIDE, make_mix_traces
 from ..workloads.trace import Trace
-from .config import SystemConfig, default_system
+from .build import maybe_boost_sampler, runtime_kind
+from .config import SystemConfig, default_system, line_to_page_shift
+from .filtered import _replay_events, _replay_slip
+from .vector_frontend import capture_front_end_vector
+from .vector_replay import replay_capture_vector
 
-#: Page-number shift that recovers the core id from a page.
-_CORE_PAGE_SHIFT = (CORE_ADDRESS_STRIDE.bit_length() - 1) - 6
+
+def core_key_shift(runtime: SlipRuntime) -> int:
+    """Right shift that recovers the core id from a SLIP profile key.
+
+    Keys are page numbers, or rd-block numbers under the Section 7
+    extension; either way the core's address region sets the top bits.
+    """
+    key_shift = runtime.block_shift
+    if key_shift is None:
+        key_shift = line_to_page_shift(runtime.config.lines_per_page)
+    return (CORE_ADDRESS_STRIDE.bit_length() - 1) - key_shift
 
 
 class RoutedSlipRuntime:
@@ -36,12 +68,13 @@ class RoutedSlipRuntime:
 
     slip_enabled = True
 
-    def __init__(self, runtimes: List[SlipRuntime]) -> None:
+    def __init__(self, runtimes: List[SlipRuntime],
+                 key_shift: int) -> None:
         self.runtimes = runtimes
+        self._key_shift = key_shift
 
     def _owner(self, page: int) -> SlipRuntime:
-        core = min(page >> _CORE_PAGE_SHIFT, len(self.runtimes) - 1)
-        return self.runtimes[core]
+        return self.runtimes[page >> self._key_shift]
 
     def policy_for(self, level_name: str, page: int) -> int:
         return self._owner(page).policy_for(level_name, page)
@@ -62,7 +95,7 @@ class RoutedSlipRuntime:
 
 @dataclass
 class MulticoreResult:
-    """Measurements from one two-core mix under one policy."""
+    """Measurements from one multicore mix under one policy."""
 
     policy: str
     mix: Tuple[str, str]
@@ -116,7 +149,7 @@ def _build_shared_l3(config: SystemConfig, policy: str,
     elif policy == "lru_pea":
         placement = LruPeaPlacement(mq_pj, seed=seed)
     elif policy in ("slip", "slip_abp"):
-        router = RoutedSlipRuntime(runtimes)
+        router = RoutedSlipRuntime(runtimes, core_key_shift(runtimes[0]))
         placement = SlipPlacement(runtimes[0].spaces["L3"], router, mq_pj)
     else:
         raise ValueError(f"unknown policy {policy!r}")
@@ -124,40 +157,16 @@ def _build_shared_l3(config: SystemConfig, policy: str,
     return level, placement
 
 
-def run_mix(
-    mix: Tuple[str, str],
-    policy: str,
-    length_per_core: int = 100_000,
-    config: Optional[SystemConfig] = None,
-    seed: int = 0,
-    warmup_fraction: float = 0.3,
-) -> MulticoreResult:
-    """Simulate one two-core mix under one policy."""
-    config = config or default_system()
-    traces = make_mix_traces(mix, length_per_core, seed)
-    return run_mix_traces(traces, mix, policy, config, seed,
-                          warmup_fraction=warmup_fraction)
-
-
-def run_mix_traces(
-    traces: List[Trace],
-    mix: Tuple[str, str],
-    policy: str,
-    config: SystemConfig,
-    seed: int = 0,
-    warmup_fraction: float = 0.3,
-) -> MulticoreResult:
-    num_cores = len(traces)
+def _build_mix(policy: str, config: SystemConfig, num_cores: int,
+               seed: int) -> Tuple[List, CacheLevel, List[MemoryHierarchy]]:
+    """Per-core runtimes and hierarchies around one shared L3."""
     mq_pj = config.slip.movement_queue_lookup_pj
-    slip = policy in ("slip", "slip_abp")
-    allow_abp = policy == "slip_abp"
-
+    slip = runtime_kind(policy) == "slip"
     runtimes: List = []
     for core in range(num_cores):
         if slip:
-            runtimes.append(
-                SlipRuntime(config, allow_abp=allow_abp, seed=seed + core)
-            )
+            runtimes.append(SlipRuntime(
+                config, allow_abp=policy == "slip_abp", seed=seed + core))
         else:
             runtimes.append(BaselineRuntime(config))
 
@@ -192,32 +201,18 @@ def run_mix_traces(
                 shared_l3=(shared_l3, l3_placement),
             )
         )
+    # Scale compensation, as in run_trace: 2/32 keeps the paper's 5.9%
+    # distribution-fetch fraction while letting pages learn within
+    # laptop-scale traces.
+    for runtime in runtimes:
+        maybe_boost_sampler(runtime)
+    return runtimes, shared_l3, hierarchies
 
-    # Round-robin interleaving over the overlap window, with a warmup
-    # prefix whose statistics are discarded (SimPoint-style). During
-    # warmup, SLIP page-state transitions are accelerated to reach the
-    # steady state the paper's 500M-instruction runs operate in.
-    per_core = [
-        (t.addresses.tolist(), t.is_write.tolist()) for t in traces
-    ]
-    shortest = min(len(a) for a, _ in per_core)
-    warmup = int(shortest * warmup_fraction)
-    if slip:
-        # Scale compensation, as in run_trace: 2/32 keeps the paper's
-        # 5.9% distribution-fetch fraction while letting pages learn
-        # within laptop-scale traces.
-        for rt in runtimes:
-            rt.sampler.nsamp, rt.sampler.nstab = 2, 32
-    for idx in range(warmup):
-        for core, (addrs, writes) in enumerate(per_core):
-            hierarchies[core].access(addrs[idx], writes[idx])
-    for hierarchy in hierarchies:
-        hierarchy.reset_stats()
-    shared_l3.reset_stats()
-    for idx in range(warmup, shortest):
-        for core, (addrs, writes) in enumerate(per_core):
-            hierarchies[core].access(addrs[idx], writes[idx])
 
+def _collect_mix(mix: Tuple[str, ...], policy: str, runtimes: List,
+                 shared_l3: CacheLevel,
+                 hierarchies: List[MemoryHierarchy]) -> MulticoreResult:
+    """Finalize every core and fold the per-core ledgers into a result."""
     for hierarchy in hierarchies:
         hierarchy.finalize()
     # finalize() materialized every private level and the shared L3
@@ -239,7 +234,7 @@ def run_mix_traces(
     dram_accesses = sum(h.dram.stats.accesses for h in hierarchies)
 
     eou_pj = 0.0
-    if slip:
+    if runtime_kind(policy) == "slip":
         eou_pj = math.fsum(rt.eou_energy_pj("L3") for rt in runtimes)
 
     return MulticoreResult(
@@ -251,3 +246,84 @@ def run_mix_traces(
         eou_energy_pj=eou_pj,
         dram_accesses=dram_accesses,
     )
+
+
+def run_mix(
+    mix: Tuple[str, str],
+    policy: str,
+    length_per_core: int = 100_000,
+    config: Optional[SystemConfig] = None,
+    seed: int = 0,
+    warmup_fraction: float = 0.3,
+) -> MulticoreResult:
+    """Simulate one two-core mix under one policy."""
+    config = config or default_system()
+    traces = make_mix_traces(mix, length_per_core, seed)
+    return run_mix_traces(traces, mix, policy, config, seed,
+                          warmup_fraction=warmup_fraction)
+
+
+def run_mix_traces(
+    traces: List[Trace],
+    mix: Tuple[str, str],
+    policy: str,
+    config: SystemConfig,
+    seed: int = 0,
+    warmup_fraction: float = 0.3,
+) -> MulticoreResult:
+    """Simulate per-core traces over a shared L3 by capture and replay.
+
+    Byte-identical to :func:`_walk_mix`, which serves every front-end
+    decline (see the module docstring).
+    """
+    runtimes, shared_l3, hierarchies = _build_mix(
+        policy, config, len(traces), seed)
+    shortest = min(len(t) for t in traces)
+    windows = [t.sliced(0, shortest) for t in traces]
+    captures = []
+    for hierarchy, window in zip(hierarchies, windows):
+        # The core's own hierarchy only decides eligibility (and keeps
+        # the decline reason); the capture never touches the store.
+        capture = capture_front_end_vector(hierarchy, window, config,
+                                           warmup_fraction)
+        if capture is None:
+            return _walk_mix(traces, mix, policy, config, seed,
+                             warmup_fraction)
+        captures.append(capture)
+    if runtime_kind(policy) == "slip":
+        _replay_slip(hierarchies, windows, captures)
+    elif not replay_capture_vector(hierarchies, captures):
+        _replay_events(hierarchies, captures)
+    return _collect_mix(mix, policy, runtimes, shared_l3, hierarchies)
+
+
+def _walk_mix(
+    traces: List[Trace],
+    mix: Tuple[str, str],
+    policy: str,
+    config: SystemConfig,
+    seed: int = 0,
+    warmup_fraction: float = 0.3,
+) -> MulticoreResult:
+    """The golden reference: drive every core's ``access()`` in turn."""
+    runtimes, shared_l3, hierarchies = _build_mix(
+        policy, config, len(traces), seed)
+    # Round-robin interleaving over the overlap window, with a warmup
+    # prefix whose statistics are discarded (SimPoint-style). During
+    # warmup, SLIP page-state transitions are accelerated to reach the
+    # steady state the paper's 500M-instruction runs operate in.
+    per_core = [
+        (t.addresses.tolist(), t.is_write.tolist()) for t in traces
+    ]
+    shortest = min(len(a) for a, _ in per_core)
+    warmup = int(shortest * warmup_fraction)
+    for idx in range(warmup):
+        for core, (addrs, writes) in enumerate(per_core):
+            hierarchies[core].access(addrs[idx], writes[idx])
+    for hierarchy in hierarchies:
+        hierarchy.reset_stats()
+    shared_l3.reset_stats()
+    for idx in range(warmup, shortest):
+        for core, (addrs, writes) in enumerate(per_core):
+            hierarchies[core].access(addrs[idx], writes[idx])
+    return _collect_mix(mix, policy, runtimes, shared_l3, hierarchies)

@@ -3,7 +3,7 @@
 Every sweep cell over one :class:`~repro.workloads.capture_store.
 TraceCapture` re-derives identical artifacts before any policy code
 runs: the whole-stream L2 set indices, the stable
-:func:`~repro.sim.vector_replay._group_by_set` argsort (for L2 here,
+:func:`~repro.sim.vector_replay._set_order` argsort (for L2 here,
 and for L1 inside the front-end capture kernel), the interleaved L3
 stream scaffold of :func:`~repro.sim.vector_replay._derive_l3_stream`,
 and the captured-position address/page resolutions the SLIP kernel
@@ -235,7 +235,7 @@ class ReplayPlan:
         return self.l3_meas2[0::2]
 
     def l2_grouped(self, capture: TraceCapture) -> Tuple:
-        """``_group_by_set`` columns for the L2 event stream.
+        """Per-set grouped columns for the L2 event stream.
 
         Same 5-tuple (offsets, event order, opcodes, addresses,
         measured flags, all plain lists) the baseline/NuRAPID runners
@@ -269,7 +269,7 @@ class ReplayPlan:
         return cached
 
     def l1_grouped(self, trace: Trace, warmup: int) -> Tuple:
-        """``_group_by_set`` columns for the front-end L1 walk."""
+        """Per-set grouped columns for the front-end L1 walk."""
         cached = self._l1_grouped
         if cached is None:
             order = np.asarray(self.l1_order)

@@ -21,7 +21,7 @@ without ever touching a ``Line`` object:
   line) event, mirroring ``BaselineRuntime.on_reference``.
 * **Phase 2 (L1)** groups the access stream per set with the same
   stable-argsort machinery the replay kernels use
-  (:func:`repro.sim.vector_replay._group_by_set`) and runs a tight
+  (:func:`repro.sim.vector_replay._set_runs`) and runs a tight
   per-set loop over tag / LRU-order / dirty / hit-count columns. The
   eligible L1 is uniform (no sublevel partition) with stock LRU
   replacement, so the victim of a full set is the unique least-recent
@@ -79,7 +79,7 @@ from ..workloads.capture_store import (
 )
 from ..workloads.trace import Trace
 from .config import SystemConfig, line_to_page_shift
-from .vector_replay import _group_by_set
+from .vector_replay import _set_runs
 
 _VECTOR_ENV = "REPRO_VECTOR_FRONTEND"
 _FALSEY = ("0", "false", "no", "off")
@@ -195,21 +195,15 @@ def _run_l1(addrs: np.ndarray, writes: np.ndarray, warmup: int,
     :class:`~repro.sim.replay_plan.ReplayPlan`.
     """
     n = int(addrs.shape[0])
-    if grouped is not None:
-        offs, evt, wr_l, tag_l, meas_l = grouped
-    else:
-        meas = np.arange(n, dtype=np.int64) >= warmup
-        offs, evt, wr_l, tag_l, meas_l = _group_by_set(
-            writes, addrs, meas, num_sets)
+    meas = None if grouped is not None else (
+        np.arange(n, dtype=np.int64) >= warmup)
     miss: List[bool] = [False] * n
     victim: List[int] = [-1] * n
     tally = _L1Tally()
     hist = tally.hist
     hits_meas = misses_meas = wb_meas = evict_meas = residents = 0
-    for s in range(num_sets):
-        a, b = offs[s], offs[s + 1]
-        if a == b:
-            continue
+    for evt_s, wr_s, tag_s, meas_s in _set_runs(grouped, writes, addrs,
+                                                meas, num_sets):
         where: Dict[int, int] = {}
         order_: List[int] = []     # resident slots, front == LRU
         f_tag: List[int] = []      # append-only slot columns
@@ -219,20 +213,18 @@ def _run_l1(addrs: np.ndarray, writes: np.ndarray, warmup: int,
         get = where.get
         remove = order_.remove
         push = order_.append
-        for k in range(a, b):
-            tag = tag_l[k]
+        for e, wr, tag, m in zip(evt_s, wr_s, tag_s, meas_s):
             j = get(tag)
             if j is not None:
                 f_hits[j] += 1
-                if wr_l[k]:
+                if wr:
                     f_dirty[j] = True
-                if meas_l[k]:
+                if m:
                     hits_meas += 1
                 remove(j)
                 push(j)
                 continue
-            m = meas_l[k]
-            miss[evt[k]] = True
+            miss[e] = True
             if m:
                 misses_meas += 1
             if len(order_) == ways:
@@ -243,12 +235,12 @@ def _run_l1(addrs: np.ndarray, writes: np.ndarray, warmup: int,
                     hist[h if h < 3 else 3] += 1
                     evict_meas += 1
                 if f_dirty[v]:
-                    victim[evt[k]] = f_tag[v]
+                    victim[e] = f_tag[v]
                     if m:
                         wb_meas += 1
             j = len(f_tag)
             f_tag.append(tag)
-            f_dirty.append(bool(wr_l[k]))   # write-allocate: born dirty
+            f_dirty.append(bool(wr))        # write-allocate: born dirty
             f_hits.append(0)
             where[tag] = j
             push(j)

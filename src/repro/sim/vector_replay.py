@@ -50,6 +50,13 @@ is an exact integer dot product of hit counts and sublevel latencies.
 accumulates a constant per movement, so the kernel replays the same
 number of additions (see :meth:`LevelStats.adopt_counts`).
 
+The same kernel serves the Figure 16 multicore mixes
+(:mod:`repro.sim.multi_core`), where several cores' private L2s share
+one L3: each core's L2 leg runs over its own capture, and the L3 leg
+runs once over the cores' L2 miss streams merged by (access index,
+core), the order in which a round-robin walk of the cores reaches the
+shared level. A single core is the one-core case of the same code.
+
 Replays fall back to the scalar path (``return False``) whenever the
 hierarchy is not eligible: SLIP kinds never reach this module, and
 non-LRU-family replacement ablations (random / DRRIP / SHiP), SimCheck
@@ -61,7 +68,7 @@ kernel entirely.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,31 +191,50 @@ def _level_geometry(level) -> Tuple[int, List[int], List[int], List[int]]:
     return nsub, ways_count, lat_by_sub, sub_by_way
 
 
-def _group_by_set(ops: np.ndarray, addrs: np.ndarray, meas: np.ndarray,
-                  num_sets: int):
-    """Stable per-set grouping of the event stream.
-
-    Returns set-slice offsets plus the event order / opcode / address /
-    measured-flag columns as plain lists, sorted by set with the global
-    order preserved inside each set.
-    """
+def _set_order(addrs: np.ndarray, num_sets: int):
+    """Set-slice offsets (a list) and the stable by-set event order."""
     set_idx = addrs % num_sets
     order = np.argsort(set_idx, kind="stable")
     counts = np.bincount(set_idx, minlength=num_sets)
-    offs = np.concatenate(([0], np.cumsum(counts))).tolist()
-    return (
-        offs,
-        order.tolist(),
-        ops[order].tolist(),
-        addrs[order].tolist(),
-        meas[order].tolist(),
-    )
+    return np.concatenate(([0], np.cumsum(counts))).tolist(), order
+
+
+#: Events turned into lists per step when a runner groups its own
+#: stream (no plan): no leg holds full-stream lists of Python ints.
+_GROUP_BLOCK = 8192
+
+
+def _set_runs(plan_data, ops, addrs, meas, num_sets):
+    """Each non-empty set's (event, opcode, address, measured) lists.
+
+    Events keep their global order inside a set. A plan's precomputed
+    grouping (offsets plus the four columns as plain lists) is sliced as
+    stored; without a plan the stream is grouped with the same stable
+    argsort (:func:`_set_order`) and converted to lists one block of
+    sets at a time.
+    """
+    if plan_data is not None:
+        offs, *lists = plan_data
+        columns, base, hi = None, 0, offs[-1]
+    else:
+        offs, order = _set_order(addrs, num_sets)
+        columns = (order, ops[order], addrs[order], meas[order])
+        lists, base, hi = [], 0, 0
+    for s in range(num_sets):
+        a, b = offs[s], offs[s + 1]
+        if a == b:
+            continue
+        if b > hi:
+            base, hi = a, max(b, a + _GROUP_BLOCK)
+            lists = [column[a:hi].tolist() for column in columns]
+        yield [column[a - base:b - base] for column in lists]
 
 
 # ----------------------------------------------------------------------
 # Baseline kernel (two passes: tag-level, then way assignment)
 # ----------------------------------------------------------------------
-def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
+def _run_baseline(level, placement, ops, addrs, meas, plan_data=None,
+                  resident_weight=1):
     n = int(ops.shape[0])
     num_sets = level.num_sets
     ways = level.cfg.ways
@@ -217,9 +243,6 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
     hist = tally.hist
     miss: List[bool] = [False] * n
     victim_tag: List[int] = [-1] * n
-    offs, evt, ops_l, addr_l, meas_l = plan_data or _group_by_set(
-        ops, addrs, meas, num_sets,
-    )
 
     # ----- pass A: per-set tag-level trajectory -----
     # Recency is kept as an explicit order list (front == LRU): the
@@ -227,10 +250,8 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
     # within-set order *is* the stamp order and min-LRU is the front.
     sets_out = []
     demand_misses = metadata_misses = 0
-    for s in range(num_sets):
-        a, b = offs[s], offs[s + 1]
-        if a == b:
-            continue
+    for evt_s, ops_s, addr_s, meas_s in _set_runs(plan_data, ops, addrs,
+                                                  meas, num_sets):
         where: dict = {}
         order_: List[int] = []
         f_evt: List[int] = []
@@ -249,21 +270,19 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
         ap_dirty, ap_hits = f_dirty.append, f_hits.append
         ap_md, ap_mm = f_md.append, f_mm.append
         ap_wbin, ap_wbout = f_wbin.append, f_wbout.append
-        for k in range(a, b):
-            op = ops_l[k]
-            tag = addr_l[k]
+        for e, op, tag, m in zip(evt_s, ops_s, addr_s, meas_s):
             j = where_get(tag)
             if op == OP_WRITEBACK:
                 if j is None:
-                    miss[evt[k]] = True  # forwarded below
+                    miss[e] = True  # forwarded below
                 else:
                     f_dirty[j] = True
-                    if meas_l[k]:
+                    if m:
                         f_wbin[j] += 1
                 continue
             if j is not None:  # hit
                 f_hits[j] += 1
-                if meas_l[k]:
+                if m:
                     if op:
                         f_mm[j] += 1
                     else:
@@ -271,8 +290,6 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
                 order_.remove(j)
                 order_.append(j)
                 continue
-            e = evt[k]
-            m = meas_l[k]
             miss[e] = True
             if m:
                 if op:
@@ -305,15 +322,18 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
             order_.append(j)
         for j in where.values():  # finalize(): resident-line reuse
             h = f_hits[j]
-            hist[h if h < 3 else 3] += 1
+            hist[h if h < 3 else 3] += resident_weight
         sets_out.append((f_evt, f_vic, f_md, f_mm, f_wbin, f_wbout))
     tally.demand_misses = demand_misses
     tally.metadata_misses = metadata_misses
 
     # ----- rotor reconstruction: one advance per fill, global order --
+    # The k-th fill (k from 0) finds the rotor at (k + 1) % 64, which
+    # the inclusive cumulative count of fills gives directly; reduced
+    # modulo the ways, every entry is a small (shared) int.
     miss_np = np.asarray(miss, dtype=bool)
     fill_flag = miss_np & (ops != OP_WRITEBACK)
-    rank = (np.cumsum(fill_flag) - 1).tolist()
+    rotor = (np.cumsum(fill_flag) % 64 % ways).tolist()
     meas_by_evt = meas.tolist()
 
     # ----- pass B: way assignment + per-fill count folding -----
@@ -331,7 +351,7 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
             if v >= 0:
                 w = f_way[v]  # eviction installs into the victim's way
             else:
-                rotated = orders[(rank[f_evt[j]] + 1) % 64 % ways]
+                rotated = orders[rotor[f_evt[j]]]
                 for w in rotated:
                     if not occupied[w]:
                         break
@@ -350,7 +370,8 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
 # ----------------------------------------------------------------------
 # NuRAPID kernel (per-set pass with per-sublevel sorted stamp lists)
 # ----------------------------------------------------------------------
-def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None):
+def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None,
+                 resident_weight=1):
     from bisect import bisect_left, insort
 
     n = int(ops.shape[0])
@@ -363,17 +384,12 @@ def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None):
     wbin_sub, wbout_sub = tally.wbin_sub, tally.wbout_sub
     miss: List[bool] = [False] * n
     victim_tag: List[int] = [-1] * n
-    offs, evt, ops_l, addr_l, meas_l = plan_data or _group_by_set(
-        ops, addrs, meas, num_sets,
-    )
     demand_misses = metadata_misses = 0
     last = nsub - 1
     w0 = ways_count[0]
 
-    for s in range(num_sets):
-        a, b = offs[s], offs[s + 1]
-        if a == b:
-            continue
+    for evt_s, ops_s, addr_s, meas_s in _set_runs(plan_data, ops, addrs,
+                                                  meas, num_sets):
         # recs: tag -> [sublevel, dirty, hits, stamp]; per-sublevel
         # sorted stamp lists with aligned tag lists (front == LRU).
         recs: dict = {}
@@ -381,14 +397,11 @@ def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None):
         tg = [[] for _ in range(nsub)]
         occ = [0] * nsub
         clock = 0
-        for k in range(a, b):
-            op = ops_l[k]
-            tag = addr_l[k]
-            m = meas_l[k]
+        for e, op, tag, m in zip(evt_s, ops_s, addr_s, meas_s):
             rec = recs.get(tag)
             if op == OP_WRITEBACK:
                 if rec is None:
-                    miss[evt[k]] = True
+                    miss[e] = True
                 else:
                     rec[1] = True
                     if m:
@@ -437,7 +450,6 @@ def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None):
                 tg[0].append(tag)
                 continue
             # miss + fill into sublevel 0
-            e = evt[k]
             miss[e] = True
             if m:
                 if op:
@@ -492,7 +504,7 @@ def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None):
                 ins_sub[0] += 1
         for rec in recs.values():
             h = rec[2]
-            hist[h if h < 3 else 3] += 1
+            hist[h if h < 3 else 3] += resident_weight
     tally.demand_misses = demand_misses
     tally.metadata_misses = metadata_misses
     return tally, np.asarray(miss, dtype=bool), \
@@ -502,7 +514,8 @@ def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None):
 # ----------------------------------------------------------------------
 # LRU-PEA kernel (global-order pass: one RNG draw per fill)
 # ----------------------------------------------------------------------
-def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None):
+def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None,
+                 resident_weight=1):
     from bisect import bisect_left
 
     n = int(ops.shape[0])
@@ -660,7 +673,7 @@ def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None):
             continue
         for rec in state[0].values():
             h = rec[2]
-            hist[h if h < 3 else 3] += 1
+            hist[h if h < 3 else 3] += resident_weight
     tally.demand_misses = demand_misses
     tally.metadata_misses = metadata_misses
     return tally, np.asarray(miss, dtype=bool), \
@@ -689,7 +702,8 @@ def _derive_l3_stream(ops, addrs, meas, l2_miss, l2_victim, plan=None):
     :class:`~repro.sim.replay_plan.ReplayPlan`, the policy-invariant
     interleaved address/measured scaffolds come precomputed; only the
     opcode lanes (which depend on the per-policy L2 outcome) are built
-    here.
+    here. Also returns the slot mask, whose ``flatnonzero(mask) // 2``
+    names the L2 event behind each L3 event.
     """
     n = int(ops.shape[0])
     ops2 = np.full(2 * n, _OP_NONE, dtype=np.uint8)
@@ -707,7 +721,24 @@ def _derive_l3_stream(ops, addrs, meas, l2_miss, l2_victim, plan=None):
         meas2[0::2] = meas
         meas2[1::2] = meas
     mask = ops2 != _OP_NONE
-    return ops2[mask], addr2[mask], meas2[mask]
+    return ops2[mask], addr2[mask], meas2[mask], mask
+
+
+def merge_by_access(positions: List[np.ndarray]) -> np.ndarray:
+    """The merge order of per-core event streams, by (access, core).
+
+    ``positions[c]`` holds the non-decreasing access index of each of
+    core ``c``'s events. The result indexes the concatenation of the
+    streams: events sort by access index, then core, and a stable sort
+    keeps each core's own order among its events of one access — the
+    order in which a round-robin walk of the cores issues them.
+    """
+    cores = len(positions)
+    if cores == 1:
+        return np.arange(positions[0].shape[0])
+    keys = np.concatenate([pos * cores + core
+                           for core, pos in enumerate(positions)])
+    return np.argsort(keys, kind="stable")
 
 
 # ----------------------------------------------------------------------
@@ -738,86 +769,131 @@ def _publish_level(level, tally: _LevelTally, mq_pj: float) -> None:
 
 
 # slip-audit: twin=vector-replay role=fast
-def replay_capture_vector(hierarchy, capture: TraceCapture,
+def replay_capture_vector(hierarchies: Sequence,
+                          captures: Sequence[TraceCapture],
                           plan=None) -> bool:
-    """Batched replay of a baseline-kind capture; False to fall back.
+    """Batched replay of baseline-kind captures; False to fall back.
 
-    On success the hierarchy's L2/L3/DRAM statistics and counters hold
-    exactly what the scalar replay would have produced; the cache
-    arrays themselves stay empty (``finalize`` adds nothing — the
-    kernel accounts resident-line reuse itself), and the always-on
-    ``capture-replay-conservation`` audit still runs in the caller.
-    A verified :class:`~repro.sim.replay_plan.ReplayPlan` supplies the
-    policy-invariant precompute (per-set grouping, L3 scaffold,
-    measured mask); ``plan=None`` derives everything locally with the
-    same arithmetic.
+    One capture per hierarchy (core). Each core's L2 leg runs over its
+    own capture; the L3 leg runs once, over the cores' L2 miss streams
+    merged by (access index, core), so a single-core run is the
+    one-core case. On success every hierarchy's L2/L3/DRAM statistics
+    and counters hold exactly what the scalar replay would have
+    produced; the cache arrays themselves stay empty (``finalize`` adds
+    nothing — the kernel accounts resident-line reuse itself), and the
+    always-on ``capture-replay-conservation`` audit still runs in the
+    single-core caller. A verified :class:`~repro.sim.replay_plan.
+    ReplayPlan` (single core only) supplies the policy-invariant
+    precompute (per-set grouping, L3 scaffold, measured mask);
+    ``plan=None`` derives everything locally with the same arithmetic.
+
+    With several cores the L3 is shared (:mod:`repro.sim.multi_core`):
+    DRAM reads and writes go to the core whose event caused them, each
+    line resident in the L3 at the end counts its reuse once per core
+    (every core's ``finalize()`` walks the shared level), and no
+    latency is published, because a shared-L3 hit cannot be charged to
+    one core's tally (multicore results carry no timing).
     """
     from .kernel_report import record_success
     if not vector_enabled():
-        record_decline(hierarchy, "env:REPRO_VECTOR_REPLAY")
+        for hierarchy in hierarchies:
+            record_decline(hierarchy, "env:REPRO_VECTOR_REPLAY")
         return False
-    kind = eligible_kind(hierarchy)
-    if kind is None:
+    kinds = [eligible_kind(hierarchy) for hierarchy in hierarchies]
+    kind = kinds[0]
+    if kind is None or any(k != kind for k in kinds):
         return False
-    record_success(hierarchy, "replay")
+    for hierarchy in hierarchies:
+        record_success(hierarchy, "replay")
     run = _RUNNERS[kind]
+    num_cores = len(hierarchies)
 
-    ops = np.asarray(capture.ops, dtype=np.uint8)
-    addrs = np.asarray(capture.addrs, dtype=np.int64)
-    n = int(ops.shape[0])
-    if plan is not None:
-        meas = np.asarray(plan.measured_mask())
-        plan_data = (plan.l2_stream(capture) if kind == "lru_pea"
-                     else plan.l2_grouped(capture))
+    legs2 = []   # (ops, measured, tally) per core, for the audit
+    legs3 = []   # (ops, addrs, measured, access index) per core
+    l2_latency = 0
+    for hierarchy, capture in zip(hierarchies, captures):
+        ops = np.asarray(capture.ops, dtype=np.uint8)
+        addrs = np.asarray(capture.addrs, dtype=np.int64)
+        if plan is not None:
+            meas = np.asarray(plan.measured_mask())
+            plan_data = (plan.l2_stream(capture) if kind == "lru_pea"
+                         else plan.l2_grouped(capture))
+        else:
+            meas = np.zeros(int(ops.shape[0]), dtype=bool)
+            meas[capture.event_boundary:] = True
+            plan_data = None
+        l2 = hierarchy.l2
+        tally2, miss2, victim2 = run(l2, hierarchy.l2_placement,
+                                     ops, addrs, meas, plan_data)
+        ops3, addrs3, meas3, mask = _derive_l3_stream(
+            ops, addrs, meas, miss2, victim2, plan)
+        positions = None
+        if num_cores > 1:
+            positions = capture.event_positions()[
+                np.flatnonzero(mask) >> 1]
+        legs2.append((ops, meas, tally2))
+        legs3.append((ops3, addrs3, meas3, positions))
+        _publish_level(l2, tally2,
+                       getattr(hierarchy.l2_placement,
+                               "movement_queue_pj", 0.0))
+        # Measured-phase latency: only demand events contribute below
+        # L1, and every term is an integer count times an integer
+        # latency.
+        _, _, lat2, _ = _level_geometry(l2)
+        l2_latency = (sum(c * t for c, t in zip(tally2.dh_sub, lat2))
+                      + tally2.demand_misses * l2.cfg.latency_cycles)
+
+    if num_cores == 1:
+        ops3, addrs3, meas3, _ = legs3[0]
+        cores3 = np.zeros(int(ops3.shape[0]), dtype=np.int64)
     else:
-        meas = np.zeros(n, dtype=bool)
-        meas[capture.event_boundary:] = True
-        plan_data = None
-
-    l2, l3 = hierarchy.l2, hierarchy.l3
-    tally2, miss2, victim2 = run(l2, hierarchy.l2_placement,
-                                 ops, addrs, meas, plan_data)
-    ops3, addrs3, meas3 = _derive_l3_stream(ops, addrs, meas,
-                                            miss2, victim2, plan)
-    tally3, miss3, victim3 = run(l3, hierarchy.l3_placement,
-                                 ops3, addrs3, meas3)
+        order = merge_by_access([leg[3] for leg in legs3])
+        ops3, addrs3, meas3 = (
+            np.concatenate([leg[i] for leg in legs3])[order]
+            for i in range(3))
+        cores3 = np.repeat(np.arange(num_cores),
+                           [leg[0].shape[0] for leg in legs3])[order]
+    del legs3  # the per-core copies of the merged L3 stream
+    first = hierarchies[0]
+    l3 = first.l3
+    tally3, miss3, victim3 = run(l3, first.l3_placement, ops3, addrs3,
+                                 meas3, resident_weight=num_cores)
 
     # DRAM: every measured L3 access miss is one read; writes are the
     # measured L3 victim writebacks plus unabsorbed writeback events.
     l3_meas_miss = miss3 & meas3
-    dram_demand = int(np.count_nonzero(
-        l3_meas_miss & (ops3 == OP_DEMAND_MISS)))
-    dram_meta = int(np.count_nonzero(l3_meas_miss & (ops3 == OP_METADATA)))
-    dram_wb = int(np.count_nonzero(l3_meas_miss & (ops3 == OP_WRITEBACK))) \
-        + int(np.count_nonzero((victim3 >= 0) & meas3))
+
+    def per_core(mask: np.ndarray) -> List[int]:
+        return np.bincount(cores3[mask], minlength=num_cores).tolist()
+
+    dram_demand = per_core(l3_meas_miss & (ops3 == OP_DEMAND_MISS))
+    dram_meta = per_core(l3_meas_miss & (ops3 == OP_METADATA))
+    dram_wb = [forwarded + victims for forwarded, victims in zip(
+        per_core(l3_meas_miss & (ops3 == OP_WRITEBACK)),
+        per_core((victim3 >= 0) & meas3))]
 
     check_vector_replay(
-        ops, meas, ops3, meas3, tally2, tally3,
-        dram_demand=dram_demand, dram_metadata=dram_meta,
+        legs2, ops3, meas3, tally3,
+        dram_demand=sum(dram_demand), dram_metadata=sum(dram_meta),
     )
 
-    # Measured-phase latency: only demand events contribute below L1,
-    # and every term is an integer count times an integer latency.
-    _, _, lat2, _ = _level_geometry(l2)
-    _, _, lat3, _ = _level_geometry(l3)
-    total = (
-        sum(c * t for c, t in zip(tally2.dh_sub, lat2))
-        + tally2.demand_misses * l2.cfg.latency_cycles
-        + sum(c * t for c, t in zip(tally3.dh_sub, lat3))
-        + tally3.demand_misses * (l3.cfg.latency_cycles
-                                  + hierarchy.dram._latency)
-    )
-
-    mq2 = getattr(hierarchy.l2_placement, "movement_queue_pj", 0.0)
-    mq3 = getattr(hierarchy.l3_placement, "movement_queue_pj", 0.0)
-    _publish_level(l2, tally2, mq2)
-    _publish_level(l3, tally3, mq3)
-    counters = hierarchy.counters
-    counters.total_latency_cycles += total
-    counters.dram_demand_reads = dram_demand
-    counters.dram_metadata_reads = dram_meta
-    counters.dram_writebacks = dram_wb
-    dram_stats = hierarchy.dram.stats
-    dram_stats.reads = dram_demand + dram_meta
-    dram_stats.writes = dram_wb
+    _publish_level(l3, tally3,
+                   getattr(first.l3_placement, "movement_queue_pj", 0.0))
+    if num_cores == 1:
+        _, _, lat3, _ = _level_geometry(l3)
+        total = (
+            l2_latency
+            + sum(c * t for c, t in zip(tally3.dh_sub, lat3))
+            + tally3.demand_misses * (l3.cfg.latency_cycles
+                                      + first.dram._latency)
+        )
+        first.counters.total_latency_cycles += total
+    for core, hierarchy in enumerate(hierarchies):
+        counters = hierarchy.counters
+        counters.dram_demand_reads = dram_demand[core]
+        counters.dram_metadata_reads = dram_meta[core]
+        counters.dram_writebacks = dram_wb[core]
+        dram_stats = hierarchy.dram.stats
+        dram_stats.reads = dram_demand[core] + dram_meta[core]
+        dram_stats.writes = dram_wb[core]
     return True

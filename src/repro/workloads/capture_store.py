@@ -109,6 +109,24 @@ class TraceCapture:
         return sum(int(getattr(self, name).nbytes)
                    for name in _ARRAY_NAMES)
 
+    def event_positions(self) -> np.ndarray:
+        """The trace position (access index) of every flat-stream event.
+
+        Metadata events take the captured TLB-miss positions and demand
+        misses the L1-miss positions, both in stream order; a writeback
+        belongs to the demand miss just before it.
+        """
+        ops = np.asarray(self.ops)
+        positions = np.empty(ops.shape[0], dtype=np.int64)
+        metadata = ops == OP_METADATA
+        demand = ops == OP_DEMAND_MISS
+        writeback = ~(metadata | demand)
+        miss_pos = np.asarray(self.l1_miss_pos, dtype=np.int64)
+        positions[metadata] = self.tlb_miss_pos
+        positions[demand] = miss_pos
+        positions[writeback] = miss_pos[np.cumsum(demand)[writeback] - 1]
+        return positions
+
     def validate(self) -> None:
         """Structural sanity; raises :class:`CaptureError` on damage.
 

@@ -3,8 +3,10 @@
 The paper evaluates eight randomly selected pairs on a system with
 private 256 KB L2s and a shared 2 MB L3; we use the pairs readable off
 Figure 16's axis. Each core's trace is shifted into a disjoint address
-region (no data sharing, as in multiprogrammed SPEC), and the two traces
-are interleaved round-robin, which is how the shared L3 sees roughly
+region (no data sharing, as in multiprogrammed SPEC). The simulator
+(:mod:`repro.sim.multi_core`) advances the cores round-robin over the
+window in which all of them still run, ordering accesses by (access
+index, core); that interleaving is how the shared L3 sees roughly
 doubled reuse distances — the effect behind the larger multicore
 savings.
 """
@@ -46,26 +48,3 @@ def make_mix_traces(pair: Tuple[str, str], length_per_core: int,
         traces.append(trace.with_offset(core * CORE_ADDRESS_STRIDE))
     return traces
 
-
-def interleave_round_robin(traces: List[Trace]) -> List[Tuple[int, int, bool]]:
-    """Deterministic round-robin interleaving of per-core traces.
-
-    Yields (core, line_addr, is_write) tuples until all traces are
-    exhausted; statistics collection over the overlap window is the
-    caller's concern (the paper collects only while executions overlap).
-    """
-    arrays = [
-        (t.addresses.tolist(), t.is_write.tolist()) for t in traces
-    ]
-    out: List[Tuple[int, int, bool]] = []
-    longest = max(len(a) for a, _ in arrays)
-    for idx in range(longest):
-        for core, (addrs, writes) in enumerate(arrays):
-            if idx < len(addrs):
-                out.append((core, addrs[idx], writes[idx]))
-    return out
-
-
-def overlap_length(traces: List[Trace]) -> int:
-    """Accesses during which all cores are still executing."""
-    return min(len(t) for t in traces) * len(traces)

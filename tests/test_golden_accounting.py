@@ -13,17 +13,32 @@ the snapshots with the loop below and call the change out in the PR:
 
     from repro.sim.single_core import run_benchmark
     run_benchmark(bench, policy, length=20_000, seed=0).to_json() + "\n"
+
+The multicore snapshots under ``tests/data/golden_multicore/`` pin the
+Figure 16 shared-L3 results the same way: each is the canonical JSON of
+the per-access walk's ``MulticoreResult`` (4k accesses per core, seed
+0), and both the capture/replay entry point and the walk itself must
+reproduce it:
+
+    json.dumps(asdict(run_mix(mix, policy, length_per_core=4_000)),
+               sort_keys=True) + "\n"
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
+from dataclasses import asdict
 
 import pytest
 
+from repro.sim.config import default_system
+from repro.sim.multi_core import _walk_mix, run_mix
 from repro.sim.single_core import run_benchmark
+from repro.workloads.mixes import make_mix_traces
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden_accounting"
+MULTICORE_DIR = pathlib.Path(__file__).parent / "data" / "golden_multicore"
 
 CELLS = [
     ("soplex", "baseline"),
@@ -35,11 +50,18 @@ CELLS = [
 ]
 
 
-@pytest.mark.parametrize("bench,policy", CELLS)
-def test_golden_run_result_bytes(bench: str, policy: str) -> None:
-    expected = (GOLDEN_DIR / f"{bench}_{policy}.json").read_text()
-    result = run_benchmark(bench, policy, length=20_000, seed=0)
-    actual = result.to_json() + "\n"
+MULTICORE_CELLS = [
+    (("soplex", "mcf"), "baseline"),
+    (("soplex", "mcf"), "nurapid"),
+    (("soplex", "mcf"), "lru_pea"),
+    (("soplex", "mcf"), "slip_abp"),
+    (("lbm", "gcc"), "baseline"),
+    (("lbm", "gcc"), "slip_abp"),
+]
+MULTICORE_LENGTH = 4_000
+
+
+def _assert_bytes_equal(label: str, actual: str, expected: str) -> None:
     if actual != expected:
         # Pinpoint the first divergence rather than dumping two ~10 KB
         # JSON blobs at each other.
@@ -49,13 +71,41 @@ def test_golden_run_result_bytes(bench: str, policy: str) -> None:
         )
         lo, hi = max(0, idx - 60), idx + 60
         pytest.fail(
-            f"{bench}/{policy} diverges from golden snapshot at byte "
+            f"{label} diverges from golden snapshot at byte "
             f"{idx}:\n  golden:  ...{expected[lo:hi]!r}...\n"
             f"  current: ...{actual[lo:hi]!r}..."
         )
+
+
+@pytest.mark.parametrize("bench,policy", CELLS)
+def test_golden_run_result_bytes(bench: str, policy: str) -> None:
+    expected = (GOLDEN_DIR / f"{bench}_{policy}.json").read_text()
+    result = run_benchmark(bench, policy, length=20_000, seed=0)
+    _assert_bytes_equal(f"{bench}/{policy}", result.to_json() + "\n",
+                        expected)
 
 
 def test_golden_snapshots_exist() -> None:
     """The parametrized cells must cover every checked-in snapshot."""
     snapshots = {p.stem for p in GOLDEN_DIR.glob("*.json")}
     assert snapshots == {f"{b}_{p}" for b, p in CELLS}
+
+
+@pytest.mark.parametrize("path", ["run_mix", "walk"])
+@pytest.mark.parametrize("mix,policy", MULTICORE_CELLS)
+def test_golden_multicore_bytes(mix, policy: str, path: str) -> None:
+    name = f"{'+'.join(mix)}_{policy}"
+    expected = (MULTICORE_DIR / f"{name}.json").read_text()
+    if path == "run_mix":
+        result = run_mix(mix, policy, length_per_core=MULTICORE_LENGTH)
+    else:
+        result = _walk_mix(make_mix_traces(mix, MULTICORE_LENGTH), mix,
+                           policy, default_system())
+    _assert_bytes_equal(f"{name} ({path})",
+                        json.dumps(asdict(result), sort_keys=True) + "\n",
+                        expected)
+
+
+def test_golden_multicore_snapshots_exist() -> None:
+    snapshots = {p.stem for p in MULTICORE_DIR.glob("*.json")}
+    assert snapshots == {f"{'+'.join(m)}_{p}" for m, p in MULTICORE_CELLS}

@@ -1,9 +1,17 @@
 """Tests for the two-core shared-L3 simulation (Figure 16 machinery)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.sim.multi_core import RoutedSlipRuntime, run_mix
+from repro.sim.multi_core import (
+    RoutedSlipRuntime,
+    _build_shared_l3,
+    core_key_shift,
+    run_mix,
+)
 from repro.core.runtime import SlipRuntime
+from repro.sim.config import line_to_page_shift
 from repro.workloads.mixes import CORE_ADDRESS_STRIDE
 
 MIX = ("soplex", "mcf")
@@ -60,7 +68,7 @@ class TestRunMix:
 class TestRoutedRuntime:
     def test_routes_by_core_address_region(self, tiny_system):
         runtimes = [SlipRuntime(tiny_system, seed=i) for i in range(2)]
-        router = RoutedSlipRuntime(runtimes)
+        router = RoutedSlipRuntime(runtimes, core_key_shift(runtimes[0]))
         page_core0 = 5
         page_core1 = (CORE_ADDRESS_STRIDE >> 6) + 5
         runtimes[0].on_demand_access(page_core0)
@@ -74,11 +82,33 @@ class TestRoutedRuntime:
 
     def test_policy_for_routed(self, tiny_system):
         runtimes = [SlipRuntime(tiny_system, seed=i) for i in range(2)]
-        router = RoutedSlipRuntime(runtimes)
+        router = RoutedSlipRuntime(runtimes, core_key_shift(runtimes[0]))
         page = (CORE_ADDRESS_STRIDE >> 6) + 1
         assert router.policy_for("L2", page) == (
             runtimes[1].spaces["L2"].default_id
         )
+
+    @pytest.mark.parametrize("page_size,rd_block_lines", [
+        (1024, 0), (4096, 0), (8192, 0), (4096, 16),
+    ])
+    def test_shared_l3_routes_every_core_at_any_key_grain(
+            self, tiny_system, page_size, rd_block_lines):
+        """Each core's profile keys (pages or rd-blocks) reach that
+        core's runtime, for 3 cores."""
+        config = replace(tiny_system, page_size=page_size).with_slip(
+            rd_block_lines=rd_block_lines)
+        runtimes = [SlipRuntime(config, seed=i) for i in range(3)]
+        _, placement = _build_shared_l3(config, "slip_abp", runtimes, 0)
+        router = placement.runtime
+        key_shift = (rd_block_lines.bit_length() - 1 if rd_block_lines
+                     else line_to_page_shift(config.lines_per_page))
+        for core, runtime in enumerate(runtimes):
+            key = ((core * CORE_ADDRESS_STRIDE) >> key_shift) + 5
+            runtime.on_demand_access(key)
+            router.record_miss_sample("L2", key)
+            assert runtime.pages[key].distributions["L2"].total() == 1
+            assert all(key not in other.pages
+                       for other in runtimes if other is not runtime)
 
 
 class TestNucaMulticore:

@@ -225,7 +225,7 @@ class TestBypass:
         capture = store.get(key)
         assert capture is not None
         hierarchy = build_hierarchy(tiny_system, "slip")
-        assert replay_capture_vector(hierarchy, capture) is False
+        assert replay_capture_vector([hierarchy], [capture]) is False
 
     def test_non_lru_cells_still_replay_correctly(self, tiny_system,
                                                   monkeypatch):
