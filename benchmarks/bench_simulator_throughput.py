@@ -12,7 +12,7 @@ import pytest
 from repro.experiments.parallel import RunRequest, run_jobs
 from repro.sim.build import build_hierarchy
 from repro.sim.config import default_system
-from repro.sim.filtered import capture_front_end, run_trace_filtered
+from repro.sim.filtered import capture_front_end
 from repro.sim.single_core import run_trace
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import MemoryCaptureStore
@@ -54,7 +54,7 @@ CELLS = [(r.benchmark, r.policy) for r in SWEEP_GRID]
 def make_replay_cell(bench: str, policy: str):
     """A warmed zero-arg replay closure for one sweep grid cell.
 
-    The first (capture-through) run fills a private in-memory store, so
+    The first run fills a private in-memory store, so
     every call of the returned closure times exactly one warm replay —
     the unit the aggregate sweep bench repeats six times. Also used by
     ``scripts/throughput_gate.py`` for the per-kind replay gates.
@@ -62,11 +62,10 @@ def make_replay_cell(bench: str, policy: str):
     config = default_system()
     trace = make_trace(bench, N)
     store = MemoryCaptureStore()
-    run_trace_filtered(trace, policy, config=config, store=store)
+    run_trace(trace, policy, config=config, store=store)
 
     def replay() -> int:
-        result = run_trace_filtered(trace, policy, config=config,
-                                    store=store)
+        result = run_trace(trace, policy, config=config, store=store)
         return result.counters.demand_accesses
 
     return replay
@@ -89,9 +88,8 @@ def make_capture_cell(bench: str):
 
     Every call times one full front-end capture pass — the cost a cold
     sweep pays per (trace, front-end fingerprint) before any replay can
-    happen. The batched vector_frontend kernel serves it by default;
-    ``REPRO_VECTOR_FRONTEND=0`` would fall back to the scalar walk and
-    show up as a multi-x slowdown. Also used by
+    happen. The batched vector_frontend kernel serves it; a decline to
+    the scalar walk would show up as a multi-x slowdown. Also used by
     ``scripts/throughput_gate.py`` for the cold-capture gates.
     """
     config = default_system()
@@ -114,15 +112,13 @@ DIRECT_CELLS = (("soplex", "baseline"), ("soplex", "slip_abp"))
 
 
 def make_direct_cell(bench: str, policy: str):
-    """A zero-arg composed direct-run closure for one cell.
+    """A zero-arg store-less run closure for one cell.
 
-    Every call is one full ``run_trace`` — the cold path a user pays
-    without a capture store: front-end kernel capture composed with
-    kernel replay (``try_run_direct``), scalar walk on decline. The
-    first call builds the ReplayPlan; later calls hit the in-process
-    direct-plan LRU, which is the steady state a sweep of cold cells
-    sees. Also used by ``scripts/throughput_gate.py`` for the
-    direct-drive gates.
+    Every call is one full store-less ``run_trace``. The first call
+    captures the front end with the kernel and builds the ReplayPlan;
+    later calls find both in the process-local store every store-less
+    run shares, so they time the kernel replay of a warm capture. Also
+    used by ``scripts/throughput_gate.py`` for the direct-drive gates.
     """
     config = default_system()
     trace = make_trace(bench, N)
@@ -137,9 +133,9 @@ def make_direct_cell(bench: str, policy: str):
 @pytest.mark.parametrize("bench,policy", DIRECT_CELLS,
                          ids=[f"{b}-{p}" for b, p in DIRECT_CELLS])
 def test_direct_cell(benchmark, bench, policy):
-    # Composed pipeline vs the scalar `drive` above: the same trace and
-    # geometry, so a decline regression (pipeline silently falling back
-    # to the scalar walk) shows up as this converging on drive()'s cost.
+    # Replay vs the scalar `drive` above: the same trace and geometry,
+    # so a decline regression (a kernel silently falling back to the
+    # scalar walk) shows up as this converging on drive()'s cost.
     direct = make_direct_cell(bench, policy)
     assert benchmark.pedantic(direct, rounds=3, warmup_rounds=1,
                               iterations=1) == MEASURED
@@ -151,8 +147,8 @@ def sweep(jobs: int) -> int:
 
 
 def test_sweep_throughput_serial(benchmark):
-    # One warmup round populates the capture store (capture-through),
-    # so the measured rounds time the replay path — the same protocol
+    # One warmup round populates the capture store, so the measured
+    # rounds time the replay path — the same protocol
     # as scripts/throughput_gate.py, which warms before timing.
     assert benchmark.pedantic(sweep, args=(1,), rounds=3,
                               warmup_rounds=1,

@@ -18,10 +18,11 @@ at the repo root:
 * cold front-end captures of both bench traces — the batched
   vector_frontend kernel; a decline regression here multiplies the
   cost every cold sweep cell pays before its first replay;
-* composed direct runs (``run_trace`` -> ``try_run_direct``) of the
-  soplex baseline and slip_abp cells — the end-to-end kernel pipeline
-  behind every store-less run; a decline regression here converges on
-  the scalar drive's cost (several times slower).
+* store-less ``run_trace`` runs of the soplex baseline and slip_abp
+  cells — after the first call, the process-local store of store-less
+  runs holds the capture and the plan, so each repeat times a kernel
+  replay; a decline regression here converges on the scalar drive's
+  cost (several times slower).
 
 Fails (exit 1) when either measurement exceeds its recorded mean by
 more than the tolerance (default 20%).
@@ -141,7 +142,7 @@ def make_measure_direct_s(cell_bench: str, policy: str):
         bench = _import_bench()
         direct = bench.make_direct_cell(cell_bench, policy)
         best = float("inf")
-        direct()  # warmup: first call builds the cell's ReplayPlan
+        direct()  # warmup: first call stores the capture and plan
         for _ in range(repeats):
             started = time.perf_counter()
             accesses = direct()

@@ -477,17 +477,18 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
         }),
     ),
     TwinPair(
-        # The composed direct pipeline (kernel capture -> kernel
-        # replay behind run_trace) vs the golden scalar walk. Both
-        # sides reach almost every counter through their callees (the
-        # kernels publish via adopt_counts, the scalar walk drives the
-        # live hierarchy), so the shared set is the union of the other
-        # twin pairs' surfaces; the frozen-L1 restore assigns a whole
-        # EnergyBreakdown object (fast-only ``stats.energy``) while the
-        # live-runtime ledger fields the replay restores wholesale are
-        # ref-only. Neither body bumps a counter directly.
+        # The capture replay behind run_trace (kernel or scalar replay
+        # over a captured front end, plus the frozen front-end restore)
+        # vs the golden scalar walk. Both sides reach every counter
+        # through their callees (the kernels publish via adopt_counts,
+        # the scalar replays and walk drive the live hierarchy), so the
+        # shared set is the union of the other twin pairs' surfaces.
+        # Only the replay body writes directly: the frozen front-end
+        # restore assigns the L1, runtime and TLB stats objects whole
+        # (fast-only ``stats.energy`` comes with the L1 restore) and
+        # sets the front-end counters.
         pair_id="replay-plan",
-        fast="try_run_direct",
+        fast="replay_capture",
         refs=("_run_trace_scalar",),
         shared=frozenset({
             "_alloc_rotor", "_clock", "access_counter", "counters",
@@ -497,7 +498,7 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
             "stats", "stats._metadata_pj", "stats._read_pj_table",
             "stats._write_pj_table", "stats.bypasses",
             "stats.demand_hits", "stats.demand_misses",
-            "stats.dirty_bypass_forwards",
+            "stats.dirty_bypass_forwards", "stats.distribution_fetches",
             "stats.energy.insertion_pj", "stats.energy.metadata_pj",
             "stats.energy.movement_pj",
             "stats.energy.movement_queue_pj", "stats.energy.read_pj",
@@ -506,23 +507,24 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
             "stats.insert_events[]", "stats.insertion_pj",
             "stats.insertions", "stats.insertions_by_class[]",
             "stats.metadata_events", "stats.metadata_hits",
-            "stats.metadata_misses", "stats.metadata_pj",
+            "stats.metadata_misses", "stats.metadata_pj", "stats.misses",
             "stats.move_read_events[]", "stats.move_write_events[]",
             "stats.movement_pj", "stats.movements",
-            "stats.read_events[]", "stats.read_pj", "stats.reads",
-            "stats.reuse_histogram[]", "stats.wb_in_events[]",
-            "stats.wb_out_events[]", "stats.writeback_pj",
-            "stats.writebacks_in", "stats.writebacks_out",
-            "stats.writes", "valid_count",
-        }),
-        fast_only=frozenset({"stats.energy"}),
-        ref_only=frozenset({
-            "stats.distribution_fetches", "stats.misses",
             "stats.optimizations", "stats.policy_recomputations",
+            "stats.read_events[]", "stats.read_pj", "stats.reads",
+            "stats.reuse_histogram[]",
             "stats.state_transitions_to_sampling",
             "stats.state_transitions_to_stable",
             "stats.tlb_block_cycles", "stats.tlb_miss_fetches",
+            "stats.wb_in_events[]", "stats.wb_out_events[]",
+            "stats.writeback_pj", "stats.writebacks_in",
+            "stats.writebacks_out", "stats.writes", "valid_count",
         }),
+        fast_only=frozenset({"stats.energy"}),
+        site_counts={
+            "counters.demand_accesses": 1, "counters.l1_hits": 1,
+            "counters.total_latency_cycles": 1, "stats": 3,
+        },
     ),
 )
 

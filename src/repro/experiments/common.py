@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.config import SystemConfig, default_system
-from ..sim.filtered import run_trace_filtered
 from ..sim.results import RunResult
+from ..sim.single_core import run_trace
 from ..workloads.benchmarks import SPEC_ORDER, make_trace
+from ..workloads.capture_store import default_store
 
 ALL_POLICIES: Tuple[str, ...] = (
     "baseline", "nurapid", "lru_pea", "slip", "slip_abp",
@@ -122,14 +123,15 @@ class SweepCache:
     def result(self, benchmark: str, policy: str) -> RunResult:
         key = (benchmark, policy)
         if key not in self._results:
-            # Filtered capture/replay: cells sharing a runtime kind
-            # reuse one captured front end (byte-identical results).
-            self._results[key] = run_trace_filtered(
+            # The shared store lets every policy of a benchmark replay
+            # one captured front end (byte-identical results).
+            self._results[key] = run_trace(
                 self.trace(benchmark),
                 policy,
                 config=self.config,
                 seed=self.settings.seed,
                 warmup_fraction=self.settings.warmup_fraction,
+                store=default_store(),
             )
         return self._results[key]
 

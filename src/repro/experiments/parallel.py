@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..sim.config import SystemConfig
-from ..sim.filtered import run_trace_filtered
 from ..sim.multi_core import MulticoreResult, run_mix
 from ..sim.results import RunResult
+from ..sim.single_core import run_trace
 from ..workloads.benchmarks import make_trace
+from ..workloads.capture_store import default_store
 
 #: Environment variable read when no explicit worker count is given.
 JOBS_ENV = "REPRO_EXP_JOBS"
@@ -142,17 +143,10 @@ def execute_request(request: Request) -> JobResult:
         )
     else:
         trace = make_trace(request.benchmark, request.length, request.seed)
-        # Filtered capture/replay: workers consult the capture store
-        # (in-memory, or the shared on-disk store when
-        # REPRO_CAPTURE_DIR is set) before simulating the front end.
-        # Replayed cells dispatch to the batched back ends —
-        # repro.sim.vector_replay for baseline-kind policies,
-        # repro.sim.vector_replay_slip for slip kinds — fed by the
-        # store's cached ReplayPlan unless REPRO_REPLAY_PLAN=0, and
-        # gated by REPRO_VECTOR_REPLAY; all three knobs are plain
-        # environment variables, so pool workers inherit the caller's
-        # choice.
-        result = run_trace_filtered(
+        # Workers share captures and replay plans through the default
+        # store: in-memory, or the on-disk store every pool worker
+        # sees when REPRO_CAPTURE_DIR is set (workers inherit it).
+        result = run_trace(
             trace,
             request.policy,
             config=request.config,
@@ -160,6 +154,7 @@ def execute_request(request: Request) -> JobResult:
             replacement=request.replacement,
             warmup_fraction=request.warmup_fraction,
             always_sample=request.always_sample,
+            store=default_store(),
         )
     wall = time.perf_counter() - started
     return JobResult(request, result, wall, request.accesses, os.getpid())

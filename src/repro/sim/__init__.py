@@ -1,8 +1,11 @@
-"""Simulation drivers and system configuration (Tables 1 and 2).
+"""System configuration (Tables 1 and 2) and the simulation drivers.
 
-Configuration types are imported eagerly; the drivers are resolved
-lazily (PEP 562) because they pull in :mod:`repro.core`, which itself
-depends on :mod:`repro.sim.config` — eager imports would cycle.
+Only the configuration types are re-exported here. The drivers live in
+their submodules (:mod:`repro.sim.single_core`,
+:mod:`repro.sim.multi_core`) and are re-exported by the top-level
+:mod:`repro` package; importing them here would cycle, because they
+pull in :mod:`repro.core`, which itself depends on
+:mod:`repro.sim.config`.
 """
 
 from .config import (
@@ -16,25 +19,6 @@ from .config import (
     default_system,
 )
 
-_LAZY = {
-    "POLICY_NAMES": ("repro.sim.build", "POLICY_NAMES"),
-    "build_hierarchy": ("repro.sim.build", "build_hierarchy"),
-    "runtime_kind": ("repro.sim.build", "runtime_kind"),
-    "capture_front_end": ("repro.sim.filtered", "capture_front_end"),
-    "replay_capture": ("repro.sim.filtered", "replay_capture"),
-    "run_trace_capturing": ("repro.sim.filtered", "run_trace_capturing"),
-    "run_trace_filtered": ("repro.sim.filtered", "run_trace_filtered"),
-    "MulticoreResult": ("repro.sim.multi_core", "MulticoreResult"),
-    "run_mix": ("repro.sim.multi_core", "run_mix"),
-    "RunResult": ("repro.sim.results", "RunResult"),
-    "collect_result": ("repro.sim.results", "collect_result"),
-    "run_benchmark": ("repro.sim.single_core", "run_benchmark"),
-    "run_policy_sweep": ("repro.sim.single_core", "run_policy_sweep"),
-    "run_trace": ("repro.sim.single_core", "run_trace"),
-    "TimingResult": ("repro.sim.timing", "TimingResult"),
-    "execution_time": ("repro.sim.timing", "execution_time"),
-}
-
 __all__ = [
     "CacheLevelConfig",
     "CoreConfig",
@@ -44,16 +28,4 @@ __all__ = [
     "default_l2",
     "default_l3",
     "default_system",
-] + sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+]

@@ -8,30 +8,20 @@ end (and, for SLIP, the live metadata stream) differs. This module
 captures that front end once per (trace, front-end fingerprint) and
 then *replays* only the L1->L2 boundary events per policy cell,
 producing a :class:`~repro.sim.results.RunResult` whose ``to_json()``
-is byte-identical to a direct
-:func:`~repro.sim.single_core.run_trace`.
+is byte-identical to a direct run: the per-access walk of
+:func:`~repro.sim.single_core._run_trace_scalar`.
 
-Captures come from one of two passes:
-
-* **Capture-through** (:func:`run_trace_capturing`): a direct run of a
-  baseline-runtime-kind cell (baseline / nurapid / lru_pea) with thin
-  recording wrappers around ``_access_below_l1`` /
-  ``_writeback_below_l1`` that delegate to the real methods. The cell's
-  own result comes out of the very same run, so the first cell of a
-  sweep pays only the (small) recording overhead, not a separate pass.
-* **Capture pass** (:func:`capture_front_end`): when the first cell to
-  miss the store is a SLIP cell, a baseline hierarchy is driven with
-  the below-L1 entry points *shadowed* by recorders returning zero
-  latency — front-end accounting is still produced by exactly the code
-  a direct run executes, and ``counters.total_latency_cycles`` at the
-  end is precisely the frozen L1-side latency.
-
-Both passes first offer the work to the batched capture kernel
-(:mod:`~repro.sim.vector_frontend`), which simulates the TLB and L1
-over the whole trace in three numpy phases and emits a byte-identical
-:class:`~repro.workloads.capture_store.TraceCapture`; the scalar walks
-below stay in place as the golden reference and serve every shape the
-kernel declines (``hierarchy.vector_frontend_decline`` records why).
+:func:`capture_front_end` takes the capture: it first offers the work to
+the batched capture kernel (:mod:`~repro.sim.vector_frontend`), which
+simulates the TLB and L1 over the whole trace in three numpy phases
+and emits a byte-identical
+:class:`~repro.workloads.capture_store.TraceCapture`. Where the kernel
+declines (``hierarchy.kernel_declines.frontend`` records why), a
+baseline hierarchy is driven with the below-L1 entry points *shadowed*
+by recorders returning zero latency: front-end accounting is then
+produced by exactly the code a direct run executes, and
+``counters.total_latency_cycles`` at the end is precisely the frozen
+L1-side latency. That scalar walk is the kernel's golden reference.
 
 The captured stream is **runtime-kind invariant** — TLB hit/miss
 positions are one page-grain probe per access regardless of runtime,
@@ -62,32 +52,26 @@ latency/hit counters) are merged back before ``finalize()``; the
 restored L1 stats carry no energy tables, so materialization leaves
 the frozen energy figures untouched.
 
-Replay is bypassed (falling back to the direct path) when SimCheck is
-enabled (``REPRO_CHECK_INVARIANTS``: the invariant wrappers observe
-per-access events a replay does not generate), when the Section 7
-rd-block extension is active for a SLIP policy (the SLIP-cache miss
-stream is not captured), when per-level energy overrides are supplied
-(frozen L1 energy would not reflect them), or when
-``REPRO_FILTERED=0``. Every replay ends with the always-on
+:func:`~repro.sim.single_core.run_trace` drives one cell through this
+module: capture (or store hit), plan, replay. It walks the trace scalar
+instead when SimCheck is enabled (``REPRO_CHECK_INVARIANTS``: the
+invariant wrappers observe per-access events a replay does not
+generate), when the Section 7 rd-block extension is active for a SLIP
+policy (the SLIP-cache miss stream is not captured), or when per-level
+energy overrides are supplied (frozen L1 energy would not reflect
+them). Every replay ends with the always-on
 ``capture-replay-conservation`` invariant
 (:func:`repro.analysis.invariants.check_capture_replay`).
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
 from dataclasses import asdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
-from ..analysis.invariants import (
-    InvariantViolation,
-    check_capture_replay,
-    invariants_enabled,
-)
-from ..core.energy_model import LevelEnergyParams
+from ..analysis.invariants import InvariantViolation, check_capture_replay
 from ..core.runtime import RuntimeStats
 from ..mem.stats import EnergyBreakdown, LevelStats
 from ..mem.tlb import TlbStats, pte_line_address
@@ -98,53 +82,17 @@ from ..workloads.capture_store import (
     CAPTURE_VERSION,
     CaptureError,
     TraceCapture,
-    default_store,
-    fingerprint_key,
     trace_content_digest,
 )
 from ..workloads.trace import Trace
-from .build import build_hierarchy, maybe_boost_sampler, runtime_kind
-from .config import SystemConfig, default_system
-from .replay_plan import (
-    build_plan,
-    ensure_plan_verified,
-    plan_enabled,
-    plan_geometry,
-    plan_geometry_key,
-)
+from .build import build_hierarchy, maybe_boost_sampler
+from .config import SystemConfig
+from .replay_plan import build_plan, ensure_plan_verified, plan_geometry_key
 from .results import RunResult, collect_result
-from .single_core import run_trace
 from .timing import execution_time
 from .vector_frontend import capture_front_end_vector
 from .vector_replay import merge_by_access, replay_capture_vector
 from .vector_replay_slip import replay_capture_vector_slip
-
-_FILTERED_ENV = "REPRO_FILTERED"
-_DIRECT_ENV = "REPRO_DIRECT_PIPELINE"
-_FALSEY = ("0", "false", "no", "off")
-
-
-def filtered_enabled() -> bool:
-    """Filtered replay is on unless ``REPRO_FILTERED`` disables it."""
-    return os.environ.get(_FILTERED_ENV, "").strip().lower() not in _FALSEY
-
-
-def direct_enabled() -> bool:
-    """The composed direct pipeline is on unless
-    ``REPRO_DIRECT_PIPELINE`` disables it."""
-    return os.environ.get(_DIRECT_ENV, "").strip().lower() not in _FALSEY
-
-
-def debug_flag(env_var: str) -> bool:
-    """One truthy-env convention for the kernel debug toggles.
-
-    ``REPRO_VECTOR_REPLAY_DEBUG`` and ``REPRO_VECTOR_FRONTEND_DEBUG``
-    both resolve through here (empty/unset is off, and the usual falsey
-    spellings stay off), so the two decline-echo switches can never
-    drift apart.
-    """
-    value = os.environ.get(env_var, "").strip().lower()
-    return bool(value) and value not in _FALSEY
 
 
 # ----------------------------------------------------------------------
@@ -181,50 +129,6 @@ def front_end_fingerprint(
 
 
 # ----------------------------------------------------------------------
-# Capture assembly (shared by both capture modes)
-# ----------------------------------------------------------------------
-def _assemble_capture(
-    hierarchy,
-    n: int,
-    warmup: int,
-    event_boundary: int,
-    ops: List[int],
-    addrs: List[int],
-    miss_pos: List[int],
-    miss_wb: List[int],
-    tlb_pos: List[int],
-    l1_latency_cycles: int,
-) -> TraceCapture:
-    """Freeze the front-end statistics and pack the event arrays."""
-    measured = ops[event_boundary:]
-    counters = hierarchy.counters
-    frozen = {
-        "l1": asdict(hierarchy.l1.stats),
-        "runtime": asdict(hierarchy.runtime.stats),
-        "tlb": asdict(hierarchy.runtime.tlb.stats),
-        "l1_latency_cycles": l1_latency_cycles,
-        "l1_hits": counters.l1_hits,
-        "demand_accesses": counters.demand_accesses,
-        "event_counts": {
-            "demand": measured.count(OP_DEMAND_MISS),
-            "metadata": measured.count(OP_METADATA),
-            "writeback": measured.count(OP_WRITEBACK),
-        },
-    }
-    return TraceCapture(
-        n=n,
-        warmup=warmup,
-        event_boundary=event_boundary,
-        ops=np.asarray(ops, dtype=np.uint8),
-        addrs=np.asarray(addrs, dtype=np.int64),
-        l1_miss_pos=np.asarray(miss_pos, dtype=np.int64),
-        l1_miss_wb=np.asarray(miss_wb, dtype=np.int64),
-        tlb_miss_pos=np.asarray(tlb_pos, dtype=np.int64),
-        frozen=frozen,
-    )
-
-
-# ----------------------------------------------------------------------
 # Capture pass (shadowed back end)
 # ----------------------------------------------------------------------
 # slip-audit: twin=vector-frontend role=ref
@@ -232,10 +136,10 @@ def capture_front_end(trace: Trace, config: SystemConfig,
                       warmup_fraction: float = 0.25) -> TraceCapture:
     """Run the policy-invariant front end once; record the boundary.
 
-    Builds a baseline hierarchy, shadows its below-L1 entry points with
-    recorders and drives the real ``access()`` loop, so the frozen
-    L1/TLB statistics are produced by the exact code a direct run
-    executes.
+    Builds a baseline hierarchy and offers it to the capture kernel.
+    On a decline, shadows its below-L1 entry points with recorders and
+    drives the real ``access()`` loop, so the frozen L1/TLB statistics
+    are produced by the exact code a direct run executes.
     """
     hierarchy = build_hierarchy(config, "baseline")
     if hierarchy.simcheck is not None:
@@ -305,140 +209,32 @@ def capture_front_end(trace: Trace, config: SystemConfig,
 
     # Shadowed recorders returned zero latency, so the counter holds
     # exactly the L1-side (front-end) latency.
-    return _assemble_capture(
-        hierarchy, n, warmup, event_boundary, ops, addrs,
-        miss_pos, miss_wb, tlb_pos,
-        hierarchy.counters.total_latency_cycles,
+    measured = ops[event_boundary:]
+    counters = hierarchy.counters
+    frozen = {
+        "l1": asdict(hierarchy.l1.stats),
+        "runtime": asdict(hierarchy.runtime.stats),
+        "tlb": asdict(hierarchy.runtime.tlb.stats),
+        "l1_latency_cycles": counters.total_latency_cycles,
+        "l1_hits": counters.l1_hits,
+        "demand_accesses": counters.demand_accesses,
+        "event_counts": {
+            "demand": measured.count(OP_DEMAND_MISS),
+            "metadata": measured.count(OP_METADATA),
+            "writeback": measured.count(OP_WRITEBACK),
+        },
+    }
+    return TraceCapture(
+        n=n,
+        warmup=warmup,
+        event_boundary=event_boundary,
+        ops=np.asarray(ops, dtype=np.uint8),
+        addrs=np.asarray(addrs, dtype=np.int64),
+        l1_miss_pos=np.asarray(miss_pos, dtype=np.int64),
+        l1_miss_wb=np.asarray(miss_wb, dtype=np.int64),
+        tlb_miss_pos=np.asarray(tlb_pos, dtype=np.int64),
+        frozen=frozen,
     )
-
-
-# ----------------------------------------------------------------------
-# Capture-through (recording direct run)
-# ----------------------------------------------------------------------
-def run_trace_capturing(
-    trace: Trace,
-    policy: str,
-    config: SystemConfig,
-    seed: int = 0,
-    replacement: str = "lru",
-    warmup_fraction: float = 0.25,
-    warmup_sampling_boost: bool = True,
-    always_sample: bool = False,
-) -> Tuple[RunResult, Optional[TraceCapture]]:
-    """A direct run of a baseline-kind cell that also emits a capture.
-
-    The below-L1 entry points are wrapped (not shadowed): every event
-    is recorded *and* executed, so the returned result is the direct
-    run's result and the capture is byte-equal to what
-    :func:`capture_front_end` would produce — the event stream and the
-    frozen front end are independent of this cell's back end. Returns
-    ``(result, None)`` when no capture could be taken (SimCheck, or an
-    unrepresentable L1 writeback pattern).
-    """
-    hierarchy = build_hierarchy(
-        config, policy, seed=seed, replacement=replacement,
-        always_sample=always_sample,
-    )
-    recording = hierarchy.simcheck is None
-
-    # Batched kernel first: capture the front end without driving the
-    # trace, then produce this cell's result by replaying the capture
-    # (byte-identical to the direct run by the replay contract). Only
-    # baseline-kind policies record the policy-invariant stream — a
-    # slip-kind runtime would interleave its own metadata fetches.
-    if recording and runtime_kind(policy) == "baseline":
-        capture = capture_front_end_vector(hierarchy, trace, config,
-                                           warmup_fraction)
-        if capture is not None:
-            result = replay_capture(
-                trace, policy, capture, config, seed=seed,
-                replacement=replacement,
-                warmup_sampling_boost=warmup_sampling_boost,
-                always_sample=always_sample,
-            )
-            return result, capture
-
-    ops: list = []
-    addrs: list = []
-    miss_pos: list = []
-    miss_wb: list = []
-    tlb_pos: list = []
-    pos = [0]
-    below_demand_lat = [0]
-    poisoned = [False]
-
-    if recording:
-        real_access = hierarchy._access_below_l1
-        real_writeback = hierarchy._writeback_below_l1
-
-        def record_access(line_addr, is_metadata, page):
-            addrs.append(line_addr)
-            if is_metadata:
-                ops.append(OP_METADATA)
-                tlb_pos.append(pos[0])
-                return real_access(line_addr, True, page)
-            ops.append(OP_DEMAND_MISS)
-            miss_pos.append(pos[0])
-            miss_wb.append(-1)
-            latency = real_access(line_addr, False, page)
-            below_demand_lat[0] += latency
-            return latency
-
-        def record_writeback(line_addr):
-            if (not miss_wb or miss_wb[-1] != -1
-                    or miss_pos[-1] != pos[0]):
-                # Can't be represented in the per-miss writeback slot:
-                # keep executing (the direct result is still valid),
-                # just drop the capture at the end.
-                poisoned[0] = True
-            else:
-                ops.append(OP_WRITEBACK)
-                addrs.append(line_addr)
-                miss_wb[-1] = line_addr
-            real_writeback(line_addr)
-
-        hierarchy._access_below_l1 = record_access
-        hierarchy._writeback_below_l1 = record_writeback
-
-    addresses = trace.addresses.tolist()
-    writes = trace.is_write.tolist()
-    n = len(addresses)
-    warmup = int(n * warmup_fraction)
-    maybe_boost_sampler(hierarchy.runtime, warmup_sampling_boost)
-    access = hierarchy.access
-    index = 0
-    for addr, is_write in zip(addresses[:warmup], writes[:warmup]):
-        pos[0] = index
-        access(addr, is_write)
-        index += 1
-    event_boundary = len(ops)
-    hierarchy.reset_stats()
-    below_demand_lat[0] = 0
-    for addr, is_write in zip(addresses[warmup:], writes[warmup:]):
-        pos[0] = index
-        access(addr, is_write)
-        index += 1
-    hierarchy.finalize()
-    if recording:
-        # As in capture_front_end: the wrapper closures reference the
-        # hierarchy; remove them so the graph stays acyclic.
-        del hierarchy._access_below_l1, hierarchy._writeback_below_l1
-
-    capture: Optional[TraceCapture] = None
-    if recording and not poisoned[0]:
-        # The L1-side latency is whatever the below-L1 demand legs did
-        # not contribute (metadata latency is discarded in access()).
-        capture = _assemble_capture(
-            hierarchy, n, warmup, event_boundary, ops, addrs,
-            miss_pos, miss_wb, tlb_pos,
-            hierarchy.counters.total_latency_cycles
-            - below_demand_lat[0],
-        )
-
-    measured_instructions = (n - warmup) * trace.instructions_per_access
-    timing = execution_time(hierarchy, measured_instructions, config.core)
-    return collect_result(policy, trace.name, config, hierarchy,
-                          timing), capture
 
 
 # ----------------------------------------------------------------------
@@ -602,6 +398,7 @@ def _replay_slip(hierarchies, traces, captures) -> None:
         runtime.tlb.stats.hits = (capture.n - warmup) - misses
 
 
+# slip-audit: twin=replay-plan role=fast
 def replay_capture(
     trace: Trace,
     policy: str,
@@ -610,7 +407,6 @@ def replay_capture(
     seed: int = 0,
     replacement: str = "lru",
     warmup_sampling_boost: bool = True,
-    level_energy_overrides: Optional[Dict[str, LevelEnergyParams]] = None,
     always_sample: bool = False,
     plan=None,
     hierarchy=None,
@@ -619,13 +415,12 @@ def replay_capture(
 
     ``plan`` optionally carries the verified policy-invariant replay
     precompute (see :mod:`~repro.sim.replay_plan`) shared across cells;
-    ``hierarchy`` lets the composed direct pipeline reuse the hierarchy
-    it already built for the capture-kernel eligibility probe.
+    ``hierarchy`` lets :func:`~repro.sim.single_core.run_trace` reuse
+    the cell's hierarchy it already offered to the capture kernel.
     """
     if hierarchy is None:
         hierarchy = build_hierarchy(
             config, policy, seed=seed, replacement=replacement,
-            level_energy_overrides=level_energy_overrides,
             always_sample=always_sample,
         )
     if hierarchy.simcheck is not None:
@@ -696,165 +491,3 @@ def _resolve_plan(store, key: str, geometry: Dict,
             build_plan(capture, trace, geometry), capture, trace)
         store.put_plan(key, geom_key, plan)
     return plan
-
-
-# ----------------------------------------------------------------------
-# Public driver
-# ----------------------------------------------------------------------
-def run_trace_filtered(
-    trace: Trace,
-    policy: str,
-    config: Optional[SystemConfig] = None,
-    seed: int = 0,
-    replacement: str = "lru",
-    warmup_fraction: float = 0.25,
-    warmup_sampling_boost: bool = True,
-    level_energy_overrides: Optional[Dict[str, LevelEnergyParams]] = None,
-    always_sample: bool = False,
-    store=None,
-) -> RunResult:
-    """Drop-in ``run_trace`` using capture/replay where it is legal.
-
-    Byte-identical to :func:`~repro.sim.single_core.run_trace` by
-    construction; falls back to it whenever a capture cannot represent
-    the run (SimCheck, rd-block SLIP, per-level energy overrides,
-    ``REPRO_FILTERED=0``, or a capture/store failure).
-    """
-    config = config or default_system()
-    kind = runtime_kind(policy)
-    if (
-        not filtered_enabled()
-        or invariants_enabled()
-        or level_energy_overrides
-        or (kind == "slip" and config.slip.rd_block_lines)
-    ):
-        return run_trace(
-            trace, policy, config=config, seed=seed,
-            replacement=replacement, warmup_fraction=warmup_fraction,
-            warmup_sampling_boost=warmup_sampling_boost,
-            level_energy_overrides=level_energy_overrides,
-            always_sample=always_sample,
-        )
-    fingerprint = front_end_fingerprint(
-        trace, config, seed, warmup_fraction,
-    )
-    key = fingerprint_key(fingerprint)
-    if store is None:
-        store = default_store()
-    capture = store.get(key)
-    if capture is None:
-        if kind == "baseline":
-            # Capture-through: the direct run of this very cell records
-            # the boundary as a side effect, so the first cell of a
-            # sweep costs one run, not a capture pass plus a replay.
-            result, capture = run_trace_capturing(
-                trace, policy, config, seed=seed,
-                replacement=replacement,
-                warmup_fraction=warmup_fraction,
-                warmup_sampling_boost=warmup_sampling_boost,
-                always_sample=always_sample,
-            )
-            if capture is not None:
-                store.put(key, capture, fingerprint=fingerprint)
-            return result
-        try:
-            capture = capture_front_end(trace, config, warmup_fraction)
-        except CaptureError:
-            return run_trace(
-                trace, policy, config=config, seed=seed,
-                replacement=replacement, warmup_fraction=warmup_fraction,
-                warmup_sampling_boost=warmup_sampling_boost,
-                level_energy_overrides=level_energy_overrides,
-                always_sample=always_sample,
-            )
-        store.put(key, capture, fingerprint=fingerprint)
-    plan = None
-    if plan_enabled():
-        plan = _resolve_plan(store, key, plan_geometry(config),
-                             capture, trace)
-    return replay_capture(
-        trace, policy, capture, config, seed=seed,
-        replacement=replacement,
-        warmup_sampling_boost=warmup_sampling_boost,
-        level_energy_overrides=level_energy_overrides,
-        always_sample=always_sample,
-        plan=plan,
-    )
-
-
-# ----------------------------------------------------------------------
-# Composed direct pipeline (kernel capture -> kernel replay)
-# ----------------------------------------------------------------------
-#: Process-local plan cache for direct runs: the composed pipeline
-#: deliberately writes nothing to the shared capture store (direct runs
-#: are one-shot; "cold" means cold), but repeated direct runs of the
-#: same (front end, geometry) in one process still share the plan.
-_DIRECT_PLANS: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
-_DIRECT_PLAN_LIMIT = 4
-
-
-# slip-audit: twin=replay-plan role=fast
-def try_run_direct(
-    hierarchy,
-    trace: Trace,
-    policy: str,
-    config: SystemConfig,
-    seed: int = 0,
-    replacement: str = "lru",
-    warmup_fraction: float = 0.25,
-    warmup_sampling_boost: bool = True,
-    level_energy_overrides: Optional[Dict[str, LevelEnergyParams]] = None,
-    always_sample: bool = False,
-) -> Optional[RunResult]:
-    """One direct run as kernel capture + kernel replay, or ``None``.
-
-    The composed fast path behind :func:`~repro.sim.single_core.
-    run_trace`: capture the front end with the batched kernel (the
-    caller's freshly built ``hierarchy`` is only consulted for
-    eligibility there, so reusing it for the replay is safe), then
-    replay the capture against the same hierarchy. Declines — returning
-    ``None`` so the caller walks the trace scalar — mirror
-    :func:`run_trace_filtered`'s bypass matrix (``REPRO_FILTERED=0``,
-    SimCheck, per-level energy overrides, rd-block SLIP) plus
-    ``REPRO_DIRECT_PIPELINE=0`` and every front-end kernel decline.
-    Never recurses into ``run_trace`` and never touches the shared
-    capture store: a direct run stays a self-contained cold run.
-    """
-    if (
-        not direct_enabled()
-        or not filtered_enabled()
-        or invariants_enabled()
-        or level_energy_overrides
-        or (runtime_kind(policy) == "slip" and config.slip.rd_block_lines)
-    ):
-        return None
-    geometry = plan_geometry(config)
-    plan = None
-    plan_key = None
-    if plan_enabled():
-        fingerprint = front_end_fingerprint(
-            trace, config, seed, warmup_fraction,
-        )
-        plan_key = (fingerprint_key(fingerprint),
-                    plan_geometry_key(geometry))
-        plan = _DIRECT_PLANS.get(plan_key)
-        if plan is not None:
-            _DIRECT_PLANS.move_to_end(plan_key)
-    capture = capture_front_end_vector(hierarchy, trace, config,
-                                       warmup_fraction, plan)
-    if capture is None:
-        return None
-    if plan_key is not None and plan is None:
-        plan = ensure_plan_verified(
-            build_plan(capture, trace, geometry), capture, trace)
-        _DIRECT_PLANS[plan_key] = plan
-        while len(_DIRECT_PLANS) > _DIRECT_PLAN_LIMIT:
-            _DIRECT_PLANS.popitem(last=False)
-    return replay_capture(
-        trace, policy, capture, config, seed=seed,
-        replacement=replacement,
-        warmup_sampling_boost=warmup_sampling_boost,
-        always_sample=always_sample,
-        plan=plan,
-        hierarchy=hierarchy,
-    )

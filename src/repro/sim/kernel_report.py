@@ -23,9 +23,12 @@ module, so three things can never drift apart:
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import Counter
 from typing import Dict, List
+
+_FALSEY = ("0", "false", "no", "off")
 
 #: hierarchy.kernel_declines field name -> debug env var.
 KERNEL_DEBUG_ENVS: Dict[str, str] = {
@@ -38,11 +41,16 @@ _DECLINES: Dict[str, Counter] = {kernel: Counter()
                                  for kernel in KERNEL_DEBUG_ENVS}
 
 
-def _debug_enabled(kernel: str) -> bool:
-    # Deferred import: filtered.py imports the kernel modules (which
-    # import this module) at load time.
-    from .filtered import debug_flag
-    return debug_flag(KERNEL_DEBUG_ENVS[kernel])
+def debug_flag(env_var: str) -> bool:
+    """One truthy-env convention for the kernel debug toggles.
+
+    ``REPRO_VECTOR_REPLAY_DEBUG`` and ``REPRO_VECTOR_FRONTEND_DEBUG``
+    both resolve through here (empty/unset is off, and the usual falsey
+    spellings stay off), so the two decline-echo switches can never
+    drift apart.
+    """
+    value = os.environ.get(env_var, "").strip().lower()
+    return bool(value) and value not in _FALSEY
 
 
 def record_decline(hierarchy, kernel: str, reason: str) -> None:
@@ -56,7 +64,7 @@ def record_decline(hierarchy, kernel: str, reason: str) -> None:
     """
     setattr(hierarchy.kernel_declines, kernel, reason)
     _DECLINES[kernel][reason] += 1
-    if _debug_enabled(kernel):
+    if debug_flag(KERNEL_DEBUG_ENVS[kernel]):
         print(f"vector-{kernel}: decline ({reason})", file=sys.stderr)
 
 

@@ -3,8 +3,7 @@
 Every sweep cell over one :class:`~repro.workloads.capture_store.
 TraceCapture` re-derives identical artifacts before any policy code
 runs: the whole-stream L2 set indices, the stable
-:func:`~repro.sim.vector_replay._set_order` argsort (for L2 here,
-and for L1 inside the front-end capture kernel), the interleaved L3
+:func:`~repro.sim.vector_replay._set_order` argsort, the interleaved L3
 stream scaffold of :func:`~repro.sim.vector_replay._derive_l3_stream`,
 and the captured-position address/page resolutions the SLIP kernel
 needs. None of it depends on the policy — only on the capture and the
@@ -15,10 +14,7 @@ back-end geometry — so a :class:`ReplayPlan` computes it once per
   argsort/bincount and the L3 scaffold allocation;
 * :func:`~repro.sim.vector_replay_slip.replay_capture_vector_slip`
   skips resolving miss/TLB positions to addresses, pages and PTE
-  lines;
-* :func:`~repro.sim.vector_frontend.capture_front_end_vector` skips
-  the per-trace L1 grouping (the plan's L1 part is a pure function of
-  the trace, so repeated direct runs of the same trace reuse it).
+  lines.
 
 Plans are cached next to their captures: in
 :class:`~repro.workloads.capture_store.MemoryCaptureStore` as live
@@ -37,8 +33,8 @@ first replay consumes a plan object — a corrupted or stale sidecar can
 therefore never change a result, only cost a rebuild. The list-shaped
 views the kernels consume (grouped columns, sentinel-terminated
 position lists) are memoized lazily on the plan object and derived
-from the checked arrays. ``REPRO_REPLAY_PLAN=0`` disables plan use
-entirely (every kernel then recomputes exactly what it did before).
+from the checked arrays. A kernel called with ``plan=None`` derives
+everything locally with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -57,18 +53,13 @@ from ..workloads.capture_store import (
 from ..workloads.trace import Trace
 from .config import SystemConfig, line_to_page_shift
 
-_PLAN_ENV = "REPRO_REPLAY_PLAN"
-_FALSEY = ("0", "false", "no", "off")
-
 #: Bump when the derivation of any plan array changes shape or
 #: semantics; persisted sidecars with another version are quarantined.
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 
 #: Arrays persisted to (and re-derived for) every plan, in a fixed
 #: order so sidecar directories have a stable layout.
 PLAN_ARRAY_NAMES: Tuple[str, ...] = (
-    "l1_offs",      # L1 per-set slice offsets over the trace stream
-    "l1_order",     # stable argsort of trace addrs by L1 set
     "l2_set_idx",   # whole-event-stream L2 set indices
     "l2_offs",      # L2 per-set slice offsets over the event stream
     "l2_order",     # stable argsort of event addrs by L2 set
@@ -79,11 +70,6 @@ PLAN_ARRAY_NAMES: Tuple[str, ...] = (
     "tlb_pages",    # page numbers at the captured TLB-miss positions
     "pte_addrs",    # ... and their PTE line addresses
 )
-
-
-def plan_enabled() -> bool:
-    """Plan caching is on unless ``REPRO_REPLAY_PLAN`` disables it."""
-    return os.environ.get(_PLAN_ENV, "").strip().lower() not in _FALSEY
 
 
 def plan_geometry(config: SystemConfig) -> Dict:
@@ -98,7 +84,6 @@ def plan_geometry(config: SystemConfig) -> Dict:
     """
     return {
         "plan_version": PLAN_VERSION,
-        "l1_sets": config.l1.sets,
         "l2_sets": config.l2.sets,
         "page_shift": line_to_page_shift(config.lines_per_page),
     }
@@ -118,11 +103,6 @@ def derive_plan_arrays(capture: TraceCapture, trace: Trace,
     the definition of "correct plan" lives in exactly one place.
     """
     t_addrs = np.asarray(trace.addresses, dtype=np.int64)
-    l1_set_idx = t_addrs % geometry["l1_sets"]
-    l1_order = np.argsort(l1_set_idx, kind="stable")
-    l1_counts = np.bincount(l1_set_idx, minlength=geometry["l1_sets"])
-    l1_offs = np.concatenate(([0], np.cumsum(l1_counts)))
-
     addrs = np.asarray(capture.addrs, dtype=np.int64)
     l2_set_idx = addrs % geometry["l2_sets"]
     l2_order = np.argsort(l2_set_idx, kind="stable")
@@ -142,8 +122,6 @@ def derive_plan_arrays(capture: TraceCapture, trace: Trace,
     miss_addrs = t_addrs[np.asarray(capture.l1_miss_pos)]
     tlb_pages = t_addrs[np.asarray(capture.tlb_miss_pos)] >> shift
     return {
-        "l1_offs": l1_offs.astype(np.int64),
-        "l1_order": l1_order.astype(np.int64),
         "l2_set_idx": l2_set_idx.astype(np.int64),
         "l2_offs": l2_offs.astype(np.int64),
         "l2_order": l2_order.astype(np.int64),
@@ -168,7 +146,7 @@ class ReplayPlan:
     """
 
     __slots__ = ("geometry", "verified", "_l2_grouped", "_l2_stream",
-                 "_l1_grouped", "_slip_lists") + PLAN_ARRAY_NAMES
+                 "_slip_lists") + PLAN_ARRAY_NAMES
 
     def __init__(self, geometry: Dict, arrays: Dict[str, np.ndarray],
                  verified: bool = False) -> None:
@@ -180,7 +158,6 @@ class ReplayPlan:
         self.verified = verified
         self._l2_grouped: Optional[Tuple] = None
         self._l2_stream: Optional[Tuple] = None
-        self._l1_grouped: Optional[Tuple] = None
         self._slip_lists: Optional[Tuple] = None
 
     def nbytes(self) -> int:
@@ -199,8 +176,6 @@ class ReplayPlan:
         n_miss = int(capture.l1_miss_pos.shape[0])
         n_tlb = int(capture.tlb_miss_pos.shape[0])
         expected = {
-            "l1_order": None,          # trace-length, unknown here
-            "l1_offs": None,
             "l2_set_idx": n_events,
             "l2_order": n_events,
             "l2_offs": None,
@@ -223,9 +198,6 @@ class ReplayPlan:
         if (int(self.l2_offs.shape[0]) != self.geometry["l2_sets"] + 1
                 or int(self.l2_offs[-1]) != n_events):
             raise CaptureError("plan l2_offs disagrees with capture")
-        if (int(self.l1_offs.shape[0]) != self.geometry["l1_sets"] + 1
-                or int(self.l1_offs[-1]) != int(self.l1_order.shape[0])):
-            raise CaptureError("plan l1_offs disagrees with l1_order")
 
     # ------------------------------------------------------------------
     # Kernel-facing memoized views
@@ -265,22 +237,6 @@ class ReplayPlan:
                 np.asarray(capture.ops).tolist(),
                 np.asarray(capture.addrs).tolist(),
                 np.asarray(self.measured_mask()).tolist(),
-            )
-        return cached
-
-    def l1_grouped(self, trace: Trace, warmup: int) -> Tuple:
-        """Per-set grouped columns for the front-end L1 walk."""
-        cached = self._l1_grouped
-        if cached is None:
-            order = np.asarray(self.l1_order)
-            t_addrs = np.asarray(trace.addresses, dtype=np.int64)
-            writes = np.asarray(trace.is_write, dtype=bool)
-            cached = self._l1_grouped = (
-                np.asarray(self.l1_offs).tolist(),
-                order.tolist(),
-                writes[order].tolist(),
-                t_addrs[order].tolist(),
-                (order >= warmup).tolist(),
             )
         return cached
 

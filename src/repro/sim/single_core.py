@@ -6,11 +6,31 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core.energy_model import LevelEnergyParams
 from ..workloads.benchmarks import make_trace
+from ..workloads.capture_store import (
+    CaptureError,
+    MemoryCaptureStore,
+    default_store,
+    fingerprint_key,
+)
 from ..workloads.trace import Trace
-from .build import build_hierarchy, maybe_boost_sampler
+from .build import build_hierarchy, maybe_boost_sampler, runtime_kind
 from .config import SystemConfig, default_system
+from .filtered import (
+    _resolve_plan,
+    capture_front_end,
+    front_end_fingerprint,
+    replay_capture,
+)
+from .replay_plan import plan_geometry
 from .results import RunResult, collect_result
 from .timing import execution_time
+from .vector_frontend import capture_front_end_vector
+
+#: Where store-less runs keep their captures and plans: a few recent
+#: entries, so repeated runs of one trace in a process skip the capture
+#: and the plan build, while a store-less run never writes to the
+#: shared :func:`~repro.workloads.capture_store.default_store`.
+_RUN_STORE = MemoryCaptureStore(max_entries=4)
 
 
 def run_trace(
@@ -23,6 +43,7 @@ def run_trace(
     warmup_sampling_boost: bool = True,
     level_energy_overrides: Optional[Dict[str, LevelEnergyParams]] = None,
     always_sample: bool = False,
+    store=None,
 ) -> RunResult:
     """Simulate one trace under one policy and collect all statistics.
 
@@ -30,11 +51,16 @@ def run_trace(
     SLIP page metadata with statistics discarded afterwards — the
     analog of the paper's SimPoint warmup before measurement.
 
-    Eligible runs go through the composed kernel pipeline (batched
-    front-end capture -> batched replay, byte-identical by the kernel
-    contracts; see :func:`~repro.sim.filtered.try_run_direct`); the
-    scalar per-access walk below stays the golden reference and serves
-    every shape the pipeline declines.
+    The front end is captured once per (trace, front-end fingerprint)
+    into ``store`` (a process-local store of a few entries when
+    ``None``; sweeps pass the shared
+    :func:`~repro.workloads.capture_store.default_store`) and the cell
+    replays the captured boundary with its store-cached replay plan
+    (:mod:`repro.sim.filtered`); the kernels behind both steps fall
+    back to their scalar references on their own. SimCheck, per-level
+    energy overrides and rd-block SLIP cannot be replayed: those cells
+    walk the trace one access at a time, the golden reference every
+    other path is byte-identical to.
     """
     config = config or default_system()
     hierarchy = build_hierarchy(
@@ -42,20 +68,38 @@ def run_trace(
         level_energy_overrides=level_energy_overrides,
         always_sample=always_sample,
     )
-    # Imported lazily: filtered.py imports this module at load time.
-    from .filtered import try_run_direct
-
-    result = try_run_direct(
-        hierarchy, trace, policy, config, seed=seed,
-        replacement=replacement, warmup_fraction=warmup_fraction,
+    if (hierarchy.simcheck is not None or level_energy_overrides
+            or (runtime_kind(policy) == "slip"
+                and config.slip.rd_block_lines)):
+        return _run_trace_scalar(hierarchy, trace, policy, config,
+                                 warmup_fraction, warmup_sampling_boost)
+    if store is None:
+        store = _RUN_STORE
+    fingerprint = front_end_fingerprint(trace, config, seed,
+                                        warmup_fraction)
+    key = fingerprint_key(fingerprint)
+    capture = store.get(key)
+    if capture is None:
+        # The cell's own hierarchy is the kernel's eligibility probe;
+        # capture_front_end builds a baseline one only after a decline.
+        capture = capture_front_end_vector(hierarchy, trace, config,
+                                           warmup_fraction)
+        if capture is None:
+            try:
+                capture = capture_front_end(trace, config,
+                                            warmup_fraction)
+            except CaptureError:
+                return _run_trace_scalar(hierarchy, trace, policy, config,
+                                         warmup_fraction,
+                                         warmup_sampling_boost)
+        store.put(key, capture, fingerprint=fingerprint)
+    plan = _resolve_plan(store, key, plan_geometry(config), capture, trace)
+    return replay_capture(
+        trace, policy, capture, config, seed=seed,
+        replacement=replacement,
         warmup_sampling_boost=warmup_sampling_boost,
-        level_energy_overrides=level_energy_overrides,
-        always_sample=always_sample,
+        always_sample=always_sample, plan=plan, hierarchy=hierarchy,
     )
-    if result is not None:
-        return result
-    return _run_trace_scalar(hierarchy, trace, policy, config,
-                             warmup_fraction, warmup_sampling_boost)
 
 
 # slip-audit: twin=replay-plan role=ref
@@ -125,13 +169,12 @@ def run_policy_sweep(
             jobs=jobs,
         )
         return {policy: results[(benchmark, policy)] for policy in policies}
-    # Serial path: filtered capture/replay shares the policy-invariant
-    # front end across the policies (byte-identical to run_trace).
-    from .filtered import run_trace_filtered
-
+    # Serial path: the shared store lets every policy replay one
+    # capture of the trace's policy-invariant front end.
     trace = make_trace(benchmark, length, seed)
     return {
-        policy: run_trace_filtered(trace, policy, config=config, seed=seed)
+        policy: run_trace(trace, policy, config=config, seed=seed,
+                          store=default_store())
         for policy in policies
     }
 

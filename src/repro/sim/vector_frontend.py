@@ -1,12 +1,11 @@
 """Batched front-end capture kernel: the TLB + L1 leg, whole-trace.
 
-The scalar capture passes (:func:`repro.sim.filtered.capture_front_end`
-and :func:`repro.sim.filtered.run_trace_capturing`) drive the full
-``MemoryHierarchy.access`` loop one reference at a time just to learn
-the policy-invariant facts a capture stores: which accesses miss the
-TLB, which miss L1, which evictions were dirty, and the frozen
-front-end statistics. All of those are pure stack-distance facts of
-the reference stream — the TLB is a fully-associative LRU over page
+The scalar capture walk (:func:`repro.sim.filtered.capture_front_end`)
+drives the full ``MemoryHierarchy.access`` loop one reference at a
+time just to learn the policy-invariant facts a capture stores: which
+accesses miss the TLB, which miss L1, which evictions were dirty, and
+the frozen front-end statistics. All of those are pure stack-distance
+facts of the reference stream — the TLB is a fully-associative LRU over page
 numbers and the L1 is a set-associative LRU over line tags, neither of
 which observes anything the back end does — so this module computes
 them for the *entire* trace in three batched phases and packages a
@@ -48,18 +47,15 @@ whenever the hierarchy is not eligible: SimCheck, a Section 7 rd-block
 runtime, a non-LRU L1 replacement, metadata-energy tracking on L1, or
 a sublevel-partitioned L1 geometry (the kernel's closed-form latency
 ``(n - warmup) * latency_cycles`` needs uniform way latencies).
-``REPRO_VECTOR_FRONTEND`` (default on, same falsey values as
-``REPRO_FILTERED``) disables the kernel entirely, and declines are
-recorded on ``hierarchy.vector_frontend_decline`` — echoed to stderr
-under ``REPRO_VECTOR_FRONTEND_DEBUG=1`` — mirroring the
-``vector_replay_decline`` contract. Every kernel capture is audited by
-the always-on ``vector-frontend-conservation`` invariant before it is
-published.
+Declines are recorded on ``hierarchy.vector_frontend_decline`` —
+echoed to stderr under ``REPRO_VECTOR_FRONTEND_DEBUG=1`` — mirroring
+the ``vector_replay_decline`` contract. Every kernel capture is
+audited by the always-on ``vector-frontend-conservation`` invariant
+before it is published.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import asdict
 from typing import Dict, List, Optional
@@ -79,16 +75,9 @@ from ..workloads.capture_store import (
 )
 from ..workloads.trace import Trace
 from .config import SystemConfig, line_to_page_shift
+from .kernel_report import record_decline as _record_decline
+from .kernel_report import record_success
 from .vector_replay import _set_runs
-
-_VECTOR_ENV = "REPRO_VECTOR_FRONTEND"
-_FALSEY = ("0", "false", "no", "off")
-
-
-def frontend_enabled() -> bool:
-    """The kernel is on unless ``REPRO_VECTOR_FRONTEND`` disables it."""
-    return os.environ.get(_VECTOR_ENV, "").strip().lower() not in _FALSEY
-
 
 def record_decline(hierarchy, reason: str) -> None:
     """Remember why the capture kernel bypassed this hierarchy.
@@ -98,8 +87,7 @@ def record_decline(hierarchy, reason: str) -> None:
     which owns the structured record, the decline tallies, and the
     shared stderr format.
     """
-    from .kernel_report import record_decline as _record
-    _record(hierarchy, "frontend", reason)
+    _record_decline(hierarchy, "frontend", reason)
 
 
 def frontend_eligible(hierarchy) -> bool:
@@ -182,7 +170,7 @@ class _L1Tally:
 
 
 def _run_l1(addrs: np.ndarray, writes: np.ndarray, warmup: int,
-            num_sets: int, ways: int, grouped=None):
+            num_sets: int, ways: int):
     """Resolve every L1 outcome with one tight loop per set.
 
     Returns ``(miss, victim, tally)``: per-access miss flags, the dirty
@@ -190,19 +178,16 @@ def _run_l1(addrs: np.ndarray, writes: np.ndarray, warmup: int,
     dirty), and the measured-phase tallies. Mirrors the fused
     hit/miss/fill path of ``MemoryHierarchy.access`` at tag level —
     for a uniform LRU L1 the victim of a full set is the unique
-    least-recent tag, so way identity never matters. ``grouped``
-    optionally supplies the per-set grouping precomputed by a
-    :class:`~repro.sim.replay_plan.ReplayPlan`.
+    least-recent tag, so way identity never matters.
     """
     n = int(addrs.shape[0])
-    meas = None if grouped is not None else (
-        np.arange(n, dtype=np.int64) >= warmup)
+    meas = np.arange(n, dtype=np.int64) >= warmup
     miss: List[bool] = [False] * n
     victim: List[int] = [-1] * n
     tally = _L1Tally()
     hist = tally.hist
     hits_meas = misses_meas = wb_meas = evict_meas = residents = 0
-    for evt_s, wr_s, tag_s, meas_s in _set_runs(grouped, writes, addrs,
+    for evt_s, wr_s, tag_s, meas_s in _set_runs(None, writes, addrs,
                                                 meas, num_sets):
         where: Dict[int, int] = {}
         order_: List[int] = []     # resident slots, front == LRU
@@ -316,22 +301,14 @@ def capture_front_end_vector(
     trace: Trace,
     config: SystemConfig,
     warmup_fraction: float = 0.25,
-    plan=None,
 ) -> Optional[TraceCapture]:
     """Batched front-end capture, or ``None`` to use the scalar walk.
 
     ``hierarchy`` is only consulted for eligibility (and carries the
     decline reason); the capture itself is computed from the trace and
     config alone, which is exactly the policy-invariance contract of
-    :func:`repro.sim.filtered.front_end_fingerprint`. A verified
-    :class:`~repro.sim.replay_plan.ReplayPlan` supplies the per-set L1
-    grouping precomputed (its L1 part is a pure function of the trace,
-    so repeated direct runs share it).
+    :func:`repro.sim.filtered.front_end_fingerprint`.
     """
-    from .kernel_report import record_success
-    if not frontend_enabled():
-        record_decline(hierarchy, "env:REPRO_VECTOR_FRONTEND")
-        return None
     if not frontend_eligible(hierarchy):
         return None
     record_success(hierarchy, "frontend")
@@ -344,9 +321,8 @@ def capture_front_end_vector(
     pages = addrs >> line_to_page_shift(config.lines_per_page)
 
     tlb_pos = _tlb_miss_positions(pages, config.tlb_entries)
-    grouped = plan.l1_grouped(trace, warmup) if plan is not None else None
     miss, victim, tally = _run_l1(addrs, writes, warmup,
-                                  l1cfg.sets, l1cfg.ways, grouped)
+                                  l1cfg.sets, l1cfg.ways)
 
     # Scatter the per-access flags into the flat event stream. The
     # scalar per-access order is metadata (TLB miss) first, then the

@@ -60,14 +60,11 @@ shared level. A single core is the one-core case of the same code.
 Replays fall back to the scalar path (``return False``) whenever the
 hierarchy is not eligible: SLIP kinds never reach this module, and
 non-LRU-family replacement ablations (random / DRRIP / SHiP), SimCheck
-and metadata-energy tracking are rejected here. ``REPRO_VECTOR_REPLAY``
-(default on, same falsey values as ``REPRO_FILTERED``) disables the
-kernel entirely.
+and metadata-energy tracking are rejected here.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,17 +80,11 @@ from ..workloads.capture_store import (
     OP_WRITEBACK,
     TraceCapture,
 )
-
-_VECTOR_ENV = "REPRO_VECTOR_REPLAY"
-_FALSEY = ("0", "false", "no", "off")
+from .kernel_report import record_decline as _record_decline
+from .kernel_report import record_success
 
 #: Sentinel opcode for empty slots of the interleaved L3 stream.
 _OP_NONE = 255
-
-
-def vector_enabled() -> bool:
-    """Vector replay is on unless ``REPRO_VECTOR_REPLAY`` disables it."""
-    return os.environ.get(_VECTOR_ENV, "").strip().lower() not in _FALSEY
 
 
 def record_decline(hierarchy, reason: str) -> None:
@@ -104,8 +95,7 @@ def record_decline(hierarchy, reason: str) -> None:
     shared stderr format) kept under the historical name because the
     SLIP replay kernel and the tests import it from here.
     """
-    from .kernel_report import record_decline as _record
-    _record(hierarchy, "replay", reason)
+    _record_decline(hierarchy, "replay", reason)
 
 
 def eligible_kind(hierarchy) -> Optional[str]:
@@ -794,11 +784,6 @@ def replay_capture_vector(hierarchies: Sequence,
     latency is published, because a shared-L3 hit cannot be charged to
     one core's tally (multicore results carry no timing).
     """
-    from .kernel_report import record_success
-    if not vector_enabled():
-        for hierarchy in hierarchies:
-            record_decline(hierarchy, "env:REPRO_VECTOR_REPLAY")
-        return False
     kinds = [eligible_kind(hierarchy) for hierarchy in hierarchies]
     kind = kinds[0]
     if kind is None or any(k != kind for k in kinds):

@@ -43,8 +43,7 @@ event, the allocation rotors advance once per non-bypassed fill and
 once per cascade victim selection, LRU stamps come from a per-level
 monotone clock, timestamps quantize the post-tick access counter, and
 the sampler RNG/EOU sequence is the real runtime's own. The scalar walk
-remains the golden reference: ``REPRO_VECTOR_REPLAY=0``, SimCheck,
-rd-block mode, non-SLIP placements, foreign runtimes and non-LRU
+remains the golden reference: SimCheck, rd-block mode, non-SLIP placements, foreign runtimes and non-LRU
 replacement ablations all decline cleanly (reason recorded via
 :func:`repro.sim.vector_replay.record_decline`).
 """
@@ -63,7 +62,8 @@ from ..mem.replacement import LruReplacement
 from ..mem.tlb import PTES_PER_LINE, PTE_TABLE_BASE
 from ..workloads.capture_store import TraceCapture
 from ..workloads.trace import Trace
-from .vector_replay import record_decline, vector_enabled
+from .kernel_report import record_success
+from .vector_replay import record_decline
 
 _INF = float("inf")
 
@@ -234,10 +234,6 @@ def replay_capture_vector_slip(hierarchy, trace: Trace,
     their sentinel-terminated list forms) precomputed; ``plan=None``
     derives them locally with the same arithmetic.
     """
-    from .kernel_report import record_success
-    if not vector_enabled():
-        record_decline(hierarchy, "env:REPRO_VECTOR_REPLAY")
-        return False
     if not slip_eligible(hierarchy):
         return False
     record_success(hierarchy, "replay")

@@ -1,5 +1,7 @@
 """Shared fixtures: scaled-down systems so tests run in milliseconds."""
 
+import contextlib
+
 import pytest
 
 from repro.sim.config import (
@@ -33,6 +35,59 @@ def _simcheck_for_integration(request):
         yield
     finally:
         mp.undo()
+
+
+#: Each batched kernel and the value it returns to decline a cell.
+_KERNEL_DECLINES = {
+    "capture_front_end_vector": None,
+    "replay_capture_vector": False,
+    "replay_capture_vector_slip": False,
+}
+
+
+@pytest.fixture
+def scalar_kernels():
+    """A context manager under which the named kernels (default: all
+    batched kernels) decline.
+
+    It patches the kernel bindings the drivers call, so captures come
+    from ``capture_front_end``'s scalar walk and replays from
+    ``_replay_events`` / ``_replay_slip``: the golden references the
+    kernels must match. A test fake, not a production option.
+    """
+    from repro.sim import filtered, multi_core, single_core
+
+    @contextlib.contextmanager
+    def declined(*names):
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (filtered, multi_core, single_core):
+                for name in names or _KERNEL_DECLINES:
+                    result = _KERNEL_DECLINES[name]
+                    if hasattr(module, name):
+                        mp.setattr(module, name,
+                                   lambda *args, _result=result,
+                                   **kwargs: _result)
+            yield
+
+    return declined
+
+
+@pytest.fixture
+def scalar_run():
+    """``run_trace``'s golden reference: one ``access()`` per reference."""
+    from repro.sim.build import build_hierarchy
+    from repro.sim.config import default_system
+    from repro.sim.single_core import _run_trace_scalar
+
+    def run(trace, policy, config=None, seed=0, replacement="lru",
+            warmup_fraction=0.25, **kwargs):
+        config = config or default_system()
+        hierarchy = build_hierarchy(config, policy, seed=seed,
+                                    replacement=replacement, **kwargs)
+        return _run_trace_scalar(hierarchy, trace, policy, config,
+                                 warmup_fraction, True)
+
+    return run
 
 
 def tiny_l1() -> CacheLevelConfig:

@@ -1,10 +1,11 @@
 """Filtered-trace replay: equivalence, store keying, recovery.
 
 The contract under test is absolute: for every policy and every legal
-configuration, ``run_trace_filtered`` must produce a ``RunResult``
-whose ``to_json()`` is byte-identical to a direct ``run_trace`` —
-whether the result came from a capture-through run, a replay against a
-memory- or disk-resident capture, or a bypass fallback.
+configuration, ``run_trace`` must produce a ``RunResult`` whose
+``to_json()`` is byte-identical to the scalar per-access walk — whether
+the result came from a cold capture or a replay against a memory- or
+disk-resident capture. The bypass and geometry rows of that contract
+are one table in ``test_replay_plan.py``.
 """
 
 import copy
@@ -16,16 +17,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.invariants import InvariantViolation
-from repro.core.energy_model import LevelEnergyParams
 from repro.experiments.parallel import RunRequest, run_jobs
+from repro.sim import filtered
 from repro.sim.build import build_hierarchy
 from repro.sim.config import LINES_PER_PAGE, line_to_page_shift
 from repro.sim.filtered import (
     capture_front_end,
     front_end_fingerprint,
     replay_capture,
-    run_trace_capturing,
-    run_trace_filtered,
 )
 from repro.sim.single_core import run_trace
 from repro.workloads.benchmarks import make_trace
@@ -33,6 +32,7 @@ from repro.workloads.capture_store import (
     DiskCaptureStore,
     MemoryCaptureStore,
     TraceCapture,
+    default_store,
     fingerprint_key,
 )
 from repro.workloads.trace import _ITER_CHUNK, Trace
@@ -54,115 +54,61 @@ def entry_dirs(root) -> list:
 # ----------------------------------------------------------------------
 class TestEquivalence:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_filtered_matches_direct(self, policy, tiny_system):
+    def test_filtered_matches_direct(self, policy, tiny_system,
+                                     scalar_run):
         trace = make_trace("soplex", LENGTH)
         store = MemoryCaptureStore()
-        direct = run_trace(trace, policy, config=tiny_system, seed=2)
-        filtered = run_trace_filtered(trace, policy, config=tiny_system,
-                                      seed=2, store=store)
-        assert canonical(direct) == canonical(filtered)
+        replayed = run_trace(trace, policy, config=tiny_system, seed=2,
+                             store=store)
+        assert canonical(replayed) == canonical(
+            scalar_run(trace, policy, tiny_system, seed=2))
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_replay_from_shared_capture_matches(self, policy,
-                                                tiny_system):
+                                                tiny_system, scalar_run):
         """All five policies replay one store entry byte-identically."""
         trace = make_trace("lbm", LENGTH)
         store = MemoryCaptureStore()
-        # Warm the store through the baseline cell (capture-through).
-        run_trace_filtered(trace, "baseline", config=tiny_system,
-                           store=store)
+        # Warm the store through the baseline cell.
+        run_trace(trace, "baseline", config=tiny_system, store=store)
         assert len(store._entries) == 1
-        direct = run_trace(trace, policy, config=tiny_system)
-        filtered = run_trace_filtered(trace, policy, config=tiny_system,
-                                      store=store)
-        assert canonical(direct) == canonical(filtered)
+        replayed = run_trace(trace, policy, config=tiny_system,
+                             store=store)
+        assert canonical(replayed) == canonical(
+            scalar_run(trace, policy, tiny_system))
         assert len(store._entries) == 1  # no second capture taken
 
-    def test_simcheck_mode_still_identical(self, monkeypatch,
-                                           tiny_system):
-        """REPRO_CHECK_INVARIANTS=1 bypasses replay but not equality."""
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        trace = make_trace("soplex", 1_200)
-        store = MemoryCaptureStore()
-        direct = run_trace(trace, "slip", config=tiny_system)
-        filtered = run_trace_filtered(trace, "slip", config=tiny_system,
-                                      store=store)
-        assert canonical(direct) == canonical(filtered)
-        assert not store._entries  # replay is illegal under SimCheck
-
-    def test_filtered_env_off_bypasses(self, monkeypatch, tiny_system):
-        monkeypatch.setenv("REPRO_FILTERED", "0")
-        trace = make_trace("soplex", 1_200)
-        store = MemoryCaptureStore()
-        filtered = run_trace_filtered(trace, "baseline",
-                                      config=tiny_system, store=store)
-        assert not store._entries
-        assert filtered == run_trace(trace, "baseline",
-                                     config=tiny_system)
-
-    def test_rd_block_slip_bypasses(self, tiny_system):
-        config = tiny_system.with_slip(rd_block_lines=4)
-        trace = make_trace("soplex", 1_200)
-        store = MemoryCaptureStore()
-        filtered = run_trace_filtered(trace, "slip", config=config,
-                                      store=store)
-        assert not store._entries
-        assert filtered == run_trace(trace, "slip", config=config)
-
-    def test_energy_overrides_bypass(self, tiny_system):
-        l3 = tiny_system.l3
-        overrides = {
-            "L3": LevelEnergyParams(
-                sublevel_capacity_lines=tuple(
-                    l3.sublevel_capacity_lines(i)
-                    for i in range(l3.num_sublevels)
-                ),
-                sublevel_energy_pj=tuple(
-                    e * 0.5 for e in l3.sublevel_energy_pj
-                ),
-                next_level_energy_pj=tiny_system.dram.energy_pj_per_line,
-            )
-        }
-        trace = make_trace("soplex", 1_200)
-        store = MemoryCaptureStore()
-        filtered = run_trace_filtered(
-            trace, "slip", config=tiny_system, store=store,
-            level_energy_overrides=overrides,
-        )
-        assert not store._entries
-        assert filtered == run_trace(trace, "slip", config=tiny_system,
-                                     level_energy_overrides=overrides)
-
-    def test_default_system_smoke(self):
+    def test_default_system_smoke(self, scalar_run):
         """Paper-scale config, the sweep bench's own geometry."""
         trace = make_trace("soplex", LENGTH)
         store = MemoryCaptureStore()
-        run_trace_filtered(trace, "baseline", store=store)
-        direct = run_trace(trace, "slip_abp")
-        filtered = run_trace_filtered(trace, "slip_abp", store=store)
-        assert canonical(direct) == canonical(filtered)
+        run_trace(trace, "baseline", store=store)
+        replayed = run_trace(trace, "slip_abp", store=store)
+        assert canonical(replayed) == canonical(
+            scalar_run(trace, "slip_abp"))
 
 
 # ----------------------------------------------------------------------
 # Capture modes
 # ----------------------------------------------------------------------
 class TestCaptureModes:
-    def test_capture_through_equals_capture_pass(self, tiny_system):
-        """Both capture modes freeze the identical front end."""
+    def test_cold_cell_publishes_scalar_capture(self, tiny_system,
+                                                monkeypatch):
+        """A cold slip cell stores what the scalar walk would capture."""
         trace = make_trace("soplex", LENGTH)
-        shadow = capture_front_end(trace, tiny_system)
-        result, through = run_trace_capturing(trace, "baseline",
-                                              tiny_system)
-        assert through is not None
-        assert (shadow.n, shadow.warmup, shadow.event_boundary) == (
-            through.n, through.warmup, through.event_boundary)
+        store = MemoryCaptureStore()
+        run_trace(trace, "slip_abp", config=tiny_system, store=store)
+        (published,) = store._entries.values()
+        monkeypatch.setattr(filtered, "capture_front_end_vector",
+                            lambda *args: None)
+        walked = capture_front_end(trace, tiny_system)
+        assert (walked.n, walked.warmup, walked.event_boundary) == (
+            published.n, published.warmup, published.event_boundary)
         for name in ("ops", "addrs", "l1_miss_pos", "l1_miss_wb",
                      "tlb_miss_pos"):
-            np.testing.assert_array_equal(getattr(shadow, name),
-                                          getattr(through, name))
-        assert shadow.frozen == through.frozen
-        # The capture-through result IS the direct result of the cell.
-        assert result == run_trace(trace, "baseline", config=tiny_system)
+            np.testing.assert_array_equal(getattr(walked, name),
+                                          getattr(published, name))
+        assert walked.frozen == published.frozen
 
     def test_conservation_invariant_trips_on_corruption(self,
                                                         tiny_system):
@@ -232,8 +178,8 @@ class TestFingerprint:
 class TestDiskStore:
     def test_same_key_hits_from_fresh_store(self, tmp_path, tiny_system):
         trace = make_trace("soplex", LENGTH)
-        run_trace_filtered(trace, "baseline", config=tiny_system,
-                           store=DiskCaptureStore(str(tmp_path)))
+        run_trace(trace, "baseline", config=tiny_system,
+                  store=DiskCaptureStore(str(tmp_path)))
         assert len(entry_dirs(tmp_path)) == 1
         key = fingerprint_key(
             front_end_fingerprint(trace, tiny_system, 0, 0.25))
@@ -243,27 +189,26 @@ class TestDiskStore:
         assert loaded.n == LENGTH
 
     def test_capture_shared_across_runtime_kinds(self, tmp_path,
-                                                 tiny_system):
+                                                 tiny_system, scalar_run):
         """The fingerprint excludes the runtime kind: a slip cell
 
         replays the capture the baseline cell recorded rather than
         taking its own.
         """
         trace = make_trace("lbm", LENGTH)
-        run_trace_filtered(trace, "baseline", config=tiny_system,
-                           store=DiskCaptureStore(str(tmp_path)))
-        filtered = run_trace_filtered(
-            trace, "slip_abp", config=tiny_system,
-            store=DiskCaptureStore(str(tmp_path)))
+        run_trace(trace, "baseline", config=tiny_system,
+                  store=DiskCaptureStore(str(tmp_path)))
+        replayed = run_trace(trace, "slip_abp", config=tiny_system,
+                             store=DiskCaptureStore(str(tmp_path)))
         assert len(entry_dirs(tmp_path)) == 1
-        assert filtered == run_trace(trace, "slip_abp",
-                                     config=tiny_system)
+        assert replayed == scalar_run(trace, "slip_abp", tiny_system)
 
     def test_corrupt_array_quarantined_and_recovered(self, tmp_path,
-                                                     tiny_system):
+                                                     tiny_system,
+                                                     scalar_run):
         trace = make_trace("soplex", LENGTH)
-        run_trace_filtered(trace, "slip", config=tiny_system,
-                           store=DiskCaptureStore(str(tmp_path)))
+        run_trace(trace, "slip", config=tiny_system,
+                  store=DiskCaptureStore(str(tmp_path)))
         (entry,) = [tmp_path / d for d in entry_dirs(tmp_path)]
         (entry / "ops.npy").write_bytes(b"garbage, not an npy")
         fresh = DiskCaptureStore(str(tmp_path))
@@ -271,17 +216,17 @@ class TestDiskStore:
             front_end_fingerprint(trace, tiny_system, 0, 0.25))
         assert fresh.get(key) is None
         assert not entry.exists()  # quarantined
-        # The driver re-captures and still matches the direct run.
-        filtered = run_trace_filtered(trace, "slip", config=tiny_system,
-                                      store=fresh)
-        assert canonical(filtered) == canonical(
-            run_trace(trace, "slip", config=tiny_system))
+        # The driver re-captures and still matches the scalar walk.
+        replayed = run_trace(trace, "slip", config=tiny_system,
+                             store=fresh)
+        assert canonical(replayed) == canonical(
+            scalar_run(trace, "slip", tiny_system))
         assert len(entry_dirs(tmp_path)) == 1
 
     def test_truncated_meta_quarantined(self, tmp_path, tiny_system):
         trace = make_trace("soplex", LENGTH)
-        run_trace_filtered(trace, "baseline", config=tiny_system,
-                           store=DiskCaptureStore(str(tmp_path)))
+        run_trace(trace, "baseline", config=tiny_system,
+                  store=DiskCaptureStore(str(tmp_path)))
         (entry,) = [tmp_path / d for d in entry_dirs(tmp_path)]
         (entry / "meta.json").write_text("{not json", encoding="utf-8")
         key = fingerprint_key(
@@ -363,8 +308,8 @@ class TestDigestCollision:
 
         monkeypatch.setattr(cs, "key_digest", lambda key: "collision")
         trace_a = make_trace("soplex", 1_200)
-        run_trace_filtered(trace_a, "baseline", config=tiny_system,
-                           store=cs.DiskCaptureStore(str(tmp_path)))
+        run_trace(trace_a, "baseline", config=tiny_system,
+                  store=cs.DiskCaptureStore(str(tmp_path)))
         assert entry_dirs(tmp_path) == ["collision"]
 
         trace_b = make_trace("lbm", 1_200)
@@ -405,8 +350,8 @@ class TestMaxMbClamp:
         delete every entry except the one just written."""
         monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CAPTURE_MAX_MB", "0")
-        run_trace_filtered(make_trace("soplex", 1_200), "baseline",
-                           config=tiny_system)
-        run_trace_filtered(make_trace("lbm", 1_200), "baseline",
-                           config=tiny_system)
+        run_trace(make_trace("soplex", 1_200), "baseline",
+                  config=tiny_system, store=default_store())
+        run_trace(make_trace("lbm", 1_200), "baseline",
+                  config=tiny_system, store=default_store())
         assert len(entry_dirs(tmp_path)) == 2

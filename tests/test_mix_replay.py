@@ -19,7 +19,7 @@ import json
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim import multi_core
 from repro.sim.build import POLICY_NAMES, runtime_kind
@@ -112,12 +112,13 @@ def test_replay_matches_walk(cell):
         == canonical(multi_core._walk_mix(**cell))
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cell=mix_cells())
-def test_scalar_replay_matches_walk(cell):
-    """With the batched back end off, the merged scalar replays serve."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_VECTOR_REPLAY", "0")
+def test_scalar_replay_matches_walk(cell, scalar_kernels):
+    """With the batched back end declining, the merged scalar replays
+    serve."""
+    with scalar_kernels("replay_capture_vector"):
         replayed = canonical(multi_core.run_mix_traces(**cell))
     assert replayed == canonical(multi_core._walk_mix(**cell))
 

@@ -1,14 +1,14 @@
-"""ReplayPlan precompute and the composed direct pipeline.
+"""ReplayPlan precompute and the single-core driver.
 
 Three contracts:
 
-* plans are invisible in results — ``REPRO_REPLAY_PLAN`` on/off (and
-  memory vs. disk store, and jobs=1 vs. jobs=2) must all produce
+* plans are invisible in results — a replay with and without its plan
+  (and memory vs. disk store, and jobs=1 vs. jobs=2) must all produce
   byte-identical ``RunResult.to_json()`` for every policy;
 * plan sidecars recover — a corrupt/truncated array quarantines only
   the plan directory, and the rebuilt plan replays byte-identically;
-* the composed direct pipeline (``run_trace`` -> ``try_run_direct``)
-  equals the scalar walk, and every documented decline falls back.
+* ``run_trace`` equals the scalar walk on every row of one table:
+  bypasses, kernel-ineligible geometries and every kind of store.
 """
 
 import dataclasses
@@ -20,12 +20,13 @@ import pytest
 
 from repro.core.energy_model import LevelEnergyParams
 from repro.experiments.parallel import RunRequest, run_jobs
-from repro.sim.build import build_hierarchy
+from repro.sim import single_core
+from repro.sim.build import build_hierarchy, runtime_kind
+from repro.sim.config import CacheLevelConfig
 from repro.sim.filtered import (
     capture_front_end,
     front_end_fingerprint,
-    run_trace_filtered,
-    try_run_direct,
+    replay_capture,
 )
 from repro.sim.replay_plan import (
     PLAN_ARRAY_NAMES,
@@ -40,7 +41,9 @@ from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import (
     DiskCaptureStore,
     MemoryCaptureStore,
+    default_store,
     fingerprint_key,
+    reset_default_store,
 )
 
 ALL_POLICIES = ("baseline", "nurapid", "lru_pea", "slip", "slip_abp")
@@ -66,30 +69,26 @@ class TestPlanByteIdentity:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     @pytest.mark.parametrize("store_kind", ("memory", "disk"))
     def test_plan_on_off_identical(self, policy, store_kind, tmp_path,
-                                   monkeypatch, tiny_system):
+                                   tiny_system):
         trace = make_trace("soplex", LENGTH)
-
-        def run_pair(flag: str) -> str:
-            monkeypatch.setenv("REPRO_REPLAY_PLAN", flag)
-            store = (MemoryCaptureStore() if store_kind == "memory"
-                     else DiskCaptureStore(str(tmp_path / f"s{flag}")))
-            first = run_trace_filtered(trace, policy,
-                                       config=tiny_system, store=store)
-            # Second run replays the stored capture — the plan path.
-            second = run_trace_filtered(trace, policy,
-                                        config=tiny_system, store=store)
-            assert canonical(first) == canonical(second)
-            return canonical(second)
-
-        assert run_pair("1") == run_pair("0")
+        store = (MemoryCaptureStore() if store_kind == "memory"
+                 else DiskCaptureStore(str(tmp_path)))
+        first = run_trace(trace, policy, config=tiny_system, store=store)
+        # Second run replays the stored capture with the stored plan.
+        second = run_trace(trace, policy, config=tiny_system, store=store)
+        assert canonical(first) == canonical(second)
+        key = fingerprint_key(
+            front_end_fingerprint(trace, tiny_system, 0, 0.25))
+        unplanned = replay_capture(trace, policy, store.get(key),
+                                   tiny_system)
+        assert canonical(unplanned) == canonical(second)
 
     def test_plan_persisted_once_per_geometry(self, tmp_path,
                                               tiny_system):
         trace = make_trace("lbm", LENGTH)
         store = DiskCaptureStore(str(tmp_path))
         for policy in ALL_POLICIES:
-            run_trace_filtered(trace, policy, config=tiny_system,
-                               store=store)
+            run_trace(trace, policy, config=tiny_system, store=store)
         # One capture entry, one plan sidecar shared by all policies.
         assert len(plan_dirs(tmp_path)) == 1
         names = sorted(os.path.splitext(f)[0]
@@ -108,10 +107,6 @@ class TestPlanByteIdentity:
         parallel = run_jobs(grid, jobs=2)
         for ours, theirs in zip(serial.results, parallel.results):
             assert ours.result == theirs.result, ours.request.label()
-        monkeypatch.setenv("REPRO_REPLAY_PLAN", "0")
-        unplanned = run_jobs(grid, jobs=1)
-        for ours, theirs in zip(serial.results, unplanned.results):
-            assert ours.result == theirs.result, ours.request.label()
 
 
 # ----------------------------------------------------------------------
@@ -121,16 +116,15 @@ class TestSidecarRecovery:
     def _corrupt_and_rerun(self, tmp_path, tiny_system, mangle):
         trace = make_trace("lbm", LENGTH)
         store = DiskCaptureStore(str(tmp_path))
-        run_trace_filtered(trace, "slip", config=tiny_system,
-                           store=store)
-        reference = canonical(run_trace_filtered(
+        run_trace(trace, "slip", config=tiny_system, store=store)
+        reference = canonical(run_trace(
             trace, "slip", config=tiny_system, store=store))
         (plan_dir,) = plan_dirs(tmp_path)
         mangle(plan_dir)
         # A fresh store handle drops the in-memory plan memo, so the
         # next replay must go through the damaged sidecar.
         fresh = DiskCaptureStore(str(tmp_path))
-        rebuilt = canonical(run_trace_filtered(
+        rebuilt = canonical(run_trace(
             trace, "slip", config=tiny_system, store=fresh))
         assert rebuilt == reference
         # The quarantined sidecar was re-persisted, complete.
@@ -159,7 +153,7 @@ class TestSidecarRecovery:
         # Structurally valid but wrong values: caught by the always-on
         # replay-plan-conservation re-derivation, then quarantined.
         def mangle(plan_dir):
-            victim = os.path.join(plan_dir, "l1_order.npy")
+            victim = os.path.join(plan_dir, "l2_order.npy")
             data = np.load(victim)
             data[: data.shape[0] // 2] = data[: data.shape[0] // 2][::-1]
             np.save(victim, data)
@@ -196,121 +190,177 @@ class TestPlanDerivation:
 
 
 # ----------------------------------------------------------------------
-# Composed direct pipeline
+# Direct runs: run_trace against the scalar walk
 # ----------------------------------------------------------------------
+def half_l3_energy(config):
+    """Per-level overrides halving the L3 sublevel energies."""
+    l3 = config.l3
+    return {
+        "L3": LevelEnergyParams(
+            sublevel_capacity_lines=tuple(
+                l3.sublevel_capacity_lines(i)
+                for i in range(l3.num_sublevels)
+            ),
+            sublevel_energy_pj=tuple(e * 0.5 for e in l3.sublevel_energy_pj),
+            next_level_energy_pj=config.dram.energy_pj_per_line,
+        )
+    }
+
+
+def partitioned_l1(config):
+    """A sublevel-partitioned L1, which the capture kernel declines."""
+    l1 = CacheLevelConfig(
+        name="L1", size_bytes=1024, ways=2, latency_cycles=1,
+        access_energy_pj=1.0, sublevel_ways=(1, 1),
+        sublevel_energy_pj=(0.8, 1.4), sublevel_latency=(1, 2),
+    )
+    return dataclasses.replace(config, l1=l1)
+
+
+@dataclasses.dataclass(frozen=True)
+class Row:
+    """One input shape of ``run_trace``; the store column is ``none``
+    (the process-local store), ``memory``, ``warm-memory`` (warmed by
+    a baseline cell) or ``disk``."""
+
+    store: str = "none"
+    simcheck: bool = False
+    overrides: bool = False
+    rd_block_lines: int = 0
+    replacement: str = "lru"
+    l1_sublevels: bool = False
+
+    def bypassed(self, policy: str) -> bool:
+        """Whether the cell walks the trace instead of replaying."""
+        return (self.simcheck or self.overrides
+                or (bool(self.rd_block_lines)
+                    and runtime_kind(policy) == "slip"))
+
+
+ROWS = {
+    "none": Row(),
+    "simcheck": Row(store="memory", simcheck=True),
+    "energy-overrides": Row(store="memory", overrides=True),
+    "rd-block": Row(store="memory", rd_block_lines=4),
+    "drrip": Row(replacement="drrip"),
+    "ship": Row(replacement="ship"),
+    "sublevel-l1": Row(store="memory", l1_sublevels=True),
+    "cold-memory": Row(store="memory"),
+    "warm-memory": Row(store="warm-memory"),
+    "disk": Row(store="disk"),
+}
+#: Store-less default-shape cells keep their historical bare-policy ids.
+CASES = [(name, policy) for name in ROWS for policy in ALL_POLICIES]
+CASE_IDS = [policy if name == "none" else f"{name}-{policy}"
+            for name, policy in CASES]
+
+
 class TestDirectPipeline:
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_direct_matches_scalar(self, policy, monkeypatch,
-                                   tiny_system):
-        trace = make_trace("soplex", LENGTH)
-        composed = run_trace(trace, policy, config=tiny_system, seed=3)
-        monkeypatch.setenv("REPRO_DIRECT_PIPELINE", "0")
-        scalar = run_trace(trace, policy, config=tiny_system, seed=3)
-        assert canonical(composed) == canonical(scalar)
+    @pytest.mark.parametrize("name,policy", CASES, ids=CASE_IDS)
+    def test_direct_matches_scalar(self, name, policy, tiny_system,
+                                   tmp_path, monkeypatch, scalar_run):
+        row = ROWS[name]
+        if row.simcheck:
+            monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        config = tiny_system.with_slip(rd_block_lines=row.rd_block_lines)
+        if row.l1_sublevels:
+            config = partitioned_l1(config)
+        kwargs = dict(config=config, seed=3, replacement=row.replacement,
+                      level_energy_overrides=(half_l3_energy(config)
+                                              if row.overrides else None))
+        if row.store == "none":
+            store = None
+        elif row.store == "disk":
+            store = DiskCaptureStore(str(tmp_path))
+        else:
+            store = MemoryCaptureStore()
+        trace = make_trace("soplex", 1_500)
+        if row.store == "warm-memory":
+            run_trace(trace, "baseline", config=config, seed=3,
+                      store=store)
+        result = run_trace(trace, policy, store=store, **kwargs)
+        assert canonical(result) == canonical(
+            scalar_run(trace, policy, **kwargs))
+        if isinstance(store, MemoryCaptureStore):
+            assert bool(store._entries) != row.bypassed(policy)
 
     def test_direct_runs_leave_the_store_alone(self, tmp_path,
                                                monkeypatch):
-        monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
-        trace = make_trace("soplex", LENGTH)
-        run_trace(trace, "slip_abp")
+        run_store = single_core._RUN_STORE
+        run_store.clear()
+        for capture_dir in (str(tmp_path), None):
+            if capture_dir is None:
+                monkeypatch.delenv("REPRO_CAPTURE_DIR", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_CAPTURE_DIR", capture_dir)
+            reset_default_store()
+            run_trace(make_trace("soplex", LENGTH), "slip_abp")
         assert os.listdir(tmp_path) == []
+        assert not default_store()._entries
+        assert not default_store()._plans
+        # The process-local store keeps the 4 most recent cells.
+        for bench in ("lbm", "mcf", "milc", "bzip2", "gcc"):
+            run_trace(make_trace(bench, 1_000), "baseline")
+        assert run_store.max_entries == 4
+        assert len(run_store._entries) == 4
+        assert len(run_store._plans) == 4
 
-    def test_direct_plan_cache_reuse_identical(self, tiny_system):
+    def test_direct_plan_cache_reuse_identical(self, tiny_system,
+                                               monkeypatch):
         trace = make_trace("lbm", LENGTH)
         first = run_trace(trace, "slip", config=tiny_system)
-        # Second call hits the in-process direct-plan LRU.
+        # The repeat hits the process-local store: no capture, no plan.
+        monkeypatch.setattr(single_core, "capture_front_end_vector",
+                            None)
+        monkeypatch.setattr(MemoryCaptureStore, "put_plan", None)
         second = run_trace(trace, "slip", config=tiny_system)
         assert canonical(first) == canonical(second)
 
-    def test_scalar_replacement_still_identical(self, monkeypatch,
-                                                tiny_system):
-        # Frontend-ineligible shape: the pipeline declines and the
-        # scalar walk must serve it — identically to pipeline-off.
+    def test_scalar_replacement_still_identical(self, tiny_system,
+                                                scalar_run):
+        # Replay-ineligible shape: the replay kernel declines and the
+        # scalar replay must serve it, identically to the scalar walk.
         trace = make_trace("soplex", LENGTH)
-        composed = run_trace(trace, "baseline", config=tiny_system,
+        replayed = run_trace(trace, "baseline", config=tiny_system,
                              replacement="random")
-        monkeypatch.setenv("REPRO_DIRECT_PIPELINE", "0")
-        scalar = run_trace(trace, "baseline", config=tiny_system,
-                           replacement="random")
-        assert canonical(composed) == canonical(scalar)
+        assert canonical(replayed) == canonical(
+            scalar_run(trace, "baseline", tiny_system,
+                       replacement="random"))
 
 
 class TestDirectDeclines:
-    def _declines(self, tiny_system, policy="slip", config=None,
-                  **kwargs):
-        config = config or tiny_system
-        trace = make_trace("soplex", 1_200)
-        hierarchy = build_hierarchy(
-            config, policy,
-            replacement=kwargs.pop("replacement", "lru"),
-        )
-        result = try_run_direct(hierarchy, trace, policy, config,
-                                **kwargs)
-        return result, hierarchy
+    """The cell's own hierarchy is offered to both kernels and carries
+    their decline record."""
 
-    def test_env_off_declines(self, monkeypatch, tiny_system):
-        monkeypatch.setenv("REPRO_DIRECT_PIPELINE", "0")
-        result, _ = self._declines(tiny_system)
-        assert result is None
+    def _run(self, tiny_system, monkeypatch, policy, **kwargs):
+        built = []
 
-    def test_filtered_off_declines(self, monkeypatch, tiny_system):
-        monkeypatch.setenv("REPRO_FILTERED", "0")
-        result, _ = self._declines(tiny_system)
-        assert result is None
+        def build(*args, **kw):
+            built.append(build_hierarchy(*args, **kw))
+            return built[-1]
 
-    def test_simcheck_declines(self, monkeypatch, tiny_system):
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        result, _ = self._declines(tiny_system)
-        assert result is None
+        monkeypatch.setattr(single_core, "build_hierarchy", build)
+        run_trace(make_trace("soplex", 1_200), policy,
+                  config=tiny_system, store=MemoryCaptureStore(),
+                  **kwargs)
+        (hierarchy,) = built
+        return hierarchy.kernel_declines
 
-    def test_energy_overrides_decline(self, tiny_system):
-        l3 = tiny_system.l3
-        overrides = {
-            "L3": LevelEnergyParams(
-                sublevel_capacity_lines=tuple(
-                    l3.sublevel_capacity_lines(i)
-                    for i in range(l3.num_sublevels)
-                ),
-                sublevel_energy_pj=tuple(
-                    e * 0.5 for e in l3.sublevel_energy_pj
-                ),
-                next_level_energy_pj=tiny_system.dram.energy_pj_per_line,
-            )
-        }
-        result, _ = self._declines(tiny_system,
-                                   level_energy_overrides=overrides)
-        assert result is None
-
-    def test_rd_block_slip_declines(self, tiny_system):
-        config = tiny_system.with_slip(rd_block_lines=4)
-        result, _ = self._declines(tiny_system, config=config)
-        assert result is None
-
-    def test_replay_ineligible_records_reason(self, tiny_system):
+    def test_replay_ineligible_records_reason(self, tiny_system,
+                                              monkeypatch):
         # L1 is always stock LRU, so a replacement ablation passes the
-        # front-end kernel; the *replay* kernel declines and the run is
-        # served by the scalar replay walk — still a full result.
-        result, hierarchy = self._declines(tiny_system,
-                                           policy="baseline",
-                                           replacement="random")
-        assert result is not None
-        assert hierarchy.kernel_declines.frontend is None
-        assert hierarchy.kernel_declines.replay == \
+        # front-end kernel; the *replay* kernel declines.
+        declines = self._run(tiny_system, monkeypatch, "baseline",
+                             replacement="random")
+        assert declines.frontend is None
+        assert declines.replay == \
             "replacement:RandomReplacement/RandomReplacement"
 
-    def test_frontend_env_off_records_reason(self, monkeypatch,
-                                             tiny_system):
-        monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "0")
-        result, hierarchy = self._declines(tiny_system)
-        assert result is None
-        assert hierarchy.kernel_declines.frontend == \
-            "env:REPRO_VECTOR_FRONTEND"
-
-    def test_accepted_run_clears_the_record(self, tiny_system):
-        result, hierarchy = self._declines(tiny_system)
-        assert result is not None
-        assert hierarchy.kernel_declines.frontend is None
-        assert hierarchy.kernel_declines.replay is None
+    def test_accepted_run_clears_the_record(self, tiny_system,
+                                            monkeypatch):
+        declines = self._run(tiny_system, monkeypatch, "slip")
+        assert declines.frontend is None
+        assert declines.replay is None
 
 
 # ----------------------------------------------------------------------

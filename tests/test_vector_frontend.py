@@ -8,7 +8,7 @@ serialize byte-for-byte like the scalar cold path, across all five
 policies, both capture stores, both worker modes and randomized
 trace/geometry space. Everything the kernel cannot represent must
 decline with a recorded reason and fall back to the scalar walk with
-identical bytes. Also covers the ``REPRO_CAPTURE_MEM_ENTRIES``
+identical bytes; tests reach that walk by making the kernel decline. Also covers the ``REPRO_CAPTURE_MEM_ENTRIES``
 capacity knob of the in-process store.
 """
 
@@ -29,7 +29,8 @@ from repro.sim.config import (
     SlipParams,
     SystemConfig,
 )
-from repro.sim.filtered import capture_front_end, run_trace_filtered
+from repro.sim import filtered
+from repro.sim.filtered import capture_front_end
 from repro.sim.single_core import run_trace
 from repro.sim.vector_frontend import (
     capture_front_end_vector,
@@ -55,9 +56,9 @@ def canonical(result) -> str:
 
 def capture_pair(trace, config, monkeypatch, warmup_fraction=0.25):
     """(scalar capture, kernel capture) of the same front end."""
-    monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "0")
-    scalar = capture_front_end(trace, config, warmup_fraction)
-    monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "1")
+    with monkeypatch.context() as mp:
+        mp.setattr(filtered, "capture_front_end_vector", lambda *args: None)
+        scalar = capture_front_end(trace, config, warmup_fraction)
     vector = capture_front_end(trace, config, warmup_fraction)
     return scalar, vector
 
@@ -116,41 +117,38 @@ class TestByteIdentity:
     @pytest.mark.parametrize("store_kind", ("memory", "disk"))
     def test_cold_cell_matches_scalar(self, policy, store_kind,
                                       tiny_system, tmp_path,
-                                      monkeypatch):
+                                      scalar_kernels):
         """A cold cell fed by the kernel serializes identically."""
         trace = make_trace("soplex", LENGTH)
 
-        def cold_cell(env: str) -> str:
-            monkeypatch.setenv("REPRO_VECTOR_FRONTEND", env)
+        def cold_cell(label: str) -> str:
             store = (MemoryCaptureStore() if store_kind == "memory"
-                     else DiskCaptureStore(str(tmp_path / env)))
-            return canonical(run_trace_filtered(
+                     else DiskCaptureStore(str(tmp_path / label)))
+            return canonical(run_trace(
                 trace, policy, config=tiny_system, store=store))
 
-        assert cold_cell("1") == cold_cell("0")
+        kernel = cold_cell("kernel")
+        with scalar_kernels():
+            assert cold_cell("scalar") == kernel
 
     @pytest.mark.parametrize("policy", ("baseline", "slip_abp"))
     def test_cold_cell_matches_direct(self, policy, tiny_system,
-                                      monkeypatch):
+                                      scalar_run):
         """Transitivity check straight to the unfiltered simulator."""
         trace = make_trace("lbm", LENGTH)
-        monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "1")
-        cold = run_trace_filtered(trace, policy, config=tiny_system,
-                                  store=MemoryCaptureStore())
+        cold = run_trace(trace, policy, config=tiny_system,
+                         store=MemoryCaptureStore())
         assert canonical(cold) == canonical(
-            run_trace(trace, policy, config=tiny_system))
+            scalar_run(trace, policy, tiny_system))
 
     def test_capture_through_store_is_kernel_capture(self, tiny_system,
                                                      monkeypatch):
         """The cold baseline path stores the kernel's capture bytes."""
         trace = make_trace("soplex", 1_400)
-        monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "1")
         store = MemoryCaptureStore()
-        run_trace_filtered(trace, "baseline", config=tiny_system,
-                           store=store)
+        run_trace(trace, "baseline", config=tiny_system, store=store)
         (stored,) = store._entries.values()
-        monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "0")
-        scalar = capture_front_end(trace, tiny_system)
+        scalar, _ = capture_pair(trace, tiny_system, monkeypatch)
         assert_captures_equal(stored, scalar)
 
 
@@ -158,17 +156,20 @@ class TestByteIdentity:
 # Worker parity: jobs=1 vs jobs=2, each over a fresh disk store
 # ----------------------------------------------------------------------
 @pytest.mark.multiproc
-def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch):
+def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch,
+                                      scalar_kernels):
     grid = [RunRequest("soplex", policy, length=2_000)
             for policy in ("baseline", "slip_abp")]
     reports = {}
-    for label, env, jobs in (("scalar", "0", 1), ("serial", "1", 1),
-                             ("parallel", "1", 2)):
+    for label, jobs in (("scalar", 1), ("serial", 1), ("parallel", 2)):
         # A fresh store per mode keeps every run cold, so the capture
         # itself (not just the replay) comes from the mode under test.
         monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path / label))
-        monkeypatch.setenv("REPRO_VECTOR_FRONTEND", env)
-        reports[label] = run_jobs(grid, jobs=jobs)
+        if label == "scalar":
+            with scalar_kernels():
+                reports[label] = run_jobs(grid, jobs=jobs)
+        else:
+            reports[label] = run_jobs(grid, jobs=jobs)
     for base, ours, theirs in zip(reports["scalar"].results,
                                   reports["serial"].results,
                                   reports["parallel"].results):
@@ -211,7 +212,7 @@ def _random_frontend_system(rng) -> SystemConfig:
 
 
 @pytest.mark.parametrize("case_seed", range(8))
-def test_random_geometry_property(case_seed, monkeypatch):
+def test_random_geometry_property(case_seed, monkeypatch, scalar_run):
     rng = random.Random(9_000 + case_seed)
     config = _random_frontend_system(rng)
     length = rng.randint(900, 2_200)
@@ -223,11 +224,9 @@ def test_random_geometry_property(case_seed, monkeypatch):
     scalar, vector = capture_pair(trace, config, monkeypatch)
     assert_captures_equal(vector, scalar)
     policy = POLICIES[case_seed % len(POLICIES)]
-    monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "1")
-    cold = run_trace_filtered(trace, policy, config=config,
-                              store=MemoryCaptureStore())
-    assert canonical(cold) == canonical(
-        run_trace(trace, policy, config=config))
+    cold = run_trace(trace, policy, config=config,
+                     store=MemoryCaptureStore())
+    assert canonical(cold) == canonical(scalar_run(trace, policy, config))
 
 
 # ----------------------------------------------------------------------
@@ -277,41 +276,28 @@ class TestDecline:
         scalar, fallback = capture_pair(trace, config, monkeypatch)
         assert_captures_equal(fallback, scalar)
 
-    def test_env_flag_declines(self, tiny_system, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "0")
+    def test_successful_capture_clears_decline(self, tiny_system):
         trace = make_trace("soplex", 1_200)
         hierarchy = build_hierarchy(tiny_system, "baseline")
-        assert capture_front_end_vector(hierarchy, trace,
-                                        tiny_system) is None
-        assert (hierarchy.vector_frontend_decline
-                == "env:REPRO_VECTOR_FRONTEND")
-
-    def test_successful_capture_clears_decline(self, tiny_system,
-                                               monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "1")
-        trace = make_trace("soplex", 1_200)
-        hierarchy = build_hierarchy(tiny_system, "baseline")
+        hierarchy.vector_frontend_decline = "stale"
         assert capture_front_end_vector(hierarchy, trace,
                                         tiny_system) is not None
         assert hierarchy.vector_frontend_decline is None
 
     def test_debug_flag_echoes_reason_to_stderr(self, tiny_system,
                                                 monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "0")
         monkeypatch.setenv("REPRO_VECTOR_FRONTEND_DEBUG", "1")
-        hierarchy = build_hierarchy(tiny_system, "baseline")
+        config = tiny_system.with_slip(rd_block_lines=8)
+        hierarchy = build_hierarchy(config, "slip")
         trace = make_trace("soplex", 800)
-        assert capture_front_end_vector(hierarchy, trace,
-                                        tiny_system) is None
+        assert capture_front_end_vector(hierarchy, trace, config) is None
         captured = capsys.readouterr()
-        assert ("vector-frontend: decline (env:REPRO_VECTOR_FRONTEND)"
-                in captured.err)
+        assert "vector-frontend: decline (rd-block)" in captured.err
         assert captured.out == ""  # stdout stays deterministic
 
     def test_energy_overrides_still_bypass_filtered(self, tiny_system,
-                                                    monkeypatch):
+                                                    scalar_run):
         """Overrides bypass capture entirely; the kernel never runs."""
-        monkeypatch.setenv("REPRO_VECTOR_FRONTEND", "1")
         l1 = tiny_system.l1
         overrides = {
             "L1": LevelEnergyParams(
@@ -323,14 +309,11 @@ class TestDecline:
         }
         trace = make_trace("soplex", 1_200)
         store = MemoryCaptureStore()
-        filtered = run_trace_filtered(
-            trace, "baseline", config=tiny_system, store=store,
-            level_energy_overrides=overrides,
-        )
+        result = run_trace(trace, "baseline", config=tiny_system,
+                           store=store, level_energy_overrides=overrides)
         assert not store._entries
-        assert filtered == run_trace(trace, "baseline",
-                                     config=tiny_system,
-                                     level_energy_overrides=overrides)
+        assert result == scalar_run(trace, "baseline", tiny_system,
+                                    level_energy_overrides=overrides)
 
 
 # ----------------------------------------------------------------------

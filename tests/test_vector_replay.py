@@ -10,7 +10,6 @@ hypothesis-style randomized sweep over trace/geometry space.
 """
 
 import json
-import os
 import random
 
 import pytest
@@ -24,16 +23,9 @@ from repro.sim.config import (
     SlipParams,
     SystemConfig,
 )
-from repro.sim.filtered import (
-    front_end_fingerprint,
-    run_trace_filtered,
-)
+from repro.sim.filtered import front_end_fingerprint
 from repro.sim.single_core import run_trace
-from repro.sim.vector_replay import (
-    eligible_kind,
-    replay_capture_vector,
-    vector_enabled,
-)
+from repro.sim.vector_replay import eligible_kind, replay_capture_vector
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import (
     DiskCaptureStore,
@@ -49,17 +41,15 @@ def canonical(result) -> str:
     return json.dumps(result.to_json(), sort_keys=True)
 
 
-def replay_pair(trace, policy, config, store, monkeypatch, **kwargs):
+def replay_pair(trace, policy, config, store, scalar_kernels, **kwargs):
     """(scalar replay, vector replay) of the same warmed capture."""
-    monkeypatch.setenv("REPRO_VECTOR_REPLAY", "0")
-    # First run is capture-through (direct); the next two replay.
-    run_trace_filtered(trace, policy, config=config, store=store,
+    # The first run stores the capture; the next two replay it.
+    run_trace(trace, policy, config=config, store=store, **kwargs)
+    with scalar_kernels():
+        scalar = run_trace(trace, policy, config=config, store=store,
+                           **kwargs)
+    vector = run_trace(trace, policy, config=config, store=store,
                        **kwargs)
-    scalar = run_trace_filtered(trace, policy, config=config,
-                                store=store, **kwargs)
-    monkeypatch.setenv("REPRO_VECTOR_REPLAY", "1")
-    vector = run_trace_filtered(trace, policy, config=config,
-                                store=store, **kwargs)
     return scalar, vector
 
 
@@ -70,36 +60,33 @@ class TestByteIdentity:
     @pytest.mark.parametrize("policy", BASELINE_KIND)
     @pytest.mark.parametrize("store_kind", ("memory", "disk"))
     def test_vector_matches_scalar(self, policy, store_kind, tiny_system,
-                                   tmp_path, monkeypatch):
+                                   tmp_path, scalar_kernels):
         trace = make_trace("soplex", LENGTH)
         store = (MemoryCaptureStore() if store_kind == "memory"
                  else DiskCaptureStore(str(tmp_path)))
         scalar, vector = replay_pair(trace, policy, tiny_system, store,
-                                     monkeypatch)
+                                     scalar_kernels)
         assert canonical(vector) == canonical(scalar)
 
     @pytest.mark.parametrize("policy", BASELINE_KIND)
     def test_vector_matches_direct(self, policy, tiny_system,
-                                   monkeypatch):
+                                   scalar_run):
         """Transitivity check straight to the unfiltered simulator."""
         trace = make_trace("lbm", LENGTH)
-        monkeypatch.setenv("REPRO_VECTOR_REPLAY", "1")
         store = MemoryCaptureStore()
-        run_trace_filtered(trace, policy, config=tiny_system,
-                           store=store)
-        vector = run_trace_filtered(trace, policy, config=tiny_system,
-                                    store=store)
+        run_trace(trace, policy, config=tiny_system, store=store)
+        vector = run_trace(trace, policy, config=tiny_system, store=store)
         assert canonical(vector) == canonical(
-            run_trace(trace, policy, config=tiny_system))
+            scalar_run(trace, policy, tiny_system))
 
     @pytest.mark.parametrize("policy", BASELINE_KIND)
     def test_vector_matches_scalar_nonzero_seed(self, policy,
                                                 tiny_system,
-                                                monkeypatch):
+                                                scalar_kernels):
         """Seeded RNG coupling (lru_pea) and seeded traces line up."""
         trace = make_trace("soplex", LENGTH, seed=3)
         scalar, vector = replay_pair(trace, policy, tiny_system,
-                                     MemoryCaptureStore(), monkeypatch,
+                                     MemoryCaptureStore(), scalar_kernels,
                                      seed=5)
         assert canonical(vector) == canonical(scalar)
 
@@ -108,14 +95,14 @@ class TestByteIdentity:
 # Worker parity: jobs=1 vs jobs=2 over the shared disk store
 # ----------------------------------------------------------------------
 @pytest.mark.multiproc
-def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch):
+def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch,
+                                      scalar_kernels):
     monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
     grid = [RunRequest("soplex", policy, length=2_000)
             for policy in BASELINE_KIND]
-    monkeypatch.setenv("REPRO_VECTOR_REPLAY", "0")
-    run_jobs(grid, jobs=1)  # populate the store (capture-through)
-    scalar = run_jobs(grid, jobs=1)
-    monkeypatch.setenv("REPRO_VECTOR_REPLAY", "1")
+    run_jobs(grid, jobs=1)  # populate the store
+    with scalar_kernels():
+        scalar = run_jobs(grid, jobs=1)
     serial = run_jobs(grid, jobs=1)
     parallel = run_jobs(grid, jobs=2)
     for base, ours, theirs in zip(scalar.results, serial.results,
@@ -168,7 +155,7 @@ def _random_system(rng) -> SystemConfig:
 
 
 @pytest.mark.parametrize("case_seed", range(6))
-def test_random_geometry_property(case_seed, monkeypatch):
+def test_random_geometry_property(case_seed, scalar_kernels):
     rng = random.Random(1_000 + case_seed)
     config = _random_system(rng)
     trace = make_trace(rng.choice(("soplex", "lbm", "mcf")),
@@ -176,7 +163,7 @@ def test_random_geometry_property(case_seed, monkeypatch):
                        seed=rng.randint(0, 99))
     policy = BASELINE_KIND[case_seed % len(BASELINE_KIND)]
     scalar, vector = replay_pair(trace, policy, config,
-                                 MemoryCaptureStore(), monkeypatch,
+                                 MemoryCaptureStore(), scalar_kernels,
                                  seed=rng.randint(0, 9))
     assert canonical(vector) == canonical(scalar)
 
@@ -185,14 +172,6 @@ def test_random_geometry_property(case_seed, monkeypatch):
 # Bypass matrix
 # ----------------------------------------------------------------------
 class TestBypass:
-    def test_env_flag_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_REPLAY", "0")
-        assert not vector_enabled()
-        monkeypatch.setenv("REPRO_VECTOR_REPLAY", "off")
-        assert not vector_enabled()
-        monkeypatch.delenv("REPRO_VECTOR_REPLAY")
-        assert vector_enabled()
-
     @pytest.mark.parametrize("policy,kind", (
         ("baseline", "baseline"),
         ("nurapid", "nurapid"),
@@ -213,13 +192,10 @@ class TestBypass:
                                     replacement=replacement)
         assert eligible_kind(hierarchy) is None
 
-    def test_replay_declines_ineligible_hierarchy(self, tiny_system,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_REPLAY", "1")
+    def test_replay_declines_ineligible_hierarchy(self, tiny_system):
         store = MemoryCaptureStore()
         trace = make_trace("soplex", 1_200)
-        run_trace_filtered(trace, "baseline", config=tiny_system,
-                           store=store)
+        run_trace(trace, "baseline", config=tiny_system, store=store)
         key = fingerprint_key(
             front_end_fingerprint(trace, tiny_system, 0, 0.25))
         capture = store.get(key)
@@ -228,10 +204,10 @@ class TestBypass:
         assert replay_capture_vector([hierarchy], [capture]) is False
 
     def test_non_lru_cells_still_replay_correctly(self, tiny_system,
-                                                  monkeypatch):
+                                                  scalar_kernels):
         """A bypassed cell silently takes the scalar path, same bytes."""
         trace = make_trace("soplex", 1_500)
         scalar, vector = replay_pair(
             trace, "baseline", tiny_system, MemoryCaptureStore(),
-            monkeypatch, replacement="random")
+            scalar_kernels, replacement="random")
         assert canonical(vector) == canonical(scalar)

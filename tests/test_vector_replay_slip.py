@@ -10,7 +10,6 @@ reason and fall back to the scalar path with identical bytes.
 """
 
 import json
-import os
 import random
 
 import pytest
@@ -24,10 +23,7 @@ from repro.sim.config import (
     SlipParams,
     SystemConfig,
 )
-from repro.sim.filtered import (
-    front_end_fingerprint,
-    run_trace_filtered,
-)
+from repro.sim.filtered import front_end_fingerprint
 from repro.sim.single_core import run_trace
 from repro.sim.vector_replay_slip import (
     replay_capture_vector_slip,
@@ -48,17 +44,15 @@ def canonical(result) -> str:
     return json.dumps(result.to_json(), sort_keys=True)
 
 
-def replay_pair(trace, policy, config, store, monkeypatch, **kwargs):
+def replay_pair(trace, policy, config, store, scalar_kernels, **kwargs):
     """(scalar replay, vector replay) of the same warmed capture."""
-    monkeypatch.setenv("REPRO_VECTOR_REPLAY", "0")
-    # First run is capture-through (direct); the next two replay.
-    run_trace_filtered(trace, policy, config=config, store=store,
+    # The first run stores the capture; the next two replay it.
+    run_trace(trace, policy, config=config, store=store, **kwargs)
+    with scalar_kernels():
+        scalar = run_trace(trace, policy, config=config, store=store,
+                           **kwargs)
+    vector = run_trace(trace, policy, config=config, store=store,
                        **kwargs)
-    scalar = run_trace_filtered(trace, policy, config=config,
-                                store=store, **kwargs)
-    monkeypatch.setenv("REPRO_VECTOR_REPLAY", "1")
-    vector = run_trace_filtered(trace, policy, config=config,
-                                store=store, **kwargs)
     return scalar, vector
 
 
@@ -78,42 +72,39 @@ class TestByteIdentity:
     @pytest.mark.parametrize("policy", SLIP_KIND)
     @pytest.mark.parametrize("store_kind", ("memory", "disk"))
     def test_vector_matches_scalar(self, policy, store_kind, tiny_system,
-                                   tmp_path, monkeypatch):
+                                   tmp_path, scalar_kernels):
         trace = make_trace("soplex", LENGTH)
         store = (MemoryCaptureStore() if store_kind == "memory"
                  else DiskCaptureStore(str(tmp_path)))
         scalar, vector = replay_pair(trace, policy, tiny_system, store,
-                                     monkeypatch)
+                                     scalar_kernels)
         assert canonical(vector) == canonical(scalar)
 
     @pytest.mark.parametrize("policy", SLIP_KIND)
     def test_vector_matches_direct(self, policy, tiny_system,
-                                   monkeypatch):
+                                   scalar_run):
         """Transitivity check straight to the unfiltered simulator."""
         trace = make_trace("lbm", LENGTH)
-        monkeypatch.setenv("REPRO_VECTOR_REPLAY", "1")
         store = MemoryCaptureStore()
-        run_trace_filtered(trace, policy, config=tiny_system,
-                           store=store)
-        vector = run_trace_filtered(trace, policy, config=tiny_system,
-                                    store=store)
+        run_trace(trace, policy, config=tiny_system, store=store)
+        vector = run_trace(trace, policy, config=tiny_system, store=store)
         assert canonical(vector) == canonical(
-            run_trace(trace, policy, config=tiny_system))
+            scalar_run(trace, policy, tiny_system))
 
     @pytest.mark.parametrize("policy", SLIP_KIND)
     def test_vector_matches_scalar_nonzero_seed(self, policy,
                                                 tiny_system,
-                                                monkeypatch):
+                                                scalar_kernels):
         """Sampler RNG and seeded traces line up event for event."""
         trace = make_trace("soplex", LENGTH, seed=3)
         scalar, vector = replay_pair(trace, policy, tiny_system,
-                                     MemoryCaptureStore(), monkeypatch,
+                                     MemoryCaptureStore(), scalar_kernels,
                                      seed=5)
         assert canonical(vector) == canonical(scalar)
 
     @pytest.mark.parametrize("min_samples", (0, 10_000))
     def test_abp_min_samples_gate(self, min_samples, tiny_system,
-                                  monkeypatch):
+                                  scalar_kernels):
         """The EOU's ABP evidence floor steers fills identically.
 
         0 lets the all-bypass policy win from the first sample; a huge
@@ -129,7 +120,7 @@ class TestByteIdentity:
         )
         trace = make_trace("soplex", LENGTH)
         scalar, vector = replay_pair(trace, "slip_abp", config,
-                                     MemoryCaptureStore(), monkeypatch)
+                                     MemoryCaptureStore(), scalar_kernels)
         assert canonical(vector) == canonical(scalar)
 
 
@@ -137,14 +128,14 @@ class TestByteIdentity:
 # Worker parity: jobs=1 vs jobs=2 over the shared disk store
 # ----------------------------------------------------------------------
 @pytest.mark.multiproc
-def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch):
+def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch,
+                                      scalar_kernels):
     monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
     grid = [RunRequest("soplex", policy, length=2_000)
             for policy in SLIP_KIND]
-    monkeypatch.setenv("REPRO_VECTOR_REPLAY", "0")
-    run_jobs(grid, jobs=1)  # populate the store (capture-through)
-    scalar = run_jobs(grid, jobs=1)
-    monkeypatch.setenv("REPRO_VECTOR_REPLAY", "1")
+    run_jobs(grid, jobs=1)  # populate the store
+    with scalar_kernels():
+        scalar = run_jobs(grid, jobs=1)
     serial = run_jobs(grid, jobs=1)
     parallel = run_jobs(grid, jobs=2)
     for base, ours, theirs in zip(scalar.results, serial.results,
@@ -197,7 +188,7 @@ def _random_system(rng) -> SystemConfig:
 
 
 @pytest.mark.parametrize("case_seed", range(6))
-def test_random_geometry_property(case_seed, monkeypatch):
+def test_random_geometry_property(case_seed, scalar_kernels):
     rng = random.Random(7_000 + case_seed)
     config = _random_system(rng)
     trace = make_trace(rng.choice(("soplex", "lbm", "mcf")),
@@ -205,7 +196,7 @@ def test_random_geometry_property(case_seed, monkeypatch):
                        seed=rng.randint(0, 99))
     policy = SLIP_KIND[case_seed % len(SLIP_KIND)]
     scalar, vector = replay_pair(trace, policy, config,
-                                 MemoryCaptureStore(), monkeypatch,
+                                 MemoryCaptureStore(), scalar_kernels,
                                  seed=rng.randint(0, 9))
     assert canonical(vector) == canonical(scalar)
 
@@ -215,9 +206,10 @@ def test_random_geometry_property(case_seed, monkeypatch):
 # ----------------------------------------------------------------------
 class TestDecline:
     @pytest.mark.parametrize("policy", SLIP_KIND)
-    def test_default_hierarchy_is_eligible(self, policy, tiny_system):
-        hierarchy = build_hierarchy(tiny_system, policy)
-        assert slip_eligible(hierarchy)
+    def test_default_hierarchy_is_eligible(self, policy, tiny_system,
+                                           paper_system):
+        assert slip_eligible(build_hierarchy(tiny_system, policy))
+        assert slip_eligible(build_hierarchy(paper_system, policy))
 
     def test_non_slip_kind_declines(self, tiny_system):
         hierarchy = build_hierarchy(tiny_system, "baseline")
@@ -249,28 +241,13 @@ class TestDecline:
         assert (hierarchy.vector_replay_decline
                 == "replacement:L2:RandomReplacement")
 
-    def test_env_flag_declines(self, tiny_system, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_REPLAY", "0")
+    def test_successful_replay_clears_decline(self, tiny_system):
         trace = make_trace("soplex", 1_200)
         store = MemoryCaptureStore()
-        run_trace_filtered(trace, "slip", config=tiny_system,
-                           store=store)
+        run_trace(trace, "slip", config=tiny_system, store=store)
         capture = slip_capture(trace, tiny_system, store)
         hierarchy = build_hierarchy(tiny_system, "slip")
-        assert replay_capture_vector_slip(hierarchy, trace,
-                                          capture) is False
-        assert (hierarchy.vector_replay_decline
-                == "env:REPRO_VECTOR_REPLAY")
-
-    def test_successful_replay_clears_decline(self, tiny_system,
-                                              monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_REPLAY", "1")
-        trace = make_trace("soplex", 1_200)
-        store = MemoryCaptureStore()
-        run_trace_filtered(trace, "slip", config=tiny_system,
-                           store=store)
-        capture = slip_capture(trace, tiny_system, store)
-        hierarchy = build_hierarchy(tiny_system, "slip")
+        hierarchy.vector_replay_decline = "stale"
         assert replay_capture_vector_slip(hierarchy, trace,
                                           capture) is True
         assert hierarchy.vector_replay_decline is None
@@ -287,12 +264,12 @@ class TestDecline:
     @pytest.mark.parametrize("policy", SLIP_KIND)
     def test_declined_cells_still_replay_correctly(self, policy,
                                                    tiny_system,
-                                                   monkeypatch):
+                                                   scalar_kernels):
         """A bypassed cell silently takes the scalar path, same bytes."""
         trace = make_trace("soplex", 1_500)
         scalar, vector = replay_pair(
             trace, policy, tiny_system, MemoryCaptureStore(),
-            monkeypatch, replacement="random")
+            scalar_kernels, replacement="random")
         assert canonical(vector) == canonical(scalar)
 
 
