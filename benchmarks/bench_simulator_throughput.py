@@ -14,6 +14,7 @@ from repro.sim.build import build_hierarchy
 from repro.sim.config import default_system
 from repro.sim.filtered import capture_front_end
 from repro.sim.single_core import run_trace
+from repro.sim.vector_frontend import capture_front_end_vector
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import MemoryCaptureStore
 
@@ -22,6 +23,8 @@ MEASURED = N - N // 4  # replay results count post-warmup accesses only
 
 
 def drive(policy: str) -> int:
+    """One ``access()`` per reference over 20k soplex accesses: the
+    scalar reference walk, with the fused fills."""
     config = default_system()
     hierarchy = build_hierarchy(config, policy)
     trace = make_trace("soplex", N)
@@ -88,15 +91,20 @@ def make_capture_cell(bench: str):
 
     Every call times one full front-end capture pass — the cost a cold
     sweep pays per (trace, front-end fingerprint) before any replay can
-    happen. The batched vector_frontend kernel serves it; a decline to
-    the scalar walk would show up as a multi-x slowdown. Also used by
+    happen. The batched vector_frontend kernel serves it, offered a
+    baseline hierarchy as ``run_trace`` offers the cell's own; a decline
+    to the scalar walk would show up as a multi-x slowdown. Also used by
     ``scripts/throughput_gate.py`` for the cold-capture gates.
     """
     config = default_system()
     trace = make_trace(bench, N)
 
     def capture() -> int:
-        return capture_front_end(trace, config).n
+        hierarchy = build_hierarchy(config, "baseline")
+        captured = capture_front_end_vector(hierarchy, trace, config)
+        if captured is None:
+            captured = capture_front_end(trace, config)
+        return captured.n
 
     return capture
 

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Throughput regression gate for the SLIP fast path.
+"""Throughput regression gate for the simulator's hot paths.
 
 Re-times two benchmarks from the throughput microbenchmark module and
 compares each against the mean recorded in ``BENCH_throughput.json``
 at the repo root:
 
-* the ``slip_abp`` drive — the per-access fast path; a reintroduced
-  per-access allocation or a de-fused placement kernel shows up here
-  long before any paper figure moves;
+* the ``slip_abp`` drive — the scalar reference walk, with the fused
+  fills; a reintroduced per-access allocation or a de-fused placement
+  fill shows up here long before any paper figure moves;
 * the serial sweep (``sweep(jobs=1)`` over the 2x3 benchmark/policy
   grid) — the filtered-replay path; a broken capture store or a replay
   falling back to direct simulation shows up here;

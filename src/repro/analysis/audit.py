@@ -1,12 +1,13 @@
 """slip-audit: twin-path effect auditing + determinism taint analysis.
 
-PRs 3-6 cloned the accounting hot paths into fused "twins": a fast
-body that inlines the counter bumps (legal only under stock LRU with
-no SimCheck wrappers) and a reference body built from the accounting
-primitives. Runtime goldens prove the twins byte-identical *on the
-traces we run*; this tool proves the stronger static property — both
-paths mutate the same counters — before anything runs, and catches a
-counter added to one twin and forgotten in the other at lint time.
+Some accounting paths exist twice: a fast "twin" (the fused placement
+fills, which inline the counter bumps and are legal only under stock
+LRU with no SimCheck wrappers, and the batched numpy kernels) and a
+reference body built from the accounting primitives. Runtime goldens
+prove the twins byte-identical *on the traces we run*; this tool
+proves the stronger static property — both paths mutate the same
+counters — before anything runs, and catches a counter added to one
+twin and forgotten in the other at lint time.
 
 Two analysis families, built on :mod:`repro.analysis.dataflow` /
 :mod:`repro.analysis.effects` and sharing slip-lint's Finding,
@@ -67,7 +68,9 @@ AUDIT_PACKAGES: Tuple[Tuple[str, ...], ...] = (
 )
 
 #: Attribute names that mark a fused fast-path gate when tested by an
-#: ``if``: `_fast_fill`, `_l1_fast`, `_l2_hit_fast`, `_unchecked`, ...
+#: ``if``: `_fast_fill` (the placement fills), or any other name with a
+#: `fast` or `unchecked` word, so a new fused branch cannot skip
+#: registration.
 GATE_ATTR = re.compile(r"(?:^|_)(?:fast|unchecked)(?:_|$)")
 
 #: Twin annotation comments placed next to registered functions.
@@ -96,7 +99,7 @@ AUDIT_RULES: Tuple[AuditRule, ...] = (
               "shared/side write-sets, or a duplicated counter's "
               "write-site count changed"),
     AuditRule("SLIP012", "unregistered-fast-gate",
-              "a fast-gated branch (_fast/_unchecked test) mutates "
+              "a fast-gated branch (fast/unchecked gate) mutates "
               "counters without a registered + annotated twin pair"),
     AuditRule("SLIP013", "tainted-stats-write",
               "a value derived from os.environ/time/unseeded-RNG/"
@@ -203,100 +206,6 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
             "stats.wb_out_events[]": 1, "stats.writebacks_out": 1,
         },
         ref_site_counts={"stats.insertions_by_class[]": 1},
-    ),
-    TwinPair(
-        pair_id="l1-access",
-        fast="MemoryHierarchy.access",
-        refs=("CacheLevel.record_hit", "CacheLevel.record_miss"),
-        guards=("_l1_fast",),
-        shared=frozenset({
-            "_clock", "access_counter",
-            "counters.demand_accesses", "counters.l1_hits",
-            "counters.total_latency_cycles",
-            "stats.demand_hits", "stats.demand_misses",
-            "stats.hits_by_sublevel[]", "stats.read_events[]",
-        }),
-        site_counts={
-            "_clock": 1, "access_counter": 1,
-            "counters.demand_accesses": 1, "counters.l1_hits": 1,
-            "counters.total_latency_cycles": 2,   # hit + miss legs
-            "stats.demand_hits": 1, "stats.demand_misses": 1,
-            "stats.hits_by_sublevel[]": 1, "stats.read_events[]": 1,
-        },
-        # Union over record_hit + record_miss direct bumps.
-        ref_site_counts={
-            "_clock": 1, "stats.demand_hits": 1, "stats.demand_misses": 1,
-            "stats.hits_by_sublevel[]": 1, "stats.metadata_events": 2,
-            "stats.metadata_hits": 1, "stats.metadata_misses": 1,
-            "stats.read_events[]": 1,
-        },
-    ),
-    TwinPair(
-        pair_id="below-l1",
-        fast="MemoryHierarchy._access_below_l1",
-        refs=("CacheLevel.record_hit", "CacheLevel.record_miss"),
-        guards=("_l2_hit_fast", "_l3_hit_fast", "_unchecked"),
-        shared=frozenset({
-            "_clock", "access_counter",
-            "counters.dram_demand_reads", "counters.dram_metadata_reads",
-            "stats.demand_hits", "stats.demand_misses",
-            "stats.metadata_hits", "stats.metadata_misses",
-            "stats.hits_by_sublevel[]", "stats.metadata_events",
-            "stats.read_events[]",
-        }),
-        site_counts={
-            # One site per level leg (L2 + L3), four metadata bumps
-            # (hit/miss at each level).
-            "_clock": 2, "access_counter": 2,
-            "counters.dram_demand_reads": 1,
-            "counters.dram_metadata_reads": 1,
-            "stats.demand_hits": 2, "stats.demand_misses": 2,
-            "stats.metadata_hits": 2, "stats.metadata_misses": 2,
-            "stats.hits_by_sublevel[]": 2, "stats.metadata_events": 4,
-            "stats.read_events[]": 2,
-        },
-        ref_site_counts={
-            "_clock": 1, "stats.demand_hits": 1, "stats.demand_misses": 1,
-            "stats.hits_by_sublevel[]": 1, "stats.metadata_events": 2,
-            "stats.metadata_hits": 1, "stats.metadata_misses": 1,
-            "stats.read_events[]": 1,
-        },
-    ),
-    TwinPair(
-        pair_id="wb-l2",
-        fast="MemoryHierarchy._writeback_below_l1",
-        refs=("CacheLevel.record_writeback_in",),
-        guards=("_unchecked",),
-        shared=frozenset({
-            "access_counter", "counters.dram_writebacks",
-            "stats.wb_in_events[]", "stats.writebacks_in",
-            "stats.writes",
-        }),
-        site_counts={
-            "access_counter": 1, "stats.wb_in_events[]": 1,
-            "stats.writebacks_in": 1,
-        },
-        ref_site_counts={
-            "stats.wb_in_events[]": 1, "stats.writebacks_in": 1,
-        },
-    ),
-    TwinPair(
-        pair_id="wb-l3",
-        fast="MemoryHierarchy._writeback_to_l3",
-        refs=("CacheLevel.record_writeback_in",),
-        guards=("_unchecked",),
-        shared=frozenset({
-            "access_counter", "counters.dram_writebacks",
-            "stats.wb_in_events[]", "stats.writebacks_in",
-            "stats.writes",
-        }),
-        site_counts={
-            "access_counter": 1, "stats.wb_in_events[]": 1,
-            "stats.writebacks_in": 1,
-        },
-        ref_site_counts={
-            "stats.wb_in_events[]": 1, "stats.writebacks_in": 1,
-        },
     ),
     TwinPair(
         # optimize_direct deliberately bypasses the stats (it exists so

@@ -236,8 +236,6 @@ class CacheLevel:
     # ------------------------------------------------------------------
     # Access primitives (with energy accounting)
     # ------------------------------------------------------------------
-    # slip-audit: twin=l1-access role=ref
-    # slip-audit: twin=below-l1 role=ref
     def record_hit(self, set_idx: int, way: int, is_write: bool,
                    is_metadata: bool = False) -> int:
         """Account a demand/metadata hit; returns the hit latency."""
@@ -264,8 +262,6 @@ class CacheLevel:
             self.replacement.on_hit(set_idx, way, line)
         return self.latency_by_way[way]
 
-    # slip-audit: twin=l1-access role=ref
-    # slip-audit: twin=below-l1 role=ref
     def record_miss(self, is_metadata: bool = False) -> int:
         """Account a miss; returns the miss-probe latency."""
         stats = self.stats
@@ -426,8 +422,6 @@ class CacheLevel:
         stats.energy.movement_queue_pj += movement_queue_pj  # slip-lint: disable=SLIP007
         self.replacement.on_move_in(set_idx, way, line)
 
-    # slip-audit: twin=wb-l2 role=ref
-    # slip-audit: twin=wb-l3 role=ref
     def record_writeback_in(self, set_idx: int, way: int) -> None:
         """An incoming writeback updates a resident line in place.
 

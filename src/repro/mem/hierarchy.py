@@ -112,27 +112,6 @@ class MemoryHierarchy:
         # capture) bypassed this hierarchy; updated through
         # repro.sim.kernel_report.record_decline / record_success.
         self.kernel_declines = KernelDeclines()
-        # Inline L1 hit fast path: legal only when nothing observes the
-        # individual accounting calls (SimCheck wraps record_hit on the
-        # instance) and L1 runs the stock LRU stamp, which is all this
-        # hierarchy ever builds but subclasses/tests may change.
-        self._l1_fast = (
-            self.simcheck is None
-            and type(self.l1.replacement) is LruReplacement
-            and not self.l1.track_metadata_energy
-        )
-        # Same idea below L1: with no SimCheck wrappers to observe the
-        # accounting primitives, hit/miss/writeback bookkeeping for L2
-        # and L3 is fused into _access_below_l1. The hit fast path
-        # additionally needs the stock LRU recency stamp.
-        self._unchecked = self.simcheck is None
-        self._l2_hit_fast = self._unchecked and self.l2._plain_lru
-        self._l3_hit_fast = self._unchecked and self.l3._plain_lru
-        # Baseline placements never react to hits; skip the no-op call.
-        self._l2_onhit_noop = \
-            type(self.l2_placement).on_hit is PlacementPolicy.on_hit
-        self._l3_onhit_noop = \
-            type(self.l3_placement).on_hit is PlacementPolicy.on_hit
         # Deferred import: repro.core's __init__ transitively imports
         # repro.mem, so a module-level import here could close a cycle
         # mid-initialization depending on which package loads first.
@@ -148,34 +127,12 @@ class MemoryHierarchy:
         )
 
     # ------------------------------------------------------------------
-    # Kernel decline record (flat aliases kept for existing callers)
-    # ------------------------------------------------------------------
-    @property
-    def vector_replay_decline(self) -> Optional[str]:
-        """Alias of ``kernel_declines.replay`` (the historical name)."""
-        return self.kernel_declines.replay
-
-    @vector_replay_decline.setter
-    def vector_replay_decline(self, reason: Optional[str]) -> None:
-        self.kernel_declines.replay = reason
-
-    @property
-    def vector_frontend_decline(self) -> Optional[str]:
-        """Alias of ``kernel_declines.frontend``."""
-        return self.kernel_declines.frontend
-
-    @vector_frontend_decline.setter
-    def vector_frontend_decline(self, reason: Optional[str]) -> None:
-        self.kernel_declines.frontend = reason
-
-    # ------------------------------------------------------------------
     def page_of(self, line_addr: int) -> int:
         return line_addr >> self._page_shift
 
     # ------------------------------------------------------------------
     # Public access entry point
     # ------------------------------------------------------------------
-    # slip-audit: twin=l1-access role=fast
     def access(self, line_addr: int, is_write: bool = False) -> int:
         """One demand access; returns its total latency in cycles.
 
@@ -203,34 +160,10 @@ class MemoryHierarchy:
         way = l1._index[set_idx].get(line_addr)
         if way is not None:
             counters.l1_hits += 1
-            if self._l1_fast:
-                # Fused record_hit for the dominant event of every
-                # trace: L1 is uniform (sublevel 0 only), never tracks
-                # metadata energy, and stamps recency with the stock
-                # LRU clock.
-                line = l1.sets[set_idx][way]
-                line.hits += 1
-                if is_write:
-                    line.dirty = True
-                stats = l1.stats
-                stats.demand_hits += 1
-                stats.hits_by_sublevel[0] += 1
-                stats.read_events[0] += 1
-                lru = l1.replacement
-                lru._clock += 1
-                line.lru = lru._clock
-                latency = l1.latency_by_way[way]
-            else:
-                latency = l1.record_hit(set_idx, way, is_write)
+            latency = l1.record_hit(set_idx, way, is_write)
             counters.total_latency_cycles += latency
             return latency
-        if self._l1_fast:
-            # Fused record_miss: L1 never sees metadata accesses and
-            # never tracks metadata energy.
-            l1.stats.demand_misses += 1
-            latency = l1.cfg.latency_cycles
-        else:
-            latency = l1.record_miss()
+        latency = l1.record_miss()
         latency += self._access_below_l1(line_addr, False, key)
         # Allocate into L1 (write-allocate); dirty if this is a store —
         # the fill itself installs the dirty bit, no re-probe needed.
@@ -241,19 +174,15 @@ class MemoryHierarchy:
         return latency
 
     # ------------------------------------------------------------------
-    # slip-audit: twin=below-l1 role=fast
     def _access_below_l1(self, line_addr: int, is_metadata: bool,
                          page: int) -> int:
         """Access L2 -> L3 -> DRAM; fill missing levels on the way back.
 
         Runs once per L2-visible event (demand miss or metadata fetch),
-        both in direct runs and in filtered replay, so the fused
-        hit/miss accounting is inlined bodily: below L1 a demand hit is
-        always a read (writes allocate at L1), the ``_l*_hit_fast``
-        flags guarantee a stock LRU recency stamp, and metadata energy
-        tracking (the SLIP levels) is a plain event-count bump. Under
-        SimCheck the instance-method ``record_*`` calls are taken
-        instead so the wrappers observe every event.
+        both in direct runs and in filtered replay. Below L1 a demand
+        hit is always a read (writes allocate at L1). Every hit and
+        miss is booked through ``CacheLevel.record_hit`` /
+        ``record_miss``, so SimCheck's wrappers observe each event.
         """
         latency = 0
         runtime = self.runtime
@@ -265,43 +194,11 @@ class MemoryHierarchy:
         set_idx = line_addr % l2.num_sets
         way = l2._index[set_idx].get(line_addr)
         if way is not None:
-            if self._l2_hit_fast:
-                # Fused record_hit.
-                line = l2.sets[set_idx][way]
-                line.hits += 1
-                stats = l2.stats
-                if is_metadata:
-                    stats.metadata_hits += 1
-                else:
-                    stats.demand_hits += 1
-                sublevel = l2.sublevel_by_way[way]
-                stats.hits_by_sublevel[sublevel] += 1
-                stats.read_events[sublevel] += 1
-                if l2.track_metadata_energy:
-                    stats.metadata_events += 1
-                lru = l2.replacement
-                lru._clock += 1
-                line.lru = lru._clock
-                latency += l2.latency_by_way[way]
-                if not self._l2_onhit_noop:
-                    self.l2_placement.on_hit(set_idx, way)
-            else:
-                latency += l2.record_hit(set_idx, way, is_write=False,
-                                         is_metadata=is_metadata)
-                self.l2_placement.on_hit(set_idx, way)
+            latency += l2.record_hit(set_idx, way, is_write=False,
+                                     is_metadata=is_metadata)
+            self.l2_placement.on_hit(set_idx, way)
             return latency
-        if self._unchecked:
-            # Fused record_miss.
-            stats = l2.stats
-            if is_metadata:
-                stats.metadata_misses += 1
-            else:
-                stats.demand_misses += 1
-            if l2.track_metadata_energy:
-                stats.metadata_events += 1
-            latency += l2.cfg.latency_cycles
-        else:
-            latency += l2.record_miss(is_metadata)
+        latency += l2.record_miss(is_metadata)
         if not is_metadata and runtime.slip_enabled:
             runtime.record_miss_sample("L2", page)
 
@@ -310,45 +207,12 @@ class MemoryHierarchy:
         l3.access_counter = (l3.access_counter + 1) % l3.timestamp_wrap
         l3_set = line_addr % l3.num_sets
         l3_way = l3._index[l3_set].get(line_addr)
-        l3_hit = l3_way is not None
-        if l3_hit:
-            if self._l3_hit_fast:
-                # Fused record_hit.
-                line = l3.sets[l3_set][l3_way]
-                line.hits += 1
-                stats = l3.stats
-                if is_metadata:
-                    stats.metadata_hits += 1
-                else:
-                    stats.demand_hits += 1
-                sublevel = l3.sublevel_by_way[l3_way]
-                stats.hits_by_sublevel[sublevel] += 1
-                stats.read_events[sublevel] += 1
-                if l3.track_metadata_energy:
-                    stats.metadata_events += 1
-                lru = l3.replacement
-                lru._clock += 1
-                line.lru = lru._clock
-                latency += l3.latency_by_way[l3_way]
-                if not self._l3_onhit_noop:
-                    self.l3_placement.on_hit(l3_set, l3_way)
-            else:
-                latency += l3.record_hit(l3_set, l3_way, is_write=False,
-                                         is_metadata=is_metadata)
-                self.l3_placement.on_hit(l3_set, l3_way)
+        if l3_way is not None:
+            latency += l3.record_hit(l3_set, l3_way, is_write=False,
+                                     is_metadata=is_metadata)
+            self.l3_placement.on_hit(l3_set, l3_way)
         else:
-            if self._unchecked:
-                # Fused record_miss.
-                stats = l3.stats
-                if is_metadata:
-                    stats.metadata_misses += 1
-                else:
-                    stats.demand_misses += 1
-                if l3.track_metadata_energy:
-                    stats.metadata_events += 1
-                latency += l3.cfg.latency_cycles
-            else:
-                latency += l3.record_miss(is_metadata)
+            latency += l3.record_miss(is_metadata)
             if not is_metadata and runtime.slip_enabled:
                 runtime.record_miss_sample("L3", page)
             latency += self.dram.read()
@@ -372,37 +236,23 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Writeback paths (write-no-allocate below the originating level)
     # ------------------------------------------------------------------
-    # slip-audit: twin=wb-l2 role=fast
     def _writeback_below_l1(self, line_addr: int) -> None:
         l2 = self.l2
         l2.access_counter = (l2.access_counter + 1) % l2.timestamp_wrap
         set_idx = line_addr % l2.num_sets
         way = l2._index[set_idx].get(line_addr)
         if way is not None:
-            if self._unchecked:
-                l2.sets[set_idx][way].dirty = True
-                stats = l2.stats
-                stats.writebacks_in += 1
-                stats.wb_in_events[l2.sublevel_by_way[way]] += 1
-            else:
-                l2.record_writeback_in(set_idx, way)
+            l2.record_writeback_in(set_idx, way)
             return
         self._writeback_to_l3(line_addr)
 
-    # slip-audit: twin=wb-l3 role=fast
     def _writeback_to_l3(self, line_addr: int) -> None:
         l3 = self.l3
         l3.access_counter = (l3.access_counter + 1) % l3.timestamp_wrap
         set_idx = line_addr % l3.num_sets
         way = l3._index[set_idx].get(line_addr)
         if way is not None:
-            if self._unchecked:
-                l3.sets[set_idx][way].dirty = True
-                stats = l3.stats
-                stats.writebacks_in += 1
-                stats.wb_in_events[l3.sublevel_by_way[way]] += 1
-            else:
-                l3.record_writeback_in(set_idx, way)
+            l3.record_writeback_in(set_idx, way)
             return
         self._writeback_to_dram(line_addr)
 

@@ -11,15 +11,15 @@ producing a :class:`~repro.sim.results.RunResult` whose ``to_json()``
 is byte-identical to a direct run: the per-access walk of
 :func:`~repro.sim.single_core._run_trace_scalar`.
 
-:func:`capture_front_end` takes the capture: it first offers the work to
-the batched capture kernel (:mod:`~repro.sim.vector_frontend`), which
-simulates the TLB and L1 over the whole trace in three numpy phases
-and emits a byte-identical
+The capture is taken by the batched capture kernel
+(:mod:`~repro.sim.vector_frontend`), which simulates the TLB and L1
+over the whole trace in three numpy phases and emits a
 :class:`~repro.workloads.capture_store.TraceCapture`. Where the kernel
-declines (``hierarchy.kernel_declines.frontend`` records why), a
-baseline hierarchy is driven with the below-L1 entry points *shadowed*
-by recorders returning zero latency: front-end accounting is then
-produced by exactly the code a direct run executes, and
+declines (``hierarchy.kernel_declines.frontend`` records why), the
+caller falls back to :func:`capture_front_end`: a baseline hierarchy
+driven with the below-L1 entry points *shadowed* by recorders
+returning zero latency. Front-end accounting is then produced by
+exactly the code a direct run executes, and
 ``counters.total_latency_cycles`` at the end is precisely the frozen
 L1-side latency. That scalar walk is the kernel's golden reference.
 
@@ -90,7 +90,6 @@ from .config import SystemConfig
 from .replay_plan import build_plan, ensure_plan_verified, plan_geometry_key
 from .results import RunResult, collect_result
 from .timing import execution_time
-from .vector_frontend import capture_front_end_vector
 from .vector_replay import merge_by_access, replay_capture_vector
 from .vector_replay_slip import replay_capture_vector_slip
 
@@ -136,22 +135,16 @@ def capture_front_end(trace: Trace, config: SystemConfig,
                       warmup_fraction: float = 0.25) -> TraceCapture:
     """Run the policy-invariant front end once; record the boundary.
 
-    Builds a baseline hierarchy and offers it to the capture kernel.
-    On a decline, shadows its below-L1 entry points with recorders and
+    The scalar reference walk behind the capture kernel
+    (:func:`~repro.sim.vector_frontend.capture_front_end_vector`),
+    which callers offer the work to first. Builds a baseline
+    hierarchy, shadows its below-L1 entry points with recorders and
     drives the real ``access()`` loop, so the frozen L1/TLB statistics
     are produced by the exact code a direct run executes.
     """
     hierarchy = build_hierarchy(config, "baseline")
     if hierarchy.simcheck is not None:
         raise CaptureError("capture pass cannot run under SimCheck")
-
-    # Batched kernel first; it declines (returns None) outside its
-    # eligibility matrix and the scalar walk below stays the golden
-    # reference, exactly like the replay kernels.
-    capture = capture_front_end_vector(hierarchy, trace, config,
-                                       warmup_fraction)
-    if capture is not None:
-        return capture
 
     ops: list = []
     addrs: list = []

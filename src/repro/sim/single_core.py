@@ -80,8 +80,10 @@ def run_trace(
     key = fingerprint_key(fingerprint)
     capture = store.get(key)
     if capture is None:
-        # The cell's own hierarchy is the kernel's eligibility probe;
-        # capture_front_end builds a baseline one only after a decline.
+        # The cell's own hierarchy is the kernel's eligibility probe.
+        # The bypass above leaves only config-only decline reasons (the
+        # L1 geometry), which a baseline probe would hit too, so a
+        # decline goes straight to the scalar walk.
         capture = capture_front_end_vector(hierarchy, trace, config,
                                            warmup_fraction)
         if capture is None:

@@ -47,11 +47,11 @@ whenever the hierarchy is not eligible: SimCheck, a Section 7 rd-block
 runtime, a non-LRU L1 replacement, metadata-energy tracking on L1, or
 a sublevel-partitioned L1 geometry (the kernel's closed-form latency
 ``(n - warmup) * latency_cycles`` needs uniform way latencies).
-Declines are recorded on ``hierarchy.vector_frontend_decline`` —
+Declines are recorded on ``hierarchy.kernel_declines.frontend`` —
 echoed to stderr under ``REPRO_VECTOR_FRONTEND_DEBUG=1`` — mirroring
-the ``vector_replay_decline`` contract. Every kernel capture is
-audited by the always-on ``vector-frontend-conservation`` invariant
-before it is published.
+the replay kernels' ``kernel_declines.replay`` contract. Every kernel
+capture is audited by the always-on ``vector-frontend-conservation``
+invariant before it is published.
 """
 
 from __future__ import annotations

@@ -126,7 +126,7 @@ def slip_eligible(hierarchy) -> bool:
     events the kernel never generates. Unlike the baseline-kind kernel,
     metadata-energy tracking is supported (SLIP levels always track it;
     the event count is a derived total here). Declines record a reason
-    on ``hierarchy.vector_replay_decline``.
+    on ``hierarchy.kernel_declines.replay``.
     """
     if hierarchy.simcheck is not None:
         record_decline(hierarchy, "simcheck")

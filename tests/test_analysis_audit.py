@@ -54,8 +54,7 @@ def test_src_tree_audits_clean():
 
 def test_registry_covers_the_documented_pairs():
     assert {p.pair_id for p in TWIN_REGISTRY} == {
-        "baseline-fill", "slip-fill", "l1-access", "below-l1",
-        "wb-l2", "wb-l3", "eou-optimize", "vector-replay",
+        "baseline-fill", "slip-fill", "eou-optimize", "vector-replay",
         "slip-vector-replay", "vector-frontend", "replay-plan",
     }
 
@@ -72,8 +71,9 @@ MUTATIONS = [
     ("policies/baseline.py", "stats.writebacks_out += 1"),
     ("core/controller.py", "stats.bypasses += 1"),          # fused SLIP fill
     ("core/controller.py", "stats.insertions_by_class["),   # 1 of 2 sites
-    ("mem/hierarchy.py", "stats.demand_hits += 1"),         # fused L1 hit
-    ("mem/hierarchy.py", "stats.writebacks_in += 1"),       # fused wb
+    ("mem/cache.py", "stats.hits_by_sublevel[sublevel] += 1"),  # record_hit
+    ("mem/cache.py", "self.stats.writebacks_in += 1"),      # wb in
+    ("mem/hierarchy.py", "counters.l1_hits += 1"),          # access
     ("core/eou.py", "stats.optimizations += 1"),            # EOU ledger
     ("sim/vector_replay.py", "counters.total_latency_cycles +="),
 ]
@@ -338,8 +338,8 @@ def test_cli_list_rules_catalogs_every_audit_rule(capsys):
 
 
 def test_cli_explain_pair(capsys):
-    assert main(["--explain-pair", "wb-l2", SRC_DIR]) == 0
-    assert "wb-l2" in capsys.readouterr().out
+    assert main(["--explain-pair", "vector-replay", SRC_DIR]) == 0
+    assert "vector-replay" in capsys.readouterr().out
 
 
 def test_module_invocation_matches_entry_point():

@@ -18,7 +18,6 @@ import pytest
 
 from repro.analysis.invariants import InvariantViolation
 from repro.experiments.parallel import RunRequest, run_jobs
-from repro.sim import filtered
 from repro.sim.build import build_hierarchy
 from repro.sim.config import LINES_PER_PAGE, line_to_page_shift
 from repro.sim.filtered import (
@@ -92,15 +91,12 @@ class TestEquivalence:
 # Capture modes
 # ----------------------------------------------------------------------
 class TestCaptureModes:
-    def test_cold_cell_publishes_scalar_capture(self, tiny_system,
-                                                monkeypatch):
+    def test_cold_cell_publishes_scalar_capture(self, tiny_system):
         """A cold slip cell stores what the scalar walk would capture."""
         trace = make_trace("soplex", LENGTH)
         store = MemoryCaptureStore()
         run_trace(trace, "slip_abp", config=tiny_system, store=store)
         (published,) = store._entries.values()
-        monkeypatch.setattr(filtered, "capture_front_end_vector",
-                            lambda *args: None)
         walked = capture_front_end(trace, tiny_system)
         assert (walked.n, walked.warmup, walked.event_boundary) == (
             published.n, published.warmup, published.event_boundary)

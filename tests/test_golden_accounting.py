@@ -1,12 +1,14 @@
 """Golden accounting-equivalence tests for the hot-path rewrite.
 
-The fused access/fill fast paths (per-way tables, deferred event-count
-energy, inlined L1/L2/L3 legs) must be *byte-identical* in their
+Every path that serves a single-core cell — the kernels behind
+``run_benchmark`` and the scalar reference walk (fused fills, per-way
+tables, deferred event-count energy) — must be *byte-identical* in its
 published accounting to the pre-refactor primitive-by-primitive code.
 These tests pin that down: each snapshot under
 ``tests/data/golden_accounting/`` is the exact ``RunResult.to_json()``
 produced by the pre-refactor tree for the same (benchmark, policy,
-length, seed) cell, and the current tree must reproduce it to the byte.
+length, seed) cell, and both ``run_benchmark`` and the scalar walk
+(``_run_trace_scalar``) must reproduce it to the byte.
 
 If a deliberate accounting change ever invalidates these, regenerate
 the snapshots with the loop below and call the change out in the PR:
@@ -35,6 +37,7 @@ import pytest
 from repro.sim.config import default_system
 from repro.sim.multi_core import _walk_mix, run_mix
 from repro.sim.single_core import run_benchmark
+from repro.workloads.benchmarks import make_trace
 from repro.workloads.mixes import make_mix_traces
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden_accounting"
@@ -77,12 +80,21 @@ def _assert_bytes_equal(label: str, actual: str, expected: str) -> None:
         )
 
 
-@pytest.mark.parametrize("bench,policy", CELLS)
-def test_golden_run_result_bytes(bench: str, policy: str) -> None:
+# The run_benchmark cases keep their bare "bench-policy" ids.
+@pytest.mark.parametrize("bench,policy,path", [
+    pytest.param(b, p, path, id=f"{b}-{p}" + ("-walk" if path == "walk"
+                                              else ""))
+    for path in ("run_benchmark", "walk") for b, p in CELLS
+])
+def test_golden_run_result_bytes(bench: str, policy: str, path: str,
+                                 scalar_run) -> None:
     expected = (GOLDEN_DIR / f"{bench}_{policy}.json").read_text()
-    result = run_benchmark(bench, policy, length=20_000, seed=0)
-    _assert_bytes_equal(f"{bench}/{policy}", result.to_json() + "\n",
-                        expected)
+    if path == "run_benchmark":
+        result = run_benchmark(bench, policy, length=20_000, seed=0)
+    else:
+        result = scalar_run(make_trace(bench, 20_000, 0), policy)
+    _assert_bytes_equal(f"{bench}/{policy} ({path})",
+                        result.to_json() + "\n", expected)
 
 
 def test_golden_snapshots_exist() -> None:

@@ -8,8 +8,8 @@ serialize byte-for-byte like the scalar cold path, across all five
 policies, both capture stores, both worker modes and randomized
 trace/geometry space. Everything the kernel cannot represent must
 decline with a recorded reason and fall back to the scalar walk with
-identical bytes; tests reach that walk by making the kernel decline. Also covers the ``REPRO_CAPTURE_MEM_ENTRIES``
-capacity knob of the in-process store.
+identical bytes; tests call that walk directly. Also covers the
+``REPRO_CAPTURE_MEM_ENTRIES`` capacity knob of the in-process store.
 """
 
 import json
@@ -29,8 +29,8 @@ from repro.sim.config import (
     SlipParams,
     SystemConfig,
 )
-from repro.sim import filtered
 from repro.sim.filtered import capture_front_end
+from repro.sim.kernel_report import kernel_report_lines, reset_kernel_counts
 from repro.sim.single_core import run_trace
 from repro.sim.vector_frontend import (
     capture_front_end_vector,
@@ -54,12 +54,11 @@ def canonical(result) -> str:
     return json.dumps(result.to_json(), sort_keys=True)
 
 
-def capture_pair(trace, config, monkeypatch, warmup_fraction=0.25):
-    """(scalar capture, kernel capture) of the same front end."""
-    with monkeypatch.context() as mp:
-        mp.setattr(filtered, "capture_front_end_vector", lambda *args: None)
-        scalar = capture_front_end(trace, config, warmup_fraction)
-    vector = capture_front_end(trace, config, warmup_fraction)
+def capture_pair(trace, config, warmup_fraction=0.25):
+    """(scalar capture, kernel capture or None) of the same front end."""
+    scalar = capture_front_end(trace, config, warmup_fraction)
+    vector = capture_front_end_vector(build_hierarchy(config, "baseline"),
+                                      trace, config, warmup_fraction)
     return scalar, vector
 
 
@@ -90,26 +89,23 @@ def synthetic_trace(rng, length) -> Trace:
 # ----------------------------------------------------------------------
 class TestByteIdentity:
     @pytest.mark.parametrize("bench", ("soplex", "lbm"))
-    def test_capture_matches_scalar(self, bench, tiny_system,
-                                    monkeypatch):
+    def test_capture_matches_scalar(self, bench, tiny_system):
         trace = make_trace(bench, LENGTH)
-        scalar, vector = capture_pair(trace, tiny_system, monkeypatch)
+        scalar, vector = capture_pair(trace, tiny_system)
         assert_captures_equal(vector, scalar)
 
-    def test_capture_matches_scalar_paper_geometry(self, paper_system,
-                                                   monkeypatch):
+    def test_capture_matches_scalar_paper_geometry(self, paper_system):
         assert frontend_eligible(
             build_hierarchy(paper_system, "baseline"))
         trace = make_trace("soplex", LENGTH)
-        scalar, vector = capture_pair(trace, paper_system, monkeypatch)
+        scalar, vector = capture_pair(trace, paper_system)
         assert_captures_equal(vector, scalar)
 
     @pytest.mark.parametrize("warmup_fraction", (0.0, 0.25, 0.6, 1.0))
-    def test_warmup_boundary_edges(self, warmup_fraction, tiny_system,
-                                   monkeypatch):
+    def test_warmup_boundary_edges(self, warmup_fraction, tiny_system):
         """Array state crosses the reset; tallies split exactly."""
         trace = make_trace("lbm", 1_100)
-        scalar, vector = capture_pair(trace, tiny_system, monkeypatch,
+        scalar, vector = capture_pair(trace, tiny_system,
                                       warmup_fraction=warmup_fraction)
         assert_captures_equal(vector, scalar)
 
@@ -141,14 +137,13 @@ class TestByteIdentity:
         assert canonical(cold) == canonical(
             scalar_run(trace, policy, tiny_system))
 
-    def test_capture_through_store_is_kernel_capture(self, tiny_system,
-                                                     monkeypatch):
+    def test_capture_through_store_is_kernel_capture(self, tiny_system):
         """The cold baseline path stores the kernel's capture bytes."""
         trace = make_trace("soplex", 1_400)
         store = MemoryCaptureStore()
         run_trace(trace, "baseline", config=tiny_system, store=store)
         (stored,) = store._entries.values()
-        scalar, _ = capture_pair(trace, tiny_system, monkeypatch)
+        scalar, _ = capture_pair(trace, tiny_system)
         assert_captures_equal(stored, scalar)
 
 
@@ -212,7 +207,7 @@ def _random_frontend_system(rng) -> SystemConfig:
 
 
 @pytest.mark.parametrize("case_seed", range(8))
-def test_random_geometry_property(case_seed, monkeypatch, scalar_run):
+def test_random_geometry_property(case_seed, scalar_run):
     rng = random.Random(9_000 + case_seed)
     config = _random_frontend_system(rng)
     length = rng.randint(900, 2_200)
@@ -221,7 +216,7 @@ def test_random_geometry_property(case_seed, monkeypatch, scalar_run):
     else:
         trace = make_trace(rng.choice(("soplex", "lbm", "mcf")),
                            length, seed=rng.randint(0, 99))
-    scalar, vector = capture_pair(trace, config, monkeypatch)
+    scalar, vector = capture_pair(trace, config)
     assert_captures_equal(vector, scalar)
     policy = POLICIES[case_seed % len(POLICIES)]
     cold = run_trace(trace, policy, config=config,
@@ -241,24 +236,25 @@ class TestDecline:
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         hierarchy = build_hierarchy(tiny_system, "baseline")
         assert not frontend_eligible(hierarchy)
-        assert hierarchy.vector_frontend_decline == "simcheck"
+        assert hierarchy.kernel_declines.frontend == "simcheck"
 
     def test_rd_block_mode_declines(self, tiny_system):
         config = tiny_system.with_slip(rd_block_lines=8)
         hierarchy = build_hierarchy(config, "slip")
         assert not frontend_eligible(hierarchy)
-        assert hierarchy.vector_frontend_decline == "rd-block"
+        assert hierarchy.kernel_declines.frontend == "rd-block"
 
     def test_non_lru_l1_replacement_declines(self, tiny_system):
         hierarchy = build_hierarchy(tiny_system, "baseline")
         hierarchy.l1.replacement = RandomReplacement()
         assert not frontend_eligible(hierarchy)
-        assert (hierarchy.vector_frontend_decline
+        assert (hierarchy.kernel_declines.frontend
                 == "l1-replacement:RandomReplacement")
 
     def test_partitioned_l1_declines_and_falls_back(self, tiny_system,
-                                                    monkeypatch):
-        """Non-uniform L1: decline, and the scalar walk still serves."""
+                                                    scalar_run):
+        """Non-uniform L1: a cold cell declines once, and the scalar
+        walk still serves it."""
         l1 = CacheLevelConfig(
             name="L1", size_bytes=1024, ways=2, latency_cycles=1,
             access_energy_pj=1.0, sublevel_ways=(1, 1),
@@ -271,18 +267,23 @@ class TestDecline:
         )
         hierarchy = build_hierarchy(config, "baseline")
         assert not frontend_eligible(hierarchy)
-        assert hierarchy.vector_frontend_decline == "l1-geometry"
+        assert hierarchy.kernel_declines.frontend == "l1-geometry"
         trace = make_trace("soplex", 1_200)
-        scalar, fallback = capture_pair(trace, config, monkeypatch)
-        assert_captures_equal(fallback, scalar)
+        reset_kernel_counts()
+        cold = run_trace(trace, "baseline", config=config)
+        assert kernel_report_lines()[0] == (
+            "[kernel-report] vector-frontend: 0 kernel run(s), "
+            "1 decline(s) [l1-geometry=1]")
+        assert canonical(cold) == canonical(
+            scalar_run(trace, "baseline", config))
 
     def test_successful_capture_clears_decline(self, tiny_system):
         trace = make_trace("soplex", 1_200)
         hierarchy = build_hierarchy(tiny_system, "baseline")
-        hierarchy.vector_frontend_decline = "stale"
+        hierarchy.kernel_declines.frontend = "stale"
         assert capture_front_end_vector(hierarchy, trace,
                                         tiny_system) is not None
-        assert hierarchy.vector_frontend_decline is None
+        assert hierarchy.kernel_declines.frontend is None
 
     def test_debug_flag_echoes_reason_to_stderr(self, tiny_system,
                                                 monkeypatch, capsys):

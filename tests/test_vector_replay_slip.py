@@ -214,13 +214,13 @@ class TestDecline:
     def test_non_slip_kind_declines(self, tiny_system):
         hierarchy = build_hierarchy(tiny_system, "baseline")
         assert not slip_eligible(hierarchy)
-        assert hierarchy.vector_replay_decline == "kind:not-slip"
+        assert hierarchy.kernel_declines.replay == "kind:not-slip"
 
     def test_simcheck_declines(self, tiny_system, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         hierarchy = build_hierarchy(tiny_system, "slip")
         assert not slip_eligible(hierarchy)
-        assert hierarchy.vector_replay_decline == "simcheck"
+        assert hierarchy.kernel_declines.replay == "simcheck"
 
     def test_rd_block_mode_declines(self, tiny_system):
         config = SystemConfig(
@@ -232,13 +232,13 @@ class TestDecline:
         )
         hierarchy = build_hierarchy(config, "slip")
         assert not slip_eligible(hierarchy)
-        assert hierarchy.vector_replay_decline == "rd-block"
+        assert hierarchy.kernel_declines.replay == "rd-block"
 
     def test_non_lru_replacement_declines(self, tiny_system):
         hierarchy = build_hierarchy(tiny_system, "slip",
                                     replacement="random")
         assert not slip_eligible(hierarchy)
-        assert (hierarchy.vector_replay_decline
+        assert (hierarchy.kernel_declines.replay
                 == "replacement:L2:RandomReplacement")
 
     def test_successful_replay_clears_decline(self, tiny_system):
@@ -247,10 +247,10 @@ class TestDecline:
         run_trace(trace, "slip", config=tiny_system, store=store)
         capture = slip_capture(trace, tiny_system, store)
         hierarchy = build_hierarchy(tiny_system, "slip")
-        hierarchy.vector_replay_decline = "stale"
+        hierarchy.kernel_declines.replay = "stale"
         assert replay_capture_vector_slip(hierarchy, trace,
                                           capture) is True
-        assert hierarchy.vector_replay_decline is None
+        assert hierarchy.kernel_declines.replay is None
 
     def test_debug_flag_echoes_reason_to_stderr(self, tiny_system,
                                                 monkeypatch, capsys):
