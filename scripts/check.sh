@@ -69,9 +69,16 @@ det_smoke() {
     out4="$(python -m repro.experiments.runner fig01 --length 2000 --jobs 4 \
         | grep -v '^\[')" || return 1
     [ "$out1" = "$out4" ] || return 1
-    # Fig. 16 runs the multicore capture/replay path.
-    out1="$(python -m repro.experiments.runner fig16 --length 2000 --jobs 1 \
-        | grep -v '^\[')" || return 1
+    # Fig. 16 runs the multicore capture/replay path. The serial run's
+    # kernel report must show the back-end kernels serving every core
+    # of every mix (16 mixes x 2 cores) without a decline.
+    local raw1
+    raw1="$(python -m repro.experiments.runner fig16 --length 2000 --jobs 1 \
+        --kernel-report)" || return 1
+    printf '%s\n' "$raw1" | grep -qxF \
+        '[kernel-report] vector-replay: 32 kernel run(s), 0 decline(s)' \
+        || return 1
+    out1="$(printf '%s\n' "$raw1" | grep -v '^\[')"
     out4="$(python -m repro.experiments.runner fig16 --length 2000 --jobs 2 \
         | grep -v '^\[')" || return 1
     [ "$out1" = "$out4" ]

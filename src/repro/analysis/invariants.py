@@ -735,9 +735,7 @@ def check_vector_replay(l2_legs: Any, l3_ops: Any, l3_measured: Any,
 # ----------------------------------------------------------------------
 # SLIP vector-replay conservation (always on, independent of the flag)
 # ----------------------------------------------------------------------
-def check_slip_vector_replay(*, demand_events: int, metadata_events: int,
-                             fetch_events: int, wb_events: int,
-                             l2_tally: Any, l3_tally: Any,
+def check_slip_vector_replay(l2_legs: Any, l3_tally: Any, *,
                              dram_writebacks: int) -> None:
     """``slip-vector-replay-conservation``: audit one phase-split run.
 
@@ -750,41 +748,62 @@ def check_slip_vector_replay(*, demand_events: int, metadata_events: int,
     can be balanced against each other, against the capture, and
     against the live runtime's metadata-fetch ledger:
 
-    * every measured captured demand event was consumed exactly once at
-      L2, and every metadata line the live runtime fetched (PTE line
-      plus distribution lines, ``tlb_miss_fetches +
-      distribution_fetches``) appears once in both the fetch-count
-      stream and the L2 annotation stream;
+    * at each core's L2, every measured captured demand event was
+      consumed exactly once, and every metadata line the core's live
+      runtime fetched (PTE line plus distribution lines,
+      ``tlb_miss_fetches + distribution_fetches``) appears once in both
+      the fetch-count stream and the L2 annotation stream;
     * at each level, fills partition into insertions and ABP bypasses
       (``insertions + bypasses == misses``) and the per-class tally
       covers them; movement reads pair with movement writes;
-    * the L3 stream carries exactly the L2 misses (demand and metadata
-      separately), and the L3 writeback stream carries exactly the
-      forwarded plus evicted-dirty L2 writebacks;
-    * DRAM absorbs exactly the L3-forwarded plus L3-evicted writebacks.
+    * the L3 stream carries exactly the sum of every core's L2 misses
+      (demand and metadata separately), and the L3 writeback stream
+      exactly the sum of every core's forwarded plus evicted-dirty L2
+      writebacks;
+    * DRAM absorbs exactly the L3-forwarded plus L3-evicted writebacks,
+      summed over the cores that caused them.
+
+    ``l2_legs`` holds one ``(demand_events, metadata_events,
+    fetch_events, wb_events, tally)`` tuple per core's private L2:
+    measured captured demand misses, the runtime's metadata ledger, the
+    fetch-count stream total, measured captured L1 writebacks, and the
+    L2 tally. The L3 is the cores' shared one.
     """
     name = "slip-vector-replay-conservation"
-    l2_demand = sum(l2_tally.dh_sub) + l2_tally.demand_misses
-    if l2_demand != demand_events:
-        raise InvariantViolation(
-            name,
-            f"kernel consumed {l2_demand} measured demand events of "
-            f"{demand_events} in the capture",
-            level="L2", counter="demand_events")
-    l2_meta = sum(l2_tally.mh_sub) + l2_tally.metadata_misses
-    if l2_meta != fetch_events:
-        raise InvariantViolation(
-            name,
-            f"kernel consumed {l2_meta} measured metadata events but "
-            f"the fetch stream carries {fetch_events}",
-            level="L2", counter="metadata_events")
-    if fetch_events != metadata_events:
-        raise InvariantViolation(
-            name,
-            f"fetch stream carries {fetch_events} metadata lines but "
-            f"the runtime ledger accounts for {metadata_events}",
-            level="L2", counter="metadata_fetches")
-    for label, tally in (("L2", l2_tally), ("L3", l3_tally)):
+    tallies = []
+    for core, (demand_events, metadata_events, fetch_events, wb_events,
+               l2_tally) in enumerate(l2_legs):
+        label = f"L2[{core}]" if len(l2_legs) > 1 else "L2"
+        tallies.append((label, l2_tally))
+        l2_demand = sum(l2_tally.dh_sub) + l2_tally.demand_misses
+        if l2_demand != demand_events:
+            raise InvariantViolation(
+                name,
+                f"kernel consumed {l2_demand} measured demand events of "
+                f"{demand_events} in the capture",
+                level=label, counter="demand_events")
+        l2_meta = sum(l2_tally.mh_sub) + l2_tally.metadata_misses
+        if l2_meta != fetch_events:
+            raise InvariantViolation(
+                name,
+                f"kernel consumed {l2_meta} measured metadata events but "
+                f"the fetch stream carries {fetch_events}",
+                level=label, counter="metadata_events")
+        if fetch_events != metadata_events:
+            raise InvariantViolation(
+                name,
+                f"fetch stream carries {fetch_events} metadata lines but "
+                f"the runtime ledger accounts for {metadata_events}",
+                level=label, counter="metadata_fetches")
+        l2_wb = sum(l2_tally.wbin_sub) + l2_tally.forwarded_wbs
+        if l2_wb != wb_events:
+            raise InvariantViolation(
+                name,
+                f"L2 writeback stream consumed {l2_wb} events but the "
+                f"capture holds {wb_events}",
+                level=label, counter="wb_in_events")
+    tallies.append(("L3", l3_tally))
+    for label, tally in tallies:
         fills = tally.demand_misses + tally.metadata_misses
         placed = sum(tally.ins_sub) + tally.bypasses
         if placed != fills:
@@ -805,34 +824,31 @@ def check_slip_vector_replay(*, demand_events: int, metadata_events: int,
                 f"{sum(tally.mvr_sub)} movement reads vs "
                 f"{sum(tally.mvw_sub)} movement writes",
                 level=label, counter="move_events")
-    l2_wb = sum(l2_tally.wbin_sub) + l2_tally.forwarded_wbs
-    if l2_wb != wb_events:
-        raise InvariantViolation(
-            name,
-            f"L2 writeback stream consumed {l2_wb} events but the "
-            f"capture holds {wb_events}",
-            level="L2", counter="wb_in_events")
+    l2_tallies = [leg[4] for leg in l2_legs]
+    l2_demand_misses = sum(t.demand_misses for t in l2_tallies)
     l3_demand = sum(l3_tally.dh_sub) + l3_tally.demand_misses
-    if l3_demand != l2_tally.demand_misses:
+    if l3_demand != l2_demand_misses:
         raise InvariantViolation(
             name,
-            f"L3 saw {l3_demand} demand events but L2 missed "
-            f"{l2_tally.demand_misses}",
+            f"L3 saw {l3_demand} demand events but the L2s missed "
+            f"{l2_demand_misses}",
             level="L3", counter="demand_events")
+    l2_metadata_misses = sum(t.metadata_misses for t in l2_tallies)
     l3_meta = sum(l3_tally.mh_sub) + l3_tally.metadata_misses
-    if l3_meta != l2_tally.metadata_misses:
+    if l3_meta != l2_metadata_misses:
         raise InvariantViolation(
             name,
-            f"L3 saw {l3_meta} metadata events but L2 missed "
-            f"{l2_tally.metadata_misses}",
+            f"L3 saw {l3_meta} metadata events but the L2s missed "
+            f"{l2_metadata_misses}",
             level="L3", counter="metadata_events")
     l3_wb_in = sum(l3_tally.wbin_sub) + l3_tally.forwarded_wbs
-    l3_wb_expect = l2_tally.forwarded_wbs + sum(l2_tally.wbout_sub)
+    l3_wb_expect = sum(t.forwarded_wbs + sum(t.wbout_sub)
+                       for t in l2_tallies)
     if l3_wb_in != l3_wb_expect:
         raise InvariantViolation(
             name,
-            f"L3 writeback stream consumed {l3_wb_in} events but L2 "
-            f"emitted {l3_wb_expect}",
+            f"L3 writeback stream consumed {l3_wb_in} events but the "
+            f"L2s emitted {l3_wb_expect}",
             level="L3", counter="wb_in_events")
     dram_expect = l3_tally.forwarded_wbs + sum(l3_tally.wbout_sub)
     if dram_writebacks != dram_expect:

@@ -417,3 +417,38 @@ class SlipRuntime(BaselineRuntime):
         return sum(
             eou.stats.tlb_block_cycles for eou in self.eous.values()
         )
+
+
+class RoutedSlipRuntime:
+    """Routes shared-L3 SLIP queries to the owning core's runtime.
+
+    ``runtimes[c]`` answers for every profile key whose top bits,
+    ``key >> key_shift``, name core ``c`` (see
+    :func:`repro.sim.multi_core.core_key_shift`).
+    """
+
+    slip_enabled = True
+
+    def __init__(self, runtimes: List[SlipRuntime],
+                 key_shift: int) -> None:
+        self.runtimes = runtimes
+        self._key_shift = key_shift
+
+    def _owner(self, page: int) -> SlipRuntime:
+        return self.runtimes[page >> self._key_shift]
+
+    def policy_for(self, level_name: str, page: int) -> int:
+        return self._owner(page).policy_for(level_name, page)
+
+    def is_sampling(self, page: int) -> bool:
+        return self._owner(page).is_sampling(page)
+
+    def policy_and_sampling(self, level_name: str, page: int):
+        return self._owner(page).policy_and_sampling(level_name, page)
+
+    def record_reuse(self, level_name: str, page: int,
+                     reuse_distance: int) -> None:
+        self._owner(page).record_reuse(level_name, page, reuse_distance)
+
+    def record_miss_sample(self, level_name: str, page: int) -> None:
+        self._owner(page).record_miss_sample(level_name, page)

@@ -42,10 +42,15 @@ kind, sampler parameters and all back-end knobs:
   positions; the sampler RNG draws once per TLB miss in both direct
   and replayed runs, so the RNG stream is preserved.
 
-Both scalar replays take one capture per hierarchy, so the same code
-serves the Figure 16 multicore mixes (:mod:`repro.sim.multi_core`):
-the cores' events merge by (access index, core), and a single-core
-replay is the one-core case.
+Both scalar replays take one capture per hierarchy, as do the two
+back-end kernels offered the work first
+(:func:`~repro.sim.vector_replay.replay_capture_vector` and
+:func:`~repro.sim.vector_replay_slip.replay_capture_vector_slip`), so
+the same code serves the Figure 16 multicore mixes
+(:mod:`repro.sim.multi_core`): the cores' events merge by (access
+index, core), and a single-core replay is the one-core case. In the
+mixes, as in single-core cells, the scalar replays serve only what the
+kernels decline.
 
 Frozen front-end statistics (L1 LevelStats, TLB and runtime stats,
 latency/hit counters) are merged back before ``finalize()``; the
@@ -427,8 +432,8 @@ def replay_capture(
         # Phase-split kernel first; it declines (returns False) outside
         # its eligibility matrix and the scalar walk stays the golden
         # reference.
-        if not replay_capture_vector_slip(hierarchy, trace, capture,
-                                          plan):
+        if not replay_capture_vector_slip([hierarchy], [trace],
+                                          [capture], plan):
             _replay_slip([hierarchy], [trace], [capture])
     else:
         # Batched kernel first; it declines (returns False) whenever

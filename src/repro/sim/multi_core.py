@@ -18,8 +18,12 @@ private L2s and the shared L3:
 * baseline / nurapid / lru_pea run the batched back end
   (:func:`~repro.sim.vector_replay.replay_capture_vector`): one L2 leg
   per core, one L3 leg over the merged L2 miss streams;
-* slip kinds, and baseline kinds the kernel declines, run the merged
-  scalar replays of :mod:`repro.sim.filtered`.
+* slip / slip_abp run the phase-split kernel
+  (:func:`~repro.sim.vector_replay_slip.replay_capture_vector_slip`):
+  one flat L2 model per core driven by that core's live runtime, one
+  flat shared-L3 model, swept in the merged event order;
+* whatever either kernel declines runs the merged scalar replays of
+  :mod:`repro.sim.filtered`.
 
 The per-access walk (:func:`_walk_mix`) stays the golden reference and
 serves every front-end decline: SimCheck, the Section 7 rd-block
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.controller import SlipPlacement
-from ..core.runtime import BaselineRuntime, SlipRuntime
+from ..core.runtime import BaselineRuntime, RoutedSlipRuntime, SlipRuntime
 from ..mem.cache import CacheLevel
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.replacement import LruReplacement
@@ -49,6 +53,7 @@ from .config import SystemConfig, default_system, line_to_page_shift
 from .filtered import _replay_events, _replay_slip
 from .vector_frontend import capture_front_end_vector
 from .vector_replay import replay_capture_vector
+from .vector_replay_slip import replay_capture_vector_slip
 
 
 def core_key_shift(runtime: SlipRuntime) -> int:
@@ -61,36 +66,6 @@ def core_key_shift(runtime: SlipRuntime) -> int:
     if key_shift is None:
         key_shift = line_to_page_shift(runtime.config.lines_per_page)
     return (CORE_ADDRESS_STRIDE.bit_length() - 1) - key_shift
-
-
-class RoutedSlipRuntime:
-    """Routes shared-L3 SLIP queries to the owning core's runtime."""
-
-    slip_enabled = True
-
-    def __init__(self, runtimes: List[SlipRuntime],
-                 key_shift: int) -> None:
-        self.runtimes = runtimes
-        self._key_shift = key_shift
-
-    def _owner(self, page: int) -> SlipRuntime:
-        return self.runtimes[page >> self._key_shift]
-
-    def policy_for(self, level_name: str, page: int) -> int:
-        return self._owner(page).policy_for(level_name, page)
-
-    def is_sampling(self, page: int) -> bool:
-        return self._owner(page).is_sampling(page)
-
-    def policy_and_sampling(self, level_name: str, page: int):
-        return self._owner(page).policy_and_sampling(level_name, page)
-
-    def record_reuse(self, level_name: str, page: int,
-                     reuse_distance: int) -> None:
-        self._owner(page).record_reuse(level_name, page, reuse_distance)
-
-    def record_miss_sample(self, level_name: str, page: int) -> None:
-        self._owner(page).record_miss_sample(level_name, page)
 
 
 @dataclass
@@ -291,7 +266,8 @@ def run_mix_traces(
                              warmup_fraction)
         captures.append(capture)
     if runtime_kind(policy) == "slip":
-        _replay_slip(hierarchies, windows, captures)
+        if not replay_capture_vector_slip(hierarchies, windows, captures):
+            _replay_slip(hierarchies, windows, captures)
     elif not replay_capture_vector(hierarchies, captures):
         _replay_events(hierarchies, captures)
     return _collect_mix(mix, policy, runtimes, shared_l3, hierarchies)

@@ -37,33 +37,52 @@ The kernel therefore splits the work differently:
   runtime ledger and the inline tallies before anything is published
   through :meth:`~repro.mem.stats.LevelStats.adopt_counts`.
 
+The kernel takes one trace window and capture per core. Each core has
+its own flat L2 model, driven by that core's live runtime (its
+``_key_metadata_fetches`` and page samples), and its own annotation
+streams. In the Figure 16 mixes (:mod:`repro.sim.multi_core`) the cores
+share one flat L3 model — one access counter, allocation rotor, LRU
+clock and probe dict — and the sweep visits their events in the scalar
+replay's merged order: access index, then core, then the TLB miss
+before the L1 miss. A single core is the one-core case of the same
+sweep. Every L3 event is annotated in the stream of the core that
+caused it, so DRAM reads and writes, and each core's measured-phase
+latency, are charged to that core; each line resident in the shared L3
+at the end counts its reuse once per core, as every core's
+``finalize()`` walks the shared level (EXPERIMENTS.md known
+deviation 4).
+
 Byte-identity with the scalar path holds because every stateful step is
 reproduced in the scalar order: the level access counters tick per
 event, the allocation rotors advance once per non-bypassed fill and
 once per cascade victim selection, LRU stamps come from a per-level
 monotone clock, timestamps quantize the post-tick access counter, and
 the sampler RNG/EOU sequence is the real runtime's own. The scalar walk
-remains the golden reference: SimCheck, rd-block mode, non-SLIP placements, foreign runtimes and non-LRU
-replacement ablations all decline cleanly (reason recorded via
+remains the golden reference: SimCheck, rd-block mode, non-SLIP
+placements, foreign runtimes and non-LRU replacement ablations all
+decline cleanly, as do cores that do not share one L3, a shared-L3
+router whose runtimes are not the cores' own in core order, and a page
+that routes to another core's runtime (reason recorded via
 :func:`repro.sim.vector_replay.record_decline`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.invariants import check_slip_vector_replay
 from ..core.controller import SlipPlacement
+from ..core.runtime import RoutedSlipRuntime
 from ..core.sampling import PageState
 from ..mem.replacement import LruReplacement
 from ..mem.tlb import PTES_PER_LINE, PTE_TABLE_BASE
 from ..workloads.capture_store import TraceCapture
 from ..workloads.trace import Trace
 from .kernel_report import record_success
-from .vector_replay import record_decline
+from .vector_replay import merge_by_access, record_decline
 
 _INF = float("inf")
 
@@ -118,16 +137,8 @@ class SlipLevelTally:
         self.hist: List[int] = [0, 0, 0, 0]
 
 
-def slip_eligible(hierarchy) -> bool:
-    """Whether the SLIP kernel may replay this hierarchy.
-
-    Exact-type checks, like :func:`~repro.sim.vector_replay.
-    eligible_kind`: a subclassed placement or replacement could observe
-    events the kernel never generates. Unlike the baseline-kind kernel,
-    metadata-energy tracking is supported (SLIP levels always track it;
-    the event count is a derived total here). Declines record a reason
-    on ``hierarchy.kernel_declines.replay``.
-    """
+def _core_eligible(hierarchy) -> bool:
+    """The per-core half of :func:`slip_eligible`."""
     if hierarchy.simcheck is not None:
         record_decline(hierarchy, "simcheck")
         return False
@@ -145,15 +156,67 @@ def slip_eligible(hierarchy) -> bool:
                 hierarchy,
                 f"placement:{level.cfg.name}:{type(placement).__name__}")
             return False
-        if placement._paged_runtime is not runtime:
-            record_decline(hierarchy, f"runtime:{level.cfg.name}:foreign")
-            return False
         if type(level.replacement) is not LruReplacement:
             record_decline(
                 hierarchy,
                 f"replacement:{level.cfg.name}:"
                 f"{type(level.replacement).__name__}")
             return False
+    if hierarchy.l2_placement._paged_runtime is not runtime:
+        record_decline(hierarchy,
+                       f"runtime:{hierarchy.l2.cfg.name}:foreign")
+        return False
+    return True
+
+
+def slip_eligible(hierarchies: Sequence, traces: Sequence[Trace]) -> bool:
+    """Whether the SLIP kernel may replay these cores.
+
+    One hierarchy and trace window per core. Exact-type checks, like
+    :func:`~repro.sim.vector_replay.eligible_kind`: a subclassed
+    placement or replacement could observe events the kernel never
+    generates. Unlike the baseline-kind kernel, metadata-energy
+    tracking is supported (SLIP levels always track it; the event count
+    is a derived total here).
+
+    Every core must pass the per-core checks, and its L2 must take its
+    SLIPs from the core's own runtime. A single core may own its L3
+    (the L3 placement takes the core's runtime too); otherwise every
+    core must share one L3 whose placement routes through a
+    :class:`~repro.core.runtime.RoutedSlipRuntime` over exactly these
+    cores' runtimes, in core order, and every page of core ``c``'s
+    window must route to core ``c``, so each core's sweep may serve the
+    shared-L3 page samples from its own runtime. Per-core declines
+    record a reason on that core's ``kernel_declines.replay``; shared-L3
+    declines record theirs on every core.
+    """
+    if not all([_core_eligible(hierarchy) for hierarchy in hierarchies]):
+        return False
+
+    def decline(reason: str) -> bool:
+        for hierarchy in hierarchies:
+            record_decline(hierarchy, reason)
+        return False
+
+    first = hierarchies[0]
+    l3, placement = first.l3, first.l3_placement
+    if any(hierarchy.l3 is not l3 or hierarchy.l3_placement is not placement
+           for hierarchy in hierarchies):
+        return decline(f"{l3.cfg.name}:not-shared")
+    runtimes = [hierarchy.runtime for hierarchy in hierarchies]
+    if len(runtimes) == 1 and placement._paged_runtime is runtimes[0]:
+        return True
+    router = placement.runtime
+    if type(router) is not RoutedSlipRuntime:
+        return decline(f"runtime:{l3.cfg.name}:foreign")
+    if (len(router.runtimes) != len(runtimes)
+            or any(a is not b for a, b in zip(router.runtimes, runtimes))):
+        return decline("router:runtimes")
+    shift = first._page_shift + router._key_shift
+    for core, trace in enumerate(traces):
+        owners = trace.addresses >> shift
+        if owners.size and not (owners.min() == core == owners.max()):
+            return decline("router:page")
     return True
 
 
@@ -218,98 +281,141 @@ def _code_tables(sub: Tuple[int, ...], ways: int, size: int) -> Tuple:
     return cached
 
 
-# slip-audit: twin=slip-vector-replay role=fast
-def replay_capture_vector_slip(hierarchy, trace: Trace,
-                               capture: TraceCapture,
-                               plan=None) -> bool:
-    """Phase-split replay of a slip-kind capture; False to fall back.
+def _code_counts(ann: bytearray, boundary: int) -> np.ndarray:
+    """Phase 2: the measured slice of one annotation stream, binned."""
+    codes = np.frombuffer(ann, dtype=np.uint8)[boundary:]
+    return np.bincount(codes, minlength=_ANN_SPAN)
 
-    On success the hierarchy's L2/L3/DRAM statistics, counters and the
-    live runtime/TLB ledgers hold exactly what the scalar replay would
-    have produced; the cache arrays themselves stay empty (``finalize``
-    adds nothing — resident-line reuse is accounted here) and the
-    always-on ``capture-replay-conservation`` audit still runs in the
-    caller. A verified :class:`~repro.sim.replay_plan.ReplayPlan`
-    supplies the captured-position address/page/PTE resolutions (and
-    their sentinel-terminated list forms) precomputed; ``plan=None``
-    derives them locally with the same arithmetic.
+
+def _tally(counts: np.ndarray, nsub: int, ins: List[int], byp: int,
+           cls: List[int], mvr: List[int], mvw: List[int],
+           wbout: List[int], hist: List[int]) -> SlipLevelTally:
+    """One level's tally: binned annotation codes plus inline counts."""
+    tally = SlipLevelTally(nsub)
+    tally.dh_sub = [int(counts[1 + s]) for s in range(nsub)]
+    tally.mh_sub = [int(counts[17 + s]) for s in range(nsub)]
+    tally.demand_misses = int(counts[_MISS_D])
+    tally.metadata_misses = int(counts[_MISS_M])
+    tally.wbin_sub = [int(counts[65 + s]) for s in range(nsub)]
+    tally.forwarded_wbs = int(counts[_FWD])
+    tally.ins_sub = list(ins)
+    tally.bypasses = byp
+    tally.class_counts = list(cls)
+    tally.mvr_sub = list(mvr)
+    tally.mvw_sub = list(mvw)
+    tally.wbout_sub = list(wbout)
+    tally.hist = list(hist)
+    return tally
+
+
+def _merged_events(shift: int, traces: Sequence[Trace],
+                   captures: Sequence[TraceCapture]) -> Tuple:
+    """Every core's captured positions, resolved and merged for the sweep.
+
+    Returns ``(miss_keys, miss_cores, miss_addrs, miss_pages, wb_addrs,
+    tlb_keys, tlb_cores, tlb_pages, pte_addrs)`` as lists. A key is
+    ``access index * cores + core``, so key order is the scalar
+    replay's (access index, core) order and a single core's keys are
+    its positions. Both key lists end with the ``n * cores`` sentinel,
+    which is >= every stop, so the sweep needs no bounds checks.
     """
-    if not slip_eligible(hierarchy):
-        return False
-    record_success(hierarchy, "replay")
+    num_cores = len(captures)
+    miss_columns, tlb_columns = [], []
+    for core, (trace, capture) in enumerate(zip(traces, captures)):
+        addresses = trace.addresses
+        miss_pos = np.asarray(capture.l1_miss_pos, dtype=np.int64)
+        tlb_pos = np.asarray(capture.tlb_miss_pos, dtype=np.int64)
+        lines = addresses[miss_pos]
+        pages = addresses[tlb_pos] >> shift
+        miss_columns.append((
+            miss_pos * num_cores + core,
+            np.full(miss_pos.shape[0], core, dtype=np.int64),
+            lines, lines >> shift,
+            np.asarray(capture.l1_miss_wb, dtype=np.int64)))
+        tlb_columns.append((
+            tlb_pos * num_cores + core,
+            np.full(tlb_pos.shape[0], core, dtype=np.int64),
+            pages, PTE_TABLE_BASE + pages // PTES_PER_LINE))
+    end = captures[0].n * num_cores
+    merged = []
+    for columns, positions in (
+            (miss_columns, [c.l1_miss_pos for c in captures]),
+            (tlb_columns, [c.tlb_miss_pos for c in captures])):
+        order = merge_by_access([np.asarray(p, dtype=np.int64)
+                                 for p in positions])
+        lists = [np.concatenate(column)[order].tolist()
+                 for column in zip(*columns)]
+        lists[0].append(end)
+        merged += lists
+    return tuple(merged)
 
-    runtime = hierarchy.runtime
-    l2, l3 = hierarchy.l2, hierarchy.l3
-    rot2, cidx2, nsub2, sub2, lat2 = _level_model(l2,
-                                                  hierarchy.l2_placement)
-    rot3, cidx3, nsub3, sub3, lat3 = _level_model(l3,
-                                                  hierarchy.l3_placement)
+
+class _CoreSweep(NamedTuple):
+    """One core's closures over its flat L2 model and the shared L3."""
+
+    #: ``below(line, page, is_metadata)``: one event below L1.
+    below: Callable[[int, int, bool], None]
+    #: ``l1_wb(line)``: one L1 victim writeback.
+    l1_wb: Callable[[int], None]
+    #: The warmup boundary: zero the tallies, start measuring.
+    measure: Callable[[], None]
+    #: ``(L2 tally, binned L3 codes, DRAM writebacks, demand latency)``
+    #: of the measured phase.
+    finish: Callable[[], Tuple]
+
+
+# slip-audit: twin=slip-vector-replay role=fast
+def replay_capture_vector_slip(hierarchies: Sequence,
+                               traces: Sequence[Trace],
+                               captures: Sequence[TraceCapture],
+                               plan=None) -> bool:
+    """Phase-split replay of slip-kind captures; False to fall back.
+
+    One trace window and capture per hierarchy (core); see the module
+    docstring for what the cores share. On success every hierarchy's
+    L2/L3/DRAM statistics, counters and live runtime/TLB ledgers hold
+    exactly what the scalar replay would have produced; the cache
+    arrays themselves stay empty (``finalize`` adds nothing —
+    resident-line reuse is accounted here) and the always-on
+    ``capture-replay-conservation`` audit still runs in the single-core
+    caller. A verified :class:`~repro.sim.replay_plan.ReplayPlan`
+    (single core only) supplies the captured-position
+    address/page/PTE resolutions (and their sentinel-terminated list
+    forms) precomputed; ``plan=None`` derives them locally with the
+    same arithmetic.
+    """
+    if not slip_eligible(hierarchies, traces):
+        return False
+    for hierarchy in hierarchies:
+        record_success(hierarchy, "replay")
+    num_cores = len(hierarchies)
+    first = hierarchies[0]
 
     # ----- captured positions, resolved to addresses/pages up front ---
-    n = capture.n
-    warmup = capture.warmup
-    num_miss = int(capture.l1_miss_pos.shape[0])
+    n = captures[0].n
+    warmup = captures[0].warmup
     if plan is not None:
         # Plan lists are shared across cells and already carry the
         # merge sentinels; the kernel must not mutate them.
-        (miss_positions, miss_addrs, miss_pages, wb_addrs,
-         tlb_positions, tlb_pages, pte_addrs) = plan.slip_lists(capture)
+        (miss_keys, miss_addrs, miss_pages, wb_addrs,
+         tlb_keys, tlb_pages, pte_addrs) = plan.slip_lists(captures[0])
+        miss_cores = [0] * len(miss_addrs)
+        tlb_cores = [0] * len(tlb_pages)
     else:
-        shift = hierarchy._page_shift
-        addresses = trace.addresses
-        miss_positions = capture.l1_miss_pos.tolist()
-        miss_np = addresses[np.asarray(capture.l1_miss_pos)]
-        miss_addrs = miss_np.tolist()
-        miss_pages = (miss_np >> shift).tolist()
-        wb_addrs = capture.l1_miss_wb.tolist()
-        tlb_positions = capture.tlb_miss_pos.tolist()
-        tlb_pages_np = addresses[np.asarray(capture.tlb_miss_pos)] \
-            >> shift
-        tlb_pages = tlb_pages_np.tolist()
-        pte_addrs = (PTE_TABLE_BASE
-                     + tlb_pages_np // PTES_PER_LINE).tolist()
-        # Sentinel-terminated merge: both position lists end with n,
-        # which is >= every stop, so the walk needs no bounds checks.
-        tlb_positions.append(n)
-        miss_positions.append(n)
+        (miss_keys, miss_cores, miss_addrs, miss_pages, wb_addrs,
+         tlb_keys, tlb_cores, tlb_pages, pte_addrs) = _merged_events(
+            first._page_shift, traces, captures)
 
-    # ----- live runtime surface (the page machinery runs for real) ---
-    pages = runtime.pages
-    always = runtime.always_sample
-    SAMPLING = PageState.SAMPLING
-    key_fetches = runtime._key_metadata_fetches
-    name2 = hierarchy.l2_placement._level_name
-    name3 = hierarchy.l3_placement._level_name
-
-    # ----- flat-array way model, one column set per level -----
-    S2, W2 = l2.num_sets, l2.cfg.ways
-    wrap2, gran2, mask2 = l2.timestamp_wrap, l2._granule, l2._ts_mask
-    maxd2 = l2.cfg.lines - 1
-    nch2 = hierarchy.l2_placement._num_chunks_by_id
-    def2 = hierarchy.l2_placement._level_default_id
-    sdef2 = hierarchy.l2_placement._default_id
-    guard2 = W2 * (nsub2 + 1)
-    size2 = S2 * W2
-    tag2 = [-1] * size2
-    lru2 = [0] * size2
-    ts2 = [0] * size2
-    hits2 = [0] * size2
-    pid2 = [0] * size2
-    ci2 = [0] * size2
-    pg2 = [-1] * size2
-    dirty2 = [False] * size2
-    meta2 = [False] * size2
-    # Global probe dict: line address -> flat index (set * ways + way).
-    # Addresses are globally unique across sets, so one dict replaces
-    # the per-set index and the hit path needs no set arithmetic.
-    d2: dict = {}
-
+    # ----- the shared L3: one flat-array way model for every core -----
+    l3 = first.l3
+    placement3 = first.l3_placement
+    rot3, cidx3, nsub3, sub3, lat3 = _level_model(l3, placement3)
+    name3 = placement3._level_name
     S3, W3 = l3.num_sets, l3.cfg.ways
     wrap3, gran3, mask3 = l3.timestamp_wrap, l3._granule, l3._ts_mask
     maxd3 = l3.cfg.lines - 1
-    nch3 = hierarchy.l3_placement._num_chunks_by_id
-    def3 = hierarchy.l3_placement._level_default_id
-    sdef3 = hierarchy.l3_placement._default_id
+    nch3 = placement3._num_chunks_by_id
+    sdef3 = placement3._default_id
     guard3 = W3 * (nsub3 + 1)
     size3 = S3 * W3
     tag3 = [-1] * size3
@@ -321,25 +427,17 @@ def replay_capture_vector_slip(hierarchy, trace: Trace,
     pg3 = [-1] * size3
     dirty3 = [False] * size3
     meta3 = [False] * size3
+    # Global probe dict: line address -> flat index (set * ways + way).
+    # Addresses are globally unique across sets, so one dict replaces
+    # the per-set index and the hit path needs no set arithmetic.
     d3: dict = {}
-
-    # Mutable per-level machine state, mirroring the scalar hierarchy:
-    # access counter T, allocation rotor, LRU clock.
-    a2 = l2.access_counter
-    r2 = l2._alloc_rotor
-    c2 = l2.replacement._clock
+    d3_get = d3.get
+    # Mutable machine state, mirroring the scalar hierarchy: access
+    # counter T, allocation rotor, LRU clock.
     a3 = l3.access_counter
     r3 = l3._alloc_rotor
     c3 = l3.replacement._clock
-
-    # ----- inline tallies (rare events) + annotation streams -----
-    ins2 = [0] * nsub2
-    mvr2 = [0] * nsub2
-    mvw2 = [0] * nsub2
-    wbout2 = [0] * nsub2
-    cls2 = [0, 0, 0, 0]
-    hist2 = [0, 0, 0, 0]
-    byp2 = 0
+    # Inline tallies of the rare events (shared by every core).
     ins3 = [0] * nsub3
     mvr3 = [0] * nsub3
     mvw3 = [0] * nsub3
@@ -347,491 +445,544 @@ def replay_capture_vector_slip(hierarchy, trace: Trace,
     cls3 = [0, 0, 0, 0]
     hist3 = [0, 0, 0, 0]
     byp3 = 0
-    dram_wb = 0
-    ann2 = bytearray()
-    ann3 = bytearray()
-    fetch_ann = bytearray()
-
     # Per-flat-index annotation codes, sublevel pre-resolved (indexable
     # straight off a probe-dict hit without recovering the way).
-    hd2, hm2, wa2 = _code_tables(sub2, W2, size2)
     hd3, hm3, wa3 = _code_tables(sub3, W3, size3)
 
-    # Hot-path method bindings: every below-L1 event probes a level
-    # dict and appends an annotation code, and the attribute lookups
-    # are measurable at that rate.
-    d2_get = d2.get
-    d3_get = d3.get
-    pages_get = pages.get
-    ann2_app = ann2.append
-    ann3_app = ann3.append
+    def core_sweep(hierarchy) -> _CoreSweep:
+        """One core's flat L2 model and its closures over the shared L3.
 
-    def wb_l3(addr: int) -> None:
-        """Mirror of ``_writeback_to_l3`` against the flat model."""
-        nonlocal a3, dram_wb
-        a3 += 1
-        if a3 == wrap3:
-            a3 = 0
-        f = d3_get(addr)
-        if f is not None:
-            dirty3[f] = True
-            ann3_app(wa3[f])
-        else:
-            ann3_app(_FWD)
-            dram_wb += 1
-
-    def l1_wb(addr: int) -> None:
-        """Mirror of ``_writeback_below_l1`` against the flat model."""
-        nonlocal a2
-        a2 += 1
-        if a2 == wrap2:
-            a2 = 0
-        f = d2_get(addr)
-        if f is not None:
-            dirty2[f] = True
-            ann2_app(wa2[f])
-        else:
-            ann2_app(_FWD)
-            wb_l3(addr)
-
-    def below(addr: int, page: int, is_meta: bool) -> None:
-        """Mirror of ``_access_below_l1``: L2 -> L3 -> DRAM + fills.
-
-        The per-level SLIP fills are inlined at their (single) call
-        sites rather than factored into helpers: this body runs once
-        per below-L1 event and the two extra call frames are
-        measurable on the replay path.
+        The core's annotation streams and DRAM writebacks are its own;
+        every L3 event it causes lands in its own L3 stream.
         """
-        nonlocal a2, a3, c2, c3, r2, r3, byp2, byp3, dram_wb
-        a2 += 1
-        if a2 == wrap2:
-            a2 = 0
-        f = d2_get(addr)
-        if f is not None:
-            hits2[f] += 1
-            ann2_app(hm2[f] if is_meta else hd2[f])
-            c2 += 1
-            lru2[f] = c2
-            now = (a2 // gran2) & mask2
-            # on_hit: reuse-distance sample for sampling pages + TL.
-            pgv = pg2[f]
-            if pgv >= 0 and not meta2[f]:
-                entry = pages_get(pgv)
-                if entry is not None and (always
-                                          or entry.state is SAMPLING):
-                    distance = ((now - ts2[f]) & mask2) * gran2
-                    if distance > maxd2:
-                        distance = maxd2
-                    # ``ReuseDistanceDistribution.record`` inlined (as
-                    # at every sample site in this kernel): one frame
-                    # per sampled event is measurable here.
-                    dist = entry.distributions[name2]
-                    counts = dist.counts
-                    bin_idx = bisect_right(dist.boundaries, distance)
-                    if counts[bin_idx] >= dist.counter_max:
-                        dist.counts = counts = [c >> 1 for c in counts]
-                    counts[bin_idx] += 1
-                    if entry.period_samples < 63:
-                        entry.period_samples += 1
-            ts2[f] = now
-            return
-        ann2_app(_MISS_M if is_meta else _MISS_D)
-        # One page-entry probe per event: nothing between here and the
-        # fills can change the page table (recomputation only happens
-        # inside key_fetches, between events).
-        pe = None
-        if not is_meta:
-            # record_miss_sample("L2", page), gating inlined.
-            pe = pages_get(page)
-            if pe is not None and (always or pe.state is SAMPLING):
-                dist = pe.distributions[name2]
-                counts = dist.counts
-                if counts[-1] >= dist.counter_max:
-                    dist.counts = counts = [c >> 1 for c in counts]
-                counts[-1] += 1
-                if pe.period_samples < 63:
-                    pe.period_samples += 1
+        runtime = hierarchy.runtime
+        pages_get = runtime.pages.get
+        always = runtime.always_sample
+        SAMPLING = PageState.SAMPLING
+        def3 = runtime._default_ids[name3]
 
-        # ----- L3 -----
-        a3 += 1
-        if a3 == wrap3:
-            a3 = 0
-        f = d3_get(addr)
-        if f is not None:
-            hits3[f] += 1
-            ann3_app(hm3[f] if is_meta else hd3[f])
-            c3 += 1
-            lru3[f] = c3
-            now = (a3 // gran3) & mask3
-            pgv = pg3[f]
-            if pgv >= 0 and not meta3[f]:
-                entry = pages_get(pgv)
-                if entry is not None and (always
-                                          or entry.state is SAMPLING):
-                    distance = ((now - ts3[f]) & mask3) * gran3
-                    if distance > maxd3:
-                        distance = maxd3
-                    dist = entry.distributions[name3]
+        l2 = hierarchy.l2
+        placement2 = hierarchy.l2_placement
+        rot2, cidx2, nsub2, sub2, lat2 = _level_model(l2, placement2)
+        name2 = placement2._level_name
+        S2, W2 = l2.num_sets, l2.cfg.ways
+        wrap2, gran2, mask2 = l2.timestamp_wrap, l2._granule, l2._ts_mask
+        maxd2 = l2.cfg.lines - 1
+        nch2 = placement2._num_chunks_by_id
+        def2 = runtime._default_ids[name2]
+        sdef2 = placement2._default_id
+        guard2 = W2 * (nsub2 + 1)
+        size2 = S2 * W2
+        tag2 = [-1] * size2
+        lru2 = [0] * size2
+        ts2 = [0] * size2
+        hits2 = [0] * size2
+        pid2 = [0] * size2
+        ci2 = [0] * size2
+        pg2 = [-1] * size2
+        dirty2 = [False] * size2
+        meta2 = [False] * size2
+        d2: dict = {}
+        a2 = l2.access_counter
+        r2 = l2._alloc_rotor
+        c2 = l2.replacement._clock
+
+        ins2 = [0] * nsub2
+        mvr2 = [0] * nsub2
+        mvw2 = [0] * nsub2
+        wbout2 = [0] * nsub2
+        cls2 = [0, 0, 0, 0]
+        hist2 = [0, 0, 0, 0]
+        byp2 = 0
+        dram_wb = 0
+        ann2 = bytearray()
+        ann3 = bytearray()
+        b2 = b3 = 0
+        hd2, hm2, wa2 = _code_tables(sub2, W2, size2)
+
+        # Hot-path method bindings: every below-L1 event probes a level
+        # dict and appends an annotation code, and the attribute
+        # lookups are measurable at that rate.
+        d2_get = d2.get
+        ann2_app = ann2.append
+        ann3_app = ann3.append
+
+        def wb_l3(addr: int) -> None:
+            """Mirror of ``_writeback_to_l3`` against the flat model."""
+            nonlocal a3, dram_wb
+            a3 += 1
+            if a3 == wrap3:
+                a3 = 0
+            f = d3_get(addr)
+            if f is not None:
+                dirty3[f] = True
+                ann3_app(wa3[f])
+            else:
+                ann3_app(_FWD)
+                dram_wb += 1
+
+        def l1_wb(addr: int) -> None:
+            """Mirror of ``_writeback_below_l1`` against the flat model."""
+            nonlocal a2
+            a2 += 1
+            if a2 == wrap2:
+                a2 = 0
+            f = d2_get(addr)
+            if f is not None:
+                dirty2[f] = True
+                ann2_app(wa2[f])
+            else:
+                ann2_app(_FWD)
+                wb_l3(addr)
+
+        def below(addr: int, page: int, is_meta: bool) -> None:
+            """Mirror of ``_access_below_l1``: L2 -> L3 -> DRAM + fills.
+
+            The per-level SLIP fills are inlined at their (single) call
+            sites rather than factored into helpers: this body runs once
+            per below-L1 event and the two extra call frames are
+            measurable on the replay path.
+            """
+            nonlocal a2, a3, c2, c3, r2, r3, byp2, byp3, dram_wb
+            a2 += 1
+            if a2 == wrap2:
+                a2 = 0
+            f = d2_get(addr)
+            if f is not None:
+                hits2[f] += 1
+                ann2_app(hm2[f] if is_meta else hd2[f])
+                c2 += 1
+                lru2[f] = c2
+                now = (a2 // gran2) & mask2
+                # on_hit: reuse-distance sample for sampling pages + TL.
+                pgv = pg2[f]
+                if pgv >= 0 and not meta2[f]:
+                    entry = pages_get(pgv)
+                    if entry is not None and (always
+                                              or entry.state is SAMPLING):
+                        distance = ((now - ts2[f]) & mask2) * gran2
+                        if distance > maxd2:
+                            distance = maxd2
+                        # ``ReuseDistanceDistribution.record`` inlined
+                        # (as at every sample site in this kernel): one
+                        # frame per sampled event is measurable here.
+                        dist = entry.distributions[name2]
+                        counts = dist.counts
+                        bin_idx = bisect_right(dist.boundaries, distance)
+                        if counts[bin_idx] >= dist.counter_max:
+                            dist.counts = counts = [c >> 1 for c in counts]
+                        counts[bin_idx] += 1
+                        if entry.period_samples < 63:
+                            entry.period_samples += 1
+                ts2[f] = now
+                return
+            ann2_app(_MISS_M if is_meta else _MISS_D)
+            # One page-entry probe per event: nothing between here and
+            # the fills can change the page table (recomputation only
+            # happens inside key_fetches, between events).
+            pe = None
+            if not is_meta:
+                # record_miss_sample("L2", page), gating inlined.
+                pe = pages_get(page)
+                if pe is not None and (always or pe.state is SAMPLING):
+                    dist = pe.distributions[name2]
                     counts = dist.counts
-                    bin_idx = bisect_right(dist.boundaries, distance)
-                    if counts[bin_idx] >= dist.counter_max:
+                    if counts[-1] >= dist.counter_max:
                         dist.counts = counts = [c >> 1 for c in counts]
-                    counts[bin_idx] += 1
-                    if entry.period_samples < 63:
-                        entry.period_samples += 1
-            ts3[f] = now
-        else:
-            ann3_app(_MISS_M if is_meta else _MISS_D)
-            if pe is not None and (always or pe.state is SAMPLING):
-                dist = pe.distributions[name3]
-                counts = dist.counts
-                if counts[-1] >= dist.counter_max:
-                    dist.counts = counts = [c >> 1 for c in counts]
-                counts[-1] += 1
-                if pe.period_samples < 63:
-                    pe.period_samples += 1
-            # SLIP fill at L3.  The DRAM read is derived from the miss
-            # annotation in phase 2.
-            if is_meta or page < 0:
-                sid = sdef3
-            elif pe is None:
-                sid = def3
-            elif pe.state is SAMPLING:
-                sid = def3
-            else:
-                sid = pe.policies[name3]
-            rchunks = rot3[sid]
-            if not rchunks:
-                # All-Bypass Policy; fills on this path are never dirty.
-                byp3 += 1
-                cls3[cidx3[sid]] += 1
-            else:
-                orders = rchunks[0]
-                r3 = (r3 + 1) % 64
-                order = orders[r3 % len(orders)]
-                base = (addr % S3) * W3
-                # Merged invalid-first/min-LRU scan; see the L2 fill.
-                vw = -1
-                best = _INF
-                for w in order:
-                    stamp = lru3[base + w]
-                    if stamp < best:
-                        vw = w
-                        if not stamp:
-                            break
-                        best = stamp
-                f = base + vw
-                wb = -1
-                vt = tag3[f]
-                cascade = vt >= 0 and ci3[f] + 1 < nch3[pid3[f]]
-                if cascade:
-                    cv = (vt, dirty3[f], pid3[f], ci3[f], ts3[f],
-                          hits3[f], pg3[f], meta3[f], lru3[f], vw)
-                    del d3[vt]
-                elif vt >= 0:
-                    h = hits3[f]
-                    hist3[h if h < 3 else 3] += 1
-                    del d3[vt]
-                    if dirty3[f]:
-                        wbout3[sub3[vw]] += 1
-                        wb = vt
-                tag3[f] = addr
-                d3[addr] = f
-                dirty3[f] = False
-                pid3[f] = sid
-                ci3[f] = 0
-                pg3[f] = page
-                meta3[f] = is_meta
-                ts3[f] = (a3 // gran3) & mask3
-                hits3[f] = 0
+                    counts[-1] += 1
+                    if pe.period_samples < 63:
+                        pe.period_samples += 1
+
+            # ----- L3 -----
+            # A hit line's page is this core's own (slip_eligible
+            # checks that every page routes to its core), so this
+            # core's page table serves the shared-L3 samples.
+            a3 += 1
+            if a3 == wrap3:
+                a3 = 0
+            f = d3_get(addr)
+            if f is not None:
+                hits3[f] += 1
+                ann3_app(hm3[f] if is_meta else hd3[f])
                 c3 += 1
                 lru3[f] = c3
-                ins3[sub3[vw]] += 1
-                cls3[cidx3[sid]] += 1
-                if cascade:
-                    (vt, vdirty, vpid, vci, vts, vhits, vpg, vmeta,
-                     vlru, vfrom) = cv
-                    guard = guard3
-                    while True:
-                        guard -= 1
-                        nc = vci + 1
-                        if guard <= 0 or nc >= nch3[vpid]:
-                            hist3[vhits if vhits < 3 else 3] += 1
-                            if vdirty:
-                                wbout3[sub3[vfrom]] += 1
-                                wb = vt
-                            break
-                        orders = rot3[vpid][nc]
-                        r3 = (r3 + 1) % 64
-                        order = orders[r3 % len(orders)]
-                        w = -1
-                        best = _INF
-                        for cand in order:
-                            stamp = lru3[base + cand]
-                            if stamp < best:
-                                w = cand
-                                if not stamp:
-                                    break
-                                best = stamp
-                        f = base + w
-                        dt = tag3[f]
-                        if dt >= 0:
-                            disp = (dt, dirty3[f], pid3[f], ci3[f],
-                                    ts3[f], hits3[f], pg3[f],
-                                    meta3[f], lru3[f], w)
-                            del d3[dt]
-                        else:
-                            disp = None
-                        tag3[f] = vt
-                        d3[vt] = f
-                        dirty3[f] = vdirty
-                        pid3[f] = vpid
-                        ci3[f] = nc
-                        ts3[f] = vts
-                        hits3[f] = vhits
-                        pg3[f] = vpg
-                        meta3[f] = vmeta
-                        lru3[f] = vlru
-                        mvr3[sub3[vfrom]] += 1
-                        mvw3[sub3[w]] += 1
-                        if disp is None:
-                            break
-                        (vt, vdirty, vpid, vci, vts, vhits, vpg,
-                         vmeta, vlru, vfrom) = disp
-                if wb >= 0:
-                    dram_wb += 1
-
-        # Fill L2 on the way back (possibly bypassed).
-        if is_meta or page < 0:
-            sid = sdef2
-        elif pe is None:
-            sid = def2
-        elif pe.state is SAMPLING:
-            sid = def2
-        else:
-            sid = pe.policies[name2]
-        rchunks = rot2[sid]
-        if not rchunks:
-            # All-Bypass Policy; fills on this path are never dirty.
-            byp2 += 1
-            cls2[cidx2[sid]] += 1
-            return
-        orders = rchunks[0]
-        r2 = (r2 + 1) % 64
-        order = orders[r2 % len(orders)]
-        base = (addr % S2) * W2
-        # Invalid slots keep lru == 0 forever (clocks start >= 0 and
-        # every fill stamps c2+1 >= 1), so one strict-min scan finds
-        # the first invalid way in rotation order, else the LRU way —
-        # the same choice as the scalar invalid-first/min-LRU walk.
-        vw = -1
-        best = _INF
-        for w in order:
-            stamp = lru2[base + w]
-            if stamp < best:
-                vw = w
-                if not stamp:
-                    break
-                best = stamp
-        f = base + vw
-        wb = -1
-        vt = tag2[f]
-        cascade = vt >= 0 and ci2[f] + 1 < nch2[pid2[f]]
-        if cascade:
-            cv = (vt, dirty2[f], pid2[f], ci2[f], ts2[f], hits2[f],
-                  pg2[f], meta2[f], lru2[f], vw)
-            del d2[vt]
-        elif vt >= 0:
-            h = hits2[f]
-            hist2[h if h < 3 else 3] += 1
-            del d2[vt]
-            if dirty2[f]:
-                wbout2[sub2[vw]] += 1
-                wb = vt
-        tag2[f] = addr
-        d2[addr] = f
-        dirty2[f] = False
-        pid2[f] = sid
-        ci2[f] = 0
-        pg2[f] = page
-        meta2[f] = is_meta
-        ts2[f] = (a2 // gran2) & mask2
-        hits2[f] = 0
-        c2 += 1
-        lru2[f] = c2
-        ins2[sub2[vw]] += 1
-        cls2[cidx2[sid]] += 1
-        if cascade:
-            (vt, vdirty, vpid, vci, vts, vhits, vpg, vmeta, vlru,
-             vfrom) = cv
-            guard = guard2
-            while True:
-                guard -= 1
-                nc = vci + 1
-                if guard <= 0 or nc >= nch2[vpid]:
-                    hist2[vhits if vhits < 3 else 3] += 1
-                    if vdirty:
-                        wbout2[sub2[vfrom]] += 1
-                        wb = vt
-                    break
-                orders = rot2[vpid][nc]
-                r2 = (r2 + 1) % 64
-                order = orders[r2 % len(orders)]
-                w = -1
-                best = _INF
-                for cand in order:
-                    stamp = lru2[base + cand]
-                    if stamp < best:
-                        w = cand
-                        if not stamp:
-                            break
-                        best = stamp
-                f = base + w
-                dt = tag2[f]
-                if dt >= 0:
-                    disp = (dt, dirty2[f], pid2[f], ci2[f], ts2[f],
-                            hits2[f], pg2[f], meta2[f], lru2[f], w)
-                    del d2[dt]
+                now = (a3 // gran3) & mask3
+                pgv = pg3[f]
+                if pgv >= 0 and not meta3[f]:
+                    entry = pages_get(pgv)
+                    if entry is not None and (always
+                                              or entry.state is SAMPLING):
+                        distance = ((now - ts3[f]) & mask3) * gran3
+                        if distance > maxd3:
+                            distance = maxd3
+                        dist = entry.distributions[name3]
+                        counts = dist.counts
+                        bin_idx = bisect_right(dist.boundaries, distance)
+                        if counts[bin_idx] >= dist.counter_max:
+                            dist.counts = counts = [c >> 1 for c in counts]
+                        counts[bin_idx] += 1
+                        if entry.period_samples < 63:
+                            entry.period_samples += 1
+                ts3[f] = now
+            else:
+                ann3_app(_MISS_M if is_meta else _MISS_D)
+                if pe is not None and (always or pe.state is SAMPLING):
+                    dist = pe.distributions[name3]
+                    counts = dist.counts
+                    if counts[-1] >= dist.counter_max:
+                        dist.counts = counts = [c >> 1 for c in counts]
+                    counts[-1] += 1
+                    if pe.period_samples < 63:
+                        pe.period_samples += 1
+                # SLIP fill at L3.  The DRAM read is derived from the
+                # miss annotation in phase 2.
+                if is_meta or page < 0:
+                    sid = sdef3
+                elif pe is None:
+                    sid = def3
+                elif pe.state is SAMPLING:
+                    sid = def3
                 else:
-                    disp = None
-                tag2[f] = vt
-                d2[vt] = f
-                dirty2[f] = vdirty
-                pid2[f] = vpid
-                ci2[f] = nc
-                ts2[f] = vts
-                hits2[f] = vhits
-                pg2[f] = vpg
-                meta2[f] = vmeta
-                lru2[f] = vlru
-                mvr2[sub2[vfrom]] += 1
-                mvw2[sub2[w]] += 1
-                if disp is None:
-                    break
+                    sid = pe.policies[name3]
+                rchunks = rot3[sid]
+                if not rchunks:
+                    # All-Bypass Policy; fills on this path are never
+                    # dirty.
+                    byp3 += 1
+                    cls3[cidx3[sid]] += 1
+                else:
+                    orders = rchunks[0]
+                    r3 = (r3 + 1) % 64
+                    order = orders[r3 % len(orders)]
+                    base = (addr % S3) * W3
+                    # Merged invalid-first/min-LRU scan; see the L2 fill.
+                    vw = -1
+                    best = _INF
+                    for w in order:
+                        stamp = lru3[base + w]
+                        if stamp < best:
+                            vw = w
+                            if not stamp:
+                                break
+                            best = stamp
+                    f = base + vw
+                    wb = -1
+                    vt = tag3[f]
+                    cascade = vt >= 0 and ci3[f] + 1 < nch3[pid3[f]]
+                    if cascade:
+                        cv = (vt, dirty3[f], pid3[f], ci3[f], ts3[f],
+                              hits3[f], pg3[f], meta3[f], lru3[f], vw)
+                        del d3[vt]
+                    elif vt >= 0:
+                        h = hits3[f]
+                        hist3[h if h < 3 else 3] += 1
+                        del d3[vt]
+                        if dirty3[f]:
+                            wbout3[sub3[vw]] += 1
+                            wb = vt
+                    tag3[f] = addr
+                    d3[addr] = f
+                    dirty3[f] = False
+                    pid3[f] = sid
+                    ci3[f] = 0
+                    pg3[f] = page
+                    meta3[f] = is_meta
+                    ts3[f] = (a3 // gran3) & mask3
+                    hits3[f] = 0
+                    c3 += 1
+                    lru3[f] = c3
+                    ins3[sub3[vw]] += 1
+                    cls3[cidx3[sid]] += 1
+                    if cascade:
+                        (vt, vdirty, vpid, vci, vts, vhits, vpg, vmeta,
+                         vlru, vfrom) = cv
+                        guard = guard3
+                        while True:
+                            guard -= 1
+                            nc = vci + 1
+                            if guard <= 0 or nc >= nch3[vpid]:
+                                hist3[vhits if vhits < 3 else 3] += 1
+                                if vdirty:
+                                    wbout3[sub3[vfrom]] += 1
+                                    wb = vt
+                                break
+                            orders = rot3[vpid][nc]
+                            r3 = (r3 + 1) % 64
+                            order = orders[r3 % len(orders)]
+                            w = -1
+                            best = _INF
+                            for cand in order:
+                                stamp = lru3[base + cand]
+                                if stamp < best:
+                                    w = cand
+                                    if not stamp:
+                                        break
+                                    best = stamp
+                            f = base + w
+                            dt = tag3[f]
+                            if dt >= 0:
+                                disp = (dt, dirty3[f], pid3[f], ci3[f],
+                                        ts3[f], hits3[f], pg3[f],
+                                        meta3[f], lru3[f], w)
+                                del d3[dt]
+                            else:
+                                disp = None
+                            tag3[f] = vt
+                            d3[vt] = f
+                            dirty3[f] = vdirty
+                            pid3[f] = vpid
+                            ci3[f] = nc
+                            ts3[f] = vts
+                            hits3[f] = vhits
+                            pg3[f] = vpg
+                            meta3[f] = vmeta
+                            lru3[f] = vlru
+                            mvr3[sub3[vfrom]] += 1
+                            mvw3[sub3[w]] += 1
+                            if disp is None:
+                                break
+                            (vt, vdirty, vpid, vci, vts, vhits, vpg,
+                             vmeta, vlru, vfrom) = disp
+                    if wb >= 0:
+                        dram_wb += 1
+
+            # Fill L2 on the way back (possibly bypassed).
+            if is_meta or page < 0:
+                sid = sdef2
+            elif pe is None:
+                sid = def2
+            elif pe.state is SAMPLING:
+                sid = def2
+            else:
+                sid = pe.policies[name2]
+            rchunks = rot2[sid]
+            if not rchunks:
+                # All-Bypass Policy; fills on this path are never dirty.
+                byp2 += 1
+                cls2[cidx2[sid]] += 1
+                return
+            orders = rchunks[0]
+            r2 = (r2 + 1) % 64
+            order = orders[r2 % len(orders)]
+            base = (addr % S2) * W2
+            # Invalid slots keep lru == 0 forever (clocks start >= 0 and
+            # every fill stamps c2+1 >= 1), so one strict-min scan finds
+            # the first invalid way in rotation order, else the LRU way
+            # — the same choice as the scalar invalid-first/min-LRU
+            # walk.
+            vw = -1
+            best = _INF
+            for w in order:
+                stamp = lru2[base + w]
+                if stamp < best:
+                    vw = w
+                    if not stamp:
+                        break
+                    best = stamp
+            f = base + vw
+            wb = -1
+            vt = tag2[f]
+            cascade = vt >= 0 and ci2[f] + 1 < nch2[pid2[f]]
+            if cascade:
+                cv = (vt, dirty2[f], pid2[f], ci2[f], ts2[f], hits2[f],
+                      pg2[f], meta2[f], lru2[f], vw)
+                del d2[vt]
+            elif vt >= 0:
+                h = hits2[f]
+                hist2[h if h < 3 else 3] += 1
+                del d2[vt]
+                if dirty2[f]:
+                    wbout2[sub2[vw]] += 1
+                    wb = vt
+            tag2[f] = addr
+            d2[addr] = f
+            dirty2[f] = False
+            pid2[f] = sid
+            ci2[f] = 0
+            pg2[f] = page
+            meta2[f] = is_meta
+            ts2[f] = (a2 // gran2) & mask2
+            hits2[f] = 0
+            c2 += 1
+            lru2[f] = c2
+            ins2[sub2[vw]] += 1
+            cls2[cidx2[sid]] += 1
+            if cascade:
                 (vt, vdirty, vpid, vci, vts, vhits, vpg, vmeta, vlru,
-                 vfrom) = disp
-        if wb >= 0:
-            wb_l3(wb)
+                 vfrom) = cv
+                guard = guard2
+                while True:
+                    guard -= 1
+                    nc = vci + 1
+                    if guard <= 0 or nc >= nch2[vpid]:
+                        hist2[vhits if vhits < 3 else 3] += 1
+                        if vdirty:
+                            wbout2[sub2[vfrom]] += 1
+                            wb = vt
+                        break
+                    orders = rot2[vpid][nc]
+                    r2 = (r2 + 1) % 64
+                    order = orders[r2 % len(orders)]
+                    w = -1
+                    best = _INF
+                    for cand in order:
+                        stamp = lru2[base + cand]
+                        if stamp < best:
+                            w = cand
+                            if not stamp:
+                                break
+                            best = stamp
+                    f = base + w
+                    dt = tag2[f]
+                    if dt >= 0:
+                        disp = (dt, dirty2[f], pid2[f], ci2[f], ts2[f],
+                                hits2[f], pg2[f], meta2[f], lru2[f], w)
+                        del d2[dt]
+                    else:
+                        disp = None
+                    tag2[f] = vt
+                    d2[vt] = f
+                    dirty2[f] = vdirty
+                    pid2[f] = vpid
+                    ci2[f] = nc
+                    ts2[f] = vts
+                    hits2[f] = vhits
+                    pg2[f] = vpg
+                    meta2[f] = vmeta
+                    lru2[f] = vlru
+                    mvr2[sub2[vfrom]] += 1
+                    mvw2[sub2[w]] += 1
+                    if disp is None:
+                        break
+                    (vt, vdirty, vpid, vci, vts, vhits, vpg, vmeta, vlru,
+                     vfrom) = disp
+            if wb >= 0:
+                wb_l3(wb)
+
+        def measure() -> None:
+            nonlocal byp2, dram_wb, b2, b3
+            for t in (ins2, mvr2, mvw2, wbout2):
+                t[:] = [0] * nsub2
+            cls2[:] = [0, 0, 0, 0]
+            hist2[:] = [0, 0, 0, 0]
+            byp2 = dram_wb = 0
+            b2, b3 = len(ann2), len(ann3)
+
+        def finish() -> Tuple:
+            # finalize()'s resident-line reuse sweep (the real arrays
+            # are empty).
+            for f in d2.values():
+                h = hits2[f]
+                hist2[h if h < 3 else 3] += 1
+            tally2 = _tally(_code_counts(ann2, b2), nsub2, ins2, byp2,
+                            cls2, mvr2, mvw2, wbout2, hist2)
+            counts3 = _code_counts(ann3, b3)
+            # Measured-phase latency: only demand events contribute
+            # below L1, and every term is an integer count times an
+            # integer latency.
+            latency = (
+                sum(c * t for c, t in zip(tally2.dh_sub, lat2))
+                + tally2.demand_misses * l2.cfg.latency_cycles
+                + sum(int(counts3[1 + s]) * t for s, t in enumerate(lat3))
+                + int(counts3[_MISS_D]) * (l3.cfg.latency_cycles
+                                           + hierarchy.dram._latency)
+            )
+            return tally2, counts3, dram_wb, latency
+
+        return _CoreSweep(below, l1_wb, measure, finish)
+
+    sweeps = [core_sweep(hierarchy) for hierarchy in hierarchies]
+    belows = [sweep.below for sweep in sweeps]
+    l1_wbs = [sweep.l1_wb for sweep in sweeps]
+    runtimes = [hierarchy.runtime for hierarchy in hierarchies]
+    # Per core: one metadata-line count per TLB miss.
+    fetch_anns = [bytearray() for _ in hierarchies]
 
     # ----- phase 1: merged-order sweep (warmup, then measured) -----
     tlb_i = miss_i = 0
-    tlb_misses = 0
-    b2 = b3 = bf = 0
-    measured_miss_start = 0
-    for stop, warm_phase in ((warmup, True), (n, False)):
+    bf: List[int] = []
+    for stop, warm_phase in ((warmup * num_cores, True),
+                             (n * num_cores, False)):
         while True:
-            tlb_p = tlb_positions[tlb_i]
-            miss_p = miss_positions[miss_i]
-            p = tlb_p if tlb_p < miss_p else miss_p
-            if p >= stop:
+            tlb_k = tlb_keys[tlb_i]
+            miss_k = miss_keys[miss_i]
+            k = tlb_k if tlb_k < miss_k else miss_k
+            if k >= stop:
                 break
-            if tlb_p == p:
+            if tlb_k == k:
                 # Mirror on_reference: the fetch list (and the page
                 # state machinery) runs before the metadata lines
                 # travel below L1.
-                fetches = key_fetches(tlb_pages[tlb_i])
+                core = tlb_cores[tlb_i]
+                below = belows[core]
+                fetches = runtimes[core]._key_metadata_fetches(
+                    tlb_pages[tlb_i])
                 below(pte_addrs[tlb_i], -1, True)
                 for fetch in fetches:
                     below(fetch, -1, True)
-                fetch_ann.append(1 + len(fetches))
-                tlb_misses += 1
+                fetch_anns[core].append(1 + len(fetches))
                 tlb_i += 1
-            if miss_p == p:
-                below(miss_addrs[miss_i], miss_pages[miss_i], False)
+            if miss_k == k:
+                core = miss_cores[miss_i]
+                belows[core](miss_addrs[miss_i], miss_pages[miss_i], False)
                 wba = wb_addrs[miss_i]
                 if wba >= 0:
-                    l1_wb(wba)
+                    l1_wbs[core](wba)
                 miss_i += 1
         if warm_phase:
             # Same boundary as the scalar replay: counters reset, cache
             # / TLB / page state stays warm (EOU memo survives).
-            hierarchy.reset_stats()
-            for t in (ins2, mvr2, mvw2, wbout2):
-                t[:] = [0] * nsub2
+            for hierarchy, sweep in zip(hierarchies, sweeps):
+                hierarchy.reset_stats()
+                sweep.measure()
+            bf = [len(fetch_ann) for fetch_ann in fetch_anns]
             for t in (ins3, mvr3, mvw3, wbout3):
                 t[:] = [0] * nsub3
-            cls2[:] = [0, 0, 0, 0]
             cls3[:] = [0, 0, 0, 0]
-            hist2[:] = [0, 0, 0, 0]
             hist3[:] = [0, 0, 0, 0]
-            byp2 = byp3 = 0
-            dram_wb = 0
-            tlb_misses = 0
-            b2, b3, bf = len(ann2), len(ann3), len(fetch_ann)
-            measured_miss_start = miss_i
+            byp3 = 0
 
-    # finalize()'s resident-line reuse sweep (the real arrays are empty).
-    for f in d2.values():
-        h = hits2[f]
-        hist2[h if h < 3 else 3] += 1
+    # finalize()'s resident-line reuse sweep: every core's finalize()
+    # walks the shared L3, so each resident line counts once per core.
     for f in d3.values():
         h = hits3[f]
-        hist3[h if h < 3 else 3] += 1
+        hist3[h if h < 3 else 3] += num_cores
 
     # ----- phase 2: batched accounting over the annotation streams ---
-    def _tally(ann: bytearray, boundary: int, nsub: int,
-               ins: List[int], byp: int, cls: List[int], mvr: List[int],
-               mvw: List[int], wbout: List[int],
-               hist: List[int]) -> SlipLevelTally:
-        codes = np.frombuffer(ann, dtype=np.uint8)[boundary:]
-        counts = np.bincount(codes, minlength=_ANN_SPAN)
-        tally = SlipLevelTally(nsub)
-        tally.dh_sub = [int(counts[1 + s]) for s in range(nsub)]
-        tally.mh_sub = [int(counts[17 + s]) for s in range(nsub)]
-        tally.demand_misses = int(counts[_MISS_D])
-        tally.metadata_misses = int(counts[_MISS_M])
-        tally.wbin_sub = [int(counts[65 + s]) for s in range(nsub)]
-        tally.forwarded_wbs = int(counts[_FWD])
-        tally.ins_sub = list(ins)
-        tally.bypasses = byp
-        tally.class_counts = list(cls)
-        tally.mvr_sub = list(mvr)
-        tally.mvw_sub = list(mvw)
-        tally.wbout_sub = list(wbout)
-        tally.hist = list(hist)
-        return tally
-
-    tally2 = _tally(ann2, b2, nsub2, ins2, byp2, cls2, mvr2, mvw2,
-                    wbout2, hist2)
-    tally3 = _tally(ann3, b3, nsub3, ins3, byp3, cls3, mvr3, mvw3,
-                    wbout3, hist3)
+    results = [sweep.finish() for sweep in sweeps]
+    tally3 = _tally(sum(result[1] for result in results), nsub3, ins3,
+                    byp3, cls3, mvr3, mvw3, wbout3, hist3)
 
     # Live runtime/TLB ledgers: one page-grain probe per access, one
     # manual miss bump per captured TLB-miss position (as in the scalar
     # replay); hits are the complement of the measured-phase misses.
-    runtime_stats = runtime.stats
-    runtime_stats.tlb_miss_fetches = tlb_misses
-    tlb_stats = runtime.tlb.stats
-    tlb_stats.misses = tlb_misses
-    tlb_stats.hits = (n - warmup) - tlb_misses
-
-    fetch_events = int(
-        np.frombuffer(fetch_ann, dtype=np.uint8)[bf:].sum())
+    legs = []
+    for hierarchy, capture, (tally2, _, _, _), fetch_ann, boundary in zip(
+            hierarchies, captures, results, fetch_anns, bf):
+        tlb_misses = len(fetch_ann) - boundary
+        runtime_stats = hierarchy.runtime.stats
+        runtime_stats.tlb_miss_fetches = tlb_misses
+        tlb_stats = hierarchy.runtime.tlb.stats
+        tlb_stats.misses = tlb_misses
+        tlb_stats.hits = (n - warmup) - tlb_misses
+        measured = np.asarray(capture.l1_miss_pos) >= warmup
+        legs.append((
+            int(np.count_nonzero(measured)),
+            runtime_stats.tlb_miss_fetches
+            + runtime_stats.distribution_fetches,
+            int(np.frombuffer(fetch_ann, dtype=np.uint8)[boundary:].sum()),
+            int(np.count_nonzero(
+                measured & (np.asarray(capture.l1_miss_wb) >= 0))),
+            tally2,
+        ))
     check_slip_vector_replay(
-        demand_events=num_miss - measured_miss_start,
-        metadata_events=(runtime_stats.tlb_miss_fetches
-                         + runtime_stats.distribution_fetches),
-        fetch_events=fetch_events,
-        wb_events=sum(
-            1 for x in wb_addrs[measured_miss_start:] if x >= 0),
-        l2_tally=tally2, l3_tally=tally3,
-        dram_writebacks=dram_wb,
-    )
+        legs, tally3,
+        dram_writebacks=sum(result[2] for result in results))
 
-    # Measured-phase latency: only demand events contribute below L1,
-    # and every term is an integer count times an integer latency.
-    total = (
-        sum(c * t for c, t in zip(tally2.dh_sub, lat2))
-        + tally2.demand_misses * l2.cfg.latency_cycles
-        + sum(c * t for c, t in zip(tally3.dh_sub, lat3))
-        + tally3.demand_misses * (l3.cfg.latency_cycles
-                                  + hierarchy.dram._latency)
-    )
-
-    for level, placement, tally in (
-        (l2, hierarchy.l2_placement, tally2),
-        (l3, hierarchy.l3_placement, tally3),
-    ):
+    levels = [(hierarchy.l2, hierarchy.l2_placement, result[0])
+              for hierarchy, result in zip(hierarchies, results)]
+    levels.append((l3, placement3, tally3))
+    for level, placement, tally in levels:
         dh = sum(tally.dh_sub)
         mh = sum(tally.mh_sub)
         insertions = sum(tally.ins_sub)
@@ -868,12 +1019,17 @@ def replay_capture_vector_slip(hierarchy, trace: Trace,
             movement_queue_pj=placement.movement_queue_pj,
         )
 
-    counters = hierarchy.counters
-    counters.total_latency_cycles += total
-    counters.dram_demand_reads = tally3.demand_misses
-    counters.dram_metadata_reads = tally3.metadata_misses
-    counters.dram_writebacks = dram_wb
-    dram_stats = hierarchy.dram.stats
-    dram_stats.reads = tally3.demand_misses + tally3.metadata_misses
-    dram_stats.writes = dram_wb
+    # DRAM reads and writes go to the core whose event caused them.
+    for hierarchy, (_, counts3, dram_wb, latency) in zip(
+            hierarchies, results):
+        demand_reads = int(counts3[_MISS_D])
+        metadata_reads = int(counts3[_MISS_M])
+        counters = hierarchy.counters
+        counters.total_latency_cycles += latency
+        counters.dram_demand_reads = demand_reads
+        counters.dram_metadata_reads = metadata_reads
+        counters.dram_writebacks = dram_wb
+        dram_stats = hierarchy.dram.stats
+        dram_stats.reads = demand_reads + metadata_reads
+        dram_stats.writes = dram_wb
     return True

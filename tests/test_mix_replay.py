@@ -6,7 +6,8 @@ multi_core._walk_mix` drives every core's ``access()`` in turn and is the
 golden reference. The hypothesis harness below draws policy, core count,
 tiny cache geometries, page size, warmup fraction and unequal per-core
 trace lengths, and asserts the two produce the same bytes, through the
-batched back end and through the merged scalar replays.
+back-end kernels (baseline kinds and slip kinds alike) and through the
+merged scalar replays.
 
 This module must stay out of conftest's ``SIMCHECK_MODULES``: under
 SimCheck every mix declines to the walk, and the harness would compare
@@ -116,9 +117,10 @@ def test_replay_matches_walk(cell):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cell=mix_cells())
 def test_scalar_replay_matches_walk(cell, scalar_kernels):
-    """With the batched back end declining, the merged scalar replays
+    """With both back-end kernels declining, the merged scalar replays
     serve."""
-    with scalar_kernels("replay_capture_vector"):
+    with scalar_kernels("replay_capture_vector",
+                        "replay_capture_vector_slip"):
         replayed = canonical(multi_core.run_mix_traces(**cell))
     assert replayed == canonical(multi_core._walk_mix(**cell))
 

@@ -6,15 +6,20 @@ accepts must serialize byte-for-byte like the scalar ``_replay_slip``
 walk of the same capture, across both capture stores, both worker
 modes, randomized trace/geometry space, and the ``l3_abp_min_samples``
 ablation. Everything it cannot represent must decline with a recorded
-reason and fall back to the scalar path with identical bytes.
+reason and fall back to the scalar path with identical bytes. The
+multicore mixes run the same kernel over a shared L3; the hypothesis
+harness of ``test_mix_replay`` pins those bytes, and the section below
+pins that the kernel really serves them.
 """
 
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
 from repro.experiments.parallel import RunRequest, run_jobs
+from repro.sim import multi_core
 from repro.sim.build import build_hierarchy
 from repro.sim.config import (
     CacheLevelConfig,
@@ -22,6 +27,7 @@ from repro.sim.config import (
     DramConfig,
     SlipParams,
     SystemConfig,
+    default_system,
 )
 from repro.sim.filtered import front_end_fingerprint
 from repro.sim.single_core import run_trace
@@ -35,13 +41,38 @@ from repro.workloads.capture_store import (
     MemoryCaptureStore,
     fingerprint_key,
 )
+from repro.workloads.mixes import make_mix_traces
 
 SLIP_KIND = ("slip", "slip_abp")
 LENGTH = 2_500
+MIX = ("soplex", "mcf")
 
 
 def canonical(result) -> str:
     return json.dumps(result.to_json(), sort_keys=True)
+
+
+def canonical_mix(result) -> str:
+    return json.dumps(asdict(result), sort_keys=True)
+
+
+def eligible(hierarchy) -> bool:
+    """``slip_eligible`` for one core with a private L3."""
+    return slip_eligible([hierarchy], [make_trace("soplex", 200)])
+
+
+def spy_mix_kernel(monkeypatch) -> list:
+    """Record ``(served, hierarchies)`` of each multicore kernel call."""
+    calls = []
+    kernel = multi_core.replay_capture_vector_slip
+
+    def spy(hierarchies, *args, **kwargs):
+        served = kernel(hierarchies, *args, **kwargs)
+        calls.append((served, list(hierarchies)))
+        return served
+
+    monkeypatch.setattr(multi_core, "replay_capture_vector_slip", spy)
+    return calls
 
 
 def replay_pair(trace, policy, config, store, scalar_kernels, **kwargs):
@@ -208,18 +239,18 @@ class TestDecline:
     @pytest.mark.parametrize("policy", SLIP_KIND)
     def test_default_hierarchy_is_eligible(self, policy, tiny_system,
                                            paper_system):
-        assert slip_eligible(build_hierarchy(tiny_system, policy))
-        assert slip_eligible(build_hierarchy(paper_system, policy))
+        assert eligible(build_hierarchy(tiny_system, policy))
+        assert eligible(build_hierarchy(paper_system, policy))
 
     def test_non_slip_kind_declines(self, tiny_system):
         hierarchy = build_hierarchy(tiny_system, "baseline")
-        assert not slip_eligible(hierarchy)
+        assert not eligible(hierarchy)
         assert hierarchy.kernel_declines.replay == "kind:not-slip"
 
     def test_simcheck_declines(self, tiny_system, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         hierarchy = build_hierarchy(tiny_system, "slip")
-        assert not slip_eligible(hierarchy)
+        assert not eligible(hierarchy)
         assert hierarchy.kernel_declines.replay == "simcheck"
 
     def test_rd_block_mode_declines(self, tiny_system):
@@ -231,13 +262,13 @@ class TestDecline:
             tlb_entries=tiny_system.tlb_entries,
         )
         hierarchy = build_hierarchy(config, "slip")
-        assert not slip_eligible(hierarchy)
+        assert not eligible(hierarchy)
         assert hierarchy.kernel_declines.replay == "rd-block"
 
     def test_non_lru_replacement_declines(self, tiny_system):
         hierarchy = build_hierarchy(tiny_system, "slip",
                                     replacement="random")
-        assert not slip_eligible(hierarchy)
+        assert not eligible(hierarchy)
         assert (hierarchy.kernel_declines.replay
                 == "replacement:L2:RandomReplacement")
 
@@ -248,18 +279,51 @@ class TestDecline:
         capture = slip_capture(trace, tiny_system, store)
         hierarchy = build_hierarchy(tiny_system, "slip")
         hierarchy.kernel_declines.replay = "stale"
-        assert replay_capture_vector_slip(hierarchy, trace,
-                                          capture) is True
+        assert replay_capture_vector_slip([hierarchy], [trace],
+                                          [capture]) is True
         assert hierarchy.kernel_declines.replay is None
 
     def test_debug_flag_echoes_reason_to_stderr(self, tiny_system,
                                                 monkeypatch, capsys):
         monkeypatch.setenv("REPRO_VECTOR_REPLAY_DEBUG", "1")
         hierarchy = build_hierarchy(tiny_system, "baseline")
-        assert not slip_eligible(hierarchy)
+        assert not eligible(hierarchy)
         captured = capsys.readouterr()
         assert "vector-replay: decline (kind:not-slip)" in captured.err
         assert captured.out == ""  # stdout stays deterministic
+
+    @pytest.mark.parametrize("reason", ["router:runtimes", "router:page"])
+    def test_shared_l3_declines(self, reason, tiny_system, monkeypatch):
+        """A mix the shared-L3 sweep cannot represent records why and
+        still serializes like the walk, through the scalar replay.
+
+        ``router:runtimes``: the L3 router's runtimes are the cores'
+        own, swapped. ``router:page``: core 1 runs in core 0's address
+        region, so its pages route to core 0's runtime.
+        """
+        traces = make_mix_traces(MIX, 1_500, seed=3)
+        if reason == "router:runtimes":
+            build = multi_core._build_mix
+
+            def swapped(*args, **kwargs):
+                runtimes, shared_l3, hierarchies = build(*args, **kwargs)
+                router = hierarchies[0].l3_placement.runtime
+                router.runtimes = router.runtimes[::-1]
+                return runtimes, shared_l3, hierarchies
+
+            monkeypatch.setattr(multi_core, "_build_mix", swapped)
+        else:
+            traces[1] = make_trace(MIX[1], 1_500, seed=4)
+        calls = spy_mix_kernel(monkeypatch)
+        replayed = multi_core.run_mix_traces(traces, MIX, "slip_abp",
+                                             tiny_system, 3)
+        walked = multi_core._walk_mix(traces, MIX, "slip_abp",
+                                      tiny_system, 3)
+        assert canonical_mix(replayed) == canonical_mix(walked)
+        [(served, hierarchies)] = calls
+        assert served is False
+        assert [h.kernel_declines.replay for h in hierarchies] \
+            == [reason, reason]
 
     @pytest.mark.parametrize("policy", SLIP_KIND)
     def test_declined_cells_still_replay_correctly(self, policy,
@@ -271,6 +335,50 @@ class TestDecline:
             trace, policy, tiny_system, MemoryCaptureStore(),
             scalar_kernels, replacement="random")
         assert canonical(vector) == canonical(scalar)
+
+
+# ----------------------------------------------------------------------
+# Multicore: one N-core sweep over the shared L3 serves the mixes
+# ----------------------------------------------------------------------
+def test_mix_is_served_by_the_kernel(monkeypatch):
+    """A default-config slip_abp mix runs the kernel once, for every core.
+
+    Byte identity alone cannot tell a serving kernel from one that
+    always declines to the scalar replay.
+    """
+    calls = spy_mix_kernel(monkeypatch)
+    multi_core.run_mix(MIX, "slip_abp", length_per_core=3_000,
+                       config=default_system())
+    [(served, hierarchies)] = calls
+    assert served is True
+    assert len(hierarchies) == len(MIX)
+    assert all(h.kernel_declines.replay is None for h in hierarchies)
+
+
+@pytest.mark.parametrize("policy", SLIP_KIND)
+def test_mix_core_ledgers_match_scalar(policy, tiny_system, monkeypatch,
+                                       scalar_kernels):
+    """Per-core ledgers a MulticoreResult does not carry — counters
+    (latency included), runtime and TLB statistics — match the merged
+    scalar replay too."""
+    ledgers = []
+    collect = multi_core._collect_mix
+
+    def spy(mix, policy, runtimes, shared_l3, hierarchies):
+        ledgers.append([
+            (asdict(h.counters), asdict(h.runtime.stats),
+             asdict(h.runtime.tlb.stats)) for h in hierarchies])
+        return collect(mix, policy, runtimes, shared_l3, hierarchies)
+
+    monkeypatch.setattr(multi_core, "_collect_mix", spy)
+    traces = make_mix_traces(MIX, 2_000, seed=1)
+    multi_core.run_mix_traces(traces, MIX, policy, tiny_system, 1)
+    with scalar_kernels("replay_capture_vector_slip"):
+        multi_core.run_mix_traces(traces, MIX, policy, tiny_system, 1)
+    vector, scalar = ledgers
+    assert vector == scalar
+    assert all(counters["total_latency_cycles"] > 0
+               for counters, _, _ in vector)
 
 
 # ----------------------------------------------------------------------
