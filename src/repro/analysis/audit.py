@@ -398,7 +398,7 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
         # sets the front-end counters.
         pair_id="replay-plan",
         fast="replay_capture",
-        refs=("_run_trace_scalar",),
+        refs=("walk_cores",),
         shared=frozenset({
             "_alloc_rotor", "_clock", "access_counter", "counters",
             "counters.demand_accesses", "counters.dram_demand_reads",

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import fields as dataclass_fields
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 _ENV_VAR = "REPRO_CHECK_INVARIANTS"
 _DEFAULT_PERIOD = 256
@@ -559,94 +559,105 @@ def maybe_install(hierarchy: Any,
 # ----------------------------------------------------------------------
 # Filtered-replay conservation (always on, independent of the env flag)
 # ----------------------------------------------------------------------
-def check_capture_replay(hierarchy: Any, capture: Any,
+def check_capture_replay(hierarchies: Any, captures: Any,
                          slip_kind: bool) -> None:
     """``capture-replay-conservation``: audit one finished replay.
 
     Full SimCheck cannot observe a filtered replay (the per-access
     wrappers never see events the replay skips, so the filtered path is
     bypassed when the env flag is set); this O(1) audit runs at the end
-    of *every* replay instead. It checks that the back end consumed
-    exactly the captured boundary events and that the merged
-    front-end statistics still satisfy the line/writeback conservation
-    and energy-monotonicity properties of a direct run:
+    of *every* replay instead, over one hierarchy and capture per core.
+    It checks that the back end consumed exactly the captured boundary
+    events and that the merged front-end statistics still satisfy the
+    line/writeback conservation and energy-monotonicity properties of a
+    direct run:
 
-    * every captured demand miss / metadata access probed L2 exactly
-      once (for the slip kind, the metadata count is instead balanced
-      against the live runtime's PTE + distribution fetch counters);
-    * every captured L1 writeback was absorbed exactly once below
-      (L2/L3 in-place update or DRAM write, net of the writebacks the
-      back end itself emitted);
+    * every captured demand miss / metadata access probed the core's L2
+      exactly once (for the slip kind, the metadata count is instead
+      balanced against the live runtime's PTE + distribution fetch
+      counters);
+    * every captured L1 writeback was absorbed exactly once below (L2/L3
+      in-place update or DRAM write, net of the writebacks the back end
+      itself emitted), summed over the cores: an L3 shared by several
+      cores counts once;
     * the merged L1 statistics agree with the hierarchy counters and
       with the captured boundary (hits + misses == accesses, misses ==
       demand events, writebacks_out == writeback events);
     * every merged per-level energy field is finite and non-negative.
     """
     name = "capture-replay-conservation"
-    counts = capture.frozen["event_counts"]
-    l1 = hierarchy.l1.stats
-    l2 = hierarchy.l2.stats
-    l3 = hierarchy.l3.stats
-    counters = hierarchy.counters
+    absorbed = emitted_below = captured_wbs = 0
+    merged: List[Any] = []
+    l3s: Dict[int, Any] = {}
+    for core, (hierarchy, capture) in enumerate(zip(hierarchies,
+                                                    captures)):
+        label = f"[{core}]" if len(hierarchies) > 1 else ""
+        counts = capture.frozen["event_counts"]
+        l1 = hierarchy.l1.stats
+        l2 = hierarchy.l2.stats
+        counters = hierarchy.counters
+        l3s[id(hierarchy.l3)] = hierarchy.l3.stats
 
-    demand_consumed = l2.demand_hits + l2.demand_misses
-    if demand_consumed != counts["demand"]:
+        demand_consumed = l2.demand_hits + l2.demand_misses
+        if demand_consumed != counts["demand"]:
+            raise InvariantViolation(
+                name,
+                f"replay consumed {demand_consumed} demand events but "
+                f"the capture holds {counts['demand']}",
+                level="L2" + label, counter="demand_events")
+        metadata_consumed = l2.metadata_hits + l2.metadata_misses
+        if slip_kind:
+            runtime_stats = hierarchy.runtime.stats
+            expected_metadata = (runtime_stats.tlb_miss_fetches
+                                 + runtime_stats.distribution_fetches)
+        else:
+            expected_metadata = counts["metadata"]
+        if metadata_consumed != expected_metadata:
+            raise InvariantViolation(
+                name,
+                f"replay consumed {metadata_consumed} metadata events, "
+                f"expected {expected_metadata}",
+                level="L2" + label, counter="metadata_events")
+        absorbed += l2.writebacks_in + counters.dram_writebacks
+        emitted_below += l2.writebacks_out + l2.dirty_bypass_forwards
+        captured_wbs += counts["writeback"]
+        if counters.demand_accesses != l1.demand_hits + l1.demand_misses:
+            raise InvariantViolation(
+                name,
+                f"merged counters claim {counters.demand_accesses} demand "
+                f"accesses, frozen L1 saw "
+                f"{l1.demand_hits + l1.demand_misses}",
+                level="L1" + label, counter="demand_accesses")
+        if counters.l1_hits != l1.demand_hits:
+            raise InvariantViolation(
+                name,
+                f"merged counters claim {counters.l1_hits} L1 hits, "
+                f"frozen L1 stats claim {l1.demand_hits}",
+                level="L1" + label, counter="l1_hits")
+        if l1.demand_misses != counts["demand"]:
+            raise InvariantViolation(
+                name,
+                f"frozen L1 saw {l1.demand_misses} demand misses but the "
+                f"capture holds {counts['demand']} demand events",
+                level="L1" + label, counter="demand_misses")
+        if l1.writebacks_out != counts["writeback"]:
+            raise InvariantViolation(
+                name,
+                f"frozen L1 emitted {l1.writebacks_out} writebacks but "
+                f"the capture holds {counts['writeback']} writeback "
+                f"events",
+                level="L1" + label, counter="writebacks_out")
+        merged += [l1, l2]
+    for l3 in l3s.values():
+        absorbed += l3.writebacks_in
+        emitted_below += l3.writebacks_out + l3.dirty_bypass_forwards
+    if absorbed - emitted_below != captured_wbs:
         raise InvariantViolation(
             name,
-            f"replay consumed {demand_consumed} demand events but the "
-            f"capture holds {counts['demand']}",
-            level="L2", counter="demand_events")
-    metadata_consumed = l2.metadata_hits + l2.metadata_misses
-    if slip_kind:
-        runtime_stats = hierarchy.runtime.stats
-        expected_metadata = (runtime_stats.tlb_miss_fetches
-                             + runtime_stats.distribution_fetches)
-    else:
-        expected_metadata = counts["metadata"]
-    if metadata_consumed != expected_metadata:
-        raise InvariantViolation(
-            name,
-            f"replay consumed {metadata_consumed} metadata events, "
-            f"expected {expected_metadata}",
-            level="L2", counter="metadata_events")
-    absorbed = (l2.writebacks_in + l3.writebacks_in
-                + counters.dram_writebacks)
-    emitted_below = (l2.writebacks_out + l3.writebacks_out
-                     + l2.dirty_bypass_forwards
-                     + l3.dirty_bypass_forwards)
-    if absorbed - emitted_below != counts["writeback"]:
-        raise InvariantViolation(
-            name,
-            f"{counts['writeback']} captured L1 writebacks but the back "
-            f"end absorbed {absorbed} and emitted {emitted_below} of its "
-            f"own",
+            f"{captured_wbs} captured L1 writebacks but the back end "
+            f"absorbed {absorbed} and emitted {emitted_below} of its own",
             counter="writeback_events")
-    if counters.demand_accesses != l1.demand_hits + l1.demand_misses:
-        raise InvariantViolation(
-            name,
-            f"merged counters claim {counters.demand_accesses} demand "
-            f"accesses, frozen L1 saw "
-            f"{l1.demand_hits + l1.demand_misses}",
-            level="L1", counter="demand_accesses")
-    if counters.l1_hits != l1.demand_hits:
-        raise InvariantViolation(
-            name,
-            f"merged counters claim {counters.l1_hits} L1 hits, frozen "
-            f"L1 stats claim {l1.demand_hits}",
-            level="L1", counter="l1_hits")
-    if l1.demand_misses != counts["demand"]:
-        raise InvariantViolation(
-            name,
-            f"frozen L1 saw {l1.demand_misses} demand misses but the "
-            f"capture holds {counts['demand']} demand events",
-            level="L1", counter="demand_misses")
-    if l1.writebacks_out != counts["writeback"]:
-        raise InvariantViolation(
-            name,
-            f"frozen L1 emitted {l1.writebacks_out} writebacks but the "
-            f"capture holds {counts['writeback']} writeback events",
-            level="L1", counter="writebacks_out")
-    for stats in (l1, l2, l3):
+    for stats in merged + list(l3s.values()):
         for fld in dataclass_fields(stats.energy):
             value = getattr(stats.energy, fld.name)
             if not math.isfinite(value) or value < 0.0:

@@ -132,6 +132,9 @@ class JobResult:
 def execute_request(request: Request) -> JobResult:
     """Run one job; pure function of the request (worker entry point)."""
     started = time.perf_counter()
+    # Workers share captures and replay plans through the default
+    # store: in-memory, or the on-disk store every pool worker sees
+    # when REPRO_CAPTURE_DIR is set (workers inherit it).
     if isinstance(request, MixRequest):
         result: Result = run_mix(
             request.mix,
@@ -140,12 +143,10 @@ def execute_request(request: Request) -> JobResult:
             config=request.config,
             seed=request.seed,
             warmup_fraction=request.warmup_fraction,
+            store=default_store(),
         )
     else:
         trace = make_trace(request.benchmark, request.length, request.seed)
-        # Workers share captures and replay plans through the default
-        # store: in-memory, or the on-disk store every pool worker
-        # sees when REPRO_CAPTURE_DIR is set (workers inherit it).
         result = run_trace(
             trace,
             request.policy,

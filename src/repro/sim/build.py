@@ -49,7 +49,7 @@ def runtime_kind(policy: str) -> str:
         ) from None
 
 
-def maybe_boost_sampler(runtime, enabled: bool = True) -> bool:
+def maybe_boost_sampler(runtime) -> bool:
     """Apply the short-trace warmup sampling boost to a SLIP runtime.
 
     Scale compensation: our traces are ~1000x shorter than the paper's
@@ -57,11 +57,11 @@ def maybe_boost_sampler(runtime, enabled: bool = True) -> bool:
     would never finish learning. Scaling both by 8 (to 2/32) shortens
     the page-learning timescale while keeping the distribution-fetch
     fraction Nsamp/(Nsamp+Nstab) at the paper's 5.9% exactly, so
-    metadata-traffic results stay faithful. Shared by the direct and
-    filtered-replay drivers so both configure the sampler identically.
-    Returns True when the boost was applied.
+    metadata-traffic results stay faithful. The driver applies it to
+    every core's runtime, whether the cell walks or replays. Returns True
+    when the boost was applied.
     """
-    if not (enabled and getattr(runtime, "slip_enabled", False)):
+    if not getattr(runtime, "slip_enabled", False):
         return False
     sampler = runtime.sampler
     sampler.nsamp, sampler.nstab = 2, 32

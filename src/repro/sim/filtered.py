@@ -1,34 +1,40 @@
-"""Filtered-trace capture/replay: skip the policy-invariant front end.
+"""The N-core driver: capture/replay of the policy-invariant front end.
 
 Every sweep cell re-simulates the full trace, yet the front end of
 :meth:`~repro.mem.hierarchy.MemoryHierarchy.access` — the
 ``runtime.on_reference`` TLB handling, the profile-key derivation and
 the whole L1 leg — is identical for every policy; only the L2/L3 back
 end (and, for SLIP, the live metadata stream) differs. This module
-captures that front end once per (trace, front-end fingerprint) and
-then *replays* only the L1->L2 boundary events per policy cell,
-producing a :class:`~repro.sim.results.RunResult` whose ``to_json()``
-is byte-identical to a direct run: the per-access walk of
-:func:`~repro.sim.single_core._run_trace_scalar`.
+captures that front end once per (trace window, front-end fingerprint)
+and then *replays* only the L1->L2 boundary events per policy cell,
+byte-identical to the per-access :func:`walk_cores`, the golden reference.
 
-The capture is taken by the batched capture kernel
-(:mod:`~repro.sim.vector_frontend`), which simulates the TLB and L1
-over the whole trace in three numpy phases and emits a
-:class:`~repro.workloads.capture_store.TraceCapture`. Where the kernel
-declines (``hierarchy.kernel_declines.frontend`` records why), the
-caller falls back to :func:`capture_front_end`: a baseline hierarchy
-driven with the below-L1 entry points *shadowed* by recorders
-returning zero latency. Front-end accounting is then produced by
-exactly the code a direct run executes, and
-``counters.total_latency_cycles`` at the end is precisely the frozen
-L1-side latency. That scalar walk is the kernel's golden reference.
+:func:`simulate` drives N >= 1 cores (one hierarchy and trace each;
+single-core cells are the one-core case, the Figure 16 mixes of
+:mod:`repro.sim.multi_core` share an L3):
+
+1. every core runs the window in which all of them still run;
+2. one predicate sends SimCheck (``REPRO_CHECK_INVARIANTS``: the
+   invariant wrappers observe per-access events a replay does not
+   generate) and Section 7 rd-block SLIP (the SLIP-cache miss stream
+   is not captured) to :func:`walk_cores`;
+3. otherwise each core's window is captured through the capture store:
+   a store hit, else the batched capture kernel
+   (:mod:`~repro.sim.vector_frontend`; a decline is recorded on
+   ``hierarchy.kernel_declines.frontend``), else :func:`capture_front_end`,
+   a baseline hierarchy driven with the below-L1 entry points
+   *shadowed* by recorders returning zero latency — exactly the code a
+   direct run executes, and the kernel's golden reference. A capture
+   that cannot be represented walks too;
+4. :func:`replay_capture` replays every core in one step.
 
 The captured stream is **runtime-kind invariant** — TLB hit/miss
 positions are one page-grain probe per access regardless of runtime,
 and the back end never feeds back into L1 or TLB state — so one
 capture per (trace digest, L1 geometry, TLB size, warmup split, seed)
 serves every policy; the fingerprint deliberately excludes the runtime
-kind, sampler parameters and all back-end knobs:
+kind, sampler parameters and all back-end knobs (per-level energy
+overrides included: they reach only the live SLIP runtime):
 
 * For the **baseline runtime kind** the metadata stream is a pure
   function of the TLB, so the flat captured event stream is replayed
@@ -45,34 +51,23 @@ kind, sampler parameters and all back-end knobs:
 Both scalar replays take one capture per hierarchy, as do the two
 back-end kernels offered the work first
 (:func:`~repro.sim.vector_replay.replay_capture_vector` and
-:func:`~repro.sim.vector_replay_slip.replay_capture_vector_slip`), so
-the same code serves the Figure 16 multicore mixes
-(:mod:`repro.sim.multi_core`): the cores' events merge by (access
-index, core), and a single-core replay is the one-core case. In the
-mixes, as in single-core cells, the scalar replays serve only what the
-kernels decline.
+:func:`~repro.sim.vector_replay_slip.replay_capture_vector_slip`): the
+cores' events merge by (access index, core), and the scalar replays
+serve only what the kernels decline. A single-core cell also shares a
+verified replay plan (:mod:`~repro.sim.replay_plan`) through the store.
 
 Frozen front-end statistics (L1 LevelStats, TLB and runtime stats,
-latency/hit counters) are merged back before ``finalize()``; the
-restored L1 stats carry no energy tables, so materialization leaves
-the frozen energy figures untouched.
-
-:func:`~repro.sim.single_core.run_trace` drives one cell through this
-module: capture (or store hit), plan, replay. It walks the trace scalar
-instead when SimCheck is enabled (``REPRO_CHECK_INVARIANTS``: the
-invariant wrappers observe per-access events a replay does not
-generate), when the Section 7 rd-block extension is active for a SLIP
-policy (the SLIP-cache miss stream is not captured), or when per-level
-energy overrides are supplied (frozen L1 energy would not reflect
-them). Every replay ends with the always-on
-``capture-replay-conservation`` invariant
+latency/hit counters) are merged back per core before ``finalize()``;
+the restored L1 stats carry no energy tables, so materialization leaves
+the frozen energy figures untouched. Every replay ends with the
+always-on ``capture-replay-conservation`` invariant
 (:func:`repro.analysis.invariants.check_capture_replay`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -86,15 +81,21 @@ from ..workloads.capture_store import (
     OP_WRITEBACK,
     CAPTURE_VERSION,
     CaptureError,
+    MemoryCaptureStore,
     TraceCapture,
+    fingerprint_key,
     trace_content_digest,
 )
 from ..workloads.trace import Trace
 from .build import build_hierarchy, maybe_boost_sampler
 from .config import SystemConfig
-from .replay_plan import build_plan, ensure_plan_verified, plan_geometry_key
-from .results import RunResult, collect_result
-from .timing import execution_time
+from .replay_plan import (
+    build_plan,
+    ensure_plan_verified,
+    plan_geometry,
+    plan_geometry_key,
+)
+from .vector_frontend import capture_front_end_vector
 from .vector_replay import merge_by_access, replay_capture_vector
 from .vector_replay_slip import replay_capture_vector_slip
 
@@ -397,69 +398,150 @@ def _replay_slip(hierarchies, traces, captures) -> None:
 
 
 # slip-audit: twin=replay-plan role=fast
-def replay_capture(
-    trace: Trace,
-    policy: str,
-    capture: TraceCapture,
-    config: SystemConfig,
-    seed: int = 0,
-    replacement: str = "lru",
-    warmup_sampling_boost: bool = True,
-    always_sample: bool = False,
-    plan=None,
-    hierarchy=None,
-) -> RunResult:
-    """Build only the back end and feed it the captured boundary.
+def replay_capture(hierarchies, traces, captures, plan=None) -> None:
+    """Feed every core's captured boundary to its back end; finalize.
 
-    ``plan`` optionally carries the verified policy-invariant replay
-    precompute (see :mod:`~repro.sim.replay_plan`) shared across cells;
-    ``hierarchy`` lets :func:`~repro.sim.single_core.run_trace` reuse
-    the cell's hierarchy it already offered to the capture kernel.
+    One trace window and capture per hierarchy (core). The back-end
+    kernel goes first and the scalar replay serves its declines. Each
+    core then gets its frozen front end merged back (the replay's own
+    L1 is empty, never filled, so ``finalize()`` touches only live
+    L2/L3 state) and the ``capture-replay-conservation`` audit runs
+    over the finished cores. ``plan`` optionally carries the verified
+    policy-invariant replay precompute (see
+    :mod:`~repro.sim.replay_plan`) of a single-core cell.
     """
-    if hierarchy is None:
-        hierarchy = build_hierarchy(
-            config, policy, seed=seed, replacement=replacement,
-            always_sample=always_sample,
-        )
-    if hierarchy.simcheck is not None:
-        raise CaptureError("replay cannot run under SimCheck")
-    runtime = hierarchy.runtime
-    slip_kind = getattr(runtime, "slip_enabled", False)
+    slip_kind = getattr(hierarchies[0].runtime, "slip_enabled", False)
+    # Each kernel declines (returns False) outside its eligibility
+    # matrix; the scalar replays stay the golden references.
     if slip_kind:
-        if runtime.block_shift is not None:
-            raise CaptureError("rd-block mode cannot be replayed")
-        maybe_boost_sampler(runtime, warmup_sampling_boost)
-        # Phase-split kernel first; it declines (returns False) outside
-        # its eligibility matrix and the scalar walk stays the golden
-        # reference.
-        if not replay_capture_vector_slip([hierarchy], [trace],
-                                          [capture], plan):
-            _replay_slip([hierarchy], [trace], [capture])
-    else:
-        # Batched kernel first; it declines (returns False) whenever
-        # the hierarchy is outside its eligibility matrix, and the
-        # scalar walk below remains the golden reference.
-        if not replay_capture_vector([hierarchy], [capture], plan):
-            _replay_events([hierarchy], [capture])
+        if not replay_capture_vector_slip(hierarchies, traces, captures,
+                                          plan):
+            _replay_slip(hierarchies, traces, captures)
+    elif not replay_capture_vector(hierarchies, captures, plan):
+        _replay_events(hierarchies, captures)
 
-    # Merge the frozen front end. The replay's own L1 is empty (never
-    # filled), so finalize() touches only live L2/L3 state.
-    frozen = capture.frozen
-    hierarchy.l1.stats = _restore_level_stats(frozen["l1"])
-    counters = hierarchy.counters
-    counters.demand_accesses = int(frozen["demand_accesses"])
-    counters.l1_hits = int(frozen["l1_hits"])
-    counters.total_latency_cycles += int(frozen["l1_latency_cycles"])
-    if not slip_kind:
-        runtime.stats = RuntimeStats(**frozen["runtime"])
-        runtime.tlb.stats = TlbStats(**frozen["tlb"])
-    hierarchy.finalize()
-    check_capture_replay(hierarchy, capture, slip_kind=slip_kind)
-    measured_instructions = (
-        (capture.n - capture.warmup) * trace.instructions_per_access
-    )
-    timing = execution_time(hierarchy, measured_instructions, config.core)
-    return collect_result(policy, trace.name, config, hierarchy, timing)
+    for hierarchy, capture in zip(hierarchies, captures):
+        frozen = capture.frozen
+        hierarchy.l1.stats = _restore_level_stats(frozen["l1"])
+        counters = hierarchy.counters
+        counters.demand_accesses = int(frozen["demand_accesses"])
+        counters.l1_hits = int(frozen["l1_hits"])
+        counters.total_latency_cycles += int(frozen["l1_latency_cycles"])
+        if not slip_kind:
+            runtime = hierarchy.runtime
+            runtime.stats = RuntimeStats(**frozen["runtime"])
+            runtime.tlb.stats = TlbStats(**frozen["tlb"])
+        hierarchy.finalize()
+    check_capture_replay(hierarchies, captures, slip_kind=slip_kind)
+
+
+# slip-audit: twin=replay-plan role=ref
+def walk_cores(hierarchies, traces, warmup_fraction: float) -> None:
+    """The golden reference: drive every core's ``access()`` in turn.
+
+    One equal-length trace window per hierarchy (core). The cores
+    advance round-robin (access ``idx`` of core 0, then of core 1, ...)
+    through a warmup prefix whose statistics are discarded, the
+    SimPoint-style warmup, and then the measured rest; every core is
+    finalized at the end. Single-core is the one-core case.
+    """
+    cores = [(hierarchy, trace.addresses.tolist(), trace.is_write.tolist())
+             for hierarchy, trace in zip(hierarchies, traces)]
+    n = len(traces[0])
+    warmup = int(n * warmup_fraction)
+    for idx in range(warmup):
+        for hierarchy, addrs, writes in cores:
+            hierarchy.access(addrs[idx], writes[idx])
+    for hierarchy in hierarchies:
+        hierarchy.reset_stats()
+    for idx in range(warmup, n):
+        for hierarchy, addrs, writes in cores:
+            hierarchy.access(addrs[idx], writes[idx])
+    for hierarchy in hierarchies:
+        hierarchy.finalize()
+
+
+# ----------------------------------------------------------------------
+# The N-core driver
+# ----------------------------------------------------------------------
+#: Where store-less runs keep their captures and plans: a few recent
+#: entries, so repeated runs of one trace in a process skip the capture
+#: and the plan build, while a store-less run never writes to the
+#: shared :func:`~repro.workloads.capture_store.default_store`.
+_RUN_STORE = MemoryCaptureStore(max_entries=4)
+
+
+def _needs_walk(hierarchies) -> bool:
+    """Whether no capture can serve these cores: SimCheck (its wrappers
+    observe per-access events a replay does not generate) or Section 7
+    rd-block SLIP (the SLIP-cache miss stream is not captured)."""
+    return any(hierarchy.simcheck is not None
+               or getattr(hierarchy.runtime, "block_shift", None) is not None
+               for hierarchy in hierarchies)
+
+
+def _capture(hierarchy, trace: Trace, config: SystemConfig,
+             warmup_fraction: float) -> Optional[TraceCapture]:
+    """A fresh capture of one core's window, or ``None`` to walk.
+
+    The core's own hierarchy is the kernel's eligibility probe and
+    keeps its decline reason; the scalar capture pass serves the
+    declines.
+    """
+    capture = capture_front_end_vector(hierarchy, trace, config,
+                                       warmup_fraction)
+    if capture is None:
+        try:
+            capture = capture_front_end(trace, config, warmup_fraction)
+        except CaptureError:
+            return None
+    return capture
+
+
+def simulate(hierarchies, traces, config: SystemConfig, seed: int,
+             warmup_fraction: float, store=None) -> None:
+    """Run N >= 1 cores over their traces to finalized statistics.
+
+    Every core runs the window in which all of them still run (the
+    shortest trace). SimCheck and rd-block cells walk; every other
+    cell captures each core's window through ``store`` (a store hit,
+    else the capture kernel, else the scalar capture pass; ``None``
+    means a process-local store of a few entries), keyed by the
+    window's front-end fingerprint with the core's seed ``seed +
+    core``, and replays the captures in one step. A failed capture
+    walks too. Single-core cells also share a replay plan through the
+    store.
+    """
+    shortest = min(len(trace) for trace in traces)
+    windows = [trace if len(trace) == shortest else trace.sliced(0, shortest)
+               for trace in traces]
+    # Scale compensation for every core (see maybe_boost_sampler).
+    for hierarchy in hierarchies:
+        maybe_boost_sampler(hierarchy.runtime)
+    if _needs_walk(hierarchies):
+        walk_cores(hierarchies, windows, warmup_fraction)
+        return
+    if store is None:
+        store = _RUN_STORE
+    keys, captures = [], []
+    for core, (hierarchy, window) in enumerate(zip(hierarchies, windows)):
+        fingerprint = front_end_fingerprint(window, config, seed + core,
+                                            warmup_fraction)
+        key = fingerprint_key(fingerprint)
+        capture = store.get(key)
+        if capture is None:
+            capture = _capture(hierarchy, window, config, warmup_fraction)
+            if capture is None:
+                walk_cores(hierarchies, windows, warmup_fraction)
+                return
+            store.put(key, capture, fingerprint=fingerprint)
+        keys.append(key)
+        captures.append(capture)
+    plan = None
+    if len(captures) == 1:  # replay plans are single-core
+        plan = _resolve_plan(store, keys[0], plan_geometry(config),
+                             captures[0], windows[0])
+    replay_capture(hierarchies, windows, captures, plan)
 
 
 # ----------------------------------------------------------------------

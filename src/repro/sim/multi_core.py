@@ -6,14 +6,16 @@ so the only interaction is capacity/interleaving pressure in the L3 —
 which roughly doubles observed reuse distances, pushes more pages into
 bypassing SLIPs, and yields the larger L3 savings the paper reports.
 
-The cores advance round-robin over the window in which all of them
-still run (the shortest trace): access ``idx`` of core 0, then access
-``idx`` of core 1, and so on. A core's TLB and L1 never see the shared
-L3, so each core's front end is exactly a single-core capture of its
-own trace window. :func:`run_mix_traces` therefore captures every core
-with the batched front-end kernel (bypassing the capture store) and
-replays the boundary events, merged by (access index, core), into the
-private L2s and the shared L3:
+A mix runs on the same N-core driver as a single-core cell
+(:func:`repro.sim.filtered.simulate`): the cores advance round-robin
+over the window in which all of them still run (the shortest trace),
+access ``idx`` of core 0, then access ``idx`` of core 1, and so on. A
+core's TLB and L1 never see the shared L3, so each core's front end is
+exactly a single-core capture of its own trace window, shared through
+the capture store with every other cell over that window (a mix's
+baseline and SLIP cells, and pool workers over the disk store). The
+replay merges the cores' boundary events by (access index, core) into
+the private L2s and the shared L3:
 
 * baseline / nurapid / lru_pea run the batched back end
   (:func:`~repro.sim.vector_replay.replay_capture_vector`): one L2 leg
@@ -25,9 +27,10 @@ private L2s and the shared L3:
 * whatever either kernel declines runs the merged scalar replays of
   :mod:`repro.sim.filtered`.
 
-The per-access walk (:func:`_walk_mix`) stays the golden reference and
-serves every front-end decline: SimCheck, the Section 7 rd-block
-extension, and any other capture-kernel decline.
+The per-access walk (:func:`repro.sim.filtered.walk_cores`) stays the
+golden reference and serves SimCheck, the Section 7 rd-block extension
+and any failed capture. This module builds the mix (:func:`_build_mix`)
+and collects its :class:`MulticoreResult` (:func:`_collect_mix`).
 """
 
 from __future__ import annotations
@@ -48,12 +51,9 @@ from ..policies.lru_pea import LruPeaPlacement, PeaLruReplacement
 from ..policies.nurapid import NurapidPlacement
 from ..workloads.mixes import CORE_ADDRESS_STRIDE, make_mix_traces
 from ..workloads.trace import Trace
-from .build import maybe_boost_sampler, runtime_kind
+from .build import runtime_kind
 from .config import SystemConfig, default_system, line_to_page_shift
-from .filtered import _replay_events, _replay_slip
-from .vector_frontend import capture_front_end_vector
-from .vector_replay import replay_capture_vector
-from .vector_replay_slip import replay_capture_vector_slip
+from .filtered import simulate
 
 
 def core_key_shift(runtime: SlipRuntime) -> int:
@@ -176,23 +176,17 @@ def _build_mix(policy: str, config: SystemConfig, num_cores: int,
                 shared_l3=(shared_l3, l3_placement),
             )
         )
-    # Scale compensation, as in run_trace: 2/32 keeps the paper's 5.9%
-    # distribution-fetch fraction while letting pages learn within
-    # laptop-scale traces.
-    for runtime in runtimes:
-        maybe_boost_sampler(runtime)
     return runtimes, shared_l3, hierarchies
 
 
 def _collect_mix(mix: Tuple[str, ...], policy: str, runtimes: List,
                  shared_l3: CacheLevel,
                  hierarchies: List[MemoryHierarchy]) -> MulticoreResult:
-    """Finalize every core and fold the per-core ledgers into a result."""
-    for hierarchy in hierarchies:
-        hierarchy.finalize()
-    # finalize() materialized every private level and the shared L3
-    # (idempotently, once per owning hierarchy); materialize again
-    # explicitly so the collection below cannot depend on that detail.
+    """Fold the finalized per-core ledgers into a result."""
+    # The driver's finalize() materialized every private level and the
+    # shared L3 (idempotently, once per owning hierarchy); materialize
+    # again explicitly so the collection below cannot depend on that
+    # detail.
     shared_l3.stats.materialize()
     for hierarchy in hierarchies:
         hierarchy.l2.stats.materialize()
@@ -230,12 +224,13 @@ def run_mix(
     config: Optional[SystemConfig] = None,
     seed: int = 0,
     warmup_fraction: float = 0.3,
+    store=None,
 ) -> MulticoreResult:
     """Simulate one two-core mix under one policy."""
     config = config or default_system()
     traces = make_mix_traces(mix, length_per_core, seed)
     return run_mix_traces(traces, mix, policy, config, seed,
-                          warmup_fraction=warmup_fraction)
+                          warmup_fraction=warmup_fraction, store=store)
 
 
 def run_mix_traces(
@@ -245,61 +240,12 @@ def run_mix_traces(
     config: SystemConfig,
     seed: int = 0,
     warmup_fraction: float = 0.3,
+    store=None,
 ) -> MulticoreResult:
-    """Simulate per-core traces over a shared L3 by capture and replay.
-
-    Byte-identical to :func:`_walk_mix`, which serves every front-end
-    decline (see the module docstring).
-    """
+    """Simulate per-core traces over a shared L3 (see the module
+    docstring); ``store`` has :func:`~repro.sim.single_core.run_trace`'s
+    meaning."""
     runtimes, shared_l3, hierarchies = _build_mix(
         policy, config, len(traces), seed)
-    shortest = min(len(t) for t in traces)
-    windows = [t.sliced(0, shortest) for t in traces]
-    captures = []
-    for hierarchy, window in zip(hierarchies, windows):
-        # The core's own hierarchy only decides eligibility (and keeps
-        # the decline reason); the capture never touches the store.
-        capture = capture_front_end_vector(hierarchy, window, config,
-                                           warmup_fraction)
-        if capture is None:
-            return _walk_mix(traces, mix, policy, config, seed,
-                             warmup_fraction)
-        captures.append(capture)
-    if runtime_kind(policy) == "slip":
-        if not replay_capture_vector_slip(hierarchies, windows, captures):
-            _replay_slip(hierarchies, windows, captures)
-    elif not replay_capture_vector(hierarchies, captures):
-        _replay_events(hierarchies, captures)
-    return _collect_mix(mix, policy, runtimes, shared_l3, hierarchies)
-
-
-def _walk_mix(
-    traces: List[Trace],
-    mix: Tuple[str, str],
-    policy: str,
-    config: SystemConfig,
-    seed: int = 0,
-    warmup_fraction: float = 0.3,
-) -> MulticoreResult:
-    """The golden reference: drive every core's ``access()`` in turn."""
-    runtimes, shared_l3, hierarchies = _build_mix(
-        policy, config, len(traces), seed)
-    # Round-robin interleaving over the overlap window, with a warmup
-    # prefix whose statistics are discarded (SimPoint-style). During
-    # warmup, SLIP page-state transitions are accelerated to reach the
-    # steady state the paper's 500M-instruction runs operate in.
-    per_core = [
-        (t.addresses.tolist(), t.is_write.tolist()) for t in traces
-    ]
-    shortest = min(len(a) for a, _ in per_core)
-    warmup = int(shortest * warmup_fraction)
-    for idx in range(warmup):
-        for core, (addrs, writes) in enumerate(per_core):
-            hierarchies[core].access(addrs[idx], writes[idx])
-    for hierarchy in hierarchies:
-        hierarchy.reset_stats()
-    shared_l3.reset_stats()
-    for idx in range(warmup, shortest):
-        for core, (addrs, writes) in enumerate(per_core):
-            hierarchies[core].access(addrs[idx], writes[idx])
+    simulate(hierarchies, traces, config, seed, warmup_fraction, store)
     return _collect_mix(mix, policy, runtimes, shared_l3, hierarchies)

@@ -72,13 +72,19 @@ class Trace:
         shift = line_to_page_shift(lines_per_page)
         return int(np.unique(self.addresses >> shift).size)
 
+    def _derived_metadata(self) -> dict:
+        """Metadata for a trace with other contents: everything but the
+        memoized content digest, which describes only this trace."""
+        return {key: value for key, value in self.metadata.items()
+                if key != "content_digest"}
+
     def sliced(self, start: int, stop: int) -> "Trace":
         return Trace(
             name=self.name,
             addresses=self.addresses[start:stop],
             is_write=self.is_write[start:stop],
             instructions_per_access=self.instructions_per_access,
-            metadata=dict(self.metadata),
+            metadata=self._derived_metadata(),
         )
 
     def with_offset(self, line_offset: int) -> "Trace":
@@ -88,7 +94,7 @@ class Trace:
             addresses=self.addresses + np.int64(line_offset),
             is_write=self.is_write,
             instructions_per_access=self.instructions_per_access,
-            metadata=dict(self.metadata),
+            metadata=self._derived_metadata(),
         )
 
 

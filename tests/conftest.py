@@ -50,42 +50,48 @@ def scalar_kernels():
     """A context manager under which the named kernels (default: all
     batched kernels) decline.
 
-    It patches the kernel bindings the drivers call, so captures come
+    It patches the kernel bindings the driver calls, so captures come
     from ``capture_front_end``'s scalar walk and replays from
     ``_replay_events`` / ``_replay_slip``: the golden references the
     kernels must match. A test fake, not a production option.
     """
-    from repro.sim import filtered, multi_core, single_core
+    from repro.sim import filtered
 
     @contextlib.contextmanager
     def declined(*names):
         with pytest.MonkeyPatch.context() as mp:
-            for module in (filtered, multi_core, single_core):
-                for name in names or _KERNEL_DECLINES:
-                    result = _KERNEL_DECLINES[name]
-                    if hasattr(module, name):
-                        mp.setattr(module, name,
-                                   lambda *args, _result=result,
-                                   **kwargs: _result)
+            for name in names or _KERNEL_DECLINES:
+                result = _KERNEL_DECLINES[name]
+                mp.setattr(filtered, name,
+                           lambda *args, _result=result, **kwargs: _result)
             yield
 
     return declined
 
 
 @pytest.fixture
-def scalar_run():
-    """``run_trace``'s golden reference: one ``access()`` per reference."""
-    from repro.sim.build import build_hierarchy
-    from repro.sim.config import default_system
-    from repro.sim.single_core import _run_trace_scalar
+def walked():
+    """A context manager under which every cell, single-core or mix,
+    takes the driver's per-access walk: the golden reference."""
+    from repro.sim import filtered
 
-    def run(trace, policy, config=None, seed=0, replacement="lru",
-            warmup_fraction=0.25, **kwargs):
-        config = config or default_system()
-        hierarchy = build_hierarchy(config, policy, seed=seed,
-                                    replacement=replacement, **kwargs)
-        return _run_trace_scalar(hierarchy, trace, policy, config,
-                                 warmup_fraction, True)
+    @contextlib.contextmanager
+    def walking():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filtered, "_needs_walk", lambda hierarchies: True)
+            yield
+
+    return walking
+
+
+@pytest.fixture
+def scalar_run(walked):
+    """``run_trace``'s golden reference: one ``access()`` per reference."""
+    from repro.sim.single_core import run_trace
+
+    def run(trace, policy, config=None, **kwargs):
+        with walked():
+            return run_trace(trace, policy, config=config, **kwargs)
 
     return run
 

@@ -120,7 +120,8 @@ class TestCaptureModes:
             tlb_miss_pos=capture.tlb_miss_pos, frozen=frozen,
         )
         with pytest.raises(InvariantViolation) as excinfo:
-            replay_capture(trace, "baseline", bad, tiny_system)
+            replay_capture([build_hierarchy(tiny_system, "baseline")],
+                           [trace], [bad])
         assert excinfo.value.invariant == "capture-replay-conservation"
 
 

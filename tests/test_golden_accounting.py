@@ -7,8 +7,8 @@ published accounting to the pre-refactor primitive-by-primitive code.
 These tests pin that down: each snapshot under
 ``tests/data/golden_accounting/`` is the exact ``RunResult.to_json()``
 produced by the pre-refactor tree for the same (benchmark, policy,
-length, seed) cell, and both ``run_benchmark`` and the scalar walk
-(``_run_trace_scalar``) must reproduce it to the byte.
+length, seed) cell, and both ``run_benchmark`` and the driver's scalar
+walk (``walk_cores``) must reproduce it to the byte.
 
 If a deliberate accounting change ever invalidates these, regenerate
 the snapshots with the loop below and call the change out in the PR:
@@ -19,8 +19,8 @@ the snapshots with the loop below and call the change out in the PR:
 The multicore snapshots under ``tests/data/golden_multicore/`` pin the
 Figure 16 shared-L3 results the same way: each is the canonical JSON of
 the per-access walk's ``MulticoreResult`` (4k accesses per core, seed
-0), and both the capture/replay entry point and the walk itself must
-reproduce it:
+0), and both the capture/replay entry point and the walk must reproduce
+it:
 
     json.dumps(asdict(run_mix(mix, policy, length_per_core=4_000)),
                sort_keys=True) + "\n"
@@ -34,11 +34,9 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.sim.config import default_system
-from repro.sim.multi_core import _walk_mix, run_mix
+from repro.sim.multi_core import run_mix
 from repro.sim.single_core import run_benchmark
 from repro.workloads.benchmarks import make_trace
-from repro.workloads.mixes import make_mix_traces
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden_accounting"
 MULTICORE_DIR = pathlib.Path(__file__).parent / "data" / "golden_multicore"
@@ -105,14 +103,15 @@ def test_golden_snapshots_exist() -> None:
 
 @pytest.mark.parametrize("path", ["run_mix", "walk"])
 @pytest.mark.parametrize("mix,policy", MULTICORE_CELLS)
-def test_golden_multicore_bytes(mix, policy: str, path: str) -> None:
+def test_golden_multicore_bytes(mix, policy: str, path: str,
+                                walked) -> None:
     name = f"{'+'.join(mix)}_{policy}"
     expected = (MULTICORE_DIR / f"{name}.json").read_text()
     if path == "run_mix":
         result = run_mix(mix, policy, length_per_core=MULTICORE_LENGTH)
     else:
-        result = _walk_mix(make_mix_traces(mix, MULTICORE_LENGTH), mix,
-                           policy, default_system())
+        with walked():
+            result = run_mix(mix, policy, length_per_core=MULTICORE_LENGTH)
     _assert_bytes_equal(f"{name} ({path})",
                         json.dumps(asdict(result), sort_keys=True) + "\n",
                         expected)

@@ -1,13 +1,17 @@
-"""Multicore capture/replay equals the per-access shared-L3 walk.
+"""N-core capture/replay equals the per-access walk.
 
-:func:`repro.sim.multi_core.run_mix_traces` captures each core's front
-end and replays the merged boundary events; :func:`~repro.sim.
-multi_core._walk_mix` drives every core's ``access()`` in turn and is the
-golden reference. The hypothesis harness below draws policy, core count,
-tiny cache geometries, page size, warmup fraction and unequal per-core
-trace lengths, and asserts the two produce the same bytes, through the
-back-end kernels (baseline kinds and slip kinds alike) and through the
-merged scalar replays.
+:func:`repro.sim.multi_core.run_mix_traces` runs the N-core driver
+(:func:`repro.sim.filtered.simulate`): it captures each core's front
+end through the capture store and replays the merged boundary events;
+the driver's per-access walk (the ``walked`` fixture forces it) drives
+every core's ``access()`` in turn and is the golden reference. The
+hypothesis harness below draws policy, core count (one core is the
+driver's single-core case), tiny cache geometries (a sublevel-partitioned L1
+sends the capture to the scalar capture pass), page size, warmup
+fraction, unequal per-core trace lengths and the capture store tier,
+and asserts the two produce the same bytes on a cold and a warm store,
+through the back-end kernels (baseline kinds and slip kinds alike) and
+through the merged scalar replays.
 
 This module must stay out of conftest's ``SIMCHECK_MODULES``: under
 SimCheck every mix declines to the walk, and the harness would compare
@@ -17,12 +21,13 @@ the walk with itself.
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sim import multi_core
+from repro.sim import filtered, multi_core
 from repro.sim.build import POLICY_NAMES, runtime_kind
 from repro.sim.config import (
     CacheLevelConfig,
@@ -32,6 +37,7 @@ from repro.sim.config import (
     SystemConfig,
 )
 from repro.workloads.benchmarks import make_trace
+from repro.workloads.capture_store import DiskCaptureStore, MemoryCaptureStore
 from repro.workloads.mixes import CORE_ADDRESS_STRIDE, make_mix_traces
 
 BENCHES = ("soplex", "mcf", "lbm", "gcc", "bzip2", "milc")
@@ -71,10 +77,16 @@ def levels(draw, name: str, base_sets: int, base_lat: int,
 def systems(draw, uniform_ok: bool) -> SystemConfig:
     l1_ways = draw(st.sampled_from((1, 2, 4)))
     l1_sets = draw(st.sampled_from((4, 8, 16)))
+    # A sublevel-partitioned L1 is declined by the capture kernel.
+    l1_parts = ((1, l1_ways - 1) if l1_ways > 1 and draw(st.booleans())
+                else ())
     return SystemConfig(
-        l1=CacheLevelConfig(name="L1", size_bytes=l1_sets * l1_ways * 64,
-                            ways=l1_ways, latency_cycles=1,
-                            access_energy_pj=1.0),
+        l1=CacheLevelConfig(
+            name="L1", size_bytes=l1_sets * l1_ways * 64, ways=l1_ways,
+            latency_cycles=1, access_energy_pj=1.0,
+            sublevel_ways=l1_parts,
+            sublevel_energy_pj=(0.8, 1.4)[:len(l1_parts)],
+            sublevel_latency=(1, 2)[:len(l1_parts)]),
         l2=draw(levels("L2", 8, 3, 10.0, uniform_ok)),
         l3=draw(levels("L3", 32, 8, 40.0, uniform_ok)),
         dram=DramConfig(latency_cycles=50, energy_pj_per_bit=2.0),
@@ -106,47 +118,88 @@ def mix_cells(draw):
     )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(cell=mix_cells())
-def test_replay_matches_walk(cell):
-    assert canonical(multi_core.run_mix_traces(**cell)) \
-        == canonical(multi_core._walk_mix(**cell))
+#: Capture store tiers: the driver's process-local store, a fresh
+#: memory store, a fresh disk store.
+STORE_TIERS = ("none", "memory", "disk")
+
+
+def replay_twice(cell, tier: str):
+    """The cell's bytes on a cold and then a warm store of ``tier``."""
+    with tempfile.TemporaryDirectory() as root:
+        store = {"none": None, "memory": MemoryCaptureStore(),
+                 "disk": DiskCaptureStore(root)}[tier]
+        return [canonical(multi_core.run_mix_traces(**cell, store=store))
+                for _ in range(2)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cell=mix_cells(), tier=st.sampled_from(STORE_TIERS))
+def test_replay_matches_walk(cell, tier, walked):
+    with walked():
+        reference = canonical(multi_core.run_mix_traces(**cell))
+    assert replay_twice(cell, tier) == [reference, reference]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cell=mix_cells())
-def test_scalar_replay_matches_walk(cell, scalar_kernels):
+@given(cell=mix_cells(), tier=st.sampled_from(STORE_TIERS))
+def test_scalar_replay_matches_walk(cell, tier, scalar_kernels, walked):
     """With both back-end kernels declining, the merged scalar replays
     serve."""
+    with walked():
+        reference = canonical(multi_core.run_mix_traces(**cell))
     with scalar_kernels("replay_capture_vector",
                         "replay_capture_vector_slip"):
-        replayed = canonical(multi_core.run_mix_traces(**cell))
-    assert replayed == canonical(multi_core._walk_mix(**cell))
+        assert replay_twice(cell, tier) == [reference, reference]
 
 
+def test_mix_cells_share_captures(tiny_system, walked):
+    """A mix's slip_abp cell replays the captures its baseline cell
+    stored: every per-core lookup hits, and the bytes equal the walk's."""
+    lookups = []
+
+    class RecordingStore(MemoryCaptureStore):
+        def get(self, key):
+            capture = super().get(key)
+            lookups.append(capture is not None)
+            return capture
+
+    mix = ("soplex", "mcf")
+    traces = make_mix_traces(mix, 1_500, seed=2)
+    store = RecordingStore()
+    multi_core.run_mix_traces(traces, mix, "baseline", tiny_system, 2,
+                              store=store)
+    assert lookups == [False, False]
+    del lookups[:]
+    shared = multi_core.run_mix_traces(traces, mix, "slip_abp",
+                                       tiny_system, 2, store=store)
+    assert lookups == [True, True]
+    with walked():
+        walk = multi_core.run_mix_traces(traces, mix, "slip_abp",
+                                         tiny_system, 2)
+    assert canonical(shared) == canonical(walk)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("reason", ["simcheck", "rd-block"])
-def test_front_end_declines_serve_the_walk(reason, tiny_system,
-                                           monkeypatch):
-    """SimCheck and rd-block mixes run the walk and record why."""
+def test_front_end_declines_serve_the_walk(reason, cores, tiny_system,
+                                           monkeypatch, walked):
+    """SimCheck and rd-block cells walk: they take no capture at all."""
     config = tiny_system
     if reason == "simcheck":
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     else:
         config = config.with_slip(rd_block_lines=16)
-    probed = []
-    capture = multi_core.capture_front_end_vector
-
-    def spy(hierarchy, *args, **kwargs):
-        probed.append(hierarchy)
-        return capture(hierarchy, *args, **kwargs)
-
-    monkeypatch.setattr(multi_core, "capture_front_end_vector", spy)
-    mix = ("soplex", "mcf")
+    mix = ("soplex", "mcf")[:cores]
     traces = make_mix_traces(mix, 1_500, seed=3)
-    replayed = multi_core.run_mix_traces(traces, mix, "slip_abp", config, 3)
-    walked = multi_core._walk_mix(traces, mix, "slip_abp", config, 3)
-    assert canonical(replayed) == canonical(walked)
-    assert probed
-    assert all(h.kernel_declines.frontend == reason for h in probed)
-
+    with walked():
+        walk = multi_core.run_mix_traces(traces, mix, "slip_abp", config, 3)
+    store = MemoryCaptureStore()
+    with monkeypatch.context() as mp:
+        for capture in ("capture_front_end_vector", "capture_front_end"):
+            mp.setattr(filtered, capture, None)  # a call would raise
+        replayed = multi_core.run_mix_traces(traces, mix, "slip_abp",
+                                             config, 3, store=store)
+    assert canonical(replayed) == canonical(walk)
+    assert not store._entries

@@ -20,14 +20,10 @@ import pytest
 
 from repro.core.energy_model import LevelEnergyParams
 from repro.experiments.parallel import RunRequest, run_jobs
-from repro.sim import single_core
+from repro.sim import filtered, single_core
 from repro.sim.build import build_hierarchy, runtime_kind
 from repro.sim.config import CacheLevelConfig
-from repro.sim.filtered import (
-    capture_front_end,
-    front_end_fingerprint,
-    replay_capture,
-)
+from repro.sim.filtered import capture_front_end, front_end_fingerprint
 from repro.sim.replay_plan import (
     PLAN_ARRAY_NAMES,
     build_plan,
@@ -69,7 +65,7 @@ class TestPlanByteIdentity:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     @pytest.mark.parametrize("store_kind", ("memory", "disk"))
     def test_plan_on_off_identical(self, policy, store_kind, tmp_path,
-                                   tiny_system):
+                                   tiny_system, monkeypatch):
         trace = make_trace("soplex", LENGTH)
         store = (MemoryCaptureStore() if store_kind == "memory"
                  else DiskCaptureStore(str(tmp_path)))
@@ -77,10 +73,10 @@ class TestPlanByteIdentity:
         # Second run replays the stored capture with the stored plan.
         second = run_trace(trace, policy, config=tiny_system, store=store)
         assert canonical(first) == canonical(second)
-        key = fingerprint_key(
-            front_end_fingerprint(trace, tiny_system, 0, 0.25))
-        unplanned = replay_capture(trace, policy, store.get(key),
-                                   tiny_system)
+        # A third replays the stored capture without a plan.
+        monkeypatch.setattr(filtered, "_resolve_plan", lambda *args: None)
+        unplanned = run_trace(trace, policy, config=tiny_system,
+                              store=store)
         assert canonical(unplanned) == canonical(second)
 
     def test_plan_persisted_once_per_geometry(self, tmp_path,
@@ -192,17 +188,23 @@ class TestPlanDerivation:
 # ----------------------------------------------------------------------
 # Direct runs: run_trace against the scalar walk
 # ----------------------------------------------------------------------
-def half_l3_energy(config):
-    """Per-level overrides halving the L3 sublevel energies."""
-    l3 = config.l3
+def skewed_energy(config):
+    """Per-level overrides that move SLIP's placement decisions: L2
+    sublevels 20x dearer over a 1 pJ next level, L3 sublevels 20x
+    cheaper over a 5000 pJ next level."""
     return {
-        "L3": LevelEnergyParams(
+        name: LevelEnergyParams(
             sublevel_capacity_lines=tuple(
-                l3.sublevel_capacity_lines(i)
-                for i in range(l3.num_sublevels)
+                level.sublevel_capacity_lines(i)
+                for i in range(level.num_sublevels)
             ),
-            sublevel_energy_pj=tuple(e * 0.5 for e in l3.sublevel_energy_pj),
-            next_level_energy_pj=config.dram.energy_pj_per_line,
+            sublevel_energy_pj=tuple(e * scale
+                                     for e in level.sublevel_energy_pj),
+            next_level_energy_pj=next_pj,
+        )
+        for name, level, scale, next_pj in (
+            ("L2", config.l2, 20.0, 1.0),
+            ("L3", config.l3, 0.05, 5000.0),
         )
     }
 
@@ -232,9 +234,8 @@ class Row:
 
     def bypassed(self, policy: str) -> bool:
         """Whether the cell walks the trace instead of replaying."""
-        return (self.simcheck or self.overrides
-                or (bool(self.rd_block_lines)
-                    and runtime_kind(policy) == "slip"))
+        return self.simcheck or (bool(self.rd_block_lines)
+                                 and runtime_kind(policy) == "slip")
 
 
 ROWS = {
@@ -266,7 +267,7 @@ class TestDirectPipeline:
         if row.l1_sublevels:
             config = partitioned_l1(config)
         kwargs = dict(config=config, seed=3, replacement=row.replacement,
-                      level_energy_overrides=(half_l3_energy(config)
+                      level_energy_overrides=(skewed_energy(config)
                                               if row.overrides else None))
         if row.store == "none":
             store = None
@@ -283,10 +284,15 @@ class TestDirectPipeline:
             scalar_run(trace, policy, **kwargs))
         if isinstance(store, MemoryCaptureStore):
             assert bool(store._entries) != row.bypassed(policy)
+        if row.overrides and runtime_kind(policy) == "slip":
+            # The overrides reach the live SLIP runtime's EOU models.
+            kwargs["level_energy_overrides"] = None
+            assert canonical(result) != canonical(
+                run_trace(trace, policy, store=store, **kwargs))
 
     def test_direct_runs_leave_the_store_alone(self, tmp_path,
                                                monkeypatch):
-        run_store = single_core._RUN_STORE
+        run_store = filtered._RUN_STORE
         run_store.clear()
         for capture_dir in (str(tmp_path), None):
             if capture_dir is None:
@@ -310,8 +316,7 @@ class TestDirectPipeline:
         trace = make_trace("lbm", LENGTH)
         first = run_trace(trace, "slip", config=tiny_system)
         # The repeat hits the process-local store: no capture, no plan.
-        monkeypatch.setattr(single_core, "capture_front_end_vector",
-                            None)
+        monkeypatch.setattr(filtered, "capture_front_end_vector", None)
         monkeypatch.setattr(MemoryCaptureStore, "put_plan", None)
         second = run_trace(trace, "slip", config=tiny_system)
         assert canonical(first) == canonical(second)

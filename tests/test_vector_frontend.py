@@ -18,7 +18,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.energy_model import LevelEnergyParams
 from repro.experiments.parallel import RunRequest, run_jobs
 from repro.mem.replacement import RandomReplacement
 from repro.sim.build import build_hierarchy
@@ -295,26 +294,6 @@ class TestDecline:
         captured = capsys.readouterr()
         assert "vector-frontend: decline (rd-block)" in captured.err
         assert captured.out == ""  # stdout stays deterministic
-
-    def test_energy_overrides_still_bypass_filtered(self, tiny_system,
-                                                    scalar_run):
-        """Overrides bypass capture entirely; the kernel never runs."""
-        l1 = tiny_system.l1
-        overrides = {
-            "L1": LevelEnergyParams(
-                sublevel_capacity_lines=(
-                    l1.size_bytes // l1.line_size,),
-                sublevel_energy_pj=(l1.access_energy_pj * 0.5,),
-                next_level_energy_pj=10.0,
-            )
-        }
-        trace = make_trace("soplex", 1_200)
-        store = MemoryCaptureStore()
-        result = run_trace(trace, "baseline", config=tiny_system,
-                           store=store, level_energy_overrides=overrides)
-        assert not store._entries
-        assert result == scalar_run(trace, "baseline", tiny_system,
-                                    level_energy_overrides=overrides)
 
 
 # ----------------------------------------------------------------------

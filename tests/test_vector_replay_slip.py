@@ -19,7 +19,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.experiments.parallel import RunRequest, run_jobs
-from repro.sim import multi_core
+from repro.sim import filtered, multi_core
 from repro.sim.build import build_hierarchy
 from repro.sim.config import (
     CacheLevelConfig,
@@ -64,14 +64,14 @@ def eligible(hierarchy) -> bool:
 def spy_mix_kernel(monkeypatch) -> list:
     """Record ``(served, hierarchies)`` of each multicore kernel call."""
     calls = []
-    kernel = multi_core.replay_capture_vector_slip
+    kernel = filtered.replay_capture_vector_slip
 
     def spy(hierarchies, *args, **kwargs):
         served = kernel(hierarchies, *args, **kwargs)
         calls.append((served, list(hierarchies)))
         return served
 
-    monkeypatch.setattr(multi_core, "replay_capture_vector_slip", spy)
+    monkeypatch.setattr(filtered, "replay_capture_vector_slip", spy)
     return calls
 
 
@@ -293,7 +293,8 @@ class TestDecline:
         assert captured.out == ""  # stdout stays deterministic
 
     @pytest.mark.parametrize("reason", ["router:runtimes", "router:page"])
-    def test_shared_l3_declines(self, reason, tiny_system, monkeypatch):
+    def test_shared_l3_declines(self, reason, tiny_system, monkeypatch,
+                                walked):
         """A mix the shared-L3 sweep cannot represent records why and
         still serializes like the walk, through the scalar replay.
 
@@ -317,9 +318,10 @@ class TestDecline:
         calls = spy_mix_kernel(monkeypatch)
         replayed = multi_core.run_mix_traces(traces, MIX, "slip_abp",
                                              tiny_system, 3)
-        walked = multi_core._walk_mix(traces, MIX, "slip_abp",
-                                      tiny_system, 3)
-        assert canonical_mix(replayed) == canonical_mix(walked)
+        with walked():
+            walk = multi_core.run_mix_traces(traces, MIX, "slip_abp",
+                                             tiny_system, 3)
+        assert canonical_mix(replayed) == canonical_mix(walk)
         [(served, hierarchies)] = calls
         assert served is False
         assert [h.kernel_declines.replay for h in hierarchies] \

@@ -23,6 +23,7 @@ from repro.workloads.mixes import (
     make_mix_traces,
     mix_name,
 )
+from repro.workloads.capture_store import trace_content_digest
 from repro.workloads.trace import Trace, concatenate
 
 
@@ -215,6 +216,18 @@ class TestTrace:
         part = trace.sliced(10, 20)
         assert len(part) == 10
         assert np.array_equal(part.addresses, trace.addresses[10:20])
+
+    def test_derived_traces_get_their_own_digest(self):
+        """Slices and offset copies must not inherit the memoized digest
+        of the trace they came from: their contents differ."""
+        trace = make_trace("mcf", 2000, seed=1)
+        digest = trace_content_digest(trace)
+        for derived in (trace.with_offset(CORE_ADDRESS_STRIDE),
+                        trace.sliced(0, 1000)):
+            fresh = Trace(derived.name, derived.addresses.copy(),
+                          derived.is_write.copy())
+            assert trace_content_digest(derived) \
+                == trace_content_digest(fresh) != digest
 
     def test_concatenate(self):
         a = make_trace("lbm", 50)
