@@ -123,9 +123,9 @@ def make_direct_cell(bench: str, policy: str):
     """A zero-arg store-less run closure for one cell.
 
     Every call is one full store-less ``run_trace``. The first call
-    captures the front end with the kernel and builds the ReplayPlan;
-    later calls find both in the process-local store every store-less
-    run shares, so they time the kernel replay of a warm capture. Also
+    captures the front end with the kernel; later calls find the
+    capture in the process-local store every store-less run shares,
+    so they time the kernel replay of a warm capture. Also
     used by ``scripts/throughput_gate.py`` for the direct-drive gates.
     """
     config = default_system()

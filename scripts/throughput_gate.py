@@ -20,7 +20,7 @@ at the repo root:
   cost every cold sweep cell pays before its first replay;
 * store-less ``run_trace`` runs of the soplex baseline and slip_abp
   cells — after the first call, the process-local store of store-less
-  runs holds the capture and the plan, so each repeat times a kernel
+  runs holds the capture, so each repeat times a kernel
   replay; a decline regression here converges on the scalar drive's
   cost (several times slower).
 
@@ -142,7 +142,7 @@ def make_measure_direct_s(cell_bench: str, policy: str):
         bench = _import_bench()
         direct = bench.make_direct_cell(cell_bench, policy)
         best = float("inf")
-        direct()  # warmup: first call stores the capture and plan
+        direct()  # warmup: first call stores the capture
         for _ in range(repeats):
             started = time.perf_counter()
             accesses = direct()

@@ -396,7 +396,7 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
         # restore assigns the L1, runtime and TLB stats objects whole
         # (fast-only ``stats.energy`` comes with the L1 restore) and
         # sets the front-end counters.
-        pair_id="replay-plan",
+        pair_id="capture-replay",
         fast="replay_capture",
         refs=("walk_cores",),
         shared=frozenset({

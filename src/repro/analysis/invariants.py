@@ -941,41 +941,3 @@ def check_vector_frontend(*, n: int, warmup: int, event_boundary: int,
             f"{residents} resident lines in a {capacity}-line L1",
             level="L1", counter="residents")
 
-
-# ----------------------------------------------------------------------
-# Replay-plan conservation (always on, independent of the flag)
-# ----------------------------------------------------------------------
-def check_replay_plan(plan, capture, trace) -> None:
-    """``replay-plan-conservation``: a plan must re-derive byte-equal.
-
-    A :class:`~repro.sim.replay_plan.ReplayPlan` is pure derived data —
-    nothing in it may carry information beyond the (capture, geometry)
-    pair it claims to precompute. Before the first kernel consumes a
-    plan object (fresh build, memoized share or memmap sidecar load),
-    this re-runs the derivation from the capture and compares every
-    persisted array byte-for-byte, so a corrupted, truncated or stale
-    plan can never alter a result. Passing marks ``plan.verified``;
-    shared plan objects pay the check once per process.
-    """
-    import numpy as np
-
-    from ..sim.replay_plan import PLAN_ARRAY_NAMES, derive_plan_arrays
-
-    name = "replay-plan-conservation"
-    expected = derive_plan_arrays(capture, trace, plan.geometry)
-    for array_name in PLAN_ARRAY_NAMES:
-        got = np.asarray(getattr(plan, array_name))
-        want = expected[array_name]
-        if got.dtype != want.dtype:
-            raise InvariantViolation(
-                name,
-                f"plan array {array_name} has dtype {got.dtype}, "
-                f"re-derivation yields {want.dtype}",
-                counter=array_name)
-        if not np.array_equal(got, want):
-            raise InvariantViolation(
-                name,
-                f"plan array {array_name} does not re-derive "
-                f"byte-identically from the capture",
-                counter=array_name)
-    plan.verified = True

@@ -132,9 +132,9 @@ class JobResult:
 def execute_request(request: Request) -> JobResult:
     """Run one job; pure function of the request (worker entry point)."""
     started = time.perf_counter()
-    # Workers share captures and replay plans through the default
-    # store: in-memory, or the on-disk store every pool worker sees
-    # when REPRO_CAPTURE_DIR is set (workers inherit it).
+    # Workers share captures through the default store: in-memory, or
+    # the on-disk store every pool worker sees when REPRO_CAPTURE_DIR
+    # is set (workers inherit it).
     if isinstance(request, MixRequest):
         result: Result = run_mix(
             request.mix,

@@ -53,8 +53,9 @@ back-end kernels offered the work first
 (:func:`~repro.sim.vector_replay.replay_capture_vector` and
 :func:`~repro.sim.vector_replay_slip.replay_capture_vector_slip`): the
 cores' events merge by (access index, core), and the scalar replays
-serve only what the kernels decline. A single-core cell also shares a
-verified replay plan (:mod:`~repro.sim.replay_plan`) through the store.
+serve only what the kernels decline. Each replay derives its own
+precompute (per-set grouping, L3 stream, captured-position
+resolutions) from the captures, so the store holds only captures.
 
 Frozen front-end statistics (L1 LevelStats, TLB and runtime stats,
 latency/hit counters) are merged back per core before ``finalize()``;
@@ -71,7 +72,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..analysis.invariants import InvariantViolation, check_capture_replay
+from ..analysis.invariants import check_capture_replay
 from ..core.runtime import RuntimeStats
 from ..mem.stats import EnergyBreakdown, LevelStats
 from ..mem.tlb import TlbStats, pte_line_address
@@ -89,12 +90,6 @@ from ..workloads.capture_store import (
 from ..workloads.trace import Trace
 from .build import build_hierarchy, maybe_boost_sampler
 from .config import SystemConfig
-from .replay_plan import (
-    build_plan,
-    ensure_plan_verified,
-    plan_geometry,
-    plan_geometry_key,
-)
 from .vector_frontend import capture_front_end_vector
 from .vector_replay import merge_by_access, replay_capture_vector
 from .vector_replay_slip import replay_capture_vector_slip
@@ -397,8 +392,8 @@ def _replay_slip(hierarchies, traces, captures) -> None:
         runtime.tlb.stats.hits = (capture.n - warmup) - misses
 
 
-# slip-audit: twin=replay-plan role=fast
-def replay_capture(hierarchies, traces, captures, plan=None) -> None:
+# slip-audit: twin=capture-replay role=fast
+def replay_capture(hierarchies, traces, captures) -> None:
     """Feed every core's captured boundary to its back end; finalize.
 
     One trace window and capture per hierarchy (core). The back-end
@@ -406,18 +401,15 @@ def replay_capture(hierarchies, traces, captures, plan=None) -> None:
     core then gets its frozen front end merged back (the replay's own
     L1 is empty, never filled, so ``finalize()`` touches only live
     L2/L3 state) and the ``capture-replay-conservation`` audit runs
-    over the finished cores. ``plan`` optionally carries the verified
-    policy-invariant replay precompute (see
-    :mod:`~repro.sim.replay_plan`) of a single-core cell.
+    over the finished cores.
     """
     slip_kind = getattr(hierarchies[0].runtime, "slip_enabled", False)
     # Each kernel declines (returns False) outside its eligibility
     # matrix; the scalar replays stay the golden references.
     if slip_kind:
-        if not replay_capture_vector_slip(hierarchies, traces, captures,
-                                          plan):
+        if not replay_capture_vector_slip(hierarchies, traces, captures):
             _replay_slip(hierarchies, traces, captures)
-    elif not replay_capture_vector(hierarchies, captures, plan):
+    elif not replay_capture_vector(hierarchies, captures):
         _replay_events(hierarchies, captures)
 
     for hierarchy, capture in zip(hierarchies, captures):
@@ -435,7 +427,7 @@ def replay_capture(hierarchies, traces, captures, plan=None) -> None:
     check_capture_replay(hierarchies, captures, slip_kind=slip_kind)
 
 
-# slip-audit: twin=replay-plan role=ref
+# slip-audit: twin=capture-replay role=ref
 def walk_cores(hierarchies, traces, warmup_fraction: float) -> None:
     """The golden reference: drive every core's ``access()`` in turn.
 
@@ -464,10 +456,10 @@ def walk_cores(hierarchies, traces, warmup_fraction: float) -> None:
 # ----------------------------------------------------------------------
 # The N-core driver
 # ----------------------------------------------------------------------
-#: Where store-less runs keep their captures and plans: a few recent
-#: entries, so repeated runs of one trace in a process skip the capture
-#: and the plan build, while a store-less run never writes to the
-#: shared :func:`~repro.workloads.capture_store.default_store`.
+#: Where store-less runs keep their captures: a few recent entries, so
+#: repeated runs of one trace in a process skip the capture, while a
+#: store-less run never writes to the shared
+#: :func:`~repro.workloads.capture_store.default_store`.
 _RUN_STORE = MemoryCaptureStore(max_entries=4)
 
 
@@ -509,8 +501,7 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
     means a process-local store of a few entries), keyed by the
     window's front-end fingerprint with the core's seed ``seed +
     core``, and replays the captures in one step. A failed capture
-    walks too. Single-core cells also share a replay plan through the
-    store.
+    walks too.
     """
     shortest = min(len(trace) for trace in traces)
     windows = [trace if len(trace) == shortest else trace.sliced(0, shortest)
@@ -523,7 +514,7 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
         return
     if store is None:
         store = _RUN_STORE
-    keys, captures = [], []
+    captures = []
     for core, (hierarchy, window) in enumerate(zip(hierarchies, windows)):
         fingerprint = front_end_fingerprint(window, config, seed + core,
                                             warmup_fraction)
@@ -535,39 +526,6 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
                 walk_cores(hierarchies, windows, warmup_fraction)
                 return
             store.put(key, capture, fingerprint=fingerprint)
-        keys.append(key)
         captures.append(capture)
-    plan = None
-    if len(captures) == 1:  # replay plans are single-core
-        plan = _resolve_plan(store, keys[0], plan_geometry(config),
-                             captures[0], windows[0])
-    replay_capture(hierarchies, windows, captures, plan)
+    replay_capture(hierarchies, windows, captures)
 
-
-# ----------------------------------------------------------------------
-# Plan resolution (store-backed)
-# ----------------------------------------------------------------------
-def _resolve_plan(store, key: str, geometry: Dict,
-                  capture: TraceCapture, trace: Trace):
-    """The verified plan for one (capture, geometry), building on miss.
-
-    Loaded plans (memory hit or disk sidecar) are structurally
-    validated and pushed through the ``replay-plan-conservation``
-    invariant before first use; any failure invalidates the cached
-    plan and falls through to a fresh build, so a damaged or stale
-    sidecar can only ever cost a rebuild, never change a result.
-    """
-    geom_key = plan_geometry_key(geometry)
-    plan = store.get_plan(key, geom_key)
-    if plan is not None and not plan.verified:
-        try:
-            plan.validate(capture)
-            ensure_plan_verified(plan, capture, trace)
-        except (CaptureError, InvariantViolation):
-            store.invalidate_plan(key, geom_key)
-            plan = None
-    if plan is None:
-        plan = ensure_plan_verified(
-            build_plan(capture, trace, geometry), capture, trace)
-        store.put_plan(key, geom_key, plan)
-    return plan

@@ -43,8 +43,8 @@ def run_trace(
     once per (trace, front-end fingerprint) into ``store`` (a
     process-local store of a few entries when ``None``; sweeps pass
     the shared :func:`~repro.workloads.capture_store.default_store`)
-    and replays the captured boundary with its store-cached replay
-    plan, or walks the trace where no capture can serve.
+    and replays the captured boundary, or walks the trace where no
+    capture can serve.
     """
     config = config or default_system()
     hierarchy = build_hierarchy(

@@ -187,8 +187,8 @@ def _run_l1(addrs: np.ndarray, writes: np.ndarray, warmup: int,
     tally = _L1Tally()
     hist = tally.hist
     hits_meas = misses_meas = wb_meas = evict_meas = residents = 0
-    for evt_s, wr_s, tag_s, meas_s in _set_runs(None, writes, addrs,
-                                                meas, num_sets):
+    for evt_s, wr_s, tag_s, meas_s in _set_runs(writes, addrs, meas,
+                                                num_sets):
         where: Dict[int, int] = {}
         order_: List[int] = []     # resident slots, front == LRU
         f_tag: List[int] = []      # append-only slot columns

@@ -57,6 +57,10 @@ runs once over the cores' L2 miss streams merged by (access index,
 core), the order in which a round-robin walk of the cores reaches the
 shared level. A single core is the one-core case of the same code.
 
+Every call derives its own precompute from the captures (the per-set
+grouping of :func:`_set_order` and the interleaved L3 stream of
+:func:`_derive_l3_stream`); nothing is cached across cells.
+
 Replays fall back to the scalar path (``return False``) whenever the
 hierarchy is not eligible: SLIP kinds never reach this module, and
 non-LRU-family replacement ablations (random / DRRIP / SHiP), SimCheck
@@ -189,27 +193,21 @@ def _set_order(addrs: np.ndarray, num_sets: int):
     return np.concatenate(([0], np.cumsum(counts))).tolist(), order
 
 
-#: Events turned into lists per step when a runner groups its own
-#: stream (no plan): no leg holds full-stream lists of Python ints.
+#: Events turned into lists per step when a runner groups its
+#: stream: no leg holds full-stream lists of Python ints.
 _GROUP_BLOCK = 8192
 
 
-def _set_runs(plan_data, ops, addrs, meas, num_sets):
+def _set_runs(ops, addrs, meas, num_sets):
     """Each non-empty set's (event, opcode, address, measured) lists.
 
-    Events keep their global order inside a set. A plan's precomputed
-    grouping (offsets plus the four columns as plain lists) is sliced as
-    stored; without a plan the stream is grouped with the same stable
-    argsort (:func:`_set_order`) and converted to lists one block of
-    sets at a time.
+    Events keep their global order inside a set: the stream is grouped
+    with a stable argsort (:func:`_set_order`) and converted to lists
+    one block of sets at a time.
     """
-    if plan_data is not None:
-        offs, *lists = plan_data
-        columns, base, hi = None, 0, offs[-1]
-    else:
-        offs, order = _set_order(addrs, num_sets)
-        columns = (order, ops[order], addrs[order], meas[order])
-        lists, base, hi = [], 0, 0
+    offs, order = _set_order(addrs, num_sets)
+    columns = (order, ops[order], addrs[order], meas[order])
+    lists, base, hi = [], 0, 0
     for s in range(num_sets):
         a, b = offs[s], offs[s + 1]
         if a == b:
@@ -223,8 +221,7 @@ def _set_runs(plan_data, ops, addrs, meas, num_sets):
 # ----------------------------------------------------------------------
 # Baseline kernel (two passes: tag-level, then way assignment)
 # ----------------------------------------------------------------------
-def _run_baseline(level, placement, ops, addrs, meas, plan_data=None,
-                  resident_weight=1):
+def _run_baseline(level, placement, ops, addrs, meas, resident_weight=1):
     n = int(ops.shape[0])
     num_sets = level.num_sets
     ways = level.cfg.ways
@@ -240,8 +237,8 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None,
     # within-set order *is* the stamp order and min-LRU is the front.
     sets_out = []
     demand_misses = metadata_misses = 0
-    for evt_s, ops_s, addr_s, meas_s in _set_runs(plan_data, ops, addrs,
-                                                  meas, num_sets):
+    for evt_s, ops_s, addr_s, meas_s in _set_runs(ops, addrs, meas,
+                                                  num_sets):
         where: dict = {}
         order_: List[int] = []
         f_evt: List[int] = []
@@ -360,8 +357,7 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None,
 # ----------------------------------------------------------------------
 # NuRAPID kernel (per-set pass with per-sublevel sorted stamp lists)
 # ----------------------------------------------------------------------
-def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None,
-                 resident_weight=1):
+def _run_nurapid(level, placement, ops, addrs, meas, resident_weight=1):
     from bisect import bisect_left, insort
 
     n = int(ops.shape[0])
@@ -378,8 +374,8 @@ def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None,
     last = nsub - 1
     w0 = ways_count[0]
 
-    for evt_s, ops_s, addr_s, meas_s in _set_runs(plan_data, ops, addrs,
-                                                  meas, num_sets):
+    for evt_s, ops_s, addr_s, meas_s in _set_runs(ops, addrs, meas,
+                                                  num_sets):
         # recs: tag -> [sublevel, dirty, hits, stamp]; per-sublevel
         # sorted stamp lists with aligned tag lists (front == LRU).
         recs: dict = {}
@@ -504,8 +500,7 @@ def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None,
 # ----------------------------------------------------------------------
 # LRU-PEA kernel (global-order pass: one RNG draw per fill)
 # ----------------------------------------------------------------------
-def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None,
-                 resident_weight=1):
+def _run_lru_pea(level, placement, ops, addrs, meas, resident_weight=1):
     from bisect import bisect_left
 
     n = int(ops.shape[0])
@@ -518,13 +513,10 @@ def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None,
     wbin_sub, wbout_sub = tally.wbin_sub, tally.wbout_sub
     miss: List[bool] = [False] * n
     victim_tag: List[int] = [-1] * n
-    if plan_data is not None:
-        set_l, ops_l, addr_l, meas_l = plan_data
-    else:
-        set_l = (addrs % num_sets).tolist()
-        ops_l = ops.tolist()
-        addr_l = addrs.tolist()
-        meas_l = meas.tolist()
+    set_l = (addrs % num_sets).tolist()
+    ops_l = ops.tolist()
+    addr_l = addrs.tolist()
+    meas_l = meas.tolist()
 
     # The insertion-sublevel draw replicates random.Random.choices with
     # k=1 over the sublevel-way weights: one self.random() call per
@@ -680,7 +672,7 @@ _RUNNERS = {
 # ----------------------------------------------------------------------
 # L3 stream derivation
 # ----------------------------------------------------------------------
-def _derive_l3_stream(ops, addrs, meas, l2_miss, l2_victim, plan=None):
+def _derive_l3_stream(ops, addrs, meas, l2_miss, l2_victim):
     """The event stream L3 sees, in the scalar replay's exact order.
 
     Per L2 event: the demand/metadata access travels on to L3 when it
@@ -688,28 +680,20 @@ def _derive_l3_stream(ops, addrs, meas, l2_miss, l2_victim, plan=None):
     the L2 victim's writeback — emitted *after* the L3 access of the
     same event — follows immediately. Interleaving even slots (the
     forwarded event) with odd slots (the victim writeback) and masking
-    the empties reproduces that order without a python loop. With a
-    :class:`~repro.sim.replay_plan.ReplayPlan`, the policy-invariant
-    interleaved address/measured scaffolds come precomputed; only the
-    opcode lanes (which depend on the per-policy L2 outcome) are built
-    here. Also returns the slot mask, whose ``flatnonzero(mask) // 2``
-    names the L2 event behind each L3 event.
+    the empties reproduces that order without a python loop. Also
+    returns the slot mask, whose ``flatnonzero(mask) // 2`` names the
+    L2 event behind each L3 event.
     """
     n = int(ops.shape[0])
     ops2 = np.full(2 * n, _OP_NONE, dtype=np.uint8)
     ops2[0::2] = np.where(l2_miss, ops, _OP_NONE)
     ops2[1::2] = np.where(l2_victim >= 0, OP_WRITEBACK, _OP_NONE)
-    if plan is not None:
-        addr2 = np.asarray(plan.l3_addr2).copy()
-        addr2[1::2] = l2_victim
-        meas2 = np.asarray(plan.l3_meas2)
-    else:
-        addr2 = np.empty(2 * n, dtype=np.int64)
-        addr2[0::2] = addrs
-        addr2[1::2] = l2_victim
-        meas2 = np.empty(2 * n, dtype=bool)
-        meas2[0::2] = meas
-        meas2[1::2] = meas
+    addr2 = np.empty(2 * n, dtype=np.int64)
+    addr2[0::2] = addrs
+    addr2[1::2] = l2_victim
+    meas2 = np.empty(2 * n, dtype=bool)
+    meas2[0::2] = meas
+    meas2[1::2] = meas
     mask = ops2 != _OP_NONE
     return ops2[mask], addr2[mask], meas2[mask], mask
 
@@ -760,8 +744,7 @@ def _publish_level(level, tally: _LevelTally, mq_pj: float) -> None:
 
 # slip-audit: twin=vector-replay role=fast
 def replay_capture_vector(hierarchies: Sequence,
-                          captures: Sequence[TraceCapture],
-                          plan=None) -> bool:
+                          captures: Sequence[TraceCapture]) -> bool:
     """Batched replay of baseline-kind captures; False to fall back.
 
     One capture per hierarchy (core). Each core's L2 leg runs over its
@@ -772,10 +755,8 @@ def replay_capture_vector(hierarchies: Sequence,
     produced; the cache arrays themselves stay empty (``finalize`` adds
     nothing — the kernel accounts resident-line reuse itself), and the
     always-on ``capture-replay-conservation`` audit still runs in the
-    single-core caller. A verified :class:`~repro.sim.replay_plan.
-    ReplayPlan` (single core only) supplies the policy-invariant
-    precompute (per-set grouping, L3 scaffold, measured mask);
-    ``plan=None`` derives everything locally with the same arithmetic.
+    caller. Each call derives its own per-set grouping and L3 stream
+    from the captures.
 
     With several cores the L3 is shared (:mod:`repro.sim.multi_core`):
     DRAM reads and writes go to the core whose event caused them, each
@@ -799,19 +780,13 @@ def replay_capture_vector(hierarchies: Sequence,
     for hierarchy, capture in zip(hierarchies, captures):
         ops = np.asarray(capture.ops, dtype=np.uint8)
         addrs = np.asarray(capture.addrs, dtype=np.int64)
-        if plan is not None:
-            meas = np.asarray(plan.measured_mask())
-            plan_data = (plan.l2_stream(capture) if kind == "lru_pea"
-                         else plan.l2_grouped(capture))
-        else:
-            meas = np.zeros(int(ops.shape[0]), dtype=bool)
-            meas[capture.event_boundary:] = True
-            plan_data = None
+        meas = np.zeros(int(ops.shape[0]), dtype=bool)
+        meas[capture.event_boundary:] = True
         l2 = hierarchy.l2
         tally2, miss2, victim2 = run(l2, hierarchy.l2_placement,
-                                     ops, addrs, meas, plan_data)
+                                     ops, addrs, meas)
         ops3, addrs3, meas3, mask = _derive_l3_stream(
-            ops, addrs, meas, miss2, victim2, plan)
+            ops, addrs, meas, miss2, victim2)
         positions = None
         if num_cores > 1:
             positions = capture.event_positions()[

@@ -50,7 +50,9 @@ caused it, so DRAM reads and writes, and each core's measured-phase
 latency, are charged to that core; each line resident in the shared L3
 at the end counts its reuse once per core, as every core's
 ``finalize()`` walks the shared level (EXPERIMENTS.md known
-deviation 4).
+deviation 4). Every call resolves the captured positions to addresses,
+pages and PTE lines itself (:func:`_merged_events`); nothing is cached
+across cells.
 
 Byte-identity with the scalar path holds because every stateful step is
 reproduced in the scalar order: the level access counters tick per
@@ -367,8 +369,7 @@ class _CoreSweep(NamedTuple):
 # slip-audit: twin=slip-vector-replay role=fast
 def replay_capture_vector_slip(hierarchies: Sequence,
                                traces: Sequence[Trace],
-                               captures: Sequence[TraceCapture],
-                               plan=None) -> bool:
+                               captures: Sequence[TraceCapture]) -> bool:
     """Phase-split replay of slip-kind captures; False to fall back.
 
     One trace window and capture per hierarchy (core); see the module
@@ -377,12 +378,7 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     exactly what the scalar replay would have produced; the cache
     arrays themselves stay empty (``finalize`` adds nothing —
     resident-line reuse is accounted here) and the always-on
-    ``capture-replay-conservation`` audit still runs in the single-core
-    caller. A verified :class:`~repro.sim.replay_plan.ReplayPlan`
-    (single core only) supplies the captured-position
-    address/page/PTE resolutions (and their sentinel-terminated list
-    forms) precomputed; ``plan=None`` derives them locally with the
-    same arithmetic.
+    ``capture-replay-conservation`` audit still runs in the caller.
     """
     if not slip_eligible(hierarchies, traces):
         return False
@@ -394,17 +390,9 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     # ----- captured positions, resolved to addresses/pages up front ---
     n = captures[0].n
     warmup = captures[0].warmup
-    if plan is not None:
-        # Plan lists are shared across cells and already carry the
-        # merge sentinels; the kernel must not mutate them.
-        (miss_keys, miss_addrs, miss_pages, wb_addrs,
-         tlb_keys, tlb_pages, pte_addrs) = plan.slip_lists(captures[0])
-        miss_cores = [0] * len(miss_addrs)
-        tlb_cores = [0] * len(tlb_pages)
-    else:
-        (miss_keys, miss_cores, miss_addrs, miss_pages, wb_addrs,
-         tlb_keys, tlb_cores, tlb_pages, pte_addrs) = _merged_events(
-            first._page_shift, traces, captures)
+    (miss_keys, miss_cores, miss_addrs, miss_pages, wb_addrs,
+     tlb_keys, tlb_cores, tlb_pages, pte_addrs) = _merged_events(
+        first._page_shift, traces, captures)
 
     # ----- the shared L3: one flat-array way model for every core -----
     l3 = first.l3

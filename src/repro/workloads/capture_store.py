@@ -25,15 +25,6 @@ Two stores implement the same two-method protocol (``get``/``put``):
   (``REPRO_CAPTURE_MAX_MB``, default 512, oldest-mtime eviction), and
   a corrupt or truncated entry is quarantined on load: ``get`` returns
   ``None`` and the caller falls back to direct simulation.
-
-Both stores also cache :class:`~repro.sim.replay_plan.ReplayPlan`
-sidecars next to their captures (``get_plan``/``put_plan``, keyed by
-capture key + back-end geometry key): live objects in the memory
-store, memmap array directories (``plan-<geometry digest>/`` inside
-the capture's entry) on disk — same atomic tmp+rename write, same
-quarantine-on-corruption discipline, and evicted together with their
-capture. Plan (de)serialization itself lives in
-:mod:`repro.sim.replay_plan`; the stores only move bytes.
 """
 
 from __future__ import annotations
@@ -240,9 +231,6 @@ class MemoryCaptureStore:
         self.max_entries = (_resolve_mem_entries()
                             if max_entries is None else max_entries)
         self._entries: "OrderedDict[str, TraceCapture]" = OrderedDict()
-        # Replay plans, LRU'd independently: one capture can carry a
-        # plan per back-end geometry, so the key is the pair.
-        self._plans: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
 
     def get(self, key: str) -> Optional[TraceCapture]:
         capture = self._entries.get(key)
@@ -256,29 +244,12 @@ class MemoryCaptureStore:
         self._entries.move_to_end(key)
         self._trim()
 
-    def get_plan(self, key: str, geom_key: str):
-        plan = self._plans.get((key, geom_key))
-        if plan is not None:
-            self._plans.move_to_end((key, geom_key))
-        return plan
-
-    def put_plan(self, key: str, geom_key: str, plan) -> None:
-        self._plans[(key, geom_key)] = plan
-        self._plans.move_to_end((key, geom_key))
-        self._trim()
-
-    def invalidate_plan(self, key: str, geom_key: str) -> None:
-        self._plans.pop((key, geom_key), None)
-
     def _trim(self) -> None:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-        while len(self._plans) > self.max_entries:
-            self._plans.popitem(last=False)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._plans.clear()
 
 
 class DiskCaptureStore:
@@ -379,71 +350,13 @@ class DiskCaptureStore:
             return
         self._evict(keep=os.path.basename(path))
 
-    # ------------------------------------------------------------------
-    # Replay-plan sidecars (one subdirectory per back-end geometry)
-    # ------------------------------------------------------------------
-    def _plan_dir(self, key: str, geom_key: str) -> str:
-        return os.path.join(self._entry_dir(key),
-                            f"plan-{key_digest(geom_key)[:16]}")
-
-    def get_plan(self, key: str, geom_key: str):
-        plan = self._memo.get_plan(key, geom_key)
-        if plan is not None:
-            return plan
-        path = self._plan_dir(key, geom_key)
-        if not os.path.isdir(path):
-            return None
-        # Deferred import: repro.sim.replay_plan imports this module.
-        from ..sim.replay_plan import load_plan_dir
-
-        try:
-            plan = load_plan_dir(path, geom_key)
-        except ForeignEntryError:
-            # Geometry-digest collision: another geometry's (healthy)
-            # sidecar. A miss, never a quarantine.
-            return None
-        except (OSError, ValueError, KeyError, CaptureError,
-                json.JSONDecodeError):
-            # Corrupt/truncated sidecar: quarantine only the plan —
-            # the capture entry beside it is untouched and stays valid.
-            shutil.rmtree(path, ignore_errors=True)
-            return None
-        self._memo.put_plan(key, geom_key, plan)
-        return plan
-
-    def put_plan(self, key: str, geom_key: str, plan) -> None:
-        self._memo.put_plan(key, geom_key, plan)
-        if not os.path.isdir(self._entry_dir(key)):
-            # No capture entry on disk (lost publish race, read-only
-            # volume): the sidecar has nothing to ride along with, and
-            # the in-memory memo still serves this process.
-            return
-        path = self._plan_dir(key, geom_key)
-        if os.path.isdir(path):
-            return
-        from ..sim.replay_plan import save_plan_dir
-
-        tmp = f"{path}.tmp-{os.getpid()}"
-        try:
-            save_plan_dir(tmp, plan, geom_key)
-            os.rename(tmp, path)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-            return
-        self._evict(keep=os.path.basename(self._entry_dir(key)))
-
-    def invalidate_plan(self, key: str, geom_key: str) -> None:
-        """Quarantine one plan sidecar (memo + disk); keep the capture."""
-        self._memo.invalidate_plan(key, geom_key)
-        shutil.rmtree(self._plan_dir(key, geom_key), ignore_errors=True)
-
     def _evict(self, keep: str) -> None:
         """Drop oldest entries until the store fits ``max_bytes``.
 
-        Sizes are accumulated recursively: an entry directory now holds
-        plan sidecar subdirectories alongside its capture arrays, and
-        both are budgeted (and evicted) as one unit. In-flight
-        ``.tmp-`` writes are skipped at any depth.
+        Sizes are accumulated recursively: entries written by older
+        versions can still hold subdirectories beside their capture
+        arrays, and an entry is budgeted (and evicted) as one unit.
+        In-flight ``.tmp-`` writes are skipped at any depth.
         """
         try:
             names = sorted(os.listdir(self.root))
@@ -572,7 +485,7 @@ def reset_default_store() -> None:
     """Forget the resolved default-store configuration (for tests).
 
     Clears the memoized environment resolution, empties the in-memory
-    singleton (captures and plans) and drops the cached disk-store
+    singleton and drops the cached disk-store
     handles, so the next :func:`default_store` call re-resolves from a
     clean slate.
     """

@@ -5,7 +5,7 @@ configuration, ``run_trace`` must produce a ``RunResult`` whose
 ``to_json()`` is byte-identical to the scalar per-access walk — whether
 the result came from a cold capture or a replay against a memory- or
 disk-resident capture. The bypass and geometry rows of that contract
-are one table in ``test_replay_plan.py``.
+are one table (``ROWS``) below.
 """
 
 import copy
@@ -17,9 +17,15 @@ import numpy as np
 import pytest
 
 from repro.analysis.invariants import InvariantViolation
+from repro.core.energy_model import LevelEnergyParams
 from repro.experiments.parallel import RunRequest, run_jobs
-from repro.sim.build import build_hierarchy
-from repro.sim.config import LINES_PER_PAGE, line_to_page_shift
+from repro.sim import filtered, single_core
+from repro.sim.build import build_hierarchy, runtime_kind
+from repro.sim.config import (
+    LINES_PER_PAGE,
+    CacheLevelConfig,
+    line_to_page_shift,
+)
 from repro.sim.filtered import (
     capture_front_end,
     front_end_fingerprint,
@@ -33,6 +39,7 @@ from repro.workloads.capture_store import (
     TraceCapture,
     default_store,
     fingerprint_key,
+    reset_default_store,
 )
 from repro.workloads.trace import _ITER_CHUNK, Trace
 
@@ -85,6 +92,186 @@ class TestEquivalence:
         replayed = run_trace(trace, "slip_abp", store=store)
         assert canonical(replayed) == canonical(
             scalar_run(trace, "slip_abp"))
+
+
+# ----------------------------------------------------------------------
+# Direct runs: run_trace against the scalar walk
+# ----------------------------------------------------------------------
+def skewed_energy(config):
+    """Per-level overrides that move SLIP's placement decisions: L2
+    sublevels 20x dearer over a 1 pJ next level, L3 sublevels 20x
+    cheaper over a 5000 pJ next level."""
+    return {
+        name: LevelEnergyParams(
+            sublevel_capacity_lines=tuple(
+                level.sublevel_capacity_lines(i)
+                for i in range(level.num_sublevels)
+            ),
+            sublevel_energy_pj=tuple(e * scale
+                                     for e in level.sublevel_energy_pj),
+            next_level_energy_pj=next_pj,
+        )
+        for name, level, scale, next_pj in (
+            ("L2", config.l2, 20.0, 1.0),
+            ("L3", config.l3, 0.05, 5000.0),
+        )
+    }
+
+
+def partitioned_l1(config):
+    """A sublevel-partitioned L1, which the capture kernel declines."""
+    l1 = CacheLevelConfig(
+        name="L1", size_bytes=1024, ways=2, latency_cycles=1,
+        access_energy_pj=1.0, sublevel_ways=(1, 1),
+        sublevel_energy_pj=(0.8, 1.4), sublevel_latency=(1, 2),
+    )
+    return dataclasses.replace(config, l1=l1)
+
+
+@dataclasses.dataclass(frozen=True)
+class Row:
+    """One input shape of ``run_trace``; the store column is ``none``
+    (the process-local store), ``memory``, ``warm-memory`` (warmed by
+    a baseline cell) or ``disk``."""
+
+    store: str = "none"
+    simcheck: bool = False
+    overrides: bool = False
+    rd_block_lines: int = 0
+    replacement: str = "lru"
+    l1_sublevels: bool = False
+
+    def bypassed(self, policy: str) -> bool:
+        """Whether the cell walks the trace instead of replaying."""
+        return self.simcheck or (bool(self.rd_block_lines)
+                                 and runtime_kind(policy) == "slip")
+
+
+ROWS = {
+    "none": Row(),
+    "simcheck": Row(store="memory", simcheck=True),
+    "energy-overrides": Row(store="memory", overrides=True),
+    "rd-block": Row(store="memory", rd_block_lines=4),
+    "drrip": Row(replacement="drrip"),
+    "ship": Row(replacement="ship"),
+    "sublevel-l1": Row(store="memory", l1_sublevels=True),
+    "cold-memory": Row(store="memory"),
+    "warm-memory": Row(store="warm-memory"),
+    "disk": Row(store="disk"),
+}
+#: Store-less default-shape cells keep their historical bare-policy ids.
+CASES = [(name, policy) for name in ROWS for policy in ALL_POLICIES]
+CASE_IDS = [policy if name == "none" else f"{name}-{policy}"
+            for name, policy in CASES]
+
+
+class TestDirectPipeline:
+    @pytest.mark.parametrize("name,policy", CASES, ids=CASE_IDS)
+    def test_direct_matches_scalar(self, name, policy, tiny_system,
+                                   tmp_path, monkeypatch, scalar_run):
+        row = ROWS[name]
+        if row.simcheck:
+            monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        config = tiny_system.with_slip(rd_block_lines=row.rd_block_lines)
+        if row.l1_sublevels:
+            config = partitioned_l1(config)
+        kwargs = dict(config=config, seed=3, replacement=row.replacement,
+                      level_energy_overrides=(skewed_energy(config)
+                                              if row.overrides else None))
+        if row.store == "none":
+            store = None
+        elif row.store == "disk":
+            store = DiskCaptureStore(str(tmp_path))
+        else:
+            store = MemoryCaptureStore()
+        trace = make_trace("soplex", 1_500)
+        if row.store == "warm-memory":
+            run_trace(trace, "baseline", config=config, seed=3,
+                      store=store)
+        result = run_trace(trace, policy, store=store, **kwargs)
+        assert canonical(result) == canonical(
+            scalar_run(trace, policy, **kwargs))
+        if isinstance(store, MemoryCaptureStore):
+            assert bool(store._entries) != row.bypassed(policy)
+        if row.overrides and runtime_kind(policy) == "slip":
+            # The overrides reach the live SLIP runtime's EOU models.
+            kwargs["level_energy_overrides"] = None
+            assert canonical(result) != canonical(
+                run_trace(trace, policy, store=store, **kwargs))
+
+    def test_direct_runs_leave_the_store_alone(self, tmp_path,
+                                               monkeypatch):
+        run_store = filtered._RUN_STORE
+        run_store.clear()
+        for capture_dir in (str(tmp_path), None):
+            if capture_dir is None:
+                monkeypatch.delenv("REPRO_CAPTURE_DIR", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_CAPTURE_DIR", capture_dir)
+            reset_default_store()
+            run_trace(make_trace("soplex", LENGTH), "slip_abp")
+        assert os.listdir(tmp_path) == []
+        assert not default_store()._entries
+        # The process-local store keeps the 4 most recent cells.
+        for bench in ("lbm", "mcf", "milc", "bzip2", "gcc"):
+            run_trace(make_trace(bench, 1_000), "baseline")
+        assert run_store.max_entries == 4
+        assert len(run_store._entries) == 4
+
+    def test_direct_warm_capture_reuse_identical(self, tiny_system,
+                                                 monkeypatch):
+        trace = make_trace("lbm", LENGTH)
+        first = run_trace(trace, "slip", config=tiny_system)
+        # The repeat hits the process-local store: no capture is taken.
+        monkeypatch.setattr(filtered, "capture_front_end_vector", None)
+        second = run_trace(trace, "slip", config=tiny_system)
+        assert canonical(first) == canonical(second)
+
+    def test_scalar_replacement_still_identical(self, tiny_system,
+                                                scalar_run):
+        # Replay-ineligible shape: the replay kernel declines and the
+        # scalar replay must serve it, identically to the scalar walk.
+        trace = make_trace("soplex", LENGTH)
+        replayed = run_trace(trace, "baseline", config=tiny_system,
+                             replacement="random")
+        assert canonical(replayed) == canonical(
+            scalar_run(trace, "baseline", tiny_system,
+                       replacement="random"))
+
+
+class TestDirectDeclines:
+    """The cell's own hierarchy is offered to both kernels and carries
+    their decline record."""
+
+    def _run(self, tiny_system, monkeypatch, policy, **kwargs):
+        built = []
+
+        def build(*args, **kw):
+            built.append(build_hierarchy(*args, **kw))
+            return built[-1]
+
+        monkeypatch.setattr(single_core, "build_hierarchy", build)
+        run_trace(make_trace("soplex", 1_200), policy,
+                  config=tiny_system, store=MemoryCaptureStore(),
+                  **kwargs)
+        (hierarchy,) = built
+        return hierarchy.kernel_declines
+
+    def test_replay_ineligible_records_reason(self, tiny_system,
+                                              monkeypatch):
+        # L1 is always stock LRU, so a replacement ablation passes the
+        # front-end kernel; the *replay* kernel declines.
+        declines = self._run(tiny_system, monkeypatch, "baseline",
+                             replacement="random")
+        assert declines.frontend is None
+        assert declines.replay == \
+            "replacement:RandomReplacement/RandomReplacement"
+
+    def test_accepted_run_clears_the_record(self, tiny_system,
+                                            monkeypatch):
+        declines = self._run(tiny_system, monkeypatch, "slip")
+        assert declines.frontend is None
+        assert declines.replay is None
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +417,46 @@ class TestDiskStore:
             front_end_fingerprint(trace, tiny_system, 0, 0.25))
         assert DiskCaptureStore(str(tmp_path)).get(key) is None
         assert not entry.exists()
+
+    def test_entry_with_leftover_subdirectory(self, tmp_path, tiny_system,
+                                              scalar_run):
+        """Stores written by older versions hold ``plan-<digest>/``
+        sidecar directories inside their capture entries: the capture
+        still serves, and eviction sizes and drops the entry with its
+        leftover subdirectory as one unit."""
+        trace = make_trace("soplex", LENGTH)
+        run_trace(trace, "slip", config=tiny_system,
+                  store=DiskCaptureStore(str(tmp_path)))
+        (old,) = [tmp_path / d for d in entry_dirs(tmp_path)]
+        leftover = old / "plan-0123456789abcdef"
+        leftover.mkdir()
+        np.save(leftover / "l2_order.npy", np.arange(8192, dtype=np.int64))
+
+        fresh = DiskCaptureStore(str(tmp_path))
+        key = fingerprint_key(
+            front_end_fingerprint(trace, tiny_system, 0, 0.25))
+        assert fresh.get(key) is not None
+        replayed = run_trace(trace, "slip", config=tiny_system,
+                             store=fresh)
+        assert canonical(replayed) == canonical(
+            scalar_run(trace, "slip", tiny_system))
+        assert entry_dirs(tmp_path) == [old.name]  # served, not re-taken
+
+        run_trace(make_trace("lbm", LENGTH), "baseline",
+                  config=tiny_system, store=fresh)
+        (new,) = [d for d in entry_dirs(tmp_path) if d != old.name]
+        os.utime(old, (1, 1))  # the older entry goes first
+
+        def size(path, top_only=False):
+            return sum(os.path.getsize(os.path.join(dirpath, name))
+                       for dirpath, _, names in os.walk(path)
+                       for name in names
+                       if not top_only or dirpath == str(path))
+
+        # Counted file by file at the top level only, both entries fit.
+        fresh.max_bytes = size(old, top_only=True) + size(tmp_path / new)
+        fresh._evict(keep=new)
+        assert entry_dirs(tmp_path) == [new]
 
 
 # ----------------------------------------------------------------------
