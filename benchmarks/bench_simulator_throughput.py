@@ -79,8 +79,9 @@ def make_replay_cell(bench: str, policy: str):
 def test_replay_cell(benchmark, bench, policy):
     # Per-kind warm replay: baseline cells take the batched
     # vector_replay kernel, slip/slip_abp cells the phase-split
-    # vector_replay_slip kernel (scalar fallback would still pass but
-    # shows up as a per-cell slowdown the aggregate sweep can hide).
+    # vector_replay_slip kernel (a scalar fallback would still pass
+    # but shows up as a per-cell slowdown the aggregate sweep can hide;
+    # a slip cell the kernel declines walks).
     replay = make_replay_cell(bench, policy)
     assert benchmark.pedantic(replay, rounds=3, warmup_rounds=1,
                               iterations=1) == MEASURED

@@ -98,7 +98,14 @@ det_smoke() {
     out1="$(printf '%s\n' "$raw1" | grep -v '^\[')"
     out4="$(python -m repro.experiments.runner fig16 --length 2000 --jobs 2 \
         | grep -v '^\[')" || return 1
-    [ "$out1" = "$out4" ]
+    [ "$out1" = "$out4" ] || return 1
+    # The Section 7 replacement ablation: the SLIP kernel serves every
+    # slip_abp cell under LRU, DRRIP and SHiP (4 benchmarks x 3), the
+    # baseline-kind kernel the 4 LRU baseline cells, and only the
+    # baseline-kind DRRIP/SHiP cells decline to the scalar replay.
+    python -m repro.experiments.runner ablation-replacement --length 2000 \
+        --jobs 1 --kernel-report | grep -qxF \
+        '[kernel-report] vector-replay: 16 kernel run(s), 8 decline(s) [replacement:DrripReplacement/DrripReplacement=4, replacement:ShipReplacement/ShipReplacement=4]'
 }
 stage "determinism smoke (serial == parallel)" det_smoke
 

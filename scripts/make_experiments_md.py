@@ -83,6 +83,14 @@ policy wins, by roughly what factor, and where the crossovers fall.
    per-access walk and the end-to-end benchmark's recorded multicore
    digests; fixing it needs a benchmark change that re-records those
    digests.
+5. **DRRIP's set dueling never moves.** Nothing calls
+   `DrripReplacement.record_miss`, so PSEL stays at `psel_max // 2`
+   and follower sets always insert SRRIP-style; only the BRRIP leader
+   sets insert BRRIP-style. The §7 replacement ablation therefore runs
+   SRRIP with a few BRRIP sets rather than adaptive DRRIP. The SLIP
+   replay kernel reproduces this (it reads PSEL once per replay).
+   Fixing it changes the DRRIP goldens and the end-to-end benchmark's
+   seed-0 digests, so it needs a benchmark change.
 
 ## Full results
 

@@ -13,10 +13,14 @@ from __future__ import annotations
 import random
 import weakref
 from abc import ABC, abstractmethod
-from typing import List, Sequence, TYPE_CHECKING
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .cache import CacheLevel, Line
+
+#: ``(groups, cum_weights)``: a candidate way set split by sublevel.
+SublevelSplit = Tuple[Tuple[Tuple[int, ...], ...], List[int]]
 
 
 class ReplacementPolicy(ABC):
@@ -108,26 +112,51 @@ class _RripBase(ReplacementPolicy):
     def __init__(self, rrpv_bits: int = 2, seed: int = 0) -> None:
         self.rrpv_max = (1 << rrpv_bits) - 1
         self._rng = random.Random(seed)
+        self._splits: Dict[Tuple[int, ...], Optional[SublevelSplit]] = {}
 
     def on_hit(self, set_idx: int, way: int, line: "Line") -> None:
         line.rrpv = 0  # hit promotion
 
+    def sublevel_split(
+        self, candidate_ways: Sequence[int]
+    ) -> Optional[SublevelSplit]:
+        """The Section 7 sublevel split of one candidate way set.
+
+        ``None`` when every candidate sits in one sublevel (nothing to
+        draw); otherwise ``(groups, cum_weights)``: the candidates
+        grouped by sublevel in first-appearance order, and the running
+        group sizes. Cached per candidate tuple; the SLIP replay kernel
+        reads the same table.
+        """
+        key = tuple(candidate_ways)
+        if key in self._splits:
+            return self._splits[key]
+        cfg = self.level.cfg
+        split = None
+        if cfg.sublevel_ways:
+            by_sublevel: Dict[int, List[int]] = {}
+            for way in key:
+                by_sublevel.setdefault(cfg.sublevel_of_way(way),
+                                       []).append(way)
+            if len(by_sublevel) > 1:
+                groups = tuple(tuple(ways) for ways in by_sublevel.values())
+                split = (groups, list(accumulate(map(len, groups))))
+        self._splits[key] = split
+        return split
+
     def _restrict_to_sublevel(
         self, candidate_ways: Sequence[int]
     ) -> Sequence[int]:
-        """Section 7 adaptation: sample one sublevel, weighted by size."""
-        cfg = self.level.cfg
-        if not cfg.sublevel_ways:
+        """Section 7 adaptation: sample one sublevel, weighted by size.
+
+        ``cum_weights`` consumes the same ``random()`` value and picks
+        the same group as ``weights`` over the group sizes would.
+        """
+        split = self.sublevel_split(candidate_ways)
+        if split is None:
             return candidate_ways
-        by_sublevel: dict = {}
-        for way in candidate_ways:
-            by_sublevel.setdefault(cfg.sublevel_of_way(way), []).append(way)
-        if len(by_sublevel) == 1:
-            return candidate_ways
-        sublevels = list(by_sublevel)
-        weights = [len(by_sublevel[s]) for s in sublevels]
-        chosen = self._rng.choices(sublevels, weights=weights, k=1)[0]
-        return by_sublevel[chosen]
+        groups, cum_weights = split
+        return self._rng.choices(groups, cum_weights=cum_weights)[0]
 
     def choose_victim(
         self, set_idx: int, candidate_ways: Sequence[int], lines: List["Line"]
@@ -158,18 +187,19 @@ class DrripReplacement(_RripBase):
         self.psel_max = (1 << psel_bits) - 1
         self.psel = self.psel_max // 2
 
-    def _set_role(self, set_idx: int) -> str:
-        """Leader-set assignment: interleave SRRIP/BRRIP leaders."""
-        sets = self.level.cfg.sets
+    def attach(self, level: "CacheLevel") -> None:
+        super().attach(level)
+        # Leader-set assignment, per set: interleave SRRIP/BRRIP leaders.
+        sets = level.cfg.sets
         stride = max(1, sets // self.num_leader_sets)
-        if set_idx % stride == 0:
-            return "srrip"
-        if set_idx % stride == stride // 2 and stride > 1:
-            return "brrip"
-        return "follower"
+        self.set_roles: Tuple[str, ...] = tuple(
+            "srrip" if set_idx % stride == 0
+            else "brrip" if set_idx % stride == stride // 2 and stride > 1
+            else "follower"
+            for set_idx in range(sets))
 
     def _use_brrip(self, set_idx: int) -> bool:
-        role = self._set_role(set_idx)
+        role = self.set_roles[set_idx]
         if role == "srrip":
             return False
         if role == "brrip":
@@ -189,8 +219,13 @@ class DrripReplacement(_RripBase):
         pass
 
     def record_miss(self, set_idx: int) -> None:
-        """Update the dueling counter on misses to leader sets."""
-        role = self._set_role(set_idx)
+        """Update the dueling counter on misses to leader sets.
+
+        Nothing calls this yet, so ``psel`` stays at ``psel_max // 2``
+        and followers insert SRRIP-style (EXPERIMENTS.md, known
+        deviation 5).
+        """
+        role = self.set_roles[set_idx]
         if role == "srrip" and self.psel < self.psel_max:
             self.psel += 1
         elif role == "brrip" and self.psel > 0:

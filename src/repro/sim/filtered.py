@@ -16,8 +16,9 @@ single-core cells are the one-core case, the Figure 16 mixes of
 1. every core runs the window in which all of them still run;
 2. one predicate sends SimCheck (``REPRO_CHECK_INVARIANTS``: the
    invariant wrappers observe per-access events a replay does not
-   generate) and Section 7 rd-block SLIP (the SLIP-cache miss stream
-   is not captured) to :func:`walk_cores`;
+   generate), Section 7 rd-block SLIP (the SLIP-cache miss stream
+   is not captured) and every slip-kind cell the SLIP kernel cannot
+   replay to :func:`walk_cores`;
 3. otherwise each core's window is captured through the capture store:
    a store hit, else the batched capture kernel
    (:mod:`~repro.sim.vector_frontend`; a decline is recorded on
@@ -48,14 +49,16 @@ overrides included: they reach only the live SLIP runtime):
   positions; the sampler RNG draws once per TLB miss in both direct
   and replayed runs, so the RNG stream is preserved.
 
-Both scalar replays take one capture per hierarchy, as do the two
-back-end kernels offered the work first
-(:func:`~repro.sim.vector_replay.replay_capture_vector` and
-:func:`~repro.sim.vector_replay_slip.replay_capture_vector_slip`): the
-cores' events merge by (access index, core), and the scalar replays
-serve only what the kernels decline. Each replay derives its own
-precompute (per-set grouping, L3 stream, captured-position
-resolutions) from the captures, so the store holds only captures.
+The two back-end kernels take one capture per hierarchy
+(:func:`~repro.sim.vector_replay.replay_capture_vector` for the
+baseline kinds, :func:`~repro.sim.vector_replay_slip.
+replay_capture_vector_slip` for the slip kinds, LRU, DRRIP and SHiP
+alike), and so does the baseline kinds' scalar replay
+(:func:`_replay_events`), which serves what their kernel declines
+(random, DRRIP and SHiP replacement): the cores' events merge by
+(access index, core). Each replay derives its own precompute (per-set
+grouping, L3 stream, captured-position resolutions) from the captures,
+so the store holds only captures.
 
 Frozen front-end statistics (L1 LevelStats, TLB and runtime stats,
 latency/hit counters) are merged back per core before ``finalize()``;
@@ -75,7 +78,7 @@ import numpy as np
 from ..analysis.invariants import check_capture_replay
 from ..core.runtime import RuntimeStats
 from ..mem.stats import EnergyBreakdown, LevelStats
-from ..mem.tlb import TlbStats, pte_line_address
+from ..mem.tlb import TlbStats
 from ..workloads.capture_store import (
     OP_DEMAND_MISS,
     OP_METADATA,
@@ -92,7 +95,7 @@ from .build import build_hierarchy, maybe_boost_sampler
 from .config import SystemConfig
 from .vector_frontend import capture_front_end_vector
 from .vector_replay import merge_by_access, replay_capture_vector
-from .vector_replay_slip import replay_capture_vector_slip
+from .vector_replay_slip import replay_capture_vector_slip, slip_eligible
 
 
 # ----------------------------------------------------------------------
@@ -315,100 +318,25 @@ def _replay_events(hierarchies, captures) -> None:
         hierarchy.counters.total_latency_cycles += total
 
 
-# slip-audit: twin=slip-vector-replay role=ref
-def _replay_slip(hierarchies, traces, captures) -> None:
-    """Slip-kind replay: live runtimes driven at captured positions.
-
-    One trace and capture per hierarchy (core). Walks every core's
-    captured TLB-miss and L1-miss positions in one merged order (access
-    index, then core, then the TLB miss before the L1 miss), re-running
-    the runtime's TLB-miss path (PTE fetch plus
-    ``_key_metadata_fetches``) exactly where the direct run would, so
-    sampler RNG draws, page-state transitions and EOU invocations all
-    happen in the direct run's order. Single-core replay is the
-    one-core case.
-    """
-    num_cores = len(hierarchies)
-    shift = hierarchies[0]._page_shift
-    keys, values, wbs = [], [], []
-    for core, (trace, capture) in enumerate(zip(traces, captures)):
-        tlb_pos = np.asarray(capture.tlb_miss_pos, dtype=np.int64)
-        miss_pos = np.asarray(capture.l1_miss_pos, dtype=np.int64)
-        # Key: (access index, core, TLB miss 0 / L1 miss 1), packed.
-        keys += [(tlb_pos * num_cores + core) * 2,
-                 (miss_pos * num_cores + core) * 2 + 1]
-        # Value: the page of a TLB miss, the line of an L1 miss.
-        values += [trace.addresses[tlb_pos] >> shift,
-                   trace.addresses[miss_pos]]
-        wbs += [np.full(tlb_pos.shape[0], -1, dtype=np.int64),
-                np.asarray(capture.l1_miss_wb, dtype=np.int64)]
-    key = np.concatenate(keys)
-    order = np.argsort(key)  # keys are unique
-    key = key[order]
-    warmup = captures[0].warmup
-    boundary = int(np.searchsorted(key, warmup * num_cores * 2))
-    columns = (
-        (key & 1).astype(np.uint8),
-        ((key >> 1) % num_cores).astype(np.uint8),
-        np.concatenate(values)[order],
-        np.concatenate(wbs)[order],
-    )
-    del keys, values, wbs, order, key
-    totals = [0] * num_cores
-    for start, stop, measured in ((0, boundary, False),
-                                  (boundary, int(columns[0].shape[0]),
-                                   True)):
-        if measured:
-            for hierarchy in hierarchies:
-                hierarchy.reset_stats()
-            totals = [0] * num_cores
-        for is_miss, core, value, wb in _walk_chunks(columns, start, stop):
-            hierarchy = hierarchies[core]
-            if is_miss:
-                totals[core] += hierarchy._access_below_l1(
-                    value, False, value >> shift)
-                if wb >= 0:
-                    hierarchy._writeback_below_l1(wb)
-                continue
-            # Mirror on_reference: the fetch list (and with it the
-            # page-state machinery) is computed before any of the
-            # metadata lines travel below L1.
-            fetches = hierarchy.runtime._key_metadata_fetches(value)
-            hierarchy._access_below_l1(pte_line_address(value), True, -1)
-            for fetch in fetches:
-                hierarchy._access_below_l1(fetch, True, -1)
-    # The TLB-miss ledgers were reset with the rest of the statistics;
-    # the measured phase saw exactly its captured TLB misses, and one
-    # page-grain TLB probe per access makes the hits their complement.
-    kinds, cores = columns[0][boundary:], columns[1][boundary:]
-    measured_tlb = np.bincount(cores[kinds == 0],
-                               minlength=num_cores).tolist()
-    for hierarchy, capture, total, misses in zip(
-            hierarchies, captures, totals, measured_tlb):
-        hierarchy.counters.total_latency_cycles += total
-        runtime = hierarchy.runtime
-        runtime.stats.tlb_miss_fetches += misses
-        runtime.tlb.stats.misses += misses
-        runtime.tlb.stats.hits = (capture.n - warmup) - misses
-
-
 # slip-audit: twin=capture-replay role=fast
 def replay_capture(hierarchies, traces, captures) -> None:
     """Feed every core's captured boundary to its back end; finalize.
 
-    One trace window and capture per hierarchy (core). The back-end
-    kernel goes first and the scalar replay serves its declines. Each
+    One trace window and capture per hierarchy (core). Slip-kind cores
+    replay through the SLIP kernel, which :func:`simulate` has already
+    checked can serve them (``_needs_walk``). Baseline-kind cores try
+    their kernel first, and the scalar replay serves its declines. Each
     core then gets its frozen front end merged back (the replay's own
     L1 is empty, never filled, so ``finalize()`` touches only live
     L2/L3 state) and the ``capture-replay-conservation`` audit runs
     over the finished cores.
     """
     slip_kind = getattr(hierarchies[0].runtime, "slip_enabled", False)
-    # Each kernel declines (returns False) outside its eligibility
-    # matrix; the scalar replays stay the golden references.
     if slip_kind:
         if not replay_capture_vector_slip(hierarchies, traces, captures):
-            _replay_slip(hierarchies, traces, captures)
+            raise ValueError(
+                "the SLIP kernel declined these cores "
+                f"({hierarchies[0].kernel_declines.replay}); walk them")
     elif not replay_capture_vector(hierarchies, captures):
         _replay_events(hierarchies, captures)
 
@@ -463,13 +391,18 @@ def walk_cores(hierarchies, traces, warmup_fraction: float) -> None:
 _RUN_STORE = MemoryCaptureStore(max_entries=4)
 
 
-def _needs_walk(hierarchies) -> bool:
+def _needs_walk(hierarchies, traces) -> bool:
     """Whether no capture can serve these cores: SimCheck (its wrappers
-    observe per-access events a replay does not generate) or Section 7
-    rd-block SLIP (the SLIP-cache miss stream is not captured)."""
-    return any(hierarchy.simcheck is not None
-               or getattr(hierarchy.runtime, "block_shift", None) is not None
-               for hierarchy in hierarchies)
+    observe per-access events a replay does not generate), Section 7
+    rd-block SLIP (the SLIP-cache miss stream is not captured), or a
+    slip-kind cell the SLIP kernel cannot replay (``slip_eligible``
+    records why on the cores)."""
+    if any(hierarchy.simcheck is not None
+           or getattr(hierarchy.runtime, "block_shift", None) is not None
+           for hierarchy in hierarchies):
+        return True
+    return (getattr(hierarchies[0].runtime, "slip_enabled", False)
+            and not slip_eligible(hierarchies, traces))
 
 
 def _capture(hierarchy, trace: Trace, config: SystemConfig,
@@ -495,10 +428,11 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
     """Run N >= 1 cores over their traces to finalized statistics.
 
     Every core runs the window in which all of them still run (the
-    shortest trace). SimCheck and rd-block cells walk; every other
-    cell captures each core's window through ``store`` (a store hit,
-    else the capture kernel, else the scalar capture pass; ``None``
-    means a process-local store of a few entries), keyed by the
+    shortest trace). SimCheck and rd-block cells walk, as do slip-kind
+    cells the SLIP kernel cannot replay; every other cell captures
+    each core's window through ``store`` (a store hit, else the
+    capture kernel, else the scalar capture pass; ``None`` means a
+    process-local store of a few entries), keyed by the
     window's front-end fingerprint with the core's seed ``seed +
     core``, and replays the captures in one step. A failed capture
     walks too.
@@ -509,7 +443,7 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
     # Scale compensation for every core (see maybe_boost_sampler).
     for hierarchy in hierarchies:
         maybe_boost_sampler(hierarchy.runtime)
-    if _needs_walk(hierarchies):
+    if _needs_walk(hierarchies, windows):
         walk_cores(hierarchies, windows, warmup_fraction)
         return
     if store is None:

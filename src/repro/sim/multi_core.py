@@ -24,12 +24,13 @@ the private L2s and the shared L3:
   (:func:`~repro.sim.vector_replay_slip.replay_capture_vector_slip`):
   one flat L2 model per core driven by that core's live runtime, one
   flat shared-L3 model, swept in the merged event order;
-* whatever either kernel declines runs the merged scalar replays of
-  :mod:`repro.sim.filtered`.
+* whatever the baseline-kind kernel declines runs the merged scalar
+  replay of :mod:`repro.sim.filtered`.
 
 The per-access walk (:func:`repro.sim.filtered.walk_cores`) stays the
-golden reference and serves SimCheck, the Section 7 rd-block extension
-and any failed capture. This module builds the mix (:func:`_build_mix`)
+golden reference and serves SimCheck, the Section 7 rd-block extension,
+any slip-kind mix the phase-split kernel cannot replay and any failed
+capture. This module builds the mix (:func:`_build_mix`)
 and collects its :class:`MulticoreResult` (:func:`_collect_mix`).
 """
 

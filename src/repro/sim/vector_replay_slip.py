@@ -1,9 +1,10 @@
 """Phase-split replay kernel for slip-runtime-kind cells.
 
-The scalar slip replay (:func:`repro.sim.filtered._replay_slip`) drives
-the live :class:`~repro.core.runtime.SlipRuntime` at the captured TLB-
-and L1-miss positions through the full hierarchy machinery — ``Line``
-objects, ``FillOutcome`` allocation, placement dispatch and per-event
+The kernel replays every slip/slip_abp cell the N-core driver
+(:func:`repro.sim.filtered.simulate`) captures: it drives the live
+:class:`~repro.core.runtime.SlipRuntime` at the captured TLB- and
+L1-miss positions, as the per-access walk would, but without ``Line``
+objects, ``FillOutcome`` allocation, placement dispatch or per-event
 statistics bumps. Unlike the baseline-kind kernel
 (:mod:`repro.sim.vector_replay`), the SLIP back end cannot be replayed
 per set: reuse samples taken on L2/L3 hits and misses feed the page
@@ -16,13 +17,16 @@ The kernel therefore splits the work differently:
   over the captured TLB-miss and L1-miss positions that (a) drives the
   real runtime's page machinery (``_key_metadata_fetches``: sampler RNG
   draws, page-state transitions, memoized EOU argmins and their live
-  statistics) exactly where the scalar replay would, and (b) replays
+  statistics) exactly where the per-access walk would, and (b) replays
   the L2/L3 back end against a *flat-array* way model — per-way tag /
   LRU-stamp / timestamp / SLIP-metadata columns plus per-set probe
-  dicts — instead of ``Line`` objects. Cascade movement uses rotation
-  tables precomputed for every ``(SLIP id, chunk)`` pair, extending the
-  ``chunk0_orders_by_id`` idea from :class:`~repro.core.policy.
-  SlipSpace` to the non-insertion chunks. The sweep emits one packed
+  dicts — instead of ``Line`` objects. Under DRRIP or SHiP (paper
+  Section 7) the stamp column holds RRPVs, and small per-level hooks
+  (:func:`_rrip_hooks`) choose victims and run the policy's fill, hit
+  and departure steps against the live policy's RNG and SHCT. Cascade
+  movement uses rotation tables precomputed for every ``(SLIP id,
+  chunk)`` pair, extending the ``chunk0_orders_by_id`` idea from
+  :class:`~repro.core.policy.SlipSpace` to the non-insertion chunks. The sweep emits one packed
   annotation byte per level event (``(kind << 4) | (sublevel + 1)``)
   plus a per-TLB-miss metadata-fetch count; only the rare events
   (insertions, bypasses, movements, departures, writebacks-out, DRAM
@@ -42,8 +46,8 @@ its own flat L2 model, driven by that core's live runtime (its
 ``_key_metadata_fetches`` and page samples), and its own annotation
 streams. In the Figure 16 mixes (:mod:`repro.sim.multi_core`) the cores
 share one flat L3 model — one access counter, allocation rotor, LRU
-clock and probe dict — and the sweep visits their events in the scalar
-replay's merged order: access index, then core, then the TLB miss
+clock and probe dict — and the sweep visits their events in the walk's
+order: access index, then core, then the TLB miss
 before the L1 miss. A single core is the one-core case of the same
 sweep. Every L3 event is annotated in the stream of the core that
 caused it, so DRAM reads and writes, and each core's measured-phase
@@ -54,18 +58,21 @@ deviation 4). Every call resolves the captured positions to addresses,
 pages and PTE lines itself (:func:`_merged_events`); nothing is cached
 across cells.
 
-Byte-identity with the scalar path holds because every stateful step is
+Byte-identity with the walk holds because every stateful step is
 reproduced in the scalar order: the level access counters tick per
 event, the allocation rotors advance once per non-bypassed fill and
 once per cascade victim selection, LRU stamps come from a per-level
-monotone clock, timestamps quantize the post-tick access counter, and
-the sampler RNG/EOU sequence is the real runtime's own. The scalar walk
-remains the golden reference: SimCheck, rd-block mode, non-SLIP
-placements, foreign runtimes and non-LRU replacement ablations all
-decline cleanly, as do cores that do not share one L3, a shared-L3
-router whose runtimes are not the cores' own in core order, and a page
-that routes to another core's runtime (reason recorded via
-:func:`repro.sim.vector_replay.record_decline`).
+monotone clock, timestamps quantize the post-tick access counter, the
+sampler RNG/EOU sequence is the real runtime's own, and an RRIP level
+draws its sublevel and BRRIP choices from the replacement's own RNG in
+the order of ``SlipPlacement._fill_general``. The per-access walk
+(:func:`repro.sim.filtered.walk_cores`) remains the golden reference
+and serves everything :func:`slip_eligible` declines, before any
+capture is taken: SimCheck, rd-block mode, non-SLIP placements,
+foreign runtimes and Random replacement, cores that do not share one
+L3, a shared-L3 router whose runtimes are not the cores' own in core
+order, and a page that routes to another core's runtime (reason
+recorded via :func:`repro.sim.vector_replay.record_decline`).
 """
 
 from __future__ import annotations
@@ -79,7 +86,11 @@ from ..analysis.invariants import check_slip_vector_replay
 from ..core.controller import SlipPlacement
 from ..core.runtime import RoutedSlipRuntime
 from ..core.sampling import PageState
-from ..mem.replacement import LruReplacement
+from ..mem.replacement import (
+    DrripReplacement,
+    LruReplacement,
+    ShipReplacement,
+)
 from ..mem.tlb import PTES_PER_LINE, PTE_TABLE_BASE
 from ..workloads.capture_store import TraceCapture
 from ..workloads.trace import Trace
@@ -105,6 +116,9 @@ _ANN_SPAN = 96  # one past the largest code (_FWD + num_sublevels)
 
 #: Insertion classes in tally order (Figure 14).
 _CLASSES = ("abp", "partial_bypass", "default", "other")
+
+#: Replacement policies the flat model replays (exact types).
+_REPLACEMENTS = (LruReplacement, DrripReplacement, ShipReplacement)
 
 
 class SlipLevelTally:
@@ -158,7 +172,7 @@ def _core_eligible(hierarchy) -> bool:
                 hierarchy,
                 f"placement:{level.cfg.name}:{type(placement).__name__}")
             return False
-        if type(level.replacement) is not LruReplacement:
+        if type(level.replacement) not in _REPLACEMENTS:
             record_decline(
                 hierarchy,
                 f"replacement:{level.cfg.name}:"
@@ -283,6 +297,103 @@ def _code_tables(sub: Tuple[int, ...], ways: int, size: int) -> Tuple:
     return cached
 
 
+def _rrip_hooks(level, placement, tag: List[int], rrpv: List[int],
+                hits: List[int]) -> Tuple:
+    """``(victim, fill, hit, depart)`` of an RRIP level's flat model.
+
+    The level's RRPV column takes the place of the LRU stamp column,
+    and an invalid way is one whose tag is negative. Under LRU all four
+    are ``None``.
+
+    * ``victim(base, order, sid, chunk)``: the way a fill or cascade
+      step into chunk ``chunk`` of SLIP ``sid`` vacates in the set at
+      flat index ``base``, ``order`` being the rotated chunk. It
+      mirrors ``CacheLevel.choose_victim`` (the first invalid way in
+      rotated order) and then ``_RripBase.choose_victim``: the sublevel
+      draw over the unrotated chunk, from the replacement's own RNG and
+      :meth:`~repro.mem.replacement._RripBase.sublevel_split` table,
+      then the find-or-age loop.
+    * ``fill(f, addr)`` and ``hit(f)``: the policy's ``on_fill`` and
+      ``on_hit`` (after the line's hit count was bumped).
+    * ``depart(tag, hits)``: ``on_evict`` of a line leaving the level,
+      SHiP's SHCT training; ``None`` for DRRIP.
+
+    The live policy state (RNG, SHCT) advances exactly as the scalar
+    hierarchy would advance it. A SHiP line's signature is recomputed
+    from its tag, and its reuse outcome is ``hits > 0``.
+    """
+    replacement = level.replacement
+    if type(replacement) is LruReplacement:
+        return None, None, None, None
+    rmax = replacement.rrpv_max
+    choices = replacement._rng.choices
+    split_of = replacement.sublevel_split
+    chunks = tuple(
+        tuple((ways, split_of(ways)) for ways in per_chunk)
+        for per_chunk in placement.space.chunk_ways_by_id)
+
+    def victim(base: int, order: Tuple[int, ...], sid: int,
+               chunk: int) -> int:
+        for w in order:
+            if tag[base + w] < 0:
+                return w
+        ways, split = chunks[sid][chunk]
+        if split is not None:
+            groups, cum_weights = split
+            ways = choices(groups, cum_weights=cum_weights)[0]
+        while True:
+            for w in ways:
+                if rrpv[base + w] >= rmax:
+                    return w
+            for w in ways:
+                rrpv[base + w] += 1
+
+    if type(replacement) is DrripReplacement:
+        # Nothing moves PSEL (known deviation 5), so a follower set's
+        # insertion policy is fixed for the whole call.
+        follower = replacement.psel > replacement.psel_max // 2
+        brrip = [role == "brrip" or (role == "follower" and follower)
+                 for role in replacement.set_roles]
+        draw = replacement._rng.random
+        long_prob = replacement.brrip_long_prob
+        sets = level.num_sets
+
+        def drrip_fill(f: int, addr: int) -> None:
+            if brrip[addr % sets]:
+                rrpv[f] = rmax - 1 if draw() < long_prob else rmax
+            else:
+                rrpv[f] = rmax - 1
+
+        def drrip_hit(f: int) -> None:
+            rrpv[f] = 0
+
+        return victim, drrip_fill, drrip_hit, None
+
+    shct = replacement.shct
+    entries = len(shct)
+    shift = replacement.signature_shift
+    shct_max = replacement.shct_max
+
+    def ship_fill(f: int, addr: int) -> None:
+        dead = shct[(addr >> shift) % entries] == 0
+        rrpv[f] = rmax if dead else rmax - 1
+
+    def ship_hit(f: int) -> None:
+        rrpv[f] = 0
+        if hits[f] == 1:  # the first reuse since the fill
+            sig = (tag[f] >> shift) % entries
+            if shct[sig] < shct_max:
+                shct[sig] += 1
+
+    def depart(t: int, h: int) -> None:
+        if not h:
+            sig = (t >> shift) % entries
+            if shct[sig] > 0:
+                shct[sig] -= 1
+
+    return victim, ship_fill, ship_hit, depart
+
+
 def _code_counts(ann: bytearray, boundary: int) -> np.ndarray:
     """Phase 2: the measured slice of one annotation stream, binned."""
     codes = np.frombuffer(ann, dtype=np.uint8)[boundary:]
@@ -316,8 +427,8 @@ def _merged_events(shift: int, traces: Sequence[Trace],
 
     Returns ``(miss_keys, miss_cores, miss_addrs, miss_pages, wb_addrs,
     tlb_keys, tlb_cores, tlb_pages, pte_addrs)`` as lists. A key is
-    ``access index * cores + core``, so key order is the scalar
-    replay's (access index, core) order and a single core's keys are
+    ``access index * cores + core``, so key order is the walk's
+    (access index, core) order and a single core's keys are
     its positions. Both key lists end with the ``n * cores`` sentinel,
     which is >= every stop, so the sweep needs no bounds checks.
     """
@@ -366,16 +477,15 @@ class _CoreSweep(NamedTuple):
     finish: Callable[[], Tuple]
 
 
-# slip-audit: twin=slip-vector-replay role=fast
 def replay_capture_vector_slip(hierarchies: Sequence,
                                traces: Sequence[Trace],
                                captures: Sequence[TraceCapture]) -> bool:
-    """Phase-split replay of slip-kind captures; False to fall back.
+    """Phase-split replay of slip-kind captures; False if ineligible.
 
     One trace window and capture per hierarchy (core); see the module
     docstring for what the cores share. On success every hierarchy's
     L2/L3/DRAM statistics, counters and live runtime/TLB ledgers hold
-    exactly what the scalar replay would have produced; the cache
+    exactly what the per-access walk would have produced; the cache
     arrays themselves stay empty (``finalize`` adds nothing —
     resident-line reuse is accounted here) and the always-on
     ``capture-replay-conservation`` audit still runs in the caller.
@@ -421,10 +531,13 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     d3: dict = {}
     d3_get = d3.get
     # Mutable machine state, mirroring the scalar hierarchy: access
-    # counter T, allocation rotor, LRU clock.
+    # counter T, allocation rotor, LRU clock (an RRIP level keeps its
+    # RRPVs in the ``lru3`` column instead and takes its hooks).
     a3 = l3.access_counter
     r3 = l3._alloc_rotor
-    c3 = l3.replacement._clock
+    victim3, fill3, hit3, depart3 = _rrip_hooks(l3, placement3, tag3,
+                                                lru3, hits3)
+    c3 = l3.replacement._clock if victim3 is None else 0
     # Inline tallies of the rare events (shared by every core).
     ins3 = [0] * nsub3
     mvr3 = [0] * nsub3
@@ -473,7 +586,9 @@ def replay_capture_vector_slip(hierarchies: Sequence,
         d2: dict = {}
         a2 = l2.access_counter
         r2 = l2._alloc_rotor
-        c2 = l2.replacement._clock
+        victim2, fill2, hit2, depart2 = _rrip_hooks(l2, placement2, tag2,
+                                                    lru2, hits2)
+        c2 = l2.replacement._clock if victim2 is None else 0
 
         ins2 = [0] * nsub2
         mvr2 = [0] * nsub2
@@ -539,8 +654,11 @@ def replay_capture_vector_slip(hierarchies: Sequence,
             if f is not None:
                 hits2[f] += 1
                 ann2_app(hm2[f] if is_meta else hd2[f])
-                c2 += 1
-                lru2[f] = c2
+                if hit2 is None:
+                    c2 += 1
+                    lru2[f] = c2
+                else:
+                    hit2(f)
                 now = (a2 // gran2) & mask2
                 # on_hit: reuse-distance sample for sampling pages + TL.
                 pgv = pg2[f]
@@ -592,8 +710,11 @@ def replay_capture_vector_slip(hierarchies: Sequence,
             if f is not None:
                 hits3[f] += 1
                 ann3_app(hm3[f] if is_meta else hd3[f])
-                c3 += 1
-                lru3[f] = c3
+                if hit3 is None:
+                    c3 += 1
+                    lru3[f] = c3
+                else:
+                    hit3(f)
                 now = (a3 // gran3) & mask3
                 pgv = pg3[f]
                 if pgv >= 0 and not meta3[f]:
@@ -643,16 +764,20 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                     r3 = (r3 + 1) % 64
                     order = orders[r3 % len(orders)]
                     base = (addr % S3) * W3
-                    # Merged invalid-first/min-LRU scan; see the L2 fill.
-                    vw = -1
-                    best = _INF
-                    for w in order:
-                        stamp = lru3[base + w]
-                        if stamp < best:
-                            vw = w
-                            if not stamp:
-                                break
-                            best = stamp
+                    if victim3 is not None:
+                        vw = victim3(base, order, sid, 0)
+                    else:
+                        # Merged invalid-first/min-LRU scan; see the L2
+                        # fill.
+                        vw = -1
+                        best = _INF
+                        for w in order:
+                            stamp = lru3[base + w]
+                            if stamp < best:
+                                vw = w
+                                if not stamp:
+                                    break
+                                best = stamp
                     f = base + vw
                     wb = -1
                     vt = tag3[f]
@@ -677,10 +802,15 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                     meta3[f] = is_meta
                     ts3[f] = (a3 // gran3) & mask3
                     hits3[f] = 0
-                    c3 += 1
-                    lru3[f] = c3
+                    if fill3 is None:
+                        c3 += 1
+                        lru3[f] = c3
+                    else:
+                        fill3(f, addr)
                     ins3[sub3[vw]] += 1
                     cls3[cidx3[sid]] += 1
+                    if depart3 is not None and vt >= 0 and not cascade:
+                        depart3(vt, h)
                     if cascade:
                         (vt, vdirty, vpid, vci, vts, vhits, vpg, vmeta,
                          vlru, vfrom) = cv
@@ -690,6 +820,8 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                             nc = vci + 1
                             if guard <= 0 or nc >= nch3[vpid]:
                                 hist3[vhits if vhits < 3 else 3] += 1
+                                if depart3 is not None:
+                                    depart3(vt, vhits)
                                 if vdirty:
                                     wbout3[sub3[vfrom]] += 1
                                     wb = vt
@@ -697,15 +829,18 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                             orders = rot3[vpid][nc]
                             r3 = (r3 + 1) % 64
                             order = orders[r3 % len(orders)]
-                            w = -1
-                            best = _INF
-                            for cand in order:
-                                stamp = lru3[base + cand]
-                                if stamp < best:
-                                    w = cand
-                                    if not stamp:
-                                        break
-                                    best = stamp
+                            if victim3 is not None:
+                                w = victim3(base, order, vpid, nc)
+                            else:
+                                w = -1
+                                best = _INF
+                                for cand in order:
+                                    stamp = lru3[base + cand]
+                                    if stamp < best:
+                                        w = cand
+                                        if not stamp:
+                                            break
+                                        best = stamp
                             f = base + w
                             dt = tag3[f]
                             if dt >= 0:
@@ -753,20 +888,23 @@ def replay_capture_vector_slip(hierarchies: Sequence,
             r2 = (r2 + 1) % 64
             order = orders[r2 % len(orders)]
             base = (addr % S2) * W2
-            # Invalid slots keep lru == 0 forever (clocks start >= 0 and
-            # every fill stamps c2+1 >= 1), so one strict-min scan finds
-            # the first invalid way in rotation order, else the LRU way
-            # — the same choice as the scalar invalid-first/min-LRU
-            # walk.
-            vw = -1
-            best = _INF
-            for w in order:
-                stamp = lru2[base + w]
-                if stamp < best:
-                    vw = w
-                    if not stamp:
-                        break
-                    best = stamp
+            if victim2 is not None:
+                vw = victim2(base, order, sid, 0)
+            else:
+                # Invalid slots keep lru == 0 forever (clocks start >= 0
+                # and every fill stamps c2+1 >= 1), so one strict-min
+                # scan finds the first invalid way in rotation order,
+                # else the LRU way — the same choice as the scalar
+                # invalid-first/min-LRU walk.
+                vw = -1
+                best = _INF
+                for w in order:
+                    stamp = lru2[base + w]
+                    if stamp < best:
+                        vw = w
+                        if not stamp:
+                            break
+                        best = stamp
             f = base + vw
             wb = -1
             vt = tag2[f]
@@ -791,10 +929,15 @@ def replay_capture_vector_slip(hierarchies: Sequence,
             meta2[f] = is_meta
             ts2[f] = (a2 // gran2) & mask2
             hits2[f] = 0
-            c2 += 1
-            lru2[f] = c2
+            if fill2 is None:
+                c2 += 1
+                lru2[f] = c2
+            else:
+                fill2(f, addr)
             ins2[sub2[vw]] += 1
             cls2[cidx2[sid]] += 1
+            if depart2 is not None and vt >= 0 and not cascade:
+                depart2(vt, h)
             if cascade:
                 (vt, vdirty, vpid, vci, vts, vhits, vpg, vmeta, vlru,
                  vfrom) = cv
@@ -804,6 +947,8 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                     nc = vci + 1
                     if guard <= 0 or nc >= nch2[vpid]:
                         hist2[vhits if vhits < 3 else 3] += 1
+                        if depart2 is not None:
+                            depart2(vt, vhits)
                         if vdirty:
                             wbout2[sub2[vfrom]] += 1
                             wb = vt
@@ -811,15 +956,18 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                     orders = rot2[vpid][nc]
                     r2 = (r2 + 1) % 64
                     order = orders[r2 % len(orders)]
-                    w = -1
-                    best = _INF
-                    for cand in order:
-                        stamp = lru2[base + cand]
-                        if stamp < best:
-                            w = cand
-                            if not stamp:
-                                break
-                            best = stamp
+                    if victim2 is not None:
+                        w = victim2(base, order, vpid, nc)
+                    else:
+                        w = -1
+                        best = _INF
+                        for cand in order:
+                            stamp = lru2[base + cand]
+                            if stamp < best:
+                                w = cand
+                                if not stamp:
+                                    break
+                                best = stamp
                     f = base + w
                     dt = tag2[f]
                     if dt >= 0:
@@ -918,7 +1066,7 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                     l1_wbs[core](wba)
                 miss_i += 1
         if warm_phase:
-            # Same boundary as the scalar replay: counters reset, cache
+            # Same boundary as the walk: counters reset, cache
             # / TLB / page state stays warm (EOU memo survives).
             for hierarchy, sweep in zip(hierarchies, sweeps):
                 hierarchy.reset_stats()
@@ -942,8 +1090,8 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                     byp3, cls3, mvr3, mvw3, wbout3, hist3)
 
     # Live runtime/TLB ledgers: one page-grain probe per access, one
-    # manual miss bump per captured TLB-miss position (as in the scalar
-    # replay); hits are the complement of the measured-phase misses.
+    # miss per captured TLB-miss position; hits are the complement of
+    # the measured-phase misses.
     legs = []
     for hierarchy, capture, (tally2, _, _, _), fetch_ann, boundary in zip(
             hierarchies, captures, results, fetch_anns, bf):

@@ -37,11 +37,13 @@ def _simcheck_for_integration(request):
         mp.undo()
 
 
-#: Each batched kernel and the value it returns to decline a cell.
+#: Each batched kernel with a scalar twin, and the value it returns to
+#: decline a cell. The SLIP kernel has none: the driver walks every
+#: slip-kind cell it cannot serve, so the ``walked`` fixture is its
+#: reference.
 _KERNEL_DECLINES = {
     "capture_front_end_vector": None,
     "replay_capture_vector": False,
-    "replay_capture_vector_slip": False,
 }
 
 
@@ -51,9 +53,9 @@ def scalar_kernels():
     batched kernels) decline.
 
     It patches the kernel bindings the driver calls, so captures come
-    from ``capture_front_end``'s scalar walk and replays from
-    ``_replay_events`` / ``_replay_slip``: the golden references the
-    kernels must match. A test fake, not a production option.
+    from ``capture_front_end``'s scalar walk and baseline-kind replays
+    from ``_replay_events``: the golden references the kernels must
+    match. A test fake, not a production option.
     """
     from repro.sim import filtered
 
@@ -78,7 +80,7 @@ def walked():
     @contextlib.contextmanager
     def walking():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filtered, "_needs_walk", lambda hierarchies: True)
+            mp.setattr(filtered, "_needs_walk", lambda *args: True)
             yield
 
     return walking

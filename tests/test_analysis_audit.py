@@ -55,7 +55,7 @@ def test_src_tree_audits_clean():
 def test_registry_covers_the_documented_pairs():
     assert {p.pair_id for p in TWIN_REGISTRY} == {
         "baseline-fill", "slip-fill", "eou-optimize", "vector-replay",
-        "slip-vector-replay", "vector-frontend", "capture-replay",
+        "vector-frontend", "capture-replay",
     }
 
 

@@ -11,7 +11,10 @@ sends the capture to the scalar capture pass), page size, warmup
 fraction, unequal per-core trace lengths and the capture store tier,
 and asserts the two produce the same bytes on a cold and a warm store,
 through the back-end kernels (baseline kinds and slip kinds alike) and
-through the merged scalar replays.
+through the baseline kinds' merged scalar replay. Mixes hard-wire LRU,
+so a second harness draws single-core ``run_trace`` cells under DRRIP
+and SHiP replacement, on L2/L3 geometries wide enough (>= 64 sets) to
+hold DRRIP's BRRIP leader sets.
 
 This module must stay out of conftest's ``SIMCHECK_MODULES``: under
 SimCheck every mix declines to the walk, and the harness would compare
@@ -36,6 +39,7 @@ from repro.sim.config import (
     SlipParams,
     SystemConfig,
 )
+from repro.sim.single_core import run_trace
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import DiskCaptureStore, MemoryCaptureStore
 from repro.workloads.mixes import CORE_ADDRESS_STRIDE, make_mix_traces
@@ -48,10 +52,10 @@ def canonical(result) -> str:
 
 
 @st.composite
-def levels(draw, name: str, base_sets: int, base_lat: int,
+def levels(draw, name: str, set_counts, base_lat: int,
            base_pj: float, uniform_ok: bool) -> CacheLevelConfig:
     ways = draw(st.sampled_from((2, 4, 8)))
-    sets = draw(st.sampled_from((base_sets, base_sets * 2)))
+    sets = draw(st.sampled_from(set_counts))
     nsub = draw(st.integers(1, min(3, ways)))
     cuts = sorted(draw(st.lists(st.integers(1, ways - 1), min_size=nsub - 1,
                                 max_size=nsub - 1, unique=True)))
@@ -74,7 +78,9 @@ def levels(draw, name: str, base_sets: int, base_lat: int,
 
 
 @st.composite
-def systems(draw, uniform_ok: bool) -> SystemConfig:
+def systems(draw, uniform_ok: bool, wide: bool = False) -> SystemConfig:
+    """A tiny system; ``wide`` draws L2/L3 set counts up to 128, so
+    DRRIP (32 leader sets) gets BRRIP leaders and followers."""
     l1_ways = draw(st.sampled_from((1, 2, 4)))
     l1_sets = draw(st.sampled_from((4, 8, 16)))
     # A sublevel-partitioned L1 is declined by the capture kernel.
@@ -87,8 +93,10 @@ def systems(draw, uniform_ok: bool) -> SystemConfig:
             sublevel_ways=l1_parts,
             sublevel_energy_pj=(0.8, 1.4)[:len(l1_parts)],
             sublevel_latency=(1, 2)[:len(l1_parts)]),
-        l2=draw(levels("L2", 8, 3, 10.0, uniform_ok)),
-        l3=draw(levels("L3", 32, 8, 40.0, uniform_ok)),
+        l2=draw(levels("L2", (8, 64, 128) if wide else (8, 16), 3, 10.0,
+                       uniform_ok)),
+        l3=draw(levels("L3", (32, 64, 128) if wide else (32, 64), 8, 40.0,
+                       uniform_ok)),
         dram=DramConfig(latency_cycles=50, energy_pj_per_bit=2.0),
         slip=SlipParams(),
         core=CoreConfig(),
@@ -123,13 +131,13 @@ def mix_cells(draw):
 STORE_TIERS = ("none", "memory", "disk")
 
 
-def replay_twice(cell, tier: str):
-    """The cell's bytes on a cold and then a warm store of ``tier``."""
+def replay_twice(run, cell, tier: str):
+    """``run(**cell)``'s bytes on a cold and then a warm store of
+    ``tier``; ``run`` is ``run_mix_traces`` or ``run_trace``."""
     with tempfile.TemporaryDirectory() as root:
         store = {"none": None, "memory": MemoryCaptureStore(),
                  "disk": DiskCaptureStore(root)}[tier]
-        return [canonical(multi_core.run_mix_traces(**cell, store=store))
-                for _ in range(2)]
+        return [canonical(run(**cell, store=store)) for _ in range(2)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -138,20 +146,49 @@ def replay_twice(cell, tier: str):
 def test_replay_matches_walk(cell, tier, walked):
     with walked():
         reference = canonical(multi_core.run_mix_traces(**cell))
-    assert replay_twice(cell, tier) == [reference, reference]
+    assert (replay_twice(multi_core.run_mix_traces, cell, tier)
+            == [reference, reference])
 
 
 @settings(max_examples=15, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cell=mix_cells(), tier=st.sampled_from(STORE_TIERS))
 def test_scalar_replay_matches_walk(cell, tier, scalar_kernels, walked):
-    """With both back-end kernels declining, the merged scalar replays
-    serve."""
+    """With the baseline-kind kernel declining, the merged scalar
+    replay serves the baseline kinds."""
     with walked():
         reference = canonical(multi_core.run_mix_traces(**cell))
-    with scalar_kernels("replay_capture_vector",
-                        "replay_capture_vector_slip"):
-        assert replay_twice(cell, tier) == [reference, reference]
+    with scalar_kernels("replay_capture_vector"):
+        assert (replay_twice(multi_core.run_mix_traces, cell, tier)
+                == [reference, reference])
+
+
+@st.composite
+def rrip_cells(draw):
+    """One single-core cell under DRRIP or SHiP replacement."""
+    policy = draw(st.sampled_from(POLICY_NAMES))
+    seed = draw(st.integers(0, 20))
+    return dict(
+        trace=make_trace(draw(st.sampled_from(BENCHES)),
+                         draw(st.integers(300, 2_500)), seed=seed),
+        policy=policy,
+        config=draw(systems(uniform_ok=runtime_kind(policy) == "baseline",
+                            wide=True)),
+        seed=seed,
+        replacement=draw(st.sampled_from(("drrip", "ship"))),
+        warmup_fraction=draw(st.sampled_from((0.0, 0.1, 0.3, 0.5))),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cell=rrip_cells(), tier=st.sampled_from(STORE_TIERS))
+def test_rrip_replay_matches_walk(cell, tier, walked):
+    """DRRIP and SHiP cells: the SLIP kernel serves the slip kinds, the
+    scalar replay the baseline kinds, on a cold and a warm store."""
+    with walked():
+        reference = canonical(run_trace(**cell))
+    assert replay_twice(run_trace, cell, tier) == [reference, reference]
 
 
 def test_mix_cells_share_captures(tiny_system, walked):

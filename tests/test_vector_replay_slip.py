@@ -2,14 +2,15 @@
 
 Mirror of :mod:`test_vector_replay` for the slip-runtime kinds: every
 slip/slip_abp cell the kernel (:mod:`repro.sim.vector_replay_slip`)
-accepts must serialize byte-for-byte like the scalar ``_replay_slip``
-walk of the same capture, across both capture stores, both worker
-modes, randomized trace/geometry space, and the ``l3_abp_min_samples``
-ablation. Everything it cannot represent must decline with a recorded
-reason and fall back to the scalar path with identical bytes. The
-multicore mixes run the same kernel over a shared L3; the hypothesis
-harness of ``test_mix_replay`` pins those bytes, and the section below
-pins that the kernel really serves them.
+accepts must serialize byte-for-byte like the driver's per-access walk
+(the ``walked`` fixture), across both capture stores, both worker
+modes, randomized trace/geometry space, LRU, DRRIP and SHiP
+replacement, and the ``l3_abp_min_samples`` ablation. Everything it
+cannot represent must decline with a recorded reason and walk, before
+any capture is taken, with identical bytes. The multicore mixes run the
+same kernel over a shared L3; the hypothesis harness of
+``test_mix_replay`` pins those bytes, and the sections below pin that
+the kernel really serves them.
 """
 
 import json
@@ -19,7 +20,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.experiments.parallel import RunRequest, run_jobs
-from repro.sim import filtered, multi_core
+from repro.sim import filtered, multi_core, single_core
 from repro.sim.build import build_hierarchy
 from repro.sim.config import (
     CacheLevelConfig,
@@ -44,6 +45,7 @@ from repro.workloads.capture_store import (
 from repro.workloads.mixes import make_mix_traces
 
 SLIP_KIND = ("slip", "slip_abp")
+RRIP = ("drrip", "ship")
 LENGTH = 2_500
 MIX = ("soplex", "mcf")
 
@@ -75,16 +77,15 @@ def spy_mix_kernel(monkeypatch) -> list:
     return calls
 
 
-def replay_pair(trace, policy, config, store, scalar_kernels, **kwargs):
-    """(scalar replay, vector replay) of the same warmed capture."""
-    # The first run stores the capture; the next two replay it.
+def replay_pair(trace, policy, config, store, walked, **kwargs):
+    """(the walk, the kernel's replay of a warmed capture)."""
+    # The first run stores the capture; the second replays it.
     run_trace(trace, policy, config=config, store=store, **kwargs)
-    with scalar_kernels():
-        scalar = run_trace(trace, policy, config=config, store=store,
-                           **kwargs)
+    with walked():
+        walk = run_trace(trace, policy, config=config, **kwargs)
     vector = run_trace(trace, policy, config=config, store=store,
                        **kwargs)
-    return scalar, vector
+    return walk, vector
 
 
 def slip_capture(trace, config, store):
@@ -103,13 +104,13 @@ class TestByteIdentity:
     @pytest.mark.parametrize("policy", SLIP_KIND)
     @pytest.mark.parametrize("store_kind", ("memory", "disk"))
     def test_vector_matches_scalar(self, policy, store_kind, tiny_system,
-                                   tmp_path, scalar_kernels):
+                                   tmp_path, walked):
         trace = make_trace("soplex", LENGTH)
         store = (MemoryCaptureStore() if store_kind == "memory"
                  else DiskCaptureStore(str(tmp_path)))
-        scalar, vector = replay_pair(trace, policy, tiny_system, store,
-                                     scalar_kernels)
-        assert canonical(vector) == canonical(scalar)
+        walk, vector = replay_pair(trace, policy, tiny_system, store,
+                                   walked)
+        assert canonical(vector) == canonical(walk)
 
     @pytest.mark.parametrize("policy", SLIP_KIND)
     def test_vector_matches_direct(self, policy, tiny_system,
@@ -125,17 +126,17 @@ class TestByteIdentity:
     @pytest.mark.parametrize("policy", SLIP_KIND)
     def test_vector_matches_scalar_nonzero_seed(self, policy,
                                                 tiny_system,
-                                                scalar_kernels):
+                                                walked):
         """Sampler RNG and seeded traces line up event for event."""
         trace = make_trace("soplex", LENGTH, seed=3)
-        scalar, vector = replay_pair(trace, policy, tiny_system,
-                                     MemoryCaptureStore(), scalar_kernels,
-                                     seed=5)
-        assert canonical(vector) == canonical(scalar)
+        walk, vector = replay_pair(trace, policy, tiny_system,
+                                   MemoryCaptureStore(), walked,
+                                   seed=5)
+        assert canonical(vector) == canonical(walk)
 
     @pytest.mark.parametrize("min_samples", (0, 10_000))
     def test_abp_min_samples_gate(self, min_samples, tiny_system,
-                                  scalar_kernels):
+                                  walked):
         """The EOU's ABP evidence floor steers fills identically.
 
         0 lets the all-bypass policy win from the first sample; a huge
@@ -150,9 +151,9 @@ class TestByteIdentity:
             tlb_entries=tiny_system.tlb_entries,
         )
         trace = make_trace("soplex", LENGTH)
-        scalar, vector = replay_pair(trace, "slip_abp", config,
-                                     MemoryCaptureStore(), scalar_kernels)
-        assert canonical(vector) == canonical(scalar)
+        walk, vector = replay_pair(trace, "slip_abp", config,
+                                   MemoryCaptureStore(), walked)
+        assert canonical(vector) == canonical(walk)
 
 
 # ----------------------------------------------------------------------
@@ -160,16 +161,16 @@ class TestByteIdentity:
 # ----------------------------------------------------------------------
 @pytest.mark.multiproc
 def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch,
-                                      scalar_kernels):
+                                      walked):
     monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
     grid = [RunRequest("soplex", policy, length=2_000)
             for policy in SLIP_KIND]
     run_jobs(grid, jobs=1)  # populate the store
-    with scalar_kernels():
-        scalar = run_jobs(grid, jobs=1)
+    with walked():
+        walk = run_jobs(grid, jobs=1)
     serial = run_jobs(grid, jobs=1)
     parallel = run_jobs(grid, jobs=2)
-    for base, ours, theirs in zip(scalar.results, serial.results,
+    for base, ours, theirs in zip(walk.results, serial.results,
                                   parallel.results):
         assert ours.result == base.result, base.request.label()
         assert theirs.result == base.result, base.request.label()
@@ -219,17 +220,17 @@ def _random_system(rng) -> SystemConfig:
 
 
 @pytest.mark.parametrize("case_seed", range(6))
-def test_random_geometry_property(case_seed, scalar_kernels):
+def test_random_geometry_property(case_seed, walked):
     rng = random.Random(7_000 + case_seed)
     config = _random_system(rng)
     trace = make_trace(rng.choice(("soplex", "lbm", "mcf")),
                        rng.randint(900, 2_200),
                        seed=rng.randint(0, 99))
     policy = SLIP_KIND[case_seed % len(SLIP_KIND)]
-    scalar, vector = replay_pair(trace, policy, config,
-                                 MemoryCaptureStore(), scalar_kernels,
-                                 seed=rng.randint(0, 9))
-    assert canonical(vector) == canonical(scalar)
+    walk, vector = replay_pair(trace, policy, config,
+                               MemoryCaptureStore(), walked,
+                               seed=rng.randint(0, 9))
+    assert canonical(vector) == canonical(walk)
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +242,11 @@ class TestDecline:
                                            paper_system):
         assert eligible(build_hierarchy(tiny_system, policy))
         assert eligible(build_hierarchy(paper_system, policy))
+
+    @pytest.mark.parametrize("replacement", RRIP)
+    def test_rrip_hierarchy_is_eligible(self, replacement, paper_system):
+        assert eligible(build_hierarchy(paper_system, "slip_abp",
+                                        replacement=replacement))
 
     def test_non_slip_kind_declines(self, tiny_system):
         hierarchy = build_hierarchy(tiny_system, "baseline")
@@ -283,6 +289,18 @@ class TestDecline:
                                           [capture]) is True
         assert hierarchy.kernel_declines.replay is None
 
+    def test_replay_capture_refuses_a_declined_cell(self, tiny_system):
+        """``replay_capture`` has no scalar slip replay to fall back to:
+        the driver walks such cells, and a direct call raises."""
+        trace = make_trace("soplex", 1_200)
+        store = MemoryCaptureStore()
+        run_trace(trace, "slip", config=tiny_system, store=store)
+        capture = slip_capture(trace, tiny_system, store)
+        hierarchy = build_hierarchy(tiny_system, "slip",
+                                    replacement="random")
+        with pytest.raises(ValueError, match="RandomReplacement"):
+            filtered.replay_capture([hierarchy], [trace], [capture])
+
     def test_debug_flag_echoes_reason_to_stderr(self, tiny_system,
                                                 monkeypatch, capsys):
         monkeypatch.setenv("REPRO_VECTOR_REPLAY_DEBUG", "1")
@@ -296,7 +314,7 @@ class TestDecline:
     def test_shared_l3_declines(self, reason, tiny_system, monkeypatch,
                                 walked):
         """A mix the shared-L3 sweep cannot represent records why and
-        still serializes like the walk, through the scalar replay.
+        walks: the kernel is never called.
 
         ``router:runtimes``: the L3 router's runtimes are the cores'
         own, swapped. ``router:page``: core 1 runs in core 0's address
@@ -315,28 +333,77 @@ class TestDecline:
             monkeypatch.setattr(multi_core, "_build_mix", swapped)
         else:
             traces[1] = make_trace(MIX[1], 1_500, seed=4)
+        built = []
+        build_mix = multi_core._build_mix
+
+        def spy_build(*args, **kwargs):
+            built.append(build_mix(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(multi_core, "_build_mix", spy_build)
         calls = spy_mix_kernel(monkeypatch)
         replayed = multi_core.run_mix_traces(traces, MIX, "slip_abp",
                                              tiny_system, 3)
+        [(_, _, hierarchies)] = built
         with walked():
             walk = multi_core.run_mix_traces(traces, MIX, "slip_abp",
                                              tiny_system, 3)
         assert canonical_mix(replayed) == canonical_mix(walk)
-        [(served, hierarchies)] = calls
-        assert served is False
+        assert calls == []
         assert [h.kernel_declines.replay for h in hierarchies] \
             == [reason, reason]
 
     @pytest.mark.parametrize("policy", SLIP_KIND)
     def test_declined_cells_still_replay_correctly(self, policy,
                                                    tiny_system,
-                                                   scalar_kernels):
-        """A bypassed cell silently takes the scalar path, same bytes."""
+                                                   monkeypatch, walked):
+        """A declined cell walks before any capture, same bytes: the
+        kernel never runs, and the hierarchy records why."""
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(build_hierarchy(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(single_core, "build_hierarchy", build)
+        calls = spy_mix_kernel(monkeypatch)
         trace = make_trace("soplex", 1_500)
-        scalar, vector = replay_pair(
-            trace, policy, tiny_system, MemoryCaptureStore(),
-            scalar_kernels, replacement="random")
-        assert canonical(vector) == canonical(scalar)
+        store = MemoryCaptureStore()
+        declined = run_trace(trace, policy, config=tiny_system,
+                             store=store, replacement="random")
+        assert not store._entries and calls == []
+        [hierarchy] = built
+        assert (hierarchy.kernel_declines.replay
+                == "replacement:L2:RandomReplacement")
+        with walked():
+            walk = run_trace(trace, policy, config=tiny_system,
+                             replacement="random")
+        assert canonical(declined) == canonical(walk)
+
+
+# ----------------------------------------------------------------------
+# DRRIP and SHiP: the kernel serves them (paper Section 7)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("replacement", RRIP)
+def test_rrip_cell_is_served_by_the_kernel(replacement, monkeypatch,
+                                           walked):
+    """A default-config slip_abp cell under DRRIP or SHiP replays
+    through the kernel, records no decline and matches the walk.
+
+    The default L2 and L3 have 256 and 2048 sets, so DRRIP has SRRIP
+    and BRRIP leader sets and followers, and every sublevel draw spans
+    three sublevels.
+    """
+    calls = spy_mix_kernel(monkeypatch)
+    trace = make_trace("mcf", 6_000)
+    served = run_trace(trace, "slip_abp", replacement=replacement,
+                       store=MemoryCaptureStore())
+    [(ok, [hierarchy])] = calls
+    assert ok is True
+    assert hierarchy.kernel_declines.replay is None
+    with walked():
+        walk = run_trace(trace, "slip_abp", replacement=replacement)
+    assert canonical(served) == canonical(walk)
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +413,7 @@ def test_mix_is_served_by_the_kernel(monkeypatch):
     """A default-config slip_abp mix runs the kernel once, for every core.
 
     Byte identity alone cannot tell a serving kernel from one that
-    always declines to the scalar replay.
+    always declines to the walk.
     """
     calls = spy_mix_kernel(monkeypatch)
     multi_core.run_mix(MIX, "slip_abp", length_per_core=3_000,
@@ -359,10 +426,10 @@ def test_mix_is_served_by_the_kernel(monkeypatch):
 
 @pytest.mark.parametrize("policy", SLIP_KIND)
 def test_mix_core_ledgers_match_scalar(policy, tiny_system, monkeypatch,
-                                       scalar_kernels):
+                                       walked):
     """Per-core ledgers a MulticoreResult does not carry — counters
-    (latency included), runtime and TLB statistics — match the merged
-    scalar replay too."""
+    (latency included), runtime and TLB statistics — match the walk
+    too."""
     ledgers = []
     collect = multi_core._collect_mix
 
@@ -375,10 +442,10 @@ def test_mix_core_ledgers_match_scalar(policy, tiny_system, monkeypatch,
     monkeypatch.setattr(multi_core, "_collect_mix", spy)
     traces = make_mix_traces(MIX, 2_000, seed=1)
     multi_core.run_mix_traces(traces, MIX, policy, tiny_system, 1)
-    with scalar_kernels("replay_capture_vector_slip"):
+    with walked():
         multi_core.run_mix_traces(traces, MIX, policy, tiny_system, 1)
-    vector, scalar = ledgers
-    assert vector == scalar
+    vector, walk = ledgers
+    assert vector == walk
     assert all(counters["total_latency_cycles"] > 0
                for counters, _, _ in vector)
 
