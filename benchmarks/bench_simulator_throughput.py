@@ -24,7 +24,8 @@ MEASURED = N - N // 4  # replay results count post-warmup accesses only
 
 def drive(policy: str) -> int:
     """One ``access()`` per reference over 20k soplex accesses: the
-    scalar reference walk, with the fused fills."""
+    scalar reference walk, through the primitive-built placement
+    fills."""
     config = default_system()
     hierarchy = build_hierarchy(config, policy)
     trace = make_trace("soplex", N)

@@ -105,7 +105,24 @@ det_smoke() {
     # baseline-kind DRRIP/SHiP cells decline to the scalar replay.
     python -m repro.experiments.runner ablation-replacement --length 2000 \
         --jobs 1 --kernel-report | grep -qxF \
-        '[kernel-report] vector-replay: 16 kernel run(s), 8 decline(s) [replacement:DrripReplacement/DrripReplacement=4, replacement:ShipReplacement/ShipReplacement=4]'
+        '[kernel-report] vector-replay: 16 kernel run(s), 8 decline(s) [replacement:DrripReplacement/DrripReplacement=4, replacement:ShipReplacement/ShipReplacement=4]' \
+        || return 1
+    # The Section 7 rd-block ablation: the replay kernels serve all 32
+    # cells (4 benchmarks x 4 block sizes x baseline/slip_abp), and the
+    # capture kernel runs once per benchmark: every block size replays
+    # the page-mode capture.
+    raw1="$(python -m repro.experiments.runner ablation-rdblock \
+        --length 2000 --jobs 1 --kernel-report)" || return 1
+    printf '%s\n' "$raw1" | grep -qxF \
+        '[kernel-report] vector-replay: 32 kernel run(s), 0 decline(s)' \
+        || return 1
+    printf '%s\n' "$raw1" | grep -qxF \
+        '[kernel-report] vector-frontend: 4 kernel run(s), 0 decline(s)' \
+        || return 1
+    out1="$(printf '%s\n' "$raw1" | grep -v '^\[')"
+    out4="$(python -m repro.experiments.runner ablation-rdblock \
+        --length 2000 --jobs 2 | grep -v '^\[')" || return 1
+    [ "$out1" = "$out4" ]
 }
 stage "determinism smoke (serial == parallel)" det_smoke
 

@@ -5,9 +5,9 @@ Re-times two benchmarks from the throughput microbenchmark module and
 compares each against the mean recorded in ``BENCH_throughput.json``
 at the repo root:
 
-* the ``slip_abp`` drive — the scalar reference walk, with the fused
-  fills; a reintroduced per-access allocation or a de-fused placement
-  fill shows up here long before any paper figure moves;
+* the ``slip_abp`` drive — the scalar reference walk, through the
+  primitive-built placement fills; a reintroduced per-access
+  allocation shows up here long before any paper figure moves;
 * the serial sweep (``sweep(jobs=1)`` over the 2x3 benchmark/policy
   grid) — the filtered-replay path; a broken capture store or a replay
   falling back to direct simulation shows up here;

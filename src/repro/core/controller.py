@@ -12,37 +12,17 @@ Implements the SLIP state machine on top of a :class:`CacheLevel`:
 
 The controller is orthogonal to replacement: victim selection inside a
 chunk is delegated to the level's replacement policy.
-
-Like the baseline placement, :meth:`SlipPlacement.fill` has two
-implementations. The fused fast path handles the dominant cases — ABP
-bypass, fill into an invalid way, and fill whose victim leaves the
-level immediately (its SLIP has no next chunk) — in one frame, reusing
-the victim ``Line`` in place and resolving the page's ``(slip_id,
-sampling)`` pair with a single page-table probe. It is only legal when
-``level._fast_fill`` holds (stock LRU, no SimCheck wrappers observing
-the placement primitives — REPRO_CHECK_INVARIANTS clears the flag at
-install), and is accounting-equivalent to the general path by
-construction; the golden tests pin that down byte-for-byte. Fills that
-trigger an actual cascade movement are rarer and keep using the
-primitive-by-primitive machinery.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..mem.cache import INVALID_LINE, CacheLevel, EvictedLine, Line
-from ..mem.stats import REUSE_KEYS
+from ..mem.cache import CacheLevel, EvictedLine
 from ..policies.base import FillOutcome, PlacementPolicy
 from .policy import SlipSpace
 from .runtime import SlipRuntime
 from .sampling import PageState
-
-_INF = float("inf")
-
-#: Shared outcome for fused fills with nothing to report upward (same
-#: contract as the baseline's shared instance: consumers only read).
-_INSERTED = FillOutcome(True)
 
 
 class SlipPlacement(PlacementPolicy):
@@ -56,11 +36,9 @@ class SlipPlacement(PlacementPolicy):
         self.space = space
         self.runtime = runtime
         self.movement_queue_pj = movement_queue_pj
-        # SlipSpace hot tables, bound as instance attributes so the
-        # per-fill lookups skip one attribute hop each.
+        # SlipSpace hot table, bound as an instance attribute so the
+        # per-cascade lookups skip one attribute hop each.
         self._num_chunks_by_id = space.num_chunks_by_id
-        self._class_by_id = space.class_by_id
-        self._chunk0_orders_by_id = space.chunk0_orders_by_id
         # on_hit inlines the page-table probe, which needs the concrete
         # SlipRuntime surface (``pages`` dict + ``always_sample``).
         # Duck-typed runtimes (the shared-L3 router) take the generic
@@ -78,29 +56,11 @@ class SlipPlacement(PlacementPolicy):
         # Hit-path clamp: a reference that hit cannot have a stack
         # distance at or beyond the level's capacity (see on_hit).
         self._max_hit_distance = level.cfg.lines - 1
-        # Structurally constant level internals, bound once for the
-        # fused fill (mutable per-fill state — stats, rotor, access
-        # counter, valid_count — is still read through ``level``).
-        self._sets = level.sets
-        self._indexes = level._index
-        self._num_sets = level.num_sets
-        self._sublevel_by_way = level.sublevel_by_way
-        self._track_meta = level.track_metadata_energy
-        self._replacement = level.replacement
         # Timestamp quantisation constants (set once in CacheLevel's
-        # constructor), bound here so the per-fill and per-hit
-        # timestamp updates skip two attribute hops each.
+        # constructor), bound here so the per-hit timestamp updates
+        # skip two attribute hops each.
         self._granule = level._granule
         self._ts_mask = level._ts_mask
-        # Fused-fill page probe: the page table dict, the always-sample
-        # flag and this level's default SLIP id are all stable for the
-        # runtime's lifetime, so bind them once and skip the
-        # policy_and_sampling dispatch on every fill.
-        runtime = self._paged_runtime
-        if runtime is not None:
-            self._pages = runtime.pages
-            self._always_sample = runtime.always_sample
-            self._level_default_id = runtime._default_ids[self._level_name]
 
     # ------------------------------------------------------------------
     def _slip_for(self, page: int, is_metadata: bool) -> int:
@@ -108,138 +68,13 @@ class SlipPlacement(PlacementPolicy):
             return self._default_id
         return self.runtime.policy_for(self._level_name, page)
 
-    # slip-audit: twin=slip-fill role=fast
     def fill(self, line_addr: int, page: int = -1, dirty: bool = False,
              is_metadata: bool = False) -> FillOutcome:
-        level = self.level
-        assert level is not None
-        if not level._fast_fill:
-            return self._fill_general(line_addr, page=page, dirty=dirty,
-                                      is_metadata=is_metadata)
+        """Insert a line per its page's SLIP, or bypass under ABP.
 
-        # ----- fused (slip_id, sampling) resolution: one probe -----
-        runtime = self.runtime
-        if is_metadata or runtime is None or page < 0:
-            slip_id, sampling = self._default_id, False
-        elif self._paged_runtime is not None:
-            # policy_and_sampling inlined over the prebound page table
-            # (identical decision sequence, one dict probe, no call).
-            entry = self._pages.get(page)
-            if entry is None:
-                slip_id, sampling = self._level_default_id, False
-            elif entry.state is PageState.SAMPLING:
-                slip_id, sampling = self._level_default_id, True
-            else:
-                slip_id = entry.policies[self._level_name]
-                sampling = self._always_sample
-        else:
-            slip_id, sampling = runtime.policy_and_sampling(
-                self._level_name, page
-            )
-
-        orders = self._chunk0_orders_by_id[slip_id]
-        if not orders:
-            # All-Bypass Policy: the line never enters this level.
-            stats = level.stats
-            stats.bypasses += 1
-            stats.insertions_by_class[self._class_by_id[slip_id]] += 1
-            if dirty:
-                stats.dirty_bypass_forwards += 1
-                return FillOutcome(False, [line_addr])
-            return FillOutcome(False)
-
-        # ----- fused victim scan (same order as choose_victim) -----
-        set_idx = line_addr % self._num_sets
-        lines = self._sets[set_idx]
-        index = self._indexes[set_idx]
-        level._alloc_rotor = rotor = (level._alloc_rotor + 1) % 64
-        order = orders[rotor % len(orders)]
-        victim_way = -1
-        best_lru = _INF
-        for way in order:
-            line = lines[way]
-            if not line.valid:
-                victim_way = way
-                victim = line
-                break
-            lru = line.lru
-            if lru < best_lru:
-                victim_way, best_lru = way, lru
-        else:
-            victim = lines[victim_way]
-
-        stats = level.stats
-        outcome: FillOutcome
-        cascade_victim: Optional[EvictedLine] = None
-        if victim.valid:
-            if victim.chunk_idx + 1 \
-                    >= self._num_chunks_by_id[victim.policy_id]:
-                # Victim leaves the level for good (its SLIP has no
-                # next chunk — true for every single-chunk policy, the
-                # dominant case). Inlined record_departure; stock LRU
-                # has no eviction feedback hook.
-                hits = victim.hits
-                stats.reuse_histogram[REUSE_KEYS[hits] if hits <= 2
-                                      else ">2"] += 1
-                del index[victim.tag]
-                if victim.dirty:
-                    stats.writebacks_out += 1
-                    stats.wb_out_events[
-                        self._sublevel_by_way[victim_way]] += 1
-                    outcome = FillOutcome(True, [victim.tag])
-                else:
-                    outcome = _INSERTED
-            else:
-                # The victim moves to its next chunk: snapshot it and
-                # run the cascade machinery after the install, exactly
-                # like the general path.
-                cascade_victim = EvictedLine(victim, victim_way)
-                del index[victim.tag]
-                outcome = FillOutcome(True)
-        else:
-            level.valid_count += 1
-            outcome = _INSERTED
-            if victim is INVALID_LINE:
-                # First fill of this way: materialize a real Line in
-                # place of the shared invalid sentinel.
-                victim = lines[victim_way] = Line()
-
-        # ----- installation (inlined place_fill over the reused Line;
-        # every slot the general path's reset() clears AND some consumer
-        # reads is re-set. The RRIP/SHiP/PEA bookkeeping slots (rrpv,
-        # signature, outcome, demoted) are deliberately left alone:
-        # the fast path requires stock LRU, under which nothing ever
-        # reads or writes them, so they keep their constructor defaults
-        # — same contract as skipping clean-eviction enumeration) -----
-        line = victim
-        line.valid = True
-        line.tag = line_addr
-        index[line_addr] = victim_way
-        line.dirty = dirty
-        line.policy_id = slip_id
-        line.chunk_idx = 0
-        line.page = page
-        line.sampling = sampling
-        line.is_metadata = is_metadata
-        line.ts = (level.access_counter // self._granule) & self._ts_mask
-        line.hits = 0
-        replacement = self._replacement
-        replacement._clock += 1
-        line.lru = replacement._clock
-        stats.insertions += 1
-        stats.insert_events[self._sublevel_by_way[victim_way]] += 1
-        if self._track_meta:
-            stats.metadata_events += 1
-        stats.insertions_by_class[self._class_by_id[slip_id]] += 1
-        if cascade_victim is not None:
-            self._cascade(set_idx, cascade_victim, outcome)
-        return outcome
-
-    # slip-audit: twin=slip-fill role=ref
-    def _fill_general(self, line_addr: int, *, page: int = -1,
-                      dirty: bool = False,
-                      is_metadata: bool = False) -> FillOutcome:
-        """Primitive-by-primitive fill; SimCheck observes each step."""
+        Built from the level's placement primitives, so SimCheck
+        observes each step.
+        """
         level = self.level
         assert level is not None
         slip_id = self._slip_for(page, is_metadata)

@@ -166,19 +166,6 @@ class SlipSpace:
         self.class_by_id: Tuple[str, ...] = tuple(
             slip.classify(self.num_sublevels) for slip in self.slips
         )
-        # Every rotation of each SLIP's insertion (chunk 0) ways, in the
-        # exact visit order CacheLevel.choose_victim would produce for a
-        # given allocation-rotor value; the fused SLIP fill indexes
-        # ``orders[rotor % len(ways)]`` instead of slicing per fill.
-        # The ABP (no chunks) maps to an empty tuple, never indexed.
-        self.chunk0_orders_by_id: Tuple[Tuple[Tuple[int, ...], ...], ...] = \
-            tuple(
-                tuple(
-                    per_chunk[0][r:] + per_chunk[0][:r]
-                    for r in range(len(per_chunk[0]))
-                ) if per_chunk else ()
-                for per_chunk in chunk_ways
-            )
 
     def __len__(self) -> int:
         return len(self.slips)

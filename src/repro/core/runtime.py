@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..mem.tlb import Tlb, distribution_line_address, pte_line_address
-from ..sim.config import SystemConfig
+from ..sim.config import SystemConfig, line_to_page_shift
 from .distribution import ReuseDistanceDistribution
 from .energy_model import LevelEnergyParams, SlipEnergyModel
 from .eou import EnergyOptimizerUnit
@@ -141,6 +141,9 @@ class SlipRuntime(BaselineRuntime):
         else:
             self.block_shift = None
             self.slip_cache = None
+        #: Right shift from a line address to its profile key.
+        self.key_shift = (line_to_page_shift(config.lines_per_page)
+                          if self.block_shift is None else self.block_shift)
         self.spaces: Dict[str, SlipSpace] = {}
         self.models: Dict[str, SlipEnergyModel] = {}
         self.eous: Dict[str, EnergyOptimizerUnit] = {}

@@ -58,9 +58,9 @@ class Line:
         replacement-state slots that victim selection may read on a
         direct call (``lru``/``rrpv``/``demoted``) and the SHiP
         feedback pair. Every remaining slot is written by
-        place_fill/place_moved/the fused baseline fill before the line
-        becomes readable (``valid=True``), and :meth:`reset` restores
-        all of them on extraction.
+        place_fill/place_moved before the line becomes readable
+        (``valid=True``), and :meth:`reset` restores all of them on
+        extraction.
         """
         self.valid = False
         self.lru = 0
@@ -117,28 +117,24 @@ class CacheLevel:
         self.track_metadata_energy = track_metadata_energy
         self.timestamp_bits = timestamp_bits
         # Exact-type check: subclasses (e.g. PEA's demoted-first LRU)
-        # override victim selection and must not take the fast path.
+        # override victim selection and must not take the inlined LRU
+        # scans and stamps below.
         self._plain_lru = type(replacement).__name__ == "LruReplacement"
         # Bound once: only SHiP wants eviction-outcome feedback, and an
         # isinstance per departure is measurable on the fill path.
         self._ship_on_evict = (replacement.on_evict
                                if isinstance(replacement, ShipReplacement)
                                else None)
-        # May BaselinePlacement use its fused fill on this level? True
-        # for stock LRU with nothing observing the placement
-        # primitives; SimCheck clears it when it wraps this level.
-        self._fast_fill = self._plain_lru
         # Rotating start offset for invalid-way allocation scans.
         self._alloc_rotor = 0
         self.num_sets = cfg.sets
         # Lazy line materialization: every way starts aliased to the
         # shared INVALID_LINE sentinel (a hierarchy allocates tens of
         # thousands of lines, most of which a short run never fills —
-        # L3 especially). The install sites (place_fill/place_moved and
-        # the fused fills) swap in a real Line on first use; nothing
-        # else ever mutates an invalid line, so the sentinel stays
-        # pristine. Each row is still a distinct list (slots are
-        # replaced in place).
+        # L3 especially). The install sites (place_fill/place_moved)
+        # swap in a real Line on first use; nothing else ever mutates
+        # an invalid line, so the sentinel stays pristine. Each row is
+        # still a distinct list (slots are replaced in place).
         self.sets: List[List[Line]] = [
             [INVALID_LINE] * cfg.ways for _ in range(cfg.sets)
         ]

@@ -97,8 +97,7 @@ class EnergyBreakdown:
 
 
 #: Histogram keys for small reuse counts; indexing a tuple beats a
-#: ``str(hits)`` call on the per-departure path. Shared with the fused
-#: baseline fill, which inlines record_reuse_count.
+#: ``str(hits)`` call on the per-departure path.
 REUSE_KEYS = ("0", "1", "2")
 
 

@@ -16,9 +16,8 @@ single-core cells are the one-core case, the Figure 16 mixes of
 1. every core runs the window in which all of them still run;
 2. one predicate sends SimCheck (``REPRO_CHECK_INVARIANTS``: the
    invariant wrappers observe per-access events a replay does not
-   generate), Section 7 rd-block SLIP (the SLIP-cache miss stream
-   is not captured) and every slip-kind cell the SLIP kernel cannot
-   replay to :func:`walk_cores`;
+   generate) and every slip-kind cell the SLIP kernel cannot replay to
+   :func:`walk_cores`;
 3. otherwise each core's window is captured through the capture store:
    a store hit, else the batched capture kernel
    (:mod:`~repro.sim.vector_frontend`; a decline is recorded on
@@ -34,8 +33,10 @@ positions are one page-grain probe per access regardless of runtime,
 and the back end never feeds back into L1 or TLB state — so one
 capture per (trace digest, L1 geometry, TLB size, warmup split, seed)
 serves every policy; the fingerprint deliberately excludes the runtime
-kind, sampler parameters and all back-end knobs (per-level energy
-overrides included: they reach only the live SLIP runtime):
+kind, sampler parameters, the Section 7 rd-block knobs (the L1 leg
+only stores the profile key on its lines) and all back-end knobs
+(per-level energy overrides included: they reach only the live SLIP
+runtime):
 
 * For the **baseline runtime kind** the metadata stream is a pure
   function of the TLB, so the flat captured event stream is replayed
@@ -46,8 +47,10 @@ overrides included: they reach only the live SLIP runtime):
   machine), so the :class:`~repro.core.runtime.SlipRuntime` runs live:
   the replay merge-walks the captured TLB-miss and L1-miss positions,
   re-issuing the runtime's TLB-miss path at exactly the captured
-  positions; the sampler RNG draws once per TLB miss in both direct
-  and replayed runs, so the RNG stream is preserved.
+  positions; the sampler RNG draws once per profile-key miss in both
+  direct and replayed runs, so the RNG stream is preserved. Under
+  rd-blocks the key misses are the SLIP-cache's, which the kernel
+  derives from the trace window.
 
 The two back-end kernels take one capture per hierarchy
 (:func:`~repro.sim.vector_replay.replay_capture_vector` for the
@@ -169,8 +172,8 @@ def capture_front_end(trace: Trace, config: SystemConfig,
         return 0
 
     def record_writeback(line_addr):
-        # The fused L1 fill emits at most one writeback, attached to
-        # the demand miss of the same access; anything else cannot be
+        # The L1 fill emits at most one writeback, attached to the
+        # demand miss of the same access; anything else cannot be
         # replayed from the per-miss writeback slot.
         if (not miss_wb or miss_wb[-1] != -1
                 or miss_pos[-1] != pos[0]):
@@ -393,13 +396,10 @@ _RUN_STORE = MemoryCaptureStore(max_entries=4)
 
 def _needs_walk(hierarchies, traces) -> bool:
     """Whether no capture can serve these cores: SimCheck (its wrappers
-    observe per-access events a replay does not generate), Section 7
-    rd-block SLIP (the SLIP-cache miss stream is not captured), or a
+    observe per-access events a replay does not generate), or a
     slip-kind cell the SLIP kernel cannot replay (``slip_eligible``
     records why on the cores)."""
-    if any(hierarchy.simcheck is not None
-           or getattr(hierarchy.runtime, "block_shift", None) is not None
-           for hierarchy in hierarchies):
+    if any(hierarchy.simcheck is not None for hierarchy in hierarchies):
         return True
     return (getattr(hierarchies[0].runtime, "slip_enabled", False)
             and not slip_eligible(hierarchies, traces))
@@ -428,8 +428,8 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
     """Run N >= 1 cores over their traces to finalized statistics.
 
     Every core runs the window in which all of them still run (the
-    shortest trace). SimCheck and rd-block cells walk, as do slip-kind
-    cells the SLIP kernel cannot replay; every other cell captures
+    shortest trace). SimCheck cells walk, as do slip-kind cells the
+    SLIP kernel cannot replay; every other cell captures
     each core's window through ``store`` (a store hit, else the
     capture kernel, else the scalar capture pass; ``None`` means a
     process-local store of a few entries), keyed by the

@@ -28,10 +28,10 @@ the private L2s and the shared L3:
   replay of :mod:`repro.sim.filtered`.
 
 The per-access walk (:func:`repro.sim.filtered.walk_cores`) stays the
-golden reference and serves SimCheck, the Section 7 rd-block extension,
-any slip-kind mix the phase-split kernel cannot replay and any failed
-capture. This module builds the mix (:func:`_build_mix`)
-and collects its :class:`MulticoreResult` (:func:`_collect_mix`).
+golden reference and serves SimCheck, any slip-kind mix the
+phase-split kernel cannot replay and any failed capture. This module
+builds the mix (:func:`_build_mix`) and collects its
+:class:`MulticoreResult` (:func:`_collect_mix`).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from ..policies.nurapid import NurapidPlacement
 from ..workloads.mixes import CORE_ADDRESS_STRIDE, make_mix_traces
 from ..workloads.trace import Trace
 from .build import runtime_kind
-from .config import SystemConfig, default_system, line_to_page_shift
+from .config import SystemConfig, default_system
 from .filtered import simulate
 
 
@@ -63,10 +63,7 @@ def core_key_shift(runtime: SlipRuntime) -> int:
     Keys are page numbers, or rd-block numbers under the Section 7
     extension; either way the core's address region sets the top bits.
     """
-    key_shift = runtime.block_shift
-    if key_shift is None:
-        key_shift = line_to_page_shift(runtime.config.lines_per_page)
-    return (CORE_ADDRESS_STRIDE.bit_length() - 1) - key_shift
+    return (CORE_ADDRESS_STRIDE.bit_length() - 1) - runtime.key_shift
 
 
 @dataclass

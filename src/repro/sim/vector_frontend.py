@@ -43,9 +43,9 @@ measured-phase events, and the reuse histogram records a line's
 still resident at the end (``finalize()`` runs after the reset).
 
 Capture requests fall back to the scalar walk (``return None``)
-whenever the hierarchy is not eligible: SimCheck, a Section 7 rd-block
-runtime, a non-LRU L1 replacement, metadata-energy tracking on L1, or
-a sublevel-partitioned L1 geometry (the kernel's closed-form latency
+whenever the hierarchy is not eligible: SimCheck, a non-LRU L1
+replacement, metadata-energy tracking on L1, or a sublevel-partitioned
+L1 geometry (the kernel's closed-form latency
 ``(n - warmup) * latency_cycles`` needs uniform way latencies).
 Declines are recorded on ``hierarchy.kernel_declines.frontend`` —
 echoed to stderr under ``REPRO_VECTOR_FRONTEND_DEBUG=1`` — mirroring
@@ -101,9 +101,6 @@ def frontend_eligible(hierarchy) -> bool:
     if hierarchy.simcheck is not None:
         record_decline(hierarchy, "simcheck")
         return False
-    if getattr(hierarchy.runtime, "block_shift", None) is not None:
-        record_decline(hierarchy, "rd-block")
-        return False
     l1 = hierarchy.l1
     if type(l1.replacement) is not LruReplacement:
         record_decline(
@@ -126,7 +123,8 @@ def _tlb_miss_positions(pages: np.ndarray, entries: int) -> np.ndarray:
 
     A repeated page can only re-touch the MRU slot, so the LRU state
     (and every hit/miss outcome) is fully determined by the heads of
-    maximal same-page runs — the loop below touches only those.
+    maximal same-page runs — the loop below touches only those. The
+    SLIP kernel runs it over rd-block numbers for the SLIP-cache.
     """
     n = int(pages.shape[0])
     if n == 0:
@@ -175,8 +173,8 @@ def _run_l1(addrs: np.ndarray, writes: np.ndarray, warmup: int,
 
     Returns ``(miss, victim, tally)``: per-access miss flags, the dirty
     victim's tag per access (``-1`` when the fill evicted nothing
-    dirty), and the measured-phase tallies. Mirrors the fused
-    hit/miss/fill path of ``MemoryHierarchy.access`` at tag level —
+    dirty), and the measured-phase tallies. Mirrors the L1
+    hit/miss/fill leg of ``MemoryHierarchy.access`` at tag level —
     for a uniform LRU L1 the victim of a full set is the unique
     least-recent tag, so way identity never matters.
     """

@@ -3,18 +3,19 @@
 The kernel replays every slip/slip_abp cell the N-core driver
 (:func:`repro.sim.filtered.simulate`) captures: it drives the live
 :class:`~repro.core.runtime.SlipRuntime` at the captured TLB- and
-L1-miss positions, as the per-access walk would, but without ``Line``
-objects, ``FillOutcome`` allocation, placement dispatch or per-event
-statistics bumps. Unlike the baseline-kind kernel
-(:mod:`repro.sim.vector_replay`), the SLIP back end cannot be replayed
-per set: reuse samples taken on L2/L3 hits and misses feed the page
-state machine that steers *future* fills at both levels, so the two
-levels must be co-simulated in global event order.
+L1-miss positions and at the profile-key misses, as the per-access
+walk would, but without ``Line`` objects, ``FillOutcome`` allocation,
+placement dispatch or per-event statistics bumps. Unlike the
+baseline-kind kernel (:mod:`repro.sim.vector_replay`), the SLIP back
+end cannot be replayed per set: reuse samples taken on L2/L3 hits and
+misses feed the page state machine that steers *future* fills at both
+levels, so the two levels must be co-simulated in global event order.
 
 The kernel therefore splits the work differently:
 
 * **Phase 1 (page-policy + placement pass)** — one merged-order sweep
-  over the captured TLB-miss and L1-miss positions that (a) drives the
+  over the reference-metadata events (TLB or profile-key misses) and
+  the captured L1-miss positions that (a) drives the
   real runtime's page machinery (``_key_metadata_fetches``: sampler RNG
   draws, page-state transitions, memoized EOU argmins and their live
   statistics) exactly where the per-access walk would, and (b) replays
@@ -25,10 +26,9 @@ The kernel therefore splits the work differently:
   (:func:`_rrip_hooks`) choose victims and run the policy's fill, hit
   and departure steps against the live policy's RNG and SHCT. Cascade
   movement uses rotation tables precomputed for every ``(SLIP id,
-  chunk)`` pair, extending the ``chunk0_orders_by_id`` idea from
-  :class:`~repro.core.policy.SlipSpace` to the non-insertion chunks. The sweep emits one packed
-  annotation byte per level event (``(kind << 4) | (sublevel + 1)``)
-  plus a per-TLB-miss metadata-fetch count; only the rare events
+  chunk, rotor)``. The sweep emits one packed annotation byte per
+  level event (``(kind << 4) | (sublevel + 1)``) plus a metadata-fetch
+  count per reference-metadata event; only the rare events
   (insertions, bypasses, movements, departures, writebacks-out, DRAM
   writes) are tallied inline.
 * **Phase 2 (accounting pass)** — ``np.bincount`` over the measured
@@ -47,7 +47,7 @@ its own flat L2 model, driven by that core's live runtime (its
 streams. In the Figure 16 mixes (:mod:`repro.sim.multi_core`) the cores
 share one flat L3 model — one access counter, allocation rotor, LRU
 clock and probe dict — and the sweep visits their events in the walk's
-order: access index, then core, then the TLB miss
+order: access index, then core, then the reference metadata
 before the L1 miss. A single core is the one-core case of the same
 sweep. Every L3 event is annotated in the stream of the core that
 caused it, so DRAM reads and writes, and each core's measured-phase
@@ -55,8 +55,14 @@ latency, are charged to that core; each line resident in the shared L3
 at the end counts its reuse once per core, as every core's
 ``finalize()`` walks the shared level (EXPERIMENTS.md known
 deviation 4). Every call resolves the captured positions to addresses,
-pages and PTE lines itself (:func:`_merged_events`); nothing is cached
-across cells.
+profile keys and PTE lines itself (:func:`_merged_events`); nothing is
+cached across cells.
+
+Section 7 rd-block cells replay from the same capture as page-mode
+cells: the TLB still probes once per access at page grain, and only
+the profile key differs. Their key misses are those of the runtime's
+SLIP-cache, which :func:`_merged_events` derives from the window's
+block stream, so the capture needs no extra column.
 
 Byte-identity with the walk holds because every stateful step is
 reproduced in the scalar order: the level access counters tick per
@@ -65,13 +71,13 @@ once per cascade victim selection, LRU stamps come from a per-level
 monotone clock, timestamps quantize the post-tick access counter, the
 sampler RNG/EOU sequence is the real runtime's own, and an RRIP level
 draws its sublevel and BRRIP choices from the replacement's own RNG in
-the order of ``SlipPlacement._fill_general``. The per-access walk
+the order of ``SlipPlacement.fill``. The per-access walk
 (:func:`repro.sim.filtered.walk_cores`) remains the golden reference
 and serves everything :func:`slip_eligible` declines, before any
-capture is taken: SimCheck, rd-block mode, non-SLIP placements,
-foreign runtimes and Random replacement, cores that do not share one
-L3, a shared-L3 router whose runtimes are not the cores' own in core
-order, and a page that routes to another core's runtime (reason
+capture is taken: SimCheck, non-SLIP placements, foreign runtimes
+and Random replacement, cores that do not share one L3, a shared-L3
+router whose runtimes are not the cores' own in core order, and a
+profile key that routes to another core's runtime (reason
 recorded via :func:`repro.sim.vector_replay.record_decline`).
 """
 
@@ -95,6 +101,7 @@ from ..mem.tlb import PTES_PER_LINE, PTE_TABLE_BASE
 from ..workloads.capture_store import TraceCapture
 from ..workloads.trace import Trace
 from .kernel_report import record_success
+from .vector_frontend import _tlb_miss_positions
 from .vector_replay import merge_by_access, record_decline
 
 _INF = float("inf")
@@ -162,9 +169,6 @@ def _core_eligible(hierarchy) -> bool:
     if not getattr(runtime, "slip_enabled", False):
         record_decline(hierarchy, "kind:not-slip")
         return False
-    if runtime.block_shift is not None:
-        record_decline(hierarchy, "rd-block")
-        return False
     for level, placement in ((hierarchy.l2, hierarchy.l2_placement),
                              (hierarchy.l3, hierarchy.l3_placement)):
         if type(placement) is not SlipPlacement:
@@ -200,11 +204,12 @@ def slip_eligible(hierarchies: Sequence, traces: Sequence[Trace]) -> bool:
     (the L3 placement takes the core's runtime too); otherwise every
     core must share one L3 whose placement routes through a
     :class:`~repro.core.runtime.RoutedSlipRuntime` over exactly these
-    cores' runtimes, in core order, and every page of core ``c``'s
-    window must route to core ``c``, so each core's sweep may serve the
-    shared-L3 page samples from its own runtime. Per-core declines
-    record a reason on that core's ``kernel_declines.replay``; shared-L3
-    declines record theirs on every core.
+    cores' runtimes, in core order, and every profile key (page or
+    rd-block) of core ``c``'s window must route to core ``c``, so each
+    core's sweep may serve the shared-L3 samples from its own runtime.
+    Per-core declines record a reason on that core's
+    ``kernel_declines.replay``; shared-L3 declines record theirs on
+    every core.
     """
     if not all([_core_eligible(hierarchy) for hierarchy in hierarchies]):
         return False
@@ -228,7 +233,7 @@ def slip_eligible(hierarchies: Sequence, traces: Sequence[Trace]) -> bool:
     if (len(router.runtimes) != len(runtimes)
             or any(a is not b for a, b in zip(router.runtimes, runtimes))):
         return decline("router:runtimes")
-    shift = first._page_shift + router._key_shift
+    shift = first.runtime.key_shift + router._key_shift
     for core, trace in enumerate(traces):
         owners = trace.addresses >> shift
         if owners.size and not (owners.min() == core == owners.max()):
@@ -243,13 +248,11 @@ def _level_model(level, placement) -> Tuple:
     """Structural constants of one SLIP level for the flat-array model.
 
     ``rots[pid][chunk][r]`` is the way visit order ``choose_victim``
-    produces for rotor value ``r`` on that chunk — the chunk-0 slice
-    reproduces ``SlipSpace.chunk0_orders_by_id`` and the deeper chunks
-    extend the same precomputation to cascade victim selection.
-    Memoised on the hashable structural inputs (the SlipSpace way/class
-    tables plus the level's sublevel/latency shape), so repeated
-    replays of the same hierarchy shape skip the nested rotation-table
-    construction per call.
+    produces for rotor value ``r`` on that chunk, for insertions and
+    cascade victim selection alike. Memoised on the hashable structural
+    inputs (the SlipSpace way/class tables plus the level's
+    sublevel/latency shape), so repeated replays of the same hierarchy
+    shape skip the nested rotation-table construction per call.
     """
     space = placement.space
     nsub = level.cfg.num_sublevels
@@ -421,41 +424,68 @@ def _tally(counts: np.ndarray, nsub: int, ins: List[int], byp: int,
     return tally
 
 
-def _merged_events(shift: int, traces: Sequence[Trace],
+def _merged_events(hierarchy, traces: Sequence[Trace],
                    captures: Sequence[TraceCapture]) -> Tuple:
     """Every core's captured positions, resolved and merged for the sweep.
 
-    Returns ``(miss_keys, miss_cores, miss_addrs, miss_pages, wb_addrs,
-    tlb_keys, tlb_cores, tlb_pages, pte_addrs)`` as lists. A key is
-    ``access index * cores + core``, so key order is the walk's
-    (access index, core) order and a single core's keys are
-    its positions. Both key lists end with the ``n * cores`` sentinel,
+    ``hierarchy`` is any core's (they share the config). Returns
+    ``(miss_at, miss_cores, miss_addrs, miss_keys, wb_addrs, ref_at,
+    ref_cores, ref_keys, pte_addrs)`` as lists. ``miss_*`` describe the
+    captured L1 misses, ``miss_keys`` being their profile keys.
+    ``ref_*`` describe the reference-metadata events: one per access
+    whose page misses the TLB (``pte_addrs`` holds its PTE line, else
+    -1) or whose profile key misses (``ref_keys`` holds the key, else
+    -1). In page mode the key is the page, so the key misses are the
+    captured TLB misses; under rd-blocks they are the misses of the
+    runtime's SLIP-cache, an LRU over the window's block stream
+    (:func:`~repro.sim.vector_frontend._tlb_miss_positions`). An
+    ``*_at`` entry is ``access index * cores + core``, so its order is
+    the walk's (access index, core) order and a single core's are its
+    positions. Both ``*_at`` lists end with the ``n * cores`` sentinel,
     which is >= every stop, so the sweep needs no bounds checks.
     """
+    runtime = hierarchy.runtime
+    page_shift = hierarchy._page_shift
+    key_shift = runtime.key_shift
     num_cores = len(captures)
-    miss_columns, tlb_columns = [], []
+    miss_columns, ref_columns = [], []
+    miss_positions, ref_positions = [], []
     for core, (trace, capture) in enumerate(zip(traces, captures)):
         addresses = trace.addresses
         miss_pos = np.asarray(capture.l1_miss_pos, dtype=np.int64)
         tlb_pos = np.asarray(capture.tlb_miss_pos, dtype=np.int64)
+        if runtime.block_shift is None:
+            key_pos = tlb_pos
+        else:
+            key_pos = _tlb_miss_positions(addresses >> key_shift,
+                                          runtime.slip_cache.entries)
+        # Per access: bit 0 marks a TLB miss, bit 1 a key miss.
+        misses = np.zeros(addresses.shape[0], dtype=np.uint8)
+        misses[tlb_pos] = 1
+        misses[key_pos] |= 2
+        ref_pos = np.flatnonzero(misses)
+        kinds = misses[ref_pos]
+        refs = addresses[ref_pos]
         lines = addresses[miss_pos]
-        pages = addresses[tlb_pos] >> shift
         miss_columns.append((
             miss_pos * num_cores + core,
             np.full(miss_pos.shape[0], core, dtype=np.int64),
-            lines, lines >> shift,
+            lines, lines >> key_shift,
             np.asarray(capture.l1_miss_wb, dtype=np.int64)))
-        tlb_columns.append((
-            tlb_pos * num_cores + core,
-            np.full(tlb_pos.shape[0], core, dtype=np.int64),
-            pages, PTE_TABLE_BASE + pages // PTES_PER_LINE))
+        ref_columns.append((
+            ref_pos * num_cores + core,
+            np.full(ref_pos.shape[0], core, dtype=np.int64),
+            np.where(kinds & 2, refs >> key_shift, -1),
+            np.where(kinds & 1,
+                     PTE_TABLE_BASE + (refs >> page_shift) // PTES_PER_LINE,
+                     -1)))
+        miss_positions.append(miss_pos)
+        ref_positions.append(ref_pos)
     end = captures[0].n * num_cores
     merged = []
-    for columns, positions in (
-            (miss_columns, [c.l1_miss_pos for c in captures]),
-            (tlb_columns, [c.tlb_miss_pos for c in captures])):
-        order = merge_by_access([np.asarray(p, dtype=np.int64)
-                                 for p in positions])
+    for columns, positions in ((miss_columns, miss_positions),
+                               (ref_columns, ref_positions)):
+        order = merge_by_access(positions)
         lists = [np.concatenate(column)[order].tolist()
                  for column in zip(*columns)]
         lists[0].append(end)
@@ -497,12 +527,12 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     num_cores = len(hierarchies)
     first = hierarchies[0]
 
-    # ----- captured positions, resolved to addresses/pages up front ---
+    # ----- captured positions, resolved to addresses/keys up front ----
     n = captures[0].n
     warmup = captures[0].warmup
-    (miss_keys, miss_cores, miss_addrs, miss_pages, wb_addrs,
-     tlb_keys, tlb_cores, tlb_pages, pte_addrs) = _merged_events(
-        first._page_shift, traces, captures)
+    (miss_at, miss_cores, miss_addrs, miss_keys, wb_addrs,
+     ref_at, ref_cores, ref_keys, pte_addrs) = _merged_events(
+        first, traces, captures)
 
     # ----- the shared L3: one flat-array way model for every core -----
     l3 = first.l3
@@ -1031,36 +1061,39 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     belows = [sweep.below for sweep in sweeps]
     l1_wbs = [sweep.l1_wb for sweep in sweeps]
     runtimes = [hierarchy.runtime for hierarchy in hierarchies]
-    # Per core: one metadata-line count per TLB miss.
+    # Per core: one metadata-line count per reference-metadata event.
     fetch_anns = [bytearray() for _ in hierarchies]
 
     # ----- phase 1: merged-order sweep (warmup, then measured) -----
-    tlb_i = miss_i = 0
+    ref_i = miss_i = 0
     bf: List[int] = []
     for stop, warm_phase in ((warmup * num_cores, True),
                              (n * num_cores, False)):
         while True:
-            tlb_k = tlb_keys[tlb_i]
-            miss_k = miss_keys[miss_i]
-            k = tlb_k if tlb_k < miss_k else miss_k
+            ref_k = ref_at[ref_i]
+            miss_k = miss_at[miss_i]
+            k = ref_k if ref_k < miss_k else miss_k
             if k >= stop:
                 break
-            if tlb_k == k:
-                # Mirror on_reference: the fetch list (and the page
-                # state machinery) runs before the metadata lines
-                # travel below L1.
-                core = tlb_cores[tlb_i]
+            if ref_k == k:
+                # Mirror on_reference: the key's fetch list (and the
+                # page state machinery) runs before the PTE line and
+                # then the fetched lines travel below L1.
+                core = ref_cores[ref_i]
                 below = belows[core]
-                fetches = runtimes[core]._key_metadata_fetches(
-                    tlb_pages[tlb_i])
-                below(pte_addrs[tlb_i], -1, True)
+                key = ref_keys[ref_i]
+                fetches = (runtimes[core]._key_metadata_fetches(key)
+                           if key >= 0 else ())
+                pte = pte_addrs[ref_i]
+                if pte >= 0:
+                    below(pte, -1, True)
                 for fetch in fetches:
                     below(fetch, -1, True)
-                fetch_anns[core].append(1 + len(fetches))
-                tlb_i += 1
+                fetch_anns[core].append((pte >= 0) + len(fetches))
+                ref_i += 1
             if miss_k == k:
                 core = miss_cores[miss_i]
-                belows[core](miss_addrs[miss_i], miss_pages[miss_i], False)
+                belows[core](miss_addrs[miss_i], miss_keys[miss_i], False)
                 wba = wb_addrs[miss_i]
                 if wba >= 0:
                     l1_wbs[core](wba)
@@ -1095,7 +1128,8 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     legs = []
     for hierarchy, capture, (tally2, _, _, _), fetch_ann, boundary in zip(
             hierarchies, captures, results, fetch_anns, bf):
-        tlb_misses = len(fetch_ann) - boundary
+        tlb_misses = int(np.count_nonzero(
+            np.asarray(capture.tlb_miss_pos) >= warmup))
         runtime_stats = hierarchy.runtime.stats
         runtime_stats.tlb_miss_fetches = tlb_misses
         tlb_stats = hierarchy.runtime.tlb.stats

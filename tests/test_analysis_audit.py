@@ -1,5 +1,5 @@
 """slip-audit: the real src/ tree must audit clean, and deleting any
-single counter-update line from a registered twin (fused or reference
+single counter-update line from a registered twin (fast or reference
 side) must make the drift rules fire on the mutated copy. Fixture
 modules cover the gate-registration, taint and pragma rules, and the
 CLI must use the documented exit codes."""
@@ -54,8 +54,8 @@ def test_src_tree_audits_clean():
 
 def test_registry_covers_the_documented_pairs():
     assert {p.pair_id for p in TWIN_REGISTRY} == {
-        "baseline-fill", "slip-fill", "eou-optimize", "vector-replay",
-        "vector-frontend", "capture-replay",
+        "eou-optimize", "vector-replay", "vector-frontend",
+        "capture-replay",
     }
 
 
@@ -65,17 +65,14 @@ def test_registry_covers_the_documented_pairs():
 # ----------------------------------------------------------------------
 MUTATIONS = [
     # (file suffix, unique line fragment to delete)
-    ("policies/baseline.py",
-     'level.stats.insertions_by_class["default"] += 1'),   # _fill_general
-    ("policies/baseline.py", "stats.insertions += 1"),      # fused fill
-    ("policies/baseline.py", "stats.writebacks_out += 1"),
-    ("core/controller.py", "stats.bypasses += 1"),          # fused SLIP fill
-    ("core/controller.py", "stats.insertions_by_class["),   # 1 of 2 sites
     ("mem/cache.py", "stats.hits_by_sublevel[sublevel] += 1"),  # record_hit
     ("mem/cache.py", "self.stats.writebacks_in += 1"),      # wb in
     ("mem/hierarchy.py", "counters.l1_hits += 1"),          # access
     ("core/eou.py", "stats.optimizations += 1"),            # EOU ledger
     ("sim/vector_replay.py", "counters.total_latency_cycles +="),
+    ("sim/filtered.py", "counters.l1_hits = int("),         # replay_capture
+    ("sim/filtered.py",                                      # _replay_events
+     "hierarchy.counters.total_latency_cycles += total"),
 ]
 
 
@@ -152,7 +149,7 @@ def test_slip012_annotation_for_unknown_pair():
 def test_slip012_annotation_role_must_match_registry():
     findings = _audit_fixture("""
         class Thing:
-            # slip-audit: twin=baseline-fill role=fast
+            # slip-audit: twin=vector-replay role=fast
             def bump(self):
                 pass
     """)
@@ -161,12 +158,12 @@ def test_slip012_annotation_role_must_match_registry():
 
 
 def test_parse_annotations_reads_real_twin_markers():
-    path = os.path.join(SRC_DIR, "repro", "policies", "baseline.py")
+    path = os.path.join(SRC_DIR, "repro", "sim", "filtered.py")
     source, failure = read_source(path)
     assert failure is None
     found = {(pair, role) for _, pair, role in parse_annotations(source)}
-    assert ("baseline-fill", "fast") in found
-    assert ("baseline-fill", "ref") in found
+    assert ("capture-replay", "fast") in found
+    assert ("capture-replay", "ref") in found
 
 
 def test_removing_annotation_fires_slip012():
@@ -270,7 +267,7 @@ def test_syntax_error_reported_even_under_select():
 # --explain-pair
 # ----------------------------------------------------------------------
 def test_explain_pair_dumps_both_side_sets():
-    text = explain_pair("baseline-fill", [SRC_DIR])
+    text = explain_pair("vector-replay", [SRC_DIR])
     assert "shared (fast & ref)" in text
     assert "stats.insertions" in text
     assert "ref direct site counts" in text
@@ -279,7 +276,7 @@ def test_explain_pair_dumps_both_side_sets():
 def test_explain_pair_unknown_id_lists_known_pairs():
     text = explain_pair("nope", [SRC_DIR])
     assert "unknown pair" in text
-    assert "baseline-fill" in text
+    assert "vector-replay" in text
 
 
 # ----------------------------------------------------------------------

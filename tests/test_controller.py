@@ -124,15 +124,9 @@ class TestCascade:
 
     def test_general_path_enumerates_clean_evictions(self, tiny_system,
                                                      space, runtime):
-        """The primitive-built fill reports clean evictions upward.
-
-        The fused fast path deliberately does not enumerate them (no
-        consumer reads them — same contract as the fused baseline
-        fill); the general path keeps the full report for SimCheck and
-        any future inclusion upkeep.
-        """
+        """The primitive-built fill reports clean evictions upward, for
+        SimCheck and any future inclusion upkeep."""
         level, controller = make_controller(tiny_system, space, runtime)
-        level._fast_fill = False
         force_policy(runtime, space, 0, Slip(((0,),)))
         sets = level.cfg.sets
         controller.fill(0, page=0)

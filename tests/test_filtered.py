@@ -141,11 +141,6 @@ class Row:
     replacement: str = "lru"
     l1_sublevels: bool = False
 
-    def bypassed(self, policy: str) -> bool:
-        """Whether the cell walks the trace instead of replaying."""
-        return self.simcheck or (bool(self.rd_block_lines)
-                                 and runtime_kind(policy) == "slip")
-
 
 ROWS = {
     "none": Row(),
@@ -192,7 +187,8 @@ class TestDirectPipeline:
         assert canonical(result) == canonical(
             scalar_run(trace, policy, **kwargs))
         if isinstance(store, MemoryCaptureStore):
-            assert bool(store._entries) != row.bypassed(policy)
+            # Only SimCheck cells walk, taking no capture.
+            assert bool(store._entries) != row.simcheck
         if row.overrides and runtime_kind(policy) == "slip":
             # The overrides reach the live SLIP runtime's EOU models.
             kwargs["level_energy_overrides"] = None

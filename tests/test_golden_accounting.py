@@ -1,8 +1,8 @@
 """Golden accounting-equivalence tests for the hot-path rewrite.
 
 Every path that serves a single-core cell — the kernels behind
-``run_benchmark`` and the scalar reference walk (fused fills, per-way
-tables, deferred event-count energy) — must be *byte-identical* in its
+``run_benchmark`` and the scalar reference walk (per-way tables,
+deferred event-count energy) — must be *byte-identical* in its
 published accounting to the pre-refactor primitive-by-primitive code.
 These tests pin that down: each snapshot under
 ``tests/data/golden_accounting/`` is the exact ``RunResult.to_json()``

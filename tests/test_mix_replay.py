@@ -7,9 +7,10 @@ the driver's per-access walk (the ``walked`` fixture forces it) drives
 every core's ``access()`` in turn and is the golden reference. The
 hypothesis harness below draws policy, core count (one core is the
 driver's single-core case), tiny cache geometries (a sublevel-partitioned L1
-sends the capture to the scalar capture pass), page size, warmup
-fraction, unequal per-core trace lengths and the capture store tier,
-and asserts the two produce the same bytes on a cold and a warm store,
+sends the capture to the scalar capture pass), page size, Section 7
+rd-blocks for the slip kinds, warmup fraction, unequal per-core trace
+lengths and the capture store tier, and asserts the two produce the
+same bytes on a cold and a warm store,
 through the back-end kernels (baseline kinds and slip kinds alike) and
 through the baseline kinds' merged scalar replay. Mixes hard-wire LRU,
 so a second harness draws single-core ``run_trace`` cells under DRRIP
@@ -78,9 +79,20 @@ def levels(draw, name: str, set_counts, base_lat: int,
 
 
 @st.composite
-def systems(draw, uniform_ok: bool, wide: bool = False) -> SystemConfig:
+def systems(draw, uniform_ok: bool, wide: bool = False,
+            rd_blocks: bool = False) -> SystemConfig:
     """A tiny system; ``wide`` draws L2/L3 set counts up to 128, so
-    DRRIP (32 leader sets) gets BRRIP leaders and followers."""
+    DRRIP (32 leader sets) gets BRRIP leaders and followers, and
+    ``rd_blocks`` draws the Section 7 rd-block size (0 keys by page,
+    else one line up to a page) and a SLIP-cache of a few entries."""
+    page_size = draw(st.sampled_from((2048, 4096, 8192)))
+    slip = SlipParams()
+    if rd_blocks:
+        slip = SlipParams(
+            rd_block_lines=draw(st.just(0) | st.sampled_from(
+                [1 << bits for bits in
+                 range((page_size // 64).bit_length())])),
+            slip_cache_entries=draw(st.sampled_from((2, 4, 8))))
     l1_ways = draw(st.sampled_from((1, 2, 4)))
     l1_sets = draw(st.sampled_from((4, 8, 16)))
     # A sublevel-partitioned L1 is declined by the capture kernel.
@@ -98,10 +110,10 @@ def systems(draw, uniform_ok: bool, wide: bool = False) -> SystemConfig:
         l3=draw(levels("L3", (32, 64, 128) if wide else (32, 64), 8, 40.0,
                        uniform_ok)),
         dram=DramConfig(latency_cycles=50, energy_pj_per_bit=2.0),
-        slip=SlipParams(),
+        slip=slip,
         core=CoreConfig(),
         tlb_entries=draw(st.sampled_from((4, 8, 16))),
-        page_size=draw(st.sampled_from((2048, 4096, 8192))),
+        page_size=page_size,
     )
 
 
@@ -116,11 +128,13 @@ def mix_cells(draw):
                    seed=seed + core).with_offset(core * CORE_ADDRESS_STRIDE)
         for core, name in enumerate(mix)
     ]
+    baseline_kind = runtime_kind(policy) == "baseline"
     return dict(
         traces=traces,
         mix=mix,
         policy=policy,
-        config=draw(systems(uniform_ok=runtime_kind(policy) == "baseline")),
+        config=draw(systems(uniform_ok=baseline_kind,
+                            rd_blocks=not baseline_kind)),
         seed=seed,
         warmup_fraction=draw(st.sampled_from((0.0, 0.1, 0.3, 0.5))),
     )
@@ -168,12 +182,13 @@ def rrip_cells(draw):
     """One single-core cell under DRRIP or SHiP replacement."""
     policy = draw(st.sampled_from(POLICY_NAMES))
     seed = draw(st.integers(0, 20))
+    baseline_kind = runtime_kind(policy) == "baseline"
     return dict(
         trace=make_trace(draw(st.sampled_from(BENCHES)),
                          draw(st.integers(300, 2_500)), seed=seed),
         policy=policy,
-        config=draw(systems(uniform_ok=runtime_kind(policy) == "baseline",
-                            wide=True)),
+        config=draw(systems(uniform_ok=baseline_kind, wide=True,
+                            rd_blocks=not baseline_kind)),
         seed=seed,
         replacement=draw(st.sampled_from(("drrip", "ship"))),
         warmup_fraction=draw(st.sampled_from((0.0, 0.1, 0.3, 0.5))),
@@ -219,24 +234,54 @@ def test_mix_cells_share_captures(tiny_system, walked):
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-@pytest.mark.parametrize("reason", ["simcheck", "rd-block"])
-def test_front_end_declines_serve_the_walk(reason, cores, tiny_system,
-                                           monkeypatch, walked):
-    """SimCheck and rd-block cells walk: they take no capture at all."""
-    config = tiny_system
-    if reason == "simcheck":
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-    else:
-        config = config.with_slip(rd_block_lines=16)
+def test_simcheck_cells_walk(cores, tiny_system, monkeypatch, walked):
+    """SimCheck cells walk: they take no capture at all."""
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     mix = ("soplex", "mcf")[:cores]
     traces = make_mix_traces(mix, 1_500, seed=3)
     with walked():
-        walk = multi_core.run_mix_traces(traces, mix, "slip_abp", config, 3)
+        walk = multi_core.run_mix_traces(traces, mix, "slip_abp",
+                                         tiny_system, 3)
     store = MemoryCaptureStore()
     with monkeypatch.context() as mp:
         for capture in ("capture_front_end_vector", "capture_front_end"):
             mp.setattr(filtered, capture, None)  # a call would raise
         replayed = multi_core.run_mix_traces(traces, mix, "slip_abp",
-                                             config, 3, store=store)
+                                             tiny_system, 3, store=store)
     assert canonical(replayed) == canonical(walk)
     assert not store._entries
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_rd_block_cells_share_page_mode_captures(cores, tiny_system,
+                                                 walked):
+    """An rd-block cell replays the captures its page-mode cell stored:
+    one put per core, then every lookup hits, and the bytes equal the
+    walk's."""
+    puts, lookups = [], []
+
+    class RecordingStore(MemoryCaptureStore):
+        def get(self, key):
+            capture = super().get(key)
+            lookups.append(capture is not None)
+            return capture
+
+        def put(self, key, capture, fingerprint=None):
+            puts.append(key)
+            super().put(key, capture, fingerprint)
+
+    mix = ("soplex", "mcf")[:cores]
+    traces = make_mix_traces(mix, 1_500, seed=3)
+    store = RecordingStore()
+    multi_core.run_mix_traces(traces, mix, "slip_abp", tiny_system, 3,
+                              store=store)
+    assert (len(puts), lookups) == (cores, [False] * cores)
+    del lookups[:]
+    rd_config = tiny_system.with_slip(rd_block_lines=4)
+    shared = multi_core.run_mix_traces(traces, mix, "slip_abp", rd_config,
+                                       3, store=store)
+    assert (len(puts), lookups) == (cores, [True] * cores)
+    with walked():
+        walk = multi_core.run_mix_traces(traces, mix, "slip_abp",
+                                         rd_config, 3)
+    assert canonical(shared) == canonical(walk)

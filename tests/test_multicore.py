@@ -1,21 +1,26 @@
 """Tests for the two-core shared-L3 simulation (Figure 16 machinery)."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
+from repro.sim import filtered
 from repro.sim.multi_core import (
     RoutedSlipRuntime,
     _build_shared_l3,
     core_key_shift,
     run_mix,
+    run_mix_traces,
 )
 from repro.core.runtime import SlipRuntime
 from repro.sim.config import line_to_page_shift
-from repro.workloads.mixes import CORE_ADDRESS_STRIDE
+from repro.workloads.mixes import CORE_ADDRESS_STRIDE, make_mix_traces
 
 MIX = ("soplex", "mcf")
 LENGTH = 60_000
+#: (page size, rd-block lines): page keys at three page sizes, and
+#: 16-line rd-blocks inside 64-line pages.
+KEY_GRAINS = [(1024, 0), (4096, 0), (8192, 0), (4096, 16)]
 
 
 class TestRunMix:
@@ -88,9 +93,7 @@ class TestRoutedRuntime:
             runtimes[1].spaces["L2"].default_id
         )
 
-    @pytest.mark.parametrize("page_size,rd_block_lines", [
-        (1024, 0), (4096, 0), (8192, 0), (4096, 16),
-    ])
+    @pytest.mark.parametrize("page_size,rd_block_lines", KEY_GRAINS)
     def test_shared_l3_routes_every_core_at_any_key_grain(
             self, tiny_system, page_size, rd_block_lines):
         """Each core's profile keys (pages or rd-blocks) reach that
@@ -109,6 +112,32 @@ class TestRoutedRuntime:
             assert runtime.pages[key].distributions["L2"].total() == 1
             assert all(key not in other.pages
                        for other in runtimes if other is not runtime)
+
+    @pytest.mark.parametrize("page_size,rd_block_lines", KEY_GRAINS)
+    def test_slip_kernel_serves_every_key_grain(
+            self, tiny_system, page_size, rd_block_lines, monkeypatch,
+            walked):
+        """The SLIP kernel replays a mix at any key grain (its router
+        check shifts by the profile key, not the page) and matches the
+        walk."""
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS")  # SimCheck walks
+        config = replace(tiny_system, page_size=page_size).with_slip(
+            rd_block_lines=rd_block_lines)
+        calls = []
+        kernel = filtered.replay_capture_vector_slip
+
+        def spy(hierarchies, *args):
+            calls.append(kernel(hierarchies, *args))
+            return calls[-1]
+
+        traces = make_mix_traces(MIX, 1_500, seed=1)
+        with monkeypatch.context() as mp:
+            mp.setattr(filtered, "replay_capture_vector_slip", spy)
+            served = run_mix_traces(traces, MIX, "slip_abp", config, 1)
+        assert calls == [True]
+        with walked():
+            walk = run_mix_traces(traces, MIX, "slip_abp", config, 1)
+        assert asdict(served) == asdict(walk)
 
 
 class TestNucaMulticore:

@@ -237,11 +237,13 @@ class TestDecline:
         assert not frontend_eligible(hierarchy)
         assert hierarchy.kernel_declines.frontend == "simcheck"
 
-    def test_rd_block_mode_declines(self, tiny_system):
+    def test_rd_block_mode_is_eligible(self, tiny_system):
+        """The front end of an rd-block cell is the page-mode one: the
+        TLB probes each page, and L1 only stores the profile key."""
         config = tiny_system.with_slip(rd_block_lines=8)
         hierarchy = build_hierarchy(config, "slip")
-        assert not frontend_eligible(hierarchy)
-        assert hierarchy.kernel_declines.frontend == "rd-block"
+        assert frontend_eligible(hierarchy)
+        assert hierarchy.kernel_declines.frontend is None
 
     def test_non_lru_l1_replacement_declines(self, tiny_system):
         hierarchy = build_hierarchy(tiny_system, "baseline")
@@ -287,12 +289,14 @@ class TestDecline:
     def test_debug_flag_echoes_reason_to_stderr(self, tiny_system,
                                                 monkeypatch, capsys):
         monkeypatch.setenv("REPRO_VECTOR_FRONTEND_DEBUG", "1")
-        config = tiny_system.with_slip(rd_block_lines=8)
-        hierarchy = build_hierarchy(config, "slip")
+        hierarchy = build_hierarchy(tiny_system, "slip")
+        hierarchy.l1.replacement = RandomReplacement()
         trace = make_trace("soplex", 800)
-        assert capture_front_end_vector(hierarchy, trace, config) is None
+        assert capture_front_end_vector(hierarchy, trace,
+                                        tiny_system) is None
         captured = capsys.readouterr()
-        assert "vector-frontend: decline (rd-block)" in captured.err
+        assert ("vector-frontend: decline "
+                "(l1-replacement:RandomReplacement)") in captured.err
         assert captured.out == ""  # stdout stays deterministic
 
 

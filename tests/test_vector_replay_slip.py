@@ -259,18 +259,6 @@ class TestDecline:
         assert not eligible(hierarchy)
         assert hierarchy.kernel_declines.replay == "simcheck"
 
-    def test_rd_block_mode_declines(self, tiny_system):
-        config = SystemConfig(
-            l1=tiny_system.l1, l2=tiny_system.l2, l3=tiny_system.l3,
-            dram=tiny_system.dram,
-            slip=SlipParams(rd_block_lines=8),
-            core=tiny_system.core,
-            tlb_entries=tiny_system.tlb_entries,
-        )
-        hierarchy = build_hierarchy(config, "slip")
-        assert not eligible(hierarchy)
-        assert hierarchy.kernel_declines.replay == "rd-block"
-
     def test_non_lru_replacement_declines(self, tiny_system):
         hierarchy = build_hierarchy(tiny_system, "slip",
                                     replacement="random")
@@ -403,6 +391,31 @@ def test_rrip_cell_is_served_by_the_kernel(replacement, monkeypatch,
     assert hierarchy.kernel_declines.replay is None
     with walked():
         walk = run_trace(trace, "slip_abp", replacement=replacement)
+    assert canonical(served) == canonical(walk)
+
+
+# ----------------------------------------------------------------------
+# Section 7 rd-blocks: the kernel serves them from the page-mode capture
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("policy", SLIP_KIND)
+def test_rd_block_cell_is_served_by_the_kernel(policy, monkeypatch,
+                                               walked):
+    """A default-config rd-block cell replays through the kernel,
+    records no decline and matches the walk. 4-line blocks split each
+    64-line page into 16 profile keys, and a 4-entry SLIP-cache misses
+    far more often than the TLB."""
+    calls = spy_mix_kernel(monkeypatch)
+    config = default_system().with_slip(rd_block_lines=4,
+                                        slip_cache_entries=4)
+    trace = make_trace("mcf", 6_000)
+    served = run_trace(trace, policy, config=config,
+                       store=MemoryCaptureStore())
+    [(ok, [hierarchy])] = calls
+    assert ok is True
+    assert hierarchy.kernel_declines.replay is None
+    assert hierarchy.kernel_declines.frontend is None
+    with walked():
+        walk = run_trace(trace, policy, config=config)
     assert canonical(served) == canonical(walk)
 
 
