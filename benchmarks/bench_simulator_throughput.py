@@ -12,7 +12,6 @@ import pytest
 from repro.experiments.parallel import RunRequest, run_jobs
 from repro.sim.build import build_hierarchy
 from repro.sim.config import default_system
-from repro.sim.filtered import capture_front_end
 from repro.sim.single_core import run_trace
 from repro.sim.vector_frontend import capture_front_end_vector
 from repro.workloads.benchmarks import make_trace
@@ -95,8 +94,8 @@ def make_capture_cell(bench: str):
     sweep pays per (trace, front-end fingerprint) before any replay can
     happen. The batched vector_frontend kernel serves it, offered a
     baseline hierarchy as ``run_trace`` offers the cell's own; a decline
-    to the scalar walk would show up as a multi-x slowdown. Also used by
-    ``scripts/throughput_gate.py`` for the cold-capture gates.
+    raises. Also used by ``scripts/throughput_gate.py`` for the
+    cold-capture gates.
     """
     config = default_system()
     trace = make_trace(bench, N)
@@ -105,7 +104,8 @@ def make_capture_cell(bench: str):
         hierarchy = build_hierarchy(config, "baseline")
         captured = capture_front_end_vector(hierarchy, trace, config)
         if captured is None:
-            captured = capture_front_end(trace, config)
+            raise RuntimeError("the capture kernel declined "
+                               f"({hierarchy.kernel_declines.frontend})")
         return captured.n
 
     return capture

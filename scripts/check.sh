@@ -40,7 +40,7 @@ fi
 
 stage "slip-lint (static checks)" python -m repro.analysis.lint src/
 
-stage "slip-audit (twin-path + taint)" python -m repro.analysis.audit src/
+stage "slip-audit (determinism taint)" python -m repro.analysis.audit src/
 
 # Generic python lint, only when the tool exists in the environment
 # (the CI image does not ship ruff; a missing linter is a skip, not a
@@ -56,7 +56,7 @@ fi
 # (capture/replay) sweep, the warm slip/slip_abp replay cells, the
 # cold front-end captures and the store-less runs; fail if any lands
 # >20% above the mean recorded in BENCH_throughput.json. Byte identity
-# of every kernel against its scalar reference is pinned by pytest.
+# of every kernel against the per-access walk is pinned by pytest.
 stage "throughput gate (slip_abp + sweep + replay + capture + direct)" \
     python scripts/throughput_gate.py
 

@@ -16,8 +16,8 @@ at the repo root:
   the scalar replay) roughly doubles these without moving the
   baseline cells;
 * cold front-end captures of both bench traces — the batched
-  vector_frontend kernel; a decline regression here multiplies the
-  cost every cold sweep cell pays before its first replay;
+  vector_frontend kernel, the cost every cold sweep cell pays before
+  its first replay (a kernel decline raises);
 * store-less ``run_trace`` runs of the soplex baseline and slip_abp
   cells — after the first call, the process-local store of store-less
   runs holds the capture, so each repeat times a kernel

@@ -5,10 +5,9 @@ Two pillars keep the reproduction's accounting trustworthy:
 * :mod:`repro.analysis.lint` / :mod:`repro.analysis.rules` — the
   ``slip-lint`` AST pass with simulator-specific rules (SLIP001...),
   runnable as ``slip-lint src/`` or ``python -m repro.analysis.lint``;
-* :mod:`repro.analysis.audit` (on :mod:`repro.analysis.dataflow` and
-  :mod:`repro.analysis.effects`) — the ``slip-audit`` twin-path drift
-  and determinism-taint pass (SLIP010-SLIP014), runnable as
-  ``slip-audit src/`` or ``python -m repro.analysis.audit``;
+* :mod:`repro.analysis.audit` (on :mod:`repro.analysis.dataflow`) —
+  the ``slip-audit`` determinism-taint pass (SLIP013-SLIP014), runnable
+  as ``slip-audit src/`` or ``python -m repro.analysis.audit``;
 * :mod:`repro.analysis.invariants` — the ``REPRO_CHECK_INVARIANTS=1``
   runtime mode installing conservation/consistency checkers on every
   :class:`~repro.mem.hierarchy.MemoryHierarchy`.
@@ -28,8 +27,7 @@ from .invariants import (
 from .rules import RULES, Finding, lint_source, module_parts_of
 
 
-_AUDIT_EXPORTS = ("audit_paths", "audit_sources", "TWIN_REGISTRY",
-                  "AUDIT_RULES", "TwinPair", "explain_pair")
+_AUDIT_EXPORTS = ("audit_paths", "audit_sources", "AUDIT_RULES")
 
 
 def __getattr__(name):
@@ -50,11 +48,8 @@ __all__ = [
     "AUDIT_RULES",
     "RULES",
     "Finding",
-    "TWIN_REGISTRY",
-    "TwinPair",
     "audit_paths",
     "audit_sources",
-    "explain_pair",
     "HierarchyInvariantChecker",
     "InvariantViolation",
     "LevelChecker",

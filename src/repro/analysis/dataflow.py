@@ -1,24 +1,14 @@
-"""Intraprocedural AST dataflow: paths, aliases, guards, and taint.
+"""Intraprocedural AST dataflow: paths, aliases and taint.
 
 This module is the engine under ``slip-audit`` (:mod:`repro.analysis.
-audit`). It knows nothing about SLIP counters or twin registries; it
-provides three generic capabilities that :mod:`repro.analysis.effects`
-and the audit rules compose:
+audit`). It knows nothing about SLIP counters; it provides two generic
+capabilities that the audit's taint rules compose:
 
 * **Path normalization** — an assignment target or receiver expression
   is folded to a dotted *path string* (``level.stats.insertions``,
   subscripts collapsing to ``[]``), with local aliases expanded: after
   ``stats = level.stats``, a write to ``stats.demand_hits`` normalizes
-  to ``level.stats.demand_hits``. Bound-method aliases expand the same
-  way (``wb = h._writeback_below_l1; wb(a)`` is a call with receiver
-  ``h``), which is how the replay loops' hoisted method locals stay
-  visible to the call graph.
-* **Guard assumptions** — an ``if`` whose test is exactly a fast-path
-  gate attribute (``self._fast_path``, ``not level._fast_path``) can be
-  resolved to one branch under an assumed truth value, so the *same*
-  function yields a fused-path effect summary (gates assumed True) and
-  a reference-path summary (gates assumed False). Any test that is not
-  a bare gate attribute keeps both branches (may-effect union).
+  to ``level.stats.demand_hits``.
 * **Flow-sensitive taint** — a forward walk tracking which locals are
   derived from nondeterminism sources (``os.environ``, ``time.*``,
   unseeded RNG constructions, set iteration), with kills on
@@ -26,16 +16,14 @@ and the audit rules compose:
   over loop bodies for loop-carried taint. Sinks are classified by a
   caller-supplied predicate (the audit passes its counter classifier).
 
-Everything here is deliberately *intra*procedural; interprocedural
-composition (call expansion with receiver substitution) lives in
-:mod:`repro.analysis.effects` on top of these summaries.
+Everything here is deliberately *intra*procedural.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 #: Marker appended to a path segment written/read through a subscript.
 SUBSCRIPT = "[]"
@@ -93,46 +81,6 @@ def terminal_attr(path: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Guard resolution
-# ----------------------------------------------------------------------
-def split_guard_test(test: ast.AST) -> Optional[Tuple[str, bool]]:
-    """``(gate_name, polarity)`` when a test is exactly one gate read.
-
-    ``if level._fast_path:`` -> ``("_fast_path", True)``;
-    ``if not level._fast_path:`` -> ``("_fast_path", False)``.
-    Compound tests return ``None`` — the caller keeps both branches.
-    """
-    polarity = True
-    while isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        polarity = not polarity
-        test = test.operand
-    if isinstance(test, ast.Attribute):
-        return test.attr, polarity
-    if isinstance(test, ast.Name):
-        return test.id, polarity
-    return None
-
-
-def resolve_guard_branch(node: ast.If,
-                         assume: Mapping[str, bool]
-                         ) -> Optional[List[ast.stmt]]:
-    """The single live branch of an ``if`` under guard assumptions.
-
-    Returns the chosen statement list when the test is a bare gate
-    attribute present in ``assume``; ``None`` means the test is not a
-    resolvable guard and both branches are live.
-    """
-    split = split_guard_test(node.test)
-    if split is None:
-        return None
-    gate, polarity = split
-    if gate not in assume:
-        return None
-    truth = assume[gate] if polarity else not assume[gate]
-    return list(node.body) if truth else list(node.orelse)
-
-
-# ----------------------------------------------------------------------
 # Function indexing
 # ----------------------------------------------------------------------
 @dataclass
@@ -140,16 +88,8 @@ class FunctionInfo:
     """One function or method found in an analyzed source tree."""
 
     qualname: str                       # "ClassName.method" or "func"
-    name: str
-    cls: Optional[str]
     node: ast.AST                       # FunctionDef / AsyncFunctionDef
     path: str                           # source file it came from
-    lineno: int = 0
-    end_lineno: int = 0
-
-    def __post_init__(self) -> None:
-        self.lineno = getattr(self.node, "lineno", 0)
-        self.end_lineno = getattr(self.node, "end_lineno", self.lineno)
 
 
 def index_functions(tree: ast.AST, path: str) -> List[FunctionInfo]:
@@ -158,15 +98,13 @@ def index_functions(tree: ast.AST, path: str) -> List[FunctionInfo]:
     out: List[FunctionInfo] = []
     for node in getattr(tree, "body", []):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.append(FunctionInfo(node.name, node.name, None, node, path))
+            out.append(FunctionInfo(node.name, node, path))
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
-                    out.append(FunctionInfo(
-                        f"{node.name}.{item.name}", item.name,
-                        node.name, item, path,
-                    ))
+                    out.append(FunctionInfo(f"{node.name}.{item.name}",
+                                            item, path))
     return out
 
 

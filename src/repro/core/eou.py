@@ -118,7 +118,6 @@ class EnergyOptimizerUnit:
         """Ledger cross-check: optimizations times the per-op cost."""
         return self.stats.optimizations * self.energy_pj_per_op
 
-    # slip-audit: twin=eou-optimize role=fast
     def optimize(self, distribution: ReuseDistanceDistribution,
                  allow_abp: bool = True,
                  evidence_samples: Optional[int] = None) -> int:
@@ -144,7 +143,6 @@ class EnergyOptimizerUnit:
             slip_id = self._memo[key] = self._argmin(*key)
         return slip_id
 
-    # slip-audit: twin=eou-optimize role=ref
     def optimize_direct(self, distribution: ReuseDistanceDistribution,
                         allow_abp: bool = True,
                         evidence_samples: Optional[int] = None) -> int:

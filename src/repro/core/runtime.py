@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..mem.tlb import Tlb, distribution_line_address, pte_line_address
+from ..mem.tlb import (
+    LruKeys,
+    Tlb,
+    distribution_line_address,
+    pte_line_address,
+)
 from ..sim.config import SystemConfig, line_to_page_shift
 from .distribution import ReuseDistanceDistribution
 from .energy_model import LevelEnergyParams, SlipEnergyModel
@@ -91,7 +96,7 @@ class BaselineRuntime:
         simulated access and each frame shows up in profiles.
         """
         tlb = self.tlb
-        pages = tlb._pages
+        pages = tlb._keys
         if page in pages:
             pages.move_to_end(page)
             tlb.stats.hits += 1
@@ -135,7 +140,7 @@ class SlipRuntime(BaselineRuntime):
             if block_lines > config.lines_per_page:
                 raise ValueError("rd-blocks cannot exceed a page")
             self.block_shift: Optional[int] = block_lines.bit_length() - 1
-            self.slip_cache: Optional[Tlb] = Tlb(
+            self.slip_cache: Optional[LruKeys] = LruKeys(
                 config.slip.slip_cache_entries
             )
         else:
@@ -252,7 +257,7 @@ class SlipRuntime(BaselineRuntime):
         """
         if self.block_shift is None:
             tlb = self.tlb
-            pages = tlb._pages
+            pages = tlb._keys
             if page in pages:
                 pages.move_to_end(page)
                 tlb.stats.hits += 1

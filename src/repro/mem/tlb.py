@@ -52,30 +52,51 @@ class TlbStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-class Tlb:
+class LruKeys:
+    """Fully associative LRU set of integer keys, without statistics.
+
+    The Section 7 SLIP-cache of rd-block profile keys is one bare: its
+    hit/miss stream is a pure function of the trace window, which the
+    SLIP kernel derives itself, so no ledger is kept. :class:`Tlb` adds
+    the TLB's published hit/miss counts.
+    """
+
+    def __init__(self, entries: int) -> None:
+        if entries < 1:
+            raise ValueError(f"{type(self).__name__} needs at least one "
+                             f"entry")
+        self.entries = entries
+        self._keys: "OrderedDict[int, None]" = OrderedDict()
+
+    def access(self, key: int) -> bool:
+        """Touch a key; returns True on hit."""
+        keys = self._keys
+        if key in keys:
+            keys.move_to_end(key)
+            return True
+        keys[key] = None
+        if len(keys) > self.entries:
+            keys.popitem(last=False)
+        return False
+
+    def contains(self, key: int) -> bool:
+        return key in self._keys
+
+    def flush(self) -> None:
+        self._keys.clear()
+
+
+class Tlb(LruKeys):
     """Fully associative, LRU translation lookaside buffer."""
 
     def __init__(self, entries: int = 64) -> None:
-        if entries < 1:
-            raise ValueError("TLB needs at least one entry")
-        self.entries = entries
-        self._pages: "OrderedDict[int, None]" = OrderedDict()
+        super().__init__(entries)
         self.stats = TlbStats()
 
     def access(self, page: int) -> bool:
         """Touch a page; returns True on TLB hit."""
-        if page in self._pages:
-            self._pages.move_to_end(page)
+        if super().access(page):
             self.stats.hits += 1
             return True
         self.stats.misses += 1
-        self._pages[page] = None
-        if len(self._pages) > self.entries:
-            self._pages.popitem(last=False)
         return False
-
-    def contains(self, page: int) -> bool:
-        return page in self._pages
-
-    def flush(self) -> None:
-        self._pages.clear()

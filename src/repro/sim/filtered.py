@@ -14,18 +14,16 @@ single-core cells are the one-core case, the Figure 16 mixes of
 :mod:`repro.sim.multi_core` share an L3):
 
 1. every core runs the window in which all of them still run;
-2. one predicate sends SimCheck (``REPRO_CHECK_INVARIANTS``: the
-   invariant wrappers observe per-access events a replay does not
-   generate) and every slip-kind cell the SLIP kernel cannot replay to
-   :func:`walk_cores`;
+2. one predicate sends to :func:`walk_cores` SimCheck
+   (``REPRO_CHECK_INVARIANTS``: the invariant wrappers observe
+   per-access events a replay does not generate), every L1 the capture
+   kernel cannot model (a random-replacement, metadata-energy or
+   sublevel-partitioned L1; the reason lands on
+   ``hierarchy.kernel_declines.frontend``) and every slip-kind cell the
+   SLIP kernel cannot replay;
 3. otherwise each core's window is captured through the capture store:
    a store hit, else the batched capture kernel
-   (:mod:`~repro.sim.vector_frontend`; a decline is recorded on
-   ``hierarchy.kernel_declines.frontend``), else :func:`capture_front_end`,
-   a baseline hierarchy driven with the below-L1 entry points
-   *shadowed* by recorders returning zero latency — exactly the code a
-   direct run executes, and the kernel's golden reference. A capture
-   that cannot be represented walks too;
+   (:mod:`~repro.sim.vector_frontend`);
 4. :func:`replay_capture` replays every core in one step.
 
 The captured stream is **runtime-kind invariant** — TLB hit/miss
@@ -74,7 +72,7 @@ always-on ``capture-replay-conservation`` invariant
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -85,18 +83,15 @@ from ..mem.tlb import TlbStats
 from ..workloads.capture_store import (
     OP_DEMAND_MISS,
     OP_METADATA,
-    OP_WRITEBACK,
     CAPTURE_VERSION,
-    CaptureError,
     MemoryCaptureStore,
-    TraceCapture,
     fingerprint_key,
     trace_content_digest,
 )
 from ..workloads.trace import Trace
-from .build import build_hierarchy, maybe_boost_sampler
+from .build import maybe_boost_sampler
 from .config import SystemConfig
-from .vector_frontend import capture_front_end_vector
+from .vector_frontend import capture_front_end_vector, frontend_eligible
 from .vector_replay import merge_by_access, replay_capture_vector
 from .vector_replay_slip import replay_capture_vector_slip, slip_eligible
 
@@ -132,109 +127,6 @@ def front_end_fingerprint(
         "warmup_fraction": warmup_fraction,
         "seed": seed,
     }
-
-
-# ----------------------------------------------------------------------
-# Capture pass (shadowed back end)
-# ----------------------------------------------------------------------
-# slip-audit: twin=vector-frontend role=ref
-def capture_front_end(trace: Trace, config: SystemConfig,
-                      warmup_fraction: float = 0.25) -> TraceCapture:
-    """Run the policy-invariant front end once; record the boundary.
-
-    The scalar reference walk behind the capture kernel
-    (:func:`~repro.sim.vector_frontend.capture_front_end_vector`),
-    which callers offer the work to first. Builds a baseline
-    hierarchy, shadows its below-L1 entry points with recorders and
-    drives the real ``access()`` loop, so the frozen L1/TLB statistics
-    are produced by the exact code a direct run executes.
-    """
-    hierarchy = build_hierarchy(config, "baseline")
-    if hierarchy.simcheck is not None:
-        raise CaptureError("capture pass cannot run under SimCheck")
-
-    ops: list = []
-    addrs: list = []
-    miss_pos: list = []
-    miss_wb: list = []
-    tlb_pos: list = []
-    pos = [0]
-
-    def record_access(line_addr, is_metadata, page):
-        addrs.append(line_addr)
-        if is_metadata:
-            ops.append(OP_METADATA)
-            tlb_pos.append(pos[0])
-        else:
-            ops.append(OP_DEMAND_MISS)
-            miss_pos.append(pos[0])
-            miss_wb.append(-1)
-        return 0
-
-    def record_writeback(line_addr):
-        # The L1 fill emits at most one writeback, attached to the
-        # demand miss of the same access; anything else cannot be
-        # replayed from the per-miss writeback slot.
-        if (not miss_wb or miss_wb[-1] != -1
-                or miss_pos[-1] != pos[0]):
-            raise CaptureError("unrepresentable L1 writeback pattern")
-        ops.append(OP_WRITEBACK)
-        addrs.append(line_addr)
-        miss_wb[-1] = line_addr
-
-    hierarchy._access_below_l1 = record_access
-    hierarchy._writeback_below_l1 = record_writeback
-
-    addresses = trace.addresses.tolist()
-    writes = trace.is_write.tolist()
-    n = len(addresses)
-    warmup = int(n * warmup_fraction)
-    access = hierarchy.access
-    index = 0
-    for addr, is_write in zip(addresses[:warmup], writes[:warmup]):
-        pos[0] = index
-        access(addr, is_write)
-        index += 1
-    event_boundary = len(ops)
-    hierarchy.reset_stats()
-    for addr, is_write in zip(addresses[warmup:], writes[warmup:]):
-        pos[0] = index
-        access(addr, is_write)
-        index += 1
-    hierarchy.finalize()
-    # Drop the recorder overrides: the closures reference the
-    # hierarchy, and leaving them in its instance dict would cycle the
-    # whole (large) object graph into the garbage collector.
-    del hierarchy._access_below_l1, hierarchy._writeback_below_l1
-
-    # Shadowed recorders returned zero latency, so the counter holds
-    # exactly the L1-side (front-end) latency.
-    measured = ops[event_boundary:]
-    counters = hierarchy.counters
-    frozen = {
-        "l1": asdict(hierarchy.l1.stats),
-        "runtime": asdict(hierarchy.runtime.stats),
-        "tlb": asdict(hierarchy.runtime.tlb.stats),
-        "l1_latency_cycles": counters.total_latency_cycles,
-        "l1_hits": counters.l1_hits,
-        "demand_accesses": counters.demand_accesses,
-        "event_counts": {
-            "demand": measured.count(OP_DEMAND_MISS),
-            "metadata": measured.count(OP_METADATA),
-            "writeback": measured.count(OP_WRITEBACK),
-        },
-    }
-    return TraceCapture(
-        n=n,
-        warmup=warmup,
-        event_boundary=event_boundary,
-        ops=np.asarray(ops, dtype=np.uint8),
-        addrs=np.asarray(addrs, dtype=np.int64),
-        l1_miss_pos=np.asarray(miss_pos, dtype=np.int64),
-        l1_miss_wb=np.asarray(miss_wb, dtype=np.int64),
-        tlb_miss_pos=np.asarray(tlb_pos, dtype=np.int64),
-        frozen=frozen,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +166,6 @@ def _walk_chunks(columns, start: int, stop: int):
         yield from zip(*(column[lo:hi].tolist() for column in columns))
 
 
-# slip-audit: twin=vector-replay role=ref
 def _replay_events(hierarchies, captures) -> None:
     """Baseline-kind replay: feed the flat event streams verbatim.
 
@@ -321,7 +212,6 @@ def _replay_events(hierarchies, captures) -> None:
         hierarchy.counters.total_latency_cycles += total
 
 
-# slip-audit: twin=capture-replay role=fast
 def replay_capture(hierarchies, traces, captures) -> None:
     """Feed every core's captured boundary to its back end; finalize.
 
@@ -358,7 +248,6 @@ def replay_capture(hierarchies, traces, captures) -> None:
     check_capture_replay(hierarchies, captures, slip_kind=slip_kind)
 
 
-# slip-audit: twin=capture-replay role=ref
 def walk_cores(hierarchies, traces, warmup_fraction: float) -> None:
     """The golden reference: drive every core's ``access()`` in turn.
 
@@ -396,31 +285,16 @@ _RUN_STORE = MemoryCaptureStore(max_entries=4)
 
 def _needs_walk(hierarchies, traces) -> bool:
     """Whether no capture can serve these cores: SimCheck (its wrappers
-    observe per-access events a replay does not generate), or a
-    slip-kind cell the SLIP kernel cannot replay (``slip_eligible``
-    records why on the cores)."""
+    observe per-access events a replay does not generate), an L1 the
+    capture kernel cannot model (``frontend_eligible``), or a slip-kind
+    cell the SLIP kernel cannot replay (``slip_eligible``); the kernels
+    record why on the cores."""
     if any(hierarchy.simcheck is not None for hierarchy in hierarchies):
+        return True
+    if not all([frontend_eligible(hierarchy) for hierarchy in hierarchies]):
         return True
     return (getattr(hierarchies[0].runtime, "slip_enabled", False)
             and not slip_eligible(hierarchies, traces))
-
-
-def _capture(hierarchy, trace: Trace, config: SystemConfig,
-             warmup_fraction: float) -> Optional[TraceCapture]:
-    """A fresh capture of one core's window, or ``None`` to walk.
-
-    The core's own hierarchy is the kernel's eligibility probe and
-    keeps its decline reason; the scalar capture pass serves the
-    declines.
-    """
-    capture = capture_front_end_vector(hierarchy, trace, config,
-                                       warmup_fraction)
-    if capture is None:
-        try:
-            capture = capture_front_end(trace, config, warmup_fraction)
-        except CaptureError:
-            return None
-    return capture
 
 
 def simulate(hierarchies, traces, config: SystemConfig, seed: int,
@@ -428,14 +302,12 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
     """Run N >= 1 cores over their traces to finalized statistics.
 
     Every core runs the window in which all of them still run (the
-    shortest trace). SimCheck cells walk, as do slip-kind cells the
-    SLIP kernel cannot replay; every other cell captures
-    each core's window through ``store`` (a store hit, else the
-    capture kernel, else the scalar capture pass; ``None`` means a
-    process-local store of a few entries), keyed by the
-    window's front-end fingerprint with the core's seed ``seed +
-    core``, and replays the captures in one step. A failed capture
-    walks too.
+    shortest trace). Cells no capture can serve walk (``_needs_walk``);
+    every other cell captures each core's window through ``store`` (a
+    store hit, else the capture kernel; ``None`` means a process-local
+    store of a few entries), keyed by the window's front-end
+    fingerprint with the core's seed ``seed + core``, and replays the
+    captures in one step.
     """
     shortest = min(len(trace) for trace in traces)
     windows = [trace if len(trace) == shortest else trace.sliced(0, shortest)
@@ -455,10 +327,12 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
         key = fingerprint_key(fingerprint)
         capture = store.get(key)
         if capture is None:
-            capture = _capture(hierarchy, window, config, warmup_fraction)
+            capture = capture_front_end_vector(hierarchy, window, config,
+                                               warmup_fraction)
             if capture is None:
-                walk_cores(hierarchies, windows, warmup_fraction)
-                return
+                raise ValueError(
+                    "the capture kernel declined an eligible core "
+                    f"({hierarchy.kernel_declines.frontend})")
             store.put(key, capture, fingerprint=fingerprint)
         captures.append(capture)
     replay_capture(hierarchies, windows, captures)

@@ -1,16 +1,17 @@
 """Batched front-end capture kernel: the TLB + L1 leg, whole-trace.
 
-The scalar capture walk (:func:`repro.sim.filtered.capture_front_end`)
-drives the full ``MemoryHierarchy.access`` loop one reference at a
-time just to learn the policy-invariant facts a capture stores: which
-accesses miss the TLB, which miss L1, which evictions were dirty, and
-the frozen front-end statistics. All of those are pure stack-distance
-facts of the reference stream — the TLB is a fully-associative LRU over page
-numbers and the L1 is a set-associative LRU over line tags, neither of
-which observes anything the back end does — so this module computes
-them for the *entire* trace in three batched phases and packages a
-byte-identical :class:`~repro.workloads.capture_store.TraceCapture`
-without ever touching a ``Line`` object:
+A capture stores the policy-invariant facts of the front end of
+``MemoryHierarchy.access``: which accesses miss the TLB, which miss
+L1, which evictions were dirty, and the frozen front-end statistics.
+All of those are pure stack-distance facts of the reference stream —
+the TLB is a fully-associative LRU over page numbers and the L1 is a
+set-associative LRU over line tags, neither of which observes anything
+the back end does — so this module computes them for the *entire*
+trace in three batched phases and packages a
+:class:`~repro.workloads.capture_store.TraceCapture` without ever
+touching a ``Line`` object; a cell replayed from it serializes
+byte-identically to the per-access walk
+(:func:`repro.sim.filtered.walk_cores`):
 
 * **Phase 1 (TLB)** derives page numbers for the whole stream
   vectorized, run-compresses consecutive same-page references (repeats
@@ -28,30 +29,31 @@ without ever touching a ``Line`` object:
   way-assignment pass is needed.
 * **Phase 3** scatters the per-access miss / metadata / writeback
   flags into the flat capture event stream with an exclusive cumulative
-  sum (preserving the scalar per-access order: metadata, then demand
+  sum (preserving the walk's per-access order: metadata, then demand
   miss, then writeback) and assembles the frozen
   ``LevelStats``/``TlbStats``/``RuntimeStats`` from integer tallies via
   :meth:`~repro.mem.stats.LevelStats.adopt_counts` — the same deferred
   accounting path the replay kernels use, so materialized energy is
-  bit-identical to the scalar walk's.
+  bit-identical to the walk's.
 
-The warmup boundary follows the scalar semantics exactly: array state
+The warmup boundary follows the walk's semantics exactly: array state
 (TLB contents, resident lines, per-line hit counts) flows through the
 ``reset_stats()`` boundary while the frozen tallies count only
 measured-phase events, and the reuse histogram records a line's
 *full-life* hits both at measured-phase eviction and for every line
 still resident at the end (``finalize()`` runs after the reset).
 
-Capture requests fall back to the scalar walk (``return None``)
-whenever the hierarchy is not eligible: SimCheck, a non-LRU L1
-replacement, metadata-energy tracking on L1, or a sublevel-partitioned
-L1 geometry (the kernel's closed-form latency
-``(n - warmup) * latency_cycles`` needs uniform way latencies).
-Declines are recorded on ``hierarchy.kernel_declines.frontend`` —
-echoed to stderr under ``REPRO_VECTOR_FRONTEND_DEBUG=1`` — mirroring
-the replay kernels' ``kernel_declines.replay`` contract. Every kernel
-capture is audited by the always-on ``vector-frontend-conservation``
-invariant before it is published.
+The kernel declines (``return None``) every hierarchy it cannot
+model: SimCheck, a non-LRU L1 replacement, metadata-energy tracking on
+L1, or a sublevel-partitioned L1 geometry (the kernel's closed-form
+latency ``(n - warmup) * latency_cycles`` needs uniform way
+latencies). The driver asks :func:`frontend_eligible` first and walks
+such cells. Declines are recorded on
+``hierarchy.kernel_declines.frontend`` — echoed to stderr under
+``REPRO_VECTOR_FRONTEND_DEBUG=1`` — mirroring the replay kernels'
+``kernel_declines.replay`` contract. Every kernel capture is audited by
+the always-on ``vector-frontend-conservation`` invariant before it is
+published.
 """
 
 from __future__ import annotations
@@ -94,9 +96,8 @@ def frontend_eligible(hierarchy) -> bool:
     """Whether a hierarchy's front end matches the kernel's model.
 
     Exact-type checks, like the replay kernels: anything but the stock
-    uniform-LRU L1 over a baseline-kind TLB path falls back to the
-    scalar golden reference, recording its reason via
-    :func:`record_decline`.
+    uniform-LRU L1 over a baseline-kind TLB path walks, recording its
+    reason via :func:`record_decline`.
     """
     if hierarchy.simcheck is not None:
         record_decline(hierarchy, "simcheck")
@@ -246,11 +247,11 @@ def _frozen_frontend(l1cfg, tally: _L1Tally, tlb_misses: int,
                      measured: int) -> Dict:
     """The frozen front-end statistics for one batched capture.
 
-    Built on the exact path the scalar walk lands on: a real
+    Built on the exact path the walk lands on: a real
     :class:`~repro.mem.stats.LevelStats` with the L1's energy tables
     attached, counts published through ``adopt_counts`` and energy
     materialized from integer event counts — so every float is
-    bit-identical to the scalar capture's.
+    bit-identical to the walk's.
     """
     stats = LevelStats(l1cfg.name, num_sublevels=1)
     stats.attach_energy_tables(
@@ -293,14 +294,13 @@ def _frozen_frontend(l1cfg, tally: _L1Tally, tlb_misses: int,
     }
 
 
-# slip-audit: twin=vector-frontend role=fast
 def capture_front_end_vector(
     hierarchy,
     trace: Trace,
     config: SystemConfig,
     warmup_fraction: float = 0.25,
 ) -> Optional[TraceCapture]:
-    """Batched front-end capture, or ``None`` to use the scalar walk.
+    """Batched front-end capture, or ``None`` when ineligible.
 
     ``hierarchy`` is only consulted for eligibility (and carries the
     decline reason); the capture itself is computed from the trace and
@@ -323,7 +323,7 @@ def capture_front_end_vector(
                                   l1cfg.sets, l1cfg.ways)
 
     # Scatter the per-access flags into the flat event stream. The
-    # scalar per-access order is metadata (TLB miss) first, then the
+    # walk's per-access order is metadata (TLB miss) first, then the
     # demand miss, then the victim writeback, so an access's events
     # occupy offsets[i] .. offsets[i + 1] in exactly that order.
     t_flag = np.zeros(n, dtype=np.int64)

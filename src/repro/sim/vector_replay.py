@@ -742,7 +742,6 @@ def _publish_level(level, tally: _LevelTally, mq_pj: float) -> None:
     )
 
 
-# slip-audit: twin=vector-replay role=fast
 def replay_capture_vector(hierarchies: Sequence,
                           captures: Sequence[TraceCapture]) -> bool:
     """Batched replay of baseline-kind captures; False to fall back.

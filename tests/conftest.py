@@ -37,12 +37,11 @@ def _simcheck_for_integration(request):
         mp.undo()
 
 
-#: Each batched kernel with a scalar twin, and the value it returns to
-#: decline a cell. The SLIP kernel has none: the driver walks every
-#: slip-kind cell it cannot serve, so the ``walked`` fixture is its
-#: reference.
+#: The batched kernel with a scalar twin, and the value it returns to
+#: decline a cell. The capture kernel and the SLIP kernel have none:
+#: the driver walks every cell they cannot serve, so the ``walked``
+#: fixture is their reference.
 _KERNEL_DECLINES = {
-    "capture_front_end_vector": None,
     "replay_capture_vector": False,
 }
 
@@ -50,12 +49,11 @@ _KERNEL_DECLINES = {
 @pytest.fixture
 def scalar_kernels():
     """A context manager under which the named kernels (default: all
-    batched kernels) decline.
+    of ``_KERNEL_DECLINES``) decline.
 
-    It patches the kernel bindings the driver calls, so captures come
-    from ``capture_front_end``'s scalar walk and baseline-kind replays
-    from ``_replay_events``: the golden references the kernels must
-    match. A test fake, not a production option.
+    It patches the kernel bindings the driver calls, so baseline-kind
+    replays come from ``_replay_events``: the golden reference the
+    replay kernel must match. A test fake, not a production option.
     """
     from repro.sim import filtered
 

@@ -26,11 +26,8 @@ from repro.sim.config import (
     CacheLevelConfig,
     line_to_page_shift,
 )
-from repro.sim.filtered import (
-    capture_front_end,
-    front_end_fingerprint,
-    replay_capture,
-)
+from repro.sim.filtered import front_end_fingerprint, replay_capture
+from repro.sim.vector_frontend import capture_front_end_vector
 from repro.sim.single_core import run_trace
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import (
@@ -119,7 +116,8 @@ def skewed_energy(config):
 
 
 def partitioned_l1(config):
-    """A sublevel-partitioned L1, which the capture kernel declines."""
+    """A sublevel-partitioned L1, which the capture kernel declines:
+    such cells walk."""
     l1 = CacheLevelConfig(
         name="L1", size_bytes=1024, ways=2, latency_cycles=1,
         access_energy_pj=1.0, sublevel_ways=(1, 1),
@@ -187,8 +185,10 @@ class TestDirectPipeline:
         assert canonical(result) == canonical(
             scalar_run(trace, policy, **kwargs))
         if isinstance(store, MemoryCaptureStore):
-            # Only SimCheck cells walk, taking no capture.
-            assert bool(store._entries) != row.simcheck
+            # Only SimCheck and partitioned-L1 cells walk, taking no
+            # capture.
+            walks = row.simcheck or row.l1_sublevels
+            assert bool(store._entries) != walks
         if row.overrides and runtime_kind(policy) == "slip":
             # The overrides reach the live SLIP runtime's EOU models.
             kwargs["level_energy_overrides"] = None
@@ -274,25 +274,26 @@ class TestDirectDeclines:
 # Capture modes
 # ----------------------------------------------------------------------
 class TestCaptureModes:
-    def test_cold_cell_publishes_scalar_capture(self, tiny_system):
-        """A cold slip cell stores what the scalar walk would capture."""
+    def test_cold_cell_publishes_scalar_capture(self, tiny_system,
+                                                scalar_run):
+        """A cold slip cell publishes a capture that serves the baseline
+        cell from the store with the scalar walk's bytes."""
         trace = make_trace("soplex", LENGTH)
         store = MemoryCaptureStore()
         run_trace(trace, "slip_abp", config=tiny_system, store=store)
         (published,) = store._entries.values()
-        walked = capture_front_end(trace, tiny_system)
-        assert (walked.n, walked.warmup, walked.event_boundary) == (
-            published.n, published.warmup, published.event_boundary)
-        for name in ("ops", "addrs", "l1_miss_pos", "l1_miss_wb",
-                     "tlb_miss_pos"):
-            np.testing.assert_array_equal(getattr(walked, name),
-                                          getattr(published, name))
-        assert walked.frozen == published.frozen
+        replayed = run_trace(trace, "baseline", config=tiny_system,
+                             store=store)
+        (entry,) = store._entries.values()
+        assert entry is published       # a store hit, no second capture
+        assert canonical(replayed) == canonical(
+            scalar_run(trace, "baseline", tiny_system))
 
     def test_conservation_invariant_trips_on_corruption(self,
                                                         tiny_system):
         trace = make_trace("soplex", 1_500)
-        capture = capture_front_end(trace, tiny_system)
+        capture = capture_front_end_vector(
+            build_hierarchy(tiny_system, "baseline"), trace, tiny_system)
         frozen = copy.deepcopy(capture.frozen)
         frozen["event_counts"]["demand"] += 1
         bad = TraceCapture(

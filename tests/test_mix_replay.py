@@ -6,8 +6,7 @@ end through the capture store and replays the merged boundary events;
 the driver's per-access walk (the ``walked`` fixture forces it) drives
 every core's ``access()`` in turn and is the golden reference. The
 hypothesis harness below draws policy, core count (one core is the
-driver's single-core case), tiny cache geometries (a sublevel-partitioned L1
-sends the capture to the scalar capture pass), page size, Section 7
+driver's single-core case), tiny cache geometries, page size, Section 7
 rd-blocks for the slip kinds, warmup fraction, unequal per-core trace
 lengths and the capture store tier, and asserts the two produce the
 same bytes on a cold and a warm store,
@@ -95,16 +94,12 @@ def systems(draw, uniform_ok: bool, wide: bool = False,
             slip_cache_entries=draw(st.sampled_from((2, 4, 8))))
     l1_ways = draw(st.sampled_from((1, 2, 4)))
     l1_sets = draw(st.sampled_from((4, 8, 16)))
-    # A sublevel-partitioned L1 is declined by the capture kernel.
-    l1_parts = ((1, l1_ways - 1) if l1_ways > 1 and draw(st.booleans())
-                else ())
+    # A uniform L1: the capture kernel declines a partitioned one, and
+    # the driver walks it.
     return SystemConfig(
         l1=CacheLevelConfig(
             name="L1", size_bytes=l1_sets * l1_ways * 64, ways=l1_ways,
-            latency_cycles=1, access_energy_pj=1.0,
-            sublevel_ways=l1_parts,
-            sublevel_energy_pj=(0.8, 1.4)[:len(l1_parts)],
-            sublevel_latency=(1, 2)[:len(l1_parts)]),
+            latency_cycles=1, access_energy_pj=1.0),
         l2=draw(levels("L2", (8, 64, 128) if wide else (8, 16), 3, 10.0,
                        uniform_ok)),
         l3=draw(levels("L3", (32, 64, 128) if wide else (32, 64), 8, 40.0,
@@ -244,8 +239,8 @@ def test_simcheck_cells_walk(cores, tiny_system, monkeypatch, walked):
                                          tiny_system, 3)
     store = MemoryCaptureStore()
     with monkeypatch.context() as mp:
-        for capture in ("capture_front_end_vector", "capture_front_end"):
-            mp.setattr(filtered, capture, None)  # a call would raise
+        # A capture call would raise.
+        mp.setattr(filtered, "capture_front_end_vector", None)
         replayed = multi_core.run_mix_traces(traces, mix, "slip_abp",
                                              tiny_system, 3, store=store)
     assert canonical(replayed) == canonical(walk)

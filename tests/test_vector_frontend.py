@@ -1,17 +1,15 @@
 """Batched front-end capture kernel: byte-identity, declines, store knob.
 
-Mirror of the replay-kernel suites for the capture side: every capture
-the kernel (:mod:`repro.sim.vector_frontend`) accepts must be
-byte-identical to the scalar ``capture_front_end`` walk — arrays,
-boundaries and frozen statistics — and every cell fed from it must
-serialize byte-for-byte like the scalar cold path, across all five
-policies, both capture stores, both worker modes and randomized
-trace/geometry space. Everything the kernel cannot represent must
-decline with a recorded reason and fall back to the scalar walk with
-identical bytes; tests call that walk directly. Also covers the
+Every cell the capture kernel (:mod:`repro.sim.vector_frontend`) feeds
+must serialize byte-for-byte like the per-access walk (the ``walked``
+fixture, via ``scalar_run``): across all five policies, both capture
+stores, both worker modes, warmup splits and randomized trace/geometry
+space. Everything the kernel cannot represent must decline with a
+recorded reason, and the driver walks it. Also covers the
 ``REPRO_CAPTURE_MEM_ENTRIES`` capacity knob of the in-process store.
 """
 
+import dataclasses
 import json
 import random
 
@@ -19,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.parallel import RunRequest, run_jobs
-from repro.mem.replacement import RandomReplacement
+from repro.mem.cache import CacheLevel
+from repro.mem.replacement import LruReplacement, RandomReplacement
 from repro.sim.build import build_hierarchy
 from repro.sim.config import (
     CacheLevelConfig,
@@ -28,7 +27,7 @@ from repro.sim.config import (
     SlipParams,
     SystemConfig,
 )
-from repro.sim.filtered import capture_front_end
+from repro.sim import filtered, single_core
 from repro.sim.kernel_report import kernel_report_lines, reset_kernel_counts
 from repro.sim.single_core import run_trace
 from repro.sim.vector_frontend import (
@@ -53,23 +52,38 @@ def canonical(result) -> str:
     return json.dumps(result.to_json(), sort_keys=True)
 
 
-def capture_pair(trace, config, warmup_fraction=0.25):
-    """(scalar capture, kernel capture or None) of the same front end."""
-    scalar = capture_front_end(trace, config, warmup_fraction)
-    vector = capture_front_end_vector(build_hierarchy(config, "baseline"),
-                                      trace, config, warmup_fraction)
-    return scalar, vector
+def assert_served_like_walk(trace, policies, config, scalar_run,
+                            **kwargs):
+    """Cold cells over one store: the kernel takes one capture, every
+    policy replays from it, and each serializes like the walk."""
+    store = MemoryCaptureStore()
+    for policy in policies:
+        served = run_trace(trace, policy, config=config, store=store,
+                           **kwargs)
+        assert len(store._entries) == 1
+        assert canonical(served) == canonical(
+            scalar_run(trace, policy, config, **kwargs)), policy
 
 
-def assert_captures_equal(vector, scalar):
+def assert_captures_equal(vector, stored):
     assert (vector.n, vector.warmup, vector.event_boundary) == \
-        (scalar.n, scalar.warmup, scalar.event_boundary)
+        (stored.n, stored.warmup, stored.event_boundary)
     for name in _ARRAY_NAMES:
-        v, s = getattr(vector, name), getattr(scalar, name)
+        v, s = getattr(vector, name), getattr(stored, name)
         assert v.dtype == s.dtype, name
         assert np.array_equal(v, s), name
     assert json.dumps(vector.frozen, sort_keys=True) == \
-        json.dumps(scalar.frozen, sort_keys=True)
+        json.dumps(stored.frozen, sort_keys=True)
+
+
+def partitioned_l1(config) -> SystemConfig:
+    """A sublevel-partitioned L1, which the capture kernel declines."""
+    l1 = CacheLevelConfig(
+        name="L1", size_bytes=1024, ways=2, latency_cycles=1,
+        access_energy_pj=1.0, sublevel_ways=(1, 1),
+        sublevel_energy_pj=(0.8, 1.4), sublevel_latency=(1, 2),
+    )
+    return dataclasses.replace(config, l1=l1)
 
 
 def synthetic_trace(rng, length) -> Trace:
@@ -88,43 +102,39 @@ def synthetic_trace(rng, length) -> Trace:
 # ----------------------------------------------------------------------
 class TestByteIdentity:
     @pytest.mark.parametrize("bench", ("soplex", "lbm"))
-    def test_capture_matches_scalar(self, bench, tiny_system):
+    def test_capture_matches_scalar(self, bench, tiny_system, scalar_run):
         trace = make_trace(bench, LENGTH)
-        scalar, vector = capture_pair(trace, tiny_system)
-        assert_captures_equal(vector, scalar)
+        assert_served_like_walk(trace, ("baseline", "slip_abp"),
+                                tiny_system, scalar_run)
 
-    def test_capture_matches_scalar_paper_geometry(self, paper_system):
+    def test_capture_matches_scalar_paper_geometry(self, paper_system,
+                                                   scalar_run):
         assert frontend_eligible(
             build_hierarchy(paper_system, "baseline"))
         trace = make_trace("soplex", LENGTH)
-        scalar, vector = capture_pair(trace, paper_system)
-        assert_captures_equal(vector, scalar)
+        assert_served_like_walk(trace, ("baseline", "slip_abp"),
+                                paper_system, scalar_run)
 
     @pytest.mark.parametrize("warmup_fraction", (0.0, 0.25, 0.6, 1.0))
-    def test_warmup_boundary_edges(self, warmup_fraction, tiny_system):
+    def test_warmup_boundary_edges(self, warmup_fraction, tiny_system,
+                                   scalar_run):
         """Array state crosses the reset; tallies split exactly."""
         trace = make_trace("lbm", 1_100)
-        scalar, vector = capture_pair(trace, tiny_system,
-                                      warmup_fraction=warmup_fraction)
-        assert_captures_equal(vector, scalar)
+        assert_served_like_walk(trace, ("baseline", "slip_abp"),
+                                tiny_system, scalar_run,
+                                warmup_fraction=warmup_fraction)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("store_kind", ("memory", "disk"))
     def test_cold_cell_matches_scalar(self, policy, store_kind,
-                                      tiny_system, tmp_path,
-                                      scalar_kernels):
-        """A cold cell fed by the kernel serializes identically."""
+                                      tiny_system, tmp_path, scalar_run):
+        """A cold cell fed by the kernel serializes like the walk."""
         trace = make_trace("soplex", LENGTH)
-
-        def cold_cell(label: str) -> str:
-            store = (MemoryCaptureStore() if store_kind == "memory"
-                     else DiskCaptureStore(str(tmp_path / label)))
-            return canonical(run_trace(
-                trace, policy, config=tiny_system, store=store))
-
-        kernel = cold_cell("kernel")
-        with scalar_kernels():
-            assert cold_cell("scalar") == kernel
+        store = (MemoryCaptureStore() if store_kind == "memory"
+                 else DiskCaptureStore(str(tmp_path)))
+        cold = run_trace(trace, policy, config=tiny_system, store=store)
+        assert canonical(cold) == canonical(
+            scalar_run(trace, policy, tiny_system))
 
     @pytest.mark.parametrize("policy", ("baseline", "slip_abp"))
     def test_cold_cell_matches_direct(self, policy, tiny_system,
@@ -142,16 +152,16 @@ class TestByteIdentity:
         store = MemoryCaptureStore()
         run_trace(trace, "baseline", config=tiny_system, store=store)
         (stored,) = store._entries.values()
-        scalar, _ = capture_pair(trace, tiny_system)
-        assert_captures_equal(stored, scalar)
+        kernel = capture_front_end_vector(
+            build_hierarchy(tiny_system, "baseline"), trace, tiny_system)
+        assert_captures_equal(kernel, stored)
 
 
 # ----------------------------------------------------------------------
 # Worker parity: jobs=1 vs jobs=2, each over a fresh disk store
 # ----------------------------------------------------------------------
 @pytest.mark.multiproc
-def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch,
-                                      scalar_kernels):
+def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch, walked):
     grid = [RunRequest("soplex", policy, length=2_000)
             for policy in ("baseline", "slip_abp")]
     reports = {}
@@ -160,7 +170,7 @@ def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch,
         # itself (not just the replay) comes from the mode under test.
         monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path / label))
         if label == "scalar":
-            with scalar_kernels():
+            with walked():
                 reports[label] = run_jobs(grid, jobs=jobs)
         else:
             reports[label] = run_jobs(grid, jobs=jobs)
@@ -215,12 +225,8 @@ def test_random_geometry_property(case_seed, scalar_run):
     else:
         trace = make_trace(rng.choice(("soplex", "lbm", "mcf")),
                            length, seed=rng.randint(0, 99))
-    scalar, vector = capture_pair(trace, config)
-    assert_captures_equal(vector, scalar)
     policy = POLICIES[case_seed % len(POLICIES)]
-    cold = run_trace(trace, policy, config=config,
-                     store=MemoryCaptureStore())
-    assert canonical(cold) == canonical(scalar_run(trace, policy, config))
+    assert_served_like_walk(trace, (policy,), config, scalar_run)
 
 
 # ----------------------------------------------------------------------
@@ -254,18 +260,9 @@ class TestDecline:
 
     def test_partitioned_l1_declines_and_falls_back(self, tiny_system,
                                                     scalar_run):
-        """Non-uniform L1: a cold cell declines once, and the scalar
-        walk still serves it."""
-        l1 = CacheLevelConfig(
-            name="L1", size_bytes=1024, ways=2, latency_cycles=1,
-            access_energy_pj=1.0, sublevel_ways=(1, 1),
-            sublevel_energy_pj=(0.8, 1.4), sublevel_latency=(1, 2),
-        )
-        config = SystemConfig(
-            l1=l1, l2=tiny_system.l2, l3=tiny_system.l3,
-            dram=tiny_system.dram, slip=tiny_system.slip,
-            core=tiny_system.core, tlb_entries=tiny_system.tlb_entries,
-        )
+        """Non-uniform L1: a cold cell declines once, and the walk
+        serves it."""
+        config = partitioned_l1(tiny_system)
         hierarchy = build_hierarchy(config, "baseline")
         assert not frontend_eligible(hierarchy)
         assert hierarchy.kernel_declines.frontend == "l1-geometry"
@@ -277,6 +274,45 @@ class TestDecline:
             "1 decline(s) [l1-geometry=1]")
         assert canonical(cold) == canonical(
             scalar_run(trace, "baseline", config))
+
+    @pytest.mark.parametrize("shape", ("l1-geometry",
+                                       "l1-replacement:RandomReplacement",
+                                       "l1-metadata-energy"))
+    def test_ineligible_l1_cell_walks(self, shape, tiny_system,
+                                      monkeypatch):
+        """A cell whose L1 the kernel cannot model walks, takes no
+        capture, and keeps the decline reason."""
+        config = (partitioned_l1(tiny_system) if shape == "l1-geometry"
+                  else tiny_system)
+        built, walks = [], []
+
+        def build(*args, **kwargs):
+            hierarchy = build_hierarchy(*args, **kwargs)
+            if shape != "l1-geometry":
+                hierarchy.l1 = CacheLevel(
+                    config.l1,
+                    (RandomReplacement() if shape.startswith("l1-repl")
+                     else LruReplacement()),
+                    track_metadata_energy=shape == "l1-metadata-energy")
+                hierarchy.l1_placement.attach(hierarchy.l1)
+            built.append(hierarchy)
+            return hierarchy
+
+        walk_cores = filtered.walk_cores
+
+        def walk(*args):
+            walks.append(args)
+            return walk_cores(*args)
+
+        monkeypatch.setattr(single_core, "build_hierarchy", build)
+        monkeypatch.setattr(filtered, "walk_cores", walk)
+        store = MemoryCaptureStore()
+        run_trace(make_trace("soplex", 800), "slip", config=config,
+                  store=store)
+        (hierarchy,) = built
+        assert len(walks) == 1
+        assert not store._entries
+        assert hierarchy.kernel_declines.frontend == shape
 
     def test_successful_capture_clears_decline(self, tiny_system):
         trace = make_trace("soplex", 1_200)
