@@ -107,6 +107,23 @@ det_smoke() {
         --jobs 1 --kernel-report | grep -qxF \
         '[kernel-report] vector-replay: 16 kernel run(s), 8 decline(s) [replacement:DrripReplacement/DrripReplacement=4, replacement:ShipReplacement/ShipReplacement=4]' \
         || return 1
+    # The result memo: the replacement ablation's LRU rows are fig09
+    # cells, so after fig09 they are served without simulating. The
+    # replay kernels run fig09's 42 cells and the 8 slip_abp DRRIP/SHiP
+    # cells (the 8 baseline-kind DRRIP/SHiP cells decline); the 8 LRU
+    # rows run no kernel. The capture kernel runs once per benchmark.
+    raw1="$(python -m repro.experiments.runner fig09 ablation-replacement \
+        --length 2000 --jobs 1 --kernel-report)" || return 1
+    printf '%s\n' "$raw1" | grep -qxF \
+        '[kernel-report] vector-replay: 50 kernel run(s), 8 decline(s) [replacement:DrripReplacement/DrripReplacement=4, replacement:ShipReplacement/ShipReplacement=4]' \
+        || return 1
+    printf '%s\n' "$raw1" | grep -qxF \
+        '[kernel-report] vector-frontend: 14 kernel run(s), 0 decline(s)' \
+        || return 1
+    out1="$(printf '%s\n' "$raw1" | grep -v '^\[')"
+    out4="$(python -m repro.experiments.runner fig09 ablation-replacement \
+        --length 2000 --jobs 2 | grep -v '^\[')" || return 1
+    [ "$out1" = "$out4" ] || return 1
     # The Section 7 rd-block ablation: the replay kernels serve all 32
     # cells (4 benchmarks x 4 block sizes x baseline/slip_abp), and the
     # capture kernel runs once per benchmark: every block size replays

@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..sim.config import (
     SystemConfig,
@@ -30,7 +30,7 @@ from ..topology import (
     scale_to_22nm,
 )
 from .common import ExperimentSettings, Table, arithmetic_mean, pct
-from .parallel import RunRequest, run_jobs
+from .parallel import RunRequest, run_cells
 
 #: Representative subset for parameter sweeps (one pointer-chaser, one
 #: phase-changer, one hot-set workload, one streamer).
@@ -48,17 +48,6 @@ def _request(settings: ExperimentSettings, benchmark: str, policy: str,
         warmup_fraction=settings.warmup_fraction,
         **overrides,
     )
-
-
-def _run_requests(settings: ExperimentSettings,
-                  requests: List[RunRequest]):
-    """Execute an ablation grid, serial or fanned out per settings.jobs.
-
-    Returns (results in request order, SweepReport) — the report's
-    lines are attached to the ablation's Table as its perf section.
-    """
-    report = run_jobs(requests, jobs=settings.jobs)
-    return [job.result for job in report.results], report
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +72,7 @@ def run_htree(settings: Optional[ExperimentSettings] = None) -> Table:
         for benchmark in SWEEP_BENCHMARKS
         for config in configs
     ]
-    results, report = _run_requests(settings, requests)
+    results, report = run_cells(requests, jobs=settings.jobs)
     increases = {"L2": [], "L3": []}
     rows = []
     for idx, benchmark in enumerate(SWEEP_BENCHMARKS):
@@ -145,7 +134,7 @@ def run_22nm(settings: Optional[ExperimentSettings] = None) -> Table:
         for benchmark in SWEEP_BENCHMARKS
         for policy in ("baseline", "slip_abp")
     ]
-    results, report = _run_requests(settings, requests)
+    results, report = run_cells(requests, jobs=settings.jobs)
     pairs = iter(zip(results[::2], results[1::2]))
     rows = []
     for node_name, _ in nodes:
@@ -185,7 +174,7 @@ def run_binwidth(settings: Optional[ExperimentSettings] = None,
         for benchmark in SWEEP_BENCHMARKS
         for policy in ("baseline", "slip_abp")
     ]
-    results, report = _run_requests(settings, requests)
+    results, report = run_cells(requests, jobs=settings.jobs)
     pairs = iter(zip(results[::2], results[1::2]))
     rows = []
     for bits in bit_widths:
@@ -227,7 +216,7 @@ def run_rdblock(settings: Optional[ExperimentSettings] = None,
         for benchmark in SWEEP_BENCHMARKS
         for policy in ("baseline", "slip_abp")
     ]
-    results, report = _run_requests(settings, requests)
+    results, report = run_cells(requests, jobs=settings.jobs)
     pairs = iter(zip(results[::2], results[1::2]))
     rows = []
     for lines in block_lines:
@@ -275,7 +264,7 @@ def run_replacement(settings: Optional[ExperimentSettings] = None,
         for benchmark in SWEEP_BENCHMARKS
         for policy in ("baseline", "slip_abp")
     ]
-    results, report = _run_requests(settings, requests)
+    results, report = run_cells(requests, jobs=settings.jobs)
     pairs = iter(zip(results[::2], results[1::2]))
     rows = []
     for replacement in replacements:
@@ -317,7 +306,7 @@ def run_sampling(settings: Optional[ExperimentSettings] = None) -> Table:
             _request(settings, benchmark, "slip_abp", always_sample=True),
         )
     ]
-    results, report = _run_requests(settings, requests)
+    results, report = run_cells(requests, jobs=settings.jobs)
     rows = []
     for idx, benchmark in enumerate(benchmarks):
         base, sampled, always = results[3 * idx:3 * idx + 3]

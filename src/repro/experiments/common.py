@@ -1,11 +1,12 @@
 """Shared infrastructure for the per-figure experiment modules.
 
-All single-core figures (9-15) are views over the same policy sweep, so
-results are cached per (benchmark, policy, length, seed, config) and
-each figure module formats its own slice. Experiment scale is set by
-``ExperimentSettings``; the defaults aim for minutes, not hours, and the
-``REPRO_EXP_LENGTH`` environment variable scales everything up for
-higher-fidelity runs.
+All single-core figures (9-15) are views over the same policy sweep:
+each figure module reads its own cells through :func:`sweep_results`,
+whose process-wide memo (:func:`~repro.experiments.parallel.run_cells`)
+simulates every distinct cell once, and formats its own slice.
+Experiment scale is set by ``ExperimentSettings``; the defaults aim for
+minutes, not hours, and the ``REPRO_EXP_LENGTH`` environment variable
+scales everything up for higher-fidelity runs.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sim.config import SystemConfig, default_system
 from ..sim.results import RunResult
-from ..sim.single_core import run_trace
-from ..workloads.benchmarks import SPEC_ORDER, make_trace
-from ..workloads.capture_store import default_store
+from ..workloads.benchmarks import SPEC_ORDER
+from .parallel import RunRequest, SweepReport, run_cells
 
 ALL_POLICIES: Tuple[str, ...] = (
     "baseline", "nurapid", "lru_pea", "slip", "slip_abp",
@@ -104,85 +103,28 @@ class Table:
         return "\n".join(lines)
 
 
-class SweepCache:
-    """Memoized (benchmark, policy) -> RunResult sweep runner."""
+def sweep_results(
+    settings: ExperimentSettings,
+    cells: Sequence[Tuple[str, str]],
+) -> Tuple[Dict[Tuple[str, str], RunResult], SweepReport]:
+    """The (benchmark, policy) cells of the default system at this scale.
 
-    def __init__(self, settings: ExperimentSettings,
-                 config: Optional[SystemConfig] = None) -> None:
-        self.settings = settings
-        self.config = config or default_system()
-        self._results: Dict[Tuple[str, str], RunResult] = {}
-
-    def trace(self, benchmark: str):
-        # Delegates to the process-wide LRU trace cache, so traces are
-        # shared across SweepCache instances and pool workers alike.
-        return make_trace(
-            benchmark, self.settings.length, self.settings.seed
+    Runs through :func:`~repro.experiments.parallel.run_cells`, so a cell
+    another experiment already read in this process is not simulated
+    again. Returns the results by cell and the sweep's report.
+    """
+    requests = [
+        RunRequest(
+            benchmark=benchmark,
+            policy=policy,
+            length=settings.length,
+            seed=settings.seed,
+            warmup_fraction=settings.warmup_fraction,
         )
-
-    def result(self, benchmark: str, policy: str) -> RunResult:
-        key = (benchmark, policy)
-        if key not in self._results:
-            # The shared store lets every policy of a benchmark replay
-            # one captured front end (byte-identical results).
-            self._results[key] = run_trace(
-                self.trace(benchmark),
-                policy,
-                config=self.config,
-                seed=self.settings.seed,
-                warmup_fraction=self.settings.warmup_fraction,
-                store=default_store(),
-            )
-        return self._results[key]
-
-    def results_for(self, benchmark: str,
-                    policies: Sequence[str]) -> Dict[str, RunResult]:
-        return {p: self.result(benchmark, p) for p in policies}
-
-    def prefetch(self, cells: Optional[Sequence[Tuple[str, str]]] = None,
-                 jobs: Optional[int] = None):
-        """Fill missing (benchmark, policy) cells via the parallel engine.
-
-        Jobs carry exactly the arguments :meth:`result` would pass
-        serially, so a prefetched cell is indistinguishable from a
-        lazily computed one. Returns the :class:`SweepReport` for the
-        cells actually run, or ``None`` if everything was cached.
-        """
-        from .parallel import RunRequest, run_jobs
-
-        if cells is None:
-            cells = [(b, p) for b in self.settings.benchmarks
-                     for p in ALL_POLICIES]
-        missing = [c for c in dict.fromkeys(cells) if c not in self._results]
-        if not missing:
-            return None
-        requests = [
-            RunRequest(
-                benchmark=benchmark,
-                policy=policy,
-                length=self.settings.length,
-                seed=self.settings.seed,
-                warmup_fraction=self.settings.warmup_fraction,
-                config=self.config,
-            )
-            for benchmark, policy in missing
-        ]
-        report = run_jobs(requests, jobs=jobs if jobs is not None
-                          else self.settings.jobs)
-        for cell, job in zip(missing, report.results):
-            self._results[cell] = job.result
-        return report
-
-
-_shared_caches: Dict[Tuple[int, int, float], SweepCache] = {}
-
-
-def shared_cache(settings: ExperimentSettings) -> SweepCache:
-    """Process-wide cache so figure modules reuse each other's runs."""
-    key = (settings.length, settings.seed, settings.warmup_fraction)
-    if key not in _shared_caches:
-        _shared_caches[key] = SweepCache(settings)
-    return _shared_caches[key]
+        for benchmark, policy in cells
+    ]
+    results, report = run_cells(requests, jobs=settings.jobs)
+    return dict(zip(cells, results)), report
 
 
 def pct(x: float) -> str:

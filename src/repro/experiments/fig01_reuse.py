@@ -11,24 +11,24 @@ from __future__ import annotations
 from typing import Optional
 
 from ..workloads.benchmarks import FIG1_BENCHMARKS
-from .common import ExperimentSettings, Table, arithmetic_mean, shared_cache
+from .common import ExperimentSettings, Table, arithmetic_mean, sweep_results
 
 PAPER_AVERAGE_NR0 = 0.70  # ">70% of lines receive no hits"
 PAPER_AVERAGE_NR1 = 0.21
 
 
 def required_cells(settings: ExperimentSettings):
-    """Shared-sweep cells this figure reads (for parallel prefetch)."""
+    """The (benchmark, policy) cells this figure reads."""
     return [(b, "baseline") for b in FIG1_BENCHMARKS]
 
 
 def run(settings: Optional[ExperimentSettings] = None) -> Table:
     settings = settings or ExperimentSettings()
-    cache = shared_cache(settings)
+    results, report = sweep_results(settings, required_cells(settings))
     rows = []
     fractions = {"0": [], "1": [], "2": [], ">2": []}
     for benchmark in FIG1_BENCHMARKS:
-        result = cache.result(benchmark, "baseline")
+        result = results[(benchmark, "baseline")]
         histogram = result.l3.reuse_histogram
         total = sum(histogram.values()) or 1
         row = [benchmark]
@@ -49,16 +49,17 @@ def run(settings: Optional[ExperimentSettings] = None) -> Table:
             f"Paper: average NR=0 > {PAPER_AVERAGE_NR0:.0%}, "
             f"NR=1 ~ {PAPER_AVERAGE_NR1:.0%} of the remainder."
         ),
+        perf=report.lines(),
     )
 
 
 def average_nr0(settings: Optional[ExperimentSettings] = None) -> float:
     """Machine-readable headline number (used by tests/benches)."""
     settings = settings or ExperimentSettings()
-    cache = shared_cache(settings)
+    results, _ = sweep_results(settings, required_cells(settings))
     values = []
     for benchmark in FIG1_BENCHMARKS:
-        histogram = cache.result(benchmark, "baseline").l3.reuse_histogram
+        histogram = results[(benchmark, "baseline")].l3.reuse_histogram
         total = sum(histogram.values()) or 1
         values.append(histogram["0"] / total)
     return arithmetic_mean(values)

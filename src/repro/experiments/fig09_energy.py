@@ -8,15 +8,16 @@ them in the notes the same way.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from .common import (
     ExperimentSettings,
     Table,
     arithmetic_mean,
     pct,
-    shared_cache,
+    sweep_results,
 )
+from .parallel import SweepReport
 
 PAPER_AVERAGES = {
     ("slip", "L2"): 0.21,
@@ -30,31 +31,39 @@ PAPER_AVERAGES = {
 }
 
 
-def required_cells(settings: ExperimentSettings):
-    """Shared-sweep cells this figure reads (for parallel prefetch)."""
+Savings = Dict[str, Dict[str, Dict[str, float]]]
+
+
+def required_cells(settings: ExperimentSettings,
+                   policies: Sequence[str] = ("slip", "slip_abp")):
+    """The (benchmark, policy) cells this figure reads."""
     return [(b, p) for b in settings.benchmarks
-            for p in ("baseline", "slip", "slip_abp")]
+            for p in ("baseline", *policies)]
+
+
+def _savings(settings: ExperimentSettings,
+             policies: Sequence[str]) -> Tuple[Savings, SweepReport]:
+    results, report = sweep_results(
+        settings, required_cells(settings, policies)
+    )
+    out: Savings = {p: {"L2": {}, "L3": {}} for p in policies}
+    for benchmark in settings.benchmarks:
+        base = results[(benchmark, "baseline")]
+        for policy in policies:
+            result = results[(benchmark, policy)]
+            for level in ("L2", "L3"):
+                out[policy][level][benchmark] = result.energy_savings_over(
+                    base, level
+                )
+    return out, report
 
 
 def savings_by_benchmark(
     settings: Optional[ExperimentSettings] = None,
     policies=("slip", "slip_abp"),
-) -> Dict[str, Dict[str, Dict[str, float]]]:
+) -> Savings:
     """{policy: {level: {benchmark: savings}}} over the shared sweep."""
-    settings = settings or ExperimentSettings()
-    cache = shared_cache(settings)
-    out: Dict[str, Dict[str, Dict[str, float]]] = {
-        p: {"L2": {}, "L3": {}} for p in policies
-    }
-    for benchmark in settings.benchmarks:
-        base = cache.result(benchmark, "baseline")
-        for policy in policies:
-            result = cache.result(benchmark, policy)
-            for level in ("L2", "L3"):
-                out[policy][level][benchmark] = result.energy_savings_over(
-                    base, level
-                )
-    return out
+    return _savings(settings or ExperimentSettings(), policies)[0]
 
 
 def run(settings: Optional[ExperimentSettings] = None,
@@ -63,7 +72,7 @@ def run(settings: Optional[ExperimentSettings] = None,
     policies = ("slip", "slip_abp") + (
         ("nurapid", "lru_pea") if include_nuca else ()
     )
-    data = savings_by_benchmark(settings, policies)
+    data, report = _savings(settings, policies)
     rows = []
     for benchmark in settings.benchmarks:
         rows.append(
@@ -93,4 +102,5 @@ def run(settings: Optional[ExperimentSettings] = None,
             "Paper averages: SLIP 21%/13% (L2/L3), SLIP+ABP 35%/22%; "
             "NuRAPID -84%/-94%, LRU-PEA -79%/-83% (they increase energy)."
         ),
+        perf=report.lines(),
     )

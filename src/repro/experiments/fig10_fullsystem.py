@@ -16,29 +16,29 @@ from .common import (
     Table,
     arithmetic_mean,
     pct,
-    shared_cache,
+    sweep_results,
 )
 
 PAPER_AVERAGES = {"slip": 0.0073, "slip_abp": 0.0168}
 
 
 def required_cells(settings: ExperimentSettings):
-    """Shared-sweep cells this figure reads (for parallel prefetch)."""
+    """The (benchmark, policy) cells this figure reads."""
     return [(b, p) for b in settings.benchmarks
             for p in ("baseline", "slip", "slip_abp")]
 
 
 def run(settings: Optional[ExperimentSettings] = None) -> Table:
     settings = settings or ExperimentSettings()
-    cache = shared_cache(settings)
+    results, report = sweep_results(settings, required_cells(settings))
     policies = ("slip", "slip_abp")
     rows = []
     sums = {p: [] for p in policies}
     for benchmark in settings.benchmarks:
-        base = cache.result(benchmark, "baseline")
+        base = results[(benchmark, "baseline")]
         row = [benchmark]
         for policy in policies:
-            saving = cache.result(benchmark, policy).full_system_savings_over(
+            saving = results[(benchmark, policy)].full_system_savings_over(
                 base
             )
             sums[policy].append(saving)
@@ -52,4 +52,5 @@ def run(settings: Optional[ExperimentSettings] = None) -> Table:
         headers=["benchmark", "slip", "slip_abp"],
         rows=rows,
         notes="Paper averages: SLIP +0.73%, SLIP+ABP +1.68%.",
+        perf=report.lines(),
     )

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..mem.stats import LevelStats
-from .common import ALL_POLICIES, ExperimentSettings, Table, shared_cache
+from .common import ALL_POLICIES, ExperimentSettings, Table, sweep_results
+from .parallel import SweepReport
 
 
 def breakdown(stats: LevelStats) -> Tuple[float, float]:
@@ -29,36 +30,43 @@ def breakdown(stats: LevelStats) -> Tuple[float, float]:
 
 
 def required_cells(settings: ExperimentSettings):
-    """Shared-sweep cells this figure reads (for parallel prefetch)."""
+    """The (benchmark, policy) cells this figure reads."""
     return [(b, p) for b in settings.benchmarks for p in ALL_POLICIES]
+
+
+Breakdowns = Dict[str, Dict[str, Tuple[float, float]]]
+
+
+def _breakdowns(settings: ExperimentSettings,
+                level: str) -> Tuple[Breakdowns, SweepReport]:
+    results, report = sweep_results(settings, required_cells(settings))
+    out: Breakdowns = {}
+    for benchmark in settings.benchmarks:
+        base = results[(benchmark, "baseline")]
+        stats = {"L2": base.l2, "L3": base.l3}[level]
+        base_total = sum(breakdown(stats)) or 1.0
+        per_policy = {}
+        for policy in ALL_POLICIES:
+            result = results[(benchmark, policy)]
+            stats = {"L2": result.l2, "L3": result.l3}[level]
+            access, movement = breakdown(stats)
+            per_policy[policy] = (access / base_total, movement / base_total)
+        out[benchmark] = per_policy
+    return out, report
 
 
 def normalized_breakdowns(
     settings: Optional[ExperimentSettings] = None,
     level: str = "L2",
-) -> Dict[str, Dict[str, Tuple[float, float]]]:
+) -> Breakdowns:
     """{benchmark: {policy: (access, movement)}} normalized to baseline."""
-    settings = settings or ExperimentSettings()
-    cache = shared_cache(settings)
-    out: Dict[str, Dict[str, Tuple[float, float]]] = {}
-    for benchmark in settings.benchmarks:
-        base = cache.result(benchmark, "baseline")
-        stats = {"L2": base.l2, "L3": base.l3}[level]
-        base_total = sum(breakdown(stats)) or 1.0
-        per_policy = {}
-        for policy in ALL_POLICIES:
-            result = cache.result(benchmark, policy)
-            stats = {"L2": result.l2, "L3": result.l3}[level]
-            access, movement = breakdown(stats)
-            per_policy[policy] = (access / base_total, movement / base_total)
-        out[benchmark] = per_policy
-    return out
+    return _breakdowns(settings or ExperimentSettings(), level)[0]
 
 
 def run(settings: Optional[ExperimentSettings] = None,
         level: str = "L2") -> Table:
     settings = settings or ExperimentSettings()
-    data = normalized_breakdowns(settings, level)
+    data, report = _breakdowns(settings, level)
     rows = []
     for benchmark, per_policy in data.items():
         row = [benchmark]
@@ -78,4 +86,5 @@ def run(settings: Optional[ExperimentSettings] = None,
             "access energy but multiply movement energy; SLIP lowers the "
             "sum below 1.0."
         ),
+        perf=report.lines(),
     )

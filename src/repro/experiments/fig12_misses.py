@@ -17,7 +17,7 @@ from .common import (
     ExperimentSettings,
     Table,
     arithmetic_mean,
-    shared_cache,
+    sweep_results,
 )
 
 PAPER_AVERAGES = {
@@ -29,7 +29,7 @@ PAPER_AVERAGES = {
 
 
 def required_cells(settings: ExperimentSettings):
-    """Shared-sweep cells this figure reads (for parallel prefetch)."""
+    """The (benchmark, policy) cells this figure reads."""
     return [(b, p) for b in settings.benchmarks
             for p in ("baseline", "slip", "slip_abp")]
 
@@ -37,16 +37,16 @@ def required_cells(settings: ExperimentSettings):
 def run(settings: Optional[ExperimentSettings] = None,
         level: str = "L2") -> Table:
     settings = settings or ExperimentSettings()
-    cache = shared_cache(settings)
+    results, report = sweep_results(settings, required_cells(settings))
     policies = ("slip", "slip_abp")
     rows = []
     rel = {p: [] for p in policies}
     demand_only = {p: [] for p in policies}
     for benchmark in settings.benchmarks:
-        base = cache.result(benchmark, "baseline")
+        base = results[(benchmark, "baseline")]
         row = [benchmark]
         for policy in policies:
-            result = cache.result(benchmark, policy)
+            result = results[(benchmark, policy)]
             relative = result.relative_misses(base, level)
             rel[policy].append(relative)
             base_demand = base.miss_traffic(level)["demand"] or 1
@@ -70,4 +70,5 @@ def run(settings: Optional[ExperimentSettings] = None,
             "Cells: total-including-metadata (demand-only). Paper "
             "averages (total): L2 0.983/0.976, L3 0.990/0.978."
         ),
+        perf=report.lines(),
     )

@@ -17,7 +17,7 @@ from .common import (
     Table,
     arithmetic_mean,
     pct,
-    shared_cache,
+    sweep_results,
 )
 
 PAPER_AVERAGES = {
@@ -31,21 +31,21 @@ POLICIES = ("nurapid", "lru_pea", "slip", "slip_abp")
 
 
 def required_cells(settings: ExperimentSettings):
-    """Shared-sweep cells this figure reads (for parallel prefetch)."""
+    """The (benchmark, policy) cells this figure reads."""
     return [(b, p) for b in settings.benchmarks
             for p in ("baseline",) + POLICIES]
 
 
 def run(settings: Optional[ExperimentSettings] = None) -> Table:
     settings = settings or ExperimentSettings()
-    cache = shared_cache(settings)
+    results, report = sweep_results(settings, required_cells(settings))
     rows = []
     sums = {p: [] for p in POLICIES}
     for benchmark in settings.benchmarks:
-        base = cache.result(benchmark, "baseline")
+        base = results[(benchmark, "baseline")]
         row = [benchmark]
         for policy in POLICIES:
-            speedup = cache.result(benchmark, policy).speedup_over(base)
+            speedup = results[(benchmark, policy)].speedup_over(base)
             sums[policy].append(speedup)
             row.append(pct(speedup))
         rows.append(row)
@@ -60,4 +60,5 @@ def run(settings: Optional[ExperimentSettings] = None) -> Table:
             "Paper averages: +0.06% / +0.16% / +0.24% / +0.75%; all "
             "policies within ~1% because DRAM time dominates."
         ),
+        perf=report.lines(),
     )

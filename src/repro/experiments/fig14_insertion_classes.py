@@ -10,39 +10,48 @@ and that multi-chunk non-bypassing SLIPs are rarely optimal.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from .common import ExperimentSettings, Table, shared_cache
+from .common import ExperimentSettings, Table, sweep_results
+from .parallel import SweepReport
 
 PAPER = {"L2_bypass": 0.27, "L3_bypass": 0.14}
 CLASSES = ("abp", "partial_bypass", "default", "other")
 
 
-def required_cells(settings: ExperimentSettings):
-    """Shared-sweep cells this figure reads (for parallel prefetch)."""
-    return [(b, "slip_abp") for b in settings.benchmarks]
+Fractions = Dict[str, Dict[str, float]]
 
 
-def class_fractions(settings: Optional[ExperimentSettings] = None,
-                    policy: str = "slip_abp",
-                    level: str = "L2") -> Dict[str, Dict[str, float]]:
-    settings = settings or ExperimentSettings()
-    cache = shared_cache(settings)
+def required_cells(settings: ExperimentSettings, policy: str = "slip_abp"):
+    """The (benchmark, policy) cells this figure reads."""
+    return [(b, policy) for b in settings.benchmarks]
+
+
+def _fractions(settings: ExperimentSettings, policy: str,
+               level: str) -> Tuple[Fractions, SweepReport]:
+    results, report = sweep_results(settings,
+                                    required_cells(settings, policy))
     out = {}
     for benchmark in settings.benchmarks:
-        result = cache.result(benchmark, policy)
+        result = results[(benchmark, policy)]
         stats = {"L2": result.l2, "L3": result.l3}[level]
         total = sum(stats.insertions_by_class.values()) or 1
         out[benchmark] = {
             cls: stats.insertions_by_class[cls] / total for cls in CLASSES
         }
-    return out
+    return out, report
+
+
+def class_fractions(settings: Optional[ExperimentSettings] = None,
+                    policy: str = "slip_abp",
+                    level: str = "L2") -> Fractions:
+    return _fractions(settings or ExperimentSettings(), policy, level)[0]
 
 
 def run(settings: Optional[ExperimentSettings] = None,
         level: str = "L2") -> Table:
     settings = settings or ExperimentSettings()
-    data = class_fractions(settings, level=level)
+    data, report = _fractions(settings, "slip_abp", level)
     rows = []
     totals = {cls: [] for cls in CLASSES}
     for benchmark, fracs in data.items():
@@ -66,4 +75,5 @@ def run(settings: Optional[ExperimentSettings] = None,
             "Paper: 27% of L2 and 14% of L3 insertions fully bypassed; "
             "ABP+partial+default cover >95%."
         ),
+        perf=report.lines(),
     )

@@ -9,27 +9,26 @@ energy-aware insertion.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .common import ALL_POLICIES, ExperimentSettings, Table, shared_cache
+from .common import ALL_POLICIES, ExperimentSettings, Table, sweep_results
+from .parallel import SweepReport
 
 
 def required_cells(settings: ExperimentSettings):
-    """Shared-sweep cells this figure reads (for parallel prefetch)."""
+    """The (benchmark, policy) cells this figure reads."""
     return [(b, p) for b in settings.benchmarks for p in ALL_POLICIES]
 
 
-def average_fractions(settings: Optional[ExperimentSettings] = None,
-                      level: str = "L2") -> Dict[str, List[float]]:
-    """{policy: [frac_sublevel0, frac1, frac2]} averaged over benchmarks."""
-    settings = settings or ExperimentSettings()
-    cache = shared_cache(settings)
+def _averages(settings: ExperimentSettings,
+              level: str) -> Tuple[Dict[str, List[float]], SweepReport]:
+    results, report = sweep_results(settings, required_cells(settings))
     out: Dict[str, List[float]] = {}
     for policy in ALL_POLICIES:
         sums = [0.0, 0.0, 0.0]
         count = 0
         for benchmark in settings.benchmarks:
-            result = cache.result(benchmark, policy)
+            result = results[(benchmark, policy)]
             stats = {"L2": result.l2, "L3": result.l3}[level]
             fractions = stats.sublevel_access_fractions()
             if sum(fractions) == 0:
@@ -38,13 +37,19 @@ def average_fractions(settings: Optional[ExperimentSettings] = None,
                 sums[i] += f
             count += 1
         out[policy] = [s / count if count else 0.0 for s in sums]
-    return out
+    return out, report
+
+
+def average_fractions(settings: Optional[ExperimentSettings] = None,
+                      level: str = "L2") -> Dict[str, List[float]]:
+    """{policy: [frac_sublevel0, frac1, frac2]} averaged over benchmarks."""
+    return _averages(settings or ExperimentSettings(), level)[0]
 
 
 def run(settings: Optional[ExperimentSettings] = None,
         level: str = "L2") -> Table:
     settings = settings or ExperimentSettings()
-    data = average_fractions(settings, level)
+    data, report = _averages(settings, level)
     rows = [
         [policy] + [f"{f:.1%}" for f in data[policy]]
         for policy in ALL_POLICIES
@@ -58,4 +63,5 @@ def run(settings: Optional[ExperimentSettings] = None,
             "policies shift toward sublevel 0; NuRAPID/LRU-PEA furthest, "
             "at great movement-energy cost."
         ),
+        perf=report.lines(),
     )

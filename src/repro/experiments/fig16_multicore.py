@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 from ..sim.multi_core import MulticoreResult
 from ..workloads.mixes import MULTICORE_MIXES, mix_name
 from .common import ExperimentSettings, Table, arithmetic_mean, pct
-from .parallel import MixRequest, SweepReport, run_jobs
+from .parallel import MixRequest, SweepReport, run_cells
 
 PAPER = {"L3": 0.47, "DRAM": 0.055}
 
@@ -28,8 +28,10 @@ def mix_results(
     """Per-core trace length defaults to the full settings length: the
     shared L3 needs as much page-learning time as the single-core runs.
 
-    Every (mix, policy) cell is an independent job, fanned out across
-    ``settings.jobs`` workers; returns the results plus the sweep's
+    Every (mix, policy) cell goes through
+    :func:`~repro.experiments.parallel.run_cells`: a cell already run in
+    this process is served from its memo, the rest fan out across
+    ``settings.jobs`` workers. Returns the results plus the sweep's
     timing report.
     """
     settings = settings or ExperimentSettings()
@@ -45,11 +47,11 @@ def mix_results(
         for mix in MULTICORE_MIXES
         for policy in policies
     ]
-    report = run_jobs(requests, jobs=settings.jobs)
-    jobs = iter(report.results)
+    results, report = run_cells(requests, jobs=settings.jobs)
+    cells = iter(results)
     out: Dict[Tuple[str, str], Dict[str, MulticoreResult]] = {}
     for mix in MULTICORE_MIXES:
-        out[mix] = {policy: next(jobs).result for policy in policies}
+        out[mix] = {policy: next(cells) for policy in policies}
     return out, report
 
 

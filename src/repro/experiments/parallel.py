@@ -6,7 +6,9 @@ embarrassingly parallel. This module turns one cell into a picklable
 job descriptor (:class:`RunRequest` / :class:`MixRequest`), executes
 batches of them either in-process or on a ``ProcessPoolExecutor``, and
 reports per-job wall-clock and throughput so fan-out efficiency is
-visible in every run.
+visible in every run. Experiments get their results through
+:func:`run_cells`, which serves each distinct request once per process
+and fans the rest out through :func:`run_jobs`.
 
 Determinism contract: a job's entire behaviour is a pure function of
 its request. Workers regenerate traces through the LRU-cached trace
@@ -19,14 +21,14 @@ Worker count comes from the explicit ``jobs`` argument, else the
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..sim.config import SystemConfig
+from ..sim.config import SystemConfig, default_system
 from ..sim.multi_core import MulticoreResult, run_mix
 from ..sim.results import RunResult
 from ..sim.single_core import run_trace
@@ -51,17 +53,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs is None:
         jobs = 1
     return max(1, jobs)
-
-
-def derive_seed(base_seed: int, *components) -> int:
-    """A deterministic per-job seed decorrelated from ``base_seed``.
-
-    Sweeps that replicate the serial harness keep the base seed as-is
-    (the serial loops run every cell with ``settings.seed``); use this
-    for statistical replication jobs that must not share RNG streams.
-    """
-    salt = zlib.crc32(repr(components).encode())
-    return (base_seed * 1_000_003 + salt) % (1 << 31)
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +166,8 @@ class SweepReport:
     jobs: int
     elapsed_seconds: float
     results: List[JobResult] = field(default_factory=list)
+    #: Cells :func:`run_cells` served from its memo, without simulating.
+    memo_hits: int = 0
 
     @property
     def busy_seconds(self) -> float:
@@ -213,7 +206,8 @@ class SweepReport:
                     f"{job.accesses_per_sec:,.0f} acc/s (pid {job.pid})"
                 )
         out.append(
-            f"[sweep] {len(self.results)} jobs on {self.jobs} worker(s) "
+            f"[sweep] {len(self.results)} jobs, {self.memo_hits} from "
+            f"memo, on {self.jobs} worker(s) "
             f"({len(self.worker_pids())} process(es)): "
             f"{self.elapsed_seconds:.2f}s wall, "
             f"{self.busy_seconds:.2f}s serial-equivalent, "
@@ -244,6 +238,40 @@ def run_jobs(requests: Iterable[Request],
             results = list(pool.map(execute_request, request_list))
     elapsed = time.perf_counter() - started
     return SweepReport(jobs=jobs, elapsed_seconds=elapsed, results=results)
+
+
+#: Every result :func:`run_cells` has returned in this process, keyed by
+#: its request with ``config=None`` normalised to the Table 1 system.
+#: Only ``run_cells`` reads it: ``run_jobs`` and ``execute_request``
+#: simulate every request they are given.
+_MEMO: Dict[Request, Result] = {}
+
+
+def _memo_key(request: Request) -> Request:
+    if request.config is None:
+        return dataclasses.replace(request, config=default_system())
+    return request
+
+
+def run_cells(requests: Iterable[Request],
+              jobs: Optional[int] = None) -> Tuple[List[Result], SweepReport]:
+    """The experiment suite's one way to get results.
+
+    Returns the results in request order and the report of the cells
+    that were simulated. A request seen before in this process is
+    served from the memo; the distinct unseen ones run through
+    :func:`run_jobs` and the parent keeps what the workers return. A
+    result is a pure function of its request, so a served cell is the
+    same bytes a fresh simulation would give; the report counts the
+    served cells in ``memo_hits``.
+    """
+    keys = [_memo_key(request) for request in requests]
+    misses = [key for key in dict.fromkeys(keys) if key not in _MEMO]
+    report = run_jobs(misses, jobs=jobs)
+    for job in report.results:
+        _MEMO[job.request] = job.result
+    report.memo_hits = len(keys) - len(misses)
+    return [_MEMO[key] for key in keys], report
 
 
 def sweep_requests(

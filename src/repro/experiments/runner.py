@@ -13,12 +13,14 @@ Usage::
 Each experiment prints a formatted table with the paper's reference
 numbers in the notes, so paper-vs-measured comparison is immediate.
 
-With ``--jobs N`` (or ``REPRO_EXP_JOBS``) the harness fans out across
-worker processes: the shared single-core sweep is prefetched in
-parallel across its (benchmark, policy) cells before the figure
-modules format their slices, and sweep-owning experiments (ablations,
-fig16) fan their own grids out the same way. Worker count only changes
-wall-clock — tables are byte-identical for any ``--jobs``.
+Every experiment reads its cells through one process-wide memo
+(:func:`repro.experiments.parallel.run_cells`): a cell an earlier
+experiment already ran (fig09's row that each ablation repeats, say)
+is served without simulating, and each table's ``[sweep]`` line says
+how many cells came from the memo. With ``--jobs N`` (or
+``REPRO_EXP_JOBS``) each experiment fans its unseen cells out across
+worker processes. Worker count only changes wall-clock — tables are
+byte-identical for any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import dataclasses
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from .common import ExperimentSettings, Table, shared_cache
+from .common import ExperimentSettings, Table
 from .parallel import resolve_jobs
 from . import (
     ablations,
@@ -72,24 +74,6 @@ EXPERIMENTS: Dict[str, Runner] = {
     "ablation-sampling": ablations.run_sampling,
 }
 
-#: Experiments that read the shared single-core sweep, mapped to the
-#: (benchmark, policy) cells they need. The runner unions these over
-#: the selected experiments and prefetches them in parallel.
-SWEEP_CELLS: Dict[str, Callable[[ExperimentSettings], list]] = {
-    "fig01": fig01_reuse.required_cells,
-    "fig09": fig09_energy.required_cells,
-    "fig10": fig10_fullsystem.required_cells,
-    "fig11-l2": fig11_breakdown.required_cells,
-    "fig11-l3": fig11_breakdown.required_cells,
-    "fig12-l2": fig12_misses.required_cells,
-    "fig12-l3": fig12_misses.required_cells,
-    "fig13": fig13_speedup.required_cells,
-    "fig14-l2": fig14_insertion_classes.required_cells,
-    "fig14-l3": fig14_insertion_classes.required_cells,
-    "fig15-l2": fig15_sublevel_fractions.required_cells,
-    "fig15-l3": fig15_sublevel_fractions.required_cells,
-}
-
 
 def settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
     """Build settings from CLI flags, honouring explicit zeros.
@@ -105,25 +89,6 @@ def settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
     if args.jobs is not None:
         kwargs["jobs"] = args.jobs
     return ExperimentSettings(**kwargs)
-
-
-def prefetch_shared_sweep(names: List[str],
-                          settings: ExperimentSettings):
-    """Warm the shared sweep for the selected experiments in parallel.
-
-    Returns the engine's SweepReport (None when nothing was missing or
-    no selected experiment uses the shared sweep).
-    """
-    cells: List[Tuple[str, str]] = []
-    for name in names:
-        cells_fn = SWEEP_CELLS.get(name)
-        if cells_fn is not None:
-            cells.extend(cells_fn(settings))
-    if not cells:
-        return None
-    # Deduplicate, keep deterministic order for stable job numbering.
-    cells = sorted(set(cells))
-    return shared_cache(settings).prefetch(cells, jobs=settings.jobs)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -201,13 +166,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     def run_selected() -> None:
         overall_started = time.time()
-        if jobs > 1:
-            report = prefetch_shared_sweep(names, settings)
-            if report is not None:
-                # Timing lines only (all "["-prefixed): table bodies
-                # must stay byte-identical to a serial run.
-                print("\n".join(report.lines()))
-
         for name in names:
             runner = EXPERIMENTS[name]
             started = time.time()

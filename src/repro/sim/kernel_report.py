@@ -3,16 +3,12 @@
 All three batched kernels (:mod:`~repro.sim.vector_replay`,
 :mod:`~repro.sim.vector_replay_slip`,
 :mod:`~repro.sim.vector_frontend`) record their outcome through this
-module, so three things can never drift apart:
+module, so two things can never drift apart:
 
 * the structured per-hierarchy record
   (:class:`~repro.mem.hierarchy.KernelDeclines` on
-  ``hierarchy.kernel_declines``) tests and benches assert on;
-* the one stderr decline format — ``vector-<kernel>: decline
-  (<reason>)`` — gated by the kernel's ``REPRO_VECTOR_*_DEBUG``
-  variable (``replay`` and the SLIP replay share
-  ``REPRO_VECTOR_REPLAY_DEBUG``; the capture kernel uses
-  ``REPRO_VECTOR_FRONTEND_DEBUG``);
+  ``hierarchy.kernel_declines``) tests and benches assert on (``replay``
+  for both replay kernels, ``frontend`` for the capture kernel);
 * the process-wide tallies behind ``slip-experiments
   --kernel-report``: kernel runs and a per-reason decline histogram,
   per kernel. The tallies are in-process only — with ``--jobs > 1``
@@ -23,34 +19,14 @@ module, so three things can never drift apart:
 
 from __future__ import annotations
 
-import os
-import sys
 from collections import Counter
 from typing import Dict, List
 
-_FALSEY = ("0", "false", "no", "off")
-
-#: hierarchy.kernel_declines field name -> debug env var.
-KERNEL_DEBUG_ENVS: Dict[str, str] = {
-    "replay": "REPRO_VECTOR_REPLAY_DEBUG",
-    "frontend": "REPRO_VECTOR_FRONTEND_DEBUG",
-}
+#: The hierarchy.kernel_declines field names, one per reported kernel.
+KERNELS = ("frontend", "replay")
 
 _RUNS: Counter = Counter()
-_DECLINES: Dict[str, Counter] = {kernel: Counter()
-                                 for kernel in KERNEL_DEBUG_ENVS}
-
-
-def debug_flag(env_var: str) -> bool:
-    """One truthy-env convention for the kernel debug toggles.
-
-    ``REPRO_VECTOR_REPLAY_DEBUG`` and ``REPRO_VECTOR_FRONTEND_DEBUG``
-    both resolve through here (empty/unset is off, and the usual falsey
-    spellings stay off), so the two decline-echo switches can never
-    drift apart.
-    """
-    value = os.environ.get(env_var, "").strip().lower()
-    return bool(value) and value not in _FALSEY
+_DECLINES: Dict[str, Counter] = {kernel: Counter() for kernel in KERNELS}
 
 
 def record_decline(hierarchy, kernel: str, reason: str) -> None:
@@ -58,14 +34,10 @@ def record_decline(hierarchy, kernel: str, reason: str) -> None:
 
     The reason lands on the matching ``hierarchy.kernel_declines``
     field so tests and benches can assert *why* a cell fell back to
-    the scalar walk instead of inferring it from timings; with the
-    kernel's debug env var set, the reason is also echoed to stderr
-    (stdout stays reserved for deterministic experiment output).
+    the scalar walk instead of inferring it from timings.
     """
     setattr(hierarchy.kernel_declines, kernel, reason)
     _DECLINES[kernel][reason] += 1
-    if debug_flag(KERNEL_DEBUG_ENVS[kernel]):
-        print(f"vector-{kernel}: decline ({reason})", file=sys.stderr)
 
 
 def record_success(hierarchy, kernel: str) -> None:
@@ -90,7 +62,7 @@ def kernel_report_lines() -> List[str]:
     pool), not on the experiment's deterministic output.
     """
     lines = []
-    for kernel in sorted(KERNEL_DEBUG_ENVS):
+    for kernel in KERNELS:
         runs = _RUNS[kernel]
         declines = _DECLINES[kernel]
         line = (f"[kernel-report] vector-{kernel}: {runs} kernel "

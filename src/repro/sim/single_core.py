@@ -2,17 +2,16 @@
 
 :func:`run_trace` builds one hierarchy, hands it to
 :func:`repro.sim.filtered.simulate` with its trace and collects a
-:class:`~repro.sim.results.RunResult` with timing; the benchmark, sweep
-and suite helpers below generate the traces and fan cells out.
+:class:`~repro.sim.results.RunResult` with timing; the benchmark and
+sweep helpers below generate the traces and fan cells out.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..core.energy_model import LevelEnergyParams
 from ..workloads.benchmarks import make_trace
-from ..workloads.capture_store import default_store
 from ..workloads.trace import Trace
 from .build import build_hierarchy
 from .config import SystemConfig, default_system
@@ -87,46 +86,15 @@ def run_policy_sweep(
 
     ``jobs > 1`` fans the policies out across worker processes; results
     are identical to the serial run because each worker regenerates the
-    trace deterministically through the shared trace cache.
+    trace deterministically through the shared trace cache, and every
+    policy replays one capture of the trace's front end through the
+    shared store.
     """
-    config = config or default_system()
     policies = list(policies)
     # Imported lazily: the experiments package imports this module.
-    from ..experiments.parallel import resolve_jobs, run_policy_grid
-
-    if resolve_jobs(jobs) > 1 and len(policies) > 1:
-        results, _ = run_policy_grid(
-            [benchmark], policies, length, seed=seed, config=config,
-            jobs=jobs,
-        )
-        return {policy: results[(benchmark, policy)] for policy in policies}
-    # Serial path: the shared store lets every policy replay one
-    # capture of the trace's policy-invariant front end.
-    trace = make_trace(benchmark, length, seed)
-    return {
-        policy: run_trace(trace, policy, config=config, seed=seed,
-                          store=default_store())
-        for policy in policies
-    }
-
-
-def run_benchmark_suite(
-    benchmarks: Sequence[str],
-    policies: Sequence[str],
-    length: int = 200_000,
-    config: Optional[SystemConfig] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> Dict[Tuple[str, str], RunResult]:
-    """Run a whole (benchmark x policy) grid, optionally in parallel.
-
-    The workhorse behind figure sweeps: every cell is an independent
-    simulation, so wall-clock scales down with ``jobs`` while the
-    result dict stays byte-identical to a serial run.
-    """
     from ..experiments.parallel import run_policy_grid
 
     results, _ = run_policy_grid(
-        benchmarks, policies, length, seed=seed, config=config, jobs=jobs,
+        [benchmark], policies, length, seed=seed, config=config, jobs=jobs,
     )
-    return results
+    return {policy: results[(benchmark, policy)] for policy in policies}

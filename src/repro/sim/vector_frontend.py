@@ -49,8 +49,8 @@ L1, or a sublevel-partitioned L1 geometry (the kernel's closed-form
 latency ``(n - warmup) * latency_cycles`` needs uniform way
 latencies). The driver asks :func:`frontend_eligible` first and walks
 such cells. Declines are recorded on
-``hierarchy.kernel_declines.frontend`` — echoed to stderr under
-``REPRO_VECTOR_FRONTEND_DEBUG=1`` — mirroring the replay kernels'
+``hierarchy.kernel_declines.frontend`` and tallied for
+``slip-experiments --kernel-report``, mirroring the replay kernels'
 ``kernel_declines.replay`` contract. Every kernel capture is audited by
 the always-on ``vector-frontend-conservation`` invariant before it is
 published.
@@ -77,41 +77,30 @@ from ..workloads.capture_store import (
 )
 from ..workloads.trace import Trace
 from .config import SystemConfig, line_to_page_shift
-from .kernel_report import record_decline as _record_decline
-from .kernel_report import record_success
+from .kernel_report import record_decline, record_success
 from .vector_replay import _set_runs
-
-def record_decline(hierarchy, reason: str) -> None:
-    """Remember why the capture kernel bypassed this hierarchy.
-
-    Same contract as :func:`repro.sim.vector_replay.record_decline`: a
-    thin wrapper over :func:`repro.sim.kernel_report.record_decline`,
-    which owns the structured record, the decline tallies, and the
-    shared stderr format.
-    """
-    _record_decline(hierarchy, "frontend", reason)
-
 
 def frontend_eligible(hierarchy) -> bool:
     """Whether a hierarchy's front end matches the kernel's model.
 
     Exact-type checks, like the replay kernels: anything but the stock
     uniform-LRU L1 over a baseline-kind TLB path walks, recording its
-    reason via :func:`record_decline`.
+    reason via :func:`~repro.sim.kernel_report.record_decline`.
     """
     if hierarchy.simcheck is not None:
-        record_decline(hierarchy, "simcheck")
+        record_decline(hierarchy, "frontend", "simcheck")
         return False
     l1 = hierarchy.l1
     if type(l1.replacement) is not LruReplacement:
         record_decline(
-            hierarchy, f"l1-replacement:{type(l1.replacement).__name__}")
+            hierarchy, "frontend",
+            f"l1-replacement:{type(l1.replacement).__name__}")
         return False
     if l1.track_metadata_energy:
-        record_decline(hierarchy, "l1-metadata-energy")
+        record_decline(hierarchy, "frontend", "l1-metadata-energy")
         return False
     if l1.cfg.sublevel_ways:
-        record_decline(hierarchy, "l1-geometry")
+        record_decline(hierarchy, "frontend", "l1-geometry")
         return False
     return True
 

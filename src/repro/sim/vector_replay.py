@@ -84,22 +84,10 @@ from ..workloads.capture_store import (
     OP_WRITEBACK,
     TraceCapture,
 )
-from .kernel_report import record_decline as _record_decline
-from .kernel_report import record_success
+from .kernel_report import record_decline, record_success
 
 #: Sentinel opcode for empty slots of the interleaved L3 stream.
 _OP_NONE = 255
-
-
-def record_decline(hierarchy, reason: str) -> None:
-    """Remember why a replay kernel bypassed this hierarchy.
-
-    Thin wrapper over :func:`repro.sim.kernel_report.record_decline`
-    (which owns the structured record, the decline tallies, and the
-    shared stderr format) kept under the historical name because the
-    SLIP replay kernel and the tests import it from here.
-    """
-    _record_decline(hierarchy, "replay", reason)
 
 
 def eligible_kind(hierarchy) -> Optional[str]:
@@ -108,22 +96,23 @@ def eligible_kind(hierarchy) -> Optional[str]:
     Exact-type checks throughout: a subclassed placement or replacement
     could observe events the kernel never generates, so anything but
     the stock trio falls back to the scalar golden path. Each bypass
-    records its reason via :func:`record_decline` (SLIP kinds land in
+    records its reason via
+    :func:`~repro.sim.kernel_report.record_decline` (SLIP kinds land in
     the generic placement bucket here; their own kernel records the
     precise reason in :func:`repro.sim.vector_replay_slip.
     slip_eligible`).
     """
     if hierarchy.simcheck is not None:
-        record_decline(hierarchy, "simcheck")
+        record_decline(hierarchy, "replay", "simcheck")
         return None
     l2, l3 = hierarchy.l2, hierarchy.l3
     if l2.track_metadata_energy or l3.track_metadata_energy:
-        record_decline(hierarchy, "metadata-energy")
+        record_decline(hierarchy, "replay", "metadata-energy")
         return None
     t = type(hierarchy.l2_placement)
     if type(hierarchy.l3_placement) is not t:
         record_decline(
-            hierarchy,
+            hierarchy, "replay",
             f"placement:mismatched:{t.__name__}/"
             f"{type(hierarchy.l3_placement).__name__}")
         return None
@@ -135,15 +124,15 @@ def eligible_kind(hierarchy) -> Optional[str]:
     elif t is LruPeaPlacement:
         if r2 is PeaLruReplacement and r3 is PeaLruReplacement:
             return "lru_pea"
-        record_decline(
-            hierarchy, f"replacement:{r2.__name__}/{r3.__name__}")
+        record_decline(hierarchy, "replay",
+                       f"replacement:{r2.__name__}/{r3.__name__}")
         return None
     else:
-        record_decline(hierarchy, f"placement:{t.__name__}")
+        record_decline(hierarchy, "replay", f"placement:{t.__name__}")
         return None
     if r2 is not LruReplacement or r3 is not LruReplacement:
-        record_decline(
-            hierarchy, f"replacement:{r2.__name__}/{r3.__name__}")
+        record_decline(hierarchy, "replay",
+                       f"replacement:{r2.__name__}/{r3.__name__}")
         return None
     return kind
 

@@ -78,7 +78,7 @@ capture is taken: SimCheck, non-SLIP placements, foreign runtimes
 and Random replacement, cores that do not share one L3, a shared-L3
 router whose runtimes are not the cores' own in core order, and a
 profile key that routes to another core's runtime (reason
-recorded via :func:`repro.sim.vector_replay.record_decline`).
+recorded via :func:`repro.sim.kernel_report.record_decline`).
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ from ..mem.replacement import (
 from ..mem.tlb import PTES_PER_LINE, PTE_TABLE_BASE
 from ..workloads.capture_store import TraceCapture
 from ..workloads.trace import Trace
-from .kernel_report import record_success
+from .kernel_report import record_decline, record_success
 from .vector_frontend import _tlb_miss_positions
-from .vector_replay import merge_by_access, record_decline
+from .vector_replay import merge_by_access
 
 _INF = float("inf")
 
@@ -163,27 +163,27 @@ class SlipLevelTally:
 def _core_eligible(hierarchy) -> bool:
     """The per-core half of :func:`slip_eligible`."""
     if hierarchy.simcheck is not None:
-        record_decline(hierarchy, "simcheck")
+        record_decline(hierarchy, "replay", "simcheck")
         return False
     runtime = hierarchy.runtime
     if not getattr(runtime, "slip_enabled", False):
-        record_decline(hierarchy, "kind:not-slip")
+        record_decline(hierarchy, "replay", "kind:not-slip")
         return False
     for level, placement in ((hierarchy.l2, hierarchy.l2_placement),
                              (hierarchy.l3, hierarchy.l3_placement)):
         if type(placement) is not SlipPlacement:
             record_decline(
-                hierarchy,
+                hierarchy, "replay",
                 f"placement:{level.cfg.name}:{type(placement).__name__}")
             return False
         if type(level.replacement) not in _REPLACEMENTS:
             record_decline(
-                hierarchy,
+                hierarchy, "replay",
                 f"replacement:{level.cfg.name}:"
                 f"{type(level.replacement).__name__}")
             return False
     if hierarchy.l2_placement._paged_runtime is not runtime:
-        record_decline(hierarchy,
+        record_decline(hierarchy, "replay",
                        f"runtime:{hierarchy.l2.cfg.name}:foreign")
         return False
     return True
@@ -216,7 +216,7 @@ def slip_eligible(hierarchies: Sequence, traces: Sequence[Trace]) -> bool:
 
     def decline(reason: str) -> bool:
         for hierarchy in hierarchies:
-            record_decline(hierarchy, reason)
+            record_decline(hierarchy, "replay", reason)
         return False
 
     first = hierarchies[0]

@@ -8,6 +8,7 @@ shows up as a byte diff in the canonical result serialization.
 
 import pytest
 
+from repro.experiments.parallel import run_policy_grid
 from repro.sim.single_core import run_benchmark, run_policy_sweep
 
 LENGTH = 6000
@@ -30,11 +31,12 @@ def test_different_seeds_actually_differ():
 
 @pytest.mark.multiproc
 def test_parallel_sweep_matches_serial_byte_for_byte():
-    serial = run_policy_sweep(
-        "soplex", ["baseline", "slip_abp"], length=LENGTH, jobs=1
+    serial, _ = run_policy_grid(
+        ["soplex"], ["baseline", "slip_abp"], LENGTH, jobs=1
     )
     parallel = run_policy_sweep(
         "soplex", ["baseline", "slip_abp"], length=LENGTH, jobs=2
     )
     for policy in ("baseline", "slip_abp"):
-        assert serial[policy].to_json() == parallel[policy].to_json()
+        assert (serial[("soplex", policy)].to_json()
+                == parallel[policy].to_json())

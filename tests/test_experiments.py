@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.experiments import ExperimentSettings, Table
-from repro.experiments import ablations
+from repro.experiments import ablations, fig09_energy, parallel
 from repro.experiments.common import (
-    SweepCache,
     arithmetic_mean,
     geometric_mean,
     pct,
+    sweep_results,
 )
 from repro.experiments.fig03_soplex import stack_distance_bins
 from repro.experiments.fig11_breakdown import breakdown
@@ -44,19 +44,33 @@ class TestHelpers:
         assert arithmetic_mean([]) == 0.0
 
 
-class TestSweepCache:
+class TestRunCells:
     def test_results_memoized(self):
-        cache = SweepCache(SMALL)
-        first = cache.result("lbm", "baseline")
-        second = cache.result("lbm", "baseline")
-        assert first is second
+        cells = [("lbm", "baseline")]
+        first, _ = sweep_results(SMALL, cells)
+        second, report = sweep_results(SMALL, cells)
+        assert first[cells[0]] is second[cells[0]]
+        assert report.results == [] and report.memo_hits == 1
 
-    def test_traces_shared_across_policies(self):
-        cache = SweepCache(SMALL)
-        cache.result("lbm", "baseline")
-        trace = cache.trace("lbm")
-        cache.result("lbm", "slip_abp")
-        assert cache.trace("lbm") is trace
+    def test_shared_result_survives_both_readers(self, monkeypatch):
+        """fig09 and the replacement ablation share the LRU rows: the
+        ablation reads fig09's results, and neither reader changes
+        them."""
+        monkeypatch.setattr(parallel, "_MEMO", {})
+        settings = ExperimentSettings(
+            length=2_000, seed=0, benchmarks=ablations.SWEEP_BENCHMARKS
+        )
+        fig09_energy.run(settings)
+        before = {key: result.to_json()
+                  for key, result in parallel._MEMO.items()}
+        table = ablations.run_replacement(settings)
+        assert "16 jobs, 8 from memo" in table.perf[-1]
+        shared = [key for key in before if key.policy != "slip"]
+        assert len(shared) == 8
+        for key in shared:
+            assert parallel._MEMO[key].to_json() == before[key]
+            fresh = parallel.execute_request(key).result
+            assert fresh.to_json() == before[key], key.label()
 
 
 class TestStackDistance:
@@ -117,8 +131,8 @@ class TestFigureModules:
             assert sum(fractions) == pytest.approx(1.0, abs=0.01), policy
 
     def test_breakdown_definition(self):
-        cache = SweepCache(SMALL)
-        result = cache.result("lbm", "baseline")
+        results, _ = sweep_results(SMALL, [("lbm", "baseline")])
+        result = results[("lbm", "baseline")]
         access, movement = breakdown(result.l2)
         assert access == result.l2.energy.read_pj
         assert movement >= result.l2.energy.insertion_pj

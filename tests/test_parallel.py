@@ -9,19 +9,20 @@ worker processes, so they also exercise request/result pickling.
 import numpy as np
 import pytest
 
-from repro.experiments.common import ExperimentSettings, SweepCache
+from repro.experiments import parallel
+from repro.experiments.common import ExperimentSettings
 from repro.experiments.parallel import (
     JOBS_ENV,
     MixRequest,
     RunRequest,
-    derive_seed,
     execute_request,
     resolve_jobs,
+    run_cells,
     run_jobs,
     run_policy_grid,
 )
 from repro.experiments.runner import main, settings_from_args
-from repro.sim.single_core import run_benchmark_suite, run_policy_sweep
+from repro.sim.config import default_system
 from repro.workloads.benchmarks import (
     clear_trace_cache,
     make_trace,
@@ -63,15 +64,6 @@ class TestResolveJobs:
         monkeypatch.setenv(JOBS_ENV, "many")
         with pytest.raises(ValueError):
             resolve_jobs()
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(0, "soplex", 1) == derive_seed(0, "soplex", 1)
-
-    def test_varies_by_component(self):
-        seeds = {derive_seed(0, b, "baseline") for b in GRID_BENCHMARKS}
-        assert len(seeds) == len(GRID_BENCHMARKS)
 
 
 class TestTraceCache:
@@ -157,13 +149,19 @@ class TestSerialParallelEquivalence:
         }
         assert len(report.results) == 4
 
-    def test_sweep_helpers_match_each_other(self):
-        swept = run_policy_sweep("soplex", GRID_POLICIES, length=LENGTH,
-                                 jobs=2)
-        suite = run_benchmark_suite(("soplex",), GRID_POLICIES,
-                                    length=LENGTH, jobs=1)
-        for policy in GRID_POLICIES:
-            assert swept[policy] == suite[("soplex", policy)]
+    def test_run_jobs_simulates_every_request_every_call(self):
+        # Kernel-vs-walk tests call run_jobs twice on one grid and
+        # compare: a memo here would compare a kernel with itself.
+        grid = small_grid()
+        run_cells(grid, jobs=1)
+        first = run_jobs(grid, jobs=1)
+        second = run_jobs(grid, jobs=1)
+        for report in (first, second):
+            assert len(report.results) == len(grid)
+            assert report.memo_hits == 0
+        for ours, theirs in zip(first.results, second.results):
+            assert ours.result is not theirs.result
+            assert ours.result == theirs.result
 
 
 class TestSweepReport:
@@ -184,26 +182,52 @@ class TestSweepReport:
         assert len(report.lines(per_job=False)) == 1
 
 
-class TestSweepCachePrefetch:
-    SETTINGS = ExperimentSettings(length=LENGTH, seed=0,
-                                  benchmarks=GRID_BENCHMARKS)
+class TestRunCells:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_MEMO", {})
 
-    def test_prefetch_matches_lazy_results(self):
-        lazy = SweepCache(self.SETTINGS)
-        eager = SweepCache(self.SETTINGS)
-        cells = [(b, p) for b in GRID_BENCHMARKS for p in GRID_POLICIES]
-        report = eager.prefetch(cells, jobs=2)
-        assert report is not None
-        for benchmark, policy in cells:
-            assert eager.result(benchmark, policy) == lazy.result(
-                benchmark, policy
-            )
+    def test_parallel_matches_serial(self):
+        grid = small_grid()
+        results, report = run_cells(grid, jobs=2)
+        assert len(report.results) == len(grid)
+        serial = run_jobs(grid, jobs=1)
+        for result, job in zip(results, serial.results):
+            assert result == job.result, job.request.label()
 
-    def test_prefetch_skips_cached_cells(self):
-        cache = SweepCache(self.SETTINGS)
-        cells = [("soplex", "baseline")]
-        assert cache.prefetch(cells, jobs=1) is not None
-        assert cache.prefetch(cells, jobs=1) is None
+    def test_memo_hits_skip_simulation(self):
+        cells = [RunRequest("soplex", "baseline", length=LENGTH)]
+        (first,), report = run_cells(cells, jobs=1)
+        assert len(report.results) == 1 and report.memo_hits == 0
+        (second,), report = run_cells(cells, jobs=1)
+        assert report.results == [] and report.memo_hits == 1
+        assert second is first
+        assert "0 jobs, 1 from memo" in report.lines()[-1]
+
+    def test_config_none_shares_the_default_system_entry(self):
+        implicit = RunRequest("soplex", "baseline", length=LENGTH)
+        explicit = RunRequest("soplex", "baseline", length=LENGTH,
+                              config=default_system())
+        (first,), _ = run_cells([implicit], jobs=1)
+        (second,), report = run_cells([explicit], jobs=1)
+        assert report.results == [] and report.memo_hits == 1
+        assert second is first
+        assert len(parallel._MEMO) == 1
+
+    def test_duplicate_requests_simulate_once(self):
+        request = RunRequest("lbm", "slip_abp", length=LENGTH)
+        results, report = run_cells([request, request], jobs=2)
+        assert len(report.results) == 1 and report.memo_hits == 1
+        assert results[0] is results[1]
+
+    def test_results_keep_request_order(self):
+        grid = small_grid()
+        run_cells(grid[1:2], jobs=1)
+        results, report = run_cells(grid, jobs=1)
+        assert report.memo_hits == 1
+        assert [(r.benchmark, r.policy) for r in results] == [
+            (q.benchmark, q.policy) for q in grid
+        ]
 
 
 class TestRunnerCliJobs:

@@ -322,19 +322,6 @@ class TestDecline:
                                         tiny_system) is not None
         assert hierarchy.kernel_declines.frontend is None
 
-    def test_debug_flag_echoes_reason_to_stderr(self, tiny_system,
-                                                monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_VECTOR_FRONTEND_DEBUG", "1")
-        hierarchy = build_hierarchy(tiny_system, "slip")
-        hierarchy.l1.replacement = RandomReplacement()
-        trace = make_trace("soplex", 800)
-        assert capture_front_end_vector(hierarchy, trace,
-                                        tiny_system) is None
-        captured = capsys.readouterr()
-        assert ("vector-frontend: decline "
-                "(l1-replacement:RandomReplacement)") in captured.err
-        assert captured.out == ""  # stdout stays deterministic
-
 
 # ----------------------------------------------------------------------
 # REPRO_CAPTURE_MEM_ENTRIES: in-process store capacity knob

@@ -1,4 +1,4 @@
-"""SLIP phase-split replay kernel: byte-identity, declines, debugging.
+"""SLIP phase-split replay kernel: byte-identity and declines.
 
 Mirror of :mod:`test_vector_replay` for the slip-runtime kinds: every
 slip/slip_abp cell the kernel (:mod:`repro.sim.vector_replay_slip`)
@@ -288,15 +288,6 @@ class TestDecline:
                                     replacement="random")
         with pytest.raises(ValueError, match="RandomReplacement"):
             filtered.replay_capture([hierarchy], [trace], [capture])
-
-    def test_debug_flag_echoes_reason_to_stderr(self, tiny_system,
-                                                monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_VECTOR_REPLAY_DEBUG", "1")
-        hierarchy = build_hierarchy(tiny_system, "baseline")
-        assert not eligible(hierarchy)
-        captured = capsys.readouterr()
-        assert "vector-replay: decline (kind:not-slip)" in captured.err
-        assert captured.out == ""  # stdout stays deterministic
 
     @pytest.mark.parametrize("reason", ["router:runtimes", "router:page"])
     def test_shared_l3_declines(self, reason, tiny_system, monkeypatch,
