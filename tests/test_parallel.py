@@ -23,6 +23,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import main, settings_from_args
 from repro.sim.config import default_system
+from repro.sim.single_core import run_policy_sweep
 from repro.workloads.benchmarks import (
     clear_trace_cache,
     make_trace,
@@ -148,6 +149,14 @@ class TestSerialParallelEquivalence:
             (b, p) for b in GRID_BENCHMARKS for p in GRID_POLICIES
         }
         assert len(report.results) == 4
+
+    def test_sweep_helpers_match_each_other(self):
+        swept = run_policy_sweep("soplex", GRID_POLICIES, length=LENGTH,
+                                 jobs=2)
+        grid, _ = run_policy_grid(("soplex",), GRID_POLICIES, LENGTH,
+                                  jobs=1)
+        for policy in GRID_POLICIES:
+            assert swept[policy] == grid[("soplex", policy)]
 
     def test_run_jobs_simulates_every_request_every_call(self):
         # Kernel-vs-walk tests call run_jobs twice on one grid and
