@@ -124,10 +124,8 @@ DIRECT_CELLS = (("soplex", "baseline"), ("soplex", "slip_abp"))
 def make_direct_cell(bench: str, policy: str):
     """A zero-arg store-less run closure for one cell.
 
-    Every call is one full store-less ``run_trace``. The first call
-    captures the front end with the kernel; later calls find the
-    capture in the process-local store every store-less run shares,
-    so they time the kernel replay of a warm capture. Also
+    Every call is one full store-less ``run_trace``: it captures the
+    front end with the kernel, replays it and keeps nothing. Also
     used by ``scripts/throughput_gate.py`` for the direct-drive gates.
     """
     config = default_system()

@@ -69,15 +69,6 @@ det_smoke() {
     out4="$(python -m repro.experiments.runner fig01 --length 2000 --jobs 4 \
         | grep -v '^\[')" || return 1
     [ "$out1" = "$out4" ] || return 1
-    # The same run through the on-disk capture store, which pool
-    # workers share through REPRO_CAPTURE_DIR.
-    local store outd status
-    store="$(mktemp -d)" || return 1
-    outd="$(REPRO_CAPTURE_DIR="$store" python -m repro.experiments.runner \
-        fig01 --length 2000 --jobs 2 | grep -v '^\[')"
-    status=$?
-    rm -rf "$store"
-    [ "$status" -eq 0 ] && [ "$out1" = "$outd" ] || return 1
     # Fig. 16 runs the multicore capture/replay path. The serial run's
     # kernel report must show the back-end kernels serving every core
     # of every cell (16 cells x 2 cores) without a decline, and the

@@ -19,10 +19,9 @@ at the repo root:
   vector_frontend kernel, the cost every cold sweep cell pays before
   its first replay (a kernel decline raises);
 * store-less ``run_trace`` runs of the soplex baseline and slip_abp
-  cells — after the first call, the process-local store of store-less
-  runs holds the capture, so each repeat times a kernel
-  replay; a decline regression here converges on the scalar drive's
-  cost (several times slower).
+  cells — a store-less run keeps no capture, so every call times the
+  capture kernel and a kernel replay; a decline regression here
+  converges on the scalar drive's cost (several times slower).
 
 Fails (exit 1) when either measurement exceeds its recorded mean by
 more than the tolerance (default 20%).
@@ -142,7 +141,7 @@ def make_measure_direct_s(cell_bench: str, policy: str):
         bench = _import_bench()
         direct = bench.make_direct_cell(cell_bench, policy)
         best = float("inf")
-        direct()  # warmup: first call stores the capture
+        direct()  # warmup: the first call pays one-time set-up costs
         for _ in range(repeats):
             started = time.perf_counter()
             accesses = direct()

@@ -123,9 +123,7 @@ class JobResult:
 def execute_request(request: Request) -> JobResult:
     """Run one job; pure function of the request (worker entry point)."""
     started = time.perf_counter()
-    # Workers share captures through the default store: in-memory, or
-    # the on-disk store every pool worker sees when REPRO_CAPTURE_DIR
-    # is set (workers inherit it).
+    # Cells in one process share captures through the default store.
     if isinstance(request, MixRequest):
         result: Result = run_mix(
             request.mix,

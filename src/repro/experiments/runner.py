@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import dataclasses
-import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional
@@ -110,10 +109,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: REPRO_EXP_JOBS or 1)")
     parser.add_argument("--markdown", metavar="PATH", default=None,
                         help="also write the tables as markdown to PATH")
-    parser.add_argument("--capture-dir", metavar="PATH", default=None,
-                        help="persist front-end captures on disk at "
-                             "PATH (sets REPRO_CAPTURE_DIR, so pool "
-                             "workers share one store across runs)")
     parser.add_argument("--profile", metavar="PATH", default=None,
                         help="profile the run with cProfile and dump "
                              "pstats to PATH (forces --jobs 1; inspect "
@@ -138,11 +133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
     settings = settings_from_args(args)
-
-    if args.capture_dir is not None:
-        # Exported (not passed down) so forked/spawned pool workers
-        # inherit it and resolve the same on-disk store.
-        os.environ["REPRO_CAPTURE_DIR"] = args.capture_dir
 
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:

@@ -21,9 +21,9 @@ single-core cells are the one-core case, the Figure 16 mixes of
    sublevel-partitioned L1; the reason lands on
    ``hierarchy.kernel_declines.frontend``) and every slip-kind cell the
    SLIP kernel cannot replay;
-3. otherwise each core's window is captured through the capture store:
-   a store hit, else the batched capture kernel
-   (:mod:`~repro.sim.vector_frontend`);
+3. otherwise each core's window is captured through the capture store
+   when the caller passes one: a store hit, else the batched capture
+   kernel (:mod:`~repro.sim.vector_frontend`);
 4. :func:`replay_capture` replays every core in one step.
 
 The captured stream is **runtime-kind invariant** — TLB hit/miss
@@ -83,8 +83,6 @@ from ..mem.tlb import TlbStats
 from ..workloads.capture_store import (
     OP_DEMAND_MISS,
     OP_METADATA,
-    CAPTURE_VERSION,
-    MemoryCaptureStore,
     fingerprint_key,
     trace_content_digest,
 )
@@ -114,7 +112,6 @@ def front_end_fingerprint(
     replays rebuild their runtime live from ``seed`` and the config.
     """
     return {
-        "version": CAPTURE_VERSION,
         "trace": {
             "digest": trace_content_digest(trace),
             "length": len(trace),
@@ -276,13 +273,6 @@ def walk_cores(hierarchies, traces, warmup_fraction: float) -> None:
 # ----------------------------------------------------------------------
 # The N-core driver
 # ----------------------------------------------------------------------
-#: Where store-less runs keep their captures: a few recent entries, so
-#: repeated runs of one trace in a process skip the capture, while a
-#: store-less run never writes to the shared
-#: :func:`~repro.workloads.capture_store.default_store`.
-_RUN_STORE = MemoryCaptureStore(max_entries=4)
-
-
 def _needs_walk(hierarchies, traces) -> bool:
     """Whether no capture can serve these cores: SimCheck (its wrappers
     observe per-access events a replay does not generate), an L1 the
@@ -304,10 +294,10 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
     Every core runs the window in which all of them still run (the
     shortest trace). Cells no capture can serve walk (``_needs_walk``);
     every other cell captures each core's window through ``store`` (a
-    store hit, else the capture kernel; ``None`` means a process-local
-    store of a few entries), keyed by the window's front-end
-    fingerprint with the core's seed ``seed + core``, and replays the
-    captures in one step.
+    store hit, else the capture kernel), keyed by the window's
+    front-end fingerprint with the core's seed ``seed + core``, and
+    replays the captures in one step. With ``store=None`` every core
+    captures and nothing is kept.
     """
     shortest = min(len(trace) for trace in traces)
     windows = [trace if len(trace) == shortest else trace.sliced(0, shortest)
@@ -318,14 +308,13 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
     if _needs_walk(hierarchies, windows):
         walk_cores(hierarchies, windows, warmup_fraction)
         return
-    if store is None:
-        store = _RUN_STORE
     captures = []
     for core, (hierarchy, window) in enumerate(zip(hierarchies, windows)):
-        fingerprint = front_end_fingerprint(window, config, seed + core,
-                                            warmup_fraction)
-        key = fingerprint_key(fingerprint)
-        capture = store.get(key)
+        key = capture = None
+        if store is not None:
+            key = fingerprint_key(front_end_fingerprint(
+                window, config, seed + core, warmup_fraction))
+            capture = store.get(key)
         if capture is None:
             capture = capture_front_end_vector(hierarchy, window, config,
                                                warmup_fraction)
@@ -333,7 +322,8 @@ def simulate(hierarchies, traces, config: SystemConfig, seed: int,
                 raise ValueError(
                     "the capture kernel declined an eligible core "
                     f"({hierarchy.kernel_declines.frontend})")
-            store.put(key, capture, fingerprint=fingerprint)
+            if store is not None:
+                store.put(key, capture)
         captures.append(capture)
     replay_capture(hierarchies, windows, captures)
 

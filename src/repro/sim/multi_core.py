@@ -13,7 +13,7 @@ access ``idx`` of core 0, then access ``idx`` of core 1, and so on. A
 core's TLB and L1 never see the shared L3, so each core's front end is
 exactly a single-core capture of its own trace window, shared through
 the capture store with every other cell over that window (a mix's
-baseline and SLIP cells, and pool workers over the disk store). The
+baseline and SLIP cells). The
 replay merges the cores' boundary events by (access index, core) into
 the private L2s and the shared L3:
 

@@ -39,11 +39,11 @@ def run_trace(
 
     The cell is the one-core case of the N-core driver
     (:func:`repro.sim.filtered.simulate`): it captures the front end
-    once per (trace, front-end fingerprint) into ``store`` (a
-    process-local store of a few entries when ``None``; sweeps pass
-    the shared :func:`~repro.workloads.capture_store.default_store`)
-    and replays the captured boundary, or walks the trace where no
-    capture can serve.
+    once per (trace, front-end fingerprint) into ``store`` (sweeps
+    pass the shared :func:`~repro.workloads.capture_store.default_store`;
+    with ``None`` the cell captures, replays and keeps nothing) and
+    replays the captured boundary, or walks the trace where no capture
+    can serve.
     """
     config = config or default_system()
     hierarchy = build_hierarchy(

@@ -8,7 +8,6 @@ from .benchmarks import (
     make_trace,
 )
 from .capture_store import (
-    DiskCaptureStore,
     MemoryCaptureStore,
     TraceCapture,
     default_store,
@@ -31,7 +30,6 @@ __all__ = [
     "BENCHMARKS",
     "BenchmarkSpec",
     "BimodalLoopRegion",
-    "DiskCaptureStore",
     "FIG1_BENCHMARKS",
     "HotColdRegion",
     "LoopRegion",

@@ -19,7 +19,6 @@ miss rates.
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -214,16 +213,15 @@ FIG1_BENCHMARKS: Tuple[str, ...] = (
 )
 
 
-#: Max distinct (benchmark, length, seed) traces kept in memory; 0
-#: disables caching. A 300k-access trace is ~3 MB, so the default
-#: bounds the cache at ~100 MB while letting a full sweep (14
-#: benchmarks x 5 policies) generate each trace exactly once per
-#: process — serial callers and pool workers alike.
-TRACE_CACHE_ENV = "REPRO_TRACE_CACHE_SIZE"
-_TRACE_CACHE_SIZE = int(os.environ.get(TRACE_CACHE_ENV, "32"))
+#: Max distinct (benchmark, length, seed) traces kept in memory. A
+#: 300k-access trace is ~3 MB, so this bounds the cache at ~100 MB
+#: while letting a full sweep (14 benchmarks x 5 policies) generate
+#: each trace exactly once per process — serial callers and pool
+#: workers alike.
+_TRACE_CACHE_SIZE = 32
 
 
-@lru_cache(maxsize=max(1, _TRACE_CACHE_SIZE))
+@lru_cache(maxsize=_TRACE_CACHE_SIZE)
 def _cached_trace(name: str, length: int, seed: int) -> Trace:
     trace = BENCHMARKS[name].trace(length, seed)
     # Shared across callers: freeze the arrays so an accidental in-place
@@ -245,8 +243,6 @@ def make_trace(name: str, length: int, seed: int = 0) -> Trace:
         raise KeyError(
             f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}"
         )
-    if _TRACE_CACHE_SIZE <= 0:
-        return BENCHMARKS[name].trace(length, seed)
     return _cached_trace(name, length, seed)
 
 

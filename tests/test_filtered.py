@@ -3,22 +3,20 @@
 The contract under test is absolute: for every policy and every legal
 configuration, ``run_trace`` must produce a ``RunResult`` whose
 ``to_json()`` is byte-identical to the scalar per-access walk — whether
-the result came from a cold capture or a replay against a memory- or
-disk-resident capture. The bypass and geometry rows of that contract
+the result came from a cold capture or a replay against a stored
+capture. The bypass and geometry rows of that contract
 are one table (``ROWS``) below.
 """
 
 import copy
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
 
 from repro.analysis.invariants import InvariantViolation
 from repro.core.energy_model import LevelEnergyParams
-from repro.experiments.parallel import RunRequest, run_jobs
 from repro.sim import filtered, single_core
 from repro.sim.build import build_hierarchy, runtime_kind
 from repro.sim.config import (
@@ -31,7 +29,6 @@ from repro.sim.vector_frontend import capture_front_end_vector
 from repro.sim.single_core import run_trace
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import (
-    DiskCaptureStore,
     MemoryCaptureStore,
     TraceCapture,
     default_store,
@@ -46,10 +43,6 @@ LENGTH = 2_500
 
 def canonical(result) -> str:
     return json.dumps(result.to_json(), sort_keys=True)
-
-
-def entry_dirs(root) -> list:
-    return [name for name in os.listdir(root) if ".tmp-" not in name]
 
 
 # ----------------------------------------------------------------------
@@ -129,8 +122,8 @@ def partitioned_l1(config):
 @dataclasses.dataclass(frozen=True)
 class Row:
     """One input shape of ``run_trace``; the store column is ``none``
-    (the process-local store), ``memory``, ``warm-memory`` (warmed by
-    a baseline cell) or ``disk``."""
+    (no store), ``memory`` or ``warm-memory`` (warmed by a baseline
+    cell)."""
 
     store: str = "none"
     simcheck: bool = False
@@ -150,7 +143,6 @@ ROWS = {
     "sublevel-l1": Row(store="memory", l1_sublevels=True),
     "cold-memory": Row(store="memory"),
     "warm-memory": Row(store="warm-memory"),
-    "disk": Row(store="disk"),
 }
 #: Store-less default-shape cells keep their historical bare-policy ids.
 CASES = [(name, policy) for name in ROWS for policy in ALL_POLICIES]
@@ -161,7 +153,7 @@ CASE_IDS = [policy if name == "none" else f"{name}-{policy}"
 class TestDirectPipeline:
     @pytest.mark.parametrize("name,policy", CASES, ids=CASE_IDS)
     def test_direct_matches_scalar(self, name, policy, tiny_system,
-                                   tmp_path, monkeypatch, scalar_run):
+                                   monkeypatch, scalar_run):
         row = ROWS[name]
         if row.simcheck:
             monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
@@ -171,12 +163,7 @@ class TestDirectPipeline:
         kwargs = dict(config=config, seed=3, replacement=row.replacement,
                       level_energy_overrides=(skewed_energy(config)
                                               if row.overrides else None))
-        if row.store == "none":
-            store = None
-        elif row.store == "disk":
-            store = DiskCaptureStore(str(tmp_path))
-        else:
-            store = MemoryCaptureStore()
+        store = None if row.store == "none" else MemoryCaptureStore()
         trace = make_trace("soplex", 1_500)
         if row.store == "warm-memory":
             run_trace(trace, "baseline", config=config, seed=3,
@@ -184,7 +171,7 @@ class TestDirectPipeline:
         result = run_trace(trace, policy, store=store, **kwargs)
         assert canonical(result) == canonical(
             scalar_run(trace, policy, **kwargs))
-        if isinstance(store, MemoryCaptureStore):
+        if store is not None:
             # Only SimCheck and partitioned-L1 cells walk, taking no
             # capture.
             walks = row.simcheck or row.l1_sublevels
@@ -195,33 +182,24 @@ class TestDirectPipeline:
             assert canonical(result) != canonical(
                 run_trace(trace, policy, store=store, **kwargs))
 
-    def test_direct_runs_leave_the_store_alone(self, tmp_path,
-                                               monkeypatch):
-        run_store = filtered._RUN_STORE
-        run_store.clear()
-        for capture_dir in (str(tmp_path), None):
-            if capture_dir is None:
-                monkeypatch.delenv("REPRO_CAPTURE_DIR", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_CAPTURE_DIR", capture_dir)
-            reset_default_store()
-            run_trace(make_trace("soplex", LENGTH), "slip_abp")
-        assert os.listdir(tmp_path) == []
-        assert not default_store()._entries
-        # The process-local store keeps the 4 most recent cells.
-        for bench in ("lbm", "mcf", "milc", "bzip2", "gcc"):
-            run_trace(make_trace(bench, 1_000), "baseline")
-        assert run_store.max_entries == 4
-        assert len(run_store._entries) == 4
+    def test_direct_runs_leave_the_store_alone(self, monkeypatch):
+        """A store-less run captures, replays and keeps nothing: the
+        shared store stays empty, and a repeat captures again."""
+        reset_default_store()
+        trace = make_trace("soplex", LENGTH)
+        captures = []
+        capture_front_end = filtered.capture_front_end_vector
 
-    def test_direct_warm_capture_reuse_identical(self, tiny_system,
-                                                 monkeypatch):
-        trace = make_trace("lbm", LENGTH)
-        first = run_trace(trace, "slip", config=tiny_system)
-        # The repeat hits the process-local store: no capture is taken.
-        monkeypatch.setattr(filtered, "capture_front_end_vector", None)
-        second = run_trace(trace, "slip", config=tiny_system)
+        def capture(*args):
+            captures.append(capture_front_end(*args))
+            return captures[-1]
+
+        monkeypatch.setattr(filtered, "capture_front_end_vector", capture)
+        first = run_trace(trace, "slip_abp")
+        second = run_trace(trace, "slip_abp")
         assert canonical(first) == canonical(second)
+        assert len(captures) == 2
+        assert not default_store()._entries
 
     def test_scalar_replacement_still_identical(self, tiny_system,
                                                 scalar_run):
@@ -308,6 +286,16 @@ class TestCaptureModes:
                            [trace], [bad])
         assert excinfo.value.invariant == "capture-replay-conservation"
 
+    def test_stored_capture_is_read_only(self, tiny_system):
+        """Every cell replays the stored capture itself, so no replay
+        may write into its arrays."""
+        store = MemoryCaptureStore()
+        run_trace(make_trace("soplex", 1_500), "baseline",
+                  config=tiny_system, store=store)
+        (capture,) = store._entries.values()
+        with pytest.raises(ValueError, match="read-only"):
+            capture.ops[0] = 1
+
 
 # ----------------------------------------------------------------------
 # Fingerprint keying
@@ -354,126 +342,6 @@ class TestFingerprint:
 
 
 # ----------------------------------------------------------------------
-# Disk store
-# ----------------------------------------------------------------------
-class TestDiskStore:
-    def test_same_key_hits_from_fresh_store(self, tmp_path, tiny_system):
-        trace = make_trace("soplex", LENGTH)
-        run_trace(trace, "baseline", config=tiny_system,
-                  store=DiskCaptureStore(str(tmp_path)))
-        assert len(entry_dirs(tmp_path)) == 1
-        key = fingerprint_key(
-            front_end_fingerprint(trace, tiny_system, 0, 0.25))
-        # A fresh store (cold memo) must load the entry from disk.
-        loaded = DiskCaptureStore(str(tmp_path)).get(key)
-        assert loaded is not None
-        assert loaded.n == LENGTH
-
-    def test_capture_shared_across_runtime_kinds(self, tmp_path,
-                                                 tiny_system, scalar_run):
-        """The fingerprint excludes the runtime kind: a slip cell
-
-        replays the capture the baseline cell recorded rather than
-        taking its own.
-        """
-        trace = make_trace("lbm", LENGTH)
-        run_trace(trace, "baseline", config=tiny_system,
-                  store=DiskCaptureStore(str(tmp_path)))
-        replayed = run_trace(trace, "slip_abp", config=tiny_system,
-                             store=DiskCaptureStore(str(tmp_path)))
-        assert len(entry_dirs(tmp_path)) == 1
-        assert replayed == scalar_run(trace, "slip_abp", tiny_system)
-
-    def test_corrupt_array_quarantined_and_recovered(self, tmp_path,
-                                                     tiny_system,
-                                                     scalar_run):
-        trace = make_trace("soplex", LENGTH)
-        run_trace(trace, "slip", config=tiny_system,
-                  store=DiskCaptureStore(str(tmp_path)))
-        (entry,) = [tmp_path / d for d in entry_dirs(tmp_path)]
-        (entry / "ops.npy").write_bytes(b"garbage, not an npy")
-        fresh = DiskCaptureStore(str(tmp_path))
-        key = fingerprint_key(
-            front_end_fingerprint(trace, tiny_system, 0, 0.25))
-        assert fresh.get(key) is None
-        assert not entry.exists()  # quarantined
-        # The driver re-captures and still matches the scalar walk.
-        replayed = run_trace(trace, "slip", config=tiny_system,
-                             store=fresh)
-        assert canonical(replayed) == canonical(
-            scalar_run(trace, "slip", tiny_system))
-        assert len(entry_dirs(tmp_path)) == 1
-
-    def test_truncated_meta_quarantined(self, tmp_path, tiny_system):
-        trace = make_trace("soplex", LENGTH)
-        run_trace(trace, "baseline", config=tiny_system,
-                  store=DiskCaptureStore(str(tmp_path)))
-        (entry,) = [tmp_path / d for d in entry_dirs(tmp_path)]
-        (entry / "meta.json").write_text("{not json", encoding="utf-8")
-        key = fingerprint_key(
-            front_end_fingerprint(trace, tiny_system, 0, 0.25))
-        assert DiskCaptureStore(str(tmp_path)).get(key) is None
-        assert not entry.exists()
-
-    def test_entry_with_leftover_subdirectory(self, tmp_path, tiny_system,
-                                              scalar_run):
-        """Stores written by older versions hold ``plan-<digest>/``
-        sidecar directories inside their capture entries: the capture
-        still serves, and eviction sizes and drops the entry with its
-        leftover subdirectory as one unit."""
-        trace = make_trace("soplex", LENGTH)
-        run_trace(trace, "slip", config=tiny_system,
-                  store=DiskCaptureStore(str(tmp_path)))
-        (old,) = [tmp_path / d for d in entry_dirs(tmp_path)]
-        leftover = old / "plan-0123456789abcdef"
-        leftover.mkdir()
-        np.save(leftover / "l2_order.npy", np.arange(8192, dtype=np.int64))
-
-        fresh = DiskCaptureStore(str(tmp_path))
-        key = fingerprint_key(
-            front_end_fingerprint(trace, tiny_system, 0, 0.25))
-        assert fresh.get(key) is not None
-        replayed = run_trace(trace, "slip", config=tiny_system,
-                             store=fresh)
-        assert canonical(replayed) == canonical(
-            scalar_run(trace, "slip", tiny_system))
-        assert entry_dirs(tmp_path) == [old.name]  # served, not re-taken
-
-        run_trace(make_trace("lbm", LENGTH), "baseline",
-                  config=tiny_system, store=fresh)
-        (new,) = [d for d in entry_dirs(tmp_path) if d != old.name]
-        os.utime(old, (1, 1))  # the older entry goes first
-
-        def size(path, top_only=False):
-            return sum(os.path.getsize(os.path.join(dirpath, name))
-                       for dirpath, _, names in os.walk(path)
-                       for name in names
-                       if not top_only or dirpath == str(path))
-
-        # Counted file by file at the top level only, both entries fit.
-        fresh.max_bytes = size(old, top_only=True) + size(tmp_path / new)
-        fresh._evict(keep=new)
-        assert entry_dirs(tmp_path) == [new]
-
-
-# ----------------------------------------------------------------------
-# Parallel engine integration
-# ----------------------------------------------------------------------
-@pytest.mark.multiproc
-def test_jobs_parity_with_shared_disk_store(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
-    grid = [
-        RunRequest("soplex", policy, length=2_000)
-        for policy in ("baseline", "slip", "slip_abp")
-    ]
-    serial = run_jobs(grid, jobs=1)
-    parallel = run_jobs(grid, jobs=2)
-    for ours, theirs in zip(serial.results, parallel.results):
-        assert ours.result == theirs.result, ours.request.label()
-    assert len(entry_dirs(tmp_path)) == 1
-
-
-# ----------------------------------------------------------------------
 # Page-grain unification (satellite: shared shift hook)
 # ----------------------------------------------------------------------
 class TestPageShift:
@@ -514,65 +382,3 @@ def test_trace_iter_chunked_equivalence():
     trace = Trace("iter-test", addresses, is_write)
     assert list(trace) == list(zip(addresses.tolist(),
                                    is_write.tolist()))
-
-
-# ----------------------------------------------------------------------
-# Capture-store correctness fixes (PR 6 satellites)
-# ----------------------------------------------------------------------
-class TestDigestCollision:
-    def test_foreign_entry_is_miss_not_quarantine(self, tmp_path,
-                                                  monkeypatch,
-                                                  tiny_system):
-        """Two keys forced into one digest dir: the second key's get()
-        is a miss that leaves the first key's capture intact."""
-        import repro.workloads.capture_store as cs
-
-        monkeypatch.setattr(cs, "key_digest", lambda key: "collision")
-        trace_a = make_trace("soplex", 1_200)
-        run_trace(trace_a, "baseline", config=tiny_system,
-                  store=cs.DiskCaptureStore(str(tmp_path)))
-        assert entry_dirs(tmp_path) == ["collision"]
-
-        trace_b = make_trace("lbm", 1_200)
-        key_b = fingerprint_key(
-            front_end_fingerprint(trace_b, tiny_system, 0, 0.25))
-        fresh = cs.DiskCaptureStore(str(tmp_path))
-        assert fresh.get(key_b) is None          # miss, not an error
-        assert entry_dirs(tmp_path) == ["collision"]  # not deleted
-
-        key_a = fingerprint_key(
-            front_end_fingerprint(trace_a, tiny_system, 0, 0.25))
-        survivor = cs.DiskCaptureStore(str(tmp_path)).get(key_a)
-        assert survivor is not None
-        assert survivor.n == 1_200
-
-
-class TestMaxMbClamp:
-    def test_bad_values_fall_back_to_default(self, tmp_path,
-                                             monkeypatch, capsys):
-        import repro.workloads.capture_store as cs
-
-        monkeypatch.setenv(cs.CAPTURE_DIR_ENV, str(tmp_path))
-        monkeypatch.setattr(cs, "_WARNED_MAX_MB", set())
-        for bad in ("0", "-5", "junk"):
-            monkeypatch.setenv(cs.CAPTURE_MAX_MB_ENV, bad)
-            store = cs.default_store()
-            assert store.max_bytes == cs._DEFAULT_MAX_MB * 1024 * 1024
-            assert cs.CAPTURE_MAX_MB_ENV in capsys.readouterr().err
-        monkeypatch.setenv(cs.CAPTURE_MAX_MB_ENV, "7")
-        assert cs.default_store().max_bytes == 7 * 1024 * 1024
-        # Valid values warn nothing.
-        assert capsys.readouterr().err == ""
-
-    def test_zero_cap_no_longer_evicts_everything(self, tmp_path,
-                                                  monkeypatch,
-                                                  tiny_system):
-        """Regression: REPRO_CAPTURE_MAX_MB=0 used to make _evict
-        delete every entry except the one just written."""
-        monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CAPTURE_MAX_MB", "0")
-        run_trace(make_trace("soplex", 1_200), "baseline",
-                  config=tiny_system, store=default_store())
-        run_trace(make_trace("lbm", 1_200), "baseline",
-                  config=tiny_system, store=default_store())
-        assert len(entry_dirs(tmp_path)) == 2

@@ -9,7 +9,7 @@ hypothesis harness below draws policy, core count (one core is the
 driver's single-core case), tiny cache geometries, page size, Section 7
 rd-blocks for the slip kinds, warmup fraction, unequal per-core trace
 lengths and the capture store tier, and asserts the two produce the
-same bytes on a cold and a warm store,
+same bytes on a cold and a warm store (or twice without one),
 through the back-end kernels (baseline kinds and slip kinds alike) and
 through the baseline kinds' merged scalar replay. Mixes hard-wire LRU,
 so a second harness draws single-core ``run_trace`` cells under DRRIP
@@ -24,12 +24,13 @@ the walk with itself.
 from __future__ import annotations
 
 import json
-import tempfile
 from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.distribution import DEFAULT_WARM_SAMPLES
+from repro.core.eou import EnergyOptimizerUnit
 from repro.sim import filtered, multi_core
 from repro.sim.build import POLICY_NAMES, runtime_kind
 from repro.sim.config import (
@@ -41,7 +42,7 @@ from repro.sim.config import (
 )
 from repro.sim.single_core import run_trace
 from repro.workloads.benchmarks import make_trace
-from repro.workloads.capture_store import DiskCaptureStore, MemoryCaptureStore
+from repro.workloads.capture_store import MemoryCaptureStore
 from repro.workloads.mixes import CORE_ADDRESS_STRIDE, make_mix_traces
 
 BENCHES = ("soplex", "mcf", "lbm", "gcc", "bzip2", "milc")
@@ -135,18 +136,16 @@ def mix_cells(draw):
     )
 
 
-#: Capture store tiers: the driver's process-local store, a fresh
-#: memory store, a fresh disk store.
-STORE_TIERS = ("none", "memory", "disk")
+#: Capture store tiers: no store, a fresh memory store.
+STORE_TIERS = ("none", "memory")
 
 
 def replay_twice(run, cell, tier: str):
-    """``run(**cell)``'s bytes on a cold and then a warm store of
-    ``tier``; ``run`` is ``run_mix_traces`` or ``run_trace``."""
-    with tempfile.TemporaryDirectory() as root:
-        store = {"none": None, "memory": MemoryCaptureStore(),
-                 "disk": DiskCaptureStore(root)}[tier]
-        return [canonical(run(**cell, store=store)) for _ in range(2)]
+    """``run(**cell)``'s bytes twice: without a store, or on a cold and
+    then a warm fresh store; ``run`` is ``run_mix_traces`` or
+    ``run_trace``."""
+    store = None if tier == "none" else MemoryCaptureStore()
+    return [canonical(run(**cell, store=store)) for _ in range(2)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -261,9 +260,9 @@ def test_rd_block_cells_share_page_mode_captures(cores, tiny_system,
             lookups.append(capture is not None)
             return capture
 
-        def put(self, key, capture, fingerprint=None):
+        def put(self, key, capture):
             puts.append(key)
-            super().put(key, capture, fingerprint)
+            super().put(key, capture)
 
     mix = ("soplex", "mcf")[:cores]
     traces = make_mix_traces(mix, 1_500, seed=3)
@@ -280,3 +279,36 @@ def test_rd_block_cells_share_page_mode_captures(cores, tiny_system,
         walk = multi_core.run_mix_traces(traces, mix, "slip_abp",
                                          rd_config, 3)
     assert canonical(shared) == canonical(walk)
+
+
+def most_chunks_argmin(eou, counts, allow_abp, confident):
+    """``EnergyOptimizerUnit._argmin`` that, once the distribution is
+    warm, picks the eligible SLIP with the most chunks: its fills and
+    hits cascade lines down chunk by chunk, so the levels move lines."""
+    if sum(counts) < DEFAULT_WARM_SAMPLES:
+        return eou.space.default_id
+    return max(eou._eligible[(allow_abp, confident)],
+               key=lambda eeu: (eou.space.num_chunks(eeu.slip_id),
+                                -eeu.slip_id)).slip_id
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("policy", ["slip", "slip_abp"])
+def test_cascade_movements_match_walk(cores, policy, tiny_system,
+                                      monkeypatch, walked):
+    """Multi-chunk SLIPs move lines at L2 and L3: the SLIP kernel's
+    movement tallies and movement-queue charge equal the walk's."""
+    monkeypatch.setattr(EnergyOptimizerUnit, "_argmin", most_chunks_argmin)
+    for mix in (("soplex", "mcf"), ("gcc", "soplex")):
+        mix = mix[:cores]
+        traces = make_mix_traces(mix, 5_000, seed=1)
+        replayed = multi_core.run_mix_traces(traces, mix, policy,
+                                             tiny_system, 1)
+        levels = replayed.l2_stats + [replayed.l3_stats]
+        assert all(level.movements > 0 for level in levels), mix
+        assert all(level.energy.movement_queue_pj > 0
+                   for level in levels), mix
+        with walked():
+            walk = multi_core.run_mix_traces(traces, mix, policy,
+                                             tiny_system, 1)
+        assert canonical(replayed) == canonical(walk), mix

@@ -5,8 +5,8 @@ The batched kernel (:mod:`repro.sim.vector_replay`) must be
 serializes byte-for-byte like the scalar replay (which PR 5 pinned to
 the direct simulator), and everything it cannot represent falls back
 to the scalar path. The equivalence suite here runs all three eligible
-policies against both capture stores and both worker modes, plus a
-hypothesis-style randomized sweep over trace/geometry space.
+policies with and without a capture store and in both worker modes,
+plus a hypothesis-style randomized sweep over trace/geometry space.
 """
 
 import json
@@ -28,9 +28,9 @@ from repro.sim.single_core import run_trace
 from repro.sim.vector_replay import eligible_kind, replay_capture_vector
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import (
-    DiskCaptureStore,
     MemoryCaptureStore,
     fingerprint_key,
+    reset_default_store,
 )
 
 BASELINE_KIND = ("baseline", "nurapid", "lru_pea")
@@ -43,7 +43,8 @@ def canonical(result) -> str:
 
 def replay_pair(trace, policy, config, store, scalar_kernels, **kwargs):
     """(scalar replay, vector replay) of the same warmed capture."""
-    # The first run stores the capture; the next two replay it.
+    # The first run stores the capture and the next two replay it; with
+    # no store each run takes its own.
     run_trace(trace, policy, config=config, store=store, **kwargs)
     with scalar_kernels():
         scalar = run_trace(trace, policy, config=config, store=store,
@@ -58,12 +59,11 @@ def replay_pair(trace, policy, config, store, scalar_kernels, **kwargs):
 # ----------------------------------------------------------------------
 class TestByteIdentity:
     @pytest.mark.parametrize("policy", BASELINE_KIND)
-    @pytest.mark.parametrize("store_kind", ("memory", "disk"))
+    @pytest.mark.parametrize("store_kind", ("memory", "none"))
     def test_vector_matches_scalar(self, policy, store_kind, tiny_system,
-                                   tmp_path, scalar_kernels):
+                                   scalar_kernels):
         trace = make_trace("soplex", LENGTH)
-        store = (MemoryCaptureStore() if store_kind == "memory"
-                 else DiskCaptureStore(str(tmp_path)))
+        store = MemoryCaptureStore() if store_kind == "memory" else None
         scalar, vector = replay_pair(trace, policy, tiny_system, store,
                                      scalar_kernels)
         assert canonical(vector) == canonical(scalar)
@@ -92,12 +92,11 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# Worker parity: jobs=1 vs jobs=2 over the shared disk store
+# Worker parity: jobs=1 vs jobs=2 from one warmed store
 # ----------------------------------------------------------------------
 @pytest.mark.multiproc
-def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch,
-                                      scalar_kernels):
-    monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
+def test_jobs_parity_vector_vs_scalar(scalar_kernels):
+    reset_default_store()
     grid = [RunRequest("soplex", policy, length=2_000)
             for policy in BASELINE_KIND]
     run_jobs(grid, jobs=1)  # populate the store

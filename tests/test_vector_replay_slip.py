@@ -3,8 +3,8 @@
 Mirror of :mod:`test_vector_replay` for the slip-runtime kinds: every
 slip/slip_abp cell the kernel (:mod:`repro.sim.vector_replay_slip`)
 accepts must serialize byte-for-byte like the driver's per-access walk
-(the ``walked`` fixture), across both capture stores, both worker
-modes, randomized trace/geometry space, LRU, DRRIP and SHiP
+(the ``walked`` fixture), with and without a capture store, in both
+worker modes, over randomized trace/geometry space, LRU, DRRIP and SHiP
 replacement, and the ``l3_abp_min_samples`` ablation. Everything it
 cannot represent must decline with a recorded reason and walk, before
 any capture is taken, with identical bytes. The multicore mixes run the
@@ -38,9 +38,9 @@ from repro.sim.vector_replay_slip import (
 )
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import (
-    DiskCaptureStore,
     MemoryCaptureStore,
     fingerprint_key,
+    reset_default_store,
 )
 from repro.workloads.mixes import make_mix_traces
 
@@ -79,7 +79,8 @@ def spy_mix_kernel(monkeypatch) -> list:
 
 def replay_pair(trace, policy, config, store, walked, **kwargs):
     """(the walk, the kernel's replay of a warmed capture)."""
-    # The first run stores the capture; the second replays it.
+    # The first run stores the capture and the second replays it; with
+    # no store each run takes its own.
     run_trace(trace, policy, config=config, store=store, **kwargs)
     with walked():
         walk = run_trace(trace, policy, config=config, **kwargs)
@@ -102,12 +103,11 @@ def slip_capture(trace, config, store):
 # ----------------------------------------------------------------------
 class TestByteIdentity:
     @pytest.mark.parametrize("policy", SLIP_KIND)
-    @pytest.mark.parametrize("store_kind", ("memory", "disk"))
+    @pytest.mark.parametrize("store_kind", ("memory", "none"))
     def test_vector_matches_scalar(self, policy, store_kind, tiny_system,
-                                   tmp_path, walked):
+                                   walked):
         trace = make_trace("soplex", LENGTH)
-        store = (MemoryCaptureStore() if store_kind == "memory"
-                 else DiskCaptureStore(str(tmp_path)))
+        store = MemoryCaptureStore() if store_kind == "memory" else None
         walk, vector = replay_pair(trace, policy, tiny_system, store,
                                    walked)
         assert canonical(vector) == canonical(walk)
@@ -157,12 +157,11 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# Worker parity: jobs=1 vs jobs=2 over the shared disk store
+# Worker parity: jobs=1 vs jobs=2 from one warmed store
 # ----------------------------------------------------------------------
 @pytest.mark.multiproc
-def test_jobs_parity_vector_vs_scalar(tmp_path, monkeypatch,
-                                      walked):
-    monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
+def test_jobs_parity_vector_vs_scalar(walked):
+    reset_default_store()
     grid = [RunRequest("soplex", policy, length=2_000)
             for policy in SLIP_KIND]
     run_jobs(grid, jobs=1)  # populate the store
