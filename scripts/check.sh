@@ -35,7 +35,7 @@ stage() {
 }
 
 if [ "$fast" -eq 0 ]; then
-    stage "tier-1 tests (pytest)" python -m pytest -q tests/
+    stage "tier-1 tests (pytest)" python -m pytest -q --durations=10 tests/
 fi
 
 stage "slip-lint (static checks)" python -m repro.analysis.lint src/

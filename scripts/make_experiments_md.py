@@ -24,8 +24,8 @@ pages finish learning their policies — numbers from a 250k run are
 quoted in the deviations section. Regenerate with:
 
 ```bash
-REPRO_EXP_LENGTH=150000 slip-experiments --all   # this log
-REPRO_EXP_LENGTH=500000 slip-experiments --all   # higher fidelity
+slip-experiments --all --length 150000           # this log
+slip-experiments --all --length 500000           # higher fidelity
 ```
 
 Absolute numbers are not expected to match: the paper simulates 500M

@@ -5,13 +5,12 @@ each figure module reads its own cells through :func:`sweep_results`,
 whose process-wide memo (:func:`~repro.experiments.parallel.run_cells`)
 simulates every distinct cell once, and formats its own slice.
 Experiment scale is set by ``ExperimentSettings``; the defaults aim for
-minutes, not hours, and the ``REPRO_EXP_LENGTH`` environment variable
-scales everything up for higher-fidelity runs.
+minutes, not hours, and ``slip-experiments --length`` scales everything
+up for higher-fidelity runs.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,13 +28,14 @@ SLIP_POLICIES: Tuple[str, ...] = ("slip", "slip_abp")
 class ExperimentSettings:
     """Scale and reproducibility knobs shared by every experiment.
 
-    ``jobs`` is the worker-process fan-out for sweeps; ``None`` defers
-    to the ``REPRO_EXP_JOBS`` environment variable (default serial).
-    Worker count never changes results — only wall-clock.
+    ``jobs`` is the worker-process fan-out for sweeps; ``None`` runs
+    serially. Worker count never changes results — only wall-clock.
+    The CLI sets ``length``, ``seed`` and ``jobs`` from ``--length``,
+    ``--seed`` and ``--jobs``.
     """
 
-    length: int = int(os.environ.get("REPRO_EXP_LENGTH", 300_000))
-    seed: int = int(os.environ.get("REPRO_EXP_SEED", 0))
+    length: int = 300_000
+    seed: int = 0
     warmup_fraction: float = 0.3
     benchmarks: Tuple[str, ...] = SPEC_ORDER
     jobs: Optional[int] = None

@@ -15,8 +15,8 @@ its request. Workers regenerate traces through the LRU-cached trace
 factory (:func:`repro.workloads.benchmarks.make_trace`), which is
 deterministic per ``(benchmark, length, seed)``, so the same request
 grid produces byte-identical results at ``jobs=1`` and ``jobs=N``.
-Worker count comes from the explicit ``jobs`` argument, else the
-``REPRO_EXP_JOBS`` environment variable, else 1 (serial).
+Worker count comes from the explicit ``jobs`` argument, else 1
+(serial).
 """
 
 from __future__ import annotations
@@ -35,24 +35,10 @@ from ..sim.single_core import run_trace
 from ..workloads.benchmarks import make_trace
 from ..workloads.capture_store import default_store
 
-#: Environment variable read when no explicit worker count is given.
-JOBS_ENV = "REPRO_EXP_JOBS"
-
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument > ``REPRO_EXP_JOBS`` > 1."""
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV, "").strip()
-        if raw:
-            try:
-                jobs = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{JOBS_ENV} must be an integer, got {raw!r}"
-                ) from None
-    if jobs is None:
-        jobs = 1
-    return max(1, jobs)
+    """Worker count: the explicit argument, at least 1; ``None`` is 1."""
+    return 1 if jobs is None else max(1, jobs)
 
 
 # ----------------------------------------------------------------------

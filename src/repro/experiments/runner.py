@@ -6,8 +6,7 @@ Usage::
     slip-experiments fig09 fig14
     slip-experiments --all
     slip-experiments --all --jobs 8                  # parallel fan-out
-    REPRO_EXP_LENGTH=500000 slip-experiments --all   # higher fidelity
-    REPRO_EXP_JOBS=8 slip-experiments --all          # same as --jobs 8
+    slip-experiments --all --length 500000           # higher fidelity
     slip-experiments fig09 --profile out.pstats      # cProfile the run
 
 Each experiment prints a formatted table with the paper's reference
@@ -17,10 +16,9 @@ Every experiment reads its cells through one process-wide memo
 (:func:`repro.experiments.parallel.run_cells`): a cell an earlier
 experiment already ran (fig09's row that each ablation repeats, say)
 is served without simulating, and each table's ``[sweep]`` line says
-how many cells came from the memo. With ``--jobs N`` (or
-``REPRO_EXP_JOBS``) each experiment fans its unseen cells out across
-worker processes. Worker count only changes wall-clock — tables are
-byte-identical for any ``--jobs``.
+how many cells came from the memo. With ``--jobs N`` each experiment
+fans its unseen cells out across worker processes. Worker count only
+changes wall-clock — tables are byte-identical for any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -102,11 +100,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--all", action="store_true",
                         help="run every experiment")
     parser.add_argument("--length", type=int, default=None,
-                        help="trace length (overrides REPRO_EXP_LENGTH)")
-    parser.add_argument("--seed", type=int, default=None)
+                        help="trace length (default: "
+                             f"{ExperimentSettings.length})")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="trace and simulator seed (default: "
+                             f"{ExperimentSettings.seed})")
     parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes for sweeps "
-                             "(default: REPRO_EXP_JOBS or 1)")
+                        help="worker processes for sweeps (default: 1)")
     parser.add_argument("--markdown", metavar="PATH", default=None,
                         help="also write the tables as markdown to PATH")
     parser.add_argument("--profile", metavar="PATH", default=None,
@@ -140,11 +140,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    try:
-        jobs = resolve_jobs(settings.jobs)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    jobs = resolve_jobs(settings.jobs)
 
     if args.profile is not None and jobs > 1:
         # cProfile only sees this process; worker processes would hide

@@ -16,8 +16,8 @@ same way, with the L3 event order derived (vectorized) from the
 per-event L2 outcomes.
 
 Byte-identity with the scalar replay rests on a few structural facts
-of the three eligible policies, each pinned down by the equivalence
-suite in ``tests/test_vector_replay.py``:
+of the three eligible policies, each checked against the per-access
+walk by the differential harness in ``tests/test_mix_replay.py``:
 
 * **baseline** — lines never move, so a line's way (and with it every
   sublevel-resolved count) is fixed at fill time. The tag-level

@@ -1,27 +1,28 @@
-"""Filtered-trace replay: equivalence, store keying, recovery.
+"""The N-core driver on one core: named cells, store keying, recovery.
 
 The contract under test is absolute: for every policy and every legal
 configuration, ``run_trace`` must produce a ``RunResult`` whose
-``to_json()`` is byte-identical to the scalar per-access walk — whether
-the result came from a cold capture or a replay against a stored
-capture. The bypass and geometry rows of that contract
-are one table (``ROWS``) below.
+``to_json()`` is byte-identical to the per-access walk, whether the
+result came from a cold capture or a replay against a stored capture.
+The hypothesis harness of ``test_mix_replay`` checks that over the
+whole cell space; the named cells below pin the default tiny system,
+the paper geometry, cross-policy capture sharing and the shapes that
+walk (SimCheck, a partitioned L1), each through the one differential
+check (``served_like_walk``).
 """
 
 import copy
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
+from harness import canonical, partitioned_l1, skewed_energy
 from repro.analysis.invariants import InvariantViolation
-from repro.core.energy_model import LevelEnergyParams
 from repro.sim import filtered, single_core
 from repro.sim.build import build_hierarchy, runtime_kind
 from repro.sim.config import (
     LINES_PER_PAGE,
-    CacheLevelConfig,
     line_to_page_shift,
 )
 from repro.sim.filtered import front_end_fingerprint, replay_capture
@@ -41,8 +42,12 @@ ALL_POLICIES = ("baseline", "nurapid", "lru_pea", "slip", "slip_abp")
 LENGTH = 2_500
 
 
-def canonical(result) -> str:
-    return json.dumps(result.to_json(), sort_keys=True)
+def shared_store(trace, config, **kwargs):
+    """A store holding the capture a baseline cell took."""
+    store = MemoryCaptureStore()
+    run_trace(trace, "baseline", config=config, store=store, **kwargs)
+    assert len(store._entries) == 1
+    return store
 
 
 # ----------------------------------------------------------------------
@@ -51,136 +56,72 @@ def canonical(result) -> str:
 class TestEquivalence:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_filtered_matches_direct(self, policy, tiny_system,
-                                     scalar_run):
-        trace = make_trace("soplex", LENGTH)
-        store = MemoryCaptureStore()
-        replayed = run_trace(trace, policy, config=tiny_system, seed=2,
-                             store=store)
-        assert canonical(replayed) == canonical(
-            scalar_run(trace, policy, tiny_system, seed=2))
+                                     served_like_walk):
+        served_like_walk(run_trace, dict(
+            trace=make_trace("soplex", LENGTH), policy=policy,
+            config=tiny_system, seed=2), MemoryCaptureStore())
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_replay_from_shared_capture_matches(self, policy,
-                                                tiny_system, scalar_run):
+                                                tiny_system,
+                                                served_like_walk):
         """All five policies replay one store entry byte-identically."""
         trace = make_trace("lbm", LENGTH)
-        store = MemoryCaptureStore()
-        # Warm the store through the baseline cell.
-        run_trace(trace, "baseline", config=tiny_system, store=store)
-        assert len(store._entries) == 1
-        replayed = run_trace(trace, policy, config=tiny_system,
-                             store=store)
-        assert canonical(replayed) == canonical(
-            scalar_run(trace, policy, tiny_system))
+        store = shared_store(trace, tiny_system)
+        served_like_walk(run_trace, dict(trace=trace, policy=policy,
+                                         config=tiny_system), store)
         assert len(store._entries) == 1  # no second capture taken
 
-    def test_default_system_smoke(self, scalar_run):
+    def test_default_system_smoke(self, served_like_walk):
         """Paper-scale config, the sweep bench's own geometry."""
         trace = make_trace("soplex", LENGTH)
-        store = MemoryCaptureStore()
-        run_trace(trace, "baseline", store=store)
-        replayed = run_trace(trace, "slip_abp", store=store)
-        assert canonical(replayed) == canonical(
-            scalar_run(trace, "slip_abp"))
+        served_like_walk(run_trace, dict(trace=trace, policy="slip_abp"),
+                         shared_store(trace, None))
 
 
 # ----------------------------------------------------------------------
-# Direct runs: run_trace against the scalar walk
+# Direct runs: run_trace against the walk
 # ----------------------------------------------------------------------
-def skewed_energy(config):
-    """Per-level overrides that move SLIP's placement decisions: L2
-    sublevels 20x dearer over a 1 pJ next level, L3 sublevels 20x
-    cheaper over a 5000 pJ next level."""
-    return {
-        name: LevelEnergyParams(
-            sublevel_capacity_lines=tuple(
-                level.sublevel_capacity_lines(i)
-                for i in range(level.num_sublevels)
-            ),
-            sublevel_energy_pj=tuple(e * scale
-                                     for e in level.sublevel_energy_pj),
-            next_level_energy_pj=next_pj,
-        )
-        for name, level, scale, next_pj in (
-            ("L2", config.l2, 20.0, 1.0),
-            ("L3", config.l3, 0.05, 5000.0),
-        )
-    }
-
-
-def partitioned_l1(config):
-    """A sublevel-partitioned L1, which the capture kernel declines:
-    such cells walk."""
-    l1 = CacheLevelConfig(
-        name="L1", size_bytes=1024, ways=2, latency_cycles=1,
-        access_energy_pj=1.0, sublevel_ways=(1, 1),
-        sublevel_energy_pj=(0.8, 1.4), sublevel_latency=(1, 2),
-    )
-    return dataclasses.replace(config, l1=l1)
-
-
-@dataclasses.dataclass(frozen=True)
-class Row:
-    """One input shape of ``run_trace``; the store column is ``none``
-    (no store), ``memory`` or ``warm-memory`` (warmed by a baseline
-    cell)."""
-
-    store: str = "none"
-    simcheck: bool = False
-    overrides: bool = False
-    rd_block_lines: int = 0
-    replacement: str = "lru"
-    l1_sublevels: bool = False
-
-
-ROWS = {
-    "none": Row(),
-    "simcheck": Row(store="memory", simcheck=True),
-    "energy-overrides": Row(store="memory", overrides=True),
-    "rd-block": Row(store="memory", rd_block_lines=4),
-    "drrip": Row(replacement="drrip"),
-    "ship": Row(replacement="ship"),
-    "sublevel-l1": Row(store="memory", l1_sublevels=True),
-    "cold-memory": Row(store="memory"),
-    "warm-memory": Row(store="warm-memory"),
-}
+#: Named cell shapes: no store, then shapes on a fresh store, a store a
+#: baseline cell warmed, and the two shapes that walk.
+SHAPES = ("none", "simcheck", "energy-overrides", "rd-block", "drrip",
+          "ship", "sublevel-l1", "cold-memory", "warm-memory")
 #: Store-less default-shape cells keep their historical bare-policy ids.
-CASES = [(name, policy) for name in ROWS for policy in ALL_POLICIES]
-CASE_IDS = [policy if name == "none" else f"{name}-{policy}"
-            for name, policy in CASES]
+CASES = [(shape, policy) for shape in SHAPES for policy in ALL_POLICIES]
+CASE_IDS = [policy if shape == "none" else f"{shape}-{policy}"
+            for shape, policy in CASES]
 
 
 class TestDirectPipeline:
-    @pytest.mark.parametrize("name,policy", CASES, ids=CASE_IDS)
-    def test_direct_matches_scalar(self, name, policy, tiny_system,
-                                   monkeypatch, scalar_run):
-        row = ROWS[name]
-        if row.simcheck:
+    @pytest.mark.parametrize("shape,policy", CASES, ids=CASE_IDS)
+    def test_direct_matches_scalar(self, shape, policy, tiny_system,
+                                   monkeypatch, served_like_walk):
+        config = {"rd-block": tiny_system.with_slip(rd_block_lines=4),
+                  "sublevel-l1": partitioned_l1(tiny_system)}.get(
+                      shape, tiny_system)
+        cell = dict(trace=make_trace("soplex", 1_500), policy=policy,
+                    config=config, seed=3)
+        if shape in ("drrip", "ship"):
+            cell["replacement"] = shape
+        if shape == "energy-overrides":
+            cell["level_energy_overrides"] = skewed_energy(config)
+        if shape == "simcheck":
             monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        config = tiny_system.with_slip(rd_block_lines=row.rd_block_lines)
-        if row.l1_sublevels:
-            config = partitioned_l1(config)
-        kwargs = dict(config=config, seed=3, replacement=row.replacement,
-                      level_energy_overrides=(skewed_energy(config)
-                                              if row.overrides else None))
-        store = None if row.store == "none" else MemoryCaptureStore()
-        trace = make_trace("soplex", 1_500)
-        if row.store == "warm-memory":
-            run_trace(trace, "baseline", config=config, seed=3,
-                      store=store)
-        result = run_trace(trace, policy, store=store, **kwargs)
-        assert canonical(result) == canonical(
-            scalar_run(trace, policy, **kwargs))
+        store = MemoryCaptureStore()
+        if shape in ("none", "drrip", "ship"):
+            store = None
+        elif shape == "warm-memory":
+            store = shared_store(cell["trace"], config, seed=3)
+        served_like_walk(run_trace, cell, store)
         if store is not None:
             # Only SimCheck and partitioned-L1 cells walk, taking no
             # capture.
-            walks = row.simcheck or row.l1_sublevels
-            assert bool(store._entries) != walks
-        if row.overrides and runtime_kind(policy) == "slip":
+            assert bool(store._entries) != (shape in ("simcheck",
+                                                      "sublevel-l1"))
+        if shape == "energy-overrides" and runtime_kind(policy) == "slip":
             # The overrides reach the live SLIP runtime's EOU models.
-            kwargs["level_energy_overrides"] = None
-            assert canonical(result) != canonical(
-                run_trace(trace, policy, store=store, **kwargs))
+            assert canonical(run_trace(**cell)) != canonical(
+                run_trace(**dict(cell, level_energy_overrides=None)))
 
     def test_direct_runs_leave_the_store_alone(self, monkeypatch):
         """A store-less run captures, replays and keeps nothing: the

@@ -3,201 +3,74 @@
 :func:`repro.sim.multi_core.run_mix_traces` runs the N-core driver
 (:func:`repro.sim.filtered.simulate`): it captures each core's front
 end through the capture store and replays the merged boundary events;
-the driver's per-access walk (the ``walked`` fixture forces it) drives
-every core's ``access()`` in turn and is the golden reference. The
-hypothesis harness below draws policy, core count (one core is the
-driver's single-core case), tiny cache geometries, page size, Section 7
-rd-blocks for the slip kinds, warmup fraction, unequal per-core trace
-lengths and the capture store tier, and asserts the two produce the
-same bytes on a cold and a warm store (or twice without one),
-through the back-end kernels (baseline kinds and slip kinds alike) and
-through the baseline kinds' merged scalar replay. Mixes hard-wire LRU,
-so a second harness draws single-core ``run_trace`` cells under DRRIP
-and SHiP replacement, on L2/L3 geometries wide enough (>= 64 sets) to
-hold DRRIP's BRRIP leader sets.
-
-This module must stay out of conftest's ``SIMCHECK_MODULES``: under
-SimCheck every mix declines to the walk, and the harness would compare
-the walk with itself.
+the driver's per-access walk (the ``walked`` fixture forces it, with
+SimCheck on) drives every core's ``access()`` in turn and is the golden
+reference. The hypothesis tests below draw cells from the one cell
+space of ``harness``: policy, core count (one core is the driver's
+single-core case), tiny cache geometries (L1 shape and TLB size
+included), page size, Section 7 rd-blocks for the slip kinds, the
+``l3_abp_min_samples`` floor, warmup fraction, unequal per-core trace
+lengths, benchmark analogs or a synthetic high-churn trace, and the
+capture store tier. Each asserts the served bytes equal the walk's on
+a cold and a warm store (or twice without one), through the back-end
+kernels (baseline kinds and slip kinds alike) and through the baseline
+kinds' merged scalar replay. Mixes hard-wire LRU, so single-core
+``run_trace`` cells draw the replacement (LRU, random, DRRIP, SHiP) on
+L2/L3 geometries wide enough (>= 64 sets) to hold DRRIP's BRRIP leader
+sets, and for the slip kinds the per-level energy overrides and
+``always_sample``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from harness import canonical, mix_cell, single_cell
 from repro.core.distribution import DEFAULT_WARM_SAMPLES
 from repro.core.eou import EnergyOptimizerUnit
 from repro.sim import filtered, multi_core
-from repro.sim.build import POLICY_NAMES, runtime_kind
-from repro.sim.config import (
-    CacheLevelConfig,
-    CoreConfig,
-    DramConfig,
-    SlipParams,
-    SystemConfig,
-)
 from repro.sim.single_core import run_trace
-from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import MemoryCaptureStore
-from repro.workloads.mixes import CORE_ADDRESS_STRIDE, make_mix_traces
-
-BENCHES = ("soplex", "mcf", "lbm", "gcc", "bzip2", "milc")
-
-
-def canonical(result) -> str:
-    return json.dumps(asdict(result), sort_keys=True)
+from repro.workloads.mixes import make_mix_traces
 
 
 @st.composite
-def levels(draw, name: str, set_counts, base_lat: int,
-           base_pj: float, uniform_ok: bool) -> CacheLevelConfig:
-    ways = draw(st.sampled_from((2, 4, 8)))
-    sets = draw(st.sampled_from(set_counts))
-    nsub = draw(st.integers(1, min(3, ways)))
-    cuts = sorted(draw(st.lists(st.integers(1, ways - 1), min_size=nsub - 1,
-                                max_size=nsub - 1, unique=True)))
-    bounds = [0] + cuts + [ways]
-    parts = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-    if nsub == 1 and uniform_ok and draw(st.booleans()):
-        parts = ()  # a uniform level (SLIP needs a partitioned one)
-    return CacheLevelConfig(
-        name=name,
-        size_bytes=sets * ways * 64,
-        ways=ways,
-        latency_cycles=base_lat,
-        access_energy_pj=base_pj,
-        metadata_energy_pj=base_pj / 20,
-        sublevel_ways=parts,
-        sublevel_energy_pj=tuple(
-            base_pj * (0.5 + 0.25 * i) for i in range(len(parts))),
-        sublevel_latency=tuple(base_lat + i for i in range(len(parts))),
-    )
+def drawn(draw, cell):
+    """``cell(choose)`` with every choice a hypothesis draw."""
+    return cell(lambda options: draw(st.sampled_from(options)))
 
 
-@st.composite
-def systems(draw, uniform_ok: bool, wide: bool = False,
-            rd_blocks: bool = False) -> SystemConfig:
-    """A tiny system; ``wide`` draws L2/L3 set counts up to 128, so
-    DRRIP (32 leader sets) gets BRRIP leaders and followers, and
-    ``rd_blocks`` draws the Section 7 rd-block size (0 keys by page,
-    else one line up to a page) and a SLIP-cache of a few entries."""
-    page_size = draw(st.sampled_from((2048, 4096, 8192)))
-    slip = SlipParams()
-    if rd_blocks:
-        slip = SlipParams(
-            rd_block_lines=draw(st.just(0) | st.sampled_from(
-                [1 << bits for bits in
-                 range((page_size // 64).bit_length())])),
-            slip_cache_entries=draw(st.sampled_from((2, 4, 8))))
-    l1_ways = draw(st.sampled_from((1, 2, 4)))
-    l1_sets = draw(st.sampled_from((4, 8, 16)))
-    # A uniform L1: the capture kernel declines a partitioned one, and
-    # the driver walks it.
-    return SystemConfig(
-        l1=CacheLevelConfig(
-            name="L1", size_bytes=l1_sets * l1_ways * 64, ways=l1_ways,
-            latency_cycles=1, access_energy_pj=1.0),
-        l2=draw(levels("L2", (8, 64, 128) if wide else (8, 16), 3, 10.0,
-                       uniform_ok)),
-        l3=draw(levels("L3", (32, 64, 128) if wide else (32, 64), 8, 40.0,
-                       uniform_ok)),
-        dram=DramConfig(latency_cycles=50, energy_pj_per_bit=2.0),
-        slip=slip,
-        core=CoreConfig(),
-        tlb_entries=draw(st.sampled_from((4, 8, 16))),
-        page_size=page_size,
-    )
+#: Capture store tiers: no store, or a fresh memory store.
+STORES = st.none() | st.builds(MemoryCaptureStore)
+HARNESS = settings(deadline=None, derandomize=True,
+                   suppress_health_check=[
+                       HealthCheck.function_scoped_fixture])
 
 
-@st.composite
-def mix_cells(draw):
-    policy = draw(st.sampled_from(POLICY_NAMES))
-    cores = draw(st.integers(1, 3))
-    mix = tuple(draw(st.sampled_from(BENCHES)) for _ in range(cores))
-    seed = draw(st.integers(0, 20))
-    traces = [
-        make_trace(name, draw(st.integers(200, 1_500)),
-                   seed=seed + core).with_offset(core * CORE_ADDRESS_STRIDE)
-        for core, name in enumerate(mix)
-    ]
-    baseline_kind = runtime_kind(policy) == "baseline"
-    return dict(
-        traces=traces,
-        mix=mix,
-        policy=policy,
-        config=draw(systems(uniform_ok=baseline_kind,
-                            rd_blocks=not baseline_kind)),
-        seed=seed,
-        warmup_fraction=draw(st.sampled_from((0.0, 0.1, 0.3, 0.5))),
-    )
+@settings(HARNESS, max_examples=60)
+@given(cell=drawn(mix_cell), store=STORES)
+def test_replay_matches_walk(cell, store, served_like_walk):
+    served_like_walk(multi_core.run_mix_traces, cell, store)
 
 
-#: Capture store tiers: no store, a fresh memory store.
-STORE_TIERS = ("none", "memory")
-
-
-def replay_twice(run, cell, tier: str):
-    """``run(**cell)``'s bytes twice: without a store, or on a cold and
-    then a warm fresh store; ``run`` is ``run_mix_traces`` or
-    ``run_trace``."""
-    store = None if tier == "none" else MemoryCaptureStore()
-    return [canonical(run(**cell, store=store)) for _ in range(2)]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cell=mix_cells(), tier=st.sampled_from(STORE_TIERS))
-def test_replay_matches_walk(cell, tier, walked):
-    with walked():
-        reference = canonical(multi_core.run_mix_traces(**cell))
-    assert (replay_twice(multi_core.run_mix_traces, cell, tier)
-            == [reference, reference])
-
-
-@settings(max_examples=15, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cell=mix_cells(), tier=st.sampled_from(STORE_TIERS))
-def test_scalar_replay_matches_walk(cell, tier, scalar_kernels, walked):
+@settings(HARNESS, max_examples=15)
+@given(cell=drawn(mix_cell), store=STORES)
+def test_scalar_replay_matches_walk(cell, store, scalar_kernels,
+                                    served_like_walk):
     """With the baseline-kind kernel declining, the merged scalar
     replay serves the baseline kinds."""
-    with walked():
-        reference = canonical(multi_core.run_mix_traces(**cell))
-    with scalar_kernels("replay_capture_vector"):
-        assert (replay_twice(multi_core.run_mix_traces, cell, tier)
-                == [reference, reference])
+    with scalar_kernels():
+        served_like_walk(multi_core.run_mix_traces, cell, store)
 
 
-@st.composite
-def rrip_cells(draw):
-    """One single-core cell under DRRIP or SHiP replacement."""
-    policy = draw(st.sampled_from(POLICY_NAMES))
-    seed = draw(st.integers(0, 20))
-    baseline_kind = runtime_kind(policy) == "baseline"
-    return dict(
-        trace=make_trace(draw(st.sampled_from(BENCHES)),
-                         draw(st.integers(300, 2_500)), seed=seed),
-        policy=policy,
-        config=draw(systems(uniform_ok=baseline_kind, wide=True,
-                            rd_blocks=not baseline_kind)),
-        seed=seed,
-        replacement=draw(st.sampled_from(("drrip", "ship"))),
-        warmup_fraction=draw(st.sampled_from((0.0, 0.1, 0.3, 0.5))),
-    )
-
-
-@settings(max_examples=40, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cell=rrip_cells(), tier=st.sampled_from(STORE_TIERS))
-def test_rrip_replay_matches_walk(cell, tier, walked):
-    """DRRIP and SHiP cells: the SLIP kernel serves the slip kinds, the
-    scalar replay the baseline kinds, on a cold and a warm store."""
-    with walked():
-        reference = canonical(run_trace(**cell))
-    assert replay_twice(run_trace, cell, tier) == [reference, reference]
+@settings(HARNESS, max_examples=60)
+@given(cell=drawn(single_cell), store=STORES)
+def test_rrip_replay_matches_walk(cell, store, served_like_walk):
+    """Single-core cells under LRU, random, DRRIP and SHiP replacement:
+    the SLIP kernel serves the slip kinds, the baseline-kind kernel
+    LRU and the scalar replay the other baseline-kind cells."""
+    served_like_walk(run_trace, cell, store)
 
 
 def test_mix_cells_share_captures(tiny_system, walked):

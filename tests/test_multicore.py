@@ -1,4 +1,8 @@
-"""Tests for the two-core shared-L3 simulation (Figure 16 machinery)."""
+"""Tests for the two-core shared-L3 simulation (Figure 16 machinery).
+
+``TestRunMix``'s mixes take the served path (per-core capture, merged
+replay over the shared L3) that every Fig. 16 cell takes.
+"""
 
 from dataclasses import asdict, replace
 
@@ -120,7 +124,6 @@ class TestRoutedRuntime:
         """The SLIP kernel replays a mix at any key grain (its router
         check shifts by the profile key, not the page) and matches the
         walk."""
-        monkeypatch.delenv("REPRO_CHECK_INVARIANTS")  # SimCheck walks
         config = replace(tiny_system, page_size=page_size).with_slip(
             rd_block_lines=rd_block_lines)
         calls = []
