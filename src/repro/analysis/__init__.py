@@ -1,6 +1,6 @@
 """Static analysis and runtime invariant checking ("SimCheck").
 
-Two pillars keep the reproduction's accounting trustworthy:
+Three tools keep the reproduction's accounting trustworthy:
 
 * :mod:`repro.analysis.lint` / :mod:`repro.analysis.rules` — the
   ``slip-lint`` AST pass with simulator-specific rules (SLIP001...),
@@ -8,11 +8,13 @@ Two pillars keep the reproduction's accounting trustworthy:
 * :mod:`repro.analysis.audit` (on :mod:`repro.analysis.dataflow`) —
   the ``slip-audit`` determinism-taint pass (SLIP013-SLIP014), runnable
   as ``slip-audit src/`` or ``python -m repro.analysis.audit``;
-* :mod:`repro.analysis.invariants` — the ``REPRO_CHECK_INVARIANTS=1``
-  runtime mode installing conservation/consistency checkers on every
-  :class:`~repro.mem.hierarchy.MemoryHierarchy`.
+* :mod:`repro.analysis.invariants` — SimCheck's per-access checkers,
+  which the tests install on the hierarchies they walk, and the
+  always-on conservation audits the kernels and replays run.
 
-See ANALYSIS.md for the rule catalog and invariant reference.
+The simulator imports only :mod:`~repro.analysis.invariants`; the lint
+and audit modules load on first use of their names. See ANALYSIS.md for
+the rule catalog and invariant reference.
 """
 
 from .invariants import (
@@ -20,29 +22,32 @@ from .invariants import (
     InvariantViolation,
     LevelChecker,
     check_capture_replay,
-    check_period,
-    invariants_enabled,
-    maybe_install,
 )
-from .rules import RULES, Finding, lint_source, module_parts_of
 
-
-_AUDIT_EXPORTS = ("audit_paths", "audit_sources", "AUDIT_RULES")
+#: Names served lazily, by the module that defines them.
+_LAZY = {
+    "RULES": "rules",
+    "Finding": "rules",
+    "lint_source": "rules",
+    "module_parts_of": "rules",
+    "lint_paths": "lint",
+    "AUDIT_RULES": "audit",
+    "audit_paths": "audit",
+    "audit_sources": "audit",
+}
 
 
 def __getattr__(name):
-    # Lazy so `python -m repro.analysis.lint` (or `.audit`) doesn't
-    # import the CLI module twice (runpy warns when __init__ eagerly
-    # imports it).
-    if name == "lint_paths":
-        from .lint import lint_paths
+    # Lazy so the simulator, which imports this package for its
+    # invariants, never loads the lint rule set, and so
+    # `python -m repro.analysis.lint` (or `.audit`) doesn't import the
+    # CLI module twice (runpy warns when __init__ eagerly imports it).
+    if name not in _LAZY:
+        raise AttributeError(name)
+    from importlib import import_module
 
-        return lint_paths
-    if name in _AUDIT_EXPORTS:
-        from . import audit
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
 
-        return getattr(audit, name)
-    raise AttributeError(name)
 
 __all__ = [
     "AUDIT_RULES",
@@ -54,10 +59,7 @@ __all__ = [
     "InvariantViolation",
     "LevelChecker",
     "check_capture_replay",
-    "check_period",
-    "invariants_enabled",
     "lint_paths",
     "lint_source",
-    "maybe_install",
     "module_parts_of",
 ]

@@ -1,8 +1,10 @@
-"""SimCheck: opt-in runtime invariant checking for the simulator.
+"""SimCheck: runtime invariant checking for the per-access walk.
 
-Set ``REPRO_CHECK_INVARIANTS=1`` (or ``=<period>`` for a custom check
-cadence in accesses) and every :class:`~repro.mem.hierarchy.
-MemoryHierarchy` self-installs cheap checkers at construction:
+:class:`HierarchyInvariantChecker` wraps one :class:`~repro.mem.
+hierarchy.MemoryHierarchy` with cheap checkers, run every ``period``
+accesses and at ``finalize()``. Nothing in the simulator installs it:
+the tests' ``walked`` fixture does, on the hierarchies it walks, so the
+walked side of every kernel-vs-walk comparison is checked. It checks:
 
 * **array/index consistency** — per-set tag uniqueness and agreement
   between the line array and the O(1) probe index;
@@ -14,46 +16,28 @@ MemoryHierarchy` self-installs cheap checkers at construction:
   the published :class:`~repro.mem.stats.LevelStats`, which implies
   ``hits + misses == accesses`` against the *observed* event stream;
 * **line conservation** — ``insertions == departures + resident`` per
-  level, measured against the last stats reset;
+  level, measured against the last stats reset, and every movement read
+  pairs with a movement write;
 * **writeback conservation** — every dirty line read out of a level
   (or forwarded by a dirty bypass) is absorbed exactly once by a lower
   level's in-place update or a DRAM write;
 * **energy monotonicity** — per-level energy ledgers are finite,
   non-negative and never decrease between checks;
-* **EOU sanity** — returned SLIP ids are in range, distribution
-  counters non-negative, and EOU energy equals optimizations times the
-  per-op cost.
+* **EOU ledger** — EOU energy equals optimizations times the
+  configured per-op cost, and TLB block cycles match optimizations.
 
 Violations raise :class:`InvariantViolation` naming the invariant,
 level, set/way and counter involved. The checks are wrappers installed
-on instances — zero cost when the mode is off.
+on instances, so an unchecked hierarchy pays nothing.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Optional
 
-_ENV_VAR = "REPRO_CHECK_INVARIANTS"
 _DEFAULT_PERIOD = 256
-_FALSEY = ("", "0", "false", "no", "off")
-
-
-def invariants_enabled() -> bool:
-    """Whether SimCheck is switched on via the environment."""
-    return os.environ.get(_ENV_VAR, "").strip().lower() not in _FALSEY
-
-
-def check_period() -> int:
-    """Accesses between full structural checks (env value > 1 wins)."""
-    raw = os.environ.get(_ENV_VAR, "").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        return _DEFAULT_PERIOD
-    return value if value > 1 else _DEFAULT_PERIOD
 
 
 class InvariantViolation(Exception):
@@ -323,6 +307,7 @@ class LevelChecker:
 
     def _check_conservation(self, resident: int) -> None:
         shadow = self.shadow
+        name = self.level.cfg.name
         expected = self.resident_baseline + shadow.insertions - \
             shadow.departures
         if resident != expected:
@@ -331,8 +316,17 @@ class LevelChecker:
                 f"insertions({shadow.insertions}) != "
                 f"departures({shadow.departures}) + resident delta "
                 f"({resident} now vs {self.resident_baseline} at reset)",
-                level=self.level.cfg.name,
-                counter="insertions==evictions+resident")
+                level=name, counter="insertions==evictions+resident")
+        # A movement reads its line out of one way and writes it into
+        # another, so the two tallies move together.
+        stats = self.level.stats
+        reads = sum(stats.move_read_events)
+        writes = sum(stats.move_write_events)
+        if reads != writes:
+            raise InvariantViolation(
+                "line-conservation",
+                f"{reads} movement reads vs {writes} movement writes",
+                level=name, counter="move_read_events==move_write_events")
 
     def _check_energy(self) -> None:
         # Energy accounting is deferred to integer event counters;
@@ -382,7 +376,8 @@ class HierarchyInvariantChecker:
             level._simcheck = checker
             self.level_checkers.append(checker)
 
-        self._install_eou_guards()
+        eous = getattr(hierarchy.runtime, "eous", None)
+        self.eous = list(eous.values()) if eous else []
         self._install_triggers()
 
     # ------------------------------------------------------------------
@@ -413,90 +408,15 @@ class HierarchyInvariantChecker:
 
         hierarchy.finalize = finalize
 
-    def _install_eou_guards(self) -> None:
-        runtime = self.hierarchy.runtime
-        eous = getattr(runtime, "eous", None)
-        self.eous = list(eous.values()) if eous else []
-        for eou in self.eous:
-            if getattr(eou, "_simcheck_guarded", False):
-                continue
-            orig_optimize = eou.optimize
-            space_size = len(eou.space)
-
-            def optimize(distribution, allow_abp=True,
-                         evidence_samples=None, _orig=orig_optimize,
-                         _eou=eou, _n=space_size):
-                negatives = [c for c in distribution.counts if c < 0]
-                if negatives:
-                    raise InvariantViolation(
-                        "eou-distribution",
-                        f"negative reuse-distance bin counters "
-                        f"{negatives}", counter="distribution.counts")
-                slip_id = _orig(distribution, allow_abp=allow_abp,
-                                evidence_samples=evidence_samples)
-                if not 0 <= slip_id < _n:
-                    raise InvariantViolation(
-                        "eou-slip-id",
-                        f"optimizer returned SLIP id {slip_id}, space "
-                        f"holds {_n}", counter="slip_id")
-                # Memo soundness: the (possibly cached) answer must
-                # equal a fresh argmin over the same counters.
-                direct = _eou.optimize_direct(
-                    distribution, allow_abp=allow_abp,
-                    evidence_samples=evidence_samples)
-                if slip_id != direct:
-                    raise InvariantViolation(
-                        "eou-memo",
-                        f"memoized optimizer returned SLIP id {slip_id} "
-                        f"but a direct argmin over counts "
-                        f"{list(distribution.counts)} returns {direct}",
-                        counter="memo")
-                return slip_id
-
-            eou.optimize = optimize
-            eou._simcheck_guarded = True
-
     # ------------------------------------------------------------------
     def check(self) -> None:
         """Run every invariant; raises InvariantViolation on failure."""
         self.checks_run += 1
         for checker in self.level_checkers:
             checker.check()
-        self._check_hierarchy_counters()
         if not self.l3_shared:
             self._check_writeback_conservation()
         self._check_eous()
-
-    def _check_hierarchy_counters(self) -> None:
-        h = self.hierarchy
-        counters = h.counters
-        l1 = h.l1.stats
-        if counters.l1_hits != l1.demand_hits:
-            raise InvariantViolation(
-                "counter-truth",
-                f"hierarchy counts {counters.l1_hits} L1 hits, L1 stats "
-                f"count {l1.demand_hits}",
-                level="L1", counter="l1_hits")
-        probes = l1.demand_hits + l1.demand_misses
-        if counters.demand_accesses != probes:
-            raise InvariantViolation(
-                "counter-truth",
-                f"{counters.demand_accesses} demand accesses but "
-                f"{probes} L1 demand probes (hits+misses != accesses)",
-                level="L1", counter="demand_accesses")
-        dram = h.dram.stats
-        if counters.dram_reads != dram.reads:
-            raise InvariantViolation(
-                "counter-truth",
-                f"hierarchy counts {counters.dram_reads} DRAM reads, "
-                f"DRAM stats count {dram.reads}",
-                level="DRAM", counter="dram_reads")
-        if counters.dram_writebacks != dram.writes:
-            raise InvariantViolation(
-                "counter-truth",
-                f"hierarchy counts {counters.dram_writebacks} DRAM "
-                f"writebacks, DRAM stats count {dram.writes}",
-                level="DRAM", counter="dram_writebacks")
 
     def _check_writeback_conservation(self) -> None:
         shadows = [c.shadow for c in self.level_checkers]
@@ -542,27 +462,17 @@ class HierarchyInvariantChecker:
                     counter="tlb_block_cycles")
 
 
-def maybe_install(hierarchy: Any,
-                  l3_shared: bool = False
-                  ) -> Optional[HierarchyInvariantChecker]:
-    """Install SimCheck on a hierarchy iff the env flag is set."""
-    if not invariants_enabled():
-        return None
-    return HierarchyInvariantChecker(hierarchy, period=check_period(),
-                                     l3_shared=l3_shared)
-
-
 # ----------------------------------------------------------------------
-# Filtered-replay conservation (always on, independent of the env flag)
+# Filtered-replay conservation (always on)
 # ----------------------------------------------------------------------
 def check_capture_replay(hierarchies: Any, captures: Any,
                          slip_kind: bool) -> None:
     """``capture-replay-conservation``: audit one finished replay.
 
-    Full SimCheck cannot observe a filtered replay (the per-access
-    wrappers never see events the replay skips, so the filtered path is
-    bypassed when the env flag is set); this O(1) audit runs at the end
-    of *every* replay instead, over one hierarchy and capture per core.
+    Full SimCheck cannot observe a replay (its per-access wrappers
+    never see the events a replay skips, so it checks only the walk);
+    this O(1) audit runs at the end of *every* replay instead, over one
+    hierarchy and capture per core.
     It checks that the back end consumed exactly the captured boundary
     events and that the merged front-end statistics still satisfy the
     line/writeback conservation and energy-monotonicity properties of a
@@ -664,7 +574,7 @@ def check_capture_replay(hierarchies: Any, captures: Any,
 
 
 # ----------------------------------------------------------------------
-# Vector-replay conservation (always on, independent of the env flag)
+# Vector-replay conservation (always on)
 # ----------------------------------------------------------------------
 def check_vector_replay(l2_legs: Any, l3_ops: Any, l3_measured: Any,
                         l3_tally: Any, *, dram_demand: int,
@@ -740,7 +650,7 @@ def check_vector_replay(l2_legs: Any, l3_ops: Any, l3_measured: Any,
 
 
 # ----------------------------------------------------------------------
-# SLIP vector-replay conservation (always on, independent of the flag)
+# SLIP vector-replay conservation (always on)
 # ----------------------------------------------------------------------
 def check_slip_vector_replay(l2_legs: Any, l3_tally: Any, *,
                              dram_writebacks: int) -> None:
@@ -867,7 +777,7 @@ def check_slip_vector_replay(l2_legs: Any, l3_tally: Any, *,
 
 
 # ----------------------------------------------------------------------
-# Vector-front-end conservation (always on, independent of the flag)
+# Vector-front-end conservation (always on)
 # ----------------------------------------------------------------------
 def check_vector_frontend(*, n: int, warmup: int, event_boundary: int,
                           total_events: int, total_demand: int,

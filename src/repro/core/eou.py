@@ -148,8 +148,8 @@ class EnergyOptimizerUnit:
                         evidence_samples: Optional[int] = None) -> int:
         """The un-memoized argmin, bypassing the cache and the stats.
 
-        Used by the memoization-equivalence tests and by SimCheck's
-        eou-memo invariant (a memo hit must equal a fresh argmin).
+        Used by the memoization-equivalence tests (a memo hit must
+        equal a fresh argmin).
         """
         return self._argmin(
             tuple(distribution.counts),

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..analysis.invariants import maybe_install
 from ..policies.base import PlacementPolicy
 from ..policies.baseline import BaselinePlacement
 from ..sim.config import SystemConfig, line_to_page_shift
@@ -105,9 +104,6 @@ class MemoryHierarchy:
         # page number = line address >> log2(lines per page); the shift
         # is shared with trace footprint reporting via config.
         self._page_shift = line_to_page_shift(config.lines_per_page)
-        # SimCheck: no-op unless REPRO_CHECK_INVARIANTS is set, in which
-        # case conservation/consistency checkers wrap this hierarchy.
-        self.simcheck = maybe_install(self, l3_shared=shared_l3 is not None)
         # Why the most recent kernel attempt (replay or front-end
         # capture) bypassed this hierarchy; updated through
         # repro.sim.kernel_report.record_decline / record_success.

@@ -14,9 +14,7 @@ single-core cells are the one-core case, the Figure 16 mixes of
 :mod:`repro.sim.multi_core` share an L3):
 
 1. every core runs the window in which all of them still run;
-2. one predicate sends to :func:`walk_cores` SimCheck
-   (``REPRO_CHECK_INVARIANTS``: the invariant wrappers observe
-   per-access events a replay does not generate), every L1 the capture
+2. one predicate sends to :func:`walk_cores` every L1 the capture
    kernel cannot model (a random-replacement, metadata-energy or
    sublevel-partitioned L1; the reason lands on
    ``hierarchy.kernel_declines.frontend``) and every slip-kind cell the
@@ -274,13 +272,10 @@ def walk_cores(hierarchies, traces, warmup_fraction: float) -> None:
 # The N-core driver
 # ----------------------------------------------------------------------
 def _needs_walk(hierarchies, traces) -> bool:
-    """Whether no capture can serve these cores: SimCheck (its wrappers
-    observe per-access events a replay does not generate), an L1 the
-    capture kernel cannot model (``frontend_eligible``), or a slip-kind
-    cell the SLIP kernel cannot replay (``slip_eligible``); the kernels
-    record why on the cores."""
-    if any(hierarchy.simcheck is not None for hierarchy in hierarchies):
-        return True
+    """Whether no capture can serve these cores: an L1 the capture
+    kernel cannot model (``frontend_eligible``), or a slip-kind cell the
+    SLIP kernel cannot replay (``slip_eligible``); the kernels record
+    why on the cores."""
     if not all([frontend_eligible(hierarchy) for hierarchy in hierarchies]):
         return True
     return (getattr(hierarchies[0].runtime, "slip_enabled", False)

@@ -28,8 +28,8 @@ the private L2s and the shared L3:
   replay of :mod:`repro.sim.filtered`.
 
 The per-access walk (:func:`repro.sim.filtered.walk_cores`) stays the
-golden reference and serves SimCheck, any core whose L1 the capture
-kernel declines and any slip-kind mix the phase-split kernel cannot
+golden reference and serves any core whose L1 the capture kernel
+declines and any slip-kind mix the phase-split kernel cannot
 replay; all of them walk before any capture is taken. This module
 builds the mix (:func:`_build_mix`) and collects its
 :class:`MulticoreResult` (:func:`_collect_mix`).

@@ -44,8 +44,8 @@ measured-phase events, and the reuse histogram records a line's
 still resident at the end (``finalize()`` runs after the reset).
 
 The kernel declines (``return None``) every hierarchy it cannot
-model: SimCheck, a non-LRU L1 replacement, metadata-energy tracking on
-L1, or a sublevel-partitioned L1 geometry (the kernel's closed-form
+model: a non-LRU L1 replacement, metadata-energy tracking on L1, or a
+sublevel-partitioned L1 geometry (the kernel's closed-form
 latency ``(n - warmup) * latency_cycles`` needs uniform way
 latencies). The driver asks :func:`frontend_eligible` first and walks
 such cells. Declines are recorded on
@@ -87,9 +87,6 @@ def frontend_eligible(hierarchy) -> bool:
     uniform-LRU L1 over a baseline-kind TLB path walks, recording its
     reason via :func:`~repro.sim.kernel_report.record_decline`.
     """
-    if hierarchy.simcheck is not None:
-        record_decline(hierarchy, "frontend", "simcheck")
-        return False
     l1 = hierarchy.l1
     if type(l1.replacement) is not LruReplacement:
         record_decline(

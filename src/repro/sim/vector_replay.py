@@ -63,8 +63,8 @@ grouping of :func:`_set_order` and the interleaved L3 stream of
 
 Replays fall back to the scalar path (``return False``) whenever the
 hierarchy is not eligible: SLIP kinds never reach this module, and
-non-LRU-family replacement ablations (random / DRRIP / SHiP), SimCheck
-and metadata-energy tracking are rejected here.
+non-LRU-family replacement ablations (random / DRRIP / SHiP) and
+metadata-energy tracking are rejected here.
 """
 
 from __future__ import annotations
@@ -102,9 +102,6 @@ def eligible_kind(hierarchy) -> Optional[str]:
     precise reason in :func:`repro.sim.vector_replay_slip.
     slip_eligible`).
     """
-    if hierarchy.simcheck is not None:
-        record_decline(hierarchy, "replay", "simcheck")
-        return None
     l2, l3 = hierarchy.l2, hierarchy.l3
     if l2.track_metadata_energy or l3.track_metadata_energy:
         record_decline(hierarchy, "replay", "metadata-energy")

@@ -74,7 +74,7 @@ draws its sublevel and BRRIP choices from the replacement's own RNG in
 the order of ``SlipPlacement.fill``. The per-access walk
 (:func:`repro.sim.filtered.walk_cores`) remains the golden reference
 and serves everything :func:`slip_eligible` declines, before any
-capture is taken: SimCheck, non-SLIP placements, foreign runtimes
+capture is taken: non-SLIP placements, foreign runtimes
 and Random replacement, cores that do not share one L3, a shared-L3
 router whose runtimes are not the cores' own in core order, and a
 profile key that routes to another core's runtime (reason
@@ -162,9 +162,6 @@ class SlipLevelTally:
 
 def _core_eligible(hierarchy) -> bool:
     """The per-core half of :func:`slip_eligible`."""
-    if hierarchy.simcheck is not None:
-        record_decline(hierarchy, "replay", "simcheck")
-        return False
     runtime = hierarchy.runtime
     if not getattr(runtime, "slip_enabled", False):
         record_decline(hierarchy, "replay", "kind:not-slip")

@@ -41,15 +41,26 @@ def scalar_kernels():
 def walked():
     """A context manager under which every cell, single-core or mix,
     takes the driver's per-access walk, the golden reference, with
-    SimCheck on: every kernel-vs-walk comparison also audits the walk
-    against SimCheck's invariants."""
+    SimCheck (``HierarchyInvariantChecker``) installed on every walked
+    hierarchy: every kernel-vs-walk comparison also audits the walk
+    against SimCheck's invariants. A test fake, not a production
+    option."""
+    from repro.analysis.invariants import HierarchyInvariantChecker
     from repro.sim import filtered
+
+    walk = filtered.walk_cores
+
+    def checked_walk(hierarchies, traces, warmup_fraction):
+        for hierarchy in hierarchies:
+            HierarchyInvariantChecker(hierarchy,
+                                      l3_shared=len(hierarchies) > 1)
+        walk(hierarchies, traces, warmup_fraction)
 
     @contextlib.contextmanager
     def walking():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("REPRO_CHECK_INVARIANTS", "1")
             mp.setattr(filtered, "_needs_walk", lambda *args: True)
+            mp.setattr(filtered, "walk_cores", checked_walk)
             yield
 
     return walking
@@ -61,14 +72,21 @@ def served_like_walk(walked):
     ``run(**cell, store=store)`` twice and asserts both give the bytes
     of the walk of ``run(**cell)``. ``run`` is ``run_trace`` or
     ``run_mix_traces``; ``store=None`` serves without a store, and a
-    fresh store serves cold, then warm."""
+    fresh store serves cold, then warm. A cell's ``argmin`` (see
+    ``harness``), when set, replaces the EOU's argmin on both sides."""
     from harness import canonical
+    from repro.core.eou import EnergyOptimizerUnit
 
     def check(run, cell, store=None):
-        with walked():
-            reference = canonical(run(**cell))
-        assert ([canonical(run(**cell, store=store)) for _ in range(2)]
-                == [reference, reference])
+        cell = dict(cell)
+        argmin = cell.pop("argmin", None)
+        with pytest.MonkeyPatch.context() as mp:
+            if argmin is not None:
+                mp.setattr(EnergyOptimizerUnit, "_argmin", argmin)
+            with walked():
+                reference = canonical(run(**cell))
+            assert ([canonical(run(**cell, store=store))
+                     for _ in range(2)] == [reference, reference])
 
     return check
 

@@ -2,12 +2,15 @@
 
 A cell is the keyword arguments of
 :func:`~repro.sim.single_core.run_trace` (:func:`single_cell`) or of
-:func:`~repro.sim.multi_core.run_mix_traces` (:func:`mix_cell`). Each
-generator takes ``choose``, a function from a sequence of options to one
-of them. The hypothesis tests of ``test_mix_replay`` pass a strategy
-draw, and a seeded case passes ``random.Random(seed).choice``, so both
-draw from the one space defined here. The ``served_like_walk`` fixture
-(conftest) checks a cell against the per-access walk.
+:func:`~repro.sim.multi_core.run_mix_traces` (:func:`mix_cell`), plus,
+for the slip kinds, ``argmin``: ``None``, or :func:`most_chunks_argmin`,
+which the ``served_like_walk`` fixture (conftest) patches in for both
+sides so that SLIP lines move between chunks. Each generator takes
+``choose``, a function from a sequence of options to one of them. The
+hypothesis tests of ``test_mix_replay`` pass a strategy draw, and a
+seeded case passes ``random.Random(seed).choice``, so both draw from
+the one space defined here. ``served_like_walk`` checks a cell against
+the per-access walk.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from repro.core.distribution import DEFAULT_WARM_SAMPLES
 from repro.core.energy_model import LevelEnergyParams
 from repro.sim.build import POLICY_NAMES, runtime_kind
 from repro.sim.config import (
@@ -37,6 +41,25 @@ BENCHES = ("soplex", "mcf", "lbm", "gcc", "bzip2", "milc")
 CHURN = "churn"
 WARMUP_FRACTIONS = (0.0, 0.1, 0.3, 0.5, 0.6, 1.0)
 REPLACEMENTS = ("lru", "random", "drrip", "ship")
+
+
+def most_chunks_argmin(eou, counts, allow_abp, confident):
+    """``EnergyOptimizerUnit._argmin`` that, once the distribution is
+    warm, picks the eligible SLIP with the most chunks: its fills and
+    hits cascade lines down chunk by chunk, so the levels move lines."""
+    if sum(counts) < DEFAULT_WARM_SAMPLES:
+        return eou.space.default_id
+    return max(eou._eligible[(allow_abp, confident)],
+               key=lambda eeu: (eou.space.num_chunks(eeu.slip_id),
+                                -eeu.slip_id)).slip_id
+
+
+def argmin(choose, policy: str):
+    """The ``argmin`` dimension: a slip-kind cell draws the EOU's own
+    argmin or :func:`most_chunks_argmin`; a baseline kind has no EOU."""
+    if runtime_kind(policy) == "baseline":
+        return None
+    return choose((None, most_chunks_argmin))
 
 
 def canonical(result) -> str:
@@ -168,6 +191,7 @@ def mix_cell(choose) -> dict:
                       rd_blocks=not baseline_kind),
         seed=seed,
         warmup_fraction=choose(WARMUP_FRACTIONS),
+        argmin=argmin(choose, policy),
     )
 
 
@@ -194,4 +218,5 @@ def single_cell(choose, policies=POLICY_NAMES,
             None if baseline_kind or not choose((False, True))
             else skewed_energy(config)),
         always_sample=not baseline_kind and choose((False, True)),
+        argmin=argmin(choose, policy),
     )

@@ -7,9 +7,11 @@ from repro.core.distribution import ReuseDistanceDistribution
 from repro.core.energy_model import (
     LevelEnergyParams,
     SlipEnergyModel,
+    exact_dot,
     slip_coefficients,
 )
 from repro.core.policy import Slip, SlipSpace, abp_slip, default_slip
+from repro.mem.stats import EnergyBreakdown, LevelStats
 
 CAPS = (1024, 1024, 2048)
 ENERGIES = (21.0, 33.0, 50.0)
@@ -213,3 +215,25 @@ def test_property_quantized_argmin_close_to_float(counts):
     best_energy = model.energy_of(float_best, probs)
     chosen_energy = model.energy_of(int_best, probs)
     assert chosen_energy <= best_energy * 1.02 + 1e-9
+
+
+class TestExactAccumulation:
+    """Energies are exactly rounded sums of count x table products:
+    left-to-right float addition of 0.1 + 0.2 + 0.3 gives
+    0.6000000000000001, ``math.fsum`` gives 0.6."""
+
+    TABLE = (0.1, 0.2, 0.3)
+
+    def test_exact_dot(self):
+        assert exact_dot([1, 1, 1], self.TABLE) == 0.6
+
+    @pytest.mark.parametrize("events", ["read_events", "insert_events",
+                                        "move_read_events",
+                                        "move_write_events",
+                                        "wb_in_events", "wb_out_events"])
+    def test_materialize(self, events):
+        stats = LevelStats("L2", num_sublevels=3)
+        setattr(stats, events, [1, 1, 1])
+        energy = EnergyBreakdown()
+        energy.materialize(stats, self.TABLE, self.TABLE, 0.0)
+        assert energy.total_pj == 0.6

@@ -95,7 +95,7 @@ CASE_IDS = [policy if shape == "none" else f"{shape}-{policy}"
 class TestDirectPipeline:
     @pytest.mark.parametrize("shape,policy", CASES, ids=CASE_IDS)
     def test_direct_matches_scalar(self, shape, policy, tiny_system,
-                                   monkeypatch, served_like_walk):
+                                   walked, served_like_walk):
         config = {"rd-block": tiny_system.with_slip(rd_block_lines=4),
                   "sublevel-l1": partitioned_l1(tiny_system)}.get(
                       shape, tiny_system)
@@ -105,16 +105,19 @@ class TestDirectPipeline:
             cell["replacement"] = shape
         if shape == "energy-overrides":
             cell["level_energy_overrides"] = skewed_energy(config)
-        if shape == "simcheck":
-            monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         store = MemoryCaptureStore()
         if shape in ("none", "drrip", "ship"):
             store = None
         elif shape == "warm-memory":
             store = shared_store(cell["trace"], config, seed=3)
-        served_like_walk(run_trace, cell, store)
+        if shape == "simcheck":
+            # Both sides walk under SimCheck.
+            with walked():
+                served_like_walk(run_trace, cell, store)
+        else:
+            served_like_walk(run_trace, cell, store)
         if store is not None:
-            # Only SimCheck and partitioned-L1 cells walk, taking no
+            # Only walked (SimCheck) and partitioned-L1 cells take no
             # capture.
             assert bool(store._entries) != (shape in ("simcheck",
                                                       "sublevel-l1"))

@@ -35,8 +35,16 @@ class TestAccountingInvariants:
     def test_hits_misses_consistent(self, results, policy):
         r = results[policy]
         for stats in (r.l1, r.l2, r.l3):
-            assert stats.hits + stats.misses == stats.accesses
+            # Each hit is also tallied by the sublevel that served it.
+            assert sum(stats.hits_by_sublevel) == stats.hits
             assert stats.demand_hits <= stats.hits
+        # L1 probes every demand access; each lower level probes the
+        # demand misses of the level above (the hierarchy is
+        # non-inclusive: an L2 miss always goes on to L3).
+        assert r.l1.demand_accesses == r.counters.demand_accesses
+        assert r.l1.demand_hits == r.counters.l1_hits
+        assert r.l2.demand_accesses == r.l1.demand_misses
+        assert r.l3.demand_accesses == r.l2.demand_misses
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_energy_components_nonnegative(self, results, policy):

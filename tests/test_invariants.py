@@ -4,21 +4,25 @@ violation that names the level/set/way/counter involved."""
 
 import pytest
 
-from repro.analysis import InvariantViolation, check_period, \
-    invariants_enabled
+from repro.analysis import HierarchyInvariantChecker, InvariantViolation
 from repro.mem.cache import NO_CHUNK
 from repro.sim.build import build_hierarchy
 
 
 @pytest.fixture
-def checked_hierarchy(tiny_system, monkeypatch):
-    """A slip_abp hierarchy with SimCheck installed, lightly warmed."""
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "64")
+def simcheck(tiny_system):
+    """SimCheck on a slip_abp hierarchy (checking every 64 accesses),
+    lightly warmed; the hierarchy is ``simcheck.hierarchy``."""
     hierarchy = build_hierarchy(tiny_system, "slip_abp")
-    assert hierarchy.simcheck is not None
+    checker = HierarchyInvariantChecker(hierarchy, period=64)
     for step in range(2000):
         hierarchy.access((step * 17) % 1200, step % 5 == 0)
-    return hierarchy
+    return checker
+
+
+@pytest.fixture
+def checked_hierarchy(simcheck):
+    return simcheck.hierarchy
 
 
 def first_valid(level, want_chunk=False):
@@ -31,49 +35,40 @@ def first_valid(level, want_chunk=False):
 
 
 # ----------------------------------------------------------------------
-# Enablement plumbing
+# Installation
 # ----------------------------------------------------------------------
-def test_disabled_by_default(tiny_system, monkeypatch):
-    monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-    assert not invariants_enabled()
+def test_disabled_by_default(tiny_system):
+    """Nothing in the simulator installs SimCheck: a built hierarchy
+    runs its own methods, unwrapped."""
     hierarchy = build_hierarchy(tiny_system, "baseline")
-    assert hierarchy.simcheck is None
+    assert "access" not in vars(hierarchy)
+    assert "record_hit" not in vars(hierarchy.l2)
 
 
-def test_env_value_sets_period(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-    assert invariants_enabled() and check_period() == 256
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "512")
-    assert check_period() == 512
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
-    assert not invariants_enabled()
-
-
-def test_clean_run_passes_and_checks_fire(checked_hierarchy):
-    simcheck = checked_hierarchy.simcheck
+def test_clean_run_passes_and_checks_fire(simcheck):
     assert simcheck.checks_run >= 2000 // 64
     simcheck.check()  # explicit full check on top of the periodic ones
 
 
-def test_clean_run_survives_warmup_reset(checked_hierarchy):
+def test_clean_run_survives_warmup_reset(simcheck, checked_hierarchy):
     checked_hierarchy.reset_stats()
     for step in range(500):
         checked_hierarchy.access((step * 13) % 900, step % 7 == 0)
-    checked_hierarchy.simcheck.check()
+    simcheck.check()
 
 
 def test_finalize_runs_final_check_and_tolerates_histogram_fold(
-        checked_hierarchy):
+        simcheck, checked_hierarchy):
     checked_hierarchy.finalize()
     # Post-finalize the reuse histogram legitimately includes resident
     # lines; the checker must not flag that as drift.
-    checked_hierarchy.simcheck.check()
+    simcheck.check()
 
 
 # ----------------------------------------------------------------------
 # Structural corruption
 # ----------------------------------------------------------------------
-def test_duplicate_tag_raises(checked_hierarchy):
+def test_duplicate_tag_raises(simcheck, checked_hierarchy):
     level = checked_hierarchy.l2
     for set_idx, line_set in enumerate(level.sets):
         ways = [w for w, ln in enumerate(line_set) if ln.valid]
@@ -83,33 +78,33 @@ def test_duplicate_tag_raises(checked_hierarchy):
     else:
         raise AssertionError("no set with two valid lines")
     with pytest.raises(InvariantViolation) as exc:
-        checked_hierarchy.simcheck.check()
+        simcheck.check()
     assert exc.value.invariant == "tag-uniqueness"
     assert exc.value.level == "L2"
     assert exc.value.set_idx == set_idx
 
 
-def test_stale_probe_index_raises(checked_hierarchy):
+def test_stale_probe_index_raises(simcheck, checked_hierarchy):
     level = checked_hierarchy.l3
     set_idx, way, line = first_valid(level)
     level._index[set_idx][line.tag] = (way + 1) % level.cfg.ways
     with pytest.raises(InvariantViolation) as exc:
-        checked_hierarchy.simcheck.check()
+        simcheck.check()
     assert exc.value.invariant in ("index-consistency", "tag-uniqueness")
     assert exc.value.level == "L3"
 
 
-def test_chunk_index_out_of_range_raises(checked_hierarchy):
+def test_chunk_index_out_of_range_raises(simcheck, checked_hierarchy):
     level = checked_hierarchy.l2
     set_idx, way, line = first_valid(level, want_chunk=True)
     line.chunk_idx = 99
     with pytest.raises(InvariantViolation) as exc:
-        checked_hierarchy.simcheck.check()
+        simcheck.check()
     assert exc.value.invariant == "chunk-occupancy"
     assert (exc.value.set_idx, exc.value.way) == (set_idx, way)
 
 
-def test_line_outside_its_chunk_ways_raises(checked_hierarchy):
+def test_line_outside_its_chunk_ways_raises(simcheck, checked_hierarchy):
     level = checked_hierarchy.l2
     space = checked_hierarchy.l2_placement.space
     # Find a line whose claimed chunk does not span every way, then
@@ -124,7 +119,7 @@ def test_line_outside_its_chunk_ways_raises(checked_hierarchy):
                 if way not in space.chunk_ways(slip_id, 0):
                     line.policy_id, line.chunk_idx = slip_id, 0
                     with pytest.raises(InvariantViolation) as exc:
-                        checked_hierarchy.simcheck.check()
+                        simcheck.check()
                     assert exc.value.invariant == "chunk-occupancy"
                     return
     raise AssertionError("no suitable line/SLIP pair found")
@@ -133,15 +128,15 @@ def test_line_outside_its_chunk_ways_raises(checked_hierarchy):
 # ----------------------------------------------------------------------
 # Ledger corruption
 # ----------------------------------------------------------------------
-def test_tampered_hit_counter_raises(checked_hierarchy):
+def test_tampered_hit_counter_raises(simcheck, checked_hierarchy):
     checked_hierarchy.l2.stats.demand_hits += 1
     with pytest.raises(InvariantViolation) as exc:
-        checked_hierarchy.simcheck.check()
+        simcheck.check()
     assert exc.value.invariant == "counter-truth"
     assert exc.value.counter == "demand_hits"
 
 
-def test_vanished_line_breaks_conservation(checked_hierarchy):
+def test_vanished_line_breaks_conservation(simcheck, checked_hierarchy):
     level = checked_hierarchy.l1
     set_idx, way, line = first_valid(level)
     # Drop the line *and* its index entry: the index stays consistent,
@@ -149,43 +144,49 @@ def test_vanished_line_breaks_conservation(checked_hierarchy):
     del level._index[set_idx][line.tag]
     line.reset()
     with pytest.raises(InvariantViolation) as exc:
-        checked_hierarchy.simcheck.check()
+        simcheck.check()
     assert exc.value.invariant == "line-conservation"
     assert exc.value.counter == "insertions==evictions+resident"
 
 
-def test_tampered_dram_writeback_counter_raises(checked_hierarchy):
+def test_unpaired_movement_read_raises(simcheck, checked_hierarchy):
+    checked_hierarchy.l3.stats.move_read_events[0] += 1
+    with pytest.raises(InvariantViolation) as exc:
+        simcheck.check()
+    assert exc.value.invariant == "line-conservation"
+    assert exc.value.level == "L3"
+    assert exc.value.counter == "move_read_events==move_write_events"
+
+
+def test_tampered_dram_writeback_counter_raises(simcheck, checked_hierarchy):
     checked_hierarchy.counters.dram_writebacks += 1
     with pytest.raises(InvariantViolation) as exc:
-        checked_hierarchy.simcheck.check()
-    # Both the DRAM cross-check and writeback conservation watch this
-    # counter; either naming is a correct diagnosis.
-    assert exc.value.invariant in ("counter-truth",
-                                   "writeback-conservation")
+        simcheck.check()
+    assert exc.value.invariant == "writeback-conservation"
 
 
-def test_negative_energy_raises(checked_hierarchy):
+def test_negative_energy_raises(simcheck, checked_hierarchy):
     # Energy is deferred to event counters: corrupt the ledger at its
     # source and the materialized read_pj goes negative.
     checked_hierarchy.l2.stats.read_events[0] = -10 ** 6
     with pytest.raises(InvariantViolation) as exc:
-        checked_hierarchy.simcheck.check()
+        simcheck.check()
     assert exc.value.invariant == "energy-monotonicity"
     assert exc.value.counter == "read_pj"
 
 
-def test_decreasing_energy_raises(checked_hierarchy):
-    checked_hierarchy.simcheck.check()  # records the current floor
+def test_decreasing_energy_raises(simcheck, checked_hierarchy):
+    simcheck.check()  # records the current floor
     stats = checked_hierarchy.l3.stats
     stats.insert_events = [c // 2 for c in stats.insert_events]
     with pytest.raises(InvariantViolation) as exc:
-        checked_hierarchy.simcheck.check()
+        simcheck.check()
     assert exc.value.invariant == "energy-monotonicity"
     assert exc.value.counter == "insertion_pj"
 
 
 # ----------------------------------------------------------------------
-# EOU guards
+# EOU ledger
 # ----------------------------------------------------------------------
 def test_eou_energy_property_refuses_accumulation(checked_hierarchy):
     # The ledger is a materialized product now; the old corruption
@@ -195,64 +196,34 @@ def test_eou_energy_property_refuses_accumulation(checked_hierarchy):
         eou.stats.energy_pj += 5.0
 
 
-def test_eou_cycle_ledger_mismatch_raises(checked_hierarchy):
+def test_eou_cycle_ledger_mismatch_raises(simcheck, checked_hierarchy):
     eou = checked_hierarchy.runtime.eous["L2"]
     eou.stats.tlb_block_cycles += 1
     with pytest.raises(InvariantViolation) as exc:
-        checked_hierarchy.simcheck.check()
+        simcheck.check()
     assert exc.value.invariant == "eou-energy"
     assert exc.value.counter == "tlb_block_cycles"
 
 
-def test_eou_lost_per_op_cost_raises(checked_hierarchy):
+def test_eou_lost_per_op_cost_raises(simcheck, checked_hierarchy):
     # The failure mode deferred EOU accounting introduces: a stats
     # reset that drops the configured per-op energy (e.g. rebuilding
     # the dataclass with defaults) silently rescales the whole ledger.
     eou = checked_hierarchy.runtime.eous["L2"]
     eou.stats.energy_pj_per_op = eou.energy_pj_per_op * 2
     with pytest.raises(InvariantViolation) as exc:
-        checked_hierarchy.simcheck.check()
+        simcheck.check()
     assert exc.value.invariant == "eou-energy"
     assert exc.value.counter == "energy_pj_per_op"
-
-
-def test_eou_memo_corruption_raises(checked_hierarchy):
-    # Poison the argmin memo: the SimCheck optimize guard re-derives
-    # the answer with optimize_direct and must flag the stale entry.
-    from repro.core.distribution import ReuseDistanceDistribution
-
-    eou = checked_hierarchy.runtime.eous["L2"]
-    distribution = ReuseDistanceDistribution(
-        boundaries=tuple(range(1, eou.model.num_bins)))
-    for _ in range(8):
-        distribution.record(0)
-    good = eou.optimize(distribution)
-    key = next(k for k, v in eou._memo.items()
-               if k[0] == tuple(distribution.counts))
-    eou._memo[key] = (good + 1) % len(eou.space)
-    with pytest.raises(InvariantViolation) as exc:
-        eou.optimize(distribution)
-    assert exc.value.invariant == "eou-memo"
-
-
-def test_eou_rejects_negative_distribution(checked_hierarchy):
-    from repro.core.distribution import ReuseDistanceDistribution
-
-    eou = checked_hierarchy.runtime.eous["L2"]
-    distribution = ReuseDistanceDistribution(
-        boundaries=tuple(range(1, eou.model.num_bins)))
-    distribution.counts[0] = -3
-    with pytest.raises(InvariantViolation) as exc:
-        eou.optimize(distribution)
-    assert exc.value.invariant == "eou-distribution"
 
 
 # ----------------------------------------------------------------------
 # Multicore (shared L3 wraps once, per-core checks still run)
 # ----------------------------------------------------------------------
-def test_multicore_runs_clean_under_simcheck(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "128")
+def test_multicore_runs_clean_under_simcheck(walked):
     from repro.sim.multi_core import run_mix
 
-    result = run_mix(("soplex", "milc"), "slip_abp", length_per_core=4000)
+    with walked():
+        result = run_mix(("soplex", "milc"), "slip_abp",
+                         length_per_core=4000)
     assert result.l3_energy_pj() > 0

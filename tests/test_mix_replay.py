@@ -18,7 +18,9 @@ kinds' merged scalar replay. Mixes hard-wire LRU, so single-core
 ``run_trace`` cells draw the replacement (LRU, random, DRRIP, SHiP) on
 L2/L3 geometries wide enough (>= 64 sets) to hold DRRIP's BRRIP leader
 sets, and for the slip kinds the per-level energy overrides and
-``always_sample``.
+``always_sample``. Slip-kind cells, mixes and single-core alike, also
+draw the EOU's argmin: their own, or one that picks multi-chunk SLIPs,
+so that lines cascade between chunks.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from harness import canonical, mix_cell, single_cell
-from repro.core.distribution import DEFAULT_WARM_SAMPLES
+from harness import canonical, mix_cell, most_chunks_argmin, single_cell
 from repro.core.eou import EnergyOptimizerUnit
 from repro.sim import filtered, multi_core
 from repro.sim.single_core import run_trace
@@ -102,15 +103,15 @@ def test_mix_cells_share_captures(tiny_system, walked):
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_simcheck_cells_walk(cores, tiny_system, monkeypatch, walked):
-    """SimCheck cells walk: they take no capture at all."""
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+    """Cells walked under SimCheck take no capture at all, even with a
+    store."""
     mix = ("soplex", "mcf")[:cores]
     traces = make_mix_traces(mix, 1_500, seed=3)
     with walked():
         walk = multi_core.run_mix_traces(traces, mix, "slip_abp",
                                          tiny_system, 3)
     store = MemoryCaptureStore()
-    with monkeypatch.context() as mp:
+    with walked(), monkeypatch.context() as mp:
         # A capture call would raise.
         mp.setattr(filtered, "capture_front_end_vector", None)
         replayed = multi_core.run_mix_traces(traces, mix, "slip_abp",
@@ -154,23 +155,14 @@ def test_rd_block_cells_share_page_mode_captures(cores, tiny_system,
     assert canonical(shared) == canonical(walk)
 
 
-def most_chunks_argmin(eou, counts, allow_abp, confident):
-    """``EnergyOptimizerUnit._argmin`` that, once the distribution is
-    warm, picks the eligible SLIP with the most chunks: its fills and
-    hits cascade lines down chunk by chunk, so the levels move lines."""
-    if sum(counts) < DEFAULT_WARM_SAMPLES:
-        return eou.space.default_id
-    return max(eou._eligible[(allow_abp, confident)],
-               key=lambda eeu: (eou.space.num_chunks(eeu.slip_id),
-                                -eeu.slip_id)).slip_id
-
-
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("policy", ["slip", "slip_abp"])
 def test_cascade_movements_match_walk(cores, policy, tiny_system,
                                       monkeypatch, walked):
     """Multi-chunk SLIPs move lines at L2 and L3: the SLIP kernel's
-    movement tallies and movement-queue charge equal the walk's."""
+    movement tallies and movement-queue charge equal the walk's. Unlike
+    a harness draw, these cells are pinned to move lines at every
+    level."""
     monkeypatch.setattr(EnergyOptimizerUnit, "_argmin", most_chunks_argmin)
     for mix in (("soplex", "mcf"), ("gcc", "soplex")):
         mix = mix[:cores]

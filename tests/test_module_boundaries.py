@@ -1,0 +1,64 @@
+"""What the simulator package may read and load.
+
+No module under ``src/repro`` reads the environment, so no knob can
+switch a run onto another code path unseen; and the simulator loads
+``repro.analysis`` only for its invariants, never the lint rule set or
+the taint engine.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_DIR = os.path.join(REPO_ROOT, "src")
+
+
+def environment_reads(tree):
+    """Line numbers of ``os.environ`` / ``os.getenv`` references and of
+    ``from os import environ/getenv``. String literals naming them (the
+    taint pass's source list) are data, not reads."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("environ", "getenv", "environb",
+                                  "getenvb")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name.startswith(("environ", "getenv"))
+                   for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_reads_the_environment():
+    reads = []
+    for root, _, files in os.walk(os.path.join(SRC_DIR, "repro")):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), filename=path)
+                reads += [f"{os.path.relpath(path, SRC_DIR)}:{line}"
+                          for line in environment_reads(tree)]
+    assert reads == []
+
+
+def test_environment_reads_are_found():
+    tree = ast.parse("import os\nfrom os import getenv\n"
+                     "a = os.environ.get('X')\nb = os.getenv('Y')\n"
+                     "c = 'os.environ'\n")
+    assert environment_reads(tree) == [2, 3, 4]
+
+
+def test_simulator_does_not_load_the_lint_rules():
+    probe = ("import sys, repro.sim.single_core; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('repro.analysis')))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR)).stdout
+    assert out.strip() == "['repro.analysis', 'repro.analysis.invariants']"

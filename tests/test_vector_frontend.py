@@ -136,12 +136,6 @@ class TestDecline:
         assert frontend_eligible(build_hierarchy(tiny_system,
                                                  "baseline"))
 
-    def test_simcheck_declines(self, tiny_system, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        hierarchy = build_hierarchy(tiny_system, "baseline")
-        assert not frontend_eligible(hierarchy)
-        assert hierarchy.kernel_declines.frontend == "simcheck"
-
     def test_rd_block_mode_is_eligible(self, tiny_system):
         """The front end of an rd-block cell is the page-mode one: the
         TLB probes each page, and L1 only stores the profile key."""

@@ -147,12 +147,6 @@ class TestDecline:
         assert not eligible(hierarchy)
         assert hierarchy.kernel_declines.replay == "kind:not-slip"
 
-    def test_simcheck_declines(self, tiny_system, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        hierarchy = build_hierarchy(tiny_system, "slip")
-        assert not eligible(hierarchy)
-        assert hierarchy.kernel_declines.replay == "simcheck"
-
     def test_non_lru_replacement_declines(self, tiny_system):
         hierarchy = build_hierarchy(tiny_system, "slip",
                                     replacement="random")
