@@ -1,34 +1,20 @@
-"""SimCheck: runtime invariant checking for the per-access walk.
+"""Always-on conservation audits of the capture and replay kernels.
 
-:class:`HierarchyInvariantChecker` wraps one :class:`~repro.mem.
-hierarchy.MemoryHierarchy` with cheap checkers, run every ``period``
-accesses and at ``finalize()``. Nothing in the simulator installs it:
-the tests' ``walked`` fixture does, on the hierarchies it walks, so the
-walked side of every kernel-vs-walk comparison is checked. It checks:
+Each audit balances one finished kernel run's tallies against the
+events it consumed, in O(1) or one pass over its streams, and raises
+:class:`InvariantViolation` naming the level and counter on a failure:
 
-* **array/index consistency** — per-set tag uniqueness and agreement
-  between the line array and the O(1) probe index;
-* **chunk residence** — every SLIP-managed line physically sits in a
-  way belonging to the chunk its metadata claims, so per-chunk
-  occupancy can never exceed the chunk's sublevel ways;
-* **counter truth** — shadow counters wrap the accounting primitives
-  (`record_hit`, `record_miss`, `place_fill`, ...) and must agree with
-  the published :class:`~repro.mem.stats.LevelStats`, which implies
-  ``hits + misses == accesses`` against the *observed* event stream;
-* **line conservation** — ``insertions == departures + resident`` per
-  level, measured against the last stats reset, and every movement read
-  pairs with a movement write;
-* **writeback conservation** — every dirty line read out of a level
-  (or forwarded by a dirty bypass) is absorbed exactly once by a lower
-  level's in-place update or a DRAM write;
-* **energy monotonicity** — per-level energy ledgers are finite,
-  non-negative and never decrease between checks;
-* **EOU ledger** — EOU energy equals optimizations times the
-  configured per-op cost, and TLB block cycles match optimizations.
+* :func:`check_capture_replay` — ``capture-replay-conservation``, at
+  the end of every replay, over one hierarchy and capture per core;
+* :func:`check_vector_replay` — ``vector-replay-conservation``, inside
+  the baseline-kind replay kernel;
+* :func:`check_slip_vector_replay` — ``slip-vector-replay-conservation``,
+  inside the SLIP replay kernel;
+* :func:`check_vector_frontend` — ``vector-frontend-conservation``,
+  inside the capture kernel.
 
-Violations raise :class:`InvariantViolation` naming the invariant,
-level, set/way and counter involved. The checks are wrappers installed
-on instances, so an unchecked hierarchy pays nothing.
+The per-access walk has no audit of its own: it is the golden
+reference the kernels are compared with, byte for byte.
 """
 
 from __future__ import annotations
@@ -37,429 +23,22 @@ import math
 from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Optional
 
-_DEFAULT_PERIOD = 256
-
 
 class InvariantViolation(Exception):
-    """A simulator invariant failed; names the exact state involved."""
+    """A simulator invariant failed; names the level and counter."""
 
     def __init__(self, invariant: str, message: str, *,
                  level: Optional[str] = None,
-                 set_idx: Optional[int] = None,
-                 way: Optional[int] = None,
                  counter: Optional[str] = None) -> None:
         self.invariant = invariant
         self.level = level
-        self.set_idx = set_idx
-        self.way = way
         self.counter = counter
         where = [f"[{invariant}]"]
         if level is not None:
             where.append(f"level={level}")
-        if set_idx is not None:
-            where.append(f"set={set_idx}")
-        if way is not None:
-            where.append(f"way={way}")
         if counter is not None:
             where.append(f"counter={counter}")
         super().__init__(" ".join(where) + ": " + message)
-
-
-class _Shadow:
-    """Independent event counts observed at the accounting primitives."""
-
-    __slots__ = ("demand_hits", "metadata_hits", "demand_misses",
-                 "metadata_misses", "insertions", "departures",
-                 "writebacks_out", "writebacks_in",
-                 "dirty_bypass_forwards")
-
-    def __init__(self) -> None:
-        self.zero()
-
-    def zero(self) -> None:
-        self.demand_hits = 0
-        self.metadata_hits = 0
-        self.demand_misses = 0
-        self.metadata_misses = 0
-        self.insertions = 0
-        self.departures = 0
-        self.writebacks_out = 0
-        self.writebacks_in = 0
-        self.dirty_bypass_forwards = 0
-
-
-class LevelChecker:
-    """Shadow accounting plus structural checks for one cache level."""
-
-    def __init__(self, level: Any, space: Any = None) -> None:
-        self.level = level
-        self.space = space
-        self.shadow = _Shadow()
-        self.resident_baseline = self._resident_count()
-        self._energy_floor: dict = {}
-        self.finalized = False
-        self._install()
-
-    # ------------------------------------------------------------------
-    def _resident_count(self) -> int:
-        return sum(
-            1 for line_set in self.level.sets for line in line_set
-            if line.valid
-        )
-
-    def resync(self) -> None:
-        """Re-baseline after a stats reset (warmup boundary)."""
-        self.shadow.zero()
-        self.resident_baseline = self._resident_count()
-        self._energy_floor = {}
-        self.finalized = False
-
-    # ------------------------------------------------------------------
-    def _install(self) -> None:
-        level, shadow = self.level, self.shadow
-
-        orig_hit = level.record_hit
-
-        def record_hit(set_idx, way, is_write, is_metadata=False):
-            if is_metadata:
-                shadow.metadata_hits += 1
-            else:
-                shadow.demand_hits += 1
-            return orig_hit(set_idx, way, is_write, is_metadata)
-
-        level.record_hit = record_hit
-
-        orig_miss = level.record_miss
-
-        def record_miss(is_metadata=False):
-            if is_metadata:
-                shadow.metadata_misses += 1
-            else:
-                shadow.demand_misses += 1
-            return orig_miss(is_metadata)
-
-        level.record_miss = record_miss
-
-        orig_fill = level.place_fill
-
-        def place_fill(*args, **kwargs):
-            shadow.insertions += 1
-            return orig_fill(*args, **kwargs)
-
-        level.place_fill = place_fill
-
-        orig_departure = level.record_departure
-
-        def record_departure(evicted):
-            shadow.departures += 1
-            return orig_departure(evicted)
-
-        level.record_departure = record_departure
-
-        orig_wb_out = level.record_writeback_out
-
-        def record_writeback_out(from_way):
-            shadow.writebacks_out += 1
-            return orig_wb_out(from_way)
-
-        level.record_writeback_out = record_writeback_out
-
-        orig_wb_in = level.record_writeback_in
-
-        def record_writeback_in(set_idx, way):
-            shadow.writebacks_in += 1
-            return orig_wb_in(set_idx, way)
-
-        level.record_writeback_in = record_writeback_in
-
-        orig_bypass = level.record_bypass
-
-        def record_bypass(slip_class="abp", dirty=False):
-            if dirty:
-                shadow.dirty_bypass_forwards += 1
-            return orig_bypass(slip_class, dirty)
-
-        level.record_bypass = record_bypass
-
-        orig_reset = level.reset_stats
-
-        def reset_stats():
-            orig_reset()
-            self.resync()
-
-        level.reset_stats = reset_stats
-
-    # ------------------------------------------------------------------
-    # Checks
-    # ------------------------------------------------------------------
-    def check(self) -> int:
-        """Run every level invariant; returns the resident-line count."""
-        resident = self._check_index()
-        if self.space is not None:
-            self._check_chunk_residence()
-        self._check_counters()
-        self._check_conservation(resident)
-        self._check_energy()
-        return resident
-
-    def _check_index(self) -> int:
-        level = self.level
-        name = level.cfg.name
-        resident = 0
-        for set_idx, line_set in enumerate(level.sets):
-            index = level._index[set_idx]
-            seen: dict = {}
-            valid = 0
-            for way, line in enumerate(line_set):
-                if not line.valid:
-                    continue
-                resident += 1
-                valid += 1
-                if line.tag < 0:
-                    raise InvariantViolation(
-                        "tag-uniqueness", f"valid line with tag {line.tag}",
-                        level=name, set_idx=set_idx, way=way)
-                if line.tag in seen:
-                    raise InvariantViolation(
-                        "tag-uniqueness",
-                        f"tag {line.tag:#x} present in ways "
-                        f"{seen[line.tag]} and {way}",
-                        level=name, set_idx=set_idx, way=way)
-                seen[line.tag] = way
-                if index.get(line.tag) != way:
-                    raise InvariantViolation(
-                        "index-consistency",
-                        f"probe index maps tag {line.tag:#x} to "
-                        f"{index.get(line.tag)}, array holds it in way "
-                        f"{way}",
-                        level=name, set_idx=set_idx, way=way)
-            if len(index) != valid:
-                raise InvariantViolation(
-                    "index-consistency",
-                    f"probe index holds {len(index)} tags, array holds "
-                    f"{valid} valid lines",
-                    level=name, set_idx=set_idx)
-        return resident
-
-    def _check_chunk_residence(self) -> None:
-        from ..mem.cache import NO_CHUNK
-
-        level, space = self.level, self.space
-        name = level.cfg.name
-        for set_idx, line_set in enumerate(level.sets):
-            for way, line in enumerate(line_set):
-                if not line.valid or line.chunk_idx == NO_CHUNK:
-                    continue
-                if not 0 <= line.policy_id < len(space):
-                    raise InvariantViolation(
-                        "chunk-occupancy",
-                        f"policy id {line.policy_id} out of range "
-                        f"[0, {len(space)})",
-                        level=name, set_idx=set_idx, way=way)
-                num_chunks = space.num_chunks(line.policy_id)
-                if not 0 <= line.chunk_idx < num_chunks:
-                    raise InvariantViolation(
-                        "chunk-occupancy",
-                        f"chunk index {line.chunk_idx} out of range for "
-                        f"SLIP {line.policy_id} with {num_chunks} chunks",
-                        level=name, set_idx=set_idx, way=way)
-                ways = space.chunk_ways(line.policy_id, line.chunk_idx)
-                if way not in ways:
-                    raise InvariantViolation(
-                        "chunk-occupancy",
-                        f"line claims chunk {line.chunk_idx} of SLIP "
-                        f"{line.policy_id} (ways {ways}) but resides in "
-                        f"way {way}; chunk occupancy would exceed its "
-                        f"sublevel ways",
-                        level=name, set_idx=set_idx, way=way)
-
-    def _check_counters(self) -> None:
-        stats, shadow = self.level.stats, self.shadow
-        name = self.level.cfg.name
-        pairs = (
-            ("demand_hits", stats.demand_hits, shadow.demand_hits),
-            ("metadata_hits", stats.metadata_hits, shadow.metadata_hits),
-            ("demand_misses", stats.demand_misses, shadow.demand_misses),
-            ("metadata_misses", stats.metadata_misses,
-             shadow.metadata_misses),
-            ("insertions", stats.insertions, shadow.insertions),
-            ("writebacks_out", stats.writebacks_out, shadow.writebacks_out),
-            ("writebacks_in", stats.writebacks_in, shadow.writebacks_in),
-            ("dirty_bypass_forwards", stats.dirty_bypass_forwards,
-             shadow.dirty_bypass_forwards),
-        )
-        for counter, published, observed in pairs:
-            if published != observed:
-                raise InvariantViolation(
-                    "counter-truth",
-                    f"published {counter}={published} but {observed} "
-                    f"events were observed; hits+misses no longer match "
-                    f"accesses",
-                    level=name, counter=counter)
-        if not self.finalized:
-            histogram_total = sum(stats.reuse_histogram.values())
-            if histogram_total != shadow.departures:
-                raise InvariantViolation(
-                    "counter-truth",
-                    f"reuse histogram counts {histogram_total} departures "
-                    f"but {shadow.departures} were observed",
-                    level=name, counter="reuse_histogram")
-
-    def _check_conservation(self, resident: int) -> None:
-        shadow = self.shadow
-        name = self.level.cfg.name
-        expected = self.resident_baseline + shadow.insertions - \
-            shadow.departures
-        if resident != expected:
-            raise InvariantViolation(
-                "line-conservation",
-                f"insertions({shadow.insertions}) != "
-                f"departures({shadow.departures}) + resident delta "
-                f"({resident} now vs {self.resident_baseline} at reset)",
-                level=name, counter="insertions==evictions+resident")
-        # A movement reads its line out of one way and writes it into
-        # another, so the two tallies move together.
-        stats = self.level.stats
-        reads = sum(stats.move_read_events)
-        writes = sum(stats.move_write_events)
-        if reads != writes:
-            raise InvariantViolation(
-                "line-conservation",
-                f"{reads} movement reads vs {writes} movement writes",
-                level=name, counter="move_read_events==move_write_events")
-
-    def _check_energy(self) -> None:
-        # Energy accounting is deferred to integer event counters;
-        # materialize (idempotent) so the audit sees real picojoules,
-        # and corrupted counters surface as negative/shrinking fields.
-        energy = self.level.stats.materialize().energy
-        name = self.level.cfg.name
-        for field in dataclass_fields(energy):
-            value = getattr(energy, field.name)
-            if not math.isfinite(value) or value < 0.0:
-                raise InvariantViolation(
-                    "energy-monotonicity",
-                    f"{field.name}={value!r} is negative or non-finite",
-                    level=name, counter=field.name)
-            floor = self._energy_floor.get(field.name, 0.0)
-            if value < floor:
-                raise InvariantViolation(
-                    "energy-monotonicity",
-                    f"{field.name} decreased from {floor!r} to {value!r}",
-                    level=name, counter=field.name)
-            self._energy_floor[field.name] = value
-
-
-class HierarchyInvariantChecker:
-    """Periodic full-state checks over one :class:`MemoryHierarchy`."""
-
-    def __init__(self, hierarchy: Any, period: int = _DEFAULT_PERIOD,
-                 l3_shared: bool = False) -> None:
-        self.hierarchy = hierarchy
-        self.period = max(1, period)
-        self.l3_shared = l3_shared
-        self.checks_run = 0
-        self._since_check = 0
-
-        self.level_checkers: List[LevelChecker] = []
-        for level, placement in (
-            (hierarchy.l1, hierarchy.l1_placement),
-            (hierarchy.l2, hierarchy.l2_placement),
-            (hierarchy.l3, hierarchy.l3_placement),
-        ):
-            existing = getattr(level, "_simcheck", None)
-            if existing is not None:
-                # Shared level (multicore L3): one checker, one wrap.
-                self.level_checkers.append(existing)
-                continue
-            checker = LevelChecker(level, getattr(placement, "space", None))
-            level._simcheck = checker
-            self.level_checkers.append(checker)
-
-        eous = getattr(hierarchy.runtime, "eous", None)
-        self.eous = list(eous.values()) if eous else []
-        self._install_triggers()
-
-    # ------------------------------------------------------------------
-    def _install_triggers(self) -> None:
-        hierarchy = self.hierarchy
-        orig_access = hierarchy.access
-
-        def access(line_addr, is_write=False):
-            latency = orig_access(line_addr, is_write)
-            self._since_check += 1
-            if self._since_check >= self.period:
-                self._since_check = 0
-                self.check()
-            return latency
-
-        hierarchy.access = access
-
-        orig_finalize = hierarchy.finalize
-
-        def finalize():
-            # Full check on the pre-finalize state, then let finalize
-            # fold resident lines into the reuse histogram (which is
-            # exactly the drift the histogram check would flag).
-            self.check()
-            orig_finalize()
-            for checker in self.level_checkers:
-                checker.finalized = True
-
-        hierarchy.finalize = finalize
-
-    # ------------------------------------------------------------------
-    def check(self) -> None:
-        """Run every invariant; raises InvariantViolation on failure."""
-        self.checks_run += 1
-        for checker in self.level_checkers:
-            checker.check()
-        if not self.l3_shared:
-            self._check_writeback_conservation()
-        self._check_eous()
-
-    def _check_writeback_conservation(self) -> None:
-        shadows = [c.shadow for c in self.level_checkers]
-        emitted = sum(s.writebacks_out for s in shadows) + \
-            sum(s.dirty_bypass_forwards for s in shadows)
-        l2, l3 = self.level_checkers[1].shadow, self.level_checkers[2].shadow
-        absorbed = (l2.writebacks_in + l3.writebacks_in
-                    + self.hierarchy.counters.dram_writebacks)
-        if emitted != absorbed:
-            raise InvariantViolation(
-                "writeback-conservation",
-                f"{emitted} dirty lines left their levels but {absorbed} "
-                f"writebacks were absorbed below "
-                f"(L2 in={l2.writebacks_in}, L3 in={l3.writebacks_in}, "
-                f"DRAM={self.hierarchy.counters.dram_writebacks})",
-                counter="writebacks_out==writebacks_in+dram_writebacks")
-
-    def _check_eous(self) -> None:
-        for eou in self.eous:
-            stats = eou.stats
-            if stats.optimizations < 0:
-                raise InvariantViolation(
-                    "eou-energy",
-                    f"negative optimization count {stats.optimizations}",
-                    counter="optimizations")
-            # ``stats.energy_pj`` is a materialized product of the two
-            # fields below, so the old accumulated-vs-expected ledger
-            # comparison is structural now; what can still drift is the
-            # per-op cost (e.g. a stats reset that drops the configured
-            # value) and the cycle ledger.
-            if stats.energy_pj_per_op != eou.energy_pj_per_op:
-                raise InvariantViolation(
-                    "eou-energy",
-                    f"stats carry {stats.energy_pj_per_op} pJ/op but the "
-                    f"EOU was configured with {eou.energy_pj_per_op} "
-                    f"pJ/op (stats object lost the per-op cost)",
-                    counter="energy_pj_per_op")
-            if stats.tlb_block_cycles != stats.optimizations:
-                raise InvariantViolation(
-                    "eou-energy",
-                    f"{stats.tlb_block_cycles} TLB block cycles for "
-                    f"{stats.optimizations} optimizations",
-                    counter="tlb_block_cycles")
 
 
 # ----------------------------------------------------------------------
@@ -469,14 +48,11 @@ def check_capture_replay(hierarchies: Any, captures: Any,
                          slip_kind: bool) -> None:
     """``capture-replay-conservation``: audit one finished replay.
 
-    Full SimCheck cannot observe a replay (its per-access wrappers
-    never see the events a replay skips, so it checks only the walk);
-    this O(1) audit runs at the end of *every* replay instead, over one
-    hierarchy and capture per core.
-    It checks that the back end consumed exactly the captured boundary
-    events and that the merged front-end statistics still satisfy the
-    line/writeback conservation and energy-monotonicity properties of a
-    direct run:
+    This O(1) audit runs at the end of every replay, over one hierarchy
+    and capture per core. It checks that the back end consumed exactly
+    the captured boundary events and that the merged front-end
+    statistics still satisfy the line/writeback conservation and
+    energy-monotonicity properties of a direct run:
 
     * every captured demand miss / metadata access probed the core's L2
       exactly once (for the slip kind, the metadata count is instead

@@ -1,15 +1,14 @@
-"""Reporters shared by slip-lint and slip-audit: text and JSON."""
+"""slip-lint's reporters: text, JSON and the rule catalog."""
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from .rules import RULES, SYNTAX_ERROR_CODE, Finding
 
 
-def render_text(findings: Sequence[Finding], files_scanned: int,
-                tool: str = "slip-lint") -> str:
+def render_text(findings: Sequence[Finding], files_scanned: int) -> str:
     """Classic path:line:col one-per-line report with a summary tail."""
     lines = [f.render() for f in findings]
     by_code: Dict[str, int] = {}
@@ -20,21 +19,20 @@ def render_text(findings: Sequence[Finding], files_scanned: int,
             f"{code} x{count}" for code, count in sorted(by_code.items())
         )
         lines.append(
-            f"{tool}: {len(findings)} finding(s) in "
+            f"slip-lint: {len(findings)} finding(s) in "
             f"{files_scanned} file(s) scanned ({breakdown})"
         )
     else:
         lines.append(
-            f"{tool}: clean ({files_scanned} file(s) scanned)"
+            f"slip-lint: clean ({files_scanned} file(s) scanned)"
         )
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding], files_scanned: int,
-                tool: str = "slip-lint") -> str:
+def render_json(findings: Sequence[Finding], files_scanned: int) -> str:
     """Stable JSON for CI consumption (sorted keys, no wall-clock)."""
     payload = {
-        "tool": tool,
+        "tool": "slip-lint",
         "files_scanned": files_scanned,
         "count": len(findings),
         "findings": [
@@ -51,16 +49,14 @@ def render_json(findings: Sequence[Finding], files_scanned: int,
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_rule_catalog(rules: Sequence = RULES) -> str:
+def render_rule_catalog() -> str:
     """The --list-rules output; ANALYSIS.md holds the long-form docs.
 
-    Works for any sequence of objects with code/name/summary (slip-lint
-    Rule instances or slip-audit AuditRule records), and always appends
-    the SLIP999 line: parse/decode failures are reported by both tools
+    Always appends the SLIP999 line: parse/decode failures are reported
     regardless of ``--select``.
     """
     lines = []
-    for rule in rules:
+    for rule in RULES:
         lines.append(f"{rule.code}  {rule.name}: {rule.summary}")
     lines.append(
         f"{SYNTAX_ERROR_CODE}  syntax-error: file fails to parse or "

@@ -19,8 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 #: The always-on diagnostic code for files that fail to parse or
 #: decode. Not a Rule instance: it can never be deselected (a file the
-#: linter cannot read is a finding regardless of ``--select``) and both
-#: slip-lint and slip-audit emit it.
+#: linter cannot read is a finding regardless of ``--select``).
 SYNTAX_ERROR_CODE = "SLIP999"
 
 #: Packages whose code runs inside the simulator hot loop; wall-clock
@@ -254,7 +253,14 @@ class MutableDefaultRule(Rule):
 
 
 class FloatSumRule(Rule):
-    """SLIP005: builtin sum() over energy quantities."""
+    """SLIP005: builtin sum() over energy quantities.
+
+    A sum is over energy when its argument names picojoules or energy,
+    when it sits in an energy-named function, or, in the simulator
+    packages, when it runs over a comprehension of ``*`` products (the
+    count x per-event-energy terms every ledger is built from), also
+    through a wrapper such as ``itertools.chain``.
+    """
 
     code = "SLIP005"
     name = "float-sum-energy"
@@ -264,9 +270,19 @@ class FloatSumRule(Rule):
     _ENERGY = re.compile(r"_pj\b|energy", re.IGNORECASE)
     _FUNC = re.compile(r"energy|_pj$", re.IGNORECASE)
 
+    @staticmethod
+    def _sums_products(arg: ast.AST) -> bool:
+        return any(
+            isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp))
+            and isinstance(node.elt, ast.BinOp)
+            and isinstance(node.elt.op, ast.Mult)
+            for node in ast.walk(arg)
+        )
+
     def check(self, tree, source, path, module):
         findings = []
         func_stack: List[str] = []
+        in_sim = _in_packages(module, SIM_PACKAGES)
 
         def visit(node: ast.AST) -> None:
             is_func = isinstance(node, (ast.FunctionDef,
@@ -281,7 +297,8 @@ class FloatSumRule(Rule):
                 in_energy_fn = bool(
                     func_stack and self._FUNC.search(func_stack[-1])
                 )
-                if self._ENERGY.search(arg_src) or in_energy_fn:
+                if (self._ENERGY.search(arg_src) or in_energy_fn
+                        or (in_sim and self._sums_products(node.args[0]))):
                     findings.append(self._finding(
                         path, node,
                         "builtin sum() accumulating energy floats; use "
@@ -426,7 +443,7 @@ RULES: Tuple[Rule, ...] = (
 # Pragma handling
 # ----------------------------------------------------------------------
 _PRAGMA = re.compile(
-    r"#\s*(?P<tool>slip-lint|slip-audit)\s*:\s*"
+    r"#\s*slip-lint\s*:\s*"
     r"disable(?P<file>-file)?\s*=\s*"
     r"(?P<codes>[A-Za-z0-9_,\s]+)"
 )
@@ -436,19 +453,14 @@ def _parse_codes(raw: str) -> Tuple[str, ...]:
     return tuple(c.strip().upper() for c in raw.split(",") if c.strip())
 
 
-def suppressed(findings: List[Finding], source: str,
-               tool: str = "slip-lint") -> List[Finding]:
-    """Drop findings disabled by line or file pragmas.
-
-    Pragmas are tool-scoped: ``# slip-audit: disable=SLIP013`` only
-    suppresses slip-audit findings, never slip-lint's, and vice versa.
-    """
+def suppressed(findings: List[Finding], source: str) -> List[Finding]:
+    """Drop findings disabled by line or file pragmas."""
     lines = source.splitlines()
     file_disabled: set = set()
     line_disabled: dict = {}
     for lineno, text in enumerate(lines, start=1):
         match = _PRAGMA.search(text)
-        if not match or match.group("tool") != tool:
+        if not match:
             continue
         codes = _parse_codes(match.group("codes"))
         if match.group("file"):

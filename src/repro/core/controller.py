@@ -72,8 +72,8 @@ class SlipPlacement(PlacementPolicy):
              is_metadata: bool = False) -> FillOutcome:
         """Insert a line per its page's SLIP, or bypass under ABP.
 
-        Built from the level's placement primitives, so SimCheck
-        observes each step.
+        Built from the level's placement primitives, so each step is
+        booked by the level's own accounting.
         """
         level = self.level
         assert level is not None
@@ -148,10 +148,9 @@ class SlipPlacement(PlacementPolicy):
 
         The page-table probe and the sampling-state test are inlined
         (one ``pages.get`` instead of ``is_sampling`` + ``record_reuse``
-        probing separately). This fuses only runtime-side queries that
-        SimCheck never wraps, so it needs no fast-path gate: checked
-        and unchecked runs execute the identical sequence of state
-        updates.
+        probing separately). This fuses only runtime-side queries, which
+        book no level statistic, so the sequence of state updates is
+        the unfused one.
         """
         level = self.level
         assert level is not None

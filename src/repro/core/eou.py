@@ -64,7 +64,10 @@ class EnergyEvaluationUnit:
         """Integer energy estimate: dot(alpha_fixed, raw counters)."""
         if len(counts) != len(self.coefficients):
             raise ValueError("bin count mismatch")
-        return sum(a * c for a, c in zip(self.coefficients, counts))
+        # Fixed-point integer coefficients times integer counters;
+        # exact in any order.
+        return sum(  # slip-lint: disable=SLIP005
+            a * c for a, c in zip(self.coefficients, counts))
 
 
 class EnergyOptimizerUnit:
@@ -167,8 +170,9 @@ class EnergyOptimizerUnit:
         best_id, best_energy = None, None
         for eeu in self._eligible[(allow_abp, confident)]:
             # Thin evidence already filtered capacity-discarding
-            # policies (full or partial bypass) out of the pool.
-            energy = sum(
+            # policies (full or partial bypass) out of the pool. The
+            # fixed-point products are integers; exact in any order.
+            energy = sum(  # slip-lint: disable=SLIP005
                 a * c for a, c in zip(eeu.coefficients, counts)
             )
             if best_energy is None or energy < best_energy:

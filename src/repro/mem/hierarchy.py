@@ -178,13 +178,13 @@ class MemoryHierarchy:
         both in direct runs and in filtered replay. Below L1 a demand
         hit is always a read (writes allocate at L1). Every hit and
         miss is booked through ``CacheLevel.record_hit`` /
-        ``record_miss``, so SimCheck's wrappers observe each event.
+        ``record_miss``, the one place a level's event counters move.
         """
         latency = 0
         runtime = self.runtime
 
-        # ----- L2 ----- (tick and probe are inlined: SimCheck never
-        # wraps them.)
+        # ----- L2 ----- (tick and probe are inlined: neither books a
+        # statistic.)
         l2 = self.l2
         l2.access_counter = (l2.access_counter + 1) % l2.timestamp_wrap
         set_idx = line_addr % l2.num_sets
@@ -285,10 +285,10 @@ class MemoryHierarchy:
         """Fold each level's event counters into its energy breakdown.
 
         Idempotent (each call recomputes from the counters), so it is
-        safe at every statistics boundary: finalize, collect_result,
-        and SimCheck's periodic energy audit. DRAM energy is deferred
-        the same way; EOU energy needs no folding — it is a property
-        computed from the optimization count on every read.
+        safe at every statistics boundary: finalize and collect_result.
+        DRAM energy is deferred the same way; EOU energy needs no
+        folding — it is a property computed from the optimization count
+        on every read.
         """
         for level in (self.l1, self.l2, self.l3):
             level.stats.materialize()

@@ -4,9 +4,9 @@ Energy accounting is *deferred*: the hot-path primitives only bump
 integer event counters per (sublevel x event kind) on
 :class:`LevelStats`; :meth:`LevelStats.materialize` computes each
 ``*_pj`` field once, as an exact ``math.fsum`` of count x table
-products, at statistics boundaries (collect/reset/finalize and the
-SimCheck energy audits). This removes millions of float adds from the
-access kernel and makes the totals independent of accumulation order.
+products, at statistics boundaries (collect, reset and finalize).
+This removes millions of float adds from the access kernel and makes
+the totals independent of accumulation order.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class EnergyBreakdown:
         """Recompute the deferred fields from event counters.
 
         Idempotent by construction: every field is overwritten with
-        ``fsum(count[s] * table[s])``, never accumulated into, so the
-        SimCheck energy audit can call this on every check period.
+        ``fsum(count[s] * table[s])``, never accumulated into, so any
+        statistics boundary can call it again.
         ``movement_queue_pj`` and ``eou_pj`` are not touched — the
         queue charge is a per-event float handed in by the placement
         policy, kept live because movements are rare.
@@ -118,8 +118,8 @@ class LevelStats:
     writebacks_out: int = 0
     writebacks_in: int = 0
     #: Dirty lines a bypass policy refused to host, forwarded onward
-    #: without a read-out; tracked so SimCheck's writeback-conservation
-    #: invariant balances exactly.
+    #: without a read-out; tracked so the kernels' writeback
+    #: conservation audits balance exactly.
     dirty_bypass_forwards: int = 0
     insertions_by_class: Dict[str, int] = field(default_factory=dict)
     reuse_histogram: Dict[str, int] = field(

@@ -15,7 +15,8 @@ class BaselinePlacement(PlacementPolicy):
     """Ordinary insertion into any way; no intra-level movement.
 
     Every miss at every level funnels through :meth:`fill`, built from
-    the level's placement primitives, so SimCheck observes each step.
+    the level's placement primitives, so each step is booked by the
+    level's own accounting.
     """
 
     performs_movement = False

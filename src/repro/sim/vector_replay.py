@@ -785,8 +785,10 @@ def replay_capture_vector(hierarchies: Sequence,
         # L1, and every term is an integer count times an integer
         # latency.
         _, _, lat2, _ = _level_geometry(l2)
-        l2_latency = (sum(c * t for c, t in zip(tally2.dh_sub, lat2))
-                      + tally2.demand_misses * l2.cfg.latency_cycles)
+        l2_latency = (
+            sum(  # slip-lint: disable=SLIP005
+                c * t for c, t in zip(tally2.dh_sub, lat2))
+            + tally2.demand_misses * l2.cfg.latency_cycles)
 
     if num_cores == 1:
         ops3, addrs3, meas3, _ = legs3[0]
@@ -826,9 +828,11 @@ def replay_capture_vector(hierarchies: Sequence,
                    getattr(first.l3_placement, "movement_queue_pj", 0.0))
     if num_cores == 1:
         _, _, lat3, _ = _level_geometry(l3)
+        # Integer counts times integer latencies, as at L2.
         total = (
             l2_latency
-            + sum(c * t for c, t in zip(tally3.dh_sub, lat3))
+            + sum(  # slip-lint: disable=SLIP005
+                c * t for c, t in zip(tally3.dh_sub, lat3))
             + tally3.demand_misses * (l3.cfg.latency_cycles
                                       + first.dram._latency)
         )

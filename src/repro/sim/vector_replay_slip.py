@@ -1044,9 +1044,11 @@ def replay_capture_vector_slip(hierarchies: Sequence,
             # below L1, and every term is an integer count times an
             # integer latency.
             latency = (
-                sum(c * t for c, t in zip(tally2.dh_sub, lat2))
+                sum(  # slip-lint: disable=SLIP005
+                    c * t for c, t in zip(tally2.dh_sub, lat2))
                 + tally2.demand_misses * l2.cfg.latency_cycles
-                + sum(int(counts3[1 + s]) * t for s, t in enumerate(lat3))
+                + sum(  # slip-lint: disable=SLIP005
+                    int(counts3[1 + s]) * t for s, t in enumerate(lat3))
                 + int(counts3[_MISS_D]) * (l3.cfg.latency_cycles
                                            + hierarchy.dram._latency)
             )

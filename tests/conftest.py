@@ -40,27 +40,14 @@ def scalar_kernels():
 @pytest.fixture
 def walked():
     """A context manager under which every cell, single-core or mix,
-    takes the driver's per-access walk, the golden reference, with
-    SimCheck (``HierarchyInvariantChecker``) installed on every walked
-    hierarchy: every kernel-vs-walk comparison also audits the walk
-    against SimCheck's invariants. A test fake, not a production
-    option."""
-    from repro.analysis.invariants import HierarchyInvariantChecker
+    takes the driver's per-access walk, the golden reference. A test
+    fake, not a production option."""
     from repro.sim import filtered
-
-    walk = filtered.walk_cores
-
-    def checked_walk(hierarchies, traces, warmup_fraction):
-        for hierarchy in hierarchies:
-            HierarchyInvariantChecker(hierarchy,
-                                      l3_shared=len(hierarchies) > 1)
-        walk(hierarchies, traces, warmup_fraction)
 
     @contextlib.contextmanager
     def walking():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filtered, "_needs_walk", lambda *args: True)
-            mp.setattr(filtered, "walk_cores", checked_walk)
             yield
 
     return walking

@@ -158,6 +158,38 @@ def test_slip005_triggers_inside_energy_function():
     """)
 
 
+def test_slip005_triggers_on_sum_of_products():
+    # exact_dot's shape: sum over count x energy products, in a function
+    # whose name and argument say nothing about energy.
+    assert "SLIP005" in codes("""
+        def exact_dot(counts, values):
+            return sum(c * v for c, v in zip(counts, values))
+    """)
+
+
+def test_slip005_triggers_on_chained_sums_of_products():
+    # LevelStats.materialize's shape: the products reach sum() through
+    # itertools.chain.
+    assert "SLIP005" in codes("""
+        import itertools
+
+        def materialize(self, stats, read_table, write_table):
+            self.movement_pj = sum(itertools.chain(
+                (c * e for c, e in zip(stats.move_read_events, read_table)),
+                (c * e for c, e in zip(stats.move_write_events,
+                                       write_table)),
+            ))
+    """)
+
+
+def test_slip005_products_outside_the_simulator_are_quiet():
+    found = codes("""
+        def weighted(counts, weights):
+            return sum(c * w for c, w in zip(counts, weights))
+    """, module=EXPERIMENTS_MODULE)
+    assert "SLIP005" not in found
+
+
 def test_slip005_quiet_on_fsum_and_plain_counts():
     found = codes("""
         import math

@@ -1,5 +1,5 @@
-"""The reporters shared by slip-lint and slip-audit: text and JSON
-rendering, stable machine output, and the rule catalog."""
+"""slip-lint's reporters: text and JSON rendering, stable machine
+output, and the rule catalog."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.analysis.reporting import (
     render_text,
 )
 from repro.analysis.rules import RULES, Finding
-from repro.analysis.audit import AUDIT_RULES
 
 FINDINGS = [
     Finding(path="src/a.py", line=3, col=4, code="SLIP002",
@@ -36,11 +35,6 @@ def test_render_text_one_line_per_finding_plus_summary():
 def test_render_text_clean_summary_carries_files_scanned():
     assert render_text([], files_scanned=42) == \
         "slip-lint: clean (42 file(s) scanned)"
-
-
-def test_render_text_tool_parameter_brands_the_summary():
-    out = render_text([], files_scanned=1, tool="slip-audit")
-    assert out.startswith("slip-audit:")
 
 
 # ----------------------------------------------------------------------
@@ -71,12 +65,6 @@ def test_render_json_key_order_is_stable():
     assert per_object == sorted(per_object)
 
 
-def test_render_json_tool_parameter():
-    payload = json.loads(render_json([], 0, tool="slip-audit"))
-    assert payload["tool"] == "slip-audit"
-    assert payload["findings"] == []
-
-
 # ----------------------------------------------------------------------
 # render_rule_catalog
 # ----------------------------------------------------------------------
@@ -86,11 +74,3 @@ def test_catalog_lists_every_lint_rule_and_slip999():
         assert f"{rule.code}  {rule.name}:" in out
     assert "SLIP999" in out
     assert "always on" in out
-
-
-def test_catalog_accepts_audit_rules():
-    out = render_rule_catalog(AUDIT_RULES)
-    for rule in AUDIT_RULES:
-        assert f"{rule.code}  {rule.name}:" in out
-    # SLIP999 is appended for either tool's catalog.
-    assert out.splitlines()[-1].startswith("SLIP999")

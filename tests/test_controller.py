@@ -125,7 +125,7 @@ class TestCascade:
     def test_general_path_enumerates_clean_evictions(self, tiny_system,
                                                      space, runtime):
         """The primitive-built fill reports clean evictions upward, for
-        SimCheck and any future inclusion upkeep."""
+        any future inclusion upkeep."""
         level, controller = make_controller(tiny_system, space, runtime)
         force_policy(runtime, space, 0, Slip(((0,),)))
         sets = level.cfg.sets

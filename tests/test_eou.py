@@ -182,3 +182,16 @@ class TestMemoEquivalence:
         eou.optimize_direct(dist)
         assert eou.stats.optimizations == 0
         assert eou._memo == {}
+
+
+def test_eou_energy_property_refuses_accumulation(tiny_system):
+    # The ledger is a materialized product now; the old corruption
+    # vector (drifting the accumulated float) no longer type-checks.
+    from repro.sim.build import build_hierarchy
+
+    hierarchy = build_hierarchy(tiny_system, "slip_abp")
+    for step in range(2000):
+        hierarchy.access((step * 17) % 1200, step % 5 == 0)
+    eou = hierarchy.runtime.eous["L2"]
+    with pytest.raises(AttributeError):
+        eou.stats.energy_pj += 5.0

@@ -6,9 +6,9 @@ configuration, ``run_trace`` must produce a ``RunResult`` whose
 result came from a cold capture or a replay against a stored capture.
 The hypothesis harness of ``test_mix_replay`` checks that over the
 whole cell space; the named cells below pin the default tiny system,
-the paper geometry, cross-policy capture sharing and the shapes that
-walk (SimCheck, a partitioned L1), each through the one differential
-check (``served_like_walk``).
+the paper geometry, cross-policy capture sharing and the shape that
+walks (a partitioned L1), each through the one differential check
+(``served_like_walk``).
 """
 
 import copy
@@ -83,9 +83,9 @@ class TestEquivalence:
 # Direct runs: run_trace against the walk
 # ----------------------------------------------------------------------
 #: Named cell shapes: no store, then shapes on a fresh store, a store a
-#: baseline cell warmed, and the two shapes that walk.
-SHAPES = ("none", "simcheck", "energy-overrides", "rd-block", "drrip",
-          "ship", "sublevel-l1", "cold-memory", "warm-memory")
+#: baseline cell warmed, and the shape that walks.
+SHAPES = ("none", "energy-overrides", "rd-block", "drrip", "ship",
+          "sublevel-l1", "cold-memory", "warm-memory")
 #: Store-less default-shape cells keep their historical bare-policy ids.
 CASES = [(shape, policy) for shape in SHAPES for policy in ALL_POLICIES]
 CASE_IDS = [policy if shape == "none" else f"{shape}-{policy}"
@@ -95,7 +95,7 @@ CASE_IDS = [policy if shape == "none" else f"{shape}-{policy}"
 class TestDirectPipeline:
     @pytest.mark.parametrize("shape,policy", CASES, ids=CASE_IDS)
     def test_direct_matches_scalar(self, shape, policy, tiny_system,
-                                   walked, served_like_walk):
+                                   served_like_walk):
         config = {"rd-block": tiny_system.with_slip(rd_block_lines=4),
                   "sublevel-l1": partitioned_l1(tiny_system)}.get(
                       shape, tiny_system)
@@ -110,17 +110,10 @@ class TestDirectPipeline:
             store = None
         elif shape == "warm-memory":
             store = shared_store(cell["trace"], config, seed=3)
-        if shape == "simcheck":
-            # Both sides walk under SimCheck.
-            with walked():
-                served_like_walk(run_trace, cell, store)
-        else:
-            served_like_walk(run_trace, cell, store)
+        served_like_walk(run_trace, cell, store)
         if store is not None:
-            # Only walked (SimCheck) and partitioned-L1 cells take no
-            # capture.
-            assert bool(store._entries) != (shape in ("simcheck",
-                                                      "sublevel-l1"))
+            # Only partitioned-L1 cells walk, taking no capture.
+            assert bool(store._entries) != (shape == "sublevel-l1")
         if shape == "energy-overrides" and runtime_kind(policy) == "slip":
             # The overrides reach the live SLIP runtime's EOU models.
             assert canonical(run_trace(**cell)) != canonical(

@@ -1,8 +1,8 @@
 """Cross-module integration invariants on full simulations.
 
 The module fixture's cells take the served path (capture kernel, then
-the replay kernels) that every experiment cell takes; the walk and
-SimCheck are checked against those kernels by the differential harness
+the replay kernels) that every experiment cell takes; the walk is
+checked against those kernels by the differential harness
 (``test_mix_replay``) and the goldens.
 """
 

@@ -3,9 +3,9 @@
 :func:`repro.sim.multi_core.run_mix_traces` runs the N-core driver
 (:func:`repro.sim.filtered.simulate`): it captures each core's front
 end through the capture store and replays the merged boundary events;
-the driver's per-access walk (the ``walked`` fixture forces it, with
-SimCheck on) drives every core's ``access()`` in turn and is the golden
-reference. The hypothesis tests below draw cells from the one cell
+the driver's per-access walk (the ``walked`` fixture forces it) drives
+every core's ``access()`` in turn and is the golden reference. The
+hypothesis tests below draw cells from the one cell
 space of ``harness``: policy, core count (one core is the driver's
 single-core case), tiny cache geometries (L1 shape and TLB size
 included), page size, Section 7 rd-blocks for the slip kinds, the
@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from harness import canonical, mix_cell, most_chunks_argmin, single_cell
 from repro.core.eou import EnergyOptimizerUnit
-from repro.sim import filtered, multi_core
+from repro.sim import multi_core
 from repro.sim.single_core import run_trace
 from repro.workloads.capture_store import MemoryCaptureStore
 from repro.workloads.mixes import make_mix_traces
@@ -99,25 +99,6 @@ def test_mix_cells_share_captures(tiny_system, walked):
         walk = multi_core.run_mix_traces(traces, mix, "slip_abp",
                                          tiny_system, 2)
     assert canonical(shared) == canonical(walk)
-
-
-@pytest.mark.parametrize("cores", [1, 2])
-def test_simcheck_cells_walk(cores, tiny_system, monkeypatch, walked):
-    """Cells walked under SimCheck take no capture at all, even with a
-    store."""
-    mix = ("soplex", "mcf")[:cores]
-    traces = make_mix_traces(mix, 1_500, seed=3)
-    with walked():
-        walk = multi_core.run_mix_traces(traces, mix, "slip_abp",
-                                         tiny_system, 3)
-    store = MemoryCaptureStore()
-    with walked(), monkeypatch.context() as mp:
-        # A capture call would raise.
-        mp.setattr(filtered, "capture_front_end_vector", None)
-        replayed = multi_core.run_mix_traces(traces, mix, "slip_abp",
-                                             tiny_system, 3, store=store)
-    assert canonical(replayed) == canonical(walk)
-    assert not store._entries
 
 
 @pytest.mark.parametrize("cores", [1, 2])

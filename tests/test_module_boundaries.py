@@ -2,8 +2,7 @@
 
 No module under ``src/repro`` reads the environment, so no knob can
 switch a run onto another code path unseen; and the simulator loads
-``repro.analysis`` only for its invariants, never the lint rule set or
-the taint engine.
+``repro.analysis`` only for its invariants, never the lint rule set.
 """
 
 import ast
@@ -17,8 +16,8 @@ SRC_DIR = os.path.join(REPO_ROOT, "src")
 
 def environment_reads(tree):
     """Line numbers of ``os.environ`` / ``os.getenv`` references and of
-    ``from os import environ/getenv``. String literals naming them (the
-    taint pass's source list) are data, not reads."""
+    ``from os import environ/getenv``. String literals naming them are
+    data, not reads."""
     lines = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute)
