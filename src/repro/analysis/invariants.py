@@ -6,10 +6,9 @@ events it consumed, in O(1) or one pass over its streams, and raises
 
 * :func:`check_capture_replay` — ``capture-replay-conservation``, at
   the end of every replay, over one hierarchy and capture per core;
-* :func:`check_vector_replay` — ``vector-replay-conservation``, inside
-  the baseline-kind replay kernel;
-* :func:`check_slip_vector_replay` — ``slip-vector-replay-conservation``,
-  inside the SLIP replay kernel;
+* :func:`check_replay_tallies` — ``vector-replay-conservation``, in
+  the one publish step of both replay kernels, over their shared
+  :class:`~repro.sim.vector_replay.LevelTally`;
 * :func:`check_vector_frontend` — ``vector-frontend-conservation``,
   inside the capture kernel.
 
@@ -150,153 +149,65 @@ def check_capture_replay(hierarchies: Any, captures: Any,
 
 
 # ----------------------------------------------------------------------
-# Vector-replay conservation (always on)
+# Replay-kernel conservation (always on)
 # ----------------------------------------------------------------------
-def check_vector_replay(l2_legs: Any, l3_ops: Any, l3_measured: Any,
-                        l3_tally: Any, *, dram_demand: int,
-                        dram_metadata: int) -> None:
-    """``vector-replay-conservation``: audit one batched back-end run.
+def check_replay_tallies(l2_legs: Any, l3_tally: Any, *, dram_demand: int,
+                         dram_metadata: int, dram_writebacks: int) -> None:
+    """``vector-replay-conservation``: audit one replay kernel's tallies.
 
-    Runs inside :func:`repro.sim.vector_replay.replay_capture_vector`
-    before the tallies are published, complementing the end-of-replay
-    ``capture-replay-conservation`` audit with the internal identities
-    of the batched kernel itself:
+    Both replay kernels call it through their one publish step
+    (:func:`repro.sim.vector_replay.publish_replay`), before anything
+    is published. ``l2_legs`` holds one ``(tally, demand_events,
+    metadata_events, wb_events)`` tuple per core's private L2: its
+    :class:`~repro.sim.vector_replay.LevelTally` and the measured events
+    it had to consume. Demand and writeback events are the capture's;
+    metadata events are the capture's too for the baseline kinds, and
+    the live runtime's fetch ledger (``tlb_miss_fetches +
+    distribution_fetches``) for the SLIP kernel. The L3 is the cores'
+    shared one. Per level:
 
-    * every measured access event of a level's stream was consumed
-      exactly once (hits + misses == events, split by demand/metadata);
-    * every movement read pairs with a movement write;
-    * the derived DRAM read counts equal the L3 miss tallies (every L3
-      access miss is exactly one DRAM read);
-    * a level never absorbs more writebacks than its stream carries.
+    * consumed demand and metadata events (hits + misses) equal the
+      expected ones; the L3 expects exactly the L2s' misses;
+    * absorbed plus forwarded writebacks equal the writeback events;
+      the L3 expects the L2s' forwarded plus evicted-dirty writebacks;
+    * fills partition into insertions and ABP bypasses (``insertions +
+      bypasses == misses``), and the class tally covers every fill;
+    * movement reads pair with movement writes.
 
-    ``l2_legs`` holds one ``(ops, measured, tally)`` triple per core's
-    private L2; the L3 stream is the cores' merged one.
+    Below the L3, DRAM reads equal the L3 misses (demand and metadata
+    apart), and DRAM writes equal the L3's forwarded plus evicted-dirty
+    writebacks, summed over the cores that caused them.
     """
-    import numpy as np
-
     name = "vector-replay-conservation"
-    legs = [(f"L2[{core}]" if len(l2_legs) > 1 else "L2", *leg)
-            for core, leg in enumerate(l2_legs)]
-    legs.append(("L3", l3_ops, l3_measured, l3_tally))
-    for label, stream_ops, stream_meas, tally in legs:
-        demand_events = int(np.count_nonzero(
-            (stream_ops == 0) & stream_meas))
-        metadata_events = int(np.count_nonzero(
-            (stream_ops == 1) & stream_meas))
-        wb_events = int(np.count_nonzero(
-            (stream_ops == 2) & stream_meas))
-        demand_seen = sum(tally.dh_sub) + tally.demand_misses
-        if demand_seen != demand_events:
+    l2s = [leg[0] for leg in l2_legs]
+    levels = [(f"L2[{core}]" if len(l2_legs) > 1 else "L2", *leg)
+              for core, leg in enumerate(l2_legs)]
+    levels.append((
+        "L3", l3_tally, sum(t.demand_misses for t in l2s),
+        sum(t.metadata_misses for t in l2s),
+        sum(t.forwarded_wbs + sum(t.wbout_sub) for t in l2s)))
+    for label, tally, demand, metadata, writebacks in levels:
+        consumed = sum(tally.dh_sub) + tally.demand_misses
+        if consumed != demand:
             raise InvariantViolation(
                 name,
-                f"kernel consumed {demand_seen} measured demand events "
-                f"of {demand_events} in the stream",
+                f"kernel consumed {consumed} measured demand events, "
+                f"expected {demand}",
                 level=label, counter="demand_events")
-        metadata_seen = sum(tally.mh_sub) + tally.metadata_misses
-        if metadata_seen != metadata_events:
+        consumed = sum(tally.mh_sub) + tally.metadata_misses
+        if consumed != metadata:
             raise InvariantViolation(
                 name,
-                f"kernel consumed {metadata_seen} measured metadata "
-                f"events of {metadata_events} in the stream",
+                f"kernel consumed {consumed} measured metadata events, "
+                f"expected {metadata}",
                 level=label, counter="metadata_events")
-        if sum(tally.mvr_sub) != sum(tally.mvw_sub):
+        consumed = sum(tally.wbin_sub) + tally.forwarded_wbs
+        if consumed != writebacks:
             raise InvariantViolation(
                 name,
-                f"{sum(tally.mvr_sub)} movement reads vs "
-                f"{sum(tally.mvw_sub)} movement writes",
-                level=label, counter="move_events")
-        if sum(tally.wbin_sub) > wb_events:
-            raise InvariantViolation(
-                name,
-                f"absorbed {sum(tally.wbin_sub)} writebacks but the "
-                f"stream carries only {wb_events}",
+                f"kernel absorbed {sum(tally.wbin_sub)} and forwarded "
+                f"{tally.forwarded_wbs} of {writebacks} writeback events",
                 level=label, counter="wb_in_events")
-    if dram_demand != l3_tally.demand_misses:
-        raise InvariantViolation(
-            name,
-            f"{dram_demand} DRAM demand reads vs "
-            f"{l3_tally.demand_misses} L3 demand misses",
-            level="DRAM", counter="dram_demand_reads")
-    if dram_metadata != l3_tally.metadata_misses:
-        raise InvariantViolation(
-            name,
-            f"{dram_metadata} DRAM metadata reads vs "
-            f"{l3_tally.metadata_misses} L3 metadata misses",
-            level="DRAM", counter="dram_metadata_reads")
-
-
-# ----------------------------------------------------------------------
-# SLIP vector-replay conservation (always on)
-# ----------------------------------------------------------------------
-def check_slip_vector_replay(l2_legs: Any, l3_tally: Any, *,
-                             dram_writebacks: int) -> None:
-    """``slip-vector-replay-conservation``: audit one phase-split run.
-
-    Runs inside :func:`repro.sim.vector_replay_slip.
-    replay_capture_vector_slip` before the tallies are published. The
-    SLIP kernel records level events in two independent ways — packed
-    annotation bytes consumed by a phase-2 bincount (hits, misses,
-    absorbed writebacks) and inline tallies for the rare events
-    (insertions, bypasses, movements, writebacks out) — so the streams
-    can be balanced against each other, against the capture, and
-    against the live runtime's metadata-fetch ledger:
-
-    * at each core's L2, every measured captured demand event was
-      consumed exactly once, and every metadata line the core's live
-      runtime fetched (PTE line plus distribution lines,
-      ``tlb_miss_fetches + distribution_fetches``) appears once in both
-      the fetch-count stream and the L2 annotation stream;
-    * at each level, fills partition into insertions and ABP bypasses
-      (``insertions + bypasses == misses``) and the per-class tally
-      covers them; movement reads pair with movement writes;
-    * the L3 stream carries exactly the sum of every core's L2 misses
-      (demand and metadata separately), and the L3 writeback stream
-      exactly the sum of every core's forwarded plus evicted-dirty L2
-      writebacks;
-    * DRAM absorbs exactly the L3-forwarded plus L3-evicted writebacks,
-      summed over the cores that caused them.
-
-    ``l2_legs`` holds one ``(demand_events, metadata_events,
-    fetch_events, wb_events, tally)`` tuple per core's private L2:
-    measured captured demand misses, the runtime's metadata ledger, the
-    fetch-count stream total, measured captured L1 writebacks, and the
-    L2 tally. The L3 is the cores' shared one.
-    """
-    name = "slip-vector-replay-conservation"
-    tallies = []
-    for core, (demand_events, metadata_events, fetch_events, wb_events,
-               l2_tally) in enumerate(l2_legs):
-        label = f"L2[{core}]" if len(l2_legs) > 1 else "L2"
-        tallies.append((label, l2_tally))
-        l2_demand = sum(l2_tally.dh_sub) + l2_tally.demand_misses
-        if l2_demand != demand_events:
-            raise InvariantViolation(
-                name,
-                f"kernel consumed {l2_demand} measured demand events of "
-                f"{demand_events} in the capture",
-                level=label, counter="demand_events")
-        l2_meta = sum(l2_tally.mh_sub) + l2_tally.metadata_misses
-        if l2_meta != fetch_events:
-            raise InvariantViolation(
-                name,
-                f"kernel consumed {l2_meta} measured metadata events but "
-                f"the fetch stream carries {fetch_events}",
-                level=label, counter="metadata_events")
-        if fetch_events != metadata_events:
-            raise InvariantViolation(
-                name,
-                f"fetch stream carries {fetch_events} metadata lines but "
-                f"the runtime ledger accounts for {metadata_events}",
-                level=label, counter="metadata_fetches")
-        l2_wb = sum(l2_tally.wbin_sub) + l2_tally.forwarded_wbs
-        if l2_wb != wb_events:
-            raise InvariantViolation(
-                name,
-                f"L2 writeback stream consumed {l2_wb} events but the "
-                f"capture holds {wb_events}",
-                level=label, counter="wb_in_events")
-    tallies.append(("L3", l3_tally))
-    for label, tally in tallies:
         fills = tally.demand_misses + tally.metadata_misses
         placed = sum(tally.ins_sub) + tally.bypasses
         if placed != fills:
@@ -317,38 +228,20 @@ def check_slip_vector_replay(l2_legs: Any, l3_tally: Any, *,
                 f"{sum(tally.mvr_sub)} movement reads vs "
                 f"{sum(tally.mvw_sub)} movement writes",
                 level=label, counter="move_events")
-    l2_tallies = [leg[4] for leg in l2_legs]
-    l2_demand_misses = sum(t.demand_misses for t in l2_tallies)
-    l3_demand = sum(l3_tally.dh_sub) + l3_tally.demand_misses
-    if l3_demand != l2_demand_misses:
+    for reads, misses, counter in (
+            (dram_demand, l3_tally.demand_misses, "dram_demand_reads"),
+            (dram_metadata, l3_tally.metadata_misses,
+             "dram_metadata_reads")):
+        if reads != misses:
+            raise InvariantViolation(
+                name, f"{reads} DRAM reads vs {misses} L3 misses",
+                level="DRAM", counter=counter)
+    emitted = l3_tally.forwarded_wbs + sum(l3_tally.wbout_sub)
+    if dram_writebacks != emitted:
         raise InvariantViolation(
             name,
-            f"L3 saw {l3_demand} demand events but the L2s missed "
-            f"{l2_demand_misses}",
-            level="L3", counter="demand_events")
-    l2_metadata_misses = sum(t.metadata_misses for t in l2_tallies)
-    l3_meta = sum(l3_tally.mh_sub) + l3_tally.metadata_misses
-    if l3_meta != l2_metadata_misses:
-        raise InvariantViolation(
-            name,
-            f"L3 saw {l3_meta} metadata events but the L2s missed "
-            f"{l2_metadata_misses}",
-            level="L3", counter="metadata_events")
-    l3_wb_in = sum(l3_tally.wbin_sub) + l3_tally.forwarded_wbs
-    l3_wb_expect = sum(t.forwarded_wbs + sum(t.wbout_sub)
-                       for t in l2_tallies)
-    if l3_wb_in != l3_wb_expect:
-        raise InvariantViolation(
-            name,
-            f"L3 writeback stream consumed {l3_wb_in} events but the "
-            f"L2s emitted {l3_wb_expect}",
-            level="L3", counter="wb_in_events")
-    dram_expect = l3_tally.forwarded_wbs + sum(l3_tally.wbout_sub)
-    if dram_writebacks != dram_expect:
-        raise InvariantViolation(
-            name,
-            f"{dram_writebacks} DRAM writebacks vs {dram_expect} "
-            f"emitted by L3",
+            f"{dram_writebacks} DRAM writebacks vs {emitted} emitted by "
+            f"L3",
             level="DRAM", counter="dram_writebacks")
 
 

@@ -215,43 +215,6 @@ class UnorderedIterationRule(Rule):
         return findings
 
 
-class MutableDefaultRule(Rule):
-    """SLIP004: mutable default argument."""
-
-    code = "SLIP004"
-    name = "mutable-default-arg"
-    summary = "mutable default argument shared across calls"
-
-    def _is_mutable(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                             ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            dotted = _dotted_name(node.func)
-            return dotted in ("list", "dict", "set", "bytearray",
-                              "collections.defaultdict",
-                              "collections.Counter", "defaultdict",
-                              "Counter")
-        return False
-
-    def check(self, tree, source, path, module):
-        findings = []
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    findings.append(self._finding(
-                        path, default,
-                        f"mutable default argument in {node.name}(); "
-                        f"use None and allocate inside the function",
-                    ))
-        return findings
-
-
 class FloatSumRule(Rule):
     """SLIP005: builtin sum() over energy quantities.
 
@@ -432,7 +395,6 @@ RULES: Tuple[Rule, ...] = (
     UnseededRngRule(),
     WallClockRule(),
     UnorderedIterationRule(),
-    MutableDefaultRule(),
     FloatSumRule(),
     MissingSlotsRule(),
     EnergyAugAssignRule(),

@@ -116,11 +116,6 @@ class EnergyOptimizerUnit:
         """Fresh counters; the argmin memo stays (it is input-pure)."""
         self.stats = EouStats(energy_pj_per_op=self.energy_pj_per_op)
 
-    @property
-    def expected_energy_pj(self) -> float:
-        """Ledger cross-check: optimizations times the per-op cost."""
-        return self.stats.optimizations * self.energy_pj_per_op
-
     def optimize(self, distribution: ReuseDistanceDistribution,
                  allow_abp: bool = True,
                  evidence_samples: Optional[int] = None) -> int:

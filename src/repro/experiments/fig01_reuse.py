@@ -51,15 +51,3 @@ def run(settings: Optional[ExperimentSettings] = None) -> Table:
         ),
         perf=report.lines(),
     )
-
-
-def average_nr0(settings: Optional[ExperimentSettings] = None) -> float:
-    """Machine-readable headline number (used by tests/benches)."""
-    settings = settings or ExperimentSettings()
-    results, _ = sweep_results(settings, required_cells(settings))
-    values = []
-    for benchmark in FIG1_BENCHMARKS:
-        histogram = results[(benchmark, "baseline")].l3.reuse_histogram
-        total = sum(histogram.values()) or 1
-        values.append(histogram["0"] / total)
-    return arithmetic_mean(values)

@@ -156,6 +156,10 @@ class CacheLevel:
         self.timestamp_wrap = 4 * cfg.lines
         # Accesses per timestamp increment; constant for the level's
         # lifetime (timestamp_wrap never changes), so computed once.
+        # Floored at 1: a tiny level (fewer than 2**timestamp_bits / 4
+        # lines) would otherwise shift the granule to 0 and divide by
+        # zero; a 1-access granule only gives the stamp more resolution
+        # than it needs.
         self._granule = max(1, self.timestamp_wrap >> timestamp_bits)
         # 2**timestamp_bits is a power of two, so "% span" == "& mask".
         self._ts_mask = (1 << timestamp_bits) - 1
@@ -204,17 +208,6 @@ class CacheLevel:
     # ------------------------------------------------------------------
     # Timestamps for reuse-distance measurement (Section 4.1)
     # ------------------------------------------------------------------
-    def _timestamp_granule(self) -> int:
-        """Accesses per timestamp increment, floored at 1.
-
-        Tiny configs (``timestamp_wrap < 2**timestamp_bits``, i.e. a
-        level with fewer than ``2**timestamp_bits / 4`` lines) would
-        otherwise shift the granule to 0 and divide by zero; a 1-access
-        granule just means the stamp has more resolution than needed.
-        Cached at construction — ``timestamp_wrap`` is fixed per level.
-        """
-        return self._granule
-
     def timestamp_now(self) -> int:
         """The ``timestamp_bits`` MSBs of the level access counter."""
         return (self.access_counter // self._granule) & self._ts_mask
@@ -272,14 +265,6 @@ class CacheLevel:
     # ------------------------------------------------------------------
     # Placement primitives
     # ------------------------------------------------------------------
-    def find_invalid_way(self, set_idx: int,
-                         candidate_ways: Sequence[int]) -> Optional[int]:
-        lines = self.sets[set_idx]
-        for way in candidate_ways:
-            if not lines[way].valid:
-                return way
-        return None
-
     def choose_victim(self, set_idx: int,
                       candidate_ways: Sequence[int]) -> int:
         """Pick a way to vacate: invalid first, else ask replacement.

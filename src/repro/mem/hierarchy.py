@@ -123,10 +123,6 @@ class MemoryHierarchy:
         )
 
     # ------------------------------------------------------------------
-    def page_of(self, line_addr: int) -> int:
-        return line_addr >> self._page_shift
-
-    # ------------------------------------------------------------------
     # Public access entry point
     # ------------------------------------------------------------------
     def access(self, line_addr: int, is_write: bool = False) -> int:

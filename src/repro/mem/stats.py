@@ -100,6 +100,9 @@ class EnergyBreakdown:
 #: ``str(hits)`` call on the per-departure path.
 REUSE_KEYS = ("0", "1", "2")
 
+#: Insertion classes of Figure 14, in ``insertions_by_class`` order.
+INSERTION_CLASSES = ("abp", "partial_bypass", "default", "other")
+
 
 @dataclass
 class LevelStats:
@@ -130,7 +133,7 @@ class LevelStats:
     def __post_init__(self) -> None:
         if not self.hits_by_sublevel:
             self.hits_by_sublevel = [0] * self.num_sublevels
-        for cls in ("abp", "partial_bypass", "default", "other"):
+        for cls in INSERTION_CLASSES:
             self.insertions_by_class.setdefault(cls, 0)
         # Deferred-energy event counters, one slot per sublevel. Plain
         # attributes, not dataclass fields: ``asdict`` (and therefore
@@ -179,36 +182,33 @@ class LevelStats:
                      wb_in_events: List[int],
                      wb_out_events: List[int],
                      reuse_histogram: Dict[str, int],
-                     default_insertions: Optional[int] = None,
-                     insertions_by_class: Optional[Dict[str, int]] = None,
+                     insertions_by_class: Dict[str, int],
                      bypasses: int = 0,
-                     dirty_bypass_forwards: int = 0,
                      metadata_events: int = 0,
                      movement_queue_events: int = 0,
                      movement_queue_pj: float = 0.0) -> None:
         """Publish a batch-computed set of event counts into this stats.
 
-        The merge hook for the vectorized kernels
-        (:mod:`repro.sim.vector_replay`,
-        :mod:`repro.sim.vector_replay_slip`, and the front-end capture
-        kernel :mod:`repro.sim.vector_frontend`, which freezes its L1
-        tallies through this path): a kernel tallies integer
-        event counts per (sublevel x kind) and this method lands them on
-        the exact fields the scalar hot path would have bumped, keeping
-        the serialization contract (which fields ``asdict`` emits, which
-        are derived) in one place. Derived totals are recomputed here;
-        ``read_events`` mirrors ``hits_by_sublevel`` because every hit
-        bumps both on the scalar path and no other read events exist for
-        the eligible policies. The movement-queue charge is replayed as
-        the same sequence of constant float additions the live path
-        performs, so the accumulated value is bit-identical.
+        The merge hook for the kernels: both replay kernels land each
+        level's tally through the one shared publish step
+        (:func:`repro.sim.vector_replay.publish_level`), and the capture
+        kernel (:mod:`repro.sim.vector_frontend`) freezes its L1 tallies
+        here. A kernel tallies integer event counts per (sublevel x
+        kind) and this method lands them on the exact fields the scalar
+        hot path would have bumped, keeping the serialization contract
+        (which fields ``asdict`` emits, which are derived) in one place.
+        Derived totals are recomputed here; ``read_events`` mirrors
+        ``hits_by_sublevel`` because every hit bumps both on the scalar
+        path and no other read events exist for the eligible policies.
+        The movement-queue charge is replayed as the same sequence of
+        constant float additions the live path performs, so the
+        accumulated value is bit-identical.
 
-        Baseline-kind kernels pass ``default_insertions`` (every fill
-        lands in the default class); the SLIP kernel passes the full
-        ``insertions_by_class`` split plus the ABP ``bypasses`` /
-        ``dirty_bypass_forwards`` counts and the derived
-        ``metadata_events`` total. Exactly one of ``default_insertions``
-        and ``insertions_by_class`` must be given.
+        Every caller passes all four ``insertions_by_class`` keys; the
+        dict itself keeps the key order ``__post_init__`` gave it, so
+        the serialized bytes do not depend on the caller's order. No
+        kernel forwards a dirty bypass (their bypassed fills are never
+        dirty), so ``dirty_bypass_forwards`` publishes as 0.
         """
         self.demand_hits = demand_hits
         self.demand_misses = demand_misses
@@ -226,17 +226,10 @@ class LevelStats:
         self.writebacks_in = sum(wb_in_events)
         self.writebacks_out = sum(wb_out_events)
         self.bypasses = bypasses
-        self.dirty_bypass_forwards = dirty_bypass_forwards
+        self.dirty_bypass_forwards = 0
         self.metadata_events = metadata_events
-        if (default_insertions is None) == (insertions_by_class is None):
-            raise ValueError(
-                "pass exactly one of default_insertions and "
-                "insertions_by_class")
-        if insertions_by_class is not None:
-            for key, value in insertions_by_class.items():
-                self.insertions_by_class[key] = value
-        else:
-            self.insertions_by_class["default"] = default_insertions
+        for key, value in insertions_by_class.items():
+            self.insertions_by_class[key] = value
         for key, value in reuse_histogram.items():
             self.reuse_histogram[key] = value
         queue_pj = 0.0

@@ -259,7 +259,8 @@ def _frozen_frontend(l1cfg, tally: _L1Tally, tlb_misses: int,
         wb_out_events=[tally.writebacks],
         reuse_histogram={"0": hist[0], "1": hist[1],
                          "2": hist[2], ">2": hist[3]},
-        default_insertions=tally.misses,
+        insertions_by_class={"abp": 0, "partial_bypass": 0,
+                             "default": tally.misses, "other": 0},
     )
     stats.materialize()
     return {

@@ -43,9 +43,18 @@ walk by the differential harness in ``tests/test_mix_replay.py``:
 
 LRU stamps are global per level in the scalar hierarchy, but only
 their relative order *within a set* is ever compared, so a per-set
-counter reproduces victim selection exactly. Latency is integral and
-only demand events contribute below L1, so the measured-phase latency
-is an exact integer dot product of hit counts and sublevel latencies.
+counter reproduces victim selection exactly.
+
+This module also holds the accounting both replay kernels share (the
+SLIP kernel, :mod:`repro.sim.vector_replay_slip`, imports it): one
+:class:`LevelTally` of measured-phase counts per level, and one publish
+step, :func:`publish_replay`, which runs the always-on
+``vector-replay-conservation`` audit
+(:func:`repro.analysis.invariants.check_replay_tallies`) and then lands
+every tally (:func:`publish_level`), each core's DRAM traffic and its
+measured-phase latency. Latency is integral and only demand events
+contribute below L1, so the latency is an exact integer dot product of
+hit counts and sublevel latencies (:func:`demand_latency`).
 ``movement_queue_pj`` is the one live float: the scalar path
 accumulates a constant per movement, so the kernel replays the same
 number of additions (see :meth:`LevelStats.adopt_counts`).
@@ -55,7 +64,9 @@ The same kernel serves the Figure 16 multicore mixes
 one L3: each core's L2 leg runs over its own capture, and the L3 leg
 runs once over the cores' L2 miss streams merged by (access index,
 core), the order in which a round-robin walk of the cores reaches the
-shared level. A single core is the one-core case of the same code.
+shared level. The L3 leg weighs each measured demand hit by its core
+(see :data:`_RUNNERS`), so each core is charged the latency of the L3
+hits it caused. A single core is the one-core case of the same code.
 
 Every call derives its own precompute from the captures (the per-set
 grouping of :func:`_set_order` and the interleaved L3 stream of
@@ -73,8 +84,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.invariants import check_vector_replay
+from ..analysis.invariants import check_replay_tallies
 from ..mem.replacement import LruReplacement
+from ..mem.stats import INSERTION_CLASSES
 from ..policies.baseline import BaselinePlacement
 from ..policies.lru_pea import LruPeaPlacement, PeaLruReplacement
 from ..policies.nurapid import NurapidPlacement
@@ -135,40 +147,48 @@ def eligible_kind(hierarchy) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# Per-level tallies
+# Per-level tallies (shared with the SLIP kernel)
 # ----------------------------------------------------------------------
-class _LevelTally:
-    """Measured-phase integer event counts for one cache level."""
+class LevelTally:
+    """Measured-phase integer event counts for one cache level.
+
+    Both replay kernels fill it, the one audit
+    (:func:`~repro.analysis.invariants.check_replay_tallies`) balances
+    it and :func:`publish_level` lands it on the level's statistics.
+    The baseline-kind runners leave ``bypasses`` at 0 and count every
+    fill in the ``default`` class.
+    """
 
     __slots__ = (
-        "nsub", "demand_misses", "metadata_misses", "dh_sub", "mh_sub",
-        "ins_sub", "mvr_sub", "mvw_sub", "wbin_sub", "wbout_sub", "hist",
+        "dh_sub", "mh_sub", "demand_misses", "metadata_misses", "ins_sub",
+        "bypasses", "class_counts", "mvr_sub", "mvw_sub", "wbin_sub",
+        "wbout_sub", "forwarded_wbs", "hist",
     )
 
     def __init__(self, nsub: int) -> None:
-        self.nsub = nsub
-        self.demand_misses = 0
-        self.metadata_misses = 0
         self.dh_sub = [0] * nsub       # measured demand hits / sublevel
         self.mh_sub = [0] * nsub       # measured metadata hits / sublevel
+        self.demand_misses = 0
+        self.metadata_misses = 0
         self.ins_sub = [0] * nsub      # measured insertions / sublevel
+        self.bypasses = 0              # ABP fills that skip the level
+        self.class_counts = [0, 0, 0, 0]  # fills by INSERTION_CLASSES
         self.mvr_sub = [0] * nsub      # movement reads / sublevel
         self.mvw_sub = [0] * nsub      # movement writes / sublevel
         self.wbin_sub = [0] * nsub     # absorbed writebacks / sublevel
         self.wbout_sub = [0] * nsub    # emitted writebacks / sublevel
+        self.forwarded_wbs = 0         # writebacks passed on unabsorbed
         self.hist = [0, 0, 0, 0]       # reuse histogram 0 / 1 / 2 / >2
 
 
-def _level_geometry(level) -> Tuple[int, List[int], List[int], List[int]]:
-    """(nsub, ways per sublevel, latency per sublevel, sublevel of way)."""
+def _level_geometry(level) -> Tuple[int, List[int], List[int]]:
+    """(nsub, ways per sublevel, sublevel of way)."""
     sub_by_way = list(level.sublevel_by_way)
     nsub = level.cfg.num_sublevels
     ways_count = [0] * nsub
-    lat_by_sub = [0] * nsub
-    for way, sub in enumerate(sub_by_way):
+    for sub in sub_by_way:
         ways_count[sub] += 1
-        lat_by_sub[sub] = level.latency_by_way[way]
-    return nsub, ways_count, lat_by_sub, sub_by_way
+    return nsub, ways_count, sub_by_way
 
 
 def _set_order(addrs: np.ndarray, num_sets: int):
@@ -211,8 +231,8 @@ def _run_baseline(level, placement, ops, addrs, meas, resident_weight=1):
     n = int(ops.shape[0])
     num_sets = level.num_sets
     ways = level.cfg.ways
-    nsub, _, _, sub_by_way = _level_geometry(level)
-    tally = _LevelTally(nsub)
+    nsub, _, sub_by_way = _level_geometry(level)
+    tally = LevelTally(nsub)
     hist = tally.hist
     miss: List[bool] = [False] * n
     victim_tag: List[int] = [-1] * n
@@ -259,7 +279,7 @@ def _run_baseline(level, placement, ops, addrs, meas, resident_weight=1):
                     if op:
                         f_mm[j] += 1
                     else:
-                        f_md[j] += 1
+                        f_md[j] += m
                 order_.remove(j)
                 order_.append(j)
                 continue
@@ -348,8 +368,8 @@ def _run_nurapid(level, placement, ops, addrs, meas, resident_weight=1):
 
     n = int(ops.shape[0])
     num_sets = level.num_sets
-    nsub, ways_count, _, _ = _level_geometry(level)
-    tally = _LevelTally(nsub)
+    nsub, ways_count, _ = _level_geometry(level)
+    tally = LevelTally(nsub)
     hist = tally.hist
     dh_sub, mh_sub, ins_sub = tally.dh_sub, tally.mh_sub, tally.ins_sub
     mvr, mvw = tally.mvr_sub, tally.mvw_sub
@@ -386,7 +406,7 @@ def _run_nurapid(level, placement, ops, addrs, meas, resident_weight=1):
                     if op:
                         mh_sub[sub] += 1
                     else:
-                        dh_sub[sub] += 1
+                        dh_sub[sub] += m
                 lst = st[sub]
                 i = bisect_left(lst, rec[3])
                 lst.pop(i)
@@ -491,8 +511,8 @@ def _run_lru_pea(level, placement, ops, addrs, meas, resident_weight=1):
 
     n = int(ops.shape[0])
     num_sets = level.num_sets
-    nsub, ways_count, _, _ = _level_geometry(level)
-    tally = _LevelTally(nsub)
+    nsub, ways_count, _ = _level_geometry(level)
+    tally = LevelTally(nsub)
     hist = tally.hist
     dh_sub, mh_sub, ins_sub = tally.dh_sub, tally.mh_sub, tally.ins_sub
     mvr, mvw = tally.mvr_sub, tally.mvw_sub
@@ -556,7 +576,7 @@ def _run_lru_pea(level, placement, ops, addrs, meas, resident_weight=1):
                 if op:
                     mh_sub[sub] += 1
                 else:
-                    dh_sub[sub] += 1
+                    dh_sub[sub] += m
             lst = std[sub] if rec[4] else stp[sub]
             tgl = tgd[sub] if rec[4] else tgp[sub]
             i = bisect_left(lst, rec[3])
@@ -648,11 +668,23 @@ def _run_lru_pea(level, placement, ops, addrs, meas, resident_weight=1):
         np.asarray(victim_tag, dtype=np.int64)
 
 
+#: A runner replays one level's event stream (``ops``, ``addrs``).
+#: ``meas`` holds each event's measured weight: false in the warmup,
+#: else true, or, in a multi-core L3 leg, ``1 << _CORE_BITS * core``.
+#: Every tally counts a measured event once, except that a demand hit
+#: adds its weight, so the shared L3's demand hits per sublevel hold
+#: each core's count in a field of its own.
 _RUNNERS = {
     "baseline": _run_baseline,
     "nurapid": _run_nurapid,
     "lru_pea": _run_lru_pea,
 }
+
+#: Bits per core of a multi-core L3's demand-hit tallies; a measured
+#: stream holds fewer than 2**32 events.
+_CORE_BITS = 32
+
+_DEFAULT_CLASS = INSERTION_CLASSES.index("default")
 
 
 # ----------------------------------------------------------------------
@@ -702,30 +734,94 @@ def merge_by_access(positions: List[np.ndarray]) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Publication into the (otherwise untouched) hierarchy
+# The one publish step of both replay kernels
 # ----------------------------------------------------------------------
-def _publish_level(level, tally: _LevelTally, mq_pj: float) -> None:
-    movements = sum(tally.mvr_sub)
+def publish_level(level, placement, tally: LevelTally) -> None:
+    """Land one level's tally on its statistics.
+
+    Besides the capture kernel's L1 freeze, the one caller of
+    :meth:`~repro.mem.stats.LevelStats.adopt_counts`. A level that
+    tracks metadata energy (only SLIP levels do) charges one metadata
+    access per hit, miss and insertion.
+    """
+    dh, mh = sum(tally.dh_sub), sum(tally.mh_sub)
+    metadata_events = 0
+    if level.track_metadata_energy:
+        metadata_events = (dh + mh + tally.demand_misses
+                           + tally.metadata_misses + sum(tally.ins_sub))
     level.stats.adopt_counts(
-        demand_hits=sum(tally.dh_sub),
+        demand_hits=dh,
         demand_misses=tally.demand_misses,
-        metadata_hits=sum(tally.mh_sub),
+        metadata_hits=mh,
         metadata_misses=tally.metadata_misses,
-        hits_by_sublevel=[d + m for d, m in
-                          zip(tally.dh_sub, tally.mh_sub)],
-        insert_events=list(tally.ins_sub),
-        move_read_events=list(tally.mvr_sub),
-        move_write_events=list(tally.mvw_sub),
-        wb_in_events=list(tally.wbin_sub),
-        wb_out_events=list(tally.wbout_sub),
-        reuse_histogram={
-            "0": tally.hist[0], "1": tally.hist[1],
-            "2": tally.hist[2], ">2": tally.hist[3],
-        },
-        default_insertions=sum(tally.ins_sub),
-        movement_queue_events=movements,
-        movement_queue_pj=mq_pj,
+        hits_by_sublevel=[d + m for d, m in zip(tally.dh_sub, tally.mh_sub)],
+        insert_events=tally.ins_sub,
+        move_read_events=tally.mvr_sub,
+        move_write_events=tally.mvw_sub,
+        wb_in_events=tally.wbin_sub,
+        wb_out_events=tally.wbout_sub,
+        reuse_histogram=dict(zip(("0", "1", "2", ">2"), tally.hist)),
+        insertions_by_class=dict(zip(INSERTION_CLASSES,
+                                     tally.class_counts)),
+        bypasses=tally.bypasses,
+        metadata_events=metadata_events,
+        movement_queue_events=sum(tally.mvr_sub),
+        movement_queue_pj=getattr(placement, "movement_queue_pj", 0.0),
     )
+
+
+def demand_latency(level, demand_hits: Sequence[int], misses: int,
+                   miss_latency: int) -> int:
+    """Measured-phase demand latency at one level, in cycles.
+
+    Only demand events contribute below L1, and every term is an
+    integer count times an integer latency, so the sum is exact.
+    """
+    latency = [0] * level.cfg.num_sublevels
+    for way, sub in enumerate(level.sublevel_by_way):
+        latency[sub] = level.latency_by_way[way]
+    return (
+        sum(  # slip-lint: disable=SLIP005
+            count * cycles for count, cycles in zip(demand_hits, latency))
+        + misses * miss_latency)
+
+
+def publish_replay(hierarchies: Sequence, l2_legs: Sequence,
+                   l3_tally: LevelTally, l3_legs: Sequence) -> None:
+    """Audit one replay kernel's tallies, then land them.
+
+    ``l2_legs`` holds each core's ``(L2 tally, demand, metadata,
+    writeback events)``, as :func:`~repro.analysis.invariants.
+    check_replay_tallies` balances them. ``l3_legs`` holds what each
+    core caused below its L2: ``(L3 demand hits by sublevel, DRAM
+    demand reads, DRAM metadata reads, DRAM writes)``. DRAM traffic
+    and the measured-phase latency go to the core whose event caused
+    them.
+    """
+    check_replay_tallies(
+        l2_legs, l3_tally,
+        dram_demand=sum(leg[1] for leg in l3_legs),
+        dram_metadata=sum(leg[2] for leg in l3_legs),
+        dram_writebacks=sum(leg[3] for leg in l3_legs))
+    first = hierarchies[0]
+    l3 = first.l3
+    publish_level(l3, first.l3_placement, l3_tally)
+    for hierarchy, (tally2, *_), (dh3, demand_reads, metadata_reads,
+                                  writes) in zip(hierarchies, l2_legs,
+                                                 l3_legs):
+        l2 = hierarchy.l2
+        publish_level(l2, hierarchy.l2_placement, tally2)
+        counters = hierarchy.counters
+        counters.total_latency_cycles += (
+            demand_latency(l2, tally2.dh_sub, tally2.demand_misses,
+                           l2.cfg.latency_cycles)
+            + demand_latency(l3, dh3, demand_reads,
+                             l3.cfg.latency_cycles + hierarchy.dram._latency))
+        counters.dram_demand_reads = demand_reads
+        counters.dram_metadata_reads = metadata_reads
+        counters.dram_writebacks = writes
+        hierarchy.dram.stats.reads = demand_reads + metadata_reads
+        hierarchy.dram.stats.writes = writes
 
 
 def replay_capture_vector(hierarchies: Sequence,
@@ -744,11 +840,10 @@ def replay_capture_vector(hierarchies: Sequence,
     from the captures.
 
     With several cores the L3 is shared (:mod:`repro.sim.multi_core`):
-    DRAM reads and writes go to the core whose event caused them, each
-    line resident in the L3 at the end counts its reuse once per core
-    (every core's ``finalize()`` walks the shared level), and no
-    latency is published, because a shared-L3 hit cannot be charged to
-    one core's tally (multicore results carry no timing).
+    DRAM reads and writes, L3 demand hits and with them the
+    measured-phase latency go to the core whose event caused them, and
+    each line resident in the L3 at the end counts its reuse once per
+    core (every core's ``finalize()`` walks the shared level).
     """
     kinds = [eligible_kind(hierarchy) for hierarchy in hierarchies]
     kind = kinds[0]
@@ -756,43 +851,42 @@ def replay_capture_vector(hierarchies: Sequence,
         return False
     for hierarchy in hierarchies:
         record_success(hierarchy, "replay")
-    run = _RUNNERS[kind]
+    runner = _RUNNERS[kind]
     num_cores = len(hierarchies)
 
-    legs2 = []   # (ops, measured, tally) per core, for the audit
-    legs3 = []   # (ops, addrs, measured, access index) per core
-    l2_latency = 0
+    def run(level, placement, ops, addrs, meas, weights,
+            resident_weight=1):
+        tally, miss, victim = runner(level, placement, ops, addrs, weights,
+                                     resident_weight)
+        tally.forwarded_wbs = int(np.count_nonzero(
+            miss & meas & (ops == OP_WRITEBACK)))
+        tally.class_counts[_DEFAULT_CLASS] = sum(tally.ins_sub)
+        return tally, miss, victim
+
+    l2_legs = []  # (tally, demand, metadata, writeback events) per core
+    legs3 = []    # (ops, addrs, measured, access index) per core
     for hierarchy, capture in zip(hierarchies, captures):
         ops = np.asarray(capture.ops, dtype=np.uint8)
         addrs = np.asarray(capture.addrs, dtype=np.int64)
         meas = np.zeros(int(ops.shape[0]), dtype=bool)
         meas[capture.event_boundary:] = True
-        l2 = hierarchy.l2
-        tally2, miss2, victim2 = run(l2, hierarchy.l2_placement,
-                                     ops, addrs, meas)
+        tally2, miss2, victim2 = run(hierarchy.l2, hierarchy.l2_placement,
+                                     ops, addrs, meas, meas)
         ops3, addrs3, meas3, mask = _derive_l3_stream(
             ops, addrs, meas, miss2, victim2)
         positions = None
         if num_cores > 1:
             positions = capture.event_positions()[
                 np.flatnonzero(mask) >> 1]
-        legs2.append((ops, meas, tally2))
+        # Measured demand, metadata and writeback events: opcodes 0-2.
+        l2_legs.append((tally2, *np.bincount(ops[meas], minlength=3)
+                        .tolist()))
         legs3.append((ops3, addrs3, meas3, positions))
-        _publish_level(l2, tally2,
-                       getattr(hierarchy.l2_placement,
-                               "movement_queue_pj", 0.0))
-        # Measured-phase latency: only demand events contribute below
-        # L1, and every term is an integer count times an integer
-        # latency.
-        _, _, lat2, _ = _level_geometry(l2)
-        l2_latency = (
-            sum(  # slip-lint: disable=SLIP005
-                c * t for c, t in zip(tally2.dh_sub, lat2))
-            + tally2.demand_misses * l2.cfg.latency_cycles)
 
     if num_cores == 1:
         ops3, addrs3, meas3, _ = legs3[0]
         cores3 = np.zeros(int(ops3.shape[0]), dtype=np.int64)
+        weights3 = meas3
     else:
         order = merge_by_access([leg[3] for leg in legs3])
         ops3, addrs3, meas3 = (
@@ -800,11 +894,22 @@ def replay_capture_vector(hierarchies: Sequence,
             for i in range(3))
         cores3 = np.repeat(np.arange(num_cores),
                            [leg[0].shape[0] for leg in legs3])[order]
+        core_weights = np.array(
+            [1 << _CORE_BITS * core for core in range(num_cores)],
+            dtype=object)
+        weights3 = np.where(meas3, core_weights[cores3], 0)
     del legs3  # the per-core copies of the merged L3 stream
     first = hierarchies[0]
-    l3 = first.l3
-    tally3, miss3, victim3 = run(l3, first.l3_placement, ops3, addrs3,
-                                 meas3, resident_weight=num_cores)
+    tally3, miss3, victim3 = run(first.l3, first.l3_placement, ops3,
+                                 addrs3, meas3, weights3,
+                                 resident_weight=num_cores)
+    if num_cores == 1:
+        dh3 = [tally3.dh_sub]
+    else:
+        field = (1 << _CORE_BITS) - 1
+        dh3 = [[(count >> _CORE_BITS * core) & field
+                for count in tally3.dh_sub] for core in range(num_cores)]
+        tally3.dh_sub = [sum(column) for column in zip(*dh3)]
 
     # DRAM: every measured L3 access miss is one read; writes are the
     # measured L3 victim writebacks plus unabsorbed writeback events.
@@ -813,36 +918,10 @@ def replay_capture_vector(hierarchies: Sequence,
     def per_core(mask: np.ndarray) -> List[int]:
         return np.bincount(cores3[mask], minlength=num_cores).tolist()
 
-    dram_demand = per_core(l3_meas_miss & (ops3 == OP_DEMAND_MISS))
-    dram_meta = per_core(l3_meas_miss & (ops3 == OP_METADATA))
     dram_wb = [forwarded + victims for forwarded, victims in zip(
         per_core(l3_meas_miss & (ops3 == OP_WRITEBACK)),
         per_core((victim3 >= 0) & meas3))]
-
-    check_vector_replay(
-        legs2, ops3, meas3, tally3,
-        dram_demand=sum(dram_demand), dram_metadata=sum(dram_meta),
-    )
-
-    _publish_level(l3, tally3,
-                   getattr(first.l3_placement, "movement_queue_pj", 0.0))
-    if num_cores == 1:
-        _, _, lat3, _ = _level_geometry(l3)
-        # Integer counts times integer latencies, as at L2.
-        total = (
-            l2_latency
-            + sum(  # slip-lint: disable=SLIP005
-                c * t for c, t in zip(tally3.dh_sub, lat3))
-            + tally3.demand_misses * (l3.cfg.latency_cycles
-                                      + first.dram._latency)
-        )
-        first.counters.total_latency_cycles += total
-    for core, hierarchy in enumerate(hierarchies):
-        counters = hierarchy.counters
-        counters.dram_demand_reads = dram_demand[core]
-        counters.dram_metadata_reads = dram_meta[core]
-        counters.dram_writebacks = dram_wb[core]
-        dram_stats = hierarchy.dram.stats
-        dram_stats.reads = dram_demand[core] + dram_meta[core]
-        dram_stats.writes = dram_wb[core]
+    publish_replay(hierarchies, l2_legs, tally3, list(zip(
+        dh3, per_core(l3_meas_miss & (ops3 == OP_DEMAND_MISS)),
+        per_core(l3_meas_miss & (ops3 == OP_METADATA)), dram_wb)))
     return True

@@ -27,19 +27,20 @@ The kernel therefore splits the work differently:
   and departure steps against the live policy's RNG and SHCT. Cascade
   movement uses rotation tables precomputed for every ``(SLIP id,
   chunk, rotor)``. The sweep emits one packed annotation byte per
-  level event (``(kind << 4) | (sublevel + 1)``) plus a metadata-fetch
-  count per reference-metadata event; only the rare events
+  level event (``(kind << 4) | (sublevel + 1)``); only the rare events
   (insertions, bypasses, movements, departures, writebacks-out, DRAM
   writes) are tallied inline.
 * **Phase 2 (accounting pass)** — ``np.bincount`` over the measured
   slice of the annotation streams yields the per-sublevel hit /
-  absorbed-writeback counts and the miss totals; the measured-phase
-  latency is an exact integer dot product of demand counts and level
-  latencies. The ``slip-vector-replay-conservation`` invariant
-  (:func:`repro.analysis.invariants.check_slip_vector_replay`)
-  cross-balances the annotation streams against the capture, the live
-  runtime ledger and the inline tallies before anything is published
-  through :meth:`~repro.mem.stats.LevelStats.adopt_counts`.
+  absorbed- and forwarded-writeback counts and the miss totals, which
+  join the inline tallies in one
+  :class:`~repro.sim.vector_replay.LevelTally` per level. The publish
+  step both replay kernels share
+  (:func:`~repro.sim.vector_replay.publish_replay`) then runs the
+  ``vector-replay-conservation`` audit, which balances the
+  tallies against the capture and, as each L2's expected metadata
+  count, the live runtime's fetch ledger, and lands them with each
+  core's DRAM traffic and measured-phase latency.
 
 The kernel takes one trace window and capture per core. Each core has
 its own flat L2 model, driven by that core's live runtime (its
@@ -88,7 +89,6 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.invariants import check_slip_vector_replay
 from ..core.controller import SlipPlacement
 from ..core.runtime import RoutedSlipRuntime
 from ..core.sampling import PageState
@@ -97,12 +97,13 @@ from ..mem.replacement import (
     LruReplacement,
     ShipReplacement,
 )
+from ..mem.stats import INSERTION_CLASSES
 from ..mem.tlb import PTES_PER_LINE, PTE_TABLE_BASE
 from ..workloads.capture_store import TraceCapture
 from ..workloads.trace import Trace
 from .kernel_report import record_decline, record_success
 from .vector_frontend import _tlb_miss_positions
-from .vector_replay import merge_by_access
+from .vector_replay import LevelTally, merge_by_access, publish_replay
 
 _INF = float("inf")
 
@@ -121,43 +122,8 @@ _MISS_M = ANN_METADATA_MISS << 4
 _FWD = ANN_WB_FORWARDED << 4
 _ANN_SPAN = 96  # one past the largest code (_FWD + num_sublevels)
 
-#: Insertion classes in tally order (Figure 14).
-_CLASSES = ("abp", "partial_bypass", "default", "other")
-
 #: Replacement policies the flat model replays (exact types).
 _REPLACEMENTS = (LruReplacement, DrripReplacement, ShipReplacement)
-
-
-class SlipLevelTally:
-    """Measured-phase event counts for one SLIP-managed level.
-
-    Hit / miss / absorbed-writeback columns come from the phase-2
-    annotation bincount; the rest are phase-1 inline tallies. The
-    conservation invariant cross-checks the two sources against each
-    other and against the capture.
-    """
-
-    __slots__ = (
-        "nsub", "dh_sub", "mh_sub", "demand_misses", "metadata_misses",
-        "ins_sub", "bypasses", "class_counts", "mvr_sub", "mvw_sub",
-        "wbin_sub", "wbout_sub", "forwarded_wbs", "hist",
-    )
-
-    def __init__(self, nsub: int) -> None:
-        self.nsub = nsub
-        self.dh_sub: List[int] = [0] * nsub
-        self.mh_sub: List[int] = [0] * nsub
-        self.demand_misses = 0
-        self.metadata_misses = 0
-        self.ins_sub: List[int] = [0] * nsub
-        self.bypasses = 0
-        self.class_counts: List[int] = [0, 0, 0, 0]
-        self.mvr_sub: List[int] = [0] * nsub
-        self.mvw_sub: List[int] = [0] * nsub
-        self.wbin_sub: List[int] = [0] * nsub
-        self.wbout_sub: List[int] = [0] * nsub
-        self.forwarded_wbs = 0
-        self.hist: List[int] = [0, 0, 0, 0]
 
 
 def _core_eligible(hierarchy) -> bool:
@@ -247,15 +213,14 @@ def _level_model(level, placement) -> Tuple:
     ``rots[pid][chunk][r]`` is the way visit order ``choose_victim``
     produces for rotor value ``r`` on that chunk, for insertions and
     cascade victim selection alike. Memoised on the hashable structural
-    inputs (the SlipSpace way/class tables plus the level's
-    sublevel/latency shape), so repeated replays of the same hierarchy
-    shape skip the nested rotation-table construction per call.
+    inputs (the SlipSpace way/class tables plus the level's sublevel
+    shape), so repeated replays of the same hierarchy shape skip the
+    nested rotation-table construction per call.
     """
     space = placement.space
     nsub = level.cfg.num_sublevels
     sub = tuple(level.sublevel_by_way)
-    lat = tuple(level.latency_by_way)
-    key = (space.chunk_ways_by_id, space.class_by_id, nsub, sub, lat)
+    key = (space.chunk_ways_by_id, space.class_by_id, nsub, sub)
     cached = _LEVEL_MODEL_CACHE.get(key)
     if cached is None:
         rots = tuple(
@@ -266,11 +231,9 @@ def _level_model(level, placement) -> Tuple:
             )
             for per_chunk in space.chunk_ways_by_id
         )
-        cls_idx = tuple(_CLASSES.index(c) for c in space.class_by_id)
-        lat_by_sub = [0] * nsub
-        for way, s in enumerate(sub):
-            lat_by_sub[s] = lat[way]
-        cached = (rots, cls_idx, nsub, sub, tuple(lat_by_sub))
+        cls_idx = tuple(INSERTION_CLASSES.index(c)
+                        for c in space.class_by_id)
+        cached = (rots, cls_idx, nsub, sub)
         _LEVEL_MODEL_CACHE[key] = cached
     return cached
 
@@ -402,9 +365,9 @@ def _code_counts(ann: bytearray, boundary: int) -> np.ndarray:
 
 def _tally(counts: np.ndarray, nsub: int, ins: List[int], byp: int,
            cls: List[int], mvr: List[int], mvw: List[int],
-           wbout: List[int], hist: List[int]) -> SlipLevelTally:
+           wbout: List[int], hist: List[int]) -> LevelTally:
     """One level's tally: binned annotation codes plus inline counts."""
-    tally = SlipLevelTally(nsub)
+    tally = LevelTally(nsub)
     tally.dh_sub = [int(counts[1 + s]) for s in range(nsub)]
     tally.mh_sub = [int(counts[17 + s]) for s in range(nsub)]
     tally.demand_misses = int(counts[_MISS_D])
@@ -499,8 +462,8 @@ class _CoreSweep(NamedTuple):
     l1_wb: Callable[[int], None]
     #: The warmup boundary: zero the tallies, start measuring.
     measure: Callable[[], None]
-    #: ``(L2 tally, binned L3 codes, DRAM writebacks, demand latency)``
-    #: of the measured phase.
+    #: ``(L2 tally, binned L3 codes, DRAM writebacks)`` of the measured
+    #: phase.
     finish: Callable[[], Tuple]
 
 
@@ -534,7 +497,7 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     # ----- the shared L3: one flat-array way model for every core -----
     l3 = first.l3
     placement3 = first.l3_placement
-    rot3, cidx3, nsub3, sub3, lat3 = _level_model(l3, placement3)
+    rot3, cidx3, nsub3, sub3 = _level_model(l3, placement3)
     name3 = placement3._level_name
     S3, W3 = l3.num_sets, l3.cfg.ways
     wrap3, gran3, mask3 = l3.timestamp_wrap, l3._granule, l3._ts_mask
@@ -591,7 +554,7 @@ def replay_capture_vector_slip(hierarchies: Sequence,
 
         l2 = hierarchy.l2
         placement2 = hierarchy.l2_placement
-        rot2, cidx2, nsub2, sub2, lat2 = _level_model(l2, placement2)
+        rot2, cidx2, nsub2, sub2 = _level_model(l2, placement2)
         name2 = placement2._level_name
         S2, W2 = l2.num_sets, l2.cfg.ways
         wrap2, gran2, mask2 = l2.timestamp_wrap, l2._granule, l2._ts_mask
@@ -1039,20 +1002,7 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                 hist2[h if h < 3 else 3] += 1
             tally2 = _tally(_code_counts(ann2, b2), nsub2, ins2, byp2,
                             cls2, mvr2, mvw2, wbout2, hist2)
-            counts3 = _code_counts(ann3, b3)
-            # Measured-phase latency: only demand events contribute
-            # below L1, and every term is an integer count times an
-            # integer latency.
-            latency = (
-                sum(  # slip-lint: disable=SLIP005
-                    c * t for c, t in zip(tally2.dh_sub, lat2))
-                + tally2.demand_misses * l2.cfg.latency_cycles
-                + sum(  # slip-lint: disable=SLIP005
-                    int(counts3[1 + s]) * t for s, t in enumerate(lat3))
-                + int(counts3[_MISS_D]) * (l3.cfg.latency_cycles
-                                           + hierarchy.dram._latency)
-            )
-            return tally2, counts3, dram_wb, latency
+            return tally2, _code_counts(ann3, b3), dram_wb
 
         return _CoreSweep(below, l1_wb, measure, finish)
 
@@ -1060,12 +1010,9 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     belows = [sweep.below for sweep in sweeps]
     l1_wbs = [sweep.l1_wb for sweep in sweeps]
     runtimes = [hierarchy.runtime for hierarchy in hierarchies]
-    # Per core: one metadata-line count per reference-metadata event.
-    fetch_anns = [bytearray() for _ in hierarchies]
 
     # ----- phase 1: merged-order sweep (warmup, then measured) -----
     ref_i = miss_i = 0
-    bf: List[int] = []
     for stop, warm_phase in ((warmup * num_cores, True),
                              (n * num_cores, False)):
         while True:
@@ -1088,7 +1035,6 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                     below(pte, -1, True)
                 for fetch in fetches:
                     below(fetch, -1, True)
-                fetch_anns[core].append((pte >= 0) + len(fetches))
                 ref_i += 1
             if miss_k == k:
                 core = miss_cores[miss_i]
@@ -1103,7 +1049,6 @@ def replay_capture_vector_slip(hierarchies: Sequence,
             for hierarchy, sweep in zip(hierarchies, sweeps):
                 hierarchy.reset_stats()
                 sweep.measure()
-            bf = [len(fetch_ann) for fetch_ann in fetch_anns]
             for t in (ins3, mvr3, mvw3, wbout3):
                 t[:] = [0] * nsub3
             cls3[:] = [0, 0, 0, 0]
@@ -1124,9 +1069,9 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     # Live runtime/TLB ledgers: one page-grain probe per access, one
     # miss per captured TLB-miss position; hits are the complement of
     # the measured-phase misses.
-    legs = []
-    for hierarchy, capture, (tally2, _, _, _), fetch_ann, boundary in zip(
-            hierarchies, captures, results, fetch_anns, bf):
+    l2_legs, l3_legs = [], []
+    for hierarchy, capture, (tally2, counts3, dram_wb) in zip(
+            hierarchies, captures, results):
         tlb_misses = int(np.count_nonzero(
             np.asarray(capture.tlb_miss_pos) >= warmup))
         runtime_stats = hierarchy.runtime.stats
@@ -1135,70 +1080,17 @@ def replay_capture_vector_slip(hierarchies: Sequence,
         tlb_stats.misses = tlb_misses
         tlb_stats.hits = (n - warmup) - tlb_misses
         measured = np.asarray(capture.l1_miss_pos) >= warmup
-        legs.append((
+        l2_legs.append((
+            tally2,
             int(np.count_nonzero(measured)),
             runtime_stats.tlb_miss_fetches
             + runtime_stats.distribution_fetches,
-            int(np.frombuffer(fetch_ann, dtype=np.uint8)[boundary:].sum()),
             int(np.count_nonzero(
                 measured & (np.asarray(capture.l1_miss_wb) >= 0))),
-            tally2,
         ))
-    check_slip_vector_replay(
-        legs, tally3,
-        dram_writebacks=sum(result[2] for result in results))
-
-    levels = [(hierarchy.l2, hierarchy.l2_placement, result[0])
-              for hierarchy, result in zip(hierarchies, results)]
-    levels.append((l3, placement3, tally3))
-    for level, placement, tally in levels:
-        dh = sum(tally.dh_sub)
-        mh = sum(tally.mh_sub)
-        insertions = sum(tally.ins_sub)
-        metadata_events = (
-            dh + mh + tally.demand_misses + tally.metadata_misses
-            + insertions
-        ) if level.track_metadata_energy else 0
-        level.stats.adopt_counts(
-            demand_hits=dh,
-            demand_misses=tally.demand_misses,
-            metadata_hits=mh,
-            metadata_misses=tally.metadata_misses,
-            hits_by_sublevel=[d + m for d, m in
-                              zip(tally.dh_sub, tally.mh_sub)],
-            insert_events=list(tally.ins_sub),
-            move_read_events=list(tally.mvr_sub),
-            move_write_events=list(tally.mvw_sub),
-            wb_in_events=list(tally.wbin_sub),
-            wb_out_events=list(tally.wbout_sub),
-            reuse_histogram={
-                "0": tally.hist[0], "1": tally.hist[1],
-                "2": tally.hist[2], ">2": tally.hist[3],
-            },
-            insertions_by_class={
-                "abp": tally.class_counts[0],
-                "partial_bypass": tally.class_counts[1],
-                "default": tally.class_counts[2],
-                "other": tally.class_counts[3],
-            },
-            bypasses=tally.bypasses,
-            dirty_bypass_forwards=0,
-            metadata_events=metadata_events,
-            movement_queue_events=sum(tally.mvr_sub),
-            movement_queue_pj=placement.movement_queue_pj,
-        )
-
-    # DRAM reads and writes go to the core whose event caused them.
-    for hierarchy, (_, counts3, dram_wb, latency) in zip(
-            hierarchies, results):
-        demand_reads = int(counts3[_MISS_D])
-        metadata_reads = int(counts3[_MISS_M])
-        counters = hierarchy.counters
-        counters.total_latency_cycles += latency
-        counters.dram_demand_reads = demand_reads
-        counters.dram_metadata_reads = metadata_reads
-        counters.dram_writebacks = dram_wb
-        dram_stats = hierarchy.dram.stats
-        dram_stats.reads = demand_reads + metadata_reads
-        dram_stats.writes = dram_wb
+        # Every L3 event is in the stream of the core that caused it.
+        l3_legs.append(([int(counts3[1 + s]) for s in range(nsub3)],
+                        int(counts3[_MISS_D]), int(counts3[_MISS_M]),
+                        dram_wb))
+    publish_replay(hierarchies, l2_legs, tally3, l3_legs)
     return True

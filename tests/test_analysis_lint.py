@@ -118,30 +118,6 @@ def test_slip003_quiet_outside_policy_packages():
 
 
 # ----------------------------------------------------------------------
-# SLIP004 mutable default arguments
-# ----------------------------------------------------------------------
-def test_slip004_triggers_on_list_default():
-    assert "SLIP004" in codes("""
-        def record(events=[]):
-            events.append(1)
-    """)
-
-
-def test_slip004_triggers_on_dict_call_default():
-    assert "SLIP004" in codes("""
-        def record(*, table=dict()):
-            pass
-    """)
-
-
-def test_slip004_quiet_on_none_default():
-    assert "SLIP004" not in codes("""
-        def record(events=None, size=0, name="x"):
-            events = events or []
-    """)
-
-
-# ----------------------------------------------------------------------
 # SLIP005 float sum on energy quantities
 # ----------------------------------------------------------------------
 def test_slip005_triggers_on_pj_sum():
@@ -327,11 +303,12 @@ def test_line_pragma_leaves_other_lines_alone():
 
 def test_file_pragma_suppresses_whole_file():
     found = codes("""
-        # slip-lint: disable-file=SLIP005,SLIP004
-        def total_energy_pj(values, extra=[]):
+        # slip-lint: disable-file=SLIP005,SLIP007
+        def total_energy_pj(values, stats):
+            stats.energy_pj += 1.0
             return sum(values)
     """)
-    assert "SLIP005" not in found and "SLIP004" not in found
+    assert "SLIP005" not in found and "SLIP007" not in found
 
 
 def test_disable_all_pragma():
@@ -362,12 +339,12 @@ def test_select_restricts_rules():
         import random
         rng = random.Random()
 
-        def f(x=[]):
-            pass
+        def total_energy_pj(values):
+            return sum(values)
     """)
     only = lint_source(source, path="fixture.py", module=SIM_MODULE,
-                       select=["SLIP004"])
-    assert [f.code for f in only] == ["SLIP004"]
+                       select=["SLIP005"])
+    assert [f.code for f in only] == ["SLIP005"]
 
 
 def test_every_rule_has_unique_code_and_docs():
@@ -400,11 +377,12 @@ def test_cli_zero_on_clean_tree(tmp_path, capsys):
 def test_cli_json_format(tmp_path, capsys):
     bad = tmp_path / "repro" / "core" / "bad.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text("def f(x=[]):\n    pass\n")
+    bad.write_text("def total_energy_pj(values):\n"
+                   "    return sum(values)\n")
     assert main(["--format", "json", str(tmp_path)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 1
-    assert payload["findings"][0]["code"] == "SLIP004"
+    assert payload["findings"][0]["code"] == "SLIP005"
 
 
 def test_cli_usage_errors(capsys):

@@ -1,8 +1,9 @@
-"""What the simulator package may read and load.
+"""What the simulator package may read, load and call.
 
 No module under ``src/repro`` reads the environment, so no knob can
-switch a run onto another code path unseen; and the simulator loads
-``repro.analysis`` only for its invariants, never the lint rule set.
+switch a run onto another code path unseen; the simulator loads
+``repro.analysis`` only for its invariants, never the lint rule set;
+and the kernels publish their tallies through one step.
 """
 
 import ast
@@ -61,3 +62,34 @@ def test_simulator_does_not_load_the_lint_rules():
         [sys.executable, "-c", probe], check=True, capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR)).stdout
     assert out.strip() == "['repro.analysis', 'repro.analysis.invariants']"
+
+
+def adopt_counts_callers():
+    """``(module, function)`` of every ``.adopt_counts(...)`` call."""
+    callers = set()
+    for root, _, files in os.walk(os.path.join(SRC_DIR, "repro")):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            module = os.path.relpath(path, SRC_DIR)
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "adopt_counts"):
+                        callers.add((module, function.name))
+    return callers
+
+
+def test_kernels_publish_through_one_step():
+    """Both replay kernels land their tallies through ``publish_level``;
+    only the capture kernel's L1 freeze calls ``adopt_counts`` too."""
+    assert adopt_counts_callers() == {
+        ("repro/sim/vector_replay.py", "publish_level"),
+        ("repro/sim/vector_frontend.py", "_frozen_frontend"),
+    }

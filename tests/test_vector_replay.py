@@ -8,7 +8,8 @@ harness of ``test_mix_replay`` checks that over the whole cell space;
 the named cells below pin the three eligible policies on the tiny
 system and seeded draws from the harness's cell space, each through
 the one differential check (``served_like_walk``), and the bypass
-matrix pins what the kernel declines.
+matrix pins what the kernel declines. The last test breaks each
+identity of the audit both replay kernels share.
 """
 
 import random
@@ -16,10 +17,15 @@ import random
 import pytest
 
 from harness import single_cell
+from repro.analysis.invariants import InvariantViolation, check_replay_tallies
 from repro.sim.build import build_hierarchy
 from repro.sim.filtered import front_end_fingerprint
 from repro.sim.single_core import run_trace
-from repro.sim.vector_replay import eligible_kind, replay_capture_vector
+from repro.sim.vector_replay import (
+    LevelTally,
+    eligible_kind,
+    replay_capture_vector,
+)
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import MemoryCaptureStore, fingerprint_key
 
@@ -116,3 +122,72 @@ class TestBypass:
             trace=make_trace("soplex", 1_500), policy="baseline",
             config=tiny_system, replacement="random"),
             MemoryCaptureStore())
+
+
+# ----------------------------------------------------------------------
+# The replay kernels' shared conservation audit
+# ----------------------------------------------------------------------
+def _ledger():
+    """A consistent two-core ledger: (L2 legs, L3 tally, DRAM counts)."""
+    def tally(**fields):
+        result = LevelTally(2)
+        for name, value in fields.items():
+            setattr(result, name, value)
+        return result
+
+    def l2():
+        # 9 demand, 3 metadata and 5 writeback events; 6 fills.
+        return (tally(dh_sub=[3, 2], demand_misses=4, mh_sub=[1, 0],
+                      metadata_misses=2, ins_sub=[4, 1], bypasses=1,
+                      class_counts=[1, 0, 4, 1], mvr_sub=[1, 0],
+                      mvw_sub=[0, 1], wbin_sub=[2, 1], forwarded_wbs=2,
+                      wbout_sub=[1, 0]), 9, 3, 5)
+
+    # The L3 sees the L2s' 8 demand and 4 metadata misses and their
+    # 4 forwarded plus 2 evicted-dirty writebacks.
+    l3 = tally(dh_sub=[2, 1], demand_misses=5, mh_sub=[1, 1],
+               metadata_misses=2, ins_sub=[5, 1], bypasses=1,
+               class_counts=[1, 0, 5, 1], mvr_sub=[1, 1], mvw_sub=[2, 0],
+               wbin_sub=[2, 1], forwarded_wbs=3, wbout_sub=[1, 1])
+    dram = dict(dram_demand=5, dram_metadata=2, dram_writebacks=5)
+    return [l2(), l2()], l3, dram
+
+
+def _bump(which, field, index=None, by=1):
+    """Break one field: of an L2 tally (core), the L3 tally or DRAM."""
+    def apply(l2_legs, l3, dram):
+        if which == "DRAM":
+            dram[field] += by
+            return
+        target = l3 if which == "L3" else l2_legs[which][0]
+        if index is None:
+            setattr(target, field, getattr(target, field) + by)
+        else:
+            getattr(target, field)[index] += by
+    return apply
+
+
+@pytest.mark.parametrize("defect, level, counter", [
+    (_bump(1, "dh_sub", 0), "L2[1]", "demand_events"),
+    (_bump(0, "mh_sub", 1), "L2[0]", "metadata_events"),
+    (_bump(0, "forwarded_wbs", by=-1), "L2[0]", "wb_in_events"),
+    (_bump(1, "bypasses"), "L2[1]", "insertions"),
+    (_bump(0, "class_counts", 3), "L2[0]", "insertions_by_class"),
+    (_bump("L3", "mvw_sub", 0, by=-1), "L3", "move_events"),
+    (_bump("L3", "dh_sub", 1), "L3", "demand_events"),
+    (_bump("L3", "mh_sub", 0, by=-1), "L3", "metadata_events"),
+    (_bump(1, "wbout_sub", 0), "L3", "wb_in_events"),
+    (_bump("DRAM", "dram_demand"), "DRAM", "dram_demand_reads"),
+    (_bump("DRAM", "dram_metadata"), "DRAM", "dram_metadata_reads"),
+    (_bump("L3", "wbout_sub", 1), "DRAM", "dram_writebacks"),
+], ids=["l2-demand", "l2-metadata", "l2-writebacks", "insertions",
+        "classes", "movements", "l3-demand", "l3-metadata",
+        "l3-writebacks", "dram-demand", "dram-metadata", "dram-writes"])
+def test_replay_audit_names_the_broken_identity(defect, level, counter):
+    l2_legs, l3, dram = _ledger()
+    check_replay_tallies(l2_legs, l3, **dram)  # consistent: no raise
+    defect(l2_legs, l3, dram)
+    with pytest.raises(InvariantViolation) as raised:
+        check_replay_tallies(l2_legs, l3, **dram)
+    assert raised.value.invariant == "vector-replay-conservation"
+    assert (raised.value.level, raised.value.counter) == (level, counter)

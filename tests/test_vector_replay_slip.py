@@ -316,12 +316,13 @@ def test_mix_is_served_by_the_kernel(monkeypatch):
     assert all(h.kernel_declines.replay is None for h in hierarchies)
 
 
-@pytest.mark.parametrize("policy", SLIP_KIND)
+@pytest.mark.parametrize("policy",
+                         ("baseline", "nurapid", "lru_pea") + SLIP_KIND)
 def test_mix_core_ledgers_match_scalar(policy, tiny_system, monkeypatch,
                                        walked):
     """Per-core ledgers a MulticoreResult does not carry — counters
     (latency included), runtime and TLB statistics — match the walk
-    too."""
+    too, under both replay kernels."""
     ledgers = []
     collect = multi_core._collect_mix
 
@@ -340,24 +341,3 @@ def test_mix_core_ledgers_match_scalar(policy, tiny_system, monkeypatch,
     assert vector == walk
     assert all(counters["total_latency_cycles"] > 0
                for counters, _, _ in vector)
-
-
-# ----------------------------------------------------------------------
-# adopt_counts contract: exactly one insertion source
-# ----------------------------------------------------------------------
-def test_adopt_counts_requires_one_insertion_source(tiny_system):
-    hierarchy = build_hierarchy(tiny_system, "slip")
-    stats = hierarchy.l2.stats
-    nsub = hierarchy.l2.cfg.num_sublevels
-    kwargs = dict(
-        demand_hits=0, demand_misses=0, metadata_hits=0,
-        metadata_misses=0, hits_by_sublevel=[0] * nsub,
-        insert_events=[0] * nsub, move_read_events=[0] * nsub,
-        move_write_events=[0] * nsub, wb_in_events=[0] * nsub,
-        wb_out_events=[0] * nsub, reuse_histogram={},
-    )
-    with pytest.raises(ValueError, match="exactly one"):
-        stats.adopt_counts(default_insertions=1,
-                           insertions_by_class={"default": 1}, **kwargs)
-    with pytest.raises(ValueError, match="exactly one"):
-        stats.adopt_counts(**kwargs)
