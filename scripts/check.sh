@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # One-shot pre-merge gate for this repo. Runs the tier-1 test suite,
-# the slip-lint static checks (plus ruff when it is installed), the
-# throughput gate, and a determinism smoke (fixed-seed byte-identity of
+# the slip-lint static checks (plus ruff when it is installed), a
+# warnings-as-errors compile of the compiled tier, the throughput gate,
+# and a determinism smoke (fixed-seed byte-identity of
 # the CLI across serial and parallel runs, plus the kernel-report
 # lines of the Fig. 16 and Section 7 ablation runs).
 #
 # Usage: scripts/check.sh [--fast]
-#   --fast   skip the full pytest run; lint, throughput gate and
-#            determinism smoke only.
+#   --fast   skip the full pytest run; lint, the strict compile, the
+#            throughput gate and determinism smoke only.
 #
 # Exit code: 0 only if every stage passes. Run from anywhere; the
 # script cd's to the repo root.
@@ -51,6 +52,13 @@ else
     echo "==> ruff (generic python lint)"
     echo "    SKIP: ruff not installed"
 fi
+
+# The compiled tier: the kernels build src/repro/sim/_lru.c on first use
+# with the flags of repro.sim.native; here it must also compile clean
+# under every warning.
+stage "compiled tier (_lru.c under -Wall -Wextra -Werror)" \
+    cc -O2 -std=c99 -fPIC -Wall -Wextra -Werror -c -o /dev/null \
+    src/repro/sim/_lru.c
 
 # Throughput regression gates: re-time the slip_abp drive, the serial
 # (capture/replay) sweep, the warm slip/slip_abp replay cells, the

@@ -55,8 +55,8 @@ replay_capture_vector_slip` for the slip kinds, LRU, DRRIP and SHiP
 alike), and so does the baseline kinds' scalar replay
 (:func:`_replay_events`), which serves what their kernel declines
 (random, DRRIP and SHiP replacement): the cores' events merge by
-(access index, core). Each replay derives its own precompute (per-set
-grouping, L3 stream, captured-position resolutions) from the captures,
+(access index, core). Each replay derives its own precompute (L3
+stream, merge order, captured-position resolutions) from the captures,
 so the store holds only captures.
 
 Frozen front-end statistics (L1 LevelStats, TLB and runtime stats,

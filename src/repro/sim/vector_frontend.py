@@ -7,26 +7,24 @@ All of those are pure stack-distance facts of the reference stream —
 the TLB is a fully-associative LRU over page numbers and the L1 is a
 set-associative LRU over line tags, neither of which observes anything
 the back end does — so this module computes them for the *entire*
-trace in three batched phases and packages a
+trace in three phases, the first two in C, and packages a
 :class:`~repro.workloads.capture_store.TraceCapture` without ever
 touching a ``Line`` object; a cell replayed from it serializes
 byte-identically to the per-access walk
 (:func:`repro.sim.filtered.walk_cores`):
 
 * **Phase 1 (TLB)** derives page numbers for the whole stream
-  vectorized, run-compresses consecutive same-page references (repeats
-  only re-touch the MRU slot, so only run heads can miss), and walks
-  the run heads through an ``OrderedDict`` LRU to recover the global
-  TLB-miss positions. Each miss interleaves exactly one metadata (PTE
-  line) event, mirroring ``BaselineRuntime.on_reference``.
-* **Phase 2 (L1)** groups the access stream per set with the same
-  stable-argsort machinery the replay kernels use
-  (:func:`repro.sim.vector_replay._set_runs`) and runs a tight
-  per-set loop over tag / LRU-order / dirty / hit-count columns. The
-  eligible L1 is uniform (no sublevel partition) with stock LRU
-  replacement, so the victim of a full set is the unique least-recent
-  tag and way choice is statistically invisible — no second
-  way-assignment pass is needed.
+  vectorized and runs them through a fully associative LRU of the
+  TLB's size (``lru_tlb`` in ``_lru.c``), which probes only the heads
+  of same-page runs (repeats only re-touch the MRU slot) and returns
+  the global TLB-miss positions. Each miss interleaves exactly one
+  metadata (PTE line) event, mirroring ``BaselineRuntime.on_reference``.
+* **Phase 2 (L1)** runs the access stream once, in order, through
+  ``lru_l1`` in ``_lru.c``: flat per-set tag / LRU-stamp / dirty /
+  hit-count slots. The eligible L1 is uniform (no sublevel partition)
+  with stock LRU replacement, so the victim of a full set is the unique
+  least-recent tag and way choice is statistically invisible: a fill
+  takes the set's next free slot.
 * **Phase 3** scatters the per-access miss / metadata / writeback
   flags into the flat capture event stream with an exclusive cumulative
   sum (preserving the walk's per-access order: metadata, then demand
@@ -47,18 +45,18 @@ The kernel declines (``return None``) every hierarchy it cannot
 model: a non-LRU L1 replacement, metadata-energy tracking on L1, or a
 sublevel-partitioned L1 geometry (the kernel's closed-form
 latency ``(n - warmup) * latency_cycles`` needs uniform way
-latencies). The driver asks :func:`frontend_eligible` first and walks
-such cells. Declines are recorded on
-``hierarchy.kernel_declines.frontend`` and tallied for
-``slip-experiments --kernel-report``, mirroring the replay kernels'
-``kernel_declines.replay`` contract. Every kernel capture is audited by
-the always-on ``vector-frontend-conservation`` invariant before it is
-published.
+latencies), and every hierarchy when the compiled loops cannot be
+built or loaded (``native-unavailable``, see :mod:`repro.sim.native`).
+The driver asks :func:`frontend_eligible` first and walks such cells.
+Declines are recorded on ``hierarchy.kernel_declines.frontend`` and
+tallied for ``slip-experiments --kernel-report``, mirroring the replay
+kernels' ``kernel_declines.replay`` contract. Every kernel capture is
+audited by the always-on ``vector-frontend-conservation`` invariant
+before it is published.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
@@ -76,9 +74,10 @@ from ..workloads.capture_store import (
     TraceCapture,
 )
 from ..workloads.trace import Trace
+from . import native
 from .config import SystemConfig, line_to_page_shift
 from .kernel_report import record_decline, record_success
-from .vector_replay import _set_runs
+
 
 def frontend_eligible(hierarchy) -> bool:
     """Whether a hierarchy's front end matches the kernel's model.
@@ -99,137 +98,68 @@ def frontend_eligible(hierarchy) -> bool:
     if l1.cfg.sublevel_ways:
         record_decline(hierarchy, "frontend", "l1-geometry")
         return False
+    if native.library() is None:
+        record_decline(hierarchy, "frontend", "native-unavailable")
+        return False
     return True
 
 
 # ----------------------------------------------------------------------
-# Phase 1: TLB over the run-compressed page stream
+# Phase 1: the TLB, in C
 # ----------------------------------------------------------------------
 def _tlb_miss_positions(pages: np.ndarray, entries: int) -> np.ndarray:
-    """Global positions whose page-grain probe misses the LRU TLB.
+    """Global positions whose page-grain probe misses the LRU TLB,
+    from ``_lru.c``'s ``lru_tlb``.
 
     A repeated page can only re-touch the MRU slot, so the LRU state
     (and every hit/miss outcome) is fully determined by the heads of
-    maximal same-page runs — the loop below touches only those. The
-    SLIP kernel runs it over rd-block numbers for the SLIP-cache.
+    maximal same-page runs: only those are probed. The SLIP kernel
+    runs it over rd-block numbers for the SLIP-cache.
     """
     n = int(pages.shape[0])
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(pages[1:], pages[:-1], out=change[1:])
-    run_starts = np.flatnonzero(change)
-    tlb: "OrderedDict[int, None]" = OrderedDict()
-    misses: List[int] = []
-    append_miss = misses.append
-    move_to_end = tlb.move_to_end
-    popitem = tlb.popitem
-    for i, page in zip(run_starts.tolist(), pages[run_starts].tolist()):
-        if page in tlb:
-            move_to_end(page)
-        else:
-            append_miss(i)
-            tlb[page] = None
-            if len(tlb) > entries:
-                popitem(last=False)
-    return np.asarray(misses, dtype=np.int64)
+    misses = np.empty(n, dtype=np.int64)
+    count = native.library().lru_tlb(
+        n, np.ascontiguousarray(pages, dtype=np.int64), entries, misses)
+    if count < 0:
+        raise MemoryError("lru_tlb: out of memory")
+    return misses[:count].copy()
 
 
 # ----------------------------------------------------------------------
-# Phase 2: per-set L1 tag/LRU/dirty trajectory
+# Phase 2: the L1, in C
 # ----------------------------------------------------------------------
-class _L1Tally:
-    """Measured-phase integer tallies of the batched L1 walk."""
-
-    __slots__ = ("hits", "misses", "writebacks", "evictions",
-                 "residents", "hist")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0        # dirty victims departing measured
-        self.evictions = 0         # victims departing measured
-        self.residents = 0         # lines resident at end of trace
-        self.hist = [0, 0, 0, 0]   # reuse histogram 0 / 1 / 2 / >2
+#: Fields of ``lru_l1``'s tally: measured hits, misses, dirty victims
+#: and victims; lines resident at the end; the reuse histogram 0 / 1 /
+#: 2 / >2 (measured evictions plus residents, full-life hit counts).
+_HITS, _MISSES, _WRITEBACKS, _EVICTIONS, _RESIDENTS, _HIST = range(6)
 
 
 def _run_l1(addrs: np.ndarray, writes: np.ndarray, warmup: int,
             num_sets: int, ways: int):
-    """Resolve every L1 outcome with one tight loop per set.
+    """Every L1 outcome, from ``_lru.c``'s ``lru_l1``.
 
     Returns ``(miss, victim, tally)``: per-access miss flags, the dirty
     victim's tag per access (``-1`` when the fill evicted nothing
-    dirty), and the measured-phase tallies. Mirrors the L1
-    hit/miss/fill leg of ``MemoryHierarchy.access`` at tag level —
-    for a uniform LRU L1 the victim of a full set is the unique
+    dirty) and the tally fields above. Mirrors the L1
+    hit/miss/fill leg of ``MemoryHierarchy.access`` at tag level: for
+    a uniform LRU L1 the victim of a full set is the unique
     least-recent tag, so way identity never matters.
     """
     n = int(addrs.shape[0])
-    meas = np.arange(n, dtype=np.int64) >= warmup
-    miss: List[bool] = [False] * n
-    victim: List[int] = [-1] * n
-    tally = _L1Tally()
-    hist = tally.hist
-    hits_meas = misses_meas = wb_meas = evict_meas = residents = 0
-    for evt_s, wr_s, tag_s, meas_s in _set_runs(writes, addrs, meas,
-                                                num_sets):
-        where: Dict[int, int] = {}
-        order_: List[int] = []     # resident slots, front == LRU
-        f_tag: List[int] = []      # append-only slot columns
-        f_dirty: List[bool] = []
-        f_hits: List[int] = []     # full-life hits (line.hits survives
-        #                            the warmup reset_stats boundary)
-        get = where.get
-        remove = order_.remove
-        push = order_.append
-        for e, wr, tag, m in zip(evt_s, wr_s, tag_s, meas_s):
-            j = get(tag)
-            if j is not None:
-                f_hits[j] += 1
-                if wr:
-                    f_dirty[j] = True
-                if m:
-                    hits_meas += 1
-                remove(j)
-                push(j)
-                continue
-            miss[e] = True
-            if m:
-                misses_meas += 1
-            if len(order_) == ways:
-                v = order_.pop(0)
-                del where[f_tag[v]]
-                if m:
-                    h = f_hits[v]
-                    hist[h if h < 3 else 3] += 1
-                    evict_meas += 1
-                if f_dirty[v]:
-                    victim[e] = f_tag[v]
-                    if m:
-                        wb_meas += 1
-            j = len(f_tag)
-            f_tag.append(tag)
-            f_dirty.append(bool(wr))        # write-allocate: born dirty
-            f_hits.append(0)
-            where[tag] = j
-            push(j)
-        residents += len(where)
-        for j in where.values():            # finalize(): resident reuse
-            h = f_hits[j]
-            hist[h if h < 3 else 3] += 1
-    tally.hits = hits_meas
-    tally.misses = misses_meas
-    tally.writebacks = wb_meas
-    tally.evictions = evict_meas
-    tally.residents = residents
-    return miss, victim, tally
+    miss = np.zeros(n, dtype=np.uint8)
+    victim = np.full(n, -1, dtype=np.int64)
+    tally = np.zeros(_HIST + 4, dtype=np.int64)
+    if native.library().lru_l1(n, np.ascontiguousarray(addrs),
+                  np.ascontiguousarray(writes).view(np.uint8), warmup,
+                  num_sets, ways, miss, victim, tally):
+        raise MemoryError("lru_l1: out of memory")
+    return miss.view(bool), victim, tally.tolist()
 
 
 # ----------------------------------------------------------------------
 # Phase 3: event scatter + frozen statistics
 # ----------------------------------------------------------------------
-def _frozen_frontend(l1cfg, tally: _L1Tally, tlb_misses: int,
+def _frozen_frontend(l1cfg, tally: List[int], tlb_misses: int,
                      measured: int) -> Dict:
     """The frozen front-end statistics for one batched capture.
 
@@ -245,22 +175,23 @@ def _frozen_frontend(l1cfg, tally: _L1Tally, tlb_misses: int,
         l1cfg.sublevel_read_energies_pj,
         l1cfg.metadata_energy_pj,
     )
-    hist = tally.hist
+    hits, misses = tally[_HITS], tally[_MISSES]
+    hist = tally[_HIST:]
     stats.adopt_counts(
-        demand_hits=tally.hits,
-        demand_misses=tally.misses,
+        demand_hits=hits,
+        demand_misses=misses,
         metadata_hits=0,
         metadata_misses=0,
-        hits_by_sublevel=[tally.hits],
-        insert_events=[tally.misses],
+        hits_by_sublevel=[hits],
+        insert_events=[misses],
         move_read_events=[0],
         move_write_events=[0],
         wb_in_events=[0],
-        wb_out_events=[tally.writebacks],
+        wb_out_events=[tally[_WRITEBACKS]],
         reuse_histogram={"0": hist[0], "1": hist[1],
                          "2": hist[2], ">2": hist[3]},
         insertions_by_class={"abp": 0, "partial_bypass": 0,
-                             "default": tally.misses, "other": 0},
+                             "default": misses, "other": 0},
     )
     stats.materialize()
     return {
@@ -271,12 +202,12 @@ def _frozen_frontend(l1cfg, tally: _L1Tally, tlb_misses: int,
         # Uniform L1: every measured probe costs latency_cycles whether
         # it hits or misses (eligibility declines partitioned L1s).
         "l1_latency_cycles": measured * l1cfg.latency_cycles,
-        "l1_hits": tally.hits,
+        "l1_hits": hits,
         "demand_accesses": measured,
         "event_counts": {
-            "demand": tally.misses,
+            "demand": misses,
             "metadata": tlb_misses,
-            "writeback": tally.writebacks,
+            "writeback": tally[_WRITEBACKS],
         },
     }
 
@@ -306,8 +237,8 @@ def capture_front_end_vector(
     pages = addrs >> line_to_page_shift(config.lines_per_page)
 
     tlb_pos = _tlb_miss_positions(pages, config.tlb_entries)
-    miss, victim, tally = _run_l1(addrs, writes, warmup,
-                                  l1cfg.sets, l1cfg.ways)
+    miss, victim_np, tally = _run_l1(addrs, writes, warmup, l1cfg.sets,
+                                     l1cfg.ways)
 
     # Scatter the per-access flags into the flat event stream. The
     # walk's per-access order is metadata (TLB miss) first, then the
@@ -316,8 +247,7 @@ def capture_front_end_vector(
     t_flag = np.zeros(n, dtype=np.int64)
     if tlb_pos.shape[0]:
         t_flag[tlb_pos] = 1
-    d_flag = np.asarray(miss, dtype=np.int64)
-    victim_np = np.asarray(victim, dtype=np.int64)
+    d_flag = miss.astype(np.int64)
     w_flag = (victim_np >= 0).astype(np.int64)
     offsets = np.empty(n + 1, dtype=np.int64)
     offsets[0] = 0
@@ -348,13 +278,13 @@ def capture_front_end_vector(
         total_demand=int(miss_pos.shape[0]),
         total_metadata=int(tlb_pos.shape[0]),
         total_writeback=int(wb_pos.shape[0]),
-        l1_hits=tally.hits, l1_misses=tally.misses,
-        l1_writebacks=tally.writebacks,
+        l1_hits=tally[_HITS], l1_misses=tally[_MISSES],
+        l1_writebacks=tally[_WRITEBACKS],
         tlb_hits=(n - warmup) - measured_tlb_misses,
         tlb_misses=measured_tlb_misses,
-        histogram_total=sum(tally.hist),
-        measured_evictions=tally.evictions,
-        residents=tally.residents,
+        histogram_total=sum(tally[_HIST:]),
+        measured_evictions=tally[_EVICTIONS],
+        residents=tally[_RESIDENTS],
         capacity=l1cfg.sets * l1cfg.ways,
     )
 

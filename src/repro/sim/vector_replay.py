@@ -1,49 +1,47 @@
 """Batched back-end replay kernel for baseline-runtime-kind cells.
 
-The scalar replay (:func:`repro.sim.filtered._replay_events`) walks the
-captured L1->L2 event stream one event at a time through the full
-hierarchy machinery — ``Line`` objects, placement dispatch,
-``FillOutcome`` allocation — even though for the baseline runtime kind
-(baseline / nurapid / lru_pea) the back end is a closed deterministic
-function of the event stream. This module replays the same stream as a
-batch: set indices for the whole stream are computed vectorized, events
-are grouped per L2 set with a stable argsort, and each set's short
-event run is simulated with a tight loop over small per-set state,
-accumulating integer event counts per (sublevel x event kind) that feed
-the existing deferred :meth:`~repro.mem.stats.EnergyBreakdown.
-materialize` path. The L3 back end consumes the L2 miss stream the
-same way, with the L3 event order derived (vectorized) from the
-per-event L2 outcomes.
+The per-access walk drives every L1->L2 boundary event through the
+full hierarchy machinery (``Line`` objects, placement dispatch,
+``FillOutcome`` allocation), even though for the baseline runtime kind
+(baseline / nurapid / lru_pea) under LRU the back end is a closed
+deterministic function of the captured event stream. This module
+replays that stream one level at a time: each level's leg is one pass
+in global event order through ``lru_level`` in ``_lru.c`` (loaded by
+:mod:`repro.sim.native`), over flat per-set slots, and returns integer
+event counts per (sublevel x event kind) that feed the deferred
+:meth:`~repro.mem.stats.EnergyBreakdown.materialize` path, plus per
+event the miss flag and the dirty victim's tag. The L3 leg consumes
+the event stream derived (vectorized) from the L2 leg's outcomes
+(:func:`_derive_l3_stream`).
 
-Byte-identity with the scalar replay rests on a few structural facts
-of the three eligible policies, each checked against the per-access
-walk by the differential harness in ``tests/test_mix_replay.py``:
+Byte-identity with the walk rests on a few structural facts of the
+three eligible policies, each checked against the per-access walk by
+the differential harness in ``tests/test_mix_replay.py``:
 
-* **baseline** — lines never move, so a line's way (and with it every
-  sublevel-resolved count) is fixed at fill time. The tag-level
-  trajectory of a set (hits, victim identity, writebacks) is
-  independent of way choice: the victim of a full set is the unique
-  min-LRU line, and invalid-way choice only affects which way a fill
-  lands in. Way assignment is reconstructed in a second pass from the
-  level's allocation rotor, which advances exactly once per fill — so
-  the rotor value of the k-th fill (in global event order) is
-  ``(k + 1) % 64``, recovered from a cumulative sum of the miss flags.
-* **nurapid** — lines live in known *sublevels* (fills into sublevel 0,
-  promotion swaps with sublevel 0, demotion cascades one sublevel
-  deeper); within a sublevel every way has the same energy and
-  latency, victims are the unique min-LRU (or an invalid way, whose
-  existence is a pure occupancy count), and moved lines keep their LRU
-  stamp — so per-line sublevel plus a sorted stamp list per (set,
-  sublevel) reproduces the scalar run exactly, rotor-free.
-* **lru_pea** — like nurapid with demoted-first victim selection (two
-  stamp lists per (set, sublevel)), except the insertion sublevel is
-  one ``random.Random`` draw per fill in *global fill order*, so the
-  L2 pass runs in global event order and consumes the placement's own
-  RNG object, keeping the draw stream byte-identical.
+* **baseline**: lines never move, so a line's way (and with it every
+  sublevel-resolved count) is fixed at fill time. The victim of a full
+  set is the unique min-LRU line; otherwise the fill takes the first
+  invalid way from the level's allocation rotor, which advances once
+  per fill, so the pass assigns ways as it goes.
+* **nurapid**: lines live in known *sublevels* (fills into sublevel 0,
+  promotion swaps with sublevel 0's LRU line, demotion cascades one
+  sublevel deeper); within a sublevel every way has the same energy
+  and latency, victims are the unique min-LRU (or an invalid way,
+  whose existence is a pure occupancy count), and moved lines keep
+  their LRU stamp, so a line's sublevel and stamp reproduce the walk,
+  rotor-free. Sublevel 0 fills first and loses a line only by a swap,
+  so a promotion always finds it full; the C body reports the
+  opposite as an error, raised here as :class:`~repro.analysis.
+  invariants.InvariantViolation`.
+* **lru_pea**: like nurapid with demoted-first victim selection and
+  one-sublevel promotions, except the insertion sublevel is one
+  ``random.Random.choices`` draw per fill in global fill order. The C
+  body runs CPython's MT19937 from the placement's own generator state
+  (``getstate``) and writes the advanced state back (``setstate``), so
+  the generator ends where the walk leaves it.
 
-LRU stamps are global per level in the scalar hierarchy, but only
-their relative order *within a set* is ever compared, so a per-set
-counter reproduces victim selection exactly.
+LRU stamps come from one clock per level, as in the walk; only their
+relative order *within a set* is ever compared.
 
 This module also holds the accounting both replay kernels share (the
 SLIP kernel, :mod:`repro.sim.vector_replay_slip`, imports it): one
@@ -55,27 +53,25 @@ every tally (:func:`publish_level`), each core's DRAM traffic and its
 measured-phase latency. Latency is integral and only demand events
 contribute below L1, so the latency is an exact integer dot product of
 hit counts and sublevel latencies (:func:`demand_latency`).
-``movement_queue_pj`` is the one live float: the scalar path
-accumulates a constant per movement, so the kernel replays the same
-number of additions (see :meth:`LevelStats.adopt_counts`).
+``movement_queue_pj`` is the one live float: the walk accumulates a
+constant per movement, so the kernel replays the same number of
+additions (see :meth:`LevelStats.adopt_counts`).
 
 The same kernel serves the Figure 16 multicore mixes
 (:mod:`repro.sim.multi_core`), where several cores' private L2s share
 one L3: each core's L2 leg runs over its own capture, and the L3 leg
 runs once over the cores' L2 miss streams merged by (access index,
 core), the order in which a round-robin walk of the cores reaches the
-shared level. The L3 leg weighs each measured demand hit by its core
-(see :data:`_RUNNERS`), so each core is charged the latency of the L3
-hits it caused. A single core is the one-core case of the same code.
-
-Every call derives its own precompute from the captures (the per-set
-grouping of :func:`_set_order` and the interleaved L3 stream of
-:func:`_derive_l3_stream`); nothing is cached across cells.
+shared level. The L3 leg carries each event's core and counts demand
+hits per (core, sublevel), so each core is charged the latency of the
+L3 hits it caused. A single core is the one-core case of the same
+code. Nothing is cached across cells.
 
 Replays fall back to the scalar path (``return False``) whenever the
 hierarchy is not eligible: SLIP kinds never reach this module, and
-non-LRU-family replacement ablations (random / DRRIP / SHiP) and
-metadata-energy tracking are rejected here.
+non-LRU-family replacement ablations (random / DRRIP / SHiP),
+metadata-energy tracking and a missing compiled library
+(``native-unavailable``) are rejected here.
 """
 
 from __future__ import annotations
@@ -84,7 +80,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.invariants import check_replay_tallies
+from ..analysis.invariants import InvariantViolation, check_replay_tallies
 from ..mem.replacement import LruReplacement
 from ..mem.stats import INSERTION_CLASSES
 from ..policies.baseline import BaselinePlacement
@@ -96,6 +92,7 @@ from ..workloads.capture_store import (
     OP_WRITEBACK,
     TraceCapture,
 )
+from . import native
 from .kernel_report import record_decline, record_success
 
 #: Sentinel opcode for empty slots of the interleaved L3 stream.
@@ -126,22 +123,22 @@ def eligible_kind(hierarchy) -> Optional[str]:
             f"{type(hierarchy.l3_placement).__name__}")
         return None
     r2, r3 = type(l2.replacement), type(l3.replacement)
+    replacement = LruReplacement
     if t is BaselinePlacement:
         kind = "baseline"
     elif t is NurapidPlacement:
         kind = "nurapid"
     elif t is LruPeaPlacement:
-        if r2 is PeaLruReplacement and r3 is PeaLruReplacement:
-            return "lru_pea"
-        record_decline(hierarchy, "replay",
-                       f"replacement:{r2.__name__}/{r3.__name__}")
-        return None
+        kind, replacement = "lru_pea", PeaLruReplacement
     else:
         record_decline(hierarchy, "replay", f"placement:{t.__name__}")
         return None
-    if r2 is not LruReplacement or r3 is not LruReplacement:
+    if r2 is not replacement or r3 is not replacement:
         record_decline(hierarchy, "replay",
                        f"replacement:{r2.__name__}/{r3.__name__}")
+        return None
+    if native.library() is None:
+        record_decline(hierarchy, "replay", "native-unavailable")
         return None
     return kind
 
@@ -181,510 +178,68 @@ class LevelTally:
         self.hist = [0, 0, 0, 0]       # reuse histogram 0 / 1 / 2 / >2
 
 
-def _level_geometry(level) -> Tuple[int, List[int], List[int]]:
-    """(nsub, ways per sublevel, sublevel of way)."""
-    sub_by_way = list(level.sublevel_by_way)
-    nsub = level.cfg.num_sublevels
-    ways_count = [0] * nsub
-    for sub in sub_by_way:
-        ways_count[sub] += 1
-    return nsub, ways_count, sub_by_way
-
-
-def _set_order(addrs: np.ndarray, num_sets: int):
-    """Set-slice offsets (a list) and the stable by-set event order."""
-    set_idx = addrs % num_sets
-    order = np.argsort(set_idx, kind="stable")
-    counts = np.bincount(set_idx, minlength=num_sets)
-    return np.concatenate(([0], np.cumsum(counts))).tolist(), order
-
-
-#: Events turned into lists per step when a runner groups its
-#: stream: no leg holds full-stream lists of Python ints.
-_GROUP_BLOCK = 8192
-
-
-def _set_runs(ops, addrs, meas, num_sets):
-    """Each non-empty set's (event, opcode, address, measured) lists.
-
-    Events keep their global order inside a set: the stream is grouped
-    with a stable argsort (:func:`_set_order`) and converted to lists
-    one block of sets at a time.
-    """
-    offs, order = _set_order(addrs, num_sets)
-    columns = (order, ops[order], addrs[order], meas[order])
-    lists, base, hi = [], 0, 0
-    for s in range(num_sets):
-        a, b = offs[s], offs[s + 1]
-        if a == b:
-            continue
-        if b > hi:
-            base, hi = a, max(b, a + _GROUP_BLOCK)
-            lists = [column[a:hi].tolist() for column in columns]
-        yield [column[a - base:b - base] for column in lists]
-
-
-# ----------------------------------------------------------------------
-# Baseline kernel (two passes: tag-level, then way assignment)
-# ----------------------------------------------------------------------
-def _run_baseline(level, placement, ops, addrs, meas, resident_weight=1):
-    n = int(ops.shape[0])
-    num_sets = level.num_sets
-    ways = level.cfg.ways
-    nsub, _, sub_by_way = _level_geometry(level)
-    tally = LevelTally(nsub)
-    hist = tally.hist
-    miss: List[bool] = [False] * n
-    victim_tag: List[int] = [-1] * n
-
-    # ----- pass A: per-set tag-level trajectory -----
-    # Recency is kept as an explicit order list (front == LRU): the
-    # global LRU clock stamps every touch with a unique value, so the
-    # within-set order *is* the stamp order and min-LRU is the front.
-    sets_out = []
-    demand_misses = metadata_misses = 0
-    for evt_s, ops_s, addr_s, meas_s in _set_runs(ops, addrs, meas,
-                                                  num_sets):
-        where: dict = {}
-        order_: List[int] = []
-        f_evt: List[int] = []
-        f_vic: List[int] = []
-        f_tag: List[int] = []
-        f_dirty: List[bool] = []
-        f_hits: List[int] = []
-        f_md: List[int] = []
-        f_mm: List[int] = []
-        f_wbin: List[int] = []
-        f_wbout: List[int] = []
-        # Per-fill appends and the probe dominate this loop; method
-        # bindings amortize the attribute lookups over the set's events.
-        where_get = where.get
-        ap_evt, ap_vic, ap_tag = f_evt.append, f_vic.append, f_tag.append
-        ap_dirty, ap_hits = f_dirty.append, f_hits.append
-        ap_md, ap_mm = f_md.append, f_mm.append
-        ap_wbin, ap_wbout = f_wbin.append, f_wbout.append
-        for e, op, tag, m in zip(evt_s, ops_s, addr_s, meas_s):
-            j = where_get(tag)
-            if op == OP_WRITEBACK:
-                if j is None:
-                    miss[e] = True  # forwarded below
-                else:
-                    f_dirty[j] = True
-                    if m:
-                        f_wbin[j] += 1
-                continue
-            if j is not None:  # hit
-                f_hits[j] += 1
-                if m:
-                    if op:
-                        f_mm[j] += 1
-                    else:
-                        f_md[j] += m
-                order_.remove(j)
-                order_.append(j)
-                continue
-            miss[e] = True
-            if m:
-                if op:
-                    metadata_misses += 1
-                else:
-                    demand_misses += 1
-            if len(order_) == ways:  # full set: evict the unique LRU
-                v = order_.pop(0)
-                del where[f_tag[v]]
-                if m:
-                    h = f_hits[v]
-                    hist[h if h < 3 else 3] += 1
-                if f_dirty[v]:
-                    victim_tag[e] = f_tag[v]
-                    if m:
-                        f_wbout[v] = 1
-            else:
-                v = -1
-            j = len(f_evt)
-            ap_evt(e)
-            ap_vic(v)
-            ap_tag(tag)
-            ap_dirty(False)
-            ap_hits(0)
-            ap_md(0)
-            ap_mm(0)
-            ap_wbin(0)
-            ap_wbout(0)
-            where[tag] = j
-            order_.append(j)
-        for j in where.values():  # finalize(): resident-line reuse
-            h = f_hits[j]
-            hist[h if h < 3 else 3] += resident_weight
-        sets_out.append((f_evt, f_vic, f_md, f_mm, f_wbin, f_wbout))
-    tally.demand_misses = demand_misses
-    tally.metadata_misses = metadata_misses
-
-    # ----- rotor reconstruction: one advance per fill, global order --
-    # The k-th fill (k from 0) finds the rotor at (k + 1) % 64, which
-    # the inclusive cumulative count of fills gives directly; reduced
-    # modulo the ways, every entry is a small (shared) int.
-    miss_np = np.asarray(miss, dtype=bool)
-    fill_flag = miss_np & (ops != OP_WRITEBACK)
-    rotor = (np.cumsum(fill_flag) % 64 % ways).tolist()
-    meas_by_evt = meas.tolist()
-
-    # ----- pass B: way assignment + per-fill count folding -----
-    orders = tuple(
-        tuple(range(r, ways)) + tuple(range(r)) for r in range(ways)
-    )
-    dh_sub, mh_sub = tally.dh_sub, tally.mh_sub
-    ins_sub = tally.ins_sub
-    wbin_sub, wbout_sub = tally.wbin_sub, tally.wbout_sub
-    for f_evt, f_vic, f_md, f_mm, f_wbin, f_wbout in sets_out:
-        occupied = [False] * ways
-        f_way: List[int] = []
-        for j in range(len(f_evt)):
-            v = f_vic[j]
-            if v >= 0:
-                w = f_way[v]  # eviction installs into the victim's way
-            else:
-                rotated = orders[rotor[f_evt[j]]]
-                for w in rotated:
-                    if not occupied[w]:
-                        break
-                occupied[w] = True
-            f_way.append(w)
-            sub = sub_by_way[w]
-            if meas_by_evt[f_evt[j]]:
-                ins_sub[sub] += 1
-            dh_sub[sub] += f_md[j]
-            mh_sub[sub] += f_mm[j]
-            wbin_sub[sub] += f_wbin[j]
-            wbout_sub[sub] += f_wbout[j]
-    return tally, miss_np, np.asarray(victim_tag, dtype=np.int64)
-
-
-# ----------------------------------------------------------------------
-# NuRAPID kernel (per-set pass with per-sublevel sorted stamp lists)
-# ----------------------------------------------------------------------
-def _run_nurapid(level, placement, ops, addrs, meas, resident_weight=1):
-    from bisect import bisect_left, insort
-
-    n = int(ops.shape[0])
-    num_sets = level.num_sets
-    nsub, ways_count, _ = _level_geometry(level)
-    tally = LevelTally(nsub)
-    hist = tally.hist
-    dh_sub, mh_sub, ins_sub = tally.dh_sub, tally.mh_sub, tally.ins_sub
-    mvr, mvw = tally.mvr_sub, tally.mvw_sub
-    wbin_sub, wbout_sub = tally.wbin_sub, tally.wbout_sub
-    miss: List[bool] = [False] * n
-    victim_tag: List[int] = [-1] * n
-    demand_misses = metadata_misses = 0
-    last = nsub - 1
-    w0 = ways_count[0]
-
-    for evt_s, ops_s, addr_s, meas_s in _set_runs(ops, addrs, meas,
-                                                  num_sets):
-        # recs: tag -> [sublevel, dirty, hits, stamp]; per-sublevel
-        # sorted stamp lists with aligned tag lists (front == LRU).
-        recs: dict = {}
-        st = [[] for _ in range(nsub)]
-        tg = [[] for _ in range(nsub)]
-        occ = [0] * nsub
-        clock = 0
-        for e, op, tag, m in zip(evt_s, ops_s, addr_s, meas_s):
-            rec = recs.get(tag)
-            if op == OP_WRITEBACK:
-                if rec is None:
-                    miss[e] = True
-                else:
-                    rec[1] = True
-                    if m:
-                        wbin_sub[rec[0]] += 1
-                continue
-            if rec is not None:  # hit: account at the pre-promotion way
-                sub = rec[0]
-                rec[2] += 1
-                if m:
-                    if op:
-                        mh_sub[sub] += 1
-                    else:
-                        dh_sub[sub] += m
-                lst = st[sub]
-                i = bisect_left(lst, rec[3])
-                lst.pop(i)
-                tg[sub].pop(i)
-                clock += 1
-                rec[3] = clock
-                if sub == 0:
-                    st[0].append(clock)
-                    tg[0].append(tag)
-                    continue
-                # on_hit: promote to sublevel 0, swapping with its LRU
-                if occ[0] < w0:
-                    occ[0] += 1
-                    occ[sub] -= 1
-                    if m:
-                        mvr[sub] += 1
-                        mvw[0] += 1
-                else:
-                    dst = st[0].pop(0)
-                    dtag = tg[0].pop(0)
-                    drec = recs[dtag]
-                    drec[0] = sub
-                    i = bisect_left(st[sub], dst)
-                    st[sub].insert(i, dst)
-                    tg[sub].insert(i, dtag)
-                    if m:
-                        mvr[sub] += 1
-                        mvw[0] += 1
-                        mvr[0] += 1
-                        mvw[sub] += 1
-                rec[0] = 0
-                st[0].append(clock)
-                tg[0].append(tag)
-                continue
-            # miss + fill into sublevel 0
-            miss[e] = True
-            if m:
-                if op:
-                    metadata_misses += 1
-                else:
-                    demand_misses += 1
-            if occ[0] < w0:
-                occ[0] += 1
-            else:
-                # demote the sublevel-0 LRU one sublevel deeper,
-                # cascading; the line falling off the last sublevel
-                # leaves the level (wb_out charged there).
-                cur_st = st[0].pop(0)
-                cur_tag = tg[0].pop(0)
-                ts = 1
-                while True:
-                    if ts > last:
-                        vrec = recs.pop(cur_tag)
-                        if m:
-                            h = vrec[2]
-                            hist[h if h < 3 else 3] += 1
-                        if vrec[1]:
-                            victim_tag[e] = cur_tag
-                            if m:
-                                wbout_sub[last] += 1
-                        break
-                    if occ[ts] < ways_count[ts]:
-                        occ[ts] += 1
-                        recs[cur_tag][0] = ts
-                        insort(st[ts], cur_st)
-                        tg[ts].insert(bisect_left(st[ts], cur_st), cur_tag)
-                        if m:
-                            mvr[ts - 1] += 1
-                            mvw[ts] += 1
-                        break
-                    dst = st[ts].pop(0)
-                    dtag = tg[ts].pop(0)
-                    recs[cur_tag][0] = ts
-                    i = bisect_left(st[ts], cur_st)
-                    st[ts].insert(i, cur_st)
-                    tg[ts].insert(i, cur_tag)
-                    if m:
-                        mvr[ts - 1] += 1
-                        mvw[ts] += 1
-                    cur_st, cur_tag = dst, dtag
-                    ts += 1
-            clock += 1
-            recs[tag] = [0, False, 0, clock]
-            st[0].append(clock)
-            tg[0].append(tag)
-            if m:
-                ins_sub[0] += 1
-        for rec in recs.values():
-            h = rec[2]
-            hist[h if h < 3 else 3] += resident_weight
-    tally.demand_misses = demand_misses
-    tally.metadata_misses = metadata_misses
-    return tally, np.asarray(miss, dtype=bool), \
-        np.asarray(victim_tag, dtype=np.int64)
-
-
-# ----------------------------------------------------------------------
-# LRU-PEA kernel (global-order pass: one RNG draw per fill)
-# ----------------------------------------------------------------------
-def _run_lru_pea(level, placement, ops, addrs, meas, resident_weight=1):
-    from bisect import bisect_left
-
-    n = int(ops.shape[0])
-    num_sets = level.num_sets
-    nsub, ways_count, _ = _level_geometry(level)
-    tally = LevelTally(nsub)
-    hist = tally.hist
-    dh_sub, mh_sub, ins_sub = tally.dh_sub, tally.mh_sub, tally.ins_sub
-    mvr, mvw = tally.mvr_sub, tally.mvw_sub
-    wbin_sub, wbout_sub = tally.wbin_sub, tally.wbout_sub
-    miss: List[bool] = [False] * n
-    victim_tag: List[int] = [-1] * n
-    set_l = (addrs % num_sets).tolist()
-    ops_l = ops.tolist()
-    addr_l = addrs.tolist()
-    meas_l = meas.tolist()
-
-    # The insertion-sublevel draw replicates random.Random.choices with
-    # k=1 over the sublevel-way weights: one self.random() call per
-    # fill, mapped through bisect(cum_weights, u * total, 0, len - 1).
-    # Consuming the placement's own RNG keeps the stream byte-equal.
-    rng_random = placement._rng.random
-    weights = list(level.cfg.sublevel_ways) or [level.cfg.ways]
-    cum: List[int] = []
-    acc = 0
-    for w in weights:
-        acc += w
-        cum.append(acc)
-    total = cum[-1] + 0.0
-    hi = len(cum) - 1
-
-    demand_misses = metadata_misses = 0
-    # Per-set state, lazily created: recs (tag -> [sublevel, dirty,
-    # hits, stamp, demoted]) plus per-sublevel sorted stamp/tag lists
-    # split by the demoted flag (PEA victimizes demoted lines first).
-    states: List[Optional[tuple]] = [None] * num_sets
-
-    for k in range(n):
-        op = ops_l[k]
-        tag = addr_l[k]
-        m = meas_l[k]
-        state = states[set_l[k]]
-        if state is None:
-            state = states[set_l[k]] = (
-                {},                             # recs
-                [[] for _ in range(nsub)],      # plain stamps
-                [[] for _ in range(nsub)],      # plain tags
-                [[] for _ in range(nsub)],      # demoted stamps
-                [[] for _ in range(nsub)],      # demoted tags
-                [0] * nsub,                     # occupancy
-                [0],                            # clock box
-            )
-        recs, stp, tgp, std, tgd, occ, clock = state
-        rec = recs.get(tag)
-        if op == OP_WRITEBACK:
-            if rec is None:
-                miss[k] = True
-            else:
-                rec[1] = True
-                if m:
-                    wbin_sub[rec[0]] += 1
-            continue
-        if rec is not None:  # hit at the pre-promotion way
-            sub = rec[0]
-            rec[2] += 1
-            if m:
-                if op:
-                    mh_sub[sub] += 1
-                else:
-                    dh_sub[sub] += m
-            lst = std[sub] if rec[4] else stp[sub]
-            tgl = tgd[sub] if rec[4] else tgp[sub]
-            i = bisect_left(lst, rec[3])
-            lst.pop(i)
-            tgl.pop(i)
-            clock[0] += 1
-            rec[3] = clock[0]
-            if sub == 0:
-                lst.append(rec[3])
-                tgl.append(tag)
-                continue
-            # on_hit: promote one sublevel nearer (demoted-first LRU
-            # victim there moves to the vacated way, flagged demoted).
-            t = sub - 1
-            if occ[t] < ways_count[t]:
-                occ[t] += 1
-                occ[sub] -= 1
-                if m:
-                    mvr[sub] += 1
-                    mvw[t] += 1
-            else:
-                if std[t]:
-                    dst = std[t].pop(0)
-                    dtag = tgd[t].pop(0)
-                else:
-                    dst = stp[t].pop(0)
-                    dtag = tgp[t].pop(0)
-                drec = recs[dtag]
-                drec[0] = sub
-                drec[4] = True
-                i = bisect_left(std[sub], dst)
-                std[sub].insert(i, dst)
-                tgd[sub].insert(i, dtag)
-                if m:
-                    mvr[sub] += 1
-                    mvw[t] += 1
-                    mvr[t] += 1
-                    mvw[sub] += 1
-            rec[0] = t
-            rec[4] = False
-            stp[t].append(rec[3])
-            tgp[t].append(tag)
-            continue
-        # miss + fill into a weighted-random sublevel
-        miss[k] = True
-        if m:
-            if op:
-                metadata_misses += 1
-            else:
-                demand_misses += 1
-        u = rng_random() * total
-        t = hi
-        for i in range(hi):
-            if u < cum[i]:
-                t = i
-                break
-        if occ[t] < ways_count[t]:
-            occ[t] += 1
-        else:
-            if std[t]:
-                vtag = tgd[t].pop(0)
-                std[t].pop(0)
-            else:
-                vtag = tgp[t].pop(0)
-                stp[t].pop(0)
-            vrec = recs.pop(vtag)
-            if m:
-                h = vrec[2]
-                hist[h if h < 3 else 3] += 1
-            if vrec[1]:
-                victim_tag[k] = vtag
-                if m:
-                    wbout_sub[t] += 1
-        clock[0] += 1
-        recs[tag] = [t, False, 0, clock[0], False]
-        stp[t].append(clock[0])
-        tgp[t].append(tag)
-        if m:
-            ins_sub[t] += 1
-    for state in states:
-        if state is None:
-            continue
-        for rec in state[0].values():
-            h = rec[2]
-            hist[h if h < 3 else 3] += resident_weight
-    tally.demand_misses = demand_misses
-    tally.metadata_misses = metadata_misses
-    return tally, np.asarray(miss, dtype=bool), \
-        np.asarray(victim_tag, dtype=np.int64)
-
-
-#: A runner replays one level's event stream (``ops``, ``addrs``).
-#: ``meas`` holds each event's measured weight: false in the warmup,
-#: else true, or, in a multi-core L3 leg, ``1 << _CORE_BITS * core``.
-#: Every tally counts a measured event once, except that a demand hit
-#: adds its weight, so the shared L3's demand hits per sublevel hold
-#: each core's count in a field of its own.
-_RUNNERS = {
-    "baseline": _run_baseline,
-    "nurapid": _run_nurapid,
-    "lru_pea": _run_lru_pea,
-}
-
-#: Bits per core of a multi-core L3's demand-hit tallies; a measured
-#: stream holds fewer than 2**32 events.
-_CORE_BITS = 32
-
 _DEFAULT_CLASS = INSERTION_CLASSES.index("default")
+
+
+# ----------------------------------------------------------------------
+# One level's leg, in C
+# ----------------------------------------------------------------------
+def _run_level(kind: str, level, placement, ops, addrs, meas, cores,
+               num_cores: int, resident_weight: int):
+    """Replay one level's event stream through ``_lru.c``'s
+    ``lru_level``.
+
+    ``meas`` marks the measured events and ``cores`` the core that
+    caused each event (all 0 but in a mix's shared L3); each line
+    resident at the end adds ``resident_weight`` to the reuse
+    histogram. Returns the level's tally, its per-core demand hits by
+    sublevel, and per event the miss flags and the tag of the dirty
+    line it evicted (``-1`` if none). An LRU-PEA leg draws its
+    insertion sublevels from ``placement._rng`` and leaves the
+    generator where the walk leaves it.
+    """
+    n = int(ops.shape[0])
+    nsub = level.cfg.num_sublevels
+    sub_of_way = np.asarray(level.sublevel_by_way, dtype=np.int32)
+    ways_per_sub = np.bincount(sub_of_way, minlength=nsub).astype(np.int32)
+    # random.Random.choices(range(nsub), weights=...) over the
+    # sublevel sizes: its cumulative weights, and the generator state.
+    cum = np.cumsum(list(level.cfg.sublevel_ways) or [level.cfg.ways],
+                    dtype=np.float64)
+    rng_state = np.zeros(625, dtype=np.uint32)  # MT19937 words, index
+    if kind == "lru_pea":
+        version, words, gauss = placement._rng.getstate()
+        rng_state[:] = words
+    miss = np.zeros(n, dtype=np.uint8)
+    victim = np.full(n, -1, dtype=np.int64)
+    counts = np.zeros(6 + (6 + num_cores) * nsub, dtype=np.int64)
+    status = native.library().lru_level(
+        native.KINDS[kind], n, np.ascontiguousarray(ops),
+        np.ascontiguousarray(addrs), meas.view(np.uint8), cores,
+        level.num_sets, level.cfg.ways, nsub, sub_of_way, ways_per_sub,
+        resident_weight, cum, rng_state, miss, victim, counts)
+    if status == native.STATUS_NURAPID_PROMOTION:
+        raise InvariantViolation(
+            "nurapid-promotion",
+            "a hit below sublevel 0 found sublevel 0 not full; sublevel 0 "
+            "fills first and loses a line only by a swap",
+            level=level.cfg.name)
+    if status:
+        raise MemoryError(f"lru_level: out of memory at {level.cfg.name}")
+    if kind == "lru_pea":
+        placement._rng.setstate((version, tuple(rng_state.tolist()), gauss))
+    counts = counts.tolist()
+    tally = LevelTally(nsub)
+    tally.demand_misses, tally.metadata_misses = counts[0], counts[1]
+    tally.hist = counts[2:6]
+    (tally.mh_sub, tally.ins_sub, tally.mvr_sub, tally.mvw_sub,
+     tally.wbin_sub, tally.wbout_sub, *dh) = (
+        counts[6 + i * nsub:6 + (i + 1) * nsub] for i in range(6 + num_cores))
+    tally.dh_sub = [sum(column) for column in zip(*dh)]
+    tally.forwarded_wbs = int(np.count_nonzero(
+        miss.view(bool) & meas & (ops == OP_WRITEBACK)))
+    tally.class_counts[_DEFAULT_CLASS] = sum(tally.ins_sub)
+    return tally, dh, miss.view(bool), victim
 
 
 # ----------------------------------------------------------------------
@@ -836,8 +391,7 @@ def replay_capture_vector(hierarchies: Sequence,
     produced; the cache arrays themselves stay empty (``finalize`` adds
     nothing — the kernel accounts resident-line reuse itself), and the
     always-on ``capture-replay-conservation`` audit still runs in the
-    caller. Each call derives its own per-set grouping and L3 stream
-    from the captures.
+    caller. Each call derives its own L3 stream from the captures.
 
     With several cores the L3 is shared (:mod:`repro.sim.multi_core`):
     DRAM reads and writes, L3 demand hits and with them the
@@ -851,17 +405,7 @@ def replay_capture_vector(hierarchies: Sequence,
         return False
     for hierarchy in hierarchies:
         record_success(hierarchy, "replay")
-    runner = _RUNNERS[kind]
     num_cores = len(hierarchies)
-
-    def run(level, placement, ops, addrs, meas, weights,
-            resident_weight=1):
-        tally, miss, victim = runner(level, placement, ops, addrs, weights,
-                                     resident_weight)
-        tally.forwarded_wbs = int(np.count_nonzero(
-            miss & meas & (ops == OP_WRITEBACK)))
-        tally.class_counts[_DEFAULT_CLASS] = sum(tally.ins_sub)
-        return tally, miss, victim
 
     l2_legs = []  # (tally, demand, metadata, writeback events) per core
     legs3 = []    # (ops, addrs, measured, access index) per core
@@ -870,8 +414,9 @@ def replay_capture_vector(hierarchies: Sequence,
         addrs = np.asarray(capture.addrs, dtype=np.int64)
         meas = np.zeros(int(ops.shape[0]), dtype=bool)
         meas[capture.event_boundary:] = True
-        tally2, miss2, victim2 = run(hierarchy.l2, hierarchy.l2_placement,
-                                     ops, addrs, meas, meas)
+        tally2, _, miss2, victim2 = _run_level(
+            kind, hierarchy.l2, hierarchy.l2_placement, ops, addrs,
+            meas, np.zeros(int(ops.shape[0]), dtype=np.int32), 1, 1)
         ops3, addrs3, meas3, mask = _derive_l3_stream(
             ops, addrs, meas, miss2, victim2)
         positions = None
@@ -885,31 +430,19 @@ def replay_capture_vector(hierarchies: Sequence,
 
     if num_cores == 1:
         ops3, addrs3, meas3, _ = legs3[0]
-        cores3 = np.zeros(int(ops3.shape[0]), dtype=np.int64)
-        weights3 = meas3
+        cores3 = np.zeros(int(ops3.shape[0]), dtype=np.int32)
     else:
         order = merge_by_access([leg[3] for leg in legs3])
         ops3, addrs3, meas3 = (
             np.concatenate([leg[i] for leg in legs3])[order]
             for i in range(3))
-        cores3 = np.repeat(np.arange(num_cores),
+        cores3 = np.repeat(np.arange(num_cores, dtype=np.int32),
                            [leg[0].shape[0] for leg in legs3])[order]
-        core_weights = np.array(
-            [1 << _CORE_BITS * core for core in range(num_cores)],
-            dtype=object)
-        weights3 = np.where(meas3, core_weights[cores3], 0)
     del legs3  # the per-core copies of the merged L3 stream
     first = hierarchies[0]
-    tally3, miss3, victim3 = run(first.l3, first.l3_placement, ops3,
-                                 addrs3, meas3, weights3,
-                                 resident_weight=num_cores)
-    if num_cores == 1:
-        dh3 = [tally3.dh_sub]
-    else:
-        field = (1 << _CORE_BITS) - 1
-        dh3 = [[(count >> _CORE_BITS * core) & field
-                for count in tally3.dh_sub] for core in range(num_cores)]
-        tally3.dh_sub = [sum(column) for column in zip(*dh3)]
+    tally3, dh3, miss3, victim3 = _run_level(
+        kind, first.l3, first.l3_placement, ops3, addrs3, meas3,
+        cores3, num_cores, num_cores)
 
     # DRAM: every measured L3 access miss is one read; writes are the
     # measured L3 victim writebacks plus unabsorbed writeback events.

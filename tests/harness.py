@@ -172,10 +172,10 @@ def trace(choose, name: str, length: int, seed: int) -> Trace:
                  is_write=rng.random(length) < 0.4)
 
 
-def mix_cell(choose) -> dict:
+def mix_cell(choose, policies=POLICY_NAMES) -> dict:
     """A 1-3 core mix over LRU: one core is the driver's single-core
     case, and per-core trace lengths differ."""
-    policy = choose(POLICY_NAMES)
+    policy = choose(policies)
     mix = tuple(choose(BENCHES + (CHURN,)) for _ in range(choose((1, 2, 3))))
     seed = choose(range(21))
     baseline_kind = runtime_kind(policy) == "baseline"

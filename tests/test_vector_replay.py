@@ -16,8 +16,9 @@ import random
 
 import pytest
 
-from harness import single_cell
+from harness import mix_cell, single_cell
 from repro.analysis.invariants import InvariantViolation, check_replay_tallies
+from repro.sim import filtered, multi_core, single_core
 from repro.sim.build import build_hierarchy
 from repro.sim.filtered import front_end_fingerprint
 from repro.sim.single_core import run_trace
@@ -28,6 +29,7 @@ from repro.sim.vector_replay import (
 )
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import MemoryCaptureStore, fingerprint_key
+from repro.workloads.mixes import make_mix_traces
 
 BASELINE_KIND = ("baseline", "nurapid", "lru_pea")
 LENGTH = 2_500
@@ -71,6 +73,54 @@ def test_random_geometry_property(case_seed, served_like_walk):
     served_like_walk(run_trace, single_cell(choose, BASELINE_KIND,
                                             ("lru",)),
                      MemoryCaptureStore())
+
+
+@pytest.mark.parametrize("case_seed", range(6))
+def test_random_mix_property(case_seed, served_like_walk):
+    """A seeded draw of a 1-3 core mix, on the kernel's policies."""
+    choose = random.Random(2_000 + case_seed).choice
+    served_like_walk(multi_core.run_mix_traces,
+                     mix_cell(choose, BASELINE_KIND), MemoryCaptureStore())
+
+
+@pytest.mark.parametrize("cores", (1, 2))
+def test_lru_pea_generators_end_where_the_walk_leaves_them(
+        cores, tiny_system, walked, monkeypatch):
+    """The kernel draws LRU-PEA's insertion sublevels from each
+    placement's own generator and leaves it in the walk's state."""
+    mix = ("soplex", "mcf")[:cores]
+    traces = make_mix_traces(mix, 2_000, seed=4)
+
+    def run():
+        built = []
+
+        def simulate(hierarchies, *args):
+            built.extend(hierarchies)
+            return filtered.simulate(hierarchies, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(single_core, "simulate", simulate)
+            mp.setattr(multi_core, "simulate", simulate)
+            if cores == 1:
+                run_trace(traces[0], "lru_pea", config=tiny_system, seed=4,
+                          store=MemoryCaptureStore())
+            else:
+                multi_core.run_mix_traces(traces, mix, "lru_pea",
+                                          tiny_system, 4,
+                                          store=MemoryCaptureStore())
+        return built
+
+    def states(hierarchies):
+        return [(h.l2_placement._rng.getstate(),
+                 h.l3_placement._rng.getstate()) for h in hierarchies]
+
+    served = run()
+    assert len(served) == cores
+    # The kernel served them: it leaves the cache arrays empty.
+    assert all(h.l2.valid_count == 0 for h in served)
+    with walked():
+        walk = run()
+    assert states(served) == states(walk)
 
 
 @pytest.mark.multiproc
