@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# One-shot pre-merge gate for this repo. Runs the tier-1 test suite,
-# the slip-lint static checks (plus ruff when it is installed), a
-# warnings-as-errors compile of the compiled tier, the throughput gate,
-# and a determinism smoke (fixed-seed byte-identity of
-# the CLI across serial and parallel runs, plus the kernel-report
-# lines of the Fig. 16 and Section 7 ablation runs).
+# One-shot pre-merge gate for this repo. Runs the tier-1 test suite
+# (or, with --fast, only its static tests), ruff when it is installed,
+# a warnings-as-errors compile of the compiled tier, the throughput
+# gate, and a determinism smoke (fixed-seed byte-identity of the CLI
+# across serial and parallel runs, plus the kernel-report lines of the
+# Fig. 16 and Section 7 ablation runs).
 #
 # Usage: scripts/check.sh [--fast]
-#   --fast   skip the full pytest run; lint, the strict compile, the
-#            throughput gate and determinism smoke only.
+#   --fast   run the static tests (module boundaries, RNG seeding,
+#            exact energy sums, record __slots__) instead of the full
+#            pytest run; then ruff, the strict compile, the throughput
+#            gate and determinism smoke.
 #
 # Exit code: 0 only if every stage passes. Run from anywhere; the
 # script cd's to the repo root.
@@ -39,9 +41,16 @@ stage() {
 
 if [ "$fast" -eq 0 ]; then
     stage "tier-1 tests (pytest)" python -m pytest -q --durations=10 tests/
+else
+    # The tier-1 tests that stand in for a static checker: what the
+    # simulator may read and load, that every RNG follows the seed,
+    # that the energy totals are exactly rounded, and that the
+    # per-line records carry no instance __dict__.
+    stage "static tests (pytest)" python -m pytest -q \
+        tests/test_module_boundaries.py tests/test_seeding.py \
+        tests/test_energy_model.py::TestExactAccumulation \
+        tests/test_record_slots.py
 fi
-
-stage "slip-lint (static checks)" python -m repro.analysis.lint src/
 
 # Generic python lint, only when the tool exists in the environment
 # (the CI image does not ship ruff; a missing linter is a skip, not a

@@ -66,9 +66,7 @@ class LevelEnergyParams:
     def chunk_energy_pj(self, chunk: Sequence[int]) -> float:
         """Capacity-weighted mean access energy of a chunk's sublevels."""
         # Integral line counts; exact in any order.
-        capacity = sum(  # slip-lint: disable=SLIP005
-            self.sublevel_capacity_lines[s] for s in chunk
-        )
+        capacity = sum(self.sublevel_capacity_lines[s] for s in chunk)
         weighted = math.fsum(
             self.sublevel_capacity_lines[s] * self.sublevel_energy_pj[s]
             for s in chunk

@@ -64,10 +64,7 @@ class EnergyEvaluationUnit:
         """Integer energy estimate: dot(alpha_fixed, raw counters)."""
         if len(counts) != len(self.coefficients):
             raise ValueError("bin count mismatch")
-        # Fixed-point integer coefficients times integer counters;
-        # exact in any order.
-        return sum(  # slip-lint: disable=SLIP005
-            a * c for a, c in zip(self.coefficients, counts))
+        return sum(a * c for a, c in zip(self.coefficients, counts))
 
 
 class EnergyOptimizerUnit:
@@ -167,9 +164,7 @@ class EnergyOptimizerUnit:
             # Thin evidence already filtered capacity-discarding
             # policies (full or partial bypass) out of the pool. The
             # fixed-point products are integers; exact in any order.
-            energy = sum(  # slip-lint: disable=SLIP005
-                a * c for a, c in zip(eeu.coefficients, counts)
-            )
+            energy = sum(a * c for a, c in zip(eeu.coefficients, counts))
             if best_energy is None or energy < best_energy:
                 best_id, best_energy = eeu.slip_id, energy
         assert best_id is not None

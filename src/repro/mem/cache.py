@@ -400,7 +400,7 @@ class CacheLevel:
         # from the placement policy, and movements are rare. Deferring
         # it to an event count would also change accumulated-vs-product
         # rounding and break golden byte-identity for no hot-path win.
-        stats.energy.movement_queue_pj += movement_queue_pj  # slip-lint: disable=SLIP007
+        stats.energy.movement_queue_pj += movement_queue_pj
         self.replacement.on_move_in(set_idx, way, line)
 
     def record_writeback_in(self, set_idx: int, way: int) -> None:

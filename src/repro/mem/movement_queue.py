@@ -59,7 +59,7 @@ class MovementQueue:
         # Kept live: ``lookups`` counts probes as well as completions,
         # so the ledger cannot be re-derived from any event counter;
         # movements are rare enough that the accumulation is harmless.
-        self.stats.energy_pj += self.lookup_pj  # slip-lint: disable=SLIP007
+        self.stats.energy_pj += self.lookup_pj
         return way
 
     def probe(self, line_addr: int) -> bool:

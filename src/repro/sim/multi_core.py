@@ -192,7 +192,7 @@ def _collect_mix(mix: Tuple[str, ...], policy: str, runtimes: List,
 
     # Aggregate per-channel DRAM ledgers. Counts are integers; the
     # energy total is assigned once via fsum over the materialized
-    # per-channel products rather than accumulated with += (SLIP007).
+    # per-channel products, so it is exactly rounded in any core order.
     dram = DramStats()
     dram.reads = sum(h.dram.stats.reads for h in hierarchies)
     dram.writes = sum(h.dram.stats.writes for h in hierarchies)

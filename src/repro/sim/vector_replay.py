@@ -336,8 +336,7 @@ def demand_latency(level, demand_hits: Sequence[int], misses: int,
     for way, sub in enumerate(level.sublevel_by_way):
         latency[sub] = level.latency_by_way[way]
     return (
-        sum(  # slip-lint: disable=SLIP005
-            count * cycles for count, cycles in zip(demand_hits, latency))
+        sum(count * cycles for count, cycles in zip(demand_hits, latency))
         + misses * miss_latency)
 
 

@@ -89,8 +89,7 @@ class BankArrayGeometry:
         sublevel covering several rows gets the capacity-weighted mean of
         its rows' energies.
         """
-        # Integral way counts; exact in any order.
-        if sum(sublevel_ways) != self.ways:  # slip-lint: disable=SLIP005
+        if sum(sublevel_ways) != self.ways:
             raise ValueError("sublevel ways must sum to total ways")
         energies = []
         start = 0

@@ -1,5 +1,8 @@
 """Tests for the analytical energy model (Section 3.2, Eq. 1-5)."""
 
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +15,8 @@ from repro.core.energy_model import (
 )
 from repro.core.policy import Slip, SlipSpace, abp_slip, default_slip
 from repro.mem.stats import EnergyBreakdown, LevelStats
+from repro.sim import multi_core
+from repro.sim.config import CacheLevelConfig, DramConfig
 
 CAPS = (1024, 1024, 2048)
 ENERGIES = (21.0, 33.0, 50.0)
@@ -237,3 +242,29 @@ class TestExactAccumulation:
         energy = EnergyBreakdown()
         energy.materialize(stats, self.TABLE, self.TABLE, 0.0)
         assert energy.total_pj == 0.6
+
+    def test_average_access_energy(self):
+        cfg = CacheLevelConfig(
+            name="L2", size_bytes=3 * 64, ways=3, latency_cycles=1,
+            access_energy_pj=0.0, sublevel_ways=(1, 1, 1),
+            sublevel_energy_pj=self.TABLE, sublevel_latency=(1, 1, 1))
+        assert sum(self.TABLE) / 3 != 0.6 / 3
+        assert cfg.average_access_energy_pj() == 0.6 / 3
+
+    def test_multicore_dram_total(self, tiny_system):
+        """The shared DRAM total of a mix is the exactly rounded sum of
+        the per-core channel energies. Two floats always add exactly
+        rounded, so it takes three cores, and a per-line energy that is
+        not a whole number of picojoules (the paper's 10,240 pJ is)."""
+        config = replace(tiny_system, dram=DramConfig(
+            latency_cycles=50, energy_pj_per_bit=0.3))
+        runtimes, shared_l3, hierarchies = multi_core._build_mix(
+            "baseline", config, 3, 0)
+        for reads, hierarchy in zip((1, 2, 4), hierarchies):
+            hierarchy.dram.stats.reads = reads
+            hierarchy.dram.materialize_energy()
+        per_core = [h.dram.stats.energy_pj for h in hierarchies]
+        assert sum(per_core) != math.fsum(per_core)
+        result = multi_core._collect_mix(
+            ("a", "b", "c"), "baseline", runtimes, shared_l3, hierarchies)
+        assert result.dram.energy_pj == math.fsum(per_core)

@@ -2,8 +2,8 @@
 
 No module under ``src/repro`` reads the environment, so no knob can
 switch a run onto another code path unseen; the simulator loads
-``repro.analysis`` only for its invariants, never the lint rule set;
-and the kernels publish their tallies through one step.
+only ``repro.analysis.invariants`` of ``repro.analysis``; and the
+kernels publish their tallies through one step.
 """
 
 import ast
@@ -54,7 +54,7 @@ def test_environment_reads_are_found():
     assert environment_reads(tree) == [2, 3, 4]
 
 
-def test_simulator_does_not_load_the_lint_rules():
+def test_simulator_loads_only_the_invariants():
     probe = ("import sys, repro.sim.single_core; "
              "print(sorted(m for m in sys.modules "
              "if m.startswith('repro.analysis')))")
