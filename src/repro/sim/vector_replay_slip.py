@@ -19,17 +19,18 @@ The kernel therefore splits the work differently:
   real runtime's page machinery (``_key_metadata_fetches``: sampler RNG
   draws, page-state transitions, memoized EOU argmins and their live
   statistics) exactly where the per-access walk would, and (b) replays
-  the L2/L3 back end against a *flat-array* way model — per-way tag /
-  LRU-stamp / timestamp / SLIP-metadata columns plus per-set probe
-  dicts — instead of ``Line`` objects. Under DRRIP or SHiP (paper
-  Section 7) the stamp column holds RRPVs, and small per-level hooks
-  (:func:`_rrip_hooks`) choose victims and run the policy's fill, hit
-  and departure steps against the live policy's RNG and SHCT. Cascade
-  movement uses rotation tables precomputed for every ``(SLIP id,
-  chunk, rotor)``. The sweep emits one packed annotation byte per
-  level event (``(kind << 4) | (sublevel + 1)``); only the rare events
-  (insertions, bypasses, movements, departures, writebacks-out, DRAM
-  writes) are tallied inline.
+  the L2/L3 back end against one *flat-array* level model
+  (:func:`_slip_level`) per level instead of ``Line`` objects. The
+  paper runs one mechanism at every level below L1, and so does the
+  model: each level is built from its ``CacheLevel`` and
+  ``SlipPlacement`` and gives ``access``/``writeback``/``fill``
+  closures, whose fill inserts into chunk C0 of the chosen SLIP and
+  cascades each displaced line to its SLIP's next chunk. Under DRRIP
+  or SHiP (paper Section 7) the model's stamp column holds RRPVs and
+  the policy's own RNG and SHCT advance. Each level event emits one
+  packed annotation byte (``(kind << 4) | (sublevel + 1)``); only the
+  rare events (insertions, bypasses, movements, departures,
+  writebacks out, DRAM writes) are tallied inline.
 * **Phase 2 (accounting pass)** — ``np.bincount`` over the measured
   slice of the annotation streams yields the per-sublevel hit /
   absorbed- and forwarded-writeback counts and the miss totals, which
@@ -42,22 +43,23 @@ The kernel therefore splits the work differently:
   count, the live runtime's fetch ledger, and lands them with each
   core's DRAM traffic and measured-phase latency.
 
-The kernel takes one trace window and capture per core. Each core has
-its own flat L2 model, driven by that core's live runtime (its
-``_key_metadata_fetches`` and page samples), and its own annotation
-streams. In the Figure 16 mixes (:mod:`repro.sim.multi_core`) the cores
-share one flat L3 model — one access counter, allocation rotor, LRU
-clock and probe dict — and the sweep visits their events in the walk's
-order: access index, then core, then the reference metadata
-before the L1 miss. A single core is the one-core case of the same
-sweep. Every L3 event is annotated in the stream of the core that
-caused it, so DRAM reads and writes, and each core's measured-phase
-latency, are charged to that core; each line resident in the shared L3
-at the end counts its reuse once per core, as every core's
-``finalize()`` walks the shared level (EXPERIMENTS.md known
-deviation 4). Every call resolves the captured positions to addresses,
-profile keys and PTE lines itself (:func:`_merged_events`); nothing is
-cached across cells.
+The kernel takes one trace window and capture per core. Each core
+builds its own L2 model and binds it once, with its live runtime (its
+``_key_metadata_fetches`` and page samples) and its own annotation
+stream. In the Figure 16 mixes (:mod:`repro.sim.multi_core`) the cores
+share one L3 model — one access counter, allocation rotor, LRU clock
+and probe dict — built once and bound once per core, and the sweep
+visits their events in the walk's order: access index, then core,
+then the reference metadata before the L1 miss. A single core is the
+one-core case of the same sweep. Every L3 event is annotated in the
+stream of the core that caused it, so DRAM reads and writes, and each
+core's measured-phase latency, are charged to that core; each line
+resident in the shared L3 at the end counts its reuse once per core,
+as every core's ``finalize()`` walks the shared level (EXPERIMENTS.md
+known deviation 4). Every call resolves the captured positions to
+addresses, profile keys and PTE lines itself (:func:`_merged_events`);
+only the structural tables of a level shape (:func:`_structure`) are
+kept across cells.
 
 Section 7 rd-block cells replay from the same capture as page-mode
 cells: the TLB still probes once per access at page grain, and only
@@ -120,7 +122,7 @@ ANN_WB_FORWARDED = 5
 _MISS_D = ANN_DEMAND_MISS << 4
 _MISS_M = ANN_METADATA_MISS << 4
 _FWD = ANN_WB_FORWARDED << 4
-_ANN_SPAN = 96  # one past the largest code (_FWD + num_sublevels)
+_ANN_SPAN = _FWD + 1  # one past the largest code, _FWD, which has no sublevel
 
 #: Replacement policies the flat model replays (exact types).
 _REPLACEMENTS = (LruReplacement, DrripReplacement, ShipReplacement)
@@ -204,184 +206,391 @@ def slip_eligible(hierarchies: Sequence, traces: Sequence[Trace]) -> bool:
     return True
 
 
-_LEVEL_MODEL_CACHE: Dict[Tuple, Tuple] = {}
+#: Structural tables of a level shape, memoised across calls: every
+#: replay of a sweep's shape reuses them. See :func:`_structure`.
+_STRUCTURE: Dict[Tuple, Tuple] = {}
 
 
-def _level_model(level, placement) -> Tuple:
-    """Structural constants of one SLIP level for the flat-array model.
+def _structure(space, sub: Tuple[int, ...], sets: int) -> Tuple:
+    """``(rots, cls_idx, hit_d, hit_m, wb_in)`` of one SLIP level shape.
 
     ``rots[pid][chunk][r]`` is the way visit order ``choose_victim``
     produces for rotor value ``r`` on that chunk, for insertions and
-    cascade victim selection alike. Memoised on the hashable structural
-    inputs (the SlipSpace way/class tables plus the level's sublevel
-    shape), so repeated replays of the same hierarchy shape skip the
-    nested rotation-table construction per call.
+    cascade victim selection alike; ``cls_idx[pid]`` is the SLIP's
+    index in ``INSERTION_CLASSES``. ``hit_d``, ``hit_m`` and ``wb_in``
+    give each flat index (``set * ways + way``) its demand-hit,
+    metadata-hit and absorbed-writeback annotation code, so a probe-dict
+    hit needs no way arithmetic. Keyed on the SlipSpace way and class
+    tables, the way->sublevel map ``sub`` and the set count.
     """
-    space = placement.space
-    nsub = level.cfg.num_sublevels
-    sub = tuple(level.sublevel_by_way)
-    key = (space.chunk_ways_by_id, space.class_by_id, nsub, sub)
-    cached = _LEVEL_MODEL_CACHE.get(key)
+    key = (space.chunk_ways_by_id, space.class_by_id, sub, sets)
+    cached = _STRUCTURE.get(key)
     if cached is None:
         rots = tuple(
-            tuple(
-                tuple(tuple(ways[r:] + ways[:r])
-                      for r in range(len(ways)))
-                for ways in per_chunk
-            )
-            for per_chunk in space.chunk_ways_by_id
-        )
-        cls_idx = tuple(INSERTION_CLASSES.index(c)
-                        for c in space.class_by_id)
-        cached = (rots, cls_idx, nsub, sub)
-        _LEVEL_MODEL_CACHE[key] = cached
+            tuple(tuple(tuple(ways[r:] + ways[:r]) for r in range(len(ways)))
+                  for ways in per_chunk)
+            for per_chunk in space.chunk_ways_by_id)
+        cls_idx = tuple(INSERTION_CLASSES.index(c) for c in space.class_by_id)
+        subs = sub * sets
+        cached = _STRUCTURE[key] = (
+            rots, cls_idx,
+            tuple((ANN_DEMAND_HIT << 4) + s + 1 for s in subs),
+            tuple((ANN_METADATA_HIT << 4) + s + 1 for s in subs),
+            tuple((ANN_WB_ABSORBED << 4) + s + 1 for s in subs))
     return cached
 
 
-_CODE_TABLE_CACHE: Dict[Tuple, Tuple] = {}
+class _SlipLevel(NamedTuple):
+    """One SLIP level's flat-array model; see :func:`_slip_level`."""
+
+    #: ``bind(runtime)``: one core's ``(access, writeback, fill)``.
+    bind: Callable[..., Tuple[Callable, Callable, Callable]]
+    #: The warmup boundary: zero the tallies, start measuring.
+    measure: Callable[[], None]
+    #: ``(LevelTally, binned codes per binding)`` of the measured phase.
+    finish: Callable[[], Tuple[LevelTally, List[np.ndarray]]]
 
 
-def _code_tables(sub: Tuple[int, ...], ways: int, size: int) -> Tuple:
-    """Flat-index annotation code tables, memoised per geometry.
+def _slip_level(level, placement) -> _SlipLevel:
+    """One SLIP level (``CacheLevel`` plus ``SlipPlacement``) as flat arrays.
 
-    Pure function of the way->sublevel map and the flat array size, so
-    repeated replays of the same hierarchy shape (every sweep) skip the
-    ~6 ms of tuple construction per call.
+    The model mirrors the level's scalar state: per-way tag, LRU stamp,
+    timestamp, hit count, SLIP id, chunk, page and dirty columns, a
+    probe dict from line address to flat index (addresses are unique
+    across sets, so a hit needs no set arithmetic), the access counter,
+    the allocation rotor and the LRU clock. Under DRRIP or SHiP (paper
+    Section 7) the stamp column holds RRPVs, and the policy's victim,
+    fill, hit and departure steps run against the live replacement's
+    RNG and SHCT, exactly as the scalar hierarchy advances them. A
+    metadata line has page -1: it never samples.
+
+    ``bind(runtime)`` gives one core's closures over that one state,
+    with the core's own annotation stream, page table, default SLIP id
+    and ``always_sample``; a private L2 is bound once, the shared L3
+    once per core, so every core advances the one L3 as the walk does.
+
+    * ``access(addr, is_meta) -> bool``: tick the counter and probe; a
+      hit bumps the line's reuse and, for a sampling page, records its
+      reuse distance in the page's distribution for this level.
+    * ``writeback(addr) -> bool``: tick and probe; a hit absorbs the
+      writeback (the line turns dirty), a miss forwards it.
+    * ``fill(addr, page, entry) -> int``: after a miss, record the miss
+      sample of ``entry`` (the page's runtime entry, or None), choose
+      the SLIP and insert into its chunk C0, or bypass. Each displaced
+      line cascades to the next chunk of its SLIP until one leaves the
+      level; returns that line's address if it leaves dirty, else -1.
+
+    Each binding writes one packed byte per event into its own stream,
+    ``(kind << 4) | (sublevel + 1)``; only the rare events (insertions,
+    bypasses, movements, departures, writebacks out) are tallied inline.
     """
-    key = (sub, size)
-    cached = _CODE_TABLE_CACHE.get(key)
-    if cached is None:
-        cached = (
-            tuple(sub[i % ways] + 1 for i in range(size)),
-            tuple(17 + sub[i % ways] for i in range(size)),
-            tuple(65 + sub[i % ways] for i in range(size)),
-        )
-        _CODE_TABLE_CACHE[key] = cached
-    return cached
+    name = placement._level_name
+    nsub = level.cfg.num_sublevels
+    sets, ways = level.num_sets, level.cfg.ways
+    sub = tuple(level.sublevel_by_way)
+    rots, cls_idx, hit_d, hit_m, wb_in = _structure(placement.space, sub,
+                                                    sets)
+    wrap, gran, mask = level.timestamp_wrap, level._granule, level._ts_mask
+    maxd = level.cfg.lines - 1
+    nch = placement._num_chunks_by_id
+    meta_sid = placement._default_id
+    guard0 = ways * (nsub + 1)
+    size = sets * ways
+    tag = [-1] * size
+    lru = [0] * size
+    ts = [0] * size
+    hits = [0] * size
+    pid = [0] * size
+    ci = [0] * size
+    pg = [-1] * size
+    dirty = [False] * size
+    probe: dict = {}
+    probe_get = probe.get
+    a = level.access_counter
+    r = level._alloc_rotor
+    ins, mvr, mvw, wbout = ([0] * nsub for _ in range(4))
+    cls = [0, 0, 0, 0]
+    hist = [0, 0, 0, 0]
+    byp = 0
+    streams: List[bytearray] = []
+    marks: List[int] = []
+    SAMPLING = PageState.SAMPLING
 
-
-def _rrip_hooks(level, placement, tag: List[int], rrpv: List[int],
-                hits: List[int]) -> Tuple:
-    """``(victim, fill, hit, depart)`` of an RRIP level's flat model.
-
-    The level's RRPV column takes the place of the LRU stamp column,
-    and an invalid way is one whose tag is negative. Under LRU all four
-    are ``None``.
-
-    * ``victim(base, order, sid, chunk)``: the way a fill or cascade
-      step into chunk ``chunk`` of SLIP ``sid`` vacates in the set at
-      flat index ``base``, ``order`` being the rotated chunk. It
-      mirrors ``CacheLevel.choose_victim`` (the first invalid way in
-      rotated order) and then ``_RripBase.choose_victim``: the sublevel
-      draw over the unrotated chunk, from the replacement's own RNG and
-      :meth:`~repro.mem.replacement._RripBase.sublevel_split` table,
-      then the find-or-age loop.
-    * ``fill(f, addr)`` and ``hit(f)``: the policy's ``on_fill`` and
-      ``on_hit`` (after the line's hit count was bumped).
-    * ``depart(tag, hits)``: ``on_evict`` of a line leaving the level,
-      SHiP's SHCT training; ``None`` for DRRIP.
-
-    The live policy state (RNG, SHCT) advances exactly as the scalar
-    hierarchy would advance it. A SHiP line's signature is recomputed
-    from its tag, and its reuse outcome is ``hits > 0``.
-    """
+    # ----- replacement: LRU stamps, or the RRIP policy's steps -----
     replacement = level.replacement
+    victim = on_fill = on_hit = depart = None
+    c = 0
     if type(replacement) is LruReplacement:
-        return None, None, None, None
-    rmax = replacement.rrpv_max
-    choices = replacement._rng.choices
-    split_of = replacement.sublevel_split
-    chunks = tuple(
-        tuple((ways, split_of(ways)) for ways in per_chunk)
-        for per_chunk in placement.space.chunk_ways_by_id)
+        c = replacement._clock
+    else:
+        rmax = replacement.rrpv_max
+        choices = replacement._rng.choices
+        split_of = replacement.sublevel_split
+        chunk_splits = tuple(
+            tuple((chunk, split_of(chunk)) for chunk in per_chunk)
+            for per_chunk in placement.space.chunk_ways_by_id)
 
-    def victim(base: int, order: Tuple[int, ...], sid: int,
-               chunk: int) -> int:
-        for w in order:
-            if tag[base + w] < 0:
-                return w
-        ways, split = chunks[sid][chunk]
-        if split is not None:
-            groups, cum_weights = split
-            ways = choices(groups, cum_weights=cum_weights)[0]
-        while True:
-            for w in ways:
-                if rrpv[base + w] >= rmax:
+        def victim(base: int, order: Tuple[int, ...], sid: int,
+                   chunk: int) -> int:
+            """``CacheLevel.choose_victim`` (the first invalid way in
+            rotated order), then ``_RripBase.choose_victim``: the
+            sublevel draw over the unrotated chunk, from the policy's
+            own RNG and ``sublevel_split`` table, then find-or-age."""
+            for w in order:
+                if tag[base + w] < 0:
                     return w
-            for w in ways:
-                rrpv[base + w] += 1
+            group, split = chunk_splits[sid][chunk]
+            if split is not None:
+                groups, cum_weights = split
+                group = choices(groups, cum_weights=cum_weights)[0]
+            while True:
+                for w in group:
+                    if lru[base + w] >= rmax:
+                        return w
+                for w in group:
+                    lru[base + w] += 1
 
-    if type(replacement) is DrripReplacement:
-        # Nothing moves PSEL (known deviation 5), so a follower set's
-        # insertion policy is fixed for the whole call.
-        follower = replacement.psel > replacement.psel_max // 2
-        brrip = [role == "brrip" or (role == "follower" and follower)
-                 for role in replacement.set_roles]
-        draw = replacement._rng.random
-        long_prob = replacement.brrip_long_prob
-        sets = level.num_sets
+        if type(replacement) is DrripReplacement:
+            # Nothing moves PSEL (known deviation 5), so a follower
+            # set's insertion policy is fixed for the whole call.
+            follower = replacement.psel > replacement.psel_max // 2
+            brrip = [role == "brrip" or (role == "follower" and follower)
+                     for role in replacement.set_roles]
+            draw = replacement._rng.random
+            long_prob = replacement.brrip_long_prob
 
-        def drrip_fill(f: int, addr: int) -> None:
-            if brrip[addr % sets]:
-                rrpv[f] = rmax - 1 if draw() < long_prob else rmax
+            def on_fill(f: int, addr: int) -> None:
+                if brrip[addr % sets]:
+                    lru[f] = rmax - 1 if draw() < long_prob else rmax
+                else:
+                    lru[f] = rmax - 1
+
+            def on_hit(f: int) -> None:
+                lru[f] = 0
+        else:
+            # SHiP: a line's signature is recomputed from its tag, and
+            # its reuse outcome is ``hits > 0``.
+            shct = replacement.shct
+            entries = len(shct)
+            shift = replacement.signature_shift
+            shct_max = replacement.shct_max
+
+            def on_fill(f: int, addr: int) -> None:
+                dead = shct[(addr >> shift) % entries] == 0
+                lru[f] = rmax if dead else rmax - 1
+
+            def on_hit(f: int) -> None:
+                lru[f] = 0
+                if hits[f] == 1:  # the first reuse since the fill
+                    sig = (tag[f] >> shift) % entries
+                    if shct[sig] < shct_max:
+                        shct[sig] += 1
+
+            def depart(t: int, h: int) -> None:
+                if not h:
+                    sig = (t >> shift) % entries
+                    if shct[sig] > 0:
+                        shct[sig] -= 1
+
+    def bind(runtime) -> Tuple[Callable, Callable, Callable]:
+        ann = bytearray()
+        streams.append(ann)
+        marks.append(0)
+        ann_app = ann.append
+        pages_get = runtime.pages.get
+        always = runtime.always_sample
+        default_sid = runtime._default_ids[name]
+
+        def access(addr: int, is_meta: bool) -> bool:
+            nonlocal a, c
+            a += 1
+            if a == wrap:
+                a = 0
+            f = probe_get(addr)
+            if f is None:
+                ann_app(_MISS_M if is_meta else _MISS_D)
+                return False
+            hits[f] += 1
+            ann_app(hit_m[f] if is_meta else hit_d[f])
+            if on_hit is None:
+                c += 1
+                lru[f] = c
             else:
-                rrpv[f] = rmax - 1
+                on_hit(f)
+            now = (a // gran) & mask
+            page = pg[f]
+            if page >= 0:
+                entry = pages_get(page)
+                if entry is not None and (always or entry.state is SAMPLING):
+                    distance = ((now - ts[f]) & mask) * gran
+                    if distance > maxd:
+                        distance = maxd
+                    # ``ReuseDistanceDistribution.record`` and the
+                    # sampler's saturating ``period_samples``, inlined
+                    # as in the miss sample below.
+                    dist = entry.distributions[name]
+                    counts = dist.counts
+                    bin_idx = bisect_right(dist.boundaries, distance)
+                    if counts[bin_idx] >= dist.counter_max:
+                        dist.counts = counts = [n >> 1 for n in counts]
+                    counts[bin_idx] += 1
+                    if entry.period_samples < 63:
+                        entry.period_samples += 1
+            ts[f] = now
+            return True
 
-        def drrip_hit(f: int) -> None:
-            rrpv[f] = 0
+        def writeback(addr: int) -> bool:
+            nonlocal a
+            a += 1
+            if a == wrap:
+                a = 0
+            f = probe_get(addr)
+            if f is None:
+                ann_app(_FWD)
+                return False
+            dirty[f] = True
+            ann_app(wb_in[f])
+            return True
 
-        return victim, drrip_fill, drrip_hit, None
+        def fill(addr: int, page: int, entry) -> int:
+            nonlocal byp, c, r
+            if page < 0:
+                sid = meta_sid
+            elif entry is None:
+                sid = default_sid
+            else:
+                sampling = entry.state is SAMPLING
+                if always or sampling:
+                    # ``record_miss_sample``, inlined.
+                    dist = entry.distributions[name]
+                    counts = dist.counts
+                    if counts[-1] >= dist.counter_max:
+                        dist.counts = counts = [n >> 1 for n in counts]
+                    counts[-1] += 1
+                    if entry.period_samples < 63:
+                        entry.period_samples += 1
+                sid = default_sid if sampling else entry.policies[name]
+            cls[cls_idx[sid]] += 1
+            chunks = rots[sid]
+            if not chunks:
+                # The All-Bypass Policy; fills on this path are never
+                # dirty.
+                byp += 1
+                return -1
+            orders = chunks[0]
+            base = (addr % sets) * ways
+            # The line moving in: first the filled one into C0, then
+            # each displaced line into its SLIP's next chunk.
+            t, d, p, k, stamp, h, pgv = (addr, False, sid, 0,
+                                         (a // gran) & mask, 0, page)
+            src = -1
+            guard = guard0
+            while True:
+                r = (r + 1) % 64
+                order = orders[r % len(orders)]
+                if victim is None:
+                    # Invalid slots keep stamp 0 forever (clocks start
+                    # >= 0 and every fill stamps c + 1 >= 1), so one
+                    # strict-min scan finds the first invalid way in
+                    # rotated order, else the LRU way: the scalar
+                    # invalid-first/min-LRU choice.
+                    w = -1
+                    best = _INF
+                    for cand in order:
+                        rank = lru[base + cand]
+                        if rank < best:
+                            w = cand
+                            if not rank:
+                                break
+                            best = rank
+                else:
+                    w = victim(base, order, p, k)
+                f = base + w
+                vt = tag[f]
+                if vt >= 0:
+                    # The victim moves to its SLIP's next chunk, or
+                    # leaves the level.
+                    del probe[vt]
+                    guard -= 1
+                    vk = ci[f] + 1
+                    vp = pid[f]
+                    moves = guard > 0 and vk < nch[vp]
+                    if moves:
+                        out = (dirty[f], ts[f], hits[f], pg[f], lru[f])
+                    else:
+                        vh = hits[f]
+                        vd = dirty[f]
+                tag[f] = t
+                probe[t] = f
+                dirty[f] = d
+                pid[f] = p
+                ci[f] = k
+                ts[f] = stamp
+                hits[f] = h
+                pg[f] = pgv
+                if src < 0:
+                    if on_fill is None:
+                        c += 1
+                        lru[f] = c
+                    else:
+                        on_fill(f, addr)
+                    ins[sub[w]] += 1
+                else:
+                    lru[f] = rank_l
+                    mvr[sub[src]] += 1
+                    mvw[sub[w]] += 1
+                if vt < 0:
+                    return -1
+                if not moves:
+                    hist[vh if vh < 3 else 3] += 1
+                    if depart is not None:
+                        depart(vt, vh)
+                    if vd:
+                        wbout[sub[w]] += 1
+                        return vt
+                    return -1
+                t, p, k, src = vt, vp, vk, w
+                d, stamp, h, pgv, rank_l = out
+                orders = rots[p][k]
 
-    shct = replacement.shct
-    entries = len(shct)
-    shift = replacement.signature_shift
-    shct_max = replacement.shct_max
+        return access, writeback, fill
 
-    def ship_fill(f: int, addr: int) -> None:
-        dead = shct[(addr >> shift) % entries] == 0
-        rrpv[f] = rmax if dead else rmax - 1
+    def measure() -> None:
+        nonlocal byp
+        for tally in (ins, mvr, mvw, wbout, cls, hist):
+            tally[:] = [0] * len(tally)
+        byp = 0
+        marks[:] = [len(ann) for ann in streams]
 
-    def ship_hit(f: int) -> None:
-        rrpv[f] = 0
-        if hits[f] == 1:  # the first reuse since the fill
-            sig = (tag[f] >> shift) % entries
-            if shct[sig] < shct_max:
-                shct[sig] += 1
+    def finish() -> Tuple[LevelTally, List[np.ndarray]]:
+        # finalize()'s resident-line reuse sweep (the real arrays are
+        # empty): every core bound to the level walks it in its own
+        # finalize(), so a shared L3 counts each line once per core.
+        weight = len(streams)
+        for f in probe.values():
+            h = hits[f]
+            hist[h if h < 3 else 3] += weight
+        binned = [np.bincount(np.frombuffer(ann, dtype=np.uint8)[mark:],
+                              minlength=_ANN_SPAN)
+                  for ann, mark in zip(streams, marks)]
+        counts = sum(binned)
+        tally = LevelTally(nsub)
+        tally.dh_sub = [int(counts[1 + s]) for s in range(nsub)]
+        tally.mh_sub = [int(counts[17 + s]) for s in range(nsub)]
+        tally.demand_misses = int(counts[_MISS_D])
+        tally.metadata_misses = int(counts[_MISS_M])
+        tally.wbin_sub = [int(counts[65 + s]) for s in range(nsub)]
+        tally.forwarded_wbs = int(counts[_FWD])
+        tally.ins_sub = list(ins)
+        tally.bypasses = byp
+        tally.class_counts = list(cls)
+        tally.mvr_sub = list(mvr)
+        tally.mvw_sub = list(mvw)
+        tally.wbout_sub = list(wbout)
+        tally.hist = list(hist)
+        return tally, binned
 
-    def depart(t: int, h: int) -> None:
-        if not h:
-            sig = (t >> shift) % entries
-            if shct[sig] > 0:
-                shct[sig] -= 1
-
-    return victim, ship_fill, ship_hit, depart
-
-
-def _code_counts(ann: bytearray, boundary: int) -> np.ndarray:
-    """Phase 2: the measured slice of one annotation stream, binned."""
-    codes = np.frombuffer(ann, dtype=np.uint8)[boundary:]
-    return np.bincount(codes, minlength=_ANN_SPAN)
-
-
-def _tally(counts: np.ndarray, nsub: int, ins: List[int], byp: int,
-           cls: List[int], mvr: List[int], mvw: List[int],
-           wbout: List[int], hist: List[int]) -> LevelTally:
-    """One level's tally: binned annotation codes plus inline counts."""
-    tally = LevelTally(nsub)
-    tally.dh_sub = [int(counts[1 + s]) for s in range(nsub)]
-    tally.mh_sub = [int(counts[17 + s]) for s in range(nsub)]
-    tally.demand_misses = int(counts[_MISS_D])
-    tally.metadata_misses = int(counts[_MISS_M])
-    tally.wbin_sub = [int(counts[65 + s]) for s in range(nsub)]
-    tally.forwarded_wbs = int(counts[_FWD])
-    tally.ins_sub = list(ins)
-    tally.bypasses = byp
-    tally.class_counts = list(cls)
-    tally.mvr_sub = list(mvr)
-    tally.mvw_sub = list(mvw)
-    tally.wbout_sub = list(wbout)
-    tally.hist = list(hist)
-    return tally
+    return _SlipLevel(bind, measure, finish)
 
 
 def _merged_events(hierarchy, traces: Sequence[Trace],
@@ -453,18 +662,47 @@ def _merged_events(hierarchy, traces: Sequence[Trace],
     return tuple(merged)
 
 
-class _CoreSweep(NamedTuple):
-    """One core's closures over its flat L2 model and the shared L3."""
+def _below_l1(runtime, l2: _SlipLevel, l3: _SlipLevel, dram_writes: List[int],
+              core: int) -> Tuple[Callable, Callable]:
+    """One core's ``(below, l1_wb)``: its L2 binding over its L3 binding.
 
-    #: ``below(line, page, is_metadata)``: one event below L1.
-    below: Callable[[int, int, bool], None]
-    #: ``l1_wb(line)``: one L1 victim writeback.
-    l1_wb: Callable[[int], None]
-    #: The warmup boundary: zero the tallies, start measuring.
-    measure: Callable[[], None]
-    #: ``(L2 tally, binned L3 codes, DRAM writebacks)`` of the measured
-    #: phase.
-    finish: Callable[[], Tuple]
+    ``below(addr, page)`` mirrors ``_access_below_l1`` for one event
+    below L1 (``page`` -1 marks a metadata line): L2 access, then L3
+    access, then L3 fill (a dirty victim is a DRAM write), then L2 fill
+    (a dirty victim is written back to L3). ``l1_wb(addr)`` mirrors
+    ``_writeback_below_l1``. The page entry is looked up only after an
+    L2 miss, and each level takes its miss sample inside its own fill:
+    a sample touches only that level's distribution and the saturating
+    ``period_samples``, so the order against the L3 access moves no
+    byte. DRAM writes count into ``dram_writes[core]``.
+
+    The level closures cost call frames that one inlined body would
+    not: one more per L2 hit, three or four more per L2 miss. Against
+    the earlier body, which wrote the L2 and L3 halves out inline,
+    median ``accesses_per_kloop`` over 10 alternating end-to-end pairs
+    fell 4.1% on ``sweep``, 4.0% on ``multicore`` and 4.7% on
+    ``scalar-ablation`` (shared 2-vCPU x86_64 host, CPython 3.11.7).
+    """
+    access2, writeback2, fill2 = l2.bind(runtime)
+    access3, writeback3, fill3 = l3.bind(runtime)
+    pages_get = runtime.pages.get
+
+    def below(addr: int, page: int) -> None:
+        is_meta = page < 0
+        if access2(addr, is_meta):
+            return
+        entry = None if is_meta else pages_get(page)
+        if not access3(addr, is_meta) and fill3(addr, page, entry) >= 0:
+            dram_writes[core] += 1
+        victim = fill2(addr, page, entry)
+        if victim >= 0 and not writeback3(victim):
+            dram_writes[core] += 1
+
+    def l1_wb(addr: int) -> None:
+        if not writeback2(addr) and not writeback3(addr):
+            dram_writes[core] += 1
+
+    return below, l1_wb
 
 
 def replay_capture_vector_slip(hierarchies: Sequence,
@@ -486,529 +724,19 @@ def replay_capture_vector_slip(hierarchies: Sequence,
         record_success(hierarchy, "replay")
     num_cores = len(hierarchies)
     first = hierarchies[0]
-
-    # ----- captured positions, resolved to addresses/keys up front ----
     n = captures[0].n
     warmup = captures[0].warmup
     (miss_at, miss_cores, miss_addrs, miss_keys, wb_addrs,
      ref_at, ref_cores, ref_keys, pte_addrs) = _merged_events(
         first, traces, captures)
 
-    # ----- the shared L3: one flat-array way model for every core -----
-    l3 = first.l3
-    placement3 = first.l3_placement
-    rot3, cidx3, nsub3, sub3 = _level_model(l3, placement3)
-    name3 = placement3._level_name
-    S3, W3 = l3.num_sets, l3.cfg.ways
-    wrap3, gran3, mask3 = l3.timestamp_wrap, l3._granule, l3._ts_mask
-    maxd3 = l3.cfg.lines - 1
-    nch3 = placement3._num_chunks_by_id
-    sdef3 = placement3._default_id
-    guard3 = W3 * (nsub3 + 1)
-    size3 = S3 * W3
-    tag3 = [-1] * size3
-    lru3 = [0] * size3
-    ts3 = [0] * size3
-    hits3 = [0] * size3
-    pid3 = [0] * size3
-    ci3 = [0] * size3
-    pg3 = [-1] * size3
-    dirty3 = [False] * size3
-    meta3 = [False] * size3
-    # Global probe dict: line address -> flat index (set * ways + way).
-    # Addresses are globally unique across sets, so one dict replaces
-    # the per-set index and the hit path needs no set arithmetic.
-    d3: dict = {}
-    d3_get = d3.get
-    # Mutable machine state, mirroring the scalar hierarchy: access
-    # counter T, allocation rotor, LRU clock (an RRIP level keeps its
-    # RRPVs in the ``lru3`` column instead and takes its hooks).
-    a3 = l3.access_counter
-    r3 = l3._alloc_rotor
-    victim3, fill3, hit3, depart3 = _rrip_hooks(l3, placement3, tag3,
-                                                lru3, hits3)
-    c3 = l3.replacement._clock if victim3 is None else 0
-    # Inline tallies of the rare events (shared by every core).
-    ins3 = [0] * nsub3
-    mvr3 = [0] * nsub3
-    mvw3 = [0] * nsub3
-    wbout3 = [0] * nsub3
-    cls3 = [0, 0, 0, 0]
-    hist3 = [0, 0, 0, 0]
-    byp3 = 0
-    # Per-flat-index annotation codes, sublevel pre-resolved (indexable
-    # straight off a probe-dict hit without recovering the way).
-    hd3, hm3, wa3 = _code_tables(sub3, W3, size3)
-
-    def core_sweep(hierarchy) -> _CoreSweep:
-        """One core's flat L2 model and its closures over the shared L3.
-
-        The core's annotation streams and DRAM writebacks are its own;
-        every L3 event it causes lands in its own L3 stream.
-        """
-        runtime = hierarchy.runtime
-        pages_get = runtime.pages.get
-        always = runtime.always_sample
-        SAMPLING = PageState.SAMPLING
-        def3 = runtime._default_ids[name3]
-
-        l2 = hierarchy.l2
-        placement2 = hierarchy.l2_placement
-        rot2, cidx2, nsub2, sub2 = _level_model(l2, placement2)
-        name2 = placement2._level_name
-        S2, W2 = l2.num_sets, l2.cfg.ways
-        wrap2, gran2, mask2 = l2.timestamp_wrap, l2._granule, l2._ts_mask
-        maxd2 = l2.cfg.lines - 1
-        nch2 = placement2._num_chunks_by_id
-        def2 = runtime._default_ids[name2]
-        sdef2 = placement2._default_id
-        guard2 = W2 * (nsub2 + 1)
-        size2 = S2 * W2
-        tag2 = [-1] * size2
-        lru2 = [0] * size2
-        ts2 = [0] * size2
-        hits2 = [0] * size2
-        pid2 = [0] * size2
-        ci2 = [0] * size2
-        pg2 = [-1] * size2
-        dirty2 = [False] * size2
-        meta2 = [False] * size2
-        d2: dict = {}
-        a2 = l2.access_counter
-        r2 = l2._alloc_rotor
-        victim2, fill2, hit2, depart2 = _rrip_hooks(l2, placement2, tag2,
-                                                    lru2, hits2)
-        c2 = l2.replacement._clock if victim2 is None else 0
-
-        ins2 = [0] * nsub2
-        mvr2 = [0] * nsub2
-        mvw2 = [0] * nsub2
-        wbout2 = [0] * nsub2
-        cls2 = [0, 0, 0, 0]
-        hist2 = [0, 0, 0, 0]
-        byp2 = 0
-        dram_wb = 0
-        ann2 = bytearray()
-        ann3 = bytearray()
-        b2 = b3 = 0
-        hd2, hm2, wa2 = _code_tables(sub2, W2, size2)
-
-        # Hot-path method bindings: every below-L1 event probes a level
-        # dict and appends an annotation code, and the attribute
-        # lookups are measurable at that rate.
-        d2_get = d2.get
-        ann2_app = ann2.append
-        ann3_app = ann3.append
-
-        def wb_l3(addr: int) -> None:
-            """Mirror of ``_writeback_to_l3`` against the flat model."""
-            nonlocal a3, dram_wb
-            a3 += 1
-            if a3 == wrap3:
-                a3 = 0
-            f = d3_get(addr)
-            if f is not None:
-                dirty3[f] = True
-                ann3_app(wa3[f])
-            else:
-                ann3_app(_FWD)
-                dram_wb += 1
-
-        def l1_wb(addr: int) -> None:
-            """Mirror of ``_writeback_below_l1`` against the flat model."""
-            nonlocal a2
-            a2 += 1
-            if a2 == wrap2:
-                a2 = 0
-            f = d2_get(addr)
-            if f is not None:
-                dirty2[f] = True
-                ann2_app(wa2[f])
-            else:
-                ann2_app(_FWD)
-                wb_l3(addr)
-
-        def below(addr: int, page: int, is_meta: bool) -> None:
-            """Mirror of ``_access_below_l1``: L2 -> L3 -> DRAM + fills.
-
-            The per-level SLIP fills are inlined at their (single) call
-            sites rather than factored into helpers: this body runs once
-            per below-L1 event and the two extra call frames are
-            measurable on the replay path.
-            """
-            nonlocal a2, a3, c2, c3, r2, r3, byp2, byp3, dram_wb
-            a2 += 1
-            if a2 == wrap2:
-                a2 = 0
-            f = d2_get(addr)
-            if f is not None:
-                hits2[f] += 1
-                ann2_app(hm2[f] if is_meta else hd2[f])
-                if hit2 is None:
-                    c2 += 1
-                    lru2[f] = c2
-                else:
-                    hit2(f)
-                now = (a2 // gran2) & mask2
-                # on_hit: reuse-distance sample for sampling pages + TL.
-                pgv = pg2[f]
-                if pgv >= 0 and not meta2[f]:
-                    entry = pages_get(pgv)
-                    if entry is not None and (always
-                                              or entry.state is SAMPLING):
-                        distance = ((now - ts2[f]) & mask2) * gran2
-                        if distance > maxd2:
-                            distance = maxd2
-                        # ``ReuseDistanceDistribution.record`` inlined
-                        # (as at every sample site in this kernel): one
-                        # frame per sampled event is measurable here.
-                        dist = entry.distributions[name2]
-                        counts = dist.counts
-                        bin_idx = bisect_right(dist.boundaries, distance)
-                        if counts[bin_idx] >= dist.counter_max:
-                            dist.counts = counts = [c >> 1 for c in counts]
-                        counts[bin_idx] += 1
-                        if entry.period_samples < 63:
-                            entry.period_samples += 1
-                ts2[f] = now
-                return
-            ann2_app(_MISS_M if is_meta else _MISS_D)
-            # One page-entry probe per event: nothing between here and
-            # the fills can change the page table (recomputation only
-            # happens inside key_fetches, between events).
-            pe = None
-            if not is_meta:
-                # record_miss_sample("L2", page), gating inlined.
-                pe = pages_get(page)
-                if pe is not None and (always or pe.state is SAMPLING):
-                    dist = pe.distributions[name2]
-                    counts = dist.counts
-                    if counts[-1] >= dist.counter_max:
-                        dist.counts = counts = [c >> 1 for c in counts]
-                    counts[-1] += 1
-                    if pe.period_samples < 63:
-                        pe.period_samples += 1
-
-            # ----- L3 -----
-            # A hit line's page is this core's own (slip_eligible
-            # checks that every page routes to its core), so this
-            # core's page table serves the shared-L3 samples.
-            a3 += 1
-            if a3 == wrap3:
-                a3 = 0
-            f = d3_get(addr)
-            if f is not None:
-                hits3[f] += 1
-                ann3_app(hm3[f] if is_meta else hd3[f])
-                if hit3 is None:
-                    c3 += 1
-                    lru3[f] = c3
-                else:
-                    hit3(f)
-                now = (a3 // gran3) & mask3
-                pgv = pg3[f]
-                if pgv >= 0 and not meta3[f]:
-                    entry = pages_get(pgv)
-                    if entry is not None and (always
-                                              or entry.state is SAMPLING):
-                        distance = ((now - ts3[f]) & mask3) * gran3
-                        if distance > maxd3:
-                            distance = maxd3
-                        dist = entry.distributions[name3]
-                        counts = dist.counts
-                        bin_idx = bisect_right(dist.boundaries, distance)
-                        if counts[bin_idx] >= dist.counter_max:
-                            dist.counts = counts = [c >> 1 for c in counts]
-                        counts[bin_idx] += 1
-                        if entry.period_samples < 63:
-                            entry.period_samples += 1
-                ts3[f] = now
-            else:
-                ann3_app(_MISS_M if is_meta else _MISS_D)
-                if pe is not None and (always or pe.state is SAMPLING):
-                    dist = pe.distributions[name3]
-                    counts = dist.counts
-                    if counts[-1] >= dist.counter_max:
-                        dist.counts = counts = [c >> 1 for c in counts]
-                    counts[-1] += 1
-                    if pe.period_samples < 63:
-                        pe.period_samples += 1
-                # SLIP fill at L3.  The DRAM read is derived from the
-                # miss annotation in phase 2.
-                if is_meta or page < 0:
-                    sid = sdef3
-                elif pe is None:
-                    sid = def3
-                elif pe.state is SAMPLING:
-                    sid = def3
-                else:
-                    sid = pe.policies[name3]
-                rchunks = rot3[sid]
-                if not rchunks:
-                    # All-Bypass Policy; fills on this path are never
-                    # dirty.
-                    byp3 += 1
-                    cls3[cidx3[sid]] += 1
-                else:
-                    orders = rchunks[0]
-                    r3 = (r3 + 1) % 64
-                    order = orders[r3 % len(orders)]
-                    base = (addr % S3) * W3
-                    if victim3 is not None:
-                        vw = victim3(base, order, sid, 0)
-                    else:
-                        # Merged invalid-first/min-LRU scan; see the L2
-                        # fill.
-                        vw = -1
-                        best = _INF
-                        for w in order:
-                            stamp = lru3[base + w]
-                            if stamp < best:
-                                vw = w
-                                if not stamp:
-                                    break
-                                best = stamp
-                    f = base + vw
-                    wb = -1
-                    vt = tag3[f]
-                    cascade = vt >= 0 and ci3[f] + 1 < nch3[pid3[f]]
-                    if cascade:
-                        cv = (vt, dirty3[f], pid3[f], ci3[f], ts3[f],
-                              hits3[f], pg3[f], meta3[f], lru3[f], vw)
-                        del d3[vt]
-                    elif vt >= 0:
-                        h = hits3[f]
-                        hist3[h if h < 3 else 3] += 1
-                        del d3[vt]
-                        if dirty3[f]:
-                            wbout3[sub3[vw]] += 1
-                            wb = vt
-                    tag3[f] = addr
-                    d3[addr] = f
-                    dirty3[f] = False
-                    pid3[f] = sid
-                    ci3[f] = 0
-                    pg3[f] = page
-                    meta3[f] = is_meta
-                    ts3[f] = (a3 // gran3) & mask3
-                    hits3[f] = 0
-                    if fill3 is None:
-                        c3 += 1
-                        lru3[f] = c3
-                    else:
-                        fill3(f, addr)
-                    ins3[sub3[vw]] += 1
-                    cls3[cidx3[sid]] += 1
-                    if depart3 is not None and vt >= 0 and not cascade:
-                        depart3(vt, h)
-                    if cascade:
-                        (vt, vdirty, vpid, vci, vts, vhits, vpg, vmeta,
-                         vlru, vfrom) = cv
-                        guard = guard3
-                        while True:
-                            guard -= 1
-                            nc = vci + 1
-                            if guard <= 0 or nc >= nch3[vpid]:
-                                hist3[vhits if vhits < 3 else 3] += 1
-                                if depart3 is not None:
-                                    depart3(vt, vhits)
-                                if vdirty:
-                                    wbout3[sub3[vfrom]] += 1
-                                    wb = vt
-                                break
-                            orders = rot3[vpid][nc]
-                            r3 = (r3 + 1) % 64
-                            order = orders[r3 % len(orders)]
-                            if victim3 is not None:
-                                w = victim3(base, order, vpid, nc)
-                            else:
-                                w = -1
-                                best = _INF
-                                for cand in order:
-                                    stamp = lru3[base + cand]
-                                    if stamp < best:
-                                        w = cand
-                                        if not stamp:
-                                            break
-                                        best = stamp
-                            f = base + w
-                            dt = tag3[f]
-                            if dt >= 0:
-                                disp = (dt, dirty3[f], pid3[f], ci3[f],
-                                        ts3[f], hits3[f], pg3[f],
-                                        meta3[f], lru3[f], w)
-                                del d3[dt]
-                            else:
-                                disp = None
-                            tag3[f] = vt
-                            d3[vt] = f
-                            dirty3[f] = vdirty
-                            pid3[f] = vpid
-                            ci3[f] = nc
-                            ts3[f] = vts
-                            hits3[f] = vhits
-                            pg3[f] = vpg
-                            meta3[f] = vmeta
-                            lru3[f] = vlru
-                            mvr3[sub3[vfrom]] += 1
-                            mvw3[sub3[w]] += 1
-                            if disp is None:
-                                break
-                            (vt, vdirty, vpid, vci, vts, vhits, vpg,
-                             vmeta, vlru, vfrom) = disp
-                    if wb >= 0:
-                        dram_wb += 1
-
-            # Fill L2 on the way back (possibly bypassed).
-            if is_meta or page < 0:
-                sid = sdef2
-            elif pe is None:
-                sid = def2
-            elif pe.state is SAMPLING:
-                sid = def2
-            else:
-                sid = pe.policies[name2]
-            rchunks = rot2[sid]
-            if not rchunks:
-                # All-Bypass Policy; fills on this path are never dirty.
-                byp2 += 1
-                cls2[cidx2[sid]] += 1
-                return
-            orders = rchunks[0]
-            r2 = (r2 + 1) % 64
-            order = orders[r2 % len(orders)]
-            base = (addr % S2) * W2
-            if victim2 is not None:
-                vw = victim2(base, order, sid, 0)
-            else:
-                # Invalid slots keep lru == 0 forever (clocks start >= 0
-                # and every fill stamps c2+1 >= 1), so one strict-min
-                # scan finds the first invalid way in rotation order,
-                # else the LRU way — the same choice as the scalar
-                # invalid-first/min-LRU walk.
-                vw = -1
-                best = _INF
-                for w in order:
-                    stamp = lru2[base + w]
-                    if stamp < best:
-                        vw = w
-                        if not stamp:
-                            break
-                        best = stamp
-            f = base + vw
-            wb = -1
-            vt = tag2[f]
-            cascade = vt >= 0 and ci2[f] + 1 < nch2[pid2[f]]
-            if cascade:
-                cv = (vt, dirty2[f], pid2[f], ci2[f], ts2[f], hits2[f],
-                      pg2[f], meta2[f], lru2[f], vw)
-                del d2[vt]
-            elif vt >= 0:
-                h = hits2[f]
-                hist2[h if h < 3 else 3] += 1
-                del d2[vt]
-                if dirty2[f]:
-                    wbout2[sub2[vw]] += 1
-                    wb = vt
-            tag2[f] = addr
-            d2[addr] = f
-            dirty2[f] = False
-            pid2[f] = sid
-            ci2[f] = 0
-            pg2[f] = page
-            meta2[f] = is_meta
-            ts2[f] = (a2 // gran2) & mask2
-            hits2[f] = 0
-            if fill2 is None:
-                c2 += 1
-                lru2[f] = c2
-            else:
-                fill2(f, addr)
-            ins2[sub2[vw]] += 1
-            cls2[cidx2[sid]] += 1
-            if depart2 is not None and vt >= 0 and not cascade:
-                depart2(vt, h)
-            if cascade:
-                (vt, vdirty, vpid, vci, vts, vhits, vpg, vmeta, vlru,
-                 vfrom) = cv
-                guard = guard2
-                while True:
-                    guard -= 1
-                    nc = vci + 1
-                    if guard <= 0 or nc >= nch2[vpid]:
-                        hist2[vhits if vhits < 3 else 3] += 1
-                        if depart2 is not None:
-                            depart2(vt, vhits)
-                        if vdirty:
-                            wbout2[sub2[vfrom]] += 1
-                            wb = vt
-                        break
-                    orders = rot2[vpid][nc]
-                    r2 = (r2 + 1) % 64
-                    order = orders[r2 % len(orders)]
-                    if victim2 is not None:
-                        w = victim2(base, order, vpid, nc)
-                    else:
-                        w = -1
-                        best = _INF
-                        for cand in order:
-                            stamp = lru2[base + cand]
-                            if stamp < best:
-                                w = cand
-                                if not stamp:
-                                    break
-                                best = stamp
-                    f = base + w
-                    dt = tag2[f]
-                    if dt >= 0:
-                        disp = (dt, dirty2[f], pid2[f], ci2[f], ts2[f],
-                                hits2[f], pg2[f], meta2[f], lru2[f], w)
-                        del d2[dt]
-                    else:
-                        disp = None
-                    tag2[f] = vt
-                    d2[vt] = f
-                    dirty2[f] = vdirty
-                    pid2[f] = vpid
-                    ci2[f] = nc
-                    ts2[f] = vts
-                    hits2[f] = vhits
-                    pg2[f] = vpg
-                    meta2[f] = vmeta
-                    lru2[f] = vlru
-                    mvr2[sub2[vfrom]] += 1
-                    mvw2[sub2[w]] += 1
-                    if disp is None:
-                        break
-                    (vt, vdirty, vpid, vci, vts, vhits, vpg, vmeta, vlru,
-                     vfrom) = disp
-            if wb >= 0:
-                wb_l3(wb)
-
-        def measure() -> None:
-            nonlocal byp2, dram_wb, b2, b3
-            for t in (ins2, mvr2, mvw2, wbout2):
-                t[:] = [0] * nsub2
-            cls2[:] = [0, 0, 0, 0]
-            hist2[:] = [0, 0, 0, 0]
-            byp2 = dram_wb = 0
-            b2, b3 = len(ann2), len(ann3)
-
-        def finish() -> Tuple:
-            # finalize()'s resident-line reuse sweep (the real arrays
-            # are empty).
-            for f in d2.values():
-                h = hits2[f]
-                hist2[h if h < 3 else 3] += 1
-            tally2 = _tally(_code_counts(ann2, b2), nsub2, ins2, byp2,
-                            cls2, mvr2, mvw2, wbout2, hist2)
-            return tally2, _code_counts(ann3, b3), dram_wb
-
-        return _CoreSweep(below, l1_wb, measure, finish)
-
-    sweeps = [core_sweep(hierarchy) for hierarchy in hierarchies]
-    belows = [sweep.below for sweep in sweeps]
-    l1_wbs = [sweep.l1_wb for sweep in sweeps]
+    l3 = _slip_level(first.l3, first.l3_placement)
+    l2s = [_slip_level(hierarchy.l2, hierarchy.l2_placement)
+           for hierarchy in hierarchies]
+    dram_writes = [0] * num_cores
+    belows, l1_wbs = zip(*[
+        _below_l1(hierarchy.runtime, l2, l3, dram_writes, core)
+        for core, (hierarchy, l2) in enumerate(zip(hierarchies, l2s))])
     runtimes = [hierarchy.runtime for hierarchy in hierarchies]
 
     # ----- phase 1: merged-order sweep (warmup, then measured) -----
@@ -1032,13 +760,13 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                            if key >= 0 else ())
                 pte = pte_addrs[ref_i]
                 if pte >= 0:
-                    below(pte, -1, True)
+                    below(pte, -1)
                 for fetch in fetches:
-                    below(fetch, -1, True)
+                    below(fetch, -1)
                 ref_i += 1
             if miss_k == k:
                 core = miss_cores[miss_i]
-                belows[core](miss_addrs[miss_i], miss_keys[miss_i], False)
+                belows[core](miss_addrs[miss_i], miss_keys[miss_i])
                 wba = wb_addrs[miss_i]
                 if wba >= 0:
                     l1_wbs[core](wba)
@@ -1046,32 +774,21 @@ def replay_capture_vector_slip(hierarchies: Sequence,
         if warm_phase:
             # Same boundary as the walk: counters reset, cache
             # / TLB / page state stays warm (EOU memo survives).
-            for hierarchy, sweep in zip(hierarchies, sweeps):
+            for hierarchy in hierarchies:
                 hierarchy.reset_stats()
-                sweep.measure()
-            for t in (ins3, mvr3, mvw3, wbout3):
-                t[:] = [0] * nsub3
-            cls3[:] = [0, 0, 0, 0]
-            hist3[:] = [0, 0, 0, 0]
-            byp3 = 0
-
-    # finalize()'s resident-line reuse sweep: every core's finalize()
-    # walks the shared L3, so each resident line counts once per core.
-    for f in d3.values():
-        h = hits3[f]
-        hist3[h if h < 3 else 3] += num_cores
+            for level in (l3, *l2s):
+                level.measure()
+            dram_writes[:] = [0] * num_cores
 
     # ----- phase 2: batched accounting over the annotation streams ---
-    results = [sweep.finish() for sweep in sweeps]
-    tally3 = _tally(sum(result[1] for result in results), nsub3, ins3,
-                    byp3, cls3, mvr3, mvw3, wbout3, hist3)
-
+    tally3, counts3 = l3.finish()
+    nsub3 = first.l3.cfg.num_sublevels
     # Live runtime/TLB ledgers: one page-grain probe per access, one
     # miss per captured TLB-miss position; hits are the complement of
     # the measured-phase misses.
     l2_legs, l3_legs = [], []
-    for hierarchy, capture, (tally2, counts3, dram_wb) in zip(
-            hierarchies, captures, results):
+    for hierarchy, capture, l2, counts, writes in zip(
+            hierarchies, captures, l2s, counts3, dram_writes):
         tlb_misses = int(np.count_nonzero(
             np.asarray(capture.tlb_miss_pos) >= warmup))
         runtime_stats = hierarchy.runtime.stats
@@ -1081,7 +798,7 @@ def replay_capture_vector_slip(hierarchies: Sequence,
         tlb_stats.hits = (n - warmup) - tlb_misses
         measured = np.asarray(capture.l1_miss_pos) >= warmup
         l2_legs.append((
-            tally2,
+            l2.finish()[0],
             int(np.count_nonzero(measured)),
             runtime_stats.tlb_miss_fetches
             + runtime_stats.distribution_fetches,
@@ -1089,8 +806,7 @@ def replay_capture_vector_slip(hierarchies: Sequence,
                 measured & (np.asarray(capture.l1_miss_wb) >= 0))),
         ))
         # Every L3 event is in the stream of the core that caused it.
-        l3_legs.append(([int(counts3[1 + s]) for s in range(nsub3)],
-                        int(counts3[_MISS_D]), int(counts3[_MISS_M]),
-                        dram_wb))
+        l3_legs.append(([int(counts[1 + s]) for s in range(nsub3)],
+                        int(counts[_MISS_D]), int(counts[_MISS_M]), writes))
     publish_replay(hierarchies, l2_legs, tally3, l3_legs)
     return True

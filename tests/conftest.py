@@ -4,14 +4,6 @@ import contextlib
 
 import pytest
 
-from repro.sim.config import (
-    CacheLevelConfig,
-    CoreConfig,
-    DramConfig,
-    SlipParams,
-    SystemConfig,
-)
-
 
 @pytest.fixture
 def scalar_kernels():
@@ -114,55 +106,11 @@ def scalar_run(walked):
     return run
 
 
-def tiny_l1() -> CacheLevelConfig:
-    return CacheLevelConfig(
-        name="L1",
-        size_bytes=1024,          # 16 lines: 8 sets x 2 ways
-        ways=2,
-        latency_cycles=1,
-        access_energy_pj=1.0,
-    )
-
-
-def tiny_l2() -> CacheLevelConfig:
-    return CacheLevelConfig(
-        name="L2",
-        size_bytes=4096,          # 64 lines: 16 sets x 4 ways
-        ways=4,
-        latency_cycles=3,
-        access_energy_pj=10.0,
-        metadata_energy_pj=0.5,
-        sublevel_ways=(1, 1, 2),
-        sublevel_energy_pj=(6.0, 9.0, 13.0),
-        sublevel_latency=(2, 3, 4),
-    )
-
-
-def tiny_l3() -> CacheLevelConfig:
-    return CacheLevelConfig(
-        name="L3",
-        size_bytes=16384,         # 256 lines: 32 sets x 8 ways
-        ways=8,
-        latency_cycles=8,
-        access_energy_pj=40.0,
-        metadata_energy_pj=1.0,
-        sublevel_ways=(2, 2, 4),
-        sublevel_energy_pj=(20.0, 35.0, 55.0),
-        sublevel_latency=(6, 8, 10),
-    )
-
-
 @pytest.fixture
-def tiny_system() -> SystemConfig:
-    return SystemConfig(
-        l1=tiny_l1(),
-        l2=tiny_l2(),
-        l3=tiny_l3(),
-        dram=DramConfig(latency_cycles=50, energy_pj_per_bit=2.0),
-        slip=SlipParams(),
-        core=CoreConfig(),
-        tlb_entries=8,
-    )
+def tiny_system():
+    from harness import tiny_config
+
+    return tiny_config()
 
 
 @pytest.fixture

@@ -88,6 +88,31 @@ def skewed_energy(config):
     }
 
 
+def tiny_config() -> SystemConfig:
+    """The named cells' tiny system: a 16-line L1 (8 sets x 2 ways), a
+    64-line L2 (16 x 4) and a 256-line L3 (32 x 8), the L2 and L3 cut
+    into three sublevels each."""
+    return SystemConfig(
+        l1=CacheLevelConfig(
+            name="L1", size_bytes=1024, ways=2, latency_cycles=1,
+            access_energy_pj=1.0),
+        l2=CacheLevelConfig(
+            name="L2", size_bytes=4096, ways=4, latency_cycles=3,
+            access_energy_pj=10.0, metadata_energy_pj=0.5,
+            sublevel_ways=(1, 1, 2), sublevel_energy_pj=(6.0, 9.0, 13.0),
+            sublevel_latency=(2, 3, 4)),
+        l3=CacheLevelConfig(
+            name="L3", size_bytes=16384, ways=8, latency_cycles=8,
+            access_energy_pj=40.0, metadata_energy_pj=1.0,
+            sublevel_ways=(2, 2, 4), sublevel_energy_pj=(20.0, 35.0, 55.0),
+            sublevel_latency=(6, 8, 10)),
+        dram=DramConfig(latency_cycles=50, energy_pj_per_bit=2.0),
+        slip=SlipParams(),
+        core=CoreConfig(),
+        tlb_entries=8,
+    )
+
+
 def partitioned_l1(config: SystemConfig) -> SystemConfig:
     """``config`` with a sublevel-partitioned L1, which the capture
     kernel declines: such cells walk."""

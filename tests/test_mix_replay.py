@@ -25,10 +25,21 @@ so that lines cascade between chunks.
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+import dataclasses
+import random
 
-from harness import canonical, mix_cell, most_chunks_argmin, single_cell
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from harness import (
+    CHURN,
+    canonical,
+    mix_cell,
+    most_chunks_argmin,
+    single_cell,
+    tiny_config,
+    trace,
+)
 from repro.core.eou import EnergyOptimizerUnit
 from repro.sim import multi_core
 from repro.sim.single_core import run_trace
@@ -65,12 +76,65 @@ def test_scalar_replay_matches_walk(cell, store, scalar_kernels,
         served_like_walk(multi_core.run_mix_traces, cell, store)
 
 
+def slip_defect_cells():
+    """``(label, cell, store)`` of the SLIP kernel's seeded-defect cells.
+
+    Seeded draws from the cell space under a replacement the kernel
+    serves: seed 81 fails if a cascade step does not advance the
+    allocation rotor, and the SHiP-only seed 75 if a line leaving at
+    the end of a cascade skips SHiP's departure step. Last, the odd
+    line-count geometry of :func:`odd_geometry_cell`.
+    """
+    return [
+        ("draw-81", single_cell(
+            random.Random(81).choice, ("slip", "slip_abp"),
+            ("lru", "drrip", "ship")), MemoryCaptureStore()),
+        ("ship-draw-75", single_cell(
+            random.Random(75).choice, ("slip", "slip_abp"), ("ship",)),
+            MemoryCaptureStore()),
+        ("odd-geometry", odd_geometry_cell(), MemoryCaptureStore()),
+    ]
+
+
+def odd_geometry_cell() -> dict:
+    """A slip cell whose L2 (8 sets x 3 ways) and L3 (8 x 5) hold line
+    counts that are not multiples of 16: their access counters wrap at
+    4 x lines before the 6-bit timestamps do, so a counter that misses
+    its wrap moves the reuse samples. Two-line rd-blocks sample often
+    enough for that to move the EOU's choices."""
+    tiny = tiny_config()
+    config = dataclasses.replace(
+        tiny,
+        l2=dataclasses.replace(
+            tiny.l2, size_bytes=8 * 3 * 64, ways=3, sublevel_ways=(1, 2),
+            sublevel_energy_pj=(6.0, 13.0), sublevel_latency=(2, 4)),
+        l3=dataclasses.replace(
+            tiny.l3, size_bytes=8 * 5 * 64, ways=5, sublevel_ways=(2, 3),
+            sublevel_energy_pj=(20.0, 55.0), sublevel_latency=(6, 10)),
+        tlb_entries=4)
+    return dict(trace=trace(lambda options: 64, CHURN, 2_000, 1),
+                policy="slip", seed=1,
+                config=config.with_slip(rd_block_lines=2,
+                                        slip_cache_entries=8,
+                                        l3_abp_min_samples=0))
+
+
+def with_defect_cells(test):
+    """``test`` with every :func:`slip_defect_cells` cell as an explicit
+    example, labelled."""
+    for label, cell, store in slip_defect_cells():
+        test = example(cell=cell, store=store).via(label)(test)
+    return test
+
+
 @settings(HARNESS, max_examples=60)
 @given(cell=drawn(single_cell), store=STORES)
+@with_defect_cells
 def test_rrip_replay_matches_walk(cell, store, served_like_walk):
     """Single-core cells under LRU, random, DRRIP and SHiP replacement:
     the SLIP kernel serves the slip kinds, the baseline-kind kernel
-    LRU and the scalar replay the other baseline-kind cells."""
+    LRU and the scalar replay the other baseline-kind cells. The SLIP
+    kernel's seeded-defect cells run first, as explicit examples."""
     served_like_walk(run_trace, cell, store)
 
 
