@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-shot pre-merge gate for this repo. Runs the tier-1 test suite
 # (or, with --fast, only its static tests), ruff when it is installed,
-# a warnings-as-errors compile of the compiled tier, the throughput
-# gate, and a determinism smoke (fixed-seed byte-identity of the CLI
+# a warnings-as-errors compile of the compiled tier (every kernel's C
+# loops: the capture TLB and L1, the baseline-kind level legs and the
+# SLIP sweep), the throughput gate, and a determinism smoke (fixed-seed byte-identity of the CLI
 # across serial and parallel runs, plus the kernel-report lines of the
 # Fig. 16 and Section 7 ablation runs).
 #
@@ -62,10 +63,11 @@ else
     echo "    SKIP: ruff not installed"
 fi
 
-# The compiled tier: the kernels build src/repro/sim/_lru.c on first use
-# with the flags of repro.sim.native; here it must also compile clean
-# under every warning.
-stage "compiled tier (_lru.c under -Wall -Wextra -Werror)" \
+# The compiled tier: the kernels build src/repro/sim/_lru.c (the capture
+# kernel's TLB and L1, the baseline-kind level legs and the SLIP
+# kernel's sweep) on first use with the flags of repro.sim.native; here
+# it must also compile clean under every warning.
+stage "compiled tier (_lru.c: capture, level legs, SLIP sweep; -Wall -Wextra -Werror)" \
     cc -O2 -std=c99 -fPIC -Wall -Wextra -Werror -c -o /dev/null \
     src/repro/sim/_lru.c
 

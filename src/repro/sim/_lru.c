@@ -1,24 +1,33 @@
 /*
- * The LRU-family cache loops of the batched kernels, in global event
- * order over flat per-set arrays.
+ * The cache loops of the batched kernels, in global event order over
+ * flat arrays.
  *
- *   lru_tlb    the capture kernel's fully associative LRU TLB, which
- *              the SLIP kernel also runs over its SLIP-cache keys;
- *   lru_l1     the capture kernel's uniform LRU L1
- *              (repro.sim.vector_frontend);
- *   lru_level  one L2 or L3 leg of the baseline-kind replay kernel
- *              (repro.sim.vector_replay): baseline, NuRAPID or LRU-PEA.
+ *   lru_tlb     the capture kernel's fully associative LRU TLB, which
+ *               the SLIP kernel also runs over its SLIP-cache keys;
+ *   lru_l1      the capture kernel's uniform LRU L1
+ *               (repro.sim.vector_frontend);
+ *   lru_level   one L2 or L3 leg of the baseline-kind replay kernel
+ *               (repro.sim.vector_replay): baseline, NuRAPID or
+ *               LRU-PEA, emitting the stream the level forwards below;
+ *   slip_sweep  phase 1 of the SLIP kernel (repro.sim.vector_replay_slip):
+ *               every core's L2 and the shared L3 under LRU, DRRIP or
+ *               SHiP, one level routine for all of them, calling back
+ *               into the live Python runtime at each profile-key miss.
  *
  * Python loads this file through ctypes (repro.sim.native), hands it
  * numpy arrays and publishes the integer tallies it returns; nothing
  * here allocates Python objects. Each slot of a set holds one line:
- * its tag, LRU stamp, full-life hit count, dirty bit and (below L1)
- * sublevel and demoted flag. LRU stamps come from one clock per level,
+ * its tag, LRU stamp (or RRPV), full-life hit count and dirty bit,
+ * and, per kernel, its sublevel and demoted flag or its SLIP, chunk,
+ * timestamp and profile key. LRU stamps come from one clock per level,
  * so within a set they order exactly as the walk's LRU stamps do.
+ * Every random draw is CPython's MT19937 run from the Python
+ * generator's own state, which the caller writes back.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define OP_METADATA 1
 #define OP_WRITEBACK 2
@@ -290,35 +299,58 @@ int lru_l1(int64_t n, const int64_t *addrs, const uint8_t *writes,
  * resident_weight is what each line resident at the end adds to the
  * reuse histogram.
  *
- * Writes per event: miss[k] (a probe or writeback that missed),
- * victim[k] (the tag of a dirty line the event evicted from the level).
- * counts (int64) is laid out as: demand misses, metadata misses, reuse
- * histogram [4], then per sublevel metadata hits, insertions, movement
- * reads, movement writes, absorbed writebacks, emitted writebacks, and
- * last demand hits per (core, sublevel). Every count but the histogram
- * of residents covers measured events only.
+ * Per event, the level forwards below the access that missed (a
+ * forwarded writeback stays a writeback), then the writeback of the
+ * dirty line its fill evicted: the order the walk issues them. With
+ * emit set the call writes that stream out: out_ops, out_addrs and
+ * out_src (the index k of the event behind each one) hold up to 2n
+ * entries. The return value is the length of the stream, or minus a
+ * nonzero status.
+ *
+ * counts (int64) is laid out as: demand misses, metadata misses,
+ * forwarded writebacks, reuse histogram [4], then per sublevel
+ * metadata hits, insertions, movement reads, movement writes, absorbed
+ * writebacks, emitted writebacks, and last per core its demand hits
+ * per sublevel and the demand, metadata and writeback events it
+ * forwarded below. Every count but the histogram of residents covers
+ * measured events only.
  */
-int lru_level(int kind, int64_t n, const uint8_t *ops, const int64_t *addrs,
-              const uint8_t *meas, const int32_t *core, int64_t num_sets,
-              int64_t ways, int64_t nsub,
-              const int32_t *sub_of_way, const int32_t *ways_per_sub,
-              int64_t resident_weight, const double *cum, uint32_t *rng,
-              uint8_t *miss, int64_t *victim, int64_t *counts)
+/* One event into the stream below, caused by event k. */
+#define EMIT(op_, addr_)                                                \
+    do {                                                                \
+        if (m)                                                          \
+            below[core[k] * per_core + (op_)]++;                        \
+        if (emit) {                                                     \
+            out_ops[emitted] = (uint8_t)(op_);                          \
+            out_addrs[emitted] = (addr_);                               \
+            out_src[emitted] = (int32_t)k;                              \
+        }                                                               \
+        emitted++;                                                      \
+    } while (0)
+
+int64_t lru_level(int kind, int64_t n, const uint8_t *ops,
+                  const int64_t *addrs, const uint8_t *meas,
+                  const int32_t *core, int64_t num_sets, int64_t ways,
+                  int64_t nsub, const int32_t *sub_of_way,
+                  const int32_t *ways_per_sub, int64_t resident_weight,
+                  const double *cum, uint32_t *rng, int emit,
+                  uint8_t *out_ops, int64_t *out_addrs, int32_t *out_src,
+                  int64_t *counts)
 {
-    int64_t *hist = counts + 2;
-    int64_t *mh = counts + 6, *ins = mh + nsub, *mvr = ins + nsub;
+    int64_t *hist = counts + 3;
+    int64_t *mh = counts + 7, *ins = mh + nsub, *mvr = ins + nsub;
     int64_t *mvw = mvr + nsub, *wbin = mvw + nsub, *wbout = wbin + nsub;
-    int64_t *dh = wbout + nsub;
+    int64_t per_core = nsub + 3, *dh = wbout + nsub, *below = dh + nsub;
     int64_t *occ = calloc((size_t)(num_sets * nsub), sizeof(int64_t));
-    int64_t clock = 0;
+    int64_t clock = 0, emitted = 0;
     int rotor = 0;
     int status = STATUS_OK;
     Slots s;
     if (!occ)
-        return STATUS_NO_MEMORY;
+        return -STATUS_NO_MEMORY;
     if (slots_alloc(&s, num_sets, ways) != 0) {
         free(occ);
-        return STATUS_NO_MEMORY;
+        return -STATUS_NO_MEMORY;
     }
     for (int64_t k = 0; k < n && status == STATUS_OK; k++) {
         int op = ops[k], m = meas[k] != 0;
@@ -329,8 +361,10 @@ int lru_level(int kind, int64_t n, const uint8_t *ops, const int64_t *addrs,
         int t = 0;
 
         if (op == OP_WRITEBACK) {
-            if (j < 0) {
-                miss[k] = 1;  /* forwarded below */
+            if (j < 0) {  /* forwarded below */
+                EMIT(OP_WRITEBACK, tag);
+                if (m)
+                    counts[2]++;
             } else {
                 s.dirty[j] = 1;
                 if (m)
@@ -346,7 +380,7 @@ int lru_level(int kind, int64_t n, const uint8_t *ops, const int64_t *addrs,
                 if (op == OP_METADATA)
                     mh[sub]++;
                 else
-                    dh[core[k] * nsub + sub]++;
+                    dh[core[k] * per_core + sub]++;
             }
             s.stamp[j] = ++clock;
             if (kind == KIND_BASELINE || sub == 0)
@@ -383,8 +417,8 @@ int lru_level(int kind, int64_t n, const uint8_t *ops, const int64_t *addrs,
             continue;
         }
 
-        /* Miss: a fill, into `slot`. */
-        miss[k] = 1;
+        /* Miss: forwarded below, then a fill, into `slot`. */
+        EMIT(op, tag);
         if (m)
             counts[op == OP_METADATA ? 1 : 0]++;
         j = -1;  /* set when a line leaves the level to make room */
@@ -456,7 +490,7 @@ int lru_level(int kind, int64_t n, const uint8_t *ops, const int64_t *addrs,
             if (m)
                 hist[hist_bin(s.hits[j])]++;
             if (s.dirty[j]) {
-                victim[k] = s.tag[j];
+                EMIT(OP_WRITEBACK, s.tag[j]);
                 if (m)
                     wbout[s.sub[j]]++;
             }
@@ -480,5 +514,503 @@ int lru_level(int kind, int64_t n, const uint8_t *ops, const int64_t *addrs,
             hist[hist_bin(s.hits[i])] += resident_weight;
     slots_free(&s);
     free(occ);
+    return status == STATUS_OK ? emitted : -status;
+}
+#undef EMIT
+
+/* ------------------------------------------------------------------ */
+/* The SLIP kernel's sweep                                             */
+/* ------------------------------------------------------------------ */
+/*
+ * Phase 1 of repro.sim.vector_replay_slip: one merged-order sweep over
+ * every core's reference-metadata events and captured L1 misses, which
+ * drives each core's L2 and the shared L3 (a single core's own L3 is
+ * the one-core case). Every level below L1 runs the same routine: a
+ * fill goes into chunk C0 of its page's SLIP and each displaced line
+ * cascades to its SLIP's next chunk until one leaves the level; a hit
+ * on a sampling page records its reuse distance, and a demand miss of
+ * a sampling page records a miss sample (PAPER.md, Sections 3-4).
+ *
+ * A level is one descriptor row of LV_FIELDS int64s (built by
+ * vector_replay_slip._Levels), laid out by the enum below: its geometry,
+ * the scalars the call reads in and writes back (access counter,
+ * allocation rotor, LRU clock), and offsets into the shared pools:
+ *
+ *   lines   mutable int64: per level the line columns (tag, stamp,
+ *           timestamp, hits, SLIP id, chunk, key id, dirty; tag -1
+ *           marks an invalid slot, key -1 a metadata line), and a SHiP
+ *           level's SHCT;
+ *   tables  read-only int64: per level the sublevel of each way, the
+ *           SLIP records, the reuse-distance bin boundaries and a
+ *           DRRIP level's BRRIP flag per set;
+ *   rng     per level the MT19937 state of its RRIP policy;
+ *   tally   per level and core the measured counts (T_* below).
+ *
+ * The SLIP record of id s sits at slips + s * (2 + nsub): its chunk
+ * count, its insertion class, then the offset (into tables) of each
+ * chunk's record: n, g, the chunk's n ways, then, when an RRIP level
+ * splits the chunk by sublevel, the g cumulative group sizes and the n
+ * ways regrouped, so that group i is grouped[cum[i-1] .. cum[i]).
+ *
+ * The page table is one row of page_width int64s per profile key (P_*
+ * below): the key's entry exists, it is sampling, its period samples,
+ * whether the sweep changed the row since Python last read it, the
+ * SLIP id per level, and then each level's distribution bins. Rows
+ * change only through samples here; the state machine stays in Python:
+ * at each reference event with a key the sweep calls fetch(core, key),
+ * which runs the runtime's own _key_metadata_fetches over the row and
+ * returns the distribution line to fetch, -1 for none or FETCH_ABORT
+ * when it raised.
+ */
+
+/* Descriptor fields: keep in the order of vector_replay_slip's
+ * LEVEL_FIELDS. */
+enum {
+    LV_SETS, LV_WAYS, LV_NSUB, LV_WRAP, LV_GRANULE, LV_TS_MASK, LV_MAX_HIT,
+    LV_COUNTER, LV_ROTOR, LV_CLOCK, LV_REPLACEMENT, LV_RRPV_MAX,
+    LV_META_SLIP, LV_SELECT, LV_BIN_COLUMN, LV_LINES, LV_SHCT,
+    LV_SHCT_SIZE, LV_SHCT_MAX, LV_SIG_SHIFT, LV_LONG_PROB, LV_SUBLEVELS,
+    LV_SLIPS, LV_BOUNDS, LV_BRRIP, LV_RNG, LV_TALLY, LV_FIELDS
+};
+
+#define REPL_LRU 0
+#define REPL_DRRIP 1
+#define REPL_SHIP 2
+
+/* Page-table row fields; the bins follow at each level's column. */
+enum { P_EXISTS, P_SAMPLING, P_SAMPLES, P_TOUCHED, P_POLICY };
+/* Per-core fields: always_sample, counter max, default SLIP id per
+ * level. */
+enum { C_ALWAYS, C_COUNTER_MAX, C_DEFAULT, C_FIELDS = C_DEFAULT + 2 };
+/* Per-(level, core) tally fields; per-sublevel blocks follow T_SUB. */
+enum {
+    T_DEMAND_MISSES, T_METADATA_MISSES, T_FORWARDED, T_BYPASSES,
+    T_CLASS, T_HIST = T_CLASS + 4, T_SUB = T_HIST + 4
+};
+enum { S_DH, S_MH, S_INS, S_MVR, S_MVW, S_WBIN, S_WBOUT, S_BLOCKS };
+
+#define FETCH_ABORT (-2)
+#define STATUS_FETCH_ABORTED 3
+#define SAMPLES_MAX 63
+
+typedef int64_t (*fetch_fn)(int64_t core, int64_t key);
+
+typedef struct {
+    int64_t *desc;
+    int64_t sets, ways, nsub, wrap, granule, ts_mask, max_hit;
+    int64_t counter, rotor, clock;
+    int replacement;
+    int64_t rrpv_max, meta_slip, select, bin_column, nbins, tally_width;
+    int64_t *tag, *stamp, *ts, *hits, *slip, *chunk, *key, *dirty;
+    int64_t *shct, shct_size, shct_max, sig_shift;
+    double long_prob;
+    const int64_t *tables, *sub, *slips, *bounds, *brrip;
+    uint32_t *rng;
+    int64_t *tally;
+} Level;
+
+/* The per-sweep context every level routine reads. */
+typedef struct {
+    int64_t *pages, page_width;
+    const int64_t *cores;
+} Sweep;
+
+static void level_load(Level *L, int64_t *d, int64_t *lines,
+                       const int64_t *tables, uint32_t *rng, int64_t *tally)
+{
+    int64_t size;
+    L->desc = d;
+    L->sets = d[LV_SETS];
+    L->ways = d[LV_WAYS];
+    L->nsub = d[LV_NSUB];
+    L->wrap = d[LV_WRAP];
+    L->granule = d[LV_GRANULE];
+    L->ts_mask = d[LV_TS_MASK];
+    L->max_hit = d[LV_MAX_HIT];
+    L->counter = d[LV_COUNTER];
+    L->rotor = d[LV_ROTOR];
+    L->clock = d[LV_CLOCK];
+    L->replacement = (int)d[LV_REPLACEMENT];
+    L->rrpv_max = d[LV_RRPV_MAX];
+    L->meta_slip = d[LV_META_SLIP];
+    L->select = d[LV_SELECT];
+    L->bin_column = d[LV_BIN_COLUMN];
+    L->nbins = L->nsub + 1;
+    L->tally_width = T_SUB + S_BLOCKS * L->nsub;
+    size = L->sets * L->ways;
+    L->tag = lines + d[LV_LINES];
+    L->stamp = L->tag + size;
+    L->ts = L->stamp + size;
+    L->hits = L->ts + size;
+    L->slip = L->hits + size;
+    L->chunk = L->slip + size;
+    L->key = L->chunk + size;
+    L->dirty = L->key + size;
+    L->shct = lines + d[LV_SHCT];
+    L->shct_size = d[LV_SHCT_SIZE];
+    L->shct_max = d[LV_SHCT_MAX];
+    L->sig_shift = d[LV_SIG_SHIFT];
+    memcpy(&L->long_prob, &d[LV_LONG_PROB], sizeof(double));
+    L->tables = tables;
+    L->sub = tables + d[LV_SUBLEVELS];
+    L->slips = tables + d[LV_SLIPS];
+    L->bounds = tables + d[LV_BOUNDS];
+    L->brrip = tables + d[LV_BRRIP];
+    L->rng = rng + d[LV_RNG];
+    L->tally = tally + d[LV_TALLY];
+}
+
+static void level_store(const Level *L)
+{
+    L->desc[LV_COUNTER] = L->counter;
+    L->desc[LV_ROTOR] = L->rotor;
+    L->desc[LV_CLOCK] = L->clock;
+}
+
+/* Tick the level's access counter T; returns the set's first slot. */
+static int64_t level_tick(Level *L, int64_t addr)
+{
+    if (++L->counter == L->wrap)
+        L->counter = 0;
+    return set_of(addr, L->sets) * L->ways;
+}
+
+static int64_t level_find(const Level *L, int64_t base, int64_t addr)
+{
+    for (int64_t f = base; f < base + L->ways; f++)
+        if (L->tag[f] == addr)
+            return f;
+    return -1;
+}
+
+static int64_t level_now(const Level *L)
+{
+    return (L->counter / L->granule) & L->ts_mask;
+}
+
+static int64_t ship_signature(const Level *L, int64_t addr)
+{
+    return set_of(addr >> L->sig_shift, L->shct_size);
+}
+
+/* One sample into a key's distribution at this level:
+ * ReuseDistanceDistribution.record_bin, which halves every bin when
+ * the sampled one would overflow, and the saturating period count. */
+static void record_sample(const Level *L, const Sweep *S, int64_t *row,
+                          int64_t core, int64_t bin)
+{
+    int64_t *bins = row + L->bin_column;
+    if (bins[bin] >= S->cores[core * C_FIELDS + C_COUNTER_MAX])
+        for (int64_t i = 0; i < L->nbins; i++)
+            bins[i] >>= 1;
+    bins[bin]++;
+    if (row[P_SAMPLES] < SAMPLES_MAX)
+        row[P_SAMPLES]++;
+    row[P_TOUCHED] = 1;
+}
+
+/* The row of a data line's key whose samples are being collected, or
+ * NULL: the entry exists and is sampling (always, with always_sample). */
+static int64_t *sampled_row(const Sweep *S, int64_t core, int64_t key)
+{
+    int64_t *row;
+    if (key < 0)
+        return NULL;
+    row = S->pages + key * S->page_width;
+    if (!row[P_EXISTS])
+        return NULL;
+    if (!row[P_SAMPLING] && !S->cores[core * C_FIELDS + C_ALWAYS])
+        return NULL;
+    return row;
+}
+
+/* A demand or metadata probe; 1 on a hit. */
+static int level_access(Level *L, const Sweep *S, int64_t core,
+                        int64_t addr, int metadata)
+{
+    int64_t base = level_tick(L, addr), f = level_find(L, base, addr);
+    int64_t *t = L->tally + core * L->tally_width, *row, now;
+    if (f < 0) {
+        t[metadata ? T_METADATA_MISSES : T_DEMAND_MISSES]++;
+        return 0;
+    }
+    L->hits[f]++;
+    t[T_SUB + (metadata ? S_MH : S_DH) * L->nsub + L->sub[f - base]]++;
+    if (L->replacement == REPL_LRU) {
+        L->stamp[f] = ++L->clock;
+    } else {
+        L->stamp[f] = 0;
+        if (L->replacement == REPL_SHIP && L->hits[f] == 1) {
+            /* The first reuse since the fill trains the SHCT. */
+            int64_t sig = ship_signature(L, L->tag[f]);
+            if (L->shct[sig] < L->shct_max)
+                L->shct[sig]++;
+        }
+    }
+    now = level_now(L);
+    row = sampled_row(S, core, L->key[f]);
+    if (row) {
+        /* The stamp's distance, clamped below the level's capacity: a
+         * reference that hit had a shorter stack distance. */
+        int64_t distance = ((now - L->ts[f]) & L->ts_mask) * L->granule;
+        int64_t bin = 0;
+        if (distance > L->max_hit)
+            distance = L->max_hit;
+        while (bin < L->nsub && L->bounds[bin] <= distance)
+            bin++;
+        record_sample(L, S, row, core, bin);
+    }
+    L->ts[f] = now;
+    return 1;
+}
+
+/* A writeback probe: absorbed by a resident copy (1), else forwarded. */
+static int level_writeback(Level *L, int64_t core, int64_t addr)
+{
+    int64_t base = level_tick(L, addr), f = level_find(L, base, addr);
+    int64_t *t = L->tally + core * L->tally_width;
+    if (f < 0) {
+        t[T_FORWARDED]++;
+        return 0;
+    }
+    L->dirty[f] = 1;
+    t[T_SUB + S_WBIN * L->nsub + L->sub[f - base]]++;
+    return 1;
+}
+
+/* CacheLevel.choose_victim over one chunk record: the first invalid
+ * way in the order the allocation rotor rotates the chunk to, else
+ * the LRU way in that order, or under RRIP the sublevel draw over the
+ * unrotated chunk (random.Random.choices with cum_weights) and then
+ * find-or-age. */
+static int64_t level_victim(Level *L, int64_t base, const int64_t *chunk)
+{
+    int64_t n = chunk[0], g = chunk[1], r = L->rotor % n, best = -1;
+    const int64_t *ways = chunk + 2, *group = ways;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t w = ways[(r + i) % n];
+        if (L->tag[base + w] < 0)
+            return w;
+        if (L->replacement == REPL_LRU
+                && (best < 0 || L->stamp[base + w] < L->stamp[base + best]))
+            best = w;
+    }
+    if (L->replacement == REPL_LRU)
+        return best;
+    if (g > 0) {
+        const int64_t *cum = ways + n;
+        double u = mt_random(L->rng) * (double)cum[g - 1];
+        int64_t i = 0, lo;
+        while (i < g - 1 && !(u < (double)cum[i]))
+            i++;
+        lo = i ? cum[i - 1] : 0;
+        group = cum + g + lo;
+        n = cum[i] - lo;
+    }
+    for (;;) {
+        for (int64_t i = 0; i < n; i++)
+            if (L->stamp[base + group[i]] >= L->rrpv_max)
+                return group[i];
+        for (int64_t i = 0; i < n; i++)
+            L->stamp[base + group[i]]++;
+    }
+}
+
+/* The fill after a miss: SlipPlacement.fill and its cascade. Takes the
+ * miss sample of a data line's key, picks the SLIP (the Default SLIP
+ * for metadata lines, keys without an entry and sampling keys) and
+ * inserts into its chunk C0, or bypasses. Each displaced line moves to
+ * its SLIP's next chunk until one leaves the level; returns that
+ * line's address if it leaves dirty, else -1. */
+static int64_t level_fill(Level *L, const Sweep *S, int64_t core,
+                          int64_t addr, int64_t key)
+{
+    const int64_t *core_row = S->cores + core * C_FIELDS;
+    int64_t *t = L->tally + core * L->tally_width;
+    int64_t *sub_tally = t + T_SUB;
+    int64_t slip = L->meta_slip, base, guard, src = -1;
+    const int64_t *record;
+    /* The line moving in: first the filled one, then each victim. */
+    int64_t m_tag = addr, m_dirty = 0, m_chunk = 0, m_ts, m_hits = 0;
+    int64_t m_key = key, m_stamp = 0;
+    if (key >= 0) {
+        int64_t *row = S->pages + key * S->page_width;
+        slip = core_row[C_DEFAULT + L->select];
+        if (row[P_EXISTS]) {
+            if (row[P_SAMPLING] || core_row[C_ALWAYS])
+                record_sample(L, S, row, core, L->nbins - 1);
+            if (!row[P_SAMPLING])
+                slip = row[P_POLICY + L->select];
+        }
+    }
+    record = L->slips + slip * (2 + L->nsub);
+    t[T_CLASS + record[1]]++;
+    if (record[0] == 0) {  /* the All-Bypass Policy: never dirty here */
+        t[T_BYPASSES]++;
+        return -1;
+    }
+    base = set_of(addr, L->sets) * L->ways;
+    guard = L->ways * (L->nsub + 1);
+    m_ts = level_now(L);
+    for (;;) {
+        int64_t w, f, v_tag, v_slip = 0, v_chunk = 0, moves = 0;
+        int64_t v_dirty = 0, v_ts = 0, v_hits = 0, v_key = 0, v_stamp = 0;
+        L->rotor = (L->rotor + 1) % 64;
+        w = level_victim(L, base, L->tables + record[2 + m_chunk]);
+        f = base + w;
+        v_tag = L->tag[f];
+        if (v_tag >= 0) {
+            guard--;
+            v_slip = L->slip[f];
+            v_chunk = L->chunk[f] + 1;
+            moves = guard > 0
+                && v_chunk < L->slips[v_slip * (2 + L->nsub)];
+            v_dirty = L->dirty[f];
+            v_ts = L->ts[f];
+            v_hits = L->hits[f];
+            v_key = L->key[f];
+            v_stamp = L->stamp[f];
+        }
+        L->tag[f] = m_tag;
+        L->dirty[f] = m_dirty;
+        L->slip[f] = slip;
+        L->chunk[f] = m_chunk;
+        L->ts[f] = m_ts;
+        L->hits[f] = m_hits;
+        L->key[f] = m_key;
+        if (src < 0) {
+            if (L->replacement == REPL_LRU) {
+                m_stamp = ++L->clock;
+            } else if (L->replacement == REPL_DRRIP) {
+                m_stamp = L->rrpv_max - 1;
+                if (L->brrip[base / L->ways]
+                        && !(mt_random(L->rng) < L->long_prob))
+                    m_stamp = L->rrpv_max;
+            } else {
+                m_stamp = L->shct[ship_signature(L, addr)] == 0
+                    ? L->rrpv_max : L->rrpv_max - 1;
+            }
+            sub_tally[S_INS * L->nsub + L->sub[w]]++;
+        } else {
+            sub_tally[S_MVR * L->nsub + L->sub[src]]++;
+            sub_tally[S_MVW * L->nsub + L->sub[w]]++;
+        }
+        L->stamp[f] = m_stamp;
+        if (v_tag < 0)
+            return -1;
+        if (!moves) {  /* the victim leaves the level */
+            t[T_HIST + hist_bin(v_hits)]++;
+            if (L->replacement == REPL_SHIP && v_hits == 0) {
+                int64_t sig = ship_signature(L, v_tag);
+                if (L->shct[sig] > 0)
+                    L->shct[sig]--;
+            }
+            if (!v_dirty)
+                return -1;
+            sub_tally[S_WBOUT * L->nsub + L->sub[w]]++;
+            return v_tag;
+        }
+        m_tag = v_tag;
+        m_dirty = v_dirty;
+        m_ts = v_ts;
+        m_hits = v_hits;
+        m_key = v_key;
+        m_stamp = v_stamp;
+        m_chunk = v_chunk;
+        slip = v_slip;
+        record = L->slips + slip * (2 + L->nsub);
+        src = w;
+    }
+}
+
+/* One event below L1 (MemoryHierarchy._access_below_l1): L2 access,
+ * then L3 access, L3 fill and L2 fill, whose dirty victims go to DRAM
+ * and to L3. key is -1 for a metadata line. */
+static void below_l1(Level *l2, Level *l3, const Sweep *S, int64_t core,
+                     int64_t addr, int64_t key)
+{
+    int64_t victim;
+    if (level_access(l2, S, core, addr, key < 0))
+        return;
+    if (!level_access(l3, S, core, addr, key < 0))
+        level_fill(l3, S, core, addr, key);
+    victim = level_fill(l2, S, core, addr, key);
+    if (victim >= 0)
+        level_writeback(l3, core, victim);
+}
+
+/*
+ * Sweeps the events at positions below stop, from and to cursor
+ * (the next reference event, the next L1 miss). misses holds five
+ * columns of nmiss + 1 entries (position, core, line, key id, the L1
+ * victim's writeback or -1), refs four of nref + 1 (position, core,
+ * key id or -1, PTE line or -1); each position column ends with a
+ * sentinel at or above every stop. A position is access index * cores
+ * + core, so events run in the walk's order: access index, core, the
+ * reference event before the L1 miss. levels holds ncores + 1
+ * descriptor rows: each core's L2, then the L3.
+ */
+int slip_sweep(int64_t ncores, int64_t stop, int64_t *cursor,
+               const int64_t *misses, int64_t nmiss, const int64_t *refs,
+               int64_t nref, const int64_t *cores, int64_t *pages,
+               int64_t page_width, int64_t *levels, int64_t *lines,
+               const int64_t *tables, uint32_t *rng, int64_t *tally,
+               fetch_fn fetch)
+{
+    const int64_t *miss_at = misses, *miss_core = misses + (nmiss + 1);
+    const int64_t *miss_addr = miss_core + (nmiss + 1);
+    const int64_t *miss_key = miss_addr + (nmiss + 1);
+    const int64_t *miss_wb = miss_key + (nmiss + 1);
+    const int64_t *ref_at = refs, *ref_core = refs + (nref + 1);
+    const int64_t *ref_key = ref_core + (nref + 1);
+    const int64_t *ref_pte = ref_key + (nref + 1);
+    int64_t ri = cursor[0], mi = cursor[1];
+    int status = STATUS_OK;
+    Sweep S;
+    Level *lv = malloc((size_t)(ncores + 1) * sizeof(Level)), *l3;
+    if (!lv)
+        return STATUS_NO_MEMORY;
+    for (int64_t i = 0; i <= ncores; i++)
+        level_load(&lv[i], levels + i * LV_FIELDS, lines, tables, rng, tally);
+    l3 = &lv[ncores];
+    S.pages = pages;
+    S.page_width = page_width;
+    S.cores = cores;
+    for (;;) {
+        int64_t rk = ref_at[ri], mk = miss_at[mi], k = rk < mk ? rk : mk;
+        if (k >= stop)
+            break;
+        if (rk == k) {
+            /* MemoryHierarchy.access's on_reference: the key's state
+             * machine runs, then the PTE line and the fetched
+             * distribution line travel below L1. */
+            int64_t core = ref_core[ri], line = -1;
+            if (ref_key[ri] >= 0) {
+                line = fetch(core, ref_key[ri]);
+                if (line == FETCH_ABORT) {
+                    status = STATUS_FETCH_ABORTED;
+                    break;
+                }
+            }
+            if (ref_pte[ri] >= 0)
+                below_l1(&lv[core], l3, &S, core, ref_pte[ri], -1);
+            if (line >= 0)
+                below_l1(&lv[core], l3, &S, core, line, -1);
+            ri++;
+        }
+        if (mk == k) {
+            int64_t core = miss_core[mi], wb = miss_wb[mi];
+            below_l1(&lv[core], l3, &S, core, miss_addr[mi], miss_key[mi]);
+            /* The L1 victim's writeback (_writeback_below_l1). */
+            if (wb >= 0 && !level_writeback(&lv[core], core, wb))
+                level_writeback(l3, core, wb);
+            mi++;
+        }
+    }
+    for (int64_t i = 0; i <= ncores; i++)
+        level_store(&lv[i]);
+    cursor[0] = ri;
+    cursor[1] = mi;
+    free(lv);
     return status;
 }

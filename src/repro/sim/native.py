@@ -1,21 +1,26 @@
 """The compiled tier: ``_lru.c``, built on first use and loaded by ctypes.
 
-The capture kernel's L1 (:mod:`~repro.sim.vector_frontend`) and the
-baseline-kind replay kernel's level runners (:mod:`~repro.sim.
-vector_replay`) are C loops in ``_lru.c``, beside this module. The
-first :func:`library` call of a process compiles the file with the
-system C compiler (``cc``) into a per-user cache,
-``~/.cache/repro/native`` (the home directory comes from the password
-database), under a name keyed by a hash of the source, the compiler
-flags and the Python ABI; every later call, in any process, loads that
-file. Deleting the directory forces a rebuild.
+The capture kernel's TLB and L1 (:mod:`~repro.sim.vector_frontend`),
+the baseline-kind replay kernel's level runners (:mod:`~repro.sim.
+vector_replay`) and the SLIP kernel's sweep (:mod:`~repro.sim.
+vector_replay_slip`, which calls back into Python through
+:data:`FETCH` at each profile-key miss) are C loops in ``_lru.c``,
+beside this module. The first :func:`library` call of a process
+compiles the file with the system C compiler (``cc``) into a per-user
+cache, ``~/.cache/repro/native`` (the home directory comes from the
+password database), under a name keyed by a hash of the source, the
+compiler flags and the Python ABI; every later call, in any process,
+loads that file. Deleting the directory forces a rebuild.
 
 * Parallel builders cannot collide: each compiles to a temporary name
   in the cache and moves it into place with :func:`os.replace`.
+* A build keeps the :data:`KEEP` newest libraries and never deletes
+  the one it built (:func:`prune`), so two checkouts used in turn do
+  not rebuild each other's library and the cache does not grow.
 * Only a directory the current user owns and nobody else can write is
   loaded from.
 * With no compiler or no usable cache, :func:`library` returns
-  ``None``: both kernels then decline with reason
+  ``None``: every kernel then declines with reason
   ``native-unavailable`` and the cell walks. No Python copy of the
   loops exists, and nothing chooses between C and Python.
 """
@@ -45,6 +50,11 @@ KINDS = {"baseline": 0, "nurapid": 1, "lru_pea": 2}
 #: ``lru_level``'s status for a NuRAPID promotion that found sublevel 0
 #: not full; any other nonzero status means it ran out of memory.
 STATUS_NURAPID_PROMOTION = 1
+#: ``slip_sweep``'s key-fetch callback: ``(core, key id)`` to the
+#: distribution line to fetch, ``-1`` for none.
+FETCH = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_int64, ctypes.c_int64)
+#: Built libraries kept in the cache: the newest, by modification time.
+KEEP = 4
 
 _UNLOADED = object()
 _library = _UNLOADED
@@ -100,9 +110,30 @@ def build(source: Path, directory: Path) -> Optional[Path]:
         finally:
             if os.path.exists(temporary):
                 os.unlink(temporary)
+        prune(directory, target)
         return target
     except OSError:
         return None
+
+
+def prune(directory: Path, built: Path) -> None:
+    """Delete all but the :data:`KEEP` newest libraries in the cache,
+    never ``built``. Two checkouts used in turn keep each other's
+    library; a file another process removes or replaces meanwhile is
+    skipped."""
+    aged = []
+    for path in directory.glob("_lru-*.so"):
+        try:
+            aged.append((path.stat().st_mtime, path))
+        except OSError:
+            continue
+    aged.sort(reverse=True)
+    for _, path in aged[KEEP:]:
+        if path != built:
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
 
 def load(path: Path) -> ctypes.CDLL:
@@ -119,11 +150,17 @@ def load(path: Path) -> ctypes.CDLL:
     lib.lru_l1.argtypes = [
         ctypes.c_int64, i64, u8, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, u8, i64, i64]
-    lib.lru_level.restype = ctypes.c_int
+    lib.lru_level.restype = ctypes.c_int64
     lib.lru_level.argtypes = [
         ctypes.c_int, ctypes.c_int64, u8, i64, u8, i32, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64, i32, i32, ctypes.c_int64,
-        array(np.float64), array(np.uint32), u8, i64, i64]
+        array(np.float64), array(np.uint32), ctypes.c_int, u8, i64, i32,
+        i64]
+    lib.slip_sweep.restype = ctypes.c_int
+    lib.slip_sweep.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, i64, i64, ctypes.c_int64, i64,
+        ctypes.c_int64, i64, i64, ctypes.c_int64, i64, i64, i64,
+        array(np.uint32), i64, FETCH]
     return lib
 
 

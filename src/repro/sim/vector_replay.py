@@ -9,10 +9,9 @@ replays that stream one level at a time: each level's leg is one pass
 in global event order through ``lru_level`` in ``_lru.c`` (loaded by
 :mod:`repro.sim.native`), over flat per-set slots, and returns integer
 event counts per (sublevel x event kind) that feed the deferred
-:meth:`~repro.mem.stats.EnergyBreakdown.materialize` path, plus per
-event the miss flag and the dirty victim's tag. The L3 leg consumes
-the event stream derived (vectorized) from the L2 leg's outcomes
-(:func:`_derive_l3_stream`).
+:meth:`~repro.mem.stats.EnergyBreakdown.materialize` path, and per
+core what it forwarded below. The L3 leg consumes the stream the L2
+leg forwards, which ``lru_level`` emits in the walk's order.
 
 Byte-identity with the walk rests on a few structural facts of the
 three eligible policies, each checked against the per-access walk by
@@ -76,7 +75,7 @@ metadata-energy tracking and a missing compiled library
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -86,17 +85,9 @@ from ..mem.stats import INSERTION_CLASSES
 from ..policies.baseline import BaselinePlacement
 from ..policies.lru_pea import LruPeaPlacement, PeaLruReplacement
 from ..policies.nurapid import NurapidPlacement
-from ..workloads.capture_store import (
-    OP_DEMAND_MISS,
-    OP_METADATA,
-    OP_WRITEBACK,
-    TraceCapture,
-)
+from ..workloads.capture_store import TraceCapture
 from . import native
 from .kernel_report import record_decline, record_success
-
-#: Sentinel opcode for empty slots of the interleaved L3 stream.
-_OP_NONE = 255
 
 
 def eligible_kind(hierarchy) -> Optional[str]:
@@ -185,16 +176,18 @@ _DEFAULT_CLASS = INSERTION_CLASSES.index("default")
 # One level's leg, in C
 # ----------------------------------------------------------------------
 def _run_level(kind: str, level, placement, ops, addrs, meas, cores,
-               num_cores: int, resident_weight: int):
+               num_cores: int, resident_weight: int, emit: bool):
     """Replay one level's event stream through ``_lru.c``'s
     ``lru_level``.
 
     ``meas`` marks the measured events and ``cores`` the core that
     caused each event (all 0 but in a mix's shared L3); each line
     resident at the end adds ``resident_weight`` to the reuse
-    histogram. Returns the level's tally, its per-core demand hits by
-    sublevel, and per event the miss flags and the tag of the dirty
-    line it evicted (``-1`` if none). An LRU-PEA leg draws its
+    histogram. Returns the level's tally; per core its demand hits by
+    sublevel and its measured demand, metadata and writeback events
+    forwarded below; and, with ``emit``, the forwarded stream in the
+    walk's order, ``(ops, addrs, src)``, ``src`` being the index of the
+    event behind each one (else ``None``). An LRU-PEA leg draws its
     insertion sublevels from ``placement._rng`` and leaves the
     generator where the walk leaves it.
     """
@@ -210,65 +203,43 @@ def _run_level(kind: str, level, placement, ops, addrs, meas, cores,
     if kind == "lru_pea":
         version, words, gauss = placement._rng.getstate()
         rng_state[:] = words
-    miss = np.zeros(n, dtype=np.uint8)
-    victim = np.full(n, -1, dtype=np.int64)
-    counts = np.zeros(6 + (6 + num_cores) * nsub, dtype=np.int64)
-    status = native.library().lru_level(
+    size = 2 * n if emit else 1
+    out_ops = np.empty(size, dtype=np.uint8)
+    out_addrs = np.empty(size, dtype=np.int64)
+    out_src = np.empty(size, dtype=np.int32)
+    counts = np.zeros(7 + 6 * nsub + num_cores * (nsub + 3), dtype=np.int64)
+    emitted = native.library().lru_level(
         native.KINDS[kind], n, np.ascontiguousarray(ops),
         np.ascontiguousarray(addrs), meas.view(np.uint8), cores,
         level.num_sets, level.cfg.ways, nsub, sub_of_way, ways_per_sub,
-        resident_weight, cum, rng_state, miss, victim, counts)
-    if status == native.STATUS_NURAPID_PROMOTION:
+        resident_weight, cum, rng_state, emit, out_ops, out_addrs, out_src,
+        counts)
+    if emitted == -native.STATUS_NURAPID_PROMOTION:
         raise InvariantViolation(
             "nurapid-promotion",
             "a hit below sublevel 0 found sublevel 0 not full; sublevel 0 "
             "fills first and loses a line only by a swap",
             level=level.cfg.name)
-    if status:
+    if emitted < 0:
         raise MemoryError(f"lru_level: out of memory at {level.cfg.name}")
     if kind == "lru_pea":
         placement._rng.setstate((version, tuple(rng_state.tolist()), gauss))
     counts = counts.tolist()
     tally = LevelTally(nsub)
-    tally.demand_misses, tally.metadata_misses = counts[0], counts[1]
-    tally.hist = counts[2:6]
+    (tally.demand_misses, tally.metadata_misses,
+     tally.forwarded_wbs) = counts[:3]
+    tally.hist = counts[3:7]
     (tally.mh_sub, tally.ins_sub, tally.mvr_sub, tally.mvw_sub,
-     tally.wbin_sub, tally.wbout_sub, *dh) = (
-        counts[6 + i * nsub:6 + (i + 1) * nsub] for i in range(6 + num_cores))
-    tally.dh_sub = [sum(column) for column in zip(*dh)]
-    tally.forwarded_wbs = int(np.count_nonzero(
-        miss.view(bool) & meas & (ops == OP_WRITEBACK)))
+     tally.wbin_sub, tally.wbout_sub) = (
+        counts[7 + i * nsub:7 + (i + 1) * nsub] for i in range(6))
+    per_core = [counts[start:start + nsub + 3] for start in
+                range(7 + 6 * nsub, len(counts), nsub + 3)]
+    tally.dh_sub = [sum(row[sub] for row in per_core) for sub in range(nsub)]
     tally.class_counts[_DEFAULT_CLASS] = sum(tally.ins_sub)
-    return tally, dh, miss.view(bool), victim
-
-
-# ----------------------------------------------------------------------
-# L3 stream derivation
-# ----------------------------------------------------------------------
-def _derive_l3_stream(ops, addrs, meas, l2_miss, l2_victim):
-    """The event stream L3 sees, in the scalar replay's exact order.
-
-    Per L2 event: the demand/metadata access travels on to L3 when it
-    missed L2 (an unabsorbed L1 writeback becomes an L3 writeback), and
-    the L2 victim's writeback — emitted *after* the L3 access of the
-    same event — follows immediately. Interleaving even slots (the
-    forwarded event) with odd slots (the victim writeback) and masking
-    the empties reproduces that order without a python loop. Also
-    returns the slot mask, whose ``flatnonzero(mask) // 2`` names the
-    L2 event behind each L3 event.
-    """
-    n = int(ops.shape[0])
-    ops2 = np.full(2 * n, _OP_NONE, dtype=np.uint8)
-    ops2[0::2] = np.where(l2_miss, ops, _OP_NONE)
-    ops2[1::2] = np.where(l2_victim >= 0, OP_WRITEBACK, _OP_NONE)
-    addr2 = np.empty(2 * n, dtype=np.int64)
-    addr2[0::2] = addrs
-    addr2[1::2] = l2_victim
-    meas2 = np.empty(2 * n, dtype=bool)
-    meas2[0::2] = meas
-    meas2[1::2] = meas
-    mask = ops2 != _OP_NONE
-    return ops2[mask], addr2[mask], meas2[mask], mask
+    stream = None
+    if emit:
+        stream = (out_ops[:emitted], out_addrs[:emitted], out_src[:emitted])
+    return tally, per_core, stream
 
 
 def merge_by_access(positions: List[np.ndarray]) -> np.ndarray:
@@ -390,7 +361,7 @@ def replay_capture_vector(hierarchies: Sequence,
     produced; the cache arrays themselves stay empty (``finalize`` adds
     nothing — the kernel accounts resident-line reuse itself), and the
     always-on ``capture-replay-conservation`` audit still runs in the
-    caller. Each call derives its own L3 stream from the captures.
+    caller. Each call runs its own L3 leg over the L2 legs' output.
 
     With several cores the L3 is shared (:mod:`repro.sim.multi_core`):
     DRAM reads and writes, L3 demand hits and with them the
@@ -413,19 +384,16 @@ def replay_capture_vector(hierarchies: Sequence,
         addrs = np.asarray(capture.addrs, dtype=np.int64)
         meas = np.zeros(int(ops.shape[0]), dtype=bool)
         meas[capture.event_boundary:] = True
-        tally2, _, miss2, victim2 = _run_level(
+        tally2, _, (ops3, addrs3, src) = _run_level(
             kind, hierarchy.l2, hierarchy.l2_placement, ops, addrs,
-            meas, np.zeros(int(ops.shape[0]), dtype=np.int32), 1, 1)
-        ops3, addrs3, meas3, mask = _derive_l3_stream(
-            ops, addrs, meas, miss2, victim2)
+            meas, np.zeros(int(ops.shape[0]), dtype=np.int32), 1, 1, True)
         positions = None
         if num_cores > 1:
-            positions = capture.event_positions()[
-                np.flatnonzero(mask) >> 1]
+            positions = capture.event_positions()[src]
         # Measured demand, metadata and writeback events: opcodes 0-2.
         l2_legs.append((tally2, *np.bincount(ops[meas], minlength=3)
                         .tolist()))
-        legs3.append((ops3, addrs3, meas3, positions))
+        legs3.append((ops3, addrs3, meas[src], positions))
 
     if num_cores == 1:
         ops3, addrs3, meas3, _ = legs3[0]
@@ -439,21 +407,13 @@ def replay_capture_vector(hierarchies: Sequence,
                            [leg[0].shape[0] for leg in legs3])[order]
     del legs3  # the per-core copies of the merged L3 stream
     first = hierarchies[0]
-    tally3, dh3, miss3, victim3 = _run_level(
+    tally3, per_core3, _ = _run_level(
         kind, first.l3, first.l3_placement, ops3, addrs3, meas3,
-        cores3, num_cores, num_cores)
-
-    # DRAM: every measured L3 access miss is one read; writes are the
-    # measured L3 victim writebacks plus unabsorbed writeback events.
-    l3_meas_miss = miss3 & meas3
-
-    def per_core(mask: np.ndarray) -> List[int]:
-        return np.bincount(cores3[mask], minlength=num_cores).tolist()
-
-    dram_wb = [forwarded + victims for forwarded, victims in zip(
-        per_core(l3_meas_miss & (ops3 == OP_WRITEBACK)),
-        per_core((victim3 >= 0) & meas3))]
-    publish_replay(hierarchies, l2_legs, tally3, list(zip(
-        dh3, per_core(l3_meas_miss & (ops3 == OP_DEMAND_MISS)),
-        per_core(l3_meas_miss & (ops3 == OP_METADATA)), dram_wb)))
+        cores3, num_cores, num_cores, False)
+    # What each core caused below L3: its L3 demand hits, DRAM demand
+    # and metadata reads, and DRAM writes (forwarded writebacks plus
+    # dirty L3 victims).
+    nsub3 = first.l3.cfg.num_sublevels
+    publish_replay(hierarchies, l2_legs, tally3,
+                   [(row[:nsub3], *row[nsub3:]) for row in per_core3])
     return True

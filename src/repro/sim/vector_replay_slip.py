@@ -13,53 +13,50 @@ levels, so the two levels must be co-simulated in global event order.
 
 The kernel therefore splits the work differently:
 
-* **Phase 1 (page-policy + placement pass)** — one merged-order sweep
-  over the reference-metadata events (TLB or profile-key misses) and
-  the captured L1-miss positions that (a) drives the
-  real runtime's page machinery (``_key_metadata_fetches``: sampler RNG
-  draws, page-state transitions, memoized EOU argmins and their live
-  statistics) exactly where the per-access walk would, and (b) replays
-  the L2/L3 back end against one *flat-array* level model
-  (:func:`_slip_level`) per level instead of ``Line`` objects. The
-  paper runs one mechanism at every level below L1, and so does the
-  model: each level is built from its ``CacheLevel`` and
-  ``SlipPlacement`` and gives ``access``/``writeback``/``fill``
-  closures, whose fill inserts into chunk C0 of the chosen SLIP and
-  cascades each displaced line to its SLIP's next chunk. Under DRRIP
-  or SHiP (paper Section 7) the model's stamp column holds RRPVs and
-  the policy's own RNG and SHCT advance. Each level event emits one
-  packed annotation byte (``(kind << 4) | (sublevel + 1)``); only the
-  rare events (insertions, bypasses, movements, departures,
-  writebacks out, DRAM writes) are tallied inline.
-* **Phase 2 (accounting pass)** — ``np.bincount`` over the measured
-  slice of the annotation streams yields the per-sublevel hit /
-  absorbed- and forwarded-writeback counts and the miss totals, which
-  join the inline tallies in one
-  :class:`~repro.sim.vector_replay.LevelTally` per level. The publish
-  step both replay kernels share
-  (:func:`~repro.sim.vector_replay.publish_replay`) then runs the
-  ``vector-replay-conservation`` audit, which balances the
-  tallies against the capture and, as each L2's expected metadata
-  count, the live runtime's fetch ledger, and lands them with each
-  core's DRAM traffic and measured-phase latency.
+* **Phase 1 (the sweep, in C)** — ``slip_sweep`` in ``_lru.c`` (loaded
+  by :mod:`repro.sim.native`) runs one merged-order sweep over the
+  reference-metadata events (TLB or profile-key misses) and the
+  captured L1-miss positions. The paper runs one mechanism at every
+  level below L1, and so does the sweep: one C routine, over flat line
+  columns, serves each core's L2 and the L3. A fill inserts into chunk
+  C0 of the page's SLIP and cascades each displaced line to its SLIP's
+  next chunk; hits and misses of sampling pages take reuse samples
+  into the page's distribution. Under DRRIP or SHiP (paper Section 7)
+  the stamp column holds RRPVs, the policy's MT19937 runs from its
+  ``getstate()`` and is written back with ``setstate()``, and the SHCT
+  is copied in and back out. The page state machine stays the
+  runtime's own: the sweep owns each profile key's row (state,
+  policies, bins, ``period_samples``) between key fetches, and at each
+  key miss calls back into :func:`replay_capture_vector_slip`'s fetch,
+  which hands the row to the key's ``SlipPageEntry``, runs the real
+  ``_key_metadata_fetches`` (sampler RNG draws, the warmth test,
+  memoized EOU argmins and their live statistics) and takes the
+  entry's state back. An exception raised there stops the sweep and is
+  raised again here. The sweep is called twice, up to the warmup
+  boundary and then to the end, and counts straight into per-level,
+  per-core tallies.
+* **Phase 2 (accounting)** — the tallies become one
+  :class:`~repro.sim.vector_replay.LevelTally` per level, and the
+  publish step both replay kernels share
+  (:func:`~repro.sim.vector_replay.publish_replay`) runs the
+  ``vector-replay-conservation`` audit, which balances the tallies
+  against the capture and, as each L2's expected metadata count, the
+  live runtime's fetch ledger, and lands them with each core's DRAM
+  traffic and measured-phase latency.
 
-The kernel takes one trace window and capture per core. Each core
-builds its own L2 model and binds it once, with its live runtime (its
-``_key_metadata_fetches`` and page samples) and its own annotation
-stream. In the Figure 16 mixes (:mod:`repro.sim.multi_core`) the cores
-share one L3 model — one access counter, allocation rotor, LRU clock
-and probe dict — built once and bound once per core, and the sweep
-visits their events in the walk's order: access index, then core,
-then the reference metadata before the L1 miss. A single core is the
-one-core case of the same sweep. Every L3 event is annotated in the
-stream of the core that caused it, so DRAM reads and writes, and each
-core's measured-phase latency, are charged to that core; each line
-resident in the shared L3 at the end counts its reuse once per core,
-as every core's ``finalize()`` walks the shared level (EXPERIMENTS.md
-known deviation 4). Every call resolves the captured positions to
-addresses, profile keys and PTE lines itself (:func:`_merged_events`);
-only the structural tables of a level shape (:func:`_structure`) are
-kept across cells.
+The kernel takes one trace window and capture per core. In the Figure
+16 mixes (:mod:`repro.sim.multi_core`) the cores share one L3 level —
+one access counter, allocation rotor, LRU clock and line array — and
+the sweep visits their events in the walk's order: access index, then
+core, then the reference metadata before the L1 miss. A single core is
+the one-core case of the same sweep. Every L3 event is tallied under
+the core that caused it, so DRAM reads and writes, and each core's
+measured-phase latency, are charged to that core; each line resident
+in the shared L3 at the end counts its reuse once per core, as every
+core's ``finalize()`` walks the shared level (EXPERIMENTS.md known
+deviation 4). Every call resolves the captured positions to
+addresses, dense profile-key ids and PTE lines itself
+(:func:`_merged_events`); nothing is kept across cells.
 
 Section 7 rd-block cells replay from the same capture as page-mode
 cells: the TLB still probes once per access at page grain, and only
@@ -73,21 +70,21 @@ event, the allocation rotors advance once per non-bypassed fill and
 once per cascade victim selection, LRU stamps come from a per-level
 monotone clock, timestamps quantize the post-tick access counter, the
 sampler RNG/EOU sequence is the real runtime's own, and an RRIP level
-draws its sublevel and BRRIP choices from the replacement's own RNG in
-the order of ``SlipPlacement.fill``. The per-access walk
+draws its sublevel and BRRIP choices from the replacement's own
+generator in the order of ``SlipPlacement.fill``. The per-access walk
 (:func:`repro.sim.filtered.walk_cores`) remains the golden reference
 and serves everything :func:`slip_eligible` declines, before any
 capture is taken: non-SLIP placements, foreign runtimes
 and Random replacement, cores that do not share one L3, a shared-L3
-router whose runtimes are not the cores' own in core order, and a
-profile key that routes to another core's runtime (reason
-recorded via :func:`repro.sim.kernel_report.record_decline`).
+router whose runtimes are not the cores' own in core order, a profile
+key that routes to another core's runtime, and a missing compiled
+library (reason recorded via
+:func:`repro.sim.kernel_report.record_decline`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -103,29 +100,15 @@ from ..mem.stats import INSERTION_CLASSES
 from ..mem.tlb import PTES_PER_LINE, PTE_TABLE_BASE
 from ..workloads.capture_store import TraceCapture
 from ..workloads.trace import Trace
+from . import native
 from .kernel_report import record_decline, record_success
 from .vector_frontend import _tlb_miss_positions
 from .vector_replay import LevelTally, merge_by_access, publish_replay
 
-_INF = float("inf")
-
-#: Annotation kinds, packed as ``(kind << 4) | (sublevel + 1)`` into one
-#: byte per level event. The sublevel bits stay zero where no way was
-#: resolved (misses, forwarded writebacks).
-ANN_DEMAND_HIT = 0
-ANN_METADATA_HIT = 1
-ANN_DEMAND_MISS = 2
-ANN_METADATA_MISS = 3
-ANN_WB_ABSORBED = 4
-ANN_WB_FORWARDED = 5
-
-_MISS_D = ANN_DEMAND_MISS << 4
-_MISS_M = ANN_METADATA_MISS << 4
-_FWD = ANN_WB_FORWARDED << 4
-_ANN_SPAN = _FWD + 1  # one past the largest code, _FWD, which has no sublevel
-
-#: Replacement policies the flat model replays (exact types).
-_REPLACEMENTS = (LruReplacement, DrripReplacement, ShipReplacement)
+#: Replacement policies the sweep replays (exact types), by the
+#: ``replacement`` code of a level descriptor.
+_REPLACEMENTS = {LruReplacement: 0, DrripReplacement: 1,
+                 ShipReplacement: 2}
 
 
 def _core_eligible(hierarchy) -> bool:
@@ -172,9 +155,10 @@ def slip_eligible(hierarchies: Sequence, traces: Sequence[Trace]) -> bool:
     cores' runtimes, in core order, and every profile key (page or
     rd-block) of core ``c``'s window must route to core ``c``, so each
     core's sweep may serve the shared-L3 samples from its own runtime.
+    The compiled library must load (else ``native-unavailable``).
     Per-core declines record a reason on that core's
-    ``kernel_declines.replay``; shared-L3 declines record theirs on
-    every core.
+    ``kernel_declines.replay``; shared declines record theirs on every
+    core.
     """
     if not all([_core_eligible(hierarchy) for hierarchy in hierarchies]):
         return False
@@ -184,6 +168,8 @@ def slip_eligible(hierarchies: Sequence, traces: Sequence[Trace]) -> bool:
             record_decline(hierarchy, "replay", reason)
         return False
 
+    if native.library() is None:
+        return decline("native-unavailable")
     first = hierarchies[0]
     l3, placement = first.l3, first.l3_placement
     if any(hierarchy.l3 is not l3 or hierarchy.l3_placement is not placement
@@ -206,412 +192,303 @@ def slip_eligible(hierarchies: Sequence, traces: Sequence[Trace]) -> bool:
     return True
 
 
-#: Structural tables of a level shape, memoised across calls: every
-#: replay of a sweep's shape reuses them. See :func:`_structure`.
-_STRUCTURE: Dict[Tuple, Tuple] = {}
+#: One level descriptor row of ``slip_sweep`` in ``_lru.c``, in the
+#: order of its ``LV_*`` fields.
+LEVEL_FIELDS = (
+    "sets", "ways", "nsub", "wrap", "granule", "ts_mask", "max_hit",
+    "counter", "rotor", "clock", "replacement", "rrpv_max", "meta_slip",
+    "select", "bin_column", "lines", "shct", "shct_size", "shct_max",
+    "sig_shift", "long_prob", "sublevels", "slips", "bounds", "brrip",
+    "rng", "tally")
+_FIELD = {name: index for index, name in enumerate(LEVEL_FIELDS)}
+#: A level's line columns in the ``lines`` pool (tag, stamp, timestamp,
+#: hits, SLIP id, chunk, key id, dirty), by index.
+_COLUMNS = 8
+_TAG, _HITS, _KEY = 0, 3, 6
+#: A page-table row (``P_*``): the bins of each level follow.
+_EXISTS, _SAMPLING, _SAMPLES, _TOUCHED, _POLICY = range(5)
+_BINS = _POLICY + 2
+#: A per-(level, core) tally block (``T_*``): four counts, the class
+#: counts and the reuse histogram, then seven per-sublevel blocks
+#: (``S_*``): demand hits, metadata hits, insertions, movement reads,
+#: movement writes, absorbed and emitted writebacks.
+_SUB = 12
+_SUB_BLOCKS = 7
+_WBOUT = 6
+#: MT19937 words plus index, as ``random.Random.getstate()[1]``.
+_MT_WORDS = 625
+#: What the fetch callback returns when the fetch raised.
+_FETCH_ABORT = -2
 
 
-def _structure(space, sub: Tuple[int, ...], sets: int) -> Tuple:
-    """``(rots, cls_idx, hit_d, hit_m, wb_in)`` of one SLIP level shape.
+class _Levels:
+    """The levels one sweep runs, ``legs`` (each core's L2, then the
+    L3, as ``(level, placement, select)``), packed into
+    ``slip_sweep``'s descriptor rows and the pools they point into.
+    ``select`` is 0 for an L2 and 1 for the L3: the column of the
+    level's SLIP id in a page-table row and in a core's defaults.
 
-    ``rots[pid][chunk][r]`` is the way visit order ``choose_victim``
-    produces for rotor value ``r`` on that chunk, for insertions and
-    cascade victim selection alike; ``cls_idx[pid]`` is the SLIP's
-    index in ``INSERTION_CLASSES``. ``hit_d``, ``hit_m`` and ``wb_in``
-    give each flat index (``set * ways + way``) its demand-hit,
-    metadata-hit and absorbed-writeback annotation code, so a probe-dict
-    hit needs no way arithmetic. Keyed on the SlipSpace way and class
-    tables, the way->sublevel map ``sub`` and the set count.
+    The line columns start empty; the access counter, allocation rotor
+    and LRU clock are the live level's. Under DRRIP or SHiP the chunk
+    records carry the policy's own ``sublevel_split`` groups, the
+    generator state is the policy's (:meth:`hand_back` writes it back)
+    and a SHiP level's SHCT is copied in and back out.
     """
-    key = (space.chunk_ways_by_id, space.class_by_id, sub, sets)
-    cached = _STRUCTURE.get(key)
-    if cached is None:
-        rots = tuple(
-            tuple(tuple(tuple(ways[r:] + ways[:r]) for r in range(len(ways)))
-                  for ways in per_chunk)
-            for per_chunk in space.chunk_ways_by_id)
-        cls_idx = tuple(INSERTION_CLASSES.index(c) for c in space.class_by_id)
-        subs = sub * sets
-        cached = _STRUCTURE[key] = (
-            rots, cls_idx,
-            tuple((ANN_DEMAND_HIT << 4) + s + 1 for s in subs),
-            tuple((ANN_METADATA_HIT << 4) + s + 1 for s in subs),
-            tuple((ANN_WB_ABSORBED << 4) + s + 1 for s in subs))
-    return cached
 
+    def __init__(self, legs, bin_columns: Sequence[int],
+                 bounds: Sequence[Sequence[int]], num_cores: int) -> None:
+        self.legs = legs
+        self.num_cores = num_cores
+        self._tables: List[int] = []
+        # The lines pool is allocated once, at its final size; these
+        # ``(start, stop, value)`` fills are its non-zero contents.
+        self._fills: List[Tuple[int, int, object]] = []
+        self._lines_size = 0
+        self._rng: List[Sequence[int]] = []
+        self._tally_size = 0
+        self.descriptors = np.array([
+            self._describe(level, placement, select, bin_columns[select],
+                           bounds[select])
+            for level, placement, select in legs], dtype=np.int64)
+        self.lines = np.zeros(self._lines_size, dtype=np.int64)
+        for start, stop, value in self._fills:
+            self.lines[start:stop] = value
+        self.tables = np.array(self._tables, dtype=np.int64)
+        self.rng = np.array(self._rng, dtype=np.uint32).reshape(-1)
+        self.tally = np.zeros(self._tally_size, dtype=np.int64)
 
-class _SlipLevel(NamedTuple):
-    """One SLIP level's flat-array model; see :func:`_slip_level`."""
+    def _table(self, values) -> int:
+        offset = len(self._tables)
+        self._tables.extend(values)
+        return offset
 
-    #: ``bind(runtime)``: one core's ``(access, writeback, fill)``.
-    bind: Callable[..., Tuple[Callable, Callable, Callable]]
-    #: The warmup boundary: zero the tallies, start measuring.
-    measure: Callable[[], None]
-    #: ``(LevelTally, binned codes per binding)`` of the measured phase.
-    finish: Callable[[], Tuple[LevelTally, List[np.ndarray]]]
+    def _line_block(self, size: int) -> int:
+        offset = self._lines_size
+        self._lines_size += size
+        return offset
 
-
-def _slip_level(level, placement) -> _SlipLevel:
-    """One SLIP level (``CacheLevel`` plus ``SlipPlacement``) as flat arrays.
-
-    The model mirrors the level's scalar state: per-way tag, LRU stamp,
-    timestamp, hit count, SLIP id, chunk, page and dirty columns, a
-    probe dict from line address to flat index (addresses are unique
-    across sets, so a hit needs no set arithmetic), the access counter,
-    the allocation rotor and the LRU clock. Under DRRIP or SHiP (paper
-    Section 7) the stamp column holds RRPVs, and the policy's victim,
-    fill, hit and departure steps run against the live replacement's
-    RNG and SHCT, exactly as the scalar hierarchy advances them. A
-    metadata line has page -1: it never samples.
-
-    ``bind(runtime)`` gives one core's closures over that one state,
-    with the core's own annotation stream, page table, default SLIP id
-    and ``always_sample``; a private L2 is bound once, the shared L3
-    once per core, so every core advances the one L3 as the walk does.
-
-    * ``access(addr, is_meta) -> bool``: tick the counter and probe; a
-      hit bumps the line's reuse and, for a sampling page, records its
-      reuse distance in the page's distribution for this level.
-    * ``writeback(addr) -> bool``: tick and probe; a hit absorbs the
-      writeback (the line turns dirty), a miss forwards it.
-    * ``fill(addr, page, entry) -> int``: after a miss, record the miss
-      sample of ``entry`` (the page's runtime entry, or None), choose
-      the SLIP and insert into its chunk C0, or bypass. Each displaced
-      line cascades to the next chunk of its SLIP until one leaves the
-      level; returns that line's address if it leaves dirty, else -1.
-
-    Each binding writes one packed byte per event into its own stream,
-    ``(kind << 4) | (sublevel + 1)``; only the rare events (insertions,
-    bypasses, movements, departures, writebacks out) are tallied inline.
-    """
-    name = placement._level_name
-    nsub = level.cfg.num_sublevels
-    sets, ways = level.num_sets, level.cfg.ways
-    sub = tuple(level.sublevel_by_way)
-    rots, cls_idx, hit_d, hit_m, wb_in = _structure(placement.space, sub,
-                                                    sets)
-    wrap, gran, mask = level.timestamp_wrap, level._granule, level._ts_mask
-    maxd = level.cfg.lines - 1
-    nch = placement._num_chunks_by_id
-    meta_sid = placement._default_id
-    guard0 = ways * (nsub + 1)
-    size = sets * ways
-    tag = [-1] * size
-    lru = [0] * size
-    ts = [0] * size
-    hits = [0] * size
-    pid = [0] * size
-    ci = [0] * size
-    pg = [-1] * size
-    dirty = [False] * size
-    probe: dict = {}
-    probe_get = probe.get
-    a = level.access_counter
-    r = level._alloc_rotor
-    ins, mvr, mvw, wbout = ([0] * nsub for _ in range(4))
-    cls = [0, 0, 0, 0]
-    hist = [0, 0, 0, 0]
-    byp = 0
-    streams: List[bytearray] = []
-    marks: List[int] = []
-    SAMPLING = PageState.SAMPLING
-
-    # ----- replacement: LRU stamps, or the RRIP policy's steps -----
-    replacement = level.replacement
-    victim = on_fill = on_hit = depart = None
-    c = 0
-    if type(replacement) is LruReplacement:
-        c = replacement._clock
-    else:
-        rmax = replacement.rrpv_max
-        choices = replacement._rng.choices
-        split_of = replacement.sublevel_split
-        chunk_splits = tuple(
-            tuple((chunk, split_of(chunk)) for chunk in per_chunk)
-            for per_chunk in placement.space.chunk_ways_by_id)
-
-        def victim(base: int, order: Tuple[int, ...], sid: int,
-                   chunk: int) -> int:
-            """``CacheLevel.choose_victim`` (the first invalid way in
-            rotated order), then ``_RripBase.choose_victim``: the
-            sublevel draw over the unrotated chunk, from the policy's
-            own RNG and ``sublevel_split`` table, then find-or-age."""
-            for w in order:
-                if tag[base + w] < 0:
-                    return w
-            group, split = chunk_splits[sid][chunk]
-            if split is not None:
-                groups, cum_weights = split
-                group = choices(groups, cum_weights=cum_weights)[0]
-            while True:
-                for w in group:
-                    if lru[base + w] >= rmax:
-                        return w
-                for w in group:
-                    lru[base + w] += 1
-
+    def _describe(self, level, placement, select: int, bin_column: int,
+                  bounds: Sequence[int]) -> List[int]:
+        """One level's descriptor row; its columns and tables go into
+        the pools."""
+        cfg = level.cfg
+        nsub = cfg.num_sublevels
+        replacement = level.replacement
+        kind = _REPLACEMENTS[type(replacement)]
+        size = level.num_sets * cfg.ways
+        lines = self._line_block(_COLUMNS * size)
+        for column in (_TAG, _KEY):  # no line, no key
+            start = lines + column * size
+            self._fills.append((start, start + size, -1))
+        row = dict(
+            sets=level.num_sets, ways=cfg.ways, nsub=nsub,
+            wrap=level.timestamp_wrap, granule=level._granule,
+            ts_mask=level._ts_mask, max_hit=cfg.lines - 1,
+            counter=level.access_counter, rotor=level._alloc_rotor,
+            clock=0, replacement=kind, rrpv_max=0,
+            meta_slip=placement._default_id, select=select,
+            bin_column=bin_column, lines=lines, shct=0,
+            shct_size=0, shct_max=0, sig_shift=0, long_prob=0, brrip=0,
+            sublevels=self._table(level.sublevel_by_way),
+            bounds=self._table(bounds), rng=len(self._rng) * _MT_WORDS,
+            tally=self._tally_size)
+        self._tally_size += self.num_cores * (_SUB + _SUB_BLOCKS * nsub)
+        words: Sequence[int] = (0,) * _MT_WORDS
+        if kind:
+            row["rrpv_max"] = replacement.rrpv_max
+            words = replacement._rng.getstate()[1]
+        else:
+            row["clock"] = replacement._clock
+        self._rng.append(words)
         if type(replacement) is DrripReplacement:
             # Nothing moves PSEL (known deviation 5), so a follower
             # set's insertion policy is fixed for the whole call.
             follower = replacement.psel > replacement.psel_max // 2
-            brrip = [role == "brrip" or (role == "follower" and follower)
-                     for role in replacement.set_roles]
-            draw = replacement._rng.random
-            long_prob = replacement.brrip_long_prob
+            row["brrip"] = self._table(
+                role == "brrip" or (role == "follower" and follower)
+                for role in replacement.set_roles)
+            row["long_prob"] = int(
+                np.float64(replacement.brrip_long_prob).view(np.int64))
+        elif type(replacement) is ShipReplacement:
+            shct = self._line_block(len(replacement.shct))
+            self._fills.append(
+                (shct, shct + len(replacement.shct), replacement.shct))
+            row.update(shct=shct, shct_size=len(replacement.shct),
+                shct_max=replacement.shct_max,
+                sig_shift=replacement.signature_shift)
+        # Each SLIP's record: chunk count, insertion class, then each
+        # chunk's record offset: its ways and, when an RRIP level
+        # splits them by sublevel, the cumulative group sizes and the
+        # groups.
+        slips = []
+        for per_chunk, slip_class in zip(placement.space.chunk_ways_by_id,
+                                         placement.space.class_by_id):
+            offsets = []
+            for ways in per_chunk:
+                split = replacement.sublevel_split(ways) if kind else None
+                record = [len(ways), 0, *ways]
+                if split is not None:
+                    groups, cum_weights = split
+                    record[1] = len(groups)
+                    record += [*cum_weights,
+                               *(w for group in groups for w in group)]
+                offsets.append(self._table(record))
+            slips += [len(offsets), INSERTION_CLASSES.index(slip_class),
+                      *offsets, *[0] * (nsub - len(offsets))]
+        row["slips"] = self._table(slips)
+        return [int(row[name]) for name in LEVEL_FIELDS]
 
-            def on_fill(f: int, addr: int) -> None:
-                if brrip[addr % sets]:
-                    lru[f] = rmax - 1 if draw() < long_prob else rmax
-                else:
-                    lru[f] = rmax - 1
+    def hand_back(self) -> None:
+        """Each RRIP policy's generator, and a SHiP level's SHCT, where
+        the sweep left them."""
+        for index, (level, _, _) in enumerate(self.legs):
+            replacement = level.replacement
+            if type(replacement) is LruReplacement:
+                continue
+            version, _, gauss = replacement._rng.getstate()
+            words = self.rng[index * _MT_WORDS:(index + 1) * _MT_WORDS]
+            replacement._rng.setstate(
+                (version, tuple(words.tolist()), gauss))
+            if type(replacement) is ShipReplacement:
+                start = int(self.descriptors[index, _FIELD["shct"]])
+                replacement.shct[:] = \
+                    self.lines[start:start + len(replacement.shct)].tolist()
 
-            def on_hit(f: int) -> None:
-                lru[f] = 0
-        else:
-            # SHiP: a line's signature is recomputed from its tag, and
-            # its reuse outcome is ``hits > 0``.
-            shct = replacement.shct
-            entries = len(shct)
-            shift = replacement.signature_shift
-            shct_max = replacement.shct_max
+    def tallies(self, index: int) -> Tuple[LevelTally, List[List[int]]]:
+        """One level's :class:`LevelTally` and its per-core blocks.
 
-            def on_fill(f: int, addr: int) -> None:
-                dead = shct[(addr >> shift) % entries] == 0
-                lru[f] = rmax if dead else rmax - 1
-
-            def on_hit(f: int) -> None:
-                lru[f] = 0
-                if hits[f] == 1:  # the first reuse since the fill
-                    sig = (tag[f] >> shift) % entries
-                    if shct[sig] < shct_max:
-                        shct[sig] += 1
-
-            def depart(t: int, h: int) -> None:
-                if not h:
-                    sig = (t >> shift) % entries
-                    if shct[sig] > 0:
-                        shct[sig] -= 1
-
-    def bind(runtime) -> Tuple[Callable, Callable, Callable]:
-        ann = bytearray()
-        streams.append(ann)
-        marks.append(0)
-        ann_app = ann.append
-        pages_get = runtime.pages.get
-        always = runtime.always_sample
-        default_sid = runtime._default_ids[name]
-
-        def access(addr: int, is_meta: bool) -> bool:
-            nonlocal a, c
-            a += 1
-            if a == wrap:
-                a = 0
-            f = probe_get(addr)
-            if f is None:
-                ann_app(_MISS_M if is_meta else _MISS_D)
-                return False
-            hits[f] += 1
-            ann_app(hit_m[f] if is_meta else hit_d[f])
-            if on_hit is None:
-                c += 1
-                lru[f] = c
-            else:
-                on_hit(f)
-            now = (a // gran) & mask
-            page = pg[f]
-            if page >= 0:
-                entry = pages_get(page)
-                if entry is not None and (always or entry.state is SAMPLING):
-                    distance = ((now - ts[f]) & mask) * gran
-                    if distance > maxd:
-                        distance = maxd
-                    # ``ReuseDistanceDistribution.record`` and the
-                    # sampler's saturating ``period_samples``, inlined
-                    # as in the miss sample below.
-                    dist = entry.distributions[name]
-                    counts = dist.counts
-                    bin_idx = bisect_right(dist.boundaries, distance)
-                    if counts[bin_idx] >= dist.counter_max:
-                        dist.counts = counts = [n >> 1 for n in counts]
-                    counts[bin_idx] += 1
-                    if entry.period_samples < 63:
-                        entry.period_samples += 1
-            ts[f] = now
-            return True
-
-        def writeback(addr: int) -> bool:
-            nonlocal a
-            a += 1
-            if a == wrap:
-                a = 0
-            f = probe_get(addr)
-            if f is None:
-                ann_app(_FWD)
-                return False
-            dirty[f] = True
-            ann_app(wb_in[f])
-            return True
-
-        def fill(addr: int, page: int, entry) -> int:
-            nonlocal byp, c, r
-            if page < 0:
-                sid = meta_sid
-            elif entry is None:
-                sid = default_sid
-            else:
-                sampling = entry.state is SAMPLING
-                if always or sampling:
-                    # ``record_miss_sample``, inlined.
-                    dist = entry.distributions[name]
-                    counts = dist.counts
-                    if counts[-1] >= dist.counter_max:
-                        dist.counts = counts = [n >> 1 for n in counts]
-                    counts[-1] += 1
-                    if entry.period_samples < 63:
-                        entry.period_samples += 1
-                sid = default_sid if sampling else entry.policies[name]
-            cls[cls_idx[sid]] += 1
-            chunks = rots[sid]
-            if not chunks:
-                # The All-Bypass Policy; fills on this path are never
-                # dirty.
-                byp += 1
-                return -1
-            orders = chunks[0]
-            base = (addr % sets) * ways
-            # The line moving in: first the filled one into C0, then
-            # each displaced line into its SLIP's next chunk.
-            t, d, p, k, stamp, h, pgv = (addr, False, sid, 0,
-                                         (a // gran) & mask, 0, page)
-            src = -1
-            guard = guard0
-            while True:
-                r = (r + 1) % 64
-                order = orders[r % len(orders)]
-                if victim is None:
-                    # Invalid slots keep stamp 0 forever (clocks start
-                    # >= 0 and every fill stamps c + 1 >= 1), so one
-                    # strict-min scan finds the first invalid way in
-                    # rotated order, else the LRU way: the scalar
-                    # invalid-first/min-LRU choice.
-                    w = -1
-                    best = _INF
-                    for cand in order:
-                        rank = lru[base + cand]
-                        if rank < best:
-                            w = cand
-                            if not rank:
-                                break
-                            best = rank
-                else:
-                    w = victim(base, order, p, k)
-                f = base + w
-                vt = tag[f]
-                if vt >= 0:
-                    # The victim moves to its SLIP's next chunk, or
-                    # leaves the level.
-                    del probe[vt]
-                    guard -= 1
-                    vk = ci[f] + 1
-                    vp = pid[f]
-                    moves = guard > 0 and vk < nch[vp]
-                    if moves:
-                        out = (dirty[f], ts[f], hits[f], pg[f], lru[f])
-                    else:
-                        vh = hits[f]
-                        vd = dirty[f]
-                tag[f] = t
-                probe[t] = f
-                dirty[f] = d
-                pid[f] = p
-                ci[f] = k
-                ts[f] = stamp
-                hits[f] = h
-                pg[f] = pgv
-                if src < 0:
-                    if on_fill is None:
-                        c += 1
-                        lru[f] = c
-                    else:
-                        on_fill(f, addr)
-                    ins[sub[w]] += 1
-                else:
-                    lru[f] = rank_l
-                    mvr[sub[src]] += 1
-                    mvw[sub[w]] += 1
-                if vt < 0:
-                    return -1
-                if not moves:
-                    hist[vh if vh < 3 else 3] += 1
-                    if depart is not None:
-                        depart(vt, vh)
-                    if vd:
-                        wbout[sub[w]] += 1
-                        return vt
-                    return -1
-                t, p, k, src = vt, vp, vk, w
-                d, stamp, h, pgv, rank_l = out
-                orders = rots[p][k]
-
-        return access, writeback, fill
-
-    def measure() -> None:
-        nonlocal byp
-        for tally in (ins, mvr, mvw, wbout, cls, hist):
-            tally[:] = [0] * len(tally)
-        byp = 0
-        marks[:] = [len(ann) for ann in streams]
-
-    def finish() -> Tuple[LevelTally, List[np.ndarray]]:
-        # finalize()'s resident-line reuse sweep (the real arrays are
-        # empty): every core bound to the level walks it in its own
-        # finalize(), so a shared L3 counts each line once per core.
-        weight = len(streams)
-        for f in probe.values():
-            h = hits[f]
-            hist[h if h < 3 else 3] += weight
-        binned = [np.bincount(np.frombuffer(ann, dtype=np.uint8)[mark:],
-                              minlength=_ANN_SPAN)
-                  for ann, mark in zip(streams, marks)]
-        counts = sum(binned)
+        The blocks sum into the tally, plus ``finalize()``'s
+        resident-line reuse sweep (the real arrays are empty): every
+        core bound to the level walks it in its own ``finalize()``, so
+        the shared L3 counts each line once per core.
+        """
+        level, _, select = self.legs[index]
+        descriptor = self.descriptors[index]
+        nsub = level.cfg.num_sublevels
+        width = _SUB + _SUB_BLOCKS * nsub
+        start = int(descriptor[_FIELD["tally"]])
+        blocks = self.tally[start:start + self.num_cores * width].reshape(
+            self.num_cores, width)
+        size = level.num_sets * level.cfg.ways
+        base = int(descriptor[_FIELD["lines"]])
+        tags = self.lines[base + _TAG * size:base + (_TAG + 1) * size]
+        hits = self.lines[base + _HITS * size:base + (_HITS + 1) * size]
+        residents = np.bincount(np.minimum(hits[tags >= 0], 3), minlength=4)
+        counts = blocks.sum(axis=0).tolist()
         tally = LevelTally(nsub)
-        tally.dh_sub = [int(counts[1 + s]) for s in range(nsub)]
-        tally.mh_sub = [int(counts[17 + s]) for s in range(nsub)]
-        tally.demand_misses = int(counts[_MISS_D])
-        tally.metadata_misses = int(counts[_MISS_M])
-        tally.wbin_sub = [int(counts[65 + s]) for s in range(nsub)]
-        tally.forwarded_wbs = int(counts[_FWD])
-        tally.ins_sub = list(ins)
-        tally.bypasses = byp
-        tally.class_counts = list(cls)
-        tally.mvr_sub = list(mvr)
-        tally.mvw_sub = list(mvw)
-        tally.wbout_sub = list(wbout)
-        tally.hist = list(hist)
-        return tally, binned
+        (tally.demand_misses, tally.metadata_misses, tally.forwarded_wbs,
+         tally.bypasses) = counts[:4]
+        tally.class_counts = counts[4:8]
+        tally.hist = (np.asarray(counts[8:12])
+                      + residents * (self.num_cores if select else 1)
+                      ).tolist()
+        (tally.dh_sub, tally.mh_sub, tally.ins_sub, tally.mvr_sub,
+         tally.mvw_sub, tally.wbin_sub, tally.wbout_sub) = (
+            counts[_SUB + i * nsub:_SUB + (i + 1) * nsub]
+            for i in range(_SUB_BLOCKS))
+        return tally, blocks.tolist()
 
-    return _SlipLevel(bind, measure, finish)
+
+class _PageTable:
+    """The sweep's page table: one row per profile key (``P_*``).
+
+    The sweep changes a row only by samples (bins and
+    ``period_samples``, marking it touched); the runtime's
+    ``SlipPageEntry`` owns everything else. At each key fetch
+    :meth:`callback` hands a touched row to its entry, runs the live
+    runtime's ``_key_metadata_fetches`` and takes the entry's state
+    back into the row; :meth:`finish` hands over the rows still
+    touched at the end.
+    """
+
+    def __init__(self, runtimes, keys: np.ndarray, owners: np.ndarray,
+                 names: Sequence[str], bins: Sequence[int]) -> None:
+        self.runtimes = runtimes
+        self.keys = keys.tolist()
+        self.owners = owners.tolist()
+        self.names = names
+        self.columns = []
+        column = _BINS
+        for count in bins:
+            self.columns.append((column, column + count))
+            column += count
+        self.array = np.zeros((len(self.keys), column), dtype=np.int64)
+        self.width = column
+        self.rows = memoryview(self.array.reshape(-1))
+        self.error = None
+        for runtime in runtimes:
+            for key, entry in runtime.pages.items():
+                kid = int(np.searchsorted(keys, key))
+                if kid < len(self.keys) and self.keys[kid] == key:
+                    self.load(kid, entry)
+                    for name, (lo, hi) in zip(names, self.columns):
+                        self.array[kid, lo:hi] = \
+                            entry.distributions[name].counts
+
+    def load(self, kid: int, entry) -> None:
+        """The entry's state machine and policies into its row."""
+        rows, base = self.rows, kid * self.width
+        rows[base + _EXISTS] = 1
+        rows[base + _SAMPLING] = int(entry.state is PageState.SAMPLING)
+        rows[base + _SAMPLES] = entry.period_samples
+        for select, name in enumerate(self.names):
+            rows[base + _POLICY + select] = entry.policies[name]
+
+    def store(self, kid: int, entry) -> None:
+        """The sweep's samples into the entry."""
+        rows, base = self.rows, kid * self.width
+        for name, (lo, hi) in zip(self.names, self.columns):
+            entry.distributions[name].counts = \
+                rows[base + lo:base + hi].tolist()
+        entry.period_samples = rows[base + _SAMPLES]
+        rows[base + _TOUCHED] = 0
+
+    def callback(self, core: int, kid: int) -> int:
+        """``slip_sweep``'s fetch: the distribution line to fetch, -1
+        for none; an exception is kept for the caller to raise."""
+        try:
+            runtime = self.runtimes[core]
+            key = self.keys[kid]
+            if self.rows[kid * self.width + _TOUCHED]:
+                self.store(kid, runtime.pages[key])
+            fetches = runtime._key_metadata_fetches(key)
+            self.load(kid, runtime.pages[key])
+            return fetches[0] if fetches else -1
+        except BaseException as error:
+            self.error = error
+            return _FETCH_ABORT
+
+    def finish(self) -> None:
+        """Hand every row the sweep touched since its last fetch to its
+        entry."""
+        touched = np.flatnonzero(self.array[:, _TOUCHED]).tolist()
+        for kid in touched:
+            runtime = self.runtimes[self.owners[kid]]
+            self.store(kid, runtime.pages[self.keys[kid]])
 
 
 def _merged_events(hierarchy, traces: Sequence[Trace],
-                   captures: Sequence[TraceCapture]) -> Tuple:
+                   captures: Sequence[TraceCapture]
+                   ) -> Tuple[np.ndarray, ...]:
     """Every core's captured positions, resolved and merged for the sweep.
 
     ``hierarchy`` is any core's (they share the config). Returns
-    ``(miss_at, miss_cores, miss_addrs, miss_keys, wb_addrs, ref_at,
-    ref_cores, ref_keys, pte_addrs)`` as lists. ``miss_*`` describe the
-    captured L1 misses, ``miss_keys`` being their profile keys.
-    ``ref_*`` describe the reference-metadata events: one per access
-    whose page misses the TLB (``pte_addrs`` holds its PTE line, else
-    -1) or whose profile key misses (``ref_keys`` holds the key, else
-    -1). In page mode the key is the page, so the key misses are the
-    captured TLB misses; under rd-blocks they are the misses of the
-    runtime's SLIP-cache, an LRU over the window's block stream
-    (:func:`~repro.sim.vector_frontend._tlb_miss_positions`). An
-    ``*_at`` entry is ``access index * cores + core``, so its order is
-    the walk's (access index, core) order and a single core's are its
-    positions. Both ``*_at`` lists end with the ``n * cores`` sentinel,
-    which is >= every stop, so the sweep needs no bounds checks.
+    ``(misses, refs, keys, owners)``. ``misses`` has five rows, one
+    column per captured L1 miss: position, core, line, key id and the
+    L1 victim's writeback (else -1). ``refs`` has four, one column per
+    reference-metadata event, an access whose page misses the TLB or
+    whose profile key misses: position, core, key id (-1 if the key
+    hit) and PTE line (-1 if the page hit). In page mode the key is the
+    page, so the key misses are the captured TLB misses; under
+    rd-blocks they are the misses of the runtime's SLIP-cache, an LRU
+    over the window's block stream
+    (:func:`~repro.sim.vector_frontend._tlb_miss_positions`). A
+    position is ``access index * cores + core``, so its order is the
+    walk's (access index, core) order and a single core's are its
+    positions. Both position rows end with the ``n * cores`` sentinel,
+    which is >= every stop, so the sweep needs no bounds checks. Key
+    ids index ``keys``, the sorted profile keys, and ``owners`` names
+    the core each key belongs to.
     """
     runtime = hierarchy.runtime
     page_shift = hierarchy._page_shift
@@ -655,54 +532,24 @@ def _merged_events(hierarchy, traces: Sequence[Trace],
     for columns, positions in ((miss_columns, miss_positions),
                                (ref_columns, ref_positions)):
         order = merge_by_access(positions)
-        lists = [np.concatenate(column)[order].tolist()
-                 for column in zip(*columns)]
-        lists[0].append(end)
-        merged += lists
-    return tuple(merged)
-
-
-def _below_l1(runtime, l2: _SlipLevel, l3: _SlipLevel, dram_writes: List[int],
-              core: int) -> Tuple[Callable, Callable]:
-    """One core's ``(below, l1_wb)``: its L2 binding over its L3 binding.
-
-    ``below(addr, page)`` mirrors ``_access_below_l1`` for one event
-    below L1 (``page`` -1 marks a metadata line): L2 access, then L3
-    access, then L3 fill (a dirty victim is a DRAM write), then L2 fill
-    (a dirty victim is written back to L3). ``l1_wb(addr)`` mirrors
-    ``_writeback_below_l1``. The page entry is looked up only after an
-    L2 miss, and each level takes its miss sample inside its own fill:
-    a sample touches only that level's distribution and the saturating
-    ``period_samples``, so the order against the L3 access moves no
-    byte. DRAM writes count into ``dram_writes[core]``.
-
-    The level closures cost call frames that one inlined body would
-    not: one more per L2 hit, three or four more per L2 miss. Against
-    the earlier body, which wrote the L2 and L3 halves out inline,
-    median ``accesses_per_kloop`` over 10 alternating end-to-end pairs
-    fell 4.1% on ``sweep``, 4.0% on ``multicore`` and 4.7% on
-    ``scalar-ablation`` (shared 2-vCPU x86_64 host, CPython 3.11.7).
-    """
-    access2, writeback2, fill2 = l2.bind(runtime)
-    access3, writeback3, fill3 = l3.bind(runtime)
-    pages_get = runtime.pages.get
-
-    def below(addr: int, page: int) -> None:
-        is_meta = page < 0
-        if access2(addr, is_meta):
-            return
-        entry = None if is_meta else pages_get(page)
-        if not access3(addr, is_meta) and fill3(addr, page, entry) >= 0:
-            dram_writes[core] += 1
-        victim = fill2(addr, page, entry)
-        if victim >= 0 and not writeback3(victim):
-            dram_writes[core] += 1
-
-    def l1_wb(addr: int) -> None:
-        if not writeback2(addr) and not writeback3(addr):
-            dram_writes[core] += 1
-
-    return below, l1_wb
+        table = np.zeros((len(columns[0]), order.shape[0] + 1),
+                         dtype=np.int64)
+        for row, column in zip(table, zip(*columns)):
+            row[:-1] = np.concatenate(column)[order]
+        table[0, -1] = end
+        merged.append(table)
+    misses, refs = merged
+    # Dense key ids: the sweep's page table has one row per key.
+    miss_keys, ref_keys = misses[3, :-1], refs[2, :-1]
+    keyed = ref_keys >= 0
+    keys, ids = np.unique(np.concatenate((miss_keys, ref_keys[keyed])),
+                          return_inverse=True)
+    owners = np.empty(keys.shape[0], dtype=np.int64)
+    miss_keys[:] = ids[:miss_keys.shape[0]]
+    ref_keys[keyed] = ids[miss_keys.shape[0]:]
+    owners[miss_keys] = misses[1, :-1]
+    owners[ref_keys[keyed]] = refs[1, :-1][keyed]
+    return misses, refs, keys, owners
 
 
 def replay_capture_vector_slip(hierarchies: Sequence,
@@ -726,69 +573,55 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     first = hierarchies[0]
     n = captures[0].n
     warmup = captures[0].warmup
-    (miss_at, miss_cores, miss_addrs, miss_keys, wb_addrs,
-     ref_at, ref_cores, ref_keys, pte_addrs) = _merged_events(
-        first, traces, captures)
-
-    l3 = _slip_level(first.l3, first.l3_placement)
-    l2s = [_slip_level(hierarchy.l2, hierarchy.l2_placement)
-           for hierarchy in hierarchies]
-    dram_writes = [0] * num_cores
-    belows, l1_wbs = zip(*[
-        _below_l1(hierarchy.runtime, l2, l3, dram_writes, core)
-        for core, (hierarchy, l2) in enumerate(zip(hierarchies, l2s))])
     runtimes = [hierarchy.runtime for hierarchy in hierarchies]
+    misses, refs, keys, owners = _merged_events(first, traces, captures)
 
-    # ----- phase 1: merged-order sweep (warmup, then measured) -----
-    ref_i = miss_i = 0
-    for stop, warm_phase in ((warmup * num_cores, True),
-                             (n * num_cores, False)):
-        while True:
-            ref_k = ref_at[ref_i]
-            miss_k = miss_at[miss_i]
-            k = ref_k if ref_k < miss_k else miss_k
-            if k >= stop:
-                break
-            if ref_k == k:
-                # Mirror on_reference: the key's fetch list (and the
-                # page state machinery) runs before the PTE line and
-                # then the fetched lines travel below L1.
-                core = ref_cores[ref_i]
-                below = belows[core]
-                key = ref_keys[ref_i]
-                fetches = (runtimes[core]._key_metadata_fetches(key)
-                           if key >= 0 else ())
-                pte = pte_addrs[ref_i]
-                if pte >= 0:
-                    below(pte, -1)
-                for fetch in fetches:
-                    below(fetch, -1)
-                ref_i += 1
-            if miss_k == k:
-                core = miss_cores[miss_i]
-                belows[core](miss_addrs[miss_i], miss_keys[miss_i])
-                wba = wb_addrs[miss_i]
-                if wba >= 0:
-                    l1_wbs[core](wba)
-                miss_i += 1
-        if warm_phase:
-            # Same boundary as the walk: counters reset, cache
-            # / TLB / page state stays warm (EOU memo survives).
+    # ----- the levels: each core's L2, then the L3 -----
+    names = (first.l2_placement._level_name, first.l3_placement._level_name)
+    bounds = [first.runtime._boundaries(name) for name in names]
+    pages = _PageTable(runtimes, keys, owners, names,
+                       [len(b) + 1 for b in bounds])
+    levels = _Levels(
+        [(h.l2, h.l2_placement, 0) for h in hierarchies]
+        + [(first.l3, first.l3_placement, 1)],
+        [lo for lo, _ in pages.columns], bounds, num_cores)
+    cores = np.array([
+        (runtime.always_sample, runtime._counter_max,
+         *(runtime._default_ids[name] for name in names))
+        for runtime in runtimes], dtype=np.int64)
+
+    # ----- phase 1: the sweep, to the warmup boundary, then measured --
+    cursor = np.zeros(2, dtype=np.int64)
+    fetch = native.FETCH(pages.callback)
+    for stop in (warmup, n):
+        if stop == n:
+            # Same boundary as the walk: counters reset, cache / TLB /
+            # page state stays warm (EOU memo survives).
             for hierarchy in hierarchies:
                 hierarchy.reset_stats()
-            for level in (l3, *l2s):
-                level.measure()
-            dram_writes[:] = [0] * num_cores
+            levels.tally[:] = 0
+        status = native.library().slip_sweep(
+            num_cores, stop * num_cores, cursor, misses,
+            misses.shape[1] - 1, refs, refs.shape[1] - 1, cores,
+            pages.array, pages.width, levels.descriptors, levels.lines,
+            levels.tables, levels.rng, levels.tally, fetch)
+        if pages.error is not None:
+            raise pages.error
+        if status:
+            raise MemoryError("slip_sweep: out of memory")
+    pages.finish()
+    levels.hand_back()
 
-    # ----- phase 2: batched accounting over the annotation streams ---
-    tally3, counts3 = l3.finish()
+    # ----- phase 2: the tallies into the shared publish step -----
+    tally3, blocks3 = levels.tallies(num_cores)
     nsub3 = first.l3.cfg.num_sublevels
+    wbout3 = _SUB + _WBOUT * nsub3
     # Live runtime/TLB ledgers: one page-grain probe per access, one
     # miss per captured TLB-miss position; hits are the complement of
     # the measured-phase misses.
     l2_legs, l3_legs = [], []
-    for hierarchy, capture, l2, counts, writes in zip(
-            hierarchies, captures, l2s, counts3, dram_writes):
+    for core, (hierarchy, capture, block) in enumerate(
+            zip(hierarchies, captures, blocks3)):
         tlb_misses = int(np.count_nonzero(
             np.asarray(capture.tlb_miss_pos) >= warmup))
         runtime_stats = hierarchy.runtime.stats
@@ -798,15 +631,17 @@ def replay_capture_vector_slip(hierarchies: Sequence,
         tlb_stats.hits = (n - warmup) - tlb_misses
         measured = np.asarray(capture.l1_miss_pos) >= warmup
         l2_legs.append((
-            l2.finish()[0],
+            levels.tallies(core)[0],
             int(np.count_nonzero(measured)),
             runtime_stats.tlb_miss_fetches
             + runtime_stats.distribution_fetches,
             int(np.count_nonzero(
                 measured & (np.asarray(capture.l1_miss_wb) >= 0))),
         ))
-        # Every L3 event is in the stream of the core that caused it.
-        l3_legs.append(([int(counts[1 + s]) for s in range(nsub3)],
-                        int(counts[_MISS_D]), int(counts[_MISS_M]), writes))
+        # What this core caused below its L2: L3 demand hits, DRAM
+        # reads, and DRAM writes (writebacks the L3 forwarded, dirty
+        # lines its fills evicted).
+        l3_legs.append((block[_SUB:_SUB + nsub3], block[0], block[1],
+                        block[2] + sum(block[wbout3:wbout3 + nsub3])))
     publish_replay(hierarchies, l2_legs, tally3, l3_legs)
     return True

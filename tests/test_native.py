@@ -5,13 +5,15 @@ of the source, the flags and the Python ABI. These tests build into a
 temporary cache: a second build reuses the file without the compiler,
 a changed source builds a new file, two processes building at once
 leave one loadable library, and a directory others can write is never
-loaded from. With no library, both kernels decline with
-``native-unavailable`` and the cell walks, same bytes.
+loaded from, and a build keeps only the newest libraries. With no
+library, every kernel declines with ``native-unavailable`` and the
+cell walks, same bytes.
 """
 
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.sim.build import build_hierarchy
 from repro.sim.kernel_report import kernel_report_lines, reset_kernel_counts
 from repro.sim.single_core import run_trace
 from repro.sim.vector_replay import eligible_kind
+from repro.sim.vector_replay_slip import slip_eligible
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import MemoryCaptureStore
 
@@ -128,3 +131,31 @@ def test_unavailable_library_declines_the_replay_kernel(tiny_system,
     hierarchy = build_hierarchy(tiny_system, "nurapid")
     assert eligible_kind(hierarchy) is None
     assert hierarchy.kernel_declines.replay == "native-unavailable"
+
+
+def test_unavailable_library_declines_the_slip_kernel(tiny_system,
+                                                      monkeypatch):
+    monkeypatch.setattr(native, "library", lambda: None)
+    hierarchy = build_hierarchy(tiny_system, "slip_abp")
+    assert not slip_eligible([hierarchy], [make_trace("soplex", 200)])
+    assert hierarchy.kernel_declines.replay == "native-unavailable"
+
+
+def test_a_build_keeps_the_newest_libraries(tmp_path):
+    """A build deletes all but the newest built libraries, by
+    modification time, and never the one it just built."""
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    future = time.time() + 10_000  # newer than the library built below
+    others = []
+    for age in range(native.KEEP + 2):
+        other = cache / f"_lru-{age:020d}.so"
+        other.write_bytes(b"")
+        os.utime(other, (future - age, future - age))
+        others.append(other.name)
+    unrelated = cache / "notes.txt"
+    unrelated.write_bytes(b"")
+    built = native.build(native.SOURCE, cache)
+    assert built is not None
+    assert sorted(os.listdir(cache)) == sorted(
+        [built.name, unrelated.name] + others[:native.KEEP])

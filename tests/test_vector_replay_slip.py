@@ -11,17 +11,22 @@ seeded draws from the harness's cell space, each through the one
 differential check (``served_like_walk``). Everything the kernel cannot
 represent must decline with a recorded reason and walk, before any
 capture is taken, with identical bytes. The spy tests pin that the
-kernel really serves DRRIP/SHiP, rd-block and multicore cells.
+kernel really serves DRRIP/SHiP, rd-block and multicore cells. The
+live state the C sweep hands back (every page row, the DRRIP and SHiP
+generators and SHCTs) must end where the walk leaves it, and an
+exception raised in a key fetch must reach the caller.
 """
 
 import random
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from harness import canonical, single_cell
+from repro.core.sampling import PageState
 from repro.sim import filtered, multi_core, single_core
-from repro.sim.build import build_hierarchy
+from repro.sim.build import build_hierarchy, maybe_boost_sampler
 from repro.sim.config import default_system
 from repro.sim.filtered import front_end_fingerprint
 from repro.sim.single_core import run_trace
@@ -341,3 +346,159 @@ def test_mix_core_ledgers_match_scalar(policy, tiny_system, monkeypatch,
     assert vector == walk
     assert all(counters["total_latency_cycles"] > 0
                for counters, _, _ in vector)
+
+
+# ----------------------------------------------------------------------
+# The live runtime state the sweep hands back
+# ----------------------------------------------------------------------
+def simulated(run) -> list:
+    """The hierarchies the driver simulates during ``run()``."""
+    built = []
+
+    def simulate(hierarchies, *args):
+        built.extend(hierarchies)
+        return filtered.simulate(hierarchies, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(single_core, "simulate", simulate)
+        mp.setattr(multi_core, "simulate", simulate)
+        run()
+    return built
+
+
+def served_and_walked(run) -> tuple:
+    """``run()``'s hierarchies, served by the kernel and walked."""
+    served = simulated(run)
+    # The kernel served them: it leaves the cache arrays empty.
+    assert served and all(h.l2.valid_count == 0 for h in served)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtered, "_needs_walk", lambda *args: True)
+        walked = simulated(run)
+    assert all(h.l2.valid_count > 0 for h in walked)
+    return served, walked
+
+
+def page_rows(hierarchies) -> list:
+    """Every core's page table: per profile key its state, policies,
+    distribution bins per level, ``period_samples`` and
+    ``sampling_visits``."""
+    return [{key: (entry.state, entry.policies,
+                   {name: dist.counts
+                    for name, dist in entry.distributions.items()},
+                   entry.period_samples, entry.sampling_visits)
+             for key, entry in hierarchy.runtime.pages.items()}
+            for hierarchy in hierarchies]
+
+
+@pytest.mark.parametrize("shape", ("page", "rd-block", "always-sample",
+                                   "mix"))
+def test_page_rows_end_where_the_walk_leaves_them(shape, tiny_system):
+    """The sweep owns the sampled rows between key fetches; every row
+    it hands back to the runtime's ``SlipPageEntry`` is the walk's."""
+    config = tiny_system
+    if shape == "rd-block":
+        config = config.with_slip(rd_block_lines=4, slip_cache_entries=4)
+    if shape == "mix":
+        traces = make_mix_traces(MIX, 3_000, seed=2)
+
+        def run():
+            multi_core.run_mix_traces(traces, MIX, "slip_abp", config, 2,
+                                      store=MemoryCaptureStore())
+    else:
+        trace = make_trace("soplex", 4_000, seed=2)
+
+        def run():
+            run_trace(trace, "slip_abp", config=config, seed=2,
+                      always_sample=shape == "always-sample",
+                      store=MemoryCaptureStore())
+
+    served, walked = served_and_walked(run)
+    rows = page_rows(served)
+    assert rows == page_rows(walked)
+    # Bins saturate and halve, and outside rd-blocks (four-line keys)
+    # some rows reach the 63-sample cap.
+    assert max(max(counts) for table in rows for entry in table.values()
+               for counts in entry[2].values()) >= 14
+    assert shape == "rd-block" or max(
+        entry[3] for table in rows for entry in table.values()) == 63
+
+
+@pytest.mark.parametrize("replacement", RRIP)
+def test_rrip_state_ends_where_the_walk_leaves_it(replacement):
+    """DRRIP's and SHiP's generators, and SHiP's SHCT, at both levels
+    end where the walk leaves them."""
+    trace = make_trace("mcf", 6_000)
+
+    def run():
+        run_trace(trace, "slip_abp", replacement=replacement,
+                  store=MemoryCaptureStore())
+
+    def state(hierarchies):
+        return [(level.replacement._rng.getstate(),
+                 getattr(level.replacement, "shct", None))
+                for h in hierarchies for level in (h.l2, h.l3)]
+
+    served, walked = served_and_walked(run)
+    assert state(served) == state(walked)
+    if replacement == "ship":
+        # The SHCT left its initial all-ones state at both levels.
+        assert all(set(shct) != {1} for _, shct in state(served))
+
+
+class FetchFailed(Exception):
+    pass
+
+
+def test_an_exception_in_a_key_fetch_reaches_the_caller(tiny_system,
+                                                        monkeypatch):
+    """The sweep stops at a key fetch that raises, and
+    ``replay_capture_vector_slip`` raises the same exception."""
+    from repro.core.eou import EnergyOptimizerUnit
+
+    trace = make_trace("soplex", 2_500)
+    store = MemoryCaptureStore()
+    run_trace(trace, "slip_abp", config=tiny_system, store=store)
+    capture = slip_capture(trace, tiny_system, store)
+    failure = FetchFailed("EOU failed")
+
+    def optimize(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(EnergyOptimizerUnit, "optimize", optimize)
+    hierarchy = build_hierarchy(tiny_system, "slip_abp")
+    maybe_boost_sampler(hierarchy.runtime)
+    with pytest.raises(FetchFailed) as raised:
+        replay_capture_vector_slip([hierarchy], [trace], [capture])
+    assert raised.value is failure
+
+
+def test_entries_held_before_the_replay_steer_it(tiny_system, monkeypatch,
+                                                 walked):
+    """Entries the runtime holds before the replay (state, SLIPs, bins,
+    period samples) steer the sweep as they steer the walk, and end
+    where the walk leaves them."""
+    trace = make_trace("soplex", 3_000, seed=1)
+    built = []
+
+    def warm(*args, **kwargs):
+        hierarchy = build_hierarchy(*args, **kwargs)
+        runtime = hierarchy.runtime
+        keys = np.unique(trace.addresses >> runtime.key_shift)
+        for index, key in enumerate(keys[::2].tolist()):
+            entry = runtime.entry_for(key)
+            if index % 3:
+                entry.state = PageState.STABLE
+                entry.policies = {"L2": index % 8, "L3": index // 8 % 8}
+            entry.distributions["L2"].counts = [index % 16, 3, 0, 15]
+            entry.period_samples = index % 64
+        built.append(hierarchy)
+        return hierarchy
+
+    monkeypatch.setattr(single_core, "build_hierarchy", warm)
+    served = run_trace(trace, "slip_abp", config=tiny_system,
+                       store=MemoryCaptureStore())
+    with walked():
+        walk = run_trace(trace, "slip_abp", config=tiny_system)
+    assert built[0].l2.valid_count == 0 < built[1].l2.valid_count
+    assert canonical(served) == canonical(walk)
+    assert page_rows(built[:1]) == page_rows(built[1:])
