@@ -248,7 +248,7 @@ def check_replay_tallies(l2_legs: Any, l3_tally: Any, *, dram_demand: int,
 # ----------------------------------------------------------------------
 # Vector-front-end conservation (always on)
 # ----------------------------------------------------------------------
-def check_vector_frontend(*, n: int, warmup: int, event_boundary: int,
+def check_vector_frontend(*, n: int, warmup: int, warmup_events: int,
                           total_events: int, total_demand: int,
                           total_metadata: int, total_writeback: int,
                           l1_hits: int, l1_misses: int, l1_writebacks: int,
@@ -265,9 +265,10 @@ def check_vector_frontend(*, n: int, warmup: int, event_boundary: int,
     * every measured access resolved to exactly one L1 outcome and one
       TLB outcome (hits + misses == measured accesses for both);
     * the event stream partitions into demand / metadata / writeback
-      ops, the warmup boundary splits it consistently with the frozen
-      measured-phase counts, and no access emitted a writeback without
-      a demand miss;
+      ops; ``warmup_events`` (the stream offset of the first measured
+      access in the kernel's scatter) plus the frozen measured-phase
+      counts cover the whole stream; and no access emitted a
+      writeback without a demand miss;
     * the reuse histogram covers exactly the measured evictions plus
       the lines resident at the end of the trace, and residency never
       exceeds the L1's capacity.
@@ -292,12 +293,12 @@ def check_vector_frontend(*, n: int, warmup: int, event_boundary: int,
             f"events vs {total_events} stream slots",
             level="L1", counter="event_stream")
     measured_events = l1_misses + tlb_misses + l1_writebacks
-    if event_boundary + measured_events != total_events:
+    if warmup_events + measured_events != total_events:
         raise InvariantViolation(
             name,
-            f"boundary {event_boundary} + {measured_events} measured "
+            f"{warmup_events} warmup + {measured_events} measured "
             f"events != {total_events} stream slots",
-            level="L1", counter="event_boundary")
+            level="L1", counter="warmup_events")
     if total_writeback > total_demand:
         raise InvariantViolation(
             name,

@@ -93,15 +93,10 @@ class SlipPlacement(PlacementPolicy):
         candidates = self.space.chunk_ways(slip_id, 0)
         way = level.choose_victim(set_idx, candidates)
         victim = level.extract(set_idx, way)
-        sampling = (
-            self.runtime is not None
-            and not is_metadata
-            and self.runtime.is_sampling(page)
-        )
         level.place_fill(
             set_idx, way, line_addr, dirty=dirty, page=page,
-            policy_id=slip_id, chunk_idx=0, sampling=sampling,
-            is_metadata=is_metadata, timestamp=level.timestamp_now(),
+            policy_id=slip_id, chunk_idx=0, is_metadata=is_metadata,
+            timestamp=level.timestamp_now(),
         )
         level.stats.insertions_by_class[slip_class] += 1
         if victim is not None:

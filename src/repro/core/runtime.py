@@ -368,23 +368,6 @@ class SlipRuntime(BaselineRuntime):
         entry = self.pages.get(page)
         return entry is not None and entry.state is PageState.SAMPLING
 
-    def policy_and_sampling(self, level_name: str,
-                            page: int) -> Tuple[int, bool]:
-        """Fused ``(policy_for, is_sampling)`` in one page-table probe.
-
-        Every SLIP fill needs both answers, and they live on the same
-        page entry; two separate calls mean two dict probes plus two
-        dispatches per miss. Results are identical to the two separate
-        queries by construction.
-        """
-        entry = self.pages.get(page)
-        if entry is None:
-            return self._default_ids[level_name], False
-        if entry.state is PageState.SAMPLING:
-            return self._default_ids[level_name], True
-        return (entry.policies[level_name],
-                True if self.always_sample else False)
-
     # ------------------------------------------------------------------
     # Reuse-distance sample collection (Figure 7, step 5)
     # ------------------------------------------------------------------
@@ -450,9 +433,6 @@ class RoutedSlipRuntime:
 
     def is_sampling(self, page: int) -> bool:
         return self._owner(page).is_sampling(page)
-
-    def policy_and_sampling(self, level_name: str, page: int):
-        return self._owner(page).policy_and_sampling(level_name, page)
 
     def record_reuse(self, level_name: str, page: int,
                      reuse_distance: int) -> None:

@@ -31,7 +31,7 @@ class Line:
     __slots__ = (
         "tag", "valid", "dirty", "lru", "policy_id", "chunk_idx", "ts",
         "demoted", "rrpv", "signature", "outcome", "hits", "page",
-        "sampling", "is_metadata",
+        "is_metadata",
     )
 
     def reset(self) -> None:
@@ -48,7 +48,6 @@ class Line:
         self.outcome = False
         self.hits = 0
         self.page = -1
-        self.sampling = False
         self.is_metadata = False
 
     def __init__(self) -> None:
@@ -83,7 +82,7 @@ class EvictedLine:
 
     __slots__ = (
         "tag", "dirty", "policy_id", "chunk_idx", "ts", "hits", "page",
-        "sampling", "demoted", "rrpv", "signature", "outcome", "is_metadata",
+        "demoted", "rrpv", "signature", "outcome", "is_metadata",
         "from_way", "lru",
     )
 
@@ -96,7 +95,6 @@ class EvictedLine:
         self.ts = line.ts
         self.hits = line.hits
         self.page = line.page
-        self.sampling = line.sampling
         self.demoted = line.demoted
         self.rrpv = line.rrpv
         self.signature = line.signature
@@ -330,7 +328,7 @@ class CacheLevel:
     def place_fill(self, set_idx: int, way: int, line_addr: int, *,
                    dirty: bool = False, policy_id: int = 0,
                    chunk_idx: int = NO_CHUNK, page: int = -1,
-                   sampling: bool = False, is_metadata: bool = False,
+                   is_metadata: bool = False,
                    timestamp: int = 0) -> None:
         """Install a brand-new line (fetched from the next level)."""
         line = self.sets[set_idx][way]
@@ -345,7 +343,6 @@ class CacheLevel:
         line.policy_id = policy_id
         line.chunk_idx = chunk_idx
         line.page = page
-        line.sampling = sampling
         line.is_metadata = is_metadata
         line.ts = timestamp
         line.hits = 0
@@ -383,7 +380,6 @@ class CacheLevel:
         line.ts = moved.ts
         line.hits = moved.hits
         line.page = moved.page
-        line.sampling = moved.sampling
         line.demoted = demoted
         line.lru = moved.lru
         line.rrpv = moved.rrpv

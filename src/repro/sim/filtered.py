@@ -41,9 +41,9 @@ runtime):
 * For the **slip runtime kind** (slip / slip_abp) the metadata stream
   depends on back-end feedback (reuse samples drive the page state
   machine), so the :class:`~repro.core.runtime.SlipRuntime` runs live:
-  the replay merge-walks the captured TLB-miss and L1-miss positions,
-  re-issuing the runtime's TLB-miss path at exactly the captured
-  positions; the sampler RNG draws once per profile-key miss in both
+  the replay merge-walks the stream's metadata and demand events,
+  re-issuing the runtime's TLB-miss path at exactly their access
+  indices; the sampler RNG draws once per profile-key miss in both
   direct and replayed runs, so the RNG stream is preserved. Under
   rd-blocks the key misses are the SLIP-cache's, which the kernel
   derives from the trace window.
@@ -55,9 +55,10 @@ replay_capture_vector_slip` for the slip kinds, LRU, DRRIP and SHiP
 alike), and so does the baseline kinds' scalar replay
 (:func:`_replay_events`), which serves what their kernel declines
 (random, DRRIP and SHiP replacement): the cores' events merge by
-(access index, core). Each replay derives its own precompute (L3
-stream, merge order, captured-position resolutions) from the captures,
-so the store holds only captures.
+(access index, core), read from each stream's ``pos`` column. Each
+replay derives the rest of its precompute (L3 stream, the SLIP
+kernel's miss and reference tables) from the captures, so the store
+holds only captures.
 
 Frozen front-end statistics (L1 LevelStats, TLB and runtime stats,
 latency/hit counters) are merged back per core before ``finalize()``;
@@ -169,11 +170,10 @@ def _replay_events(hierarchies, captures) -> None:
     demand miss, writeback): the order in which a round-robin walk of
     the cores issues them. Single-core replay is the one-core case.
     """
-    positions = [capture.event_positions() for capture in captures]
+    positions = [capture.pos for capture in captures]
     order = merge_by_access(positions)
     boundary = int(np.searchsorted(np.concatenate(positions)[order],
                                    captures[0].warmup))
-    del positions
     cores = np.repeat(np.arange(len(captures), dtype=np.uint8),
                       [capture.ops.shape[0] for capture in captures])
     columns = (

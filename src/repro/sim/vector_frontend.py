@@ -1,8 +1,9 @@
 """Batched front-end capture kernel: the TLB + L1 leg, whole-trace.
 
 A capture stores the policy-invariant facts of the front end of
-``MemoryHierarchy.access``: which accesses miss the TLB, which miss
-L1, which evictions were dirty, and the frozen front-end statistics.
+``MemoryHierarchy.access`` as one event stream: every TLB miss's PTE
+line, every L1 miss and every dirty eviction, each tagged with its
+access index, plus the frozen front-end statistics.
 All of those are pure stack-distance facts of the reference stream —
 the TLB is a fully-associative LRU over page numbers and the L1 is a
 set-associative LRU over line tags, neither of which observes anything
@@ -28,7 +29,9 @@ byte-identically to the per-access walk
 * **Phase 3** scatters the per-access miss / metadata / writeback
   flags into the flat capture event stream with an exclusive cumulative
   sum (preserving the walk's per-access order: metadata, then demand
-  miss, then writeback) and assembles the frozen
+  miss, then writeback), tags each event with its access index
+  (``pos``), writes each metadata event's PTE line, and assembles the
+  frozen
   ``LevelStats``/``TlbStats``/``RuntimeStats`` from integer tallies via
   :meth:`~repro.mem.stats.LevelStats.adopt_counts` — the same deferred
   accounting path the replay kernels use, so materialized energy is
@@ -243,7 +246,8 @@ def capture_front_end_vector(
     # Scatter the per-access flags into the flat event stream. The
     # walk's per-access order is metadata (TLB miss) first, then the
     # demand miss, then the victim writeback, so an access's events
-    # occupy offsets[i] .. offsets[i + 1] in exactly that order.
+    # occupy offsets[i] .. offsets[i + 1] in exactly that order, each
+    # tagged with the access index i.
     t_flag = np.zeros(n, dtype=np.int64)
     if tlb_pos.shape[0]:
         t_flag[tlb_pos] = 1
@@ -255,25 +259,28 @@ def capture_front_end_vector(
     total_events = int(offsets[-1])
     ops = np.empty(total_events, dtype=np.uint8)
     out_addrs = np.empty(total_events, dtype=np.int64)
+    pos = np.empty(total_events, dtype=np.int64)
     if tlb_pos.shape[0]:
         slots = offsets[tlb_pos]
         ops[slots] = OP_METADATA
         out_addrs[slots] = PTE_TABLE_BASE + pages[tlb_pos] // PTES_PER_LINE
+        pos[slots] = tlb_pos
     miss_pos = np.flatnonzero(d_flag)
     if miss_pos.shape[0]:
         slots = offsets[miss_pos] + t_flag[miss_pos]
         ops[slots] = OP_DEMAND_MISS
         out_addrs[slots] = addrs[miss_pos]
+        pos[slots] = miss_pos
     wb_pos = np.flatnonzero(w_flag)
     if wb_pos.shape[0]:
         slots = offsets[wb_pos] + t_flag[wb_pos] + 1
         ops[slots] = OP_WRITEBACK
         out_addrs[slots] = victim_np[wb_pos]
-    event_boundary = int(offsets[warmup])
+        pos[slots] = wb_pos
 
     measured_tlb_misses = int(np.count_nonzero(tlb_pos >= warmup))
     check_vector_frontend(
-        n=n, warmup=warmup, event_boundary=event_boundary,
+        n=n, warmup=warmup, warmup_events=int(offsets[warmup]),
         total_events=total_events,
         total_demand=int(miss_pos.shape[0]),
         total_metadata=int(tlb_pos.shape[0]),
@@ -291,12 +298,9 @@ def capture_front_end_vector(
     return TraceCapture(
         n=n,
         warmup=warmup,
-        event_boundary=event_boundary,
         ops=ops,
         addrs=out_addrs,
-        l1_miss_pos=miss_pos,
-        l1_miss_wb=victim_np[miss_pos],
-        tlb_miss_pos=tlb_pos,
+        pos=pos,
         frozen=_frozen_frontend(l1cfg, tally, measured_tlb_misses,
                                 n - warmup),
     )

@@ -382,14 +382,11 @@ def replay_capture_vector(hierarchies: Sequence,
     for hierarchy, capture in zip(hierarchies, captures):
         ops = np.asarray(capture.ops, dtype=np.uint8)
         addrs = np.asarray(capture.addrs, dtype=np.int64)
-        meas = np.zeros(int(ops.shape[0]), dtype=bool)
-        meas[capture.event_boundary:] = True
+        meas = capture.pos >= capture.warmup
         tally2, _, (ops3, addrs3, src) = _run_level(
             kind, hierarchy.l2, hierarchy.l2_placement, ops, addrs,
             meas, np.zeros(int(ops.shape[0]), dtype=np.int32), 1, 1, True)
-        positions = None
-        if num_cores > 1:
-            positions = capture.event_positions()[src]
+        positions = capture.pos[src] if num_cores > 1 else None
         # Measured demand, metadata and writeback events: opcodes 0-2.
         l2_legs.append((tally2, *np.bincount(ops[meas], minlength=3)
                         .tolist()))

@@ -2,10 +2,11 @@
 
 The kernel replays every slip/slip_abp cell the N-core driver
 (:func:`repro.sim.filtered.simulate`) captures: it drives the live
-:class:`~repro.core.runtime.SlipRuntime` at the captured TLB- and
-L1-miss positions and at the profile-key misses, as the per-access
-walk would, but without ``Line`` objects, ``FillOutcome`` allocation,
-placement dispatch or per-event statistics bumps. Unlike the
+:class:`~repro.core.runtime.SlipRuntime` at the access indices of the
+captured metadata (TLB-miss) and demand events and at the profile-key
+misses, as the per-access walk would, but without ``Line`` objects,
+``FillOutcome`` allocation, placement dispatch or per-event statistics
+bumps. Unlike the
 baseline-kind kernel (:mod:`repro.sim.vector_replay`), the SLIP back
 end cannot be replayed per set: reuse samples taken on L2/L3 hits and
 misses feed the page state machine that steers *future* fills at both
@@ -16,7 +17,7 @@ The kernel therefore splits the work differently:
 * **Phase 1 (the sweep, in C)** — ``slip_sweep`` in ``_lru.c`` (loaded
   by :mod:`repro.sim.native`) runs one merged-order sweep over the
   reference-metadata events (TLB or profile-key misses) and the
-  captured L1-miss positions. The paper runs one mechanism at every
+  captured demand events. The paper runs one mechanism at every
   level below L1, and so does the sweep: one C routine, over flat line
   columns, serves each core's L2 and the L3. A fill inserts into chunk
   C0 of the page's SLIP and cascades each displaced line to its SLIP's
@@ -54,9 +55,10 @@ the core that caused it, so DRAM reads and writes, and each core's
 measured-phase latency, are charged to that core; each line resident
 in the shared L3 at the end counts its reuse once per core, as every
 core's ``finalize()`` walks the shared level (EXPERIMENTS.md known
-deviation 4). Every call resolves the captured positions to
-addresses, dense profile-key ids and PTE lines itself
-(:func:`_merged_events`); nothing is kept across cells.
+deviation 4). Every call reads its misses, their victims' writebacks
+and the TLB misses' PTE lines off each capture's one boundary stream
+and resolves dense profile-key ids itself (:func:`_merged_events`);
+nothing is kept across cells.
 
 Section 7 rd-block cells replay from the same capture as page-mode
 cells: the TLB still probes once per access at page grain, and only
@@ -97,8 +99,12 @@ from ..mem.replacement import (
     ShipReplacement,
 )
 from ..mem.stats import INSERTION_CLASSES
-from ..mem.tlb import PTES_PER_LINE, PTE_TABLE_BASE
-from ..workloads.capture_store import TraceCapture
+from ..workloads.capture_store import (
+    OP_DEMAND_MISS,
+    OP_METADATA,
+    OP_WRITEBACK,
+    TraceCapture,
+)
 from ..workloads.trace import Trace
 from . import native
 from .kernel_report import record_decline, record_success
@@ -470,18 +476,19 @@ class _PageTable:
 def _merged_events(hierarchy, traces: Sequence[Trace],
                    captures: Sequence[TraceCapture]
                    ) -> Tuple[np.ndarray, ...]:
-    """Every core's captured positions, resolved and merged for the sweep.
+    """Every core's boundary stream, resolved and merged for the sweep.
 
     ``hierarchy`` is any core's (they share the config). Returns
     ``(misses, refs, keys, owners)``. ``misses`` has five rows, one
-    column per captured L1 miss: position, core, line, key id and the
-    L1 victim's writeback (else -1). ``refs`` has four, one column per
+    column per demand event: position, core, line, key id and the L1
+    victim's writeback, the address of the ``OP_WRITEBACK`` event right
+    after the miss (else -1). ``refs`` has four, one column per
     reference-metadata event, an access whose page misses the TLB or
     whose profile key misses: position, core, key id (-1 if the key
-    hit) and PTE line (-1 if the page hit). In page mode the key is the
-    page, so the key misses are the captured TLB misses; under
-    rd-blocks they are the misses of the runtime's SLIP-cache, an LRU
-    over the window's block stream
+    hit) and PTE line (-1 if the page hit), the address of the access's
+    ``OP_METADATA`` event. In page mode the key is the page, so the key
+    misses are the TLB misses; under rd-blocks they are the misses of
+    the runtime's SLIP-cache, an LRU over the window's block stream
     (:func:`~repro.sim.vector_frontend._tlb_miss_positions`). A
     position is ``access index * cores + core``, so its order is the
     walk's (access index, core) order and a single core's are its
@@ -491,15 +498,22 @@ def _merged_events(hierarchy, traces: Sequence[Trace],
     the core each key belongs to.
     """
     runtime = hierarchy.runtime
-    page_shift = hierarchy._page_shift
     key_shift = runtime.key_shift
     num_cores = len(captures)
     miss_columns, ref_columns = [], []
     miss_positions, ref_positions = [], []
     for core, (trace, capture) in enumerate(zip(traces, captures)):
         addresses = trace.addresses
-        miss_pos = np.asarray(capture.l1_miss_pos, dtype=np.int64)
-        tlb_pos = np.asarray(capture.tlb_miss_pos, dtype=np.int64)
+        ops, addrs, pos = capture.ops, capture.addrs, capture.pos
+        demand = np.flatnonzero(ops == OP_DEMAND_MISS)
+        metadata = np.flatnonzero(ops == OP_METADATA)
+        # A miss's victim writeback is the event right after it (a miss
+        # that ends the stream follows itself).
+        following = np.minimum(demand + 1, ops.shape[0] - 1)
+        victims = np.where(ops[following] == OP_WRITEBACK,
+                           addrs[following], -1)
+        miss_pos = pos[demand]
+        tlb_pos = pos[metadata]
         if runtime.block_shift is None:
             key_pos = tlb_pos
         else:
@@ -511,20 +525,18 @@ def _merged_events(hierarchy, traces: Sequence[Trace],
         misses[key_pos] |= 2
         ref_pos = np.flatnonzero(misses)
         kinds = misses[ref_pos]
-        refs = addresses[ref_pos]
-        lines = addresses[miss_pos]
+        ptes = np.full(ref_pos.shape[0], -1, dtype=np.int64)
+        ptes[np.searchsorted(ref_pos, tlb_pos)] = addrs[metadata]
+        lines = addrs[demand]
         miss_columns.append((
             miss_pos * num_cores + core,
             np.full(miss_pos.shape[0], core, dtype=np.int64),
-            lines, lines >> key_shift,
-            np.asarray(capture.l1_miss_wb, dtype=np.int64)))
+            lines, lines >> key_shift, victims))
         ref_columns.append((
             ref_pos * num_cores + core,
             np.full(ref_pos.shape[0], core, dtype=np.int64),
-            np.where(kinds & 2, refs >> key_shift, -1),
-            np.where(kinds & 1,
-                     PTE_TABLE_BASE + (refs >> page_shift) // PTES_PER_LINE,
-                     -1)))
+            np.where(kinds & 2, addresses[ref_pos] >> key_shift, -1),
+            ptes))
         miss_positions.append(miss_pos)
         ref_positions.append(ref_pos)
     end = captures[0].n * num_cores
@@ -617,26 +629,22 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     nsub3 = first.l3.cfg.num_sublevels
     wbout3 = _SUB + _WBOUT * nsub3
     # Live runtime/TLB ledgers: one page-grain probe per access, one
-    # miss per captured TLB-miss position; hits are the complement of
-    # the measured-phase misses.
+    # miss per measured metadata event; hits are the complement.
     l2_legs, l3_legs = [], []
     for core, (hierarchy, capture, block) in enumerate(
             zip(hierarchies, captures, blocks3)):
-        tlb_misses = int(np.count_nonzero(
-            np.asarray(capture.tlb_miss_pos) >= warmup))
+        demand, tlb_misses, writebacks = np.bincount(
+            capture.ops[capture.pos >= warmup], minlength=3).tolist()
         runtime_stats = hierarchy.runtime.stats
         runtime_stats.tlb_miss_fetches = tlb_misses
         tlb_stats = hierarchy.runtime.tlb.stats
         tlb_stats.misses = tlb_misses
         tlb_stats.hits = (n - warmup) - tlb_misses
-        measured = np.asarray(capture.l1_miss_pos) >= warmup
         l2_legs.append((
-            levels.tallies(core)[0],
-            int(np.count_nonzero(measured)),
+            levels.tallies(core)[0], demand,
             runtime_stats.tlb_miss_fetches
             + runtime_stats.distribution_fetches,
-            int(np.count_nonzero(
-                measured & (np.asarray(capture.l1_miss_wb) >= 0))),
+            writebacks,
         ))
         # What this core caused below its L2: L3 demand hits, DRAM
         # reads, and DRAM writes (writebacks the L3 forwarded, dirty

@@ -3,12 +3,16 @@
 A *capture* is everything the filtered-replay driver
 (:mod:`repro.sim.filtered`) needs to skip the front end of a
 simulation: the compact numpy event stream of what crossed the L1->L2
-boundary (demand misses, metadata accesses, L1 writebacks), the trace
-positions of L1 and TLB misses, and the frozen front-end statistics of
-the capture run. Captures are immutable (their arrays are read-only)
-and keyed by a fingerprint of everything that can influence the front
-end (trace content, L1 geometry/replacement, TLB size, page grain,
-warmup split, seed). The runtime kind is deliberately absent: the
+boundary (demand misses, metadata accesses, L1 writebacks), each event
+tagged with its access index, and the frozen front-end statistics of
+the capture run. The stream is the capture's only encoding of the
+boundary: per access, the metadata (PTE line) event of a TLB miss
+comes first, then the demand miss, then the victim writeback, all at
+the access's index, so every replay reads its positions from ``pos``.
+Captures are immutable (their arrays are read-only) and keyed by a
+fingerprint of everything that can influence the front end (trace
+content, L1 geometry/replacement, TLB size, page grain, warmup split,
+seed). The runtime kind is deliberately absent: the
 front end is runtime-kind invariant, so one capture serves every
 policy.
 
@@ -33,51 +37,26 @@ OP_DEMAND_MISS = 0
 OP_METADATA = 1
 OP_WRITEBACK = 2
 
-_ARRAY_NAMES = ("ops", "addrs", "l1_miss_pos", "l1_miss_wb",
-                "tlb_miss_pos")
+_ARRAY_NAMES = ("ops", "addrs", "pos")
 
 
 class TraceCapture:
     """One immutable front-end capture (see module docstring)."""
 
-    __slots__ = ("n", "warmup", "event_boundary", "ops", "addrs",
-                 "l1_miss_pos", "l1_miss_wb", "tlb_miss_pos", "frozen")
+    __slots__ = ("n", "warmup", "ops", "addrs", "pos", "frozen")
 
-    def __init__(self, n: int, warmup: int, event_boundary: int,
-                 ops: np.ndarray, addrs: np.ndarray,
-                 l1_miss_pos: np.ndarray, l1_miss_wb: np.ndarray,
-                 tlb_miss_pos: np.ndarray, frozen: Dict) -> None:
+    def __init__(self, n: int, warmup: int, ops: np.ndarray,
+                 addrs: np.ndarray, pos: np.ndarray, frozen: Dict) -> None:
         self.n = n
         self.warmup = warmup
-        self.event_boundary = event_boundary
         self.ops = ops
         self.addrs = addrs
-        self.l1_miss_pos = l1_miss_pos
-        self.l1_miss_wb = l1_miss_wb
-        self.tlb_miss_pos = tlb_miss_pos
+        self.pos = pos
         self.frozen = frozen
         # Shared by every policy cell that replays it: freeze the
         # arrays so no replay can write into another cell's input.
         for name in _ARRAY_NAMES:
             getattr(self, name).setflags(write=False)
-
-    def event_positions(self) -> np.ndarray:
-        """The trace position (access index) of every flat-stream event.
-
-        Metadata events take the captured TLB-miss positions and demand
-        misses the L1-miss positions, both in stream order; a writeback
-        belongs to the demand miss just before it.
-        """
-        ops = self.ops
-        positions = np.empty(ops.shape[0], dtype=np.int64)
-        metadata = ops == OP_METADATA
-        demand = ops == OP_DEMAND_MISS
-        writeback = ~(metadata | demand)
-        miss_pos = np.asarray(self.l1_miss_pos, dtype=np.int64)
-        positions[metadata] = self.tlb_miss_pos
-        positions[demand] = miss_pos
-        positions[writeback] = miss_pos[np.cumsum(demand)[writeback] - 1]
-        return positions
 
 
 # ----------------------------------------------------------------------

@@ -209,19 +209,22 @@ class TestCaptureModes:
         trace = make_trace("soplex", 1_500)
         capture = capture_front_end_vector(
             build_hierarchy(tiny_system, "baseline"), trace, tiny_system)
-        frozen = copy.deepcopy(capture.frozen)
-        frozen["event_counts"]["demand"] += 1
-        bad = TraceCapture(
-            n=capture.n, warmup=capture.warmup,
-            event_boundary=capture.event_boundary, ops=capture.ops,
-            addrs=capture.addrs, l1_miss_pos=capture.l1_miss_pos,
-            l1_miss_wb=capture.l1_miss_wb,
-            tlb_miss_pos=capture.tlb_miss_pos, frozen=frozen,
-        )
-        with pytest.raises(InvariantViolation) as excinfo:
-            replay_capture([build_hierarchy(tiny_system, "baseline")],
-                           [trace], [bad])
-        assert excinfo.value.invariant == "capture-replay-conservation"
+        miscounted = copy.deepcopy(capture.frozen)
+        miscounted["event_counts"]["demand"] += 1
+        # A miscounted event, and a stream whose events all carry
+        # access 0, so none of them is measured.
+        for pos, frozen in ((capture.pos, miscounted),
+                            (np.zeros_like(capture.pos), capture.frozen)):
+            bad = TraceCapture(
+                n=capture.n, warmup=capture.warmup, ops=capture.ops,
+                addrs=capture.addrs, pos=pos, frozen=frozen,
+            )
+            for policy in ("baseline", "slip"):
+                with pytest.raises(InvariantViolation) as excinfo:
+                    replay_capture([build_hierarchy(tiny_system, policy)],
+                                   [trace], [bad])
+                assert excinfo.value.invariant == \
+                    "capture-replay-conservation"
 
     def test_stored_capture_is_read_only(self, tiny_system):
         """Every cell replays the stored capture itself, so no replay

@@ -2,8 +2,9 @@
 
 No module under ``src/repro`` reads the environment, so no knob can
 switch a run onto another code path unseen; the simulator loads
-only ``repro.analysis.invariants`` of ``repro.analysis``; and the
-kernels publish their tallies through one step.
+only ``repro.analysis.invariants`` of ``repro.analysis``; the
+kernels publish their tallies through one step; and only the TLB and
+the capture kernel compute PTE-line addresses.
 """
 
 import ast
@@ -13,6 +14,17 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
+
+
+def source_trees():
+    """``(module path, AST)`` of every module under ``src/repro``."""
+    for root, _, files in os.walk(os.path.join(SRC_DIR, "repro")):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as handle:
+                    yield (os.path.relpath(path, SRC_DIR),
+                           ast.parse(handle.read(), filename=path))
 
 
 def environment_reads(tree):
@@ -35,15 +47,8 @@ def environment_reads(tree):
 
 
 def test_no_module_reads_the_environment():
-    reads = []
-    for root, _, files in os.walk(os.path.join(SRC_DIR, "repro")):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(root, name)
-                with open(path, encoding="utf-8") as handle:
-                    tree = ast.parse(handle.read(), filename=path)
-                reads += [f"{os.path.relpath(path, SRC_DIR)}:{line}"
-                          for line in environment_reads(tree)]
+    reads = [f"{module}:{line}" for module, tree in source_trees()
+             for line in environment_reads(tree)]
     assert reads == []
 
 
@@ -67,22 +72,15 @@ def test_simulator_loads_only_the_invariants():
 def adopt_counts_callers():
     """``(module, function)`` of every ``.adopt_counts(...)`` call."""
     callers = set()
-    for root, _, files in os.walk(os.path.join(SRC_DIR, "repro")):
-        for name in sorted(files):
-            if not name.endswith(".py"):
+    for module, tree in source_trees():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
                 continue
-            path = os.path.join(root, name)
-            with open(path, encoding="utf-8") as handle:
-                tree = ast.parse(handle.read(), filename=path)
-            module = os.path.relpath(path, SRC_DIR)
-            for function in ast.walk(tree):
-                if not isinstance(function, ast.FunctionDef):
-                    continue
-                for node in ast.walk(function):
-                    if (isinstance(node, ast.Call)
-                            and isinstance(node.func, ast.Attribute)
-                            and node.func.attr == "adopt_counts"):
-                        callers.add((module, function.name))
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "adopt_counts"):
+                    callers.add((module, function.name))
     return callers
 
 
@@ -92,4 +90,28 @@ def test_kernels_publish_through_one_step():
     assert adopt_counts_callers() == {
         ("repro/sim/vector_replay.py", "publish_level"),
         ("repro/sim/vector_frontend.py", "_frozen_frontend"),
+    }
+
+
+def modules_naming(names):
+    """Modules that import, read or bind any of ``names``."""
+    modules = set()
+    for module, tree in source_trees():
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Name) and node.id in names)
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr in names)
+                    or (isinstance(node, ast.alias)
+                        and node.name in names)):
+                modules.add(module)
+    return modules
+
+
+def test_pte_lines_have_one_writer():
+    """The capture kernel writes each TLB miss's PTE line into the
+    boundary stream, so every replay reads it from there: only the TLB
+    and the capture kernel compute the address."""
+    assert modules_naming({"PTE_TABLE_BASE", "PTES_PER_LINE"}) == {
+        "repro/mem/tlb.py",
+        "repro/sim/vector_frontend.py",
     }

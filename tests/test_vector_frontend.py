@@ -9,7 +9,8 @@ tiny and paper systems, the warmup edges and seeded draws from the
 harness's cell space, each through the one differential check
 (``served_like_walk``). Everything the kernel cannot represent must
 decline with a recorded reason, and the driver walks it. Also covers
-the in-process store's LRU capacity.
+the stream contract every replay reads off a capture and the
+in-process store's LRU capacity.
 """
 
 import json
@@ -21,8 +22,10 @@ import pytest
 from harness import canonical, partitioned_l1, single_cell
 from repro.mem.cache import CacheLevel
 from repro.mem.replacement import LruReplacement, RandomReplacement
+from repro.mem.tlb import pte_line_address
 from repro.sim.build import build_hierarchy
 from repro.sim import filtered, single_core
+from repro.sim.config import line_to_page_shift
 from repro.sim.kernel_report import kernel_report_lines, reset_kernel_counts
 from repro.sim.single_core import run_trace
 from repro.sim.vector_frontend import (
@@ -33,6 +36,9 @@ from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import (
     _ARRAY_NAMES,
     MAX_ENTRIES,
+    OP_DEMAND_MISS,
+    OP_METADATA,
+    OP_WRITEBACK,
     MemoryCaptureStore,
 )
 
@@ -51,8 +57,7 @@ def served_from_one_capture(served_like_walk, trace, config, **kwargs):
 
 
 def assert_captures_equal(vector, stored):
-    assert (vector.n, vector.warmup, vector.event_boundary) == \
-        (stored.n, stored.warmup, stored.event_boundary)
+    assert (vector.n, vector.warmup) == (stored.n, stored.warmup)
     for name in _ARRAY_NAMES:
         v, s = getattr(vector, name), getattr(stored, name)
         assert v.dtype == s.dtype, name
@@ -112,6 +117,32 @@ class TestByteIdentity:
         kernel = capture_front_end_vector(
             build_hierarchy(tiny_system, "baseline"), trace, tiny_system)
         assert_captures_equal(kernel, stored)
+
+
+@pytest.mark.parametrize("system", ("tiny_system", "paper_system"))
+@pytest.mark.parametrize("bench", ("soplex", "lbm"))
+def test_stream_contract(bench, system, request):
+    """What every replay reads off ``(ops, addrs, pos)``: access order,
+    a writeback at its demand miss's access, a metadata event's PTE
+    line, and the measured counts the capture froze."""
+    config = request.getfixturevalue(system)
+    trace = make_trace(bench, LENGTH)
+    capture = capture_front_end_vector(build_hierarchy(config, "baseline"),
+                                       trace, config)
+    ops, addrs, pos = capture.ops, capture.addrs, capture.pos
+    assert pos.dtype == np.int64
+    assert np.all(np.diff(pos) >= 0)
+    writeback = np.flatnonzero(ops == OP_WRITEBACK)
+    assert np.all(ops[writeback - 1] == OP_DEMAND_MISS)
+    assert np.array_equal(pos[writeback - 1], pos[writeback])
+    metadata = np.flatnonzero(ops == OP_METADATA)
+    pages = trace.addresses[pos[metadata]] >> line_to_page_shift(
+        config.lines_per_page)
+    assert addrs[metadata].tolist() == \
+        [pte_line_address(page) for page in pages.tolist()]
+    counts = capture.frozen["event_counts"]
+    assert np.bincount(ops[pos >= capture.warmup], minlength=3).tolist() \
+        == [counts["demand"], counts["metadata"], counts["writeback"]]
 
 
 @pytest.mark.parametrize("case_seed", range(8))
