@@ -11,8 +11,8 @@
  *               LRU-PEA, emitting the stream the level forwards below;
  *   slip_sweep  phase 1 of the SLIP kernel (repro.sim.vector_replay_slip):
  *               every core's L2 and the shared L3 under LRU, DRRIP or
- *               SHiP, one level routine for all of them, calling back
- *               into the live Python runtime at each profile-key miss.
+ *               SHiP, one level routine for all of them, with each
+ *               profile key's sampling state machine and EOU argmin.
  *
  * Python loads this file through ctypes (repro.sim.native), hands it
  * numpy arrays and publishes the integer tallies it returns; nothing
@@ -543,8 +543,10 @@ int64_t lru_level(int kind, int64_t n, const uint8_t *ops,
  *   tables  read-only int64: per level the sublevel of each way, the
  *           SLIP records, the reuse-distance bin boundaries and a
  *           DRRIP level's BRRIP flag per set;
- *   rng     per level the MT19937 state of its RRIP policy;
- *   tally   per level and core the measured counts (T_* below).
+ *   rng     per level the MT19937 state of its RRIP policy, then per
+ *           core its sampler's;
+ *   tally   per level and core the measured counts (T_* below), then
+ *           per core its runtime's (K_* below).
  *
  * The SLIP record of id s sits at slips + s * (2 + nsub): its chunk
  * count, its insertion class, then the offset (into tables) of each
@@ -554,13 +556,19 @@ int64_t lru_level(int kind, int64_t n, const uint8_t *ops,
  *
  * The page table is one row of page_width int64s per profile key (P_*
  * below): the key's entry exists, it is sampling, its period samples,
- * whether the sweep changed the row since Python last read it, the
- * SLIP id per level, and then each level's distribution bins. Rows
- * change only through samples here; the state machine stays in Python:
- * at each reference event with a key the sweep calls fetch(core, key),
- * which runs the runtime's own _key_metadata_fetches over the row and
- * returns the distribution line to fetch, -1 for none or FETCH_ABORT
- * when it raised.
+ * its sampling visits, its distribution line, the SLIP id per level,
+ * and then each level's distribution bins. The sweep owns the rows:
+ * samples change the bins, and at each reference event with a key
+ * key_fetch runs the key's state machine (PAPER.md, Section 4.2) and,
+ * when the page stabilizes, each level's EOU (Section 4.4).
+ *
+ * A core is one row of C_FIELDS int64s: its runtime's constants, the
+ * sampler's two transition probabilities (as double bits), offsets of
+ * its sampler's state in rng and of its counters in tally, and per
+ * level the offset in tables of its EOU record: the Default SLIP id,
+ * the ABP evidence floor, the cold-distribution floor, the number of
+ * EEUs eligible on thin and on confident evidence, then those EEUs
+ * (thin ones first), each its SLIP id and one coefficient per bin.
  */
 
 /* Descriptor fields: keep in the order of vector_replay_slip's
@@ -578,10 +586,23 @@ enum {
 #define REPL_SHIP 2
 
 /* Page-table row fields; the bins follow at each level's column. */
-enum { P_EXISTS, P_SAMPLING, P_SAMPLES, P_TOUCHED, P_POLICY };
+enum { P_EXISTS, P_SAMPLING, P_SAMPLES, P_VISITS, P_LINE, P_POLICY };
 /* Per-core fields: always_sample, counter max, default SLIP id per
- * level. */
-enum { C_ALWAYS, C_COUNTER_MAX, C_DEFAULT, C_FIELDS = C_DEFAULT + 2 };
+ * level, EOU record per level, the sampler's probabilities, the
+ * stabilize floor, the sampler state and the counters. */
+enum {
+    C_ALWAYS, C_COUNTER_MAX, C_DEFAULT, C_EOU = C_DEFAULT + 2,
+    C_TO_STABLE = C_EOU + 2, C_TO_SAMPLING, C_STABILIZE, C_RNG, C_STATS,
+    C_FIELDS
+};
+/* An EOU record's header; the EEUs follow. */
+enum { E_DEFAULT, E_MIN_ABP, E_WARM, E_THIN, E_CONFIDENT, E_EEUS };
+/* Per-core runtime counters: RuntimeStats, then EouStats per level. */
+enum {
+    K_DISTRIBUTIONS, K_RECOMPUTATIONS, K_TO_STABLE, K_TO_SAMPLING,
+    K_OPTIMIZATIONS, K_BLOCK_CYCLES = K_OPTIMIZATIONS + 2,
+    K_FIELDS = K_BLOCK_CYCLES + 2
+};
 /* Per-(level, core) tally fields; per-sublevel blocks follow T_SUB. */
 enum {
     T_DEMAND_MISSES, T_METADATA_MISSES, T_FORWARDED, T_BYPASSES,
@@ -589,11 +610,20 @@ enum {
 };
 enum { S_DH, S_MH, S_INS, S_MVR, S_MVW, S_WBIN, S_WBOUT, S_BLOCKS };
 
-#define FETCH_ABORT (-2)
-#define STATUS_FETCH_ABORTED 3
+/* SlipPageEntry's 6-bit period_samples and 2-bit sampling_visits
+ * counters, and the visits a page needs before it may stabilize. */
 #define SAMPLES_MAX 63
+#define VISITS_MAX 3
+#define VISITS_TO_STABILIZE 2
 
-typedef int64_t (*fetch_fn)(int64_t core, int64_t key);
+typedef struct {
+    int always;
+    int64_t counter_max, defaults[2], stabilize;
+    double to_stable, to_sampling;
+    const int64_t *eou[2];
+    uint32_t *rng;
+    int64_t *stats;
+} Core;
 
 typedef struct {
     int64_t *desc;
@@ -612,8 +642,24 @@ typedef struct {
 /* The per-sweep context every level routine reads. */
 typedef struct {
     int64_t *pages, page_width;
-    const int64_t *cores;
+    const Core *cores;
 } Sweep;
+
+static void core_load(Core *C, const int64_t *c, const int64_t *tables,
+                      uint32_t *rng, int64_t *tally)
+{
+    C->always = c[C_ALWAYS] != 0;
+    C->counter_max = c[C_COUNTER_MAX];
+    C->stabilize = c[C_STABILIZE];
+    for (int i = 0; i < 2; i++) {
+        C->defaults[i] = c[C_DEFAULT + i];
+        C->eou[i] = tables + c[C_EOU + i];
+    }
+    memcpy(&C->to_stable, &c[C_TO_STABLE], sizeof(double));
+    memcpy(&C->to_sampling, &c[C_TO_SAMPLING], sizeof(double));
+    C->rng = rng + c[C_RNG];
+    C->stats = tally + c[C_STATS];
+}
 
 static void level_load(Level *L, int64_t *d, int64_t *lines,
                        const int64_t *tables, uint32_t *rng, int64_t *tally)
@@ -700,13 +746,12 @@ static void record_sample(const Level *L, const Sweep *S, int64_t *row,
                           int64_t core, int64_t bin)
 {
     int64_t *bins = row + L->bin_column;
-    if (bins[bin] >= S->cores[core * C_FIELDS + C_COUNTER_MAX])
+    if (bins[bin] >= S->cores[core].counter_max)
         for (int64_t i = 0; i < L->nbins; i++)
             bins[i] >>= 1;
     bins[bin]++;
     if (row[P_SAMPLES] < SAMPLES_MAX)
         row[P_SAMPLES]++;
-    row[P_TOUCHED] = 1;
 }
 
 /* The row of a data line's key whose samples are being collected, or
@@ -719,7 +764,7 @@ static int64_t *sampled_row(const Sweep *S, int64_t core, int64_t key)
     row = S->pages + key * S->page_width;
     if (!row[P_EXISTS])
         return NULL;
-    if (!row[P_SAMPLING] && !S->cores[core * C_FIELDS + C_ALWAYS])
+    if (!row[P_SAMPLING] && !S->cores[core].always)
         return NULL;
     return row;
 }
@@ -825,7 +870,7 @@ static int64_t level_victim(Level *L, int64_t base, const int64_t *chunk)
 static int64_t level_fill(Level *L, const Sweep *S, int64_t core,
                           int64_t addr, int64_t key)
 {
-    const int64_t *core_row = S->cores + core * C_FIELDS;
+    const Core *C = S->cores + core;
     int64_t *t = L->tally + core * L->tally_width;
     int64_t *sub_tally = t + T_SUB;
     int64_t slip = L->meta_slip, base, guard, src = -1;
@@ -835,9 +880,9 @@ static int64_t level_fill(Level *L, const Sweep *S, int64_t core,
     int64_t m_key = key, m_stamp = 0;
     if (key >= 0) {
         int64_t *row = S->pages + key * S->page_width;
-        slip = core_row[C_DEFAULT + L->select];
+        slip = C->defaults[L->select];
         if (row[P_EXISTS]) {
-            if (row[P_SAMPLING] || core_row[C_ALWAYS])
+            if (row[P_SAMPLING] || C->always)
                 record_sample(L, S, row, core, L->nbins - 1);
             if (!row[P_SAMPLING])
                 slip = row[P_POLICY + L->select];
@@ -923,6 +968,111 @@ static int64_t level_fill(Level *L, const Sweep *S, int64_t core,
     }
 }
 
+static int64_t bin_sum(const Level *L, const int64_t *row)
+{
+    int64_t sum = 0;
+    for (int64_t i = 0; i < L->nbins; i++)
+        sum += row[L->bin_column + i];
+    return sum;
+}
+
+/* EnergyOptimizerUnit._argmin: the Default SLIP for a cold
+ * distribution, else the first EEU, in order, whose dot product with
+ * the raw bins is strictly least, among those eligible on the page's
+ * evidence. */
+static int64_t eou_argmin(const Level *L, const int64_t *eou,
+                          const int64_t *row)
+{
+    const int64_t *bins = row + L->bin_column, *eeu = eou + E_EEUS;
+    int64_t n = eou[E_THIN], best = eou[E_DEFAULT], least = 0;
+    if (bin_sum(L, row) < eou[E_WARM])
+        return best;
+    if (row[P_SAMPLES] >= eou[E_MIN_ABP]) {
+        eeu += n * (1 + L->nbins);
+        n = eou[E_CONFIDENT];
+    }
+    for (int64_t i = 0; i < n; i++, eeu += 1 + L->nbins) {
+        int64_t energy = 0;
+        for (int64_t b = 0; b < L->nbins; b++)
+            energy += eeu[1 + b] * bins[b];
+        if (i == 0 || energy < least) {
+            best = eeu[0];
+            least = energy;
+        }
+    }
+    return best;
+}
+
+/* SlipRuntime._is_warm: some level holds enough samples to stabilize. */
+static int page_warm(Level *const levels[2], const Core *C,
+                     const int64_t *row)
+{
+    return bin_sum(levels[0], row) >= C->stabilize
+        || bin_sum(levels[1], row) >= C->stabilize;
+}
+
+/* SlipRuntime._recompute_policies: each level's EOU picks its SLIP. */
+static void recompute(Level *const levels[2], const Core *C, int64_t *row)
+{
+    for (int i = 0; i < 2; i++) {
+        const Level *L = levels[i];
+        row[P_POLICY + L->select] = eou_argmin(L, C->eou[L->select], row);
+        C->stats[K_OPTIMIZATIONS + L->select]++;
+        C->stats[K_BLOCK_CYCLES + L->select]++;
+    }
+    C->stats[K_RECOMPUTATIONS]++;
+}
+
+/* The runtime's step at a profile-key miss (SlipRuntime): a key with
+ * no entry gets one, sampling, then the sampler redraws its state
+ * (Section 4.2); returns the distribution line to fetch, or -1. */
+static int64_t key_fetch(Level *const levels[2], const Sweep *S,
+                         int64_t core, int64_t key)
+{
+    const Core *C = S->cores + core;
+    int64_t *row = S->pages + key * S->page_width;
+    if (!row[P_EXISTS]) {  /* _new_entry: sampling, Default SLIPs */
+        row[P_EXISTS] = 1;
+        row[P_SAMPLING] = 1;
+        row[P_SAMPLES] = 0;
+        row[P_VISITS] = 0;
+        row[P_POLICY] = C->defaults[0];
+        row[P_POLICY + 1] = C->defaults[1];
+        memset(row + P_POLICY + 2, 0,
+               (size_t)(S->page_width - P_POLICY - 2) * sizeof(int64_t));
+    }
+    if (C->always) {  /* fetch and refresh on every miss */
+        C->stats[K_DISTRIBUTIONS]++;
+        if (page_warm(levels, C, row))
+            recompute(levels, C, row);
+        row[P_SAMPLING] = 0;
+        return row[P_LINE];
+    }
+    if (!row[P_SAMPLING]) {
+        if (mt_random(C->rng) < C->to_sampling) {
+            row[P_SAMPLING] = 1;
+            row[P_VISITS] = 0;
+            row[P_SAMPLES] = 0;
+            C->stats[K_TO_SAMPLING]++;
+        }
+        return -1;
+    }
+    C->stats[K_DISTRIBUTIONS]++;
+    if (row[P_VISITS] < VISITS_MAX)
+        row[P_VISITS]++;
+    /* Don't freeze a policy off an empty or single-visit profile. */
+    if (mt_random(C->rng) < C->to_stable
+            && row[P_VISITS] >= VISITS_TO_STABILIZE
+            && page_warm(levels, C, row)) {
+        recompute(levels, C, row);
+        row[P_SAMPLING] = 0;
+        row[P_VISITS] = 0;
+        row[P_SAMPLES] = 0;
+        C->stats[K_TO_STABLE]++;
+    }
+    return row[P_LINE];
+}
+
 /* One event below L1 (MemoryHierarchy._access_below_l1): L2 access,
  * then L3 access, L3 fill and L2 fill, whose dirty victims go to DRAM
  * and to L3. key is -1 for a metadata line. */
@@ -948,14 +1098,14 @@ static void below_l1(Level *l2, Level *l3, const Sweep *S, int64_t core,
  * sentinel at or above every stop. A position is access index * cores
  * + core, so events run in the walk's order: access index, core, the
  * reference event before the L1 miss. levels holds ncores + 1
- * descriptor rows: each core's L2, then the L3.
+ * descriptor rows: each core's L2, then the L3; cores holds ncores
+ * core rows.
  */
 int slip_sweep(int64_t ncores, int64_t stop, int64_t *cursor,
                const int64_t *misses, int64_t nmiss, const int64_t *refs,
                int64_t nref, const int64_t *cores, int64_t *pages,
                int64_t page_width, int64_t *levels, int64_t *lines,
-               const int64_t *tables, uint32_t *rng, int64_t *tally,
-               fetch_fn fetch)
+               const int64_t *tables, uint32_t *rng, int64_t *tally)
 {
     const int64_t *miss_at = misses, *miss_core = misses + (nmiss + 1);
     const int64_t *miss_addr = miss_core + (nmiss + 1);
@@ -965,17 +1115,22 @@ int slip_sweep(int64_t ncores, int64_t stop, int64_t *cursor,
     const int64_t *ref_key = ref_core + (nref + 1);
     const int64_t *ref_pte = ref_key + (nref + 1);
     int64_t ri = cursor[0], mi = cursor[1];
-    int status = STATUS_OK;
     Sweep S;
     Level *lv = malloc((size_t)(ncores + 1) * sizeof(Level)), *l3;
-    if (!lv)
+    Core *core_of = malloc((size_t)ncores * sizeof(Core));
+    if (!lv || !core_of) {
+        free(lv);
+        free(core_of);
         return STATUS_NO_MEMORY;
+    }
     for (int64_t i = 0; i <= ncores; i++)
         level_load(&lv[i], levels + i * LV_FIELDS, lines, tables, rng, tally);
+    for (int64_t i = 0; i < ncores; i++)
+        core_load(&core_of[i], cores + i * C_FIELDS, tables, rng, tally);
     l3 = &lv[ncores];
     S.pages = pages;
     S.page_width = page_width;
-    S.cores = cores;
+    S.cores = core_of;
     for (;;) {
         int64_t rk = ref_at[ri], mk = miss_at[mi], k = rk < mk ? rk : mk;
         if (k >= stop)
@@ -986,11 +1141,8 @@ int slip_sweep(int64_t ncores, int64_t stop, int64_t *cursor,
              * distribution line travel below L1. */
             int64_t core = ref_core[ri], line = -1;
             if (ref_key[ri] >= 0) {
-                line = fetch(core, ref_key[ri]);
-                if (line == FETCH_ABORT) {
-                    status = STATUS_FETCH_ABORTED;
-                    break;
-                }
+                Level *const pair[2] = {&lv[core], l3};
+                line = key_fetch(pair, &S, core, ref_key[ri]);
             }
             if (ref_pte[ri] >= 0)
                 below_l1(&lv[core], l3, &S, core, ref_pte[ri], -1);
@@ -1012,5 +1164,6 @@ int slip_sweep(int64_t ncores, int64_t stop, int64_t *cursor,
     cursor[0] = ri;
     cursor[1] = mi;
     free(lv);
-    return status;
+    free(core_of);
+    return STATUS_OK;
 }

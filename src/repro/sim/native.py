@@ -2,15 +2,15 @@
 
 The capture kernel's TLB and L1 (:mod:`~repro.sim.vector_frontend`),
 the baseline-kind replay kernel's level runners (:mod:`~repro.sim.
-vector_replay`) and the SLIP kernel's sweep (:mod:`~repro.sim.
-vector_replay_slip`, which calls back into Python through
-:data:`FETCH` at each profile-key miss) are C loops in ``_lru.c``,
-beside this module. The first :func:`library` call of a process
-compiles the file with the system C compiler (``cc``) into a per-user
-cache, ``~/.cache/repro/native`` (the home directory comes from the
-password database), under a name keyed by a hash of the source, the
-compiler flags and the Python ABI; every later call, in any process,
-loads that file. Deleting the directory forces a rebuild.
+vector_replay`) and the SLIP kernel's sweep with its page state
+machine and EOU argmin (:mod:`~repro.sim.vector_replay_slip`) are C
+loops in ``_lru.c``, beside this module; none calls back into
+Python. The first :func:`library` call of a process compiles the file
+with the system C compiler (``cc``) into a per-user cache,
+``~/.cache/repro/native`` (the home directory comes from the password
+database), under a name keyed by a hash of the source, the compiler
+flags and the Python ABI; every later call, in any process, loads that
+file. Deleting the directory forces a rebuild.
 
 * Parallel builders cannot collide: each compiles to a temporary name
   in the cache and moves it into place with :func:`os.replace`.
@@ -50,9 +50,6 @@ KINDS = {"baseline": 0, "nurapid": 1, "lru_pea": 2}
 #: ``lru_level``'s status for a NuRAPID promotion that found sublevel 0
 #: not full; any other nonzero status means it ran out of memory.
 STATUS_NURAPID_PROMOTION = 1
-#: ``slip_sweep``'s key-fetch callback: ``(core, key id)`` to the
-#: distribution line to fetch, ``-1`` for none.
-FETCH = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_int64, ctypes.c_int64)
 #: Built libraries kept in the cache: the newest, by modification time.
 KEEP = 4
 
@@ -160,7 +157,7 @@ def load(path: Path) -> ctypes.CDLL:
     lib.slip_sweep.argtypes = [
         ctypes.c_int64, ctypes.c_int64, i64, i64, ctypes.c_int64, i64,
         ctypes.c_int64, i64, i64, ctypes.c_int64, i64, i64, i64,
-        array(np.uint32), i64, FETCH]
+        array(np.uint32), i64]
     return lib
 
 

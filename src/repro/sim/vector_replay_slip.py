@@ -1,16 +1,17 @@
 """Phase-split replay kernel for slip-runtime-kind cells.
 
 The kernel replays every slip/slip_abp cell the N-core driver
-(:func:`repro.sim.filtered.simulate`) captures: it drives the live
-:class:`~repro.core.runtime.SlipRuntime` at the access indices of the
-captured metadata (TLB-miss) and demand events and at the profile-key
-misses, as the per-access walk would, but without ``Line`` objects,
-``FillOutcome`` allocation, placement dispatch or per-event statistics
-bumps. Unlike the
-baseline-kind kernel (:mod:`repro.sim.vector_replay`), the SLIP back
-end cannot be replayed per set: reuse samples taken on L2/L3 hits and
-misses feed the page state machine that steers *future* fills at both
-levels, so the two levels must be co-simulated in global event order.
+(:func:`repro.sim.filtered.simulate`) captures: it runs the back end
+and the :class:`~repro.core.runtime.SlipRuntime` page state machine at
+the access indices of the captured metadata (TLB-miss) and demand
+events and at the profile-key misses, as the per-access walk would,
+and leaves the live runtime where the walk would, but without
+``Line`` objects, ``FillOutcome`` allocation, placement dispatch or
+per-event statistics bumps. Unlike the baseline-kind kernel
+(:mod:`repro.sim.vector_replay`), the SLIP back end cannot be replayed
+per set: reuse samples taken on L2/L3 hits and misses feed the page
+state machine that steers *future* fills at both levels, so the two
+levels must be co-simulated in global event order.
 
 The kernel therefore splits the work differently:
 
@@ -25,17 +26,22 @@ The kernel therefore splits the work differently:
   into the page's distribution. Under DRRIP or SHiP (paper Section 7)
   the stamp column holds RRPVs, the policy's MT19937 runs from its
   ``getstate()`` and is written back with ``setstate()``, and the SHCT
-  is copied in and back out. The page state machine stays the
-  runtime's own: the sweep owns each profile key's row (state,
-  policies, bins, ``period_samples``) between key fetches, and at each
-  key miss calls back into :func:`replay_capture_vector_slip`'s fetch,
-  which hands the row to the key's ``SlipPageEntry``, runs the real
-  ``_key_metadata_fetches`` (sampler RNG draws, the warmth test,
-  memoized EOU argmins and their live statistics) and takes the
-  entry's state back. An exception raised there stops the sweep and is
-  raised again here. The sweep is called twice, up to the warmup
-  boundary and then to the end, and counts straight into per-level,
-  per-core tallies.
+  is copied in and back out. The sweep also owns the page state
+  machine: one row per profile key (state, sampling visits, period
+  samples, SLIPs, bins, distribution line) starts from the entries the
+  runtimes hold, and at each key miss the sweep runs the runtime's
+  own steps over it, as ``SlipRuntime`` does in the walk: the entry is
+  created sampling, the core's ``TimeBasedSampler`` generator (run
+  from its ``getstate()`` and written back with ``setstate()``)
+  redraws the state (Section 4.2), and a page that stabilizes takes
+  each level's EOU argmin (Section 4.4, over the eligible EEUs'
+  integer coefficients packed from the live
+  :class:`~repro.core.eou.EnergyOptimizerUnit`). Nothing calls back
+  into Python. The sweep is called twice, up to the warmup boundary
+  and then to the end, and counts straight into per-level, per-core
+  tallies and per-core runtime counters, which land in each runtime's
+  ``RuntimeStats`` and ``EouStats``; every row that holds an entry is
+  written back into its runtime's page table at the end.
 * **Phase 2 (accounting)** — the tallies become one
   :class:`~repro.sim.vector_replay.LevelTally` per level, and the
   publish step both replay kernels share
@@ -71,7 +77,8 @@ reproduced in the scalar order: the level access counters tick per
 event, the allocation rotors advance once per non-bypassed fill and
 once per cascade victim selection, LRU stamps come from a per-level
 monotone clock, timestamps quantize the post-tick access counter, the
-sampler RNG/EOU sequence is the real runtime's own, and an RRIP level
+sampler draws come from the runtime's own generator in key-miss order,
+the EOU argmin is the same exact integer comparison, and an RRIP level
 draws its sublevel and BRRIP choices from the replacement's own
 generator in the order of ``SlipPlacement.fill``. The per-access walk
 (:func:`repro.sim.filtered.walk_cores`) remains the golden reference
@@ -91,6 +98,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..core.controller import SlipPlacement
+from ..core.distribution import DEFAULT_WARM_SAMPLES
 from ..core.runtime import RoutedSlipRuntime
 from ..core.sampling import PageState
 from ..mem.replacement import (
@@ -99,6 +107,7 @@ from ..mem.replacement import (
     ShipReplacement,
 )
 from ..mem.stats import INSERTION_CLASSES
+from ..mem.tlb import distribution_line_address
 from ..workloads.capture_store import (
     OP_DEMAND_MISS,
     OP_METADATA,
@@ -212,8 +221,17 @@ _FIELD = {name: index for index, name in enumerate(LEVEL_FIELDS)}
 _COLUMNS = 8
 _TAG, _HITS, _KEY = 0, 3, 6
 #: A page-table row (``P_*``): the bins of each level follow.
-_EXISTS, _SAMPLING, _SAMPLES, _TOUCHED, _POLICY = range(5)
+_EXISTS, _SAMPLING, _SAMPLES, _VISITS, _LINE, _POLICY = range(6)
 _BINS = _POLICY + 2
+#: A core row (``C_*``), in the order of its fields.
+CORE_FIELDS = (
+    "always", "counter_max", "default_l2", "default_l3", "eou_l2",
+    "eou_l3", "to_stable", "to_sampling", "stabilize", "rng", "stats")
+_CORE = {name: index for index, name in enumerate(CORE_FIELDS)}
+#: A core's runtime counters (``K_*``): distribution fetches, policy
+#: recomputations, transitions to stable and to sampling, then each
+#: level's EOU optimizations and TLB block cycles.
+_COUNTERS = 8
 #: A per-(level, core) tally block (``T_*``): four counts, the class
 #: counts and the reuse histogram, then seven per-sublevel blocks
 #: (``S_*``): demand hits, metadata hits, insertions, movement reads,
@@ -223,28 +241,57 @@ _SUB_BLOCKS = 7
 _WBOUT = 6
 #: MT19937 words plus index, as ``random.Random.getstate()[1]``.
 _MT_WORDS = 625
-#: What the fetch callback returns when the fetch raised.
-_FETCH_ABORT = -2
+
+
+def _bits(value: float) -> int:
+    """A double's bits as one int64 field."""
+    return int(np.float64(value).view(np.int64))
+
+
+def _restore(generator, words: np.ndarray) -> None:
+    """A ``random.Random`` set to the MT19937 words the sweep left."""
+    version, _, gauss = generator.getstate()
+    generator.setstate((version, tuple(words.tolist()), gauss))
+
+
+def _eou_record(eou, allow_abp: bool) -> List[int]:
+    """An EOU's record (``E_*``): the Default SLIP, the ABP evidence
+    floor, the cold-distribution floor, how many EEUs are eligible on
+    thin and on confident evidence, then those EEUs in their order,
+    each its SLIP id and fixed-point coefficients."""
+    eligible = [eou._eligible[(allow_abp, confident)]
+                for confident in (False, True)]
+    return [eou.space.default_id, eou.min_abp_samples,
+            DEFAULT_WARM_SAMPLES, *(len(eeus) for eeus in eligible),
+            *(value for eeus in eligible for eeu in eeus
+              for value in (eeu.slip_id, *eeu.coefficients))]
 
 
 class _Levels:
-    """The levels one sweep runs, ``legs`` (each core's L2, then the
-    L3, as ``(level, placement, select)``), packed into
-    ``slip_sweep``'s descriptor rows and the pools they point into.
-    ``select`` is 0 for an L2 and 1 for the L3: the column of the
-    level's SLIP id in a page-table row and in a core's defaults.
+    """The levels and cores one sweep runs, packed into
+    ``slip_sweep``'s descriptor rows, core rows and the pools they
+    point into. ``legs`` are each core's L2, then the L3, as ``(level,
+    placement, select)``; ``select`` is 0 for an L2 and 1 for the L3:
+    the column of the level's SLIP id in a page-table row and in a
+    core's defaults. ``runtimes`` are the cores' own and ``names`` the
+    two levels' names.
 
     The line columns start empty; the access counter, allocation rotor
     and LRU clock are the live level's. Under DRRIP or SHiP the chunk
     records carry the policy's own ``sublevel_split`` groups, the
-    generator state is the policy's (:meth:`hand_back` writes it back)
-    and a SHiP level's SHCT is copied in and back out.
+    generator state is the policy's and a SHiP level's SHCT is copied
+    in. A core's row carries its runtime's constants, its sampler's
+    probabilities and generator state, and each level's EOU record.
+    :meth:`hand_back` writes the generators, SHCTs and counters back.
     """
 
-    def __init__(self, legs, bin_columns: Sequence[int],
-                 bounds: Sequence[Sequence[int]], num_cores: int) -> None:
+    def __init__(self, legs, runtimes, names: Sequence[str],
+                 bin_columns: Sequence[int],
+                 bounds: Sequence[Sequence[int]]) -> None:
         self.legs = legs
-        self.num_cores = num_cores
+        self.runtimes = runtimes
+        self.num_cores = len(runtimes)
+        self.names = names
         self._tables: List[int] = []
         # The lines pool is allocated once, at its final size; these
         # ``(start, stop, value)`` fills are its non-zero contents.
@@ -256,6 +303,8 @@ class _Levels:
             self._describe(level, placement, select, bin_columns[select],
                            bounds[select])
             for level, placement, select in legs], dtype=np.int64)
+        self.cores = np.array([self._core(runtime) for runtime in runtimes],
+                              dtype=np.int64)
         self.lines = np.zeros(self._lines_size, dtype=np.int64)
         for start, stop, value in self._fills:
             self.lines[start:stop] = value
@@ -313,8 +362,7 @@ class _Levels:
             row["brrip"] = self._table(
                 role == "brrip" or (role == "follower" and follower)
                 for role in replacement.set_roles)
-            row["long_prob"] = int(
-                np.float64(replacement.brrip_long_prob).view(np.int64))
+            row["long_prob"] = _bits(replacement.brrip_long_prob)
         elif type(replacement) is ShipReplacement:
             shct = self._line_block(len(replacement.shct))
             self._fills.append(
@@ -344,21 +392,54 @@ class _Levels:
         row["slips"] = self._table(slips)
         return [int(row[name]) for name in LEVEL_FIELDS]
 
+    def _core(self, runtime) -> List[int]:
+        """One core's row; its sampler state, counters and EOU records
+        go into the pools."""
+        sampler = runtime.sampler
+        row = dict(
+            always=runtime.always_sample, counter_max=runtime._counter_max,
+            to_stable=_bits(1.0 / sampler.nsamp),
+            to_sampling=_bits(1.0 / sampler.nstab),
+            stabilize=runtime.MIN_SAMPLES_TO_STABILIZE,
+            rng=len(self._rng) * _MT_WORDS, stats=self._tally_size)
+        self._rng.append(sampler._rng.getstate()[1])
+        self._tally_size += _COUNTERS
+        for level, name in zip(("l2", "l3"), self.names):
+            row["default_" + level] = runtime._default_ids[name]
+            row["eou_" + level] = self._table(
+                _eou_record(runtime.eous[name], runtime.allow_abp))
+        return [int(row[name]) for name in CORE_FIELDS]
+
     def hand_back(self) -> None:
-        """Each RRIP policy's generator, and a SHiP level's SHCT, where
-        the sweep left them."""
+        """Each RRIP policy's generator, a SHiP level's SHCT and each
+        core's sampler generator where the sweep left them, and each
+        core's counters into its runtime's ``RuntimeStats`` and
+        ``EouStats``."""
         for index, (level, _, _) in enumerate(self.legs):
             replacement = level.replacement
             if type(replacement) is LruReplacement:
                 continue
-            version, _, gauss = replacement._rng.getstate()
-            words = self.rng[index * _MT_WORDS:(index + 1) * _MT_WORDS]
-            replacement._rng.setstate(
-                (version, tuple(words.tolist()), gauss))
+            _restore(replacement._rng,
+                     self.rng[index * _MT_WORDS:(index + 1) * _MT_WORDS])
             if type(replacement) is ShipReplacement:
                 start = int(self.descriptors[index, _FIELD["shct"]])
                 replacement.shct[:] = \
                     self.lines[start:start + len(replacement.shct)].tolist()
+        offsets = self.cores[:, [_CORE["rng"], _CORE["stats"]]]
+        for runtime, (rng, start) in zip(self.runtimes, offsets.tolist()):
+            _restore(runtime.sampler._rng,
+                     self.rng[rng:rng + _MT_WORDS])
+            (fetches, recomputations, to_stable, to_sampling,
+             *eou) = self.tally[start:start + _COUNTERS].tolist()
+            stats = runtime.stats
+            stats.distribution_fetches += fetches
+            stats.policy_recomputations += recomputations
+            stats.state_transitions_to_stable += to_stable
+            stats.state_transitions_to_sampling += to_sampling
+            for select, name in enumerate(self.names):
+                eou_stats = runtime.eous[name].stats
+                eou_stats.optimizations += eou[select]
+                eou_stats.tlb_block_cycles += eou[2 + select]
 
     def tallies(self, index: int) -> Tuple[LevelTally, List[List[int]]]:
         """One level's :class:`LevelTally` and its per-core blocks.
@@ -398,13 +479,12 @@ class _Levels:
 class _PageTable:
     """The sweep's page table: one row per profile key (``P_*``).
 
-    The sweep changes a row only by samples (bins and
-    ``period_samples``, marking it touched); the runtime's
-    ``SlipPageEntry`` owns everything else. At each key fetch
-    :meth:`callback` hands a touched row to its entry, runs the live
-    runtime's ``_key_metadata_fetches`` and takes the entry's state
-    back into the row; :meth:`finish` hands over the rows still
-    touched at the end.
+    Rows start from the entries the runtimes hold, each key's
+    distribution line beside them. The sweep owns every row from then
+    on: samples change its bins, and its key misses run the state
+    machine and the EOU over it. :meth:`finish` writes every row that
+    holds an entry into the runtime that owns its key, creating the
+    entries the walk would have created.
     """
 
     def __init__(self, runtimes, keys: np.ndarray, owners: np.ndarray,
@@ -420,57 +500,36 @@ class _PageTable:
             column += count
         self.array = np.zeros((len(self.keys), column), dtype=np.int64)
         self.width = column
-        self.rows = memoryview(self.array.reshape(-1))
-        self.error = None
+        self.array[:, _LINE] = distribution_line_address(keys)
         for runtime in runtimes:
             for key, entry in runtime.pages.items():
                 kid = int(np.searchsorted(keys, key))
                 if kid < len(self.keys) and self.keys[kid] == key:
-                    self.load(kid, entry)
-                    for name, (lo, hi) in zip(names, self.columns):
-                        self.array[kid, lo:hi] = \
-                            entry.distributions[name].counts
-
-    def load(self, kid: int, entry) -> None:
-        """The entry's state machine and policies into its row."""
-        rows, base = self.rows, kid * self.width
-        rows[base + _EXISTS] = 1
-        rows[base + _SAMPLING] = int(entry.state is PageState.SAMPLING)
-        rows[base + _SAMPLES] = entry.period_samples
-        for select, name in enumerate(self.names):
-            rows[base + _POLICY + select] = entry.policies[name]
-
-    def store(self, kid: int, entry) -> None:
-        """The sweep's samples into the entry."""
-        rows, base = self.rows, kid * self.width
-        for name, (lo, hi) in zip(self.names, self.columns):
-            entry.distributions[name].counts = \
-                rows[base + lo:base + hi].tolist()
-        entry.period_samples = rows[base + _SAMPLES]
-        rows[base + _TOUCHED] = 0
-
-    def callback(self, core: int, kid: int) -> int:
-        """``slip_sweep``'s fetch: the distribution line to fetch, -1
-        for none; an exception is kept for the caller to raise."""
-        try:
-            runtime = self.runtimes[core]
-            key = self.keys[kid]
-            if self.rows[kid * self.width + _TOUCHED]:
-                self.store(kid, runtime.pages[key])
-            fetches = runtime._key_metadata_fetches(key)
-            self.load(kid, runtime.pages[key])
-            return fetches[0] if fetches else -1
-        except BaseException as error:
-            self.error = error
-            return _FETCH_ABORT
+                    row = self.array[kid]
+                    row[[_EXISTS, _SAMPLING, _SAMPLES, _VISITS]] = (
+                        1, entry.state is PageState.SAMPLING,
+                        entry.period_samples, entry.sampling_visits)
+                    for select, (name, (lo, hi)) in enumerate(
+                            zip(names, self.columns)):
+                        row[_POLICY + select] = entry.policies[name]
+                        row[lo:hi] = entry.distributions[name].counts
 
     def finish(self) -> None:
-        """Hand every row the sweep touched since its last fetch to its
-        entry."""
-        touched = np.flatnonzero(self.array[:, _TOUCHED]).tolist()
-        for kid in touched:
-            runtime = self.runtimes[self.owners[kid]]
-            self.store(kid, runtime.pages[self.keys[kid]])
+        """Every row that holds an entry, into its entry. Rows are read
+        one at a time: the whole table as lists would raise the cell's
+        peak memory."""
+        for kid in np.flatnonzero(self.array[:, _EXISTS]).tolist():
+            row = self.array[kid].tolist()
+            entry = self.runtimes[self.owners[kid]].entry_for(
+                self.keys[kid])
+            entry.state = (PageState.SAMPLING if row[_SAMPLING]
+                           else PageState.STABLE)
+            entry.period_samples = row[_SAMPLES]
+            entry.sampling_visits = row[_VISITS]
+            for select, (name, (lo, hi)) in enumerate(
+                    zip(self.names, self.columns)):
+                entry.policies[name] = row[_POLICY + select]
+                entry.distributions[name].counts = row[lo:hi]
 
 
 def _merged_events(hierarchy, traces: Sequence[Trace],
@@ -546,8 +605,14 @@ def _merged_events(hierarchy, traces: Sequence[Trace],
         order = merge_by_access(positions)
         table = np.zeros((len(columns[0]), order.shape[0] + 1),
                          dtype=np.int64)
+        # Each row is written once: a single core's events are already
+        # in order, and a mix's are gathered straight into the row.
         for row, column in zip(table, zip(*columns)):
-            row[:-1] = np.concatenate(column)[order]
+            if num_cores == 1:
+                np.concatenate(column, out=row[:-1])
+            else:
+                np.concatenate(column).take(order, out=row[:-1],
+                                            mode="clip")
         table[0, -1] = end
         merged.append(table)
     misses, refs = merged
@@ -596,29 +661,22 @@ def replay_capture_vector_slip(hierarchies: Sequence,
     levels = _Levels(
         [(h.l2, h.l2_placement, 0) for h in hierarchies]
         + [(first.l3, first.l3_placement, 1)],
-        [lo for lo, _ in pages.columns], bounds, num_cores)
-    cores = np.array([
-        (runtime.always_sample, runtime._counter_max,
-         *(runtime._default_ids[name] for name in names))
-        for runtime in runtimes], dtype=np.int64)
+        runtimes, names, [lo for lo, _ in pages.columns], bounds)
 
     # ----- phase 1: the sweep, to the warmup boundary, then measured --
     cursor = np.zeros(2, dtype=np.int64)
-    fetch = native.FETCH(pages.callback)
     for stop in (warmup, n):
         if stop == n:
             # Same boundary as the walk: counters reset, cache / TLB /
-            # page state stays warm (EOU memo survives).
+            # page state stays warm.
             for hierarchy in hierarchies:
                 hierarchy.reset_stats()
             levels.tally[:] = 0
         status = native.library().slip_sweep(
             num_cores, stop * num_cores, cursor, misses,
-            misses.shape[1] - 1, refs, refs.shape[1] - 1, cores,
+            misses.shape[1] - 1, refs, refs.shape[1] - 1, levels.cores,
             pages.array, pages.width, levels.descriptors, levels.lines,
-            levels.tables, levels.rng, levels.tally, fetch)
-        if pages.error is not None:
-            raise pages.error
+            levels.tables, levels.rng, levels.tally)
         if status:
             raise MemoryError("slip_sweep: out of memory")
     pages.finish()

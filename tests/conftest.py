@@ -52,16 +52,17 @@ def served_like_walk(walked):
     of the walk of ``run(**cell)``. ``run`` is ``run_trace`` or
     ``run_mix_traces``; ``store=None`` serves without a store, and a
     fresh store serves cold, then warm. A cell's ``argmin`` (see
-    ``harness``), when set, replaces the EOU's argmin on both sides."""
+    ``harness``), when set, replaces the EOU's coefficients on both
+    sides."""
     from harness import canonical
-    from repro.core.eou import EnergyOptimizerUnit
+    from repro.core.energy_model import SlipEnergyModel
 
     def check(run, cell, store=None):
         cell = dict(cell)
         argmin = cell.pop("argmin", None)
         with pytest.MonkeyPatch.context() as mp:
             if argmin is not None:
-                mp.setattr(EnergyOptimizerUnit, "_argmin", argmin)
+                mp.setattr(SlipEnergyModel, "quantized_alphas", argmin)
             with walked():
                 reference = canonical(run(**cell))
             assert ([canonical(run(**cell, store=store))

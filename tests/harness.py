@@ -3,11 +3,11 @@
 A cell is the keyword arguments of
 :func:`~repro.sim.single_core.run_trace` (:func:`single_cell`) or of
 :func:`~repro.sim.multi_core.run_mix_traces` (:func:`mix_cell`), plus,
-for the slip kinds, ``argmin``: ``None``, or :func:`most_chunks_argmin`,
+for the slip kinds, ``argmin``: ``None``, or :func:`most_chunks_alphas`,
 which the ``served_like_walk`` fixture (conftest) patches in for both
-sides so that SLIP lines move between chunks. Each generator takes
-``choose``, a function from a sequence of options to one of them. The
-hypothesis tests of ``test_mix_replay`` pass a strategy draw, and a
+sides so that the EOU picks SLIPs whose lines move between chunks.
+Each generator takes ``choose``, a function from a sequence of options
+to one of them. The hypothesis tests of ``test_mix_replay`` pass a strategy draw, and a
 seeded case passes ``random.Random(seed).choice``, so both draw from
 the one space defined here. ``served_like_walk`` checks a cell against
 the per-access walk.
@@ -22,7 +22,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from repro.core.distribution import DEFAULT_WARM_SAMPLES
 from repro.core.energy_model import LevelEnergyParams
 from repro.sim.build import POLICY_NAMES, runtime_kind
 from repro.sim.config import (
@@ -43,23 +42,28 @@ WARMUP_FRACTIONS = (0.0, 0.1, 0.3, 0.5, 0.6, 1.0)
 REPLACEMENTS = ("lru", "random", "drrip", "ship")
 
 
-def most_chunks_argmin(eou, counts, allow_abp, confident):
-    """``EnergyOptimizerUnit._argmin`` that, once the distribution is
-    warm, picks the eligible SLIP with the most chunks: its fills and
-    hits cascade lines down chunk by chunk, so the levels move lines."""
-    if sum(counts) < DEFAULT_WARM_SAMPLES:
-        return eou.space.default_id
-    return max(eou._eligible[(allow_abp, confident)],
-               key=lambda eeu: (eou.space.num_chunks(eeu.slip_id),
-                                -eeu.slip_id)).slip_id
+def most_chunks_alphas(model, coefficient_bits=16):
+    """``SlipEnergyModel.quantized_alphas`` under which the EOU, once
+    the distribution is warm, picks the eligible SLIP with the most
+    chunks, the lowest id among equals: every coefficient of a SLIP is
+    its rank in that order. Its fills and hits cascade lines down chunk
+    by chunk, so the levels move lines. The EOU's argmin and cold floor
+    stay its own, so the SLIP kernel's sweep picks the same SLIPs."""
+    space = model.space
+    order = sorted(range(len(model.alphas)),
+                   key=lambda slip_id: (-space.num_chunks(slip_id), slip_id))
+    rank = {slip_id: index for index, slip_id in enumerate(order)}
+    return [[rank[slip_id]] * len(alpha)
+            for slip_id, alpha in enumerate(model.alphas)]
 
 
 def argmin(choose, policy: str):
     """The ``argmin`` dimension: a slip-kind cell draws the EOU's own
-    argmin or :func:`most_chunks_argmin`; a baseline kind has no EOU."""
+    coefficients or :func:`most_chunks_alphas`; a baseline kind has no
+    EOU."""
     if runtime_kind(policy) == "baseline":
         return None
-    return choose((None, most_chunks_argmin))
+    return choose((None, most_chunks_alphas))
 
 
 def canonical(result) -> str:

@@ -19,8 +19,8 @@ kinds' merged scalar replay. Mixes hard-wire LRU, so single-core
 L2/L3 geometries wide enough (>= 64 sets) to hold DRRIP's BRRIP leader
 sets, and for the slip kinds the per-level energy overrides and
 ``always_sample``. Slip-kind cells, mixes and single-core alike, also
-draw the EOU's argmin: their own, or one that picks multi-chunk SLIPs,
-so that lines cascade between chunks.
+draw the EOU's coefficients: their own, or ones under which it picks
+multi-chunk SLIPs, so that lines cascade between chunks.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from harness import (
     CHURN,
     canonical,
     mix_cell,
-    most_chunks_argmin,
+    most_chunks_alphas,
     single_cell,
     tiny_config,
     trace,
 )
-from repro.core.eou import EnergyOptimizerUnit
+from repro.core.energy_model import SlipEnergyModel
 from repro.sim import multi_core
 from repro.sim.single_core import run_trace
 from repro.workloads.capture_store import MemoryCaptureStore
@@ -208,7 +208,8 @@ def test_cascade_movements_match_walk(cores, policy, tiny_system,
     movement tallies and movement-queue charge equal the walk's. Unlike
     a harness draw, these cells are pinned to move lines at every
     level."""
-    monkeypatch.setattr(EnergyOptimizerUnit, "_argmin", most_chunks_argmin)
+    monkeypatch.setattr(SlipEnergyModel, "quantized_alphas",
+                        most_chunks_alphas)
     for mix in (("soplex", "mcf"), ("gcc", "soplex")):
         mix = mix[:cores]
         traces = make_mix_traces(mix, 5_000, seed=1)

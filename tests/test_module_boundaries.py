@@ -3,8 +3,9 @@
 No module under ``src/repro`` reads the environment, so no knob can
 switch a run onto another code path unseen; the simulator loads
 only ``repro.analysis.invariants`` of ``repro.analysis``; the
-kernels publish their tallies through one step; and only the TLB and
-the capture kernel compute PTE-line addresses.
+kernels publish their tallies through one step; only the TLB and the
+capture kernel compute PTE-line addresses, and only the TLB computes
+distribution-line addresses.
 """
 
 import ast
@@ -115,3 +116,15 @@ def test_pte_lines_have_one_writer():
         "repro/mem/tlb.py",
         "repro/sim/vector_frontend.py",
     }
+
+
+def test_distribution_lines_have_one_writer():
+    """The SLIP kernel's sweep fetches each key's distribution line from
+    a column ``distribution_line_address`` fills: only the TLB module
+    computes the address, and the C file copies none of its constants."""
+    names = {"DIST_TABLE_BASE", "DISTS_PER_LINE"}
+    assert modules_naming(names) == {"repro/mem/tlb.py"}
+    with open(os.path.join(SRC_DIR, "repro", "sim", "_lru.c"),
+              encoding="utf-8") as handle:
+        text = handle.read()
+    assert not any(name in text for name in names)

@@ -12,9 +12,11 @@ differential check (``served_like_walk``). Everything the kernel cannot
 represent must decline with a recorded reason and walk, before any
 capture is taken, with identical bytes. The spy tests pin that the
 kernel really serves DRRIP/SHiP, rd-block and multicore cells. The
-live state the C sweep hands back (every page row, the DRRIP and SHiP
-generators and SHCTs) must end where the walk leaves it, and an
-exception raised in a key fetch must reach the caller.
+live state the C sweep hands back (every page row, each core's sampler
+generator and runtime and EOU counters, the DRRIP and SHiP generators
+and SHCTs) must end where the walk leaves it, and the sweep's EOU must
+pick the walk's SLIPs at the edges of its cold floor, its ABP evidence
+floor and its tie-break.
 """
 
 import random
@@ -24,9 +26,11 @@ import numpy as np
 import pytest
 
 from harness import canonical, single_cell
+from repro.core.distribution import DEFAULT_WARM_SAMPLES
+from repro.core.eou import EnergyOptimizerUnit
 from repro.core.sampling import PageState
 from repro.sim import filtered, multi_core, single_core
-from repro.sim.build import build_hierarchy, maybe_boost_sampler
+from repro.sim.build import build_hierarchy
 from repro.sim.config import default_system
 from repro.sim.filtered import front_end_fingerprint
 from repro.sim.single_core import run_trace
@@ -390,12 +394,22 @@ def page_rows(hierarchies) -> list:
             for hierarchy in hierarchies]
 
 
-@pytest.mark.parametrize("shape", ("page", "rd-block", "always-sample",
-                                   "mix"))
-def test_page_rows_end_where_the_walk_leaves_them(shape, tiny_system):
-    """The sweep owns the sampled rows between key fetches; every row
-    it hands back to the runtime's ``SlipPageEntry`` is the walk's."""
-    config = tiny_system
+def runtime_ledgers(hierarchies) -> list:
+    """Per core: the sampler's generator state, every ``RuntimeStats``
+    field and each level's ``EouStats``."""
+    return [(hierarchy.runtime.sampler._rng.getstate(),
+             asdict(hierarchy.runtime.stats),
+             {name: asdict(eou.stats)
+              for name, eou in hierarchy.runtime.eous.items()})
+            for hierarchy in hierarchies]
+
+
+SHAPES = ("page", "rd-block", "always-sample", "mix")
+
+
+def shape_run(shape, config):
+    """A ``slip_abp`` run of one of :data:`SHAPES`: soplex by pages, by
+    four-line rd-blocks or sampling always, or a two-core mix."""
     if shape == "rd-block":
         config = config.with_slip(rd_block_lines=4, slip_cache_entries=4)
     if shape == "mix":
@@ -411,8 +425,14 @@ def test_page_rows_end_where_the_walk_leaves_them(shape, tiny_system):
             run_trace(trace, "slip_abp", config=config, seed=2,
                       always_sample=shape == "always-sample",
                       store=MemoryCaptureStore())
+    return run
 
-    served, walked = served_and_walked(run)
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_page_rows_end_where_the_walk_leaves_them(shape, tiny_system):
+    """The sweep owns the page rows; every row it writes back into the
+    runtime's ``SlipPageEntry`` is the walk's."""
+    served, walked = served_and_walked(shape_run(shape, tiny_system))
     rows = page_rows(served)
     assert rows == page_rows(walked)
     # Bins saturate and halve, and outside rd-blocks (four-line keys)
@@ -421,6 +441,25 @@ def test_page_rows_end_where_the_walk_leaves_them(shape, tiny_system):
                for counts in entry[2].values()) >= 14
     assert shape == "rd-block" or max(
         entry[3] for table in rows for entry in table.values()) == 63
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_runtime_ledgers_end_where_the_walk_leaves_them(shape,
+                                                        tiny_system):
+    """The sweep draws from each core's sampler and counts the
+    runtime's fetches, recomputations, transitions and EOU operations:
+    the generator ends in the walk's state and every ledger holds the
+    walk's counts."""
+    served, walked = served_and_walked(shape_run(shape, tiny_system))
+    ledgers = runtime_ledgers(served)
+    assert ledgers == runtime_ledgers(walked)
+    for _, stats, eous in ledgers:
+        assert stats["distribution_fetches"] > 0
+        assert stats["policy_recomputations"] > 0
+        assert all(eou["optimizations"] == stats["policy_recomputations"]
+                   for eou in eous.values())
+        assert (stats["state_transitions_to_stable"] > 0) == (
+            shape != "always-sample")
 
 
 @pytest.mark.parametrize("replacement", RRIP)
@@ -443,33 +482,6 @@ def test_rrip_state_ends_where_the_walk_leaves_it(replacement):
     if replacement == "ship":
         # The SHCT left its initial all-ones state at both levels.
         assert all(set(shct) != {1} for _, shct in state(served))
-
-
-class FetchFailed(Exception):
-    pass
-
-
-def test_an_exception_in_a_key_fetch_reaches_the_caller(tiny_system,
-                                                        monkeypatch):
-    """The sweep stops at a key fetch that raises, and
-    ``replay_capture_vector_slip`` raises the same exception."""
-    from repro.core.eou import EnergyOptimizerUnit
-
-    trace = make_trace("soplex", 2_500)
-    store = MemoryCaptureStore()
-    run_trace(trace, "slip_abp", config=tiny_system, store=store)
-    capture = slip_capture(trace, tiny_system, store)
-    failure = FetchFailed("EOU failed")
-
-    def optimize(*args, **kwargs):
-        raise failure
-
-    monkeypatch.setattr(EnergyOptimizerUnit, "optimize", optimize)
-    hierarchy = build_hierarchy(tiny_system, "slip_abp")
-    maybe_boost_sampler(hierarchy.runtime)
-    with pytest.raises(FetchFailed) as raised:
-        replay_capture_vector_slip([hierarchy], [trace], [capture])
-    assert raised.value is failure
 
 
 def test_entries_held_before_the_replay_steer_it(tiny_system, monkeypatch,
@@ -502,3 +514,63 @@ def test_entries_held_before_the_replay_steer_it(tiny_system, monkeypatch,
     assert built[0].l2.valid_count == 0 < built[1].l2.valid_count
     assert canonical(served) == canonical(walk)
     assert page_rows(built[:1]) == page_rows(built[1:])
+
+
+@pytest.mark.parametrize("policy", SLIP_KIND)
+def test_eou_edges_steer_the_sweep_as_the_walk(policy, tiny_system,
+                                               monkeypatch, walked):
+    """Pages held sampling before the replay, one visit in, may
+    stabilize at their first key miss on the bins they hold, so the
+    sweep's EOU meets its edges exactly: L2 bin sums at the cold floor
+    (``DEFAULT_WARM_SAMPLES``) and one below, ``period_samples`` at the
+    L3 ABP evidence floor and one below, and L2 bins on which two EEUs
+    tie. The SLIPs it picks are the walk's."""
+    trace = make_trace("soplex", 3_000, seed=1)
+    floor = tiny_system.slip.l3_abp_min_samples
+    warm = [DEFAULT_WARM_SAMPLES, 0, 0, 0]
+    cold = [DEFAULT_WARM_SAMPLES - 1, 0, 0, 0]
+    misses = [0, 0, 0, 8]  # warm enough to stabilize
+    cases = [(l2, samples) for l2 in (warm, cold)
+             for samples in (floor, floor - 1)]
+    built, optimized = [], []
+
+    def hold(*args, **kwargs):
+        hierarchy = build_hierarchy(*args, **kwargs)
+        runtime = hierarchy.runtime
+        keys = np.unique(trace.addresses >> runtime.key_shift)
+        for index, key in enumerate(keys.tolist()):
+            entry = runtime.entry_for(key)
+            l2, entry.period_samples = cases[index % len(cases)]
+            entry.distributions["L2"].counts = list(l2)
+            entry.distributions["L3"].counts = list(misses)
+            entry.sampling_visits = 1
+        built.append(hierarchy)
+        return hierarchy
+
+    optimize_eou = EnergyOptimizerUnit.optimize
+
+    def optimize(eou, distribution, allow_abp=True, evidence_samples=None):
+        optimized.append((eou.min_abp_samples, tuple(distribution.counts),
+                          evidence_samples))
+        return optimize_eou(eou, distribution, allow_abp, evidence_samples)
+
+    monkeypatch.setattr(single_core, "build_hierarchy", hold)
+    served = run_trace(trace, policy, config=tiny_system,
+                       store=MemoryCaptureStore())
+    monkeypatch.setattr(EnergyOptimizerUnit, "optimize", optimize)
+    with walked():
+        walk = run_trace(trace, policy, config=tiny_system)
+    assert built[0].l2.valid_count == 0 < built[1].l2.valid_count
+    assert canonical(served) == canonical(walk)
+    assert page_rows(built[:1]) == page_rows(built[1:])
+    assert runtime_ledgers(built[:1]) == runtime_ledgers(built[1:])
+    # The walk's EOUs met every edge.
+    l2_eou = built[1].runtime.eous["L2"]
+    assert {(0, tuple(l2)) for l2 in (warm, cold)} <= {
+        (min_abp, counts) for min_abp, counts, _ in optimized}
+    assert {(floor, tuple(misses), samples)
+            for samples in (floor, floor - 1)} <= set(optimized)
+    energies = sorted(
+        eeu.evaluate(warm)
+        for eeu in l2_eou._eligible[(policy == "slip_abp", True)])
+    assert energies[0] == energies[1]
